@@ -52,6 +52,8 @@ print(f"largest injected noise value: {noise_scale:.4f} (sigma_r = 0.05)")
 print()
 print("=== the space-time observation operator ===")
 G = assemble_G(obs, inst)
-print(f"G is {G.G.shape[0]} x {G.G.shape[1]}, block diagonal; block 0 is the "
-      "plain selection, later blocks fold in one model step")
-print(f"nonzeros: {np.count_nonzero(G.G)} of {G.G.size} entries")
+rows, cols = sum(b.shape[0] for b in G), sum(b.shape[1] for b in G)
+print(f"G is {rows} x {cols} and block diagonal, so only its {len(G)} diagonal "
+      f"blocks are kept, each {G[0].shape[0]} x {G[0].shape[1]}")
+print("block 0 is the plain selection, later blocks fold in one model step: "
+      f"nonzeros per block {[int(np.count_nonzero(b)) for b in G]}")

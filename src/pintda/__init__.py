@@ -25,10 +25,10 @@ from .parareal import (PararealHistory, PararealTrajectory, TimeSlabs,
                        build_time_slabs, coarse_sweep, initial_trajectory,
                        local_da_solve, parareal_update, run_parareal,
                        serial_fine_chain)
-from .testbed import (BlockObservationOperator, CovarianceFactorPair,
-                      ModelInstance, ObservationSet, TestbedError, assemble_G,
-                      build_covariance, build_model_instance,
-                      build_observations, selection_matrix)
+from .testbed import (CovarianceFactorPair, ModelInstance, ObservationSet,
+                      TestbedError, assemble_G, build_covariance,
+                      build_model_instance, build_observations,
+                      selection_matrix)
 from .var_solver import (AnalysisState, HessianReport, VarProblemConfig,
                          VarSolverError, eval_cost, eval_grad,
                          hessian_condition, solve_var_direct)

@@ -10,6 +10,7 @@ digits so a parsed report reproduces every float exactly.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -103,6 +104,10 @@ def parse_config_file(path):
 def validate_config(config):
     """Range-check every numeric field; messages name the offending field."""
     c = config
+    for key, name in _KEY_TO_FIELD.items():
+        value = getattr(c, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
     if c.np < 2:
         raise ConfigError(f"np: need at least 2 grid points, got {c.np}")
     if c.n_steps < 2:
@@ -123,6 +128,8 @@ def validate_config(config):
         raise ConfigError(f"obs_layout: expected stride or random, got {c.obs_layout!r}")
     if c.n_sub < 1:
         raise ConfigError(f"n_sub: must be >= 1, got {c.n_sub}")
+    if c.n_sub > c.np:
+        raise ConfigError(f"n_sub: cannot split np={c.np} points into {c.n_sub} blocks")
     if c.overlap < 0:
         raise ConfigError(f"overlap: must be >= 0, got {c.overlap}")
     if c.n_sub > 1 and c.overlap * (c.n_sub - 1) >= c.np:
@@ -426,7 +433,8 @@ _CLI_TO_KEY = {
 
 
 def main(argv=None):
-    """CLI entry point; exit code 0 converged, 2 non-converged, 1 bad config."""
+    """CLI entry point; exit code 0 converged, 2 non-converged, 1 bad config,
+    3 a solver fault (singular system, unusable partition or testbed input)."""
     args = _build_arg_parser().parse_args(argv)
     overrides = {}
     for attr, key in _CLI_TO_KEY.items():
@@ -439,10 +447,16 @@ def main(argv=None):
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
 
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except (var_solver.VarSolverError, dd_mps.PartitionError,
+            testbed.TestbedError) as err:
+        print(f"solver error: {err}", file=sys.stderr)
+        return 3
     emit_report(result.records, format=config.format, path=config.out)
     s = result.summary
     print(f"status={result.status} n_outer={s['n_outer']} "
           f"mu_A={s['mu_A']:.6g} C={s['C_const']:.6g} eps_mps={s['eps_mps']:.3g} "
-          f"C_h={s['C_h']:.6g}", file=sys.stderr)
+          f"C_h={s['C_h']:.6g} reason={s['parareal_reason']} "
+          f"bound_dominates={s['bound_dominates']}", file=sys.stderr)
     return 0 if result.converged else 2

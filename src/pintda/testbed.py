@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class TestbedError(ValueError):
@@ -64,14 +63,6 @@ class ObservationSet:
     v: tuple                # per-time observation vectors
     seed: int
     u_truth: np.ndarray
-
-
-@dataclass(frozen=True)
-class BlockObservationOperator:
-    """Space-time observation operator assembled block-diagonally."""
-
-    G: np.ndarray           # (n_steps * nobs) x (np * n_steps)
-    blocks: tuple           # per-time blocks; blocks[0] = H_0, blocks[k] = H_k M
 
 
 def _freeze(a, dtype=float):
@@ -215,9 +206,10 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
 
 
 def assemble_G(observations, instance):
-    """Block-diagonal space-time observation operator.
+    """Diagonal blocks of the space-time observation operator, one per time.
 
-    The leading block observes the initial state directly; every later block
+    The space-time operator is block diagonal, so only its blocks are kept:
+    the leading block observes the initial state directly; every later block
     composes the one-step propagator with that time's selection operator.
     """
     n_steps = instance.n_steps
@@ -230,5 +222,4 @@ def assemble_G(observations, instance):
 
     blocks = [observations.H[0]]
     blocks += [observations.H[k] @ instance.M for k in range(1, n_steps)]
-    G = scipy.linalg.block_diag(*blocks)
-    return BlockObservationOperator(G=_freeze(G), blocks=tuple(_freeze(b) for b in blocks))
+    return tuple(_freeze(b) for b in blocks)

@@ -1,11 +1,13 @@
 """Direct (oracle) evaluation and minimization of the variational cost functions.
 
-Both cost functions weight misfits by inverse covariances.  The space-time
-variant treats the control as the stacked states at every time point, with the
-background term applied blockwise against the initial state; the single-time
-variant assimilates one observation batch against the background.  The direct
-solver factorizes the normal equations densely and is the reference every
-iterative solver in this package is tested against.
+Both cost functions weight misfits by inverse covariances.  The single-time
+variant assimilates one observation batch against the background.  The
+space-time variant stacks the states at every time point; each sees only its
+own observations and background term, so its Hessian is block diagonal and it
+is solved one np x np time block at a time, each block being the single-time
+normal system with H -> G_k and lam -> alpha.  The direct solver factorizes
+each block densely and is the reference every iterative solver in this
+package is tested against.
 """
 
 from __future__ import annotations
@@ -27,14 +29,16 @@ VARIANTS = ("threeD", "fourD")
 class VarProblemConfig:
     """Everything needed to evaluate and minimize the variational costs.
 
-    For the single-time variant, `time_index` selects which observation batch
-    is assimilated and `u0` doubles as the background state.
+    `G` holds the per-time observation operators of the space-time variant
+    (G[0] = H_0, G[k] = H_k M).  For the single-time variant, `time_index`
+    selects which observation batch is assimilated and `u0` doubles as the
+    background state.
     """
 
     instance: object
     covpair: object
     observations: object
-    G: object
+    G: tuple
     u0: np.ndarray
     alpha: float = 1.0
     lam: float = 1.0
@@ -58,137 +62,123 @@ class AnalysisState:
 
 @dataclass(frozen=True)
 class HessianReport:
-    A: np.ndarray
+    blocks: tuple           # per-time Hessians; the single-time variant has one
     mu: float               # infinity-norm condition number
 
 
-def _check_variant(variant):
+def _blocks(config, variant):
+    """Background weight and per-time (operator, observations, covariance)."""
     if variant not in VARIANTS:
         raise VarSolverError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    obs = config.observations
+    if variant == "threeD":
+        k = config.time_index
+        return config.lam, [(obs.H[k], obs.v[k], config.covpair.R_block(k, obs.nobs))]
+    return config.alpha, [(Gk, obs.v[k], config.covpair.R_block(k, obs.nobs))
+                          for k, Gk in enumerate(config.G)]
 
 
-def _three_d_pieces(config):
-    k = config.time_index
-    H = config.observations.H[k]
-    v = config.observations.v[k]
-    Rk = config.covpair.R_block(k, config.observations.nobs)
-    return H, v, Rk
-
-
-def _stacked_v(config):
-    return np.concatenate(config.observations.v)
+def _state_blocks(u, config, n_blocks):
+    """The state as one row per time block, shape-checked."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n_blocks * config.instance.np,):
+        raise VarSolverError(f"state must have shape ({n_blocks * config.instance.np},)")
+    return u.reshape(n_blocks, -1)
 
 
 def eval_cost(u, config, variant="threeD"):
     """Quadratic data-assimilation cost of a state vector.
 
     threeD:  (H u - v)^T R^-1 (H u - v) + lam (u - u0)^T B^-1 (u - u0)
-    fourD:   sum_k alpha (u_k - u0)^T B^-1 (u_k - u0) + (G u - v)^T R^-1 (G u - v)
+    fourD:   sum_k (G_k u_k - v_k)^T R_k^-1 (G_k u_k - v_k)
+                   + alpha (u_k - u0)^T B^-1 (u_k - u0)
     """
-    _check_variant(variant)
-    u = np.asarray(u, dtype=float)
-    n_grid = config.instance.np
-    B = config.covpair.B
-
-    if variant == "threeD":
-        if u.shape != (n_grid,):
-            raise VarSolverError(f"threeD state must have shape ({n_grid},)")
-        H, v, Rk = _three_d_pieces(config)
-        r = H @ u - v
-        db = u - config.u0
-        return float(r @ np.linalg.solve(Rk, r) if r.size else 0.0) \
-            + config.lam * float(db @ np.linalg.solve(B, db))
-
-    n_steps = config.instance.n_steps
-    if u.shape != (n_grid * n_steps,):
-        raise VarSolverError(f"fourD state must have shape ({n_grid * n_steps},)")
-    r = config.G.G @ u - _stacked_v(config)
-    obs = float(r @ np.linalg.solve(config.covpair.R, r)) if r.size else 0.0
-    bg = 0.0
-    for k in range(n_steps):
-        db = u[k * n_grid:(k + 1) * n_grid] - config.u0
-        bg += float(db @ np.linalg.solve(B, db))
-    return config.alpha * bg + obs
+    weight, blocks = _blocks(config, variant)
+    U = _state_blocks(u, config, len(blocks))
+    D = U - config.u0
+    BD = np.linalg.solve(config.covpair.B, D.T).T
+    total = 0.0
+    for (H, v, Rk), uk, dk, bdk in zip(blocks, U, D, BD):
+        r = H @ uk - v
+        total += (float(r @ np.linalg.solve(Rk, r)) if r.size else 0.0) \
+            + weight * float(dk @ bdk)
+    return total
 
 
 def eval_grad(u, config, variant="threeD"):
     """Analytic gradient of eval_cost at u."""
-    _check_variant(variant)
-    u = np.asarray(u, dtype=float)
-    n_grid = config.instance.np
-    B = config.covpair.B
-
-    if variant == "threeD":
-        H, v, Rk = _three_d_pieces(config)
-        g = 2.0 * config.lam * np.linalg.solve(B, u - config.u0)
+    weight, blocks = _blocks(config, variant)
+    U = _state_blocks(u, config, len(blocks))
+    g = 2.0 * weight * np.linalg.solve(config.covpair.B, (U - config.u0).T).T
+    for k, (H, v, Rk) in enumerate(blocks):
         if v.size:
-            g = g + 2.0 * H.T @ np.linalg.solve(Rk, H @ u - v)
-        return g
-
-    n_steps = config.instance.n_steps
-    G = config.G.G
-    g = 2.0 * G.T @ np.linalg.solve(config.covpair.R, G @ u - _stacked_v(config))
-    for k in range(n_steps):
-        sl = slice(k * n_grid, (k + 1) * n_grid)
-        g[sl] += 2.0 * config.alpha * np.linalg.solve(B, u[sl] - config.u0)
-    return g
+            g[k] = g[k] + 2.0 * H.T @ np.linalg.solve(Rk, H @ U[k] - v)
+    return g.ravel()
 
 
-def _normal_system(config, variant):
-    """Matrix and right-hand side of the stationarity equations."""
-    n_grid = config.instance.np
+def _normal_systems(config, variant):
+    """Matrix and right-hand side of the stationarity equations, per block.
+
+    Block k is  weight B^-1 + H_k^T R_k^-1 H_k  with right-hand side
+    weight B^-1 u0 + H_k^T R_k^-1 v_k; B^-1 is formed once for all blocks.
+    """
+    weight, blocks = _blocks(config, variant)
     Binv = scipy.linalg.inv(config.covpair.B)
     Binv = 0.5 * (Binv + Binv.T)
+    A_bg = weight * Binv
+    rhs_bg = A_bg @ config.u0
 
-    if variant == "threeD":
-        H, v, Rk = _three_d_pieces(config)
-        A = config.lam * Binv
-        rhs = config.lam * Binv @ config.u0
+    systems = []
+    for H, v, Rk in blocks:
+        A, rhs = A_bg, rhs_bg
         if v.size:
             Rinv = scipy.linalg.inv(Rk)
             A = A + H.T @ Rinv @ H
             rhs = rhs + H.T @ Rinv @ v
-        return 0.5 * (A + A.T), rhs
-
-    n_steps = config.instance.n_steps
-    G = config.G.G
-    Rinv = scipy.linalg.inv(config.covpair.R)
-    A = config.alpha * np.kron(np.eye(n_steps), Binv) + G.T @ Rinv @ G
-    rhs = config.alpha * np.kron(np.eye(n_steps), Binv) @ np.tile(config.u0, n_steps) \
-        + G.T @ Rinv @ _stacked_v(config)
-    return 0.5 * (A + A.T), rhs
+        systems.append((0.5 * (A + A.T), rhs))
+    return systems
 
 
 def solve_var_direct(config, variant="threeD"):
-    """Minimize the cost by a dense solve of its normal equations.
+    """Minimize the cost by a dense solve of each block of its normal equations.
 
-    One step of iterative refinement keeps the returned gradient residual at
-    round-off level; a singular system is reported as a fault.
+    One step of iterative refinement per block keeps the returned gradient
+    residual at round-off level; a singular block is reported as a fault.
     """
-    _check_variant(variant)
-    A, rhs = _normal_system(config, variant)
-    try:
-        u = scipy.linalg.solve(A, rhs, assume_a="pos")
-        u = u + scipy.linalg.solve(A, rhs - A @ u, assume_a="pos")
-    except scipy.linalg.LinAlgError as err:
-        raise VarSolverError(f"stationarity system is singular: {err}") from err
+    systems = _normal_systems(config, variant)
+    parts = []
+    for A, rhs in systems:
+        try:
+            u = scipy.linalg.solve(A, rhs, assume_a="pos")
+            u = u + scipy.linalg.solve(A, rhs - A @ u, assume_a="pos")
+        except scipy.linalg.LinAlgError as err:
+            raise VarSolverError(f"stationarity system is singular: {err}") from err
+        parts.append(u)
 
-    grad_norm = float(np.max(np.abs(2.0 * (A @ u - rhs))))
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
+    grad_norm = max(float(np.max(np.abs(2.0 * (A @ u - rhs))))
+                    for (A, rhs), u in zip(systems, parts))
+    tol = 1e-10 * (1.0 + max(float(np.max(np.abs(rhs))) for _, rhs in systems))
     if grad_norm > tol:
         raise VarSolverError(
             f"direct solve left gradient residual {grad_norm:.3e} > {tol:.3e}")
+    u = np.concatenate(parts)
     return AnalysisState(u_da=u, cost=eval_cost(u, config, variant), grad_norm=grad_norm)
 
 
 def hessian_condition(config, variant="threeD"):
-    """Constant Hessian of the quadratic cost and its infinity-norm condition number."""
-    _check_variant(variant)
-    A, _ = _normal_system(config, variant)
-    A = 2.0 * A
-    try:
-        Ainv = scipy.linalg.inv(A)
-    except scipy.linalg.LinAlgError as err:
-        raise VarSolverError(f"Hessian is singular: {err}") from err
-    mu = float(np.abs(A).sum(axis=1).max() * np.abs(Ainv).sum(axis=1).max())
-    return HessianReport(A=A, mu=mu)
+    """Constant Hessian of the quadratic cost and its infinity-norm condition number.
+
+    The Hessian is block diagonal and so is its inverse, so both infinity
+    norms are maxima over the blocks: mu = max_k ||A_k|| * max_k ||A_k^-1||.
+    """
+    blocks, norm, inv_norm = [], 0.0, 0.0
+    for A, _ in _normal_systems(config, variant):
+        A = 2.0 * A
+        try:
+            Ainv = scipy.linalg.inv(A)
+        except scipy.linalg.LinAlgError as err:
+            raise VarSolverError(f"Hessian is singular: {err}") from err
+        blocks.append(A)
+        norm = max(norm, np.abs(A).sum(axis=1).max())
+        inv_norm = max(inv_norm, np.abs(Ainv).sum(axis=1).max())
+    return HessianReport(blocks=tuple(blocks), mu=float(norm * inv_norm))

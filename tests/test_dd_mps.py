@@ -115,7 +115,8 @@ class TestAssembleLocalSystem:
         partition = partition_domain(vconfig.instance.np, 1, 0)
         sys0 = systems_for(vconfig, partition)[0]
         V = vconfig.covpair.V
-        half_hessian = 0.5 * var_solver.hessian_condition(vconfig, "threeD").A
+        (hessian,) = var_solver.hessian_condition(vconfig, "threeD").blocks
+        half_hessian = 0.5 * hessian
         np.testing.assert_allclose(sys0.A_loc, V.T @ half_hessian @ V, atol=1e-9)
 
     def test_local_matrices_symmetric_spd(self, correlated_problem):

@@ -50,6 +50,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config"):
             load_config("/nonexistent/run.cfg")
 
+    @pytest.mark.parametrize("key", ["T", "velocity", "diffusivity", "sigma_b",
+                                     "sigma_r", "L", "rho_penalty", "alpha",
+                                     "lambda", "tol_mps", "tol_parareal"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_names_field(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be finite"):
+            load_config(None, {key: value})
+
+    def test_more_blocks_than_points_names_n_sub(self):
+        with pytest.raises(ConfigError, match=r"^n_sub:"):
+            load_config(None, {"np": 6, "nobs": 2, "n_sub": 8, "overlap": 0})
+
     def test_invalid_overlap_names_field(self):
         with pytest.raises(ConfigError, match="overlap"):
             load_config(None, {"np": 16, "n_sub": 4, "overlap": 8})
@@ -181,11 +193,35 @@ class TestCli:
         assert code == 1
         assert "overlap" in capsys.readouterr().err
 
-    def test_non_convergence_exits_two(self, tmp_path):
+    def test_non_convergence_exits_two(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = harness.main(["--max-iters", "1", "--tol", "1e-14",
                              "--out", str(out)])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "reason=max_outer" in err
+        assert "bound_dominates=" in err
+
+    def test_too_many_blocks_exits_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("np = 6\nnobs = 2\nn_sub = 8\noverlap = 0\n")
+        code = harness.main(["--config", str(cfg_file)])
+        assert code == 1
+        assert "n_sub" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [
+        harness.var_solver.VarSolverError("stationarity system is singular"),
+        harness.dd_mps.PartitionError("cannot split"),
+        harness.testbed.TestbedError("background covariance is not SPD")])
+    def test_solver_fault_exits_three(self, monkeypatch, capsys, error):
+        def fail(config):
+            raise error
+        monkeypatch.setattr(harness, "run_experiment", fail)
+        code = harness.main(["--np", "16", "--slabs", "4"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"solver error: {error}\n"
+        assert captured.out == ""
 
     def test_stdout_report(self, capsys):
         code = harness.main(["--np", "16", "--slabs", "3", "--format", "json"])

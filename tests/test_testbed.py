@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pintda import testbed
 from pintda.testbed import (assemble_G, build_covariance,
@@ -156,25 +157,30 @@ class TestAssembleG:
         obs = build_observations(inst, small_cov, [0, 4, 7], np.zeros(8),
                                  seed=0, noise=False)
         G = assemble_G(obs, inst)
-        np.testing.assert_array_equal(G.G, obs.H[0])
+        assert len(G) == 1
+        np.testing.assert_array_equal(G[0], obs.H[0])
 
     def test_two_time_points_blocks(self, small_cov):
         inst = build_model_instance(8, 2, 0.5, velocity=1.0, diffusivity=0.1)
         obs = build_observations(inst, small_cov, [1, 3, 6], np.zeros(8),
                                  seed=0, noise=False)
         G = assemble_G(obs, inst)
-        np.testing.assert_array_equal(G.blocks[0], obs.H[0])
-        np.testing.assert_array_equal(G.blocks[1], obs.H[1] @ inst.M)
-        np.testing.assert_array_equal(G.G[:3, :8], obs.H[0])
-        np.testing.assert_array_equal(G.G[3:, 8:], obs.H[1] @ inst.M)
-        np.testing.assert_array_equal(G.G[:3, 8:], 0.0)
+        np.testing.assert_array_equal(G[0], obs.H[0])
+        np.testing.assert_array_equal(G[1], obs.H[1] @ inst.M)
+        dense = scipy.linalg.block_diag(*G)
+        np.testing.assert_array_equal(dense[:3, :8], obs.H[0])
+        np.testing.assert_array_equal(dense[3:, 8:], obs.H[1] @ inst.M)
+        np.testing.assert_array_equal(dense[:3, 8:], 0.0)
+        assert not any(b.flags.writeable for b in G)
 
     def test_shape(self, small_instance, small_cov):
         obs = build_observations(small_instance, small_cov, [0, 2, 6],
                                  np.zeros(8), seed=0)
         G = assemble_G(obs, small_instance)
         n, nobs = small_instance.n_steps, obs.nobs
-        assert G.G.shape == (n * nobs, small_instance.np * n)
+        assert len(G) == n
+        assert all(b.shape == (nobs, small_instance.np) for b in G)
+        assert scipy.linalg.block_diag(*G).shape == (n * nobs, small_instance.np * n)
 
     def test_shape_mismatch_rejected(self, small_instance, small_cov):
         other = build_model_instance(8, 3, 1.0, velocity=0.0, diffusivity=0.0)

@@ -2,10 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pintda import testbed, var_solver
-from pintda.testbed import (BlockObservationOperator, CovarianceFactorPair,
-                            ModelInstance, ObservationSet)
+from pintda.testbed import CovarianceFactorPair, ModelInstance, ObservationSet
 from pintda.var_solver import (VarProblemConfig, VarSolverError, eval_cost,
                                eval_grad, hessian_condition, solve_var_direct)
 
@@ -19,9 +19,8 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
     obs = ObservationSet(nobs=n, obs_indices=(np.arange(n),), H=(np.eye(n),),
                          v=(np.asarray(v, dtype=float),), seed=0,
                          u_truth=np.zeros(n))
-    G = BlockObservationOperator(G=np.eye(n), blocks=(np.eye(n),))
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
-                            G=G, u0=np.asarray(u0, dtype=float),
+                            G=(np.eye(n),), u0=np.asarray(u0, dtype=float),
                             alpha=alpha, lam=lam)
 
 
@@ -39,6 +38,23 @@ def random_config(n_grid=6, n_steps=3, nobs=2, L=1.2, seed=7, alpha=0.8, lam=1.3
                             G=G, u0=u0, alpha=alpha, lam=lam)
 
 
+def dense_G(config):
+    """Independent dense space-time observation operator built from the blocks."""
+    return scipy.linalg.block_diag(*config.G)
+
+
+def dense_normal_system(config):
+    """Space-time normal matrix and right-hand side assembled densely with kron."""
+    N = config.instance.n_steps
+    Binv = np.linalg.inv(config.covpair.B)
+    Rinv = np.linalg.inv(config.covpair.R)
+    G = dense_G(config)
+    A = config.alpha * np.kron(np.eye(N), Binv) + G.T @ Rinv @ G
+    rhs = (config.alpha * np.kron(np.eye(N), Binv) @ np.tile(config.u0, N)
+           + G.T @ Rinv @ np.concatenate(config.observations.v))
+    return A, rhs
+
+
 def brute_force_cost(u, config, variant):
     """Quadratic forms expanded with explicit inverses, no shared code paths."""
     Binv = np.linalg.inv(config.covpair.B)
@@ -51,7 +67,7 @@ def brute_force_cost(u, config, variant):
         return r @ Rinv @ r + config.lam * db @ Binv @ db
     n = config.instance.np
     Rinv = np.linalg.inv(config.covpair.R)
-    r = config.G.G @ u - np.concatenate(config.observations.v)
+    r = dense_G(config) @ u - np.concatenate(config.observations.v)
     total = r @ Rinv @ r
     for k in range(config.instance.n_steps):
         db = u[k * n:(k + 1) * n] - config.u0
@@ -64,7 +80,7 @@ class TestEvalCost:
         cfg = random_config()
         n, N = cfg.instance.np, cfg.instance.n_steps
         u = np.tile(cfg.u0, N)
-        v_fit = cfg.G.G @ u
+        v_fit = dense_G(cfg) @ u
         obs_fit = dataclasses.replace(
             cfg.observations,
             v=tuple(v_fit[k * 2:(k + 1) * 2] for k in range(N)))
@@ -75,7 +91,7 @@ class TestEvalCost:
         cfg = dataclasses.replace(random_config(), alpha=0.0)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(cfg.instance.np * cfg.instance.n_steps)
-        r = cfg.G.G @ u - np.concatenate(cfg.observations.v)
+        r = dense_G(cfg) @ u - np.concatenate(cfg.observations.v)
         Rinv = np.linalg.inv(cfg.covpair.R)
         assert eval_cost(u, cfg, "fourD") == pytest.approx(r @ Rinv @ r, rel=1e-12)
 
@@ -142,7 +158,7 @@ class TestSolveVarDirect:
 
     def test_background_already_optimal(self):
         cfg = random_config()
-        v_fit = cfg.G.G @ np.tile(cfg.u0, cfg.instance.n_steps)
+        v_fit = dense_G(cfg) @ np.tile(cfg.u0, cfg.instance.n_steps)
         obs_fit = dataclasses.replace(
             cfg.observations,
             v=tuple(v_fit[k * 2:(k + 1) * 2] for k in range(cfg.instance.n_steps)))
@@ -164,11 +180,7 @@ class TestSolveVarDirect:
             A = cfg.lam * Binv + H.T @ Rinv @ H
             rhs = cfg.lam * Binv @ cfg.u0 + H.T @ Rinv @ v
         else:
-            N = cfg.instance.n_steps
-            Rinv = np.linalg.inv(cfg.covpair.R)
-            A = cfg.alpha * np.kron(np.eye(N), Binv) + cfg.G.G.T @ Rinv @ cfg.G.G
-            rhs = (cfg.alpha * np.kron(np.eye(N), Binv) @ np.tile(cfg.u0, N)
-                   + cfg.G.G.T @ Rinv @ np.concatenate(cfg.observations.v))
+            A, rhs = dense_normal_system(cfg)
         lam, Q = np.linalg.eigh(0.5 * (A + A.T))
         oracle = Q @ ((Q.T @ rhs) / lam)
         np.testing.assert_allclose(state.u_da, oracle, atol=1e-8)
@@ -198,7 +210,8 @@ class TestHessianCondition:
     def test_identity_problem_is_perfectly_conditioned(self):
         cfg = identity_config(4, np.zeros(4), np.ones(4))
         report = hessian_condition(cfg, "fourD")
-        np.testing.assert_allclose(report.A, 4.0 * np.eye(4), atol=1e-13)
+        assert len(report.blocks) == 1
+        np.testing.assert_allclose(report.blocks[0], 4.0 * np.eye(4), atol=1e-13)
         assert report.mu == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["threeD", "fourD"])
@@ -209,7 +222,7 @@ class TestHessianCondition:
     def test_matches_brute_force_inverse(self):
         cfg = random_config(n_grid=6)
         report = hessian_condition(cfg, "threeD")
-        A = report.A
+        (A,) = report.blocks
         mu_oracle = (np.abs(A).sum(axis=1).max()
                      * np.abs(np.linalg.inv(A)).sum(axis=1).max())
         assert report.mu == pytest.approx(mu_oracle, rel=1e-10)
@@ -220,3 +233,27 @@ class TestHessianCondition:
         second = (eval_cost(u + d, cfg, "threeD") - 2 * eval_cost(u, cfg, "threeD")
                   + eval_cost(u - d, cfg, "threeD"))
         assert second == pytest.approx(d @ A @ d, rel=1e-9)
+
+    def test_four_d_blocks_match_dense_reference(self):
+        cfg = random_config(n_grid=6, n_steps=4, L=1.2, alpha=0.6)
+        report = hessian_condition(cfg, "fourD")
+        A, _ = dense_normal_system(cfg)
+        A = 2.0 * A
+        mu_dense = (np.abs(A).sum(axis=1).max()
+                    * np.abs(np.linalg.inv(A)).sum(axis=1).max())
+        assert report.mu == pytest.approx(mu_dense, rel=1e-10)
+        n = cfg.instance.np
+        assert len(report.blocks) == cfg.instance.n_steps
+        for k, block in enumerate(report.blocks):
+            np.testing.assert_allclose(block, A[k * n:(k + 1) * n, k * n:(k + 1) * n],
+                                       rtol=1e-12, atol=1e-12 * np.abs(A).max())
+        # the dense reference really is block diagonal
+        off = A.copy()
+        for k in range(cfg.instance.n_steps):
+            off[k * n:(k + 1) * n, k * n:(k + 1) * n] = 0.0
+        assert not off.any()
+
+    def test_four_d_singular_block_is_a_fault(self):
+        cfg = dataclasses.replace(random_config(), alpha=0.0)
+        with pytest.raises(VarSolverError):
+            solve_var_direct(cfg, "fourD")
