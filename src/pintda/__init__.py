@@ -15,9 +15,9 @@ from .analysis import (BoundParameters, ErrorHistory, LipschitzEstimate,
                        roundoff_bound, roundoff_proxies, twin_error_scales)
 from .dd_mps import (LocalSystem, MpsHistory, PartitionError,
                      RestrictionOperators, SchwarzIterate, SubdomainPartition,
-                     assemble_local_system, build_restrictions, dap_residual,
-                     local_cost, local_grad, mps_sweep, partition_domain,
-                     recover_and_patch, run_mps)
+                     assemble_local_system, build_factors, build_restrictions,
+                     dap_residual, local_cost, local_grad, mps_sweep,
+                     partition_domain, recover_and_patch, run_mps)
 from .harness import (ConfigError, DiagnosticsRecord, ExperimentConfig,
                       ExperimentResult, emit_report, load_config, main,
                       parallel_map, render_report, run_experiment)

@@ -7,11 +7,20 @@ iterate.  One sweep solves every local system from iteration-n neighbor data
 only (a Jacobi sweep), so the local solves are order-independent and can run
 concurrently; the patched global vector assigns every grid point to its
 lowest-index owner.
+
+A local system splits into a factor and a right-hand side.  The factor
+(A_loc, its Cholesky factor, the coupling blocks, V_loc, the owner mask and
+the observed rows with S = H_loc V_loc and R_loc^-1) depends only on the
+partition, V, the observation pattern (H_t, R_t), lam and rho.  A
+`FactorTable` builds it once per distinct pattern, so a fine solve only
+recomputes the innovation d = v - H u_b and c_loc = S^T R_loc^-1 d_loc.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +39,8 @@ class SubdomainPartition:
     `interfaces[(i, j)]` holds the endpoints of block i that fall inside
     block j; `offsets[(i, j)]` stores (s_ij, sbar_ij) with s_ij = r_i - C_ij
     and sbar_ij = s_ij + t_ij, the local positions where the overlap with a
-    neighbor and its interface begin.
+    neighbor and its interface begin.  `own_masks[i]` is True where block i
+    is the lowest-index block containing the point.
     """
 
     n_grid: int
@@ -39,6 +49,10 @@ class SubdomainPartition:
     overlaps: dict          # (i, j) -> C_ij for intersecting pairs
     interfaces: dict        # (i, j) -> index array Gamma_ij
     offsets: dict           # (i, j) -> (s_ij, sbar_ij)
+    own_masks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "own_masks", tuple(_owner_masks(self)))
 
     def neighbors(self, i):
         return sorted(j for (a, j) in self.interfaces if a == i)
@@ -77,12 +91,14 @@ class RestrictionOperators:
 
 
 @dataclass(frozen=True)
-class LocalSystem:
-    """Preconditioned local control system for one subdomain.
+class LocalFactor:
+    """The background-independent part of subdomain i's system.
 
     `coupling[j]` is the off-diagonal block the sweep subtracts from the
     right-hand side; it is stored with that sign, so stationarity of the
-    local cost reads A_loc w_i = c_loc - sum_j coupling[j] @ w_j.
+    local cost reads A_loc w_i = c_loc - sum_j coupling[j] @ w_j.  `rows` are
+    the observations inside the block; S = H_loc V_loc and Rinv = R_loc^-1
+    (None when there are none) carry them into c_loc.
     """
 
     i: int
@@ -91,17 +107,68 @@ class LocalSystem:
     lam: float              # identity-block weight (3D-Var regularization)
     rho: float              # interface penalty weight
     A_loc: np.ndarray
-    c_loc: np.ndarray
+    chol: tuple = field(repr=False)
     coupling: dict          # j -> (r_i x r_j) matrix
     interface_maps: dict    # j -> (V_ij, V_ij_neighbor)
     V_loc: np.ndarray
+    own_mask: np.ndarray    # True where this subdomain owns the grid point
+    rows: np.ndarray
     H_loc: np.ndarray
     R_loc: np.ndarray
-    B_loc: np.ndarray
+    S: np.ndarray
+    Rinv: np.ndarray
+
+    def system(self, d, u_b):
+        """Bind the factor to a background u_b with innovation d = v - H u_b."""
+        d_loc = d[self.rows]
+        if self.rows.size:
+            c_loc = self.S.T @ (self.Rinv @ d_loc)
+        else:
+            c_loc = np.zeros(self.indices.size)
+        return LocalSystem(factor=self, c_loc=c_loc, d_loc=d_loc,
+                           u_b_loc=u_b[self.indices])
+
+
+@dataclass(frozen=True)
+class LocalSystem:
+    """Preconditioned local control system for one subdomain and background:
+    a shared factor plus the right-hand side c_loc."""
+
+    factor: LocalFactor
+    c_loc: np.ndarray
     d_loc: np.ndarray
     u_b_loc: np.ndarray
-    own_mask: np.ndarray    # True where this subdomain owns the grid point
-    chol: tuple = field(repr=False, default=None)
+
+    i = property(attrgetter("factor.i"))
+    indices = property(attrgetter("factor.indices"))
+    n_grid = property(attrgetter("factor.n_grid"))
+    A_loc = property(attrgetter("factor.A_loc"))
+    chol = property(attrgetter("factor.chol"))
+    coupling = property(attrgetter("factor.coupling"))
+    V_loc = property(attrgetter("factor.V_loc"))
+    own_mask = property(attrgetter("factor.own_mask"))
+
+
+@dataclass(frozen=True)
+class FactorTable:
+    """Local factors of one problem, built before any fine solve reads them.
+
+    `by_time[t]` is the per-subdomain factor tuple of observation time t;
+    times with the same observation pattern share one tuple.  `v_norm` is
+    ||V||_inf, which maps local residuals into state space.
+    """
+
+    by_time: dict
+    rho: float
+    v_norm: float
+
+    def systems(self, config):
+        """Local systems for config's background and time index; only the
+        innovation and each c_loc are computed."""
+        t = config.time_index
+        obs = config.observations
+        d = obs.v[t] - obs.H[t] @ config.u0
+        return [f.system(d, config.u0) for f in self.by_time[t]]
 
 
 @dataclass(frozen=True)
@@ -207,28 +274,21 @@ def assemble_local_system(i, partition, restrictions, config, rho=1.0):
     V = config.covpair.V
     t = config.time_index
     H = config.observations.H[t]
-    v = config.observations.v[t]
     Rk = config.covpair.R_block(t, config.observations.nobs)
 
     V_loc = V[np.ix_(idx, idx)]
-    B_loc = config.covpair.B[np.ix_(idx, idx)]
-    u_b_loc = config.u0[idx]
-
     obs_pos = config.observations.obs_indices[t]
     rows = np.where(np.isin(obs_pos, idx))[0]
     H_loc = H[np.ix_(rows, idx)]
     R_loc = Rk[np.ix_(rows, rows)]
-    d = v - H @ config.u0
-    d_loc = d[rows]
 
     if rows.size:
         Rinv = scipy.linalg.inv(R_loc)
         S = H_loc @ V_loc
         A_loc = S.T @ Rinv @ S + config.lam * np.eye(idx.size)
-        c_loc = S.T @ (Rinv @ d_loc)
     else:
+        Rinv = S = None
         A_loc = config.lam * np.eye(idx.size)
-        c_loc = np.zeros(idx.size)
 
     coupling, interface_maps = {}, {}
     for j in partition.neighbors(i):
@@ -242,14 +302,44 @@ def assemble_local_system(i, partition, restrictions, config, rho=1.0):
         interface_maps[j] = (V_ij, V_ij_nb)
 
     A_loc = 0.5 * (A_loc + A_loc.T)
-    own_mask = _owner_masks(partition)[i]
-    return LocalSystem(i=i, indices=idx, n_grid=partition.n_grid,
-                       lam=float(config.lam), rho=float(rho),
-                       A_loc=A_loc, c_loc=c_loc, coupling=coupling,
-                       interface_maps=interface_maps, V_loc=V_loc,
-                       H_loc=H_loc, R_loc=R_loc, B_loc=B_loc, d_loc=d_loc,
-                       u_b_loc=u_b_loc, own_mask=own_mask,
-                       chol=scipy.linalg.cho_factor(A_loc))
+    factor = LocalFactor(i=i, indices=idx, n_grid=partition.n_grid,
+                         lam=float(config.lam), rho=float(rho), A_loc=A_loc,
+                         chol=scipy.linalg.cho_factor(A_loc), coupling=coupling,
+                         interface_maps=interface_maps, V_loc=V_loc,
+                         own_mask=partition.own_masks[i], rows=rows,
+                         H_loc=H_loc, R_loc=R_loc, S=S, Rinv=Rinv)
+    d = config.observations.v[t] - H @ config.u0
+    return factor.system(d, config.u0)
+
+
+def _pattern_key(config, t):
+    """Content of everything time t's factors read: H_t, its indices, R_t."""
+    obs = config.observations
+    return (obs.H[t].tobytes(), obs.obs_indices[t].tobytes(),
+            config.covpair.R_block(t, obs.nobs).tobytes())
+
+
+def build_factors(config, partition, rho=1.0, times=None):
+    """Factor every subdomain once per distinct observation pattern.
+
+    `times` defaults to every observation time; run_mps asks for its own
+    time only when it is given no table.
+    """
+    if times is None:
+        times = range(len(config.observations.H))
+    restrictions = build_restrictions(partition)
+    by_pattern, by_time = {}, {}
+    for t in times:
+        key = _pattern_key(config, t)
+        if key not in by_pattern:
+            config_t = dataclasses.replace(config, time_index=t)
+            by_pattern[key] = tuple(
+                assemble_local_system(i, partition, restrictions, config_t,
+                                      rho=rho).factor
+                for i in range(partition.n_sub))
+        by_time[t] = by_pattern[key]
+    v_norm = float(np.abs(config.covpair.V).sum(axis=1).max())
+    return FactorTable(by_time=by_time, rho=float(rho), v_norm=v_norm)
 
 
 def local_cost(w_i, neighbor_w, system):
@@ -259,14 +349,15 @@ def local_cost(w_i, neighbor_w, system):
     penalty) so finite differences can check local_grad independently of the
     assembled matrices.
     """
-    val = 0.5 * system.lam * float(w_i @ w_i)
+    f = system.factor
+    val = 0.5 * f.lam * float(w_i @ w_i)
     if system.d_loc.size:
-        obs = system.H_loc @ (system.V_loc @ w_i) - system.d_loc
-        val += 0.5 * float(obs @ np.linalg.solve(system.R_loc, obs))
+        obs = f.H_loc @ (f.V_loc @ w_i) - system.d_loc
+        val += 0.5 * float(obs @ np.linalg.solve(f.R_loc, obs))
     for j, w_j in neighbor_w.items():
-        V_ij, V_ij_nb = system.interface_maps[j]
+        V_ij, V_ij_nb = f.interface_maps[j]
         diff = V_ij @ w_i - V_ij_nb @ w_j
-        val += 0.5 * system.rho * float(diff @ diff)
+        val += 0.5 * f.rho * float(diff @ diff)
     return val
 
 
@@ -337,37 +428,28 @@ def recover_and_patch(iterate, partition, config, rule="owner"):
     rule="owner" assigns overlap points to the lowest-index subdomain;
     rule="average" arithmetically averages every subdomain covering a point.
     """
-    V = config.covpair.V
-    out = np.zeros(partition.n_grid)
-    if rule == "average":
-        count = np.zeros(partition.n_grid)
-        for i, idx in enumerate(partition.index_sets):
-            V_loc = V[np.ix_(idx, idx)]
-            out[idx] += config.u0[idx] + V_loc @ iterate.w[i]
-            count[idx] += 1.0
-        return out / count
-    if rule != "owner":
-        raise ValueError(f"unknown patch rule {rule!r}")
-    for i in range(partition.n_sub - 1, -1, -1):
-        idx = partition.index_sets[i]
-        V_loc = V[np.ix_(idx, idx)]
-        out[idx] = config.u0[idx] + V_loc @ iterate.w[i]
-    return out
+    factors = build_factors(config, partition, times=(config.time_index,))
+    return _patch_from_systems(iterate.w, factors.systems(config), rule)
 
 
 def run_mps(config, partition, tol, max_iters, w_init=None, rho=1.0, pmap=None,
-            track_cost=True, patch_rule="owner"):
+            track_cost=True, patch_rule="owner", factors=None):
     """Iterate Jacobi sweeps until the iterate difference or the local
     stationarity residual drops below tol.
 
-    Non-convergence within max_iters is reported through the returned
-    history, not raised.
+    `factors` is a FactorTable built for this config's problem, partition
+    and rho; without one the local systems of config.time_index are
+    assembled here.  Non-convergence within max_iters is reported through
+    the returned history, not raised.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    restrictions = build_restrictions(partition)
-    systems = [assemble_local_system(i, partition, restrictions, config, rho=rho)
-               for i in range(partition.n_sub)]
+    if factors is None:
+        factors = build_factors(config, partition, rho=rho,
+                                times=(config.time_index,))
+    elif factors.rho != rho:
+        raise ValueError(f"factors were built for rho={factors.rho}, not {rho}")
+    systems = factors.systems(config)
 
     iterate = initial_iterate(systems, w_init, patch_rule=patch_rule)
     history = MpsHistory()
@@ -385,21 +467,20 @@ def run_mps(config, partition, tol, max_iters, w_init=None, rho=1.0, pmap=None,
             history.converged = True
             break
     history.n_sweeps = iterate.n
-    history.eps_mps = _eps_physical(iterate, systems, config)
+    history.eps_mps = _eps_physical(iterate, systems, factors.v_norm, config.lam)
     return iterate, history
 
 
-def _eps_physical(iterate, systems, config):
+def _eps_physical(iterate, systems, v_norm, lam):
     """Map the final local stationarity residual into state space.
 
     With A_loc >= lam I a residual r bounds the control error by |r| / lam up
-    to conditioning, and V carries controls to states; this is the measured
-    accuracy the convergence diagnostics consume.
+    to conditioning, and V (of norm v_norm) carries controls to states; this
+    is the measured accuracy the convergence diagnostics consume.
     """
     worst = 0.0
     for s in systems:
         r = local_grad(iterate.w[s.i], {j: iterate.w[j] for j in s.coupling}, s)
         if r.size:
             worst = max(worst, float(np.max(np.abs(r))))
-    v_norm = float(np.abs(config.covpair.V).sum(axis=1).max())
-    return v_norm * worst / max(config.lam, np.finfo(float).tiny)
+    return v_norm * worst / max(lam, np.finfo(float).tiny)

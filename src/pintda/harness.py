@@ -271,18 +271,19 @@ def run_experiment(config):
     M = instance.M
     n_points = instance.n_steps
     pmap = make_pmap(config.workers)
+    factors = dd_mps.build_factors(vconfig, partition, rho=config.rho_penalty)
 
     reference, chain_hists = parareal.serial_fine_chain(
         vconfig, partition, tol_mps=config.tol_mps,
         max_sweeps=config.max_sweeps, rho=config.rho_penalty,
-        patch_rule=config.patch)
+        patch_rule=config.patch, factors=factors)
     hessian = var_solver.hessian_condition(vconfig, "fourD")
 
     trajectory, phist = parareal.run_parareal(
         vconfig, partition, tol=config.tol_parareal, max_outer=config.max_outer,
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
         rho=config.rho_penalty, pmap=pmap, reference=reference,
-        patch_rule=config.patch)
+        patch_rule=config.patch, factors=factors)
 
     # Lipschitz probes: random pairs plus the realized error directions.
     rng_probe = np.random.default_rng([config.seed, 3])
@@ -327,9 +328,12 @@ def run_experiment(config):
                 roundoff_t2=rb.term_iteration, roundoff_t3=rb.term_rho,
                 wall_ms=wall_ms))
 
-    mps_converged = all(h.converged for hists in phist.mps for h in hists) \
-        and all(h.converged for h in chain_hists)
-    status = "converged" if (phist.converged and mps_converged) else "non-converged"
+    # slab k's fine solve is chain_hists[k - 1] and phist.mps[n][k - 1]
+    mps_unconverged = sorted(
+        {k for hists in [chain_hists, *phist.mps]
+         for k, h in enumerate(hists, start=1) if not h.converged})
+    converged = phist.converged and not mps_unconverged
+    status = "converged" if converged else "non-converged"
 
     for rec in records:
         for f in fields(rec):
@@ -341,6 +345,7 @@ def run_experiment(config):
         "status": status,
         "parareal_reason": phist.reason,
         "n_outer": phist.n_outer,
+        "mps_unconverged": mps_unconverged,
         "bound_dominates": all(rec.E_kn <= rec.c_n for rec in records),
         "mu_A": hessian.mu,
         "C_const": lip.C,
@@ -434,7 +439,13 @@ _CLI_TO_KEY = {
 
 def main(argv=None):
     """CLI entry point; exit code 0 converged, 2 non-converged, 1 bad config,
-    3 a solver fault (singular system, unusable partition or testbed input)."""
+    3 a solver fault (singular system, unusable partition or testbed input).
+
+    The stderr status line ends with `reason=` (why the outer iteration
+    stopped), `bound_dominates=` and `mps_unconverged=<count>`, the number of
+    slabs whose Schwarz fine solve hit max_sweeps in the serial chain or any
+    outer iteration, followed by `slabs=<k,...>` when that count is nonzero.
+    """
     args = _build_arg_parser().parse_args(argv)
     overrides = {}
     for attr, key in _CLI_TO_KEY.items():
@@ -455,8 +466,11 @@ def main(argv=None):
         return 3
     emit_report(result.records, format=config.format, path=config.out)
     s = result.summary
+    unconverged = s["mps_unconverged"]
+    slabs = f" slabs={','.join(map(str, unconverged))}" if unconverged else ""
     print(f"status={result.status} n_outer={s['n_outer']} "
           f"mu_A={s['mu_A']:.6g} C={s['C_const']:.6g} eps_mps={s['eps_mps']:.3g} "
           f"C_h={s['C_h']:.6g} reason={s['parareal_reason']} "
-          f"bound_dominates={s['bound_dominates']}", file=sys.stderr)
+          f"bound_dominates={s['bound_dominates']} "
+          f"mps_unconverged={len(unconverged)}{slabs}", file=sys.stderr)
     return 0 if result.converged else 2

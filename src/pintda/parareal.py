@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dd_mps import run_mps
+from .dd_mps import build_factors, run_mps
 
 
 @dataclass(frozen=True)
@@ -99,17 +99,19 @@ def initial_trajectory(config, rho_penalty=1.0):
 
 
 def fine_solve(k, background, config, partition, tol_mps, max_sweeps, rho,
-               pmap=None, patch_rule="owner"):
+               pmap=None, patch_rule="owner", factors=None):
     """Slab-local assimilation: the fine propagator value MPS(u_{k-1}).
 
     Solves the single-time problem whose background is the slab's coarse
     state and whose observations are the batch at t_k; returns the patched
-    analysis and the inner-solver history.
+    analysis and the inner-solver history.  `factors` (a dd_mps.FactorTable
+    of config's problem) spares the solve its local factorizations.
     """
     slab_config = dataclasses.replace(config, u0=background, time_index=k)
     iterate, history = run_mps(slab_config, partition, tol=tol_mps,
                                max_iters=max_sweeps, rho=rho, pmap=pmap,
-                               track_cost=False, patch_rule=patch_rule)
+                               track_cost=False, patch_rule=patch_rule,
+                               factors=factors)
     return iterate.patched, history
 
 
@@ -123,12 +125,13 @@ def local_da_solve(k, trajectory, partition, config, tol_mps=1e-10,
 
 def parareal_update(trajectory, config, partition, tol_mps=1e-10,
                     max_sweeps=100, pmap=None, update_form="classical",
-                    patch_rule="owner"):
+                    patch_rule="owner", factors=None):
     """Advance the trajectory one outer iteration.
 
     The slab corrections are computed first (concurrently when a parallel map
     is supplied), then the corrector recombines them sequentially.  Returns
-    the extended trajectory and the per-slab inner-solver histories.
+    the extended trajectory and the per-slab inner-solver histories.  The
+    local factors are built here, before the map, unless `factors` is given.
 
     update_form="shifted" moves the corrector's subtracted coarse term from
     M u_{k-1}^n to M u_k^n, for diagnostic comparison only.
@@ -140,11 +143,13 @@ def parareal_update(trajectory, config, partition, tol_mps=1e-10,
     backgrounds = trajectory.background[n]
     M = config.instance.M
     n_points = len(states)
+    if factors is None:
+        factors = build_factors(config, partition, rho=trajectory.rho_penalty)
 
     def correct(k):
         return fine_solve(k, backgrounds[k], config, partition, tol_mps,
                           max_sweeps, rho=trajectory.rho_penalty,
-                          patch_rule=patch_rule)
+                          patch_rule=patch_rule, factors=factors)
 
     mapper = pmap if pmap is not None else lambda f, xs: [f(x) for x in xs]
     results = list(mapper(correct, range(1, n_points)))
@@ -172,15 +177,17 @@ def parareal_update(trajectory, config, partition, tol_mps=1e-10,
 
 
 def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
-                      rho=1.0, patch_rule="owner"):
+                      rho=1.0, patch_rule="owner", factors=None):
     """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially."""
     M = config.instance.M
+    if factors is None:
+        factors = build_factors(config, partition, rho=rho)
     states = [np.asarray(config.u0, dtype=float)]
     histories = []
     for k in range(1, config.instance.n_steps):
         analysis, hist = fine_solve(k, M @ states[-1], config, partition,
                                     tol_mps, max_sweeps, rho,
-                                    patch_rule=patch_rule)
+                                    patch_rule=patch_rule, factors=factors)
         states.append(analysis)
         histories.append(hist)
     return states, histories
@@ -188,16 +195,19 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
 
 def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
                  max_sweeps=100, rho=1.0, pmap=None, reference=None,
-                 update_form="classical", patch_rule="owner"):
+                 update_form="classical", patch_rule="owner", factors=None):
     """Alternate slab corrections and sequential updates until converged.
 
     Stops when the sweep-to-sweep state difference drops below tol, or when
     the iteration count reaches the slab count (beyond which the update is
     stationary by finite-step exactness).  Non-convergence within max_outer
-    is reported through the history.
+    is reported through the history.  The local factors are built once,
+    before the first iteration, unless `factors` is given.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if factors is None:
+        factors = build_factors(config, partition, rho=rho)
     trajectory = initial_trajectory(config, rho_penalty=rho)
     n_slabs = config.instance.n_steps - 1
     history = PararealHistory()
@@ -210,7 +220,7 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         trajectory, mps_hists = parareal_update(
             trajectory, config, partition, tol_mps=tol_mps,
             max_sweeps=max_sweeps, pmap=pmap, update_form=update_form,
-            patch_rule=patch_rule)
+            patch_rule=patch_rule, factors=factors)
         history.wall_s.append(time.perf_counter() - t0)
         n = trajectory.n
         diff = max(float(np.max(np.abs(a - b)))

@@ -38,19 +38,17 @@ class ModelInstance:
 @dataclass(frozen=True)
 class CovarianceFactorPair:
     """Background covariance B with lower-triangular factor V (B = V V^T),
-    plus the block-diagonal observation covariance R."""
+    plus the observation covariance R = sigma_r^2 I, kept as sigma_r alone."""
 
     B: np.ndarray
     V: np.ndarray
-    R: np.ndarray           # (n_steps * nobs) square, diagonal
     sigma_b: float
     sigma_r: float
     L: float                # correlation length in grid units
 
     def R_block(self, k, nobs):
-        """Observation covariance block for time index k."""
-        sl = slice(k * nobs, (k + 1) * nobs)
-        return self.R[sl, sl]
+        """Observation covariance block for time index k (the same for every k)."""
+        return self.sigma_r**2 * np.eye(nobs)
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,9 @@ def build_covariance(n_grid, n_steps, nobs, sigma_b, sigma_r, L):
 
     B_jl = sigma_b^2 exp(-|j - l|^2 / (2 L^2)) plus a diagonal jitter of
     1e-10 sigma_b^2 that keeps the Cholesky factorization safe; L = 0 is the
-    uncorrelated limit.  V is the lower Cholesky factor, R = sigma_r^2 I.
+    uncorrelated limit.  V is the lower Cholesky factor.  The space-time
+    observation covariance R = sigma_r^2 I of size n_steps * nobs is never
+    materialized: R_block returns its per-time blocks.
     """
     if sigma_b <= 0 or sigma_r <= 0:
         raise TestbedError("sigma_b and sigma_r must be positive")
@@ -138,8 +138,7 @@ def build_covariance(n_grid, n_steps, nobs, sigma_b, sigma_r, L):
     except np.linalg.LinAlgError as err:
         raise TestbedError(f"background covariance is not SPD: {err}") from err
 
-    R = sigma_r**2 * np.eye(n_steps * nobs)
-    return CovarianceFactorPair(B=_freeze(B), V=_freeze(V), R=_freeze(R),
+    return CovarianceFactorPair(B=_freeze(B), V=_freeze(V),
                                 sigma_b=float(sigma_b), sigma_r=float(sigma_r),
                                 L=float(L))
 

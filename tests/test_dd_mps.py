@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pintda import dd_mps, harness, var_solver
+from pintda import dd_mps, harness, testbed, var_solver
 from pintda.dd_mps import (PartitionError, assemble_local_system,
-                           build_restrictions, dap_residual, initial_iterate,
-                           local_cost, local_grad, mps_sweep, partition_domain,
-                           recover_and_patch, run_mps)
+                           build_factors, build_restrictions, dap_residual,
+                           initial_iterate, local_cost, local_grad, mps_sweep,
+                           partition_domain, recover_and_patch, run_mps)
 
 
 class TestPartitionDomain:
@@ -289,3 +291,81 @@ class TestRunMps:
         with pytest.raises(ValueError):
             run_mps(vconfig, partition, tol=1e-12, max_iters=5,
                     patch_rule="median")
+
+
+def slab_problem(vconfig, t, seed):
+    """vconfig re-posed at time t around a background unlike its own u0."""
+    rng = np.random.default_rng(seed)
+    background = 2.0 * vconfig.u0 + rng.standard_normal(vconfig.u0.size)
+    return dataclasses.replace(vconfig, u0=background, time_index=t)
+
+
+def assert_reuse_matches_fresh(factors, slab, partition, rho=1.0):
+    """A solve on reused factors equals one on freshly assembled systems."""
+    restr = build_restrictions(partition)
+    for bound in factors.systems(slab):
+        fresh = assemble_local_system(bound.i, partition, restr, slab, rho=rho)
+        np.testing.assert_array_equal(bound.A_loc, fresh.A_loc)
+        np.testing.assert_array_equal(bound.c_loc, fresh.c_loc)
+    kwargs = dict(tol=1e-10, max_iters=30, rho=rho, track_cost=False)
+    reused, h_reused = run_mps(slab, partition, factors=factors, **kwargs)
+    fresh, h_fresh = run_mps(slab, partition, **kwargs)
+    np.testing.assert_array_equal(reused.patched, fresh.patched)
+    assert h_reused.eps_mps == h_fresh.eps_mps
+    assert h_reused.n_sweeps == h_fresh.n_sweeps
+
+
+class TestFactorTable:
+    def test_reused_factors_match_fresh_assembly(self, correlated_problem):
+        _, vconfig, partition = correlated_problem
+        factors = build_factors(vconfig, partition)
+        assert_reuse_matches_fresh(factors, slab_problem(vconfig, 2, seed=4),
+                                   partition)
+
+    def test_distinct_patterns_get_distinct_factors(self):
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=16, n_steps=4,
+                                  nobs=4, L=1.0, n_sub=3, overlap=2)
+        vconfig, partition = harness.build_problem(cfg)
+        per_time = [[0, 5, 9, 13], [2, 6, 10, 14], [0, 5, 9, 13], [1, 3, 7, 15]]
+        obs = testbed.build_observations(vconfig.instance, vconfig.covpair,
+                                         per_time, vconfig.observations.u_truth,
+                                         seed=3)
+        vconfig = dataclasses.replace(
+            vconfig, observations=obs, G=testbed.assemble_G(obs, vconfig.instance))
+        factors = build_factors(vconfig, partition)
+        by_time = factors.by_time
+        assert by_time[0] is by_time[2]
+        assert len({id(by_time[t]) for t in (0, 1, 3)}) == 3
+        assert not np.array_equal(by_time[1][0].A_loc, by_time[3][0].A_loc)
+        for t in range(4):
+            assert_reuse_matches_fresh(factors, slab_problem(vconfig, t, seed=t),
+                                       partition)
+
+    def test_rho_mismatch_rejected(self, correlated_problem):
+        _, vconfig, partition = correlated_problem
+        factors = build_factors(vconfig, partition, rho=2.0)
+        with pytest.raises(ValueError, match="rho"):
+            run_mps(vconfig, partition, tol=1e-10, max_iters=5, rho=1.0,
+                    factors=factors)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_grid=st.integers(8, 48), n_steps=st.integers(2, 6),
+           n_sub=st.integers(1, 4), overlap=st.integers(0, 3),
+           L=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+           velocity=st.sampled_from([1.0, -1.0]),
+           obs_layout=st.sampled_from(["stride", "random"]),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_reuse_matches_fresh_on_valid_configs(self, n_grid, n_steps, n_sub,
+                                                  overlap, L, velocity,
+                                                  obs_layout, seed, data):
+        assume(n_sub == 1 or overlap * (n_sub - 1) < n_grid)
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=n_grid,
+                                  n_steps=n_steps, nobs=max(1, n_grid // 4),
+                                  n_sub=n_sub, overlap=overlap, L=L,
+                                  velocity=velocity, obs_layout=obs_layout,
+                                  seed=seed)
+        vconfig, partition = harness.build_problem(harness.validate_config(cfg))
+        factors = build_factors(vconfig, partition, rho=cfg.rho_penalty)
+        t = data.draw(st.integers(1, n_steps - 1), label="time_index")
+        assert_reuse_matches_fresh(factors, slab_problem(vconfig, t, seed),
+                                   partition, rho=cfg.rho_penalty)

@@ -123,6 +123,15 @@ class TestRunExperiment:
         assert not result.converged
         assert result.records  # diagnostics still emitted
 
+    def test_inner_non_convergence_names_slabs(self, bench_result):
+        assert bench_result.summary["mps_unconverged"] == []
+        cfg = load_config(None, {"max_sweeps": 5, "L": 2.0, "lambda": 0.05,
+                                 "rho_penalty": 5.0, "n_sub": 4})
+        result = run_experiment(cfg)
+        assert result.status == "non-converged"
+        assert result.summary["parareal_reason"] == "exact"
+        assert result.summary["mps_unconverged"] == list(range(1, cfg.n_steps))
+
     def test_error_bound_dominates_measured_errors(self, bench_result):
         for rec in bench_result.records:
             assert rec.E_kn <= rec.c_n
@@ -201,6 +210,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "reason=max_outer" in err
         assert "bound_dominates=" in err
+
+    def test_inner_non_convergence_on_stderr(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("max_sweeps = 5\nL = 2.0\nlambda = 0.05\n"
+                            "rho_penalty = 5.0\nn_sub = 4\n")
+        code = harness.main(["--config", str(cfg_file),
+                             "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        line = capsys.readouterr().err.strip()
+        assert "reason=exact" in line
+        assert line.endswith("mps_unconverged=7 slabs=1,2,3,4,5,6,7")
+
+    def test_converged_run_reports_no_inner_failures(self, tmp_path, capsys):
+        code = harness.main(["--out", str(tmp_path / "report.csv")])
+        assert code == 0
+        assert capsys.readouterr().err.strip().endswith("mps_unconverged=0")
 
     def test_too_many_blocks_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -14,8 +14,8 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
     """Hand-built single-time problem with G = H = I and B = R = I."""
     inst = ModelInstance(np=n, n_steps=1, T=0.0, h=1.0,
                          time_grid=np.zeros(1), M=np.eye(n), p=1)
-    cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), R=np.eye(n),
-                               sigma_b=1.0, sigma_r=1.0, L=0.0)
+    cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
+                               sigma_r=1.0, L=0.0)
     obs = ObservationSet(nobs=n, obs_indices=(np.arange(n),), H=(np.eye(n),),
                          v=(np.asarray(v, dtype=float),), seed=0,
                          u_truth=np.zeros(n))
@@ -43,11 +43,17 @@ def dense_G(config):
     return scipy.linalg.block_diag(*config.G)
 
 
+def dense_R(config):
+    """Dense space-time observation covariance, sigma_r^2 I over every batch."""
+    obs = config.observations
+    return config.covpair.sigma_r**2 * np.eye(len(obs.v) * obs.nobs)
+
+
 def dense_normal_system(config):
     """Space-time normal matrix and right-hand side assembled densely with kron."""
     N = config.instance.n_steps
     Binv = np.linalg.inv(config.covpair.B)
-    Rinv = np.linalg.inv(config.covpair.R)
+    Rinv = np.linalg.inv(dense_R(config))
     G = dense_G(config)
     A = config.alpha * np.kron(np.eye(N), Binv) + G.T @ Rinv @ G
     rhs = (config.alpha * np.kron(np.eye(N), Binv) @ np.tile(config.u0, N)
@@ -66,7 +72,7 @@ def brute_force_cost(u, config, variant):
         db = u - config.u0
         return r @ Rinv @ r + config.lam * db @ Binv @ db
     n = config.instance.np
-    Rinv = np.linalg.inv(config.covpair.R)
+    Rinv = np.linalg.inv(dense_R(config))
     r = dense_G(config) @ u - np.concatenate(config.observations.v)
     total = r @ Rinv @ r
     for k in range(config.instance.n_steps):
@@ -92,7 +98,7 @@ class TestEvalCost:
         rng = np.random.default_rng(0)
         u = rng.standard_normal(cfg.instance.np * cfg.instance.n_steps)
         r = dense_G(cfg) @ u - np.concatenate(cfg.observations.v)
-        Rinv = np.linalg.inv(cfg.covpair.R)
+        Rinv = np.linalg.inv(dense_R(cfg))
         assert eval_cost(u, cfg, "fourD") == pytest.approx(r @ Rinv @ r, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["threeD", "fourD"])
