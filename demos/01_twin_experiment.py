@@ -29,14 +29,14 @@ for k in (1, 4, 7):
 print()
 print("=== error statistics ===")
 for L in (0.0, 2.0):
-    cov = build_covariance(32, 8, nobs=8, sigma_b=0.5, sigma_r=0.05, L=L)
+    cov = build_covariance(32, sigma_b=0.5, sigma_r=0.05, L=L)
     offdiag = np.abs(cov.B - np.diag(np.diag(cov.B))).max()
     print(f"L = {L}: largest off-diagonal of B = {offdiag:.3e}, "
           f"factorization error ||VV^T - B|| = {np.abs(cov.V @ cov.V.T - cov.B).max():.2e}")
 
 print()
 print("=== observations of a known truth ===")
-cov = build_covariance(32, 8, nobs=8, sigma_b=0.5, sigma_r=0.05, L=0.0)
+cov = build_covariance(32, sigma_b=0.5, sigma_r=0.05, L=0.0)
 u_truth = np.sin(2 * np.pi * np.arange(32) / 32) + 0.1 * rng.standard_normal(32)
 obs_idx = (np.arange(8) * 32) // 8
 obs = build_observations(inst, cov, obs_idx, u_truth, seed=2025)

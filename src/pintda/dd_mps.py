@@ -4,9 +4,9 @@ The spatial index set is split into overlapping contiguous subdomains.  Each
 subdomain minimizes its restricted, control-transformed cost plus a quadratic
 interface penalty that ties its boundary values to the neighbor's previous
 iterate.  One sweep solves every local system from iteration-n neighbor data
-only (a Jacobi sweep), so the local solves are order-independent and can run
-concurrently; the patched global vector assigns every grid point to its
-lowest-index owner.
+only (a Jacobi sweep), so the local solves are order-independent; they run in
+order because the package parallelizes time slabs (`workers`), not subdomains.
+The patched global vector assigns every grid point to its lowest-index owner.
 
 A local system splits into a factor and a right-hand side.  The factor
 (A_loc, its Cholesky factor, the coupling blocks, V_loc, the owner mask and
@@ -60,33 +60,15 @@ class SubdomainPartition:
 
 @dataclass(frozen=True)
 class RestrictionOperators:
-    """Selection operators realized as index maps.
-
-    Restriction is fancy indexing, extension is a scatter; `dense` and
-    `dense_interface` materialize the 0/1 matrices for tests.
-    """
+    """Subdomain selection operators R_i realized as index arrays; `dense`
+    materializes the 0/1 matrix."""
 
     n_grid: int
     subdomain: tuple        # per-subdomain index arrays (R_i)
-    interface: dict         # (i, j) -> index array (R_ij)
-
-    def restrict(self, i, x):
-        return np.asarray(x)[..., self.subdomain[i]]
-
-    def extend(self, i, y):
-        out = np.zeros(self.n_grid, dtype=float)
-        out[self.subdomain[i]] = y
-        return out
 
     def dense(self, i):
         R = np.zeros((len(self.subdomain[i]), self.n_grid))
         R[np.arange(len(self.subdomain[i])), self.subdomain[i]] = 1.0
-        return R
-
-    def dense_interface(self, i, j):
-        gamma = self.interface[(i, j)]
-        R = np.zeros((len(gamma), self.n_grid))
-        R[np.arange(len(gamma)), gamma] = 1.0
         return R
 
 
@@ -188,7 +170,6 @@ class MpsHistory:
     residuals: list = field(default_factory=list)       # iterate differences
     eq_residuals: list = field(default_factory=list)    # relative stationarity residuals
     costs: list = field(default_factory=list)           # global single-time cost
-    patched_diffs: list = field(default_factory=list)   # state-space iterate differences
     converged: bool = False
     n_sweeps: int = 0
     eps_mps: float = np.inf  # final local residual mapped to state space
@@ -244,10 +225,9 @@ def partition_domain(n_grid, n_sub, overlap):
 
 
 def build_restrictions(partition):
-    """Index-map restriction operators for the subdomains and interfaces."""
+    """Index-map restriction operators for the subdomains."""
     return RestrictionOperators(n_grid=partition.n_grid,
-                                subdomain=partition.index_sets,
-                                interface=dict(partition.interfaces))
+                                subdomain=partition.index_sets)
 
 
 def _owner_masks(partition):
@@ -369,7 +349,7 @@ def local_grad(w_i, neighbor_w, system):
     return g
 
 
-def mps_sweep(iterate, systems, pmap=None, patch_rule="owner"):
+def mps_sweep(iterate, systems, patch_rule="owner"):
     """One Jacobi sweep: every local solve reads only iteration-n neighbor data."""
     def solve_one(sys_i):
         rhs = sys_i.c_loc.copy()
@@ -377,8 +357,7 @@ def mps_sweep(iterate, systems, pmap=None, patch_rule="owner"):
             rhs -= C @ iterate.w[j]
         return scipy.linalg.cho_solve(sys_i.chol, rhs)
 
-    mapper = pmap if pmap is not None else lambda f, xs: [f(x) for x in xs]
-    w_new = tuple(mapper(solve_one, systems))
+    w_new = tuple(solve_one(s) for s in systems)
     residual = max(float(np.max(np.abs(wn - wo)))
                    for wn, wo in zip(w_new, iterate.w))
     return SchwarzIterate(w=w_new, n=iterate.n + 1, residual=residual,
@@ -402,22 +381,26 @@ def _patch_from_systems(w, systems, rule="owner"):
     return out
 
 
-def dap_residual(w, systems):
-    """Largest relative residual of the local stationarity systems at w."""
-    worst = 0.0
+def _worst_residuals(w, systems):
+    """Largest absolute and largest relative local stationarity residual at w."""
+    worst_abs = worst_rel = 0.0
     for s in systems:
         r = local_grad(w[s.i], {j: w[j] for j in s.coupling}, s)
+        r_max = float(np.max(np.abs(r)))
         scale = 1.0 + (float(np.max(np.abs(s.c_loc))) if s.c_loc.size else 0.0)
-        worst = max(worst, float(np.max(np.abs(r))) / scale)
-    return worst
+        worst_abs = max(worst_abs, r_max)
+        worst_rel = max(worst_rel, r_max / scale)
+    return worst_abs, worst_rel
 
 
-def initial_iterate(systems, w_init=None, patch_rule="owner"):
-    """Start at the background (w = 0) unless an explicit control is given."""
-    if w_init is None:
-        w = tuple(np.zeros(s.indices.size) for s in systems)
-    else:
-        w = tuple(np.asarray(wi, dtype=float) for wi in w_init)
+def dap_residual(w, systems):
+    """Largest relative residual of the local stationarity systems at w."""
+    return _worst_residuals(w, systems)[1]
+
+
+def initial_iterate(systems, patch_rule="owner"):
+    """Start at the background: w = 0."""
+    w = tuple(np.zeros(s.indices.size) for s in systems)
     return SchwarzIterate(w=w, n=0, residual=np.inf,
                           patched=_patch_from_systems(w, systems, patch_rule))
 
@@ -432,15 +415,17 @@ def recover_and_patch(iterate, partition, config, rule="owner"):
     return _patch_from_systems(iterate.w, factors.systems(config), rule)
 
 
-def run_mps(config, partition, tol, max_iters, w_init=None, rho=1.0, pmap=None,
-            track_cost=True, patch_rule="owner", factors=None):
+def run_mps(config, partition, tol, max_iters, rho=1.0, track_cost=True,
+            patch_rule="owner", factors=None):
     """Iterate Jacobi sweeps until the iterate difference or the local
     stationarity residual drops below tol.
 
     `factors` is a FactorTable built for this config's problem, partition
     and rho; without one the local systems of config.time_index are
     assembled here.  Non-convergence within max_iters is reported through
-    the returned history, not raised.
+    the returned history, not raised.  history.eps_mps = ||V||_inf |r| / lam
+    maps the final worst local residual r to state space, since A_loc >= lam I
+    bounds the control error by |r| / lam up to conditioning.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -451,36 +436,21 @@ def run_mps(config, partition, tol, max_iters, w_init=None, rho=1.0, pmap=None,
         raise ValueError(f"factors were built for rho={factors.rho}, not {rho}")
     systems = factors.systems(config)
 
-    iterate = initial_iterate(systems, w_init, patch_rule=patch_rule)
+    iterate = initial_iterate(systems, patch_rule=patch_rule)
     history = MpsHistory()
-    prev_patched = iterate.patched
+    abs_res = None
     for _ in range(max_iters):
-        iterate = mps_sweep(iterate, systems, pmap=pmap, patch_rule=patch_rule)
-        eq_res = dap_residual(iterate.w, systems)
+        iterate = mps_sweep(iterate, systems, patch_rule=patch_rule)
+        abs_res, eq_res = _worst_residuals(iterate.w, systems)
         history.residuals.append(iterate.residual)
         history.eq_residuals.append(eq_res)
-        history.patched_diffs.append(float(np.max(np.abs(iterate.patched - prev_patched))))
         if track_cost:
             history.costs.append(eval_cost(iterate.patched, config, "threeD"))
-        prev_patched = iterate.patched
         if iterate.residual <= tol or eq_res <= tol:
             history.converged = True
             break
+    if abs_res is None:
+        abs_res = _worst_residuals(iterate.w, systems)[0]
     history.n_sweeps = iterate.n
-    history.eps_mps = _eps_physical(iterate, systems, factors.v_norm, config.lam)
+    history.eps_mps = factors.v_norm * abs_res / max(config.lam, np.finfo(float).tiny)
     return iterate, history
-
-
-def _eps_physical(iterate, systems, v_norm, lam):
-    """Map the final local stationarity residual into state space.
-
-    With A_loc >= lam I a residual r bounds the control error by |r| / lam up
-    to conditioning, and V (of norm v_norm) carries controls to states; this
-    is the measured accuracy the convergence diagnostics consume.
-    """
-    worst = 0.0
-    for s in systems:
-        r = local_grad(iterate.w[s.i], {j: iterate.w[j] for j in s.coupling}, s)
-        if r.size:
-            worst = max(worst, float(np.max(np.abs(r))))
-    return v_norm * worst / max(lam, np.finfo(float).tiny)

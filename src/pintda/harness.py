@@ -25,6 +25,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+class DiagnosticError(ArithmeticError):
+    """A report diagnostic came out non-finite: float64 broke down."""
+
+
 @dataclass
 class ExperimentConfig:
     """Flat run description; defaults are the benchmark configuration."""
@@ -231,9 +235,8 @@ def build_problem(config):
     """Materialize the twin experiment a config describes."""
     instance = testbed.build_model_instance(
         config.np, config.n_steps, config.T, config.velocity, config.diffusivity)
-    covpair = testbed.build_covariance(
-        config.np, config.n_steps, config.nobs, config.sigma_b, config.sigma_r,
-        config.L)
+    covpair = testbed.build_covariance(config.np, config.sigma_b,
+                                       config.sigma_r, config.L)
 
     x = np.arange(config.np) / config.np
     rng_truth = np.random.default_rng([config.seed, 1])
@@ -338,8 +341,8 @@ def run_experiment(config):
     for rec in records:
         for f in fields(rec):
             if not np.isfinite(getattr(rec, f.name)):
-                raise RuntimeError(f"non-finite diagnostic {f.name} at "
-                                   f"k={rec.k}, n={rec.n}")
+                raise DiagnosticError(f"non-finite diagnostic {f.name} at "
+                                      f"k={rec.k}, n={rec.n}")
 
     summary = {
         "status": status,
@@ -401,7 +404,7 @@ def emit_report(records, format="csv", path="-"):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as err:
-        raise ValueError(f"cannot write report to {path}: {err}") from err
+        raise ConfigError(f"out: cannot write report to {path}: {err}") from err
 
 
 def _build_arg_parser():
@@ -438,8 +441,9 @@ _CLI_TO_KEY = {
 
 
 def main(argv=None):
-    """CLI entry point; exit code 0 converged, 2 non-converged, 1 bad config,
-    3 a solver fault (singular system, unusable partition or testbed input).
+    """CLI entry point; exit code 0 converged, 2 non-converged, 1 bad config
+    or an unwritable report path, 3 a solver fault (a singular system, a
+    non-finite diagnostic, an unusable partition or testbed input).
 
     The stderr status line ends with `reason=` (why the outer iteration
     stopped), `bound_dominates=` and `mps_unconverged=<count>`, the number of
@@ -461,10 +465,15 @@ def main(argv=None):
     try:
         result = run_experiment(config)
     except (var_solver.VarSolverError, dd_mps.PartitionError,
-            testbed.TestbedError) as err:
+            testbed.TestbedError, DiagnosticError,
+            np.linalg.LinAlgError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
-    emit_report(result.records, format=config.format, path=config.out)
+    try:
+        emit_report(result.records, format=config.format, path=config.out)
+    except ConfigError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 1
     s = result.summary
     unconverged = s["mps_unconverged"]
     slabs = f" slabs={','.join(map(str, unconverged))}" if unconverged else ""

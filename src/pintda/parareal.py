@@ -10,6 +10,10 @@ storing the correction factor delta = fine - coarse per slab.  The initial
 state is pinned to u0 at every iteration.  After as many iterations as there
 are slabs the trajectory reproduces the serial fine chain exactly, so the
 driver also stops there.
+
+Slab k is [t_{k-1}, t_k] of instance.time_grid and assimilates the batch at
+t_k.  The slab solves run in parallel through `pmap` (the harness's
+`workers`); inside a slab the Schwarz sweep visits its subdomains in order.
 """
 
 from __future__ import annotations
@@ -21,25 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dd_mps import build_factors, run_mps
-
-
-@dataclass(frozen=True)
-class TimeSlabs:
-    """Slab decomposition of [0, T]: slab k is [t_{k-1}, t_k] and owns the
-    observation batch taken at its right endpoint."""
-
-    boundaries: np.ndarray
-    obs_time: tuple          # per-slab observation batch index, slabs 1..N-1
-
-    @property
-    def n_slabs(self):
-        return len(self.boundaries) - 1
-
-
-def build_time_slabs(instance):
-    n = instance.n_steps
-    return TimeSlabs(boundaries=instance.time_grid,
-                     obs_time=tuple(range(1, n)))
 
 
 @dataclass(frozen=True)
@@ -77,15 +62,6 @@ class PararealHistory:
     n_outer: int = 0
 
 
-def coarse_sweep(trajectory, M, n):
-    """Backgrounds of iteration level n: b_0 = u0, b_k = M u_{k-1}^n in slab order."""
-    states = trajectory.u[n]
-    backgrounds = [states[0]]
-    for k in range(1, len(states)):
-        backgrounds.append(M @ states[k - 1])
-    return tuple(backgrounds)
-
-
 def initial_trajectory(config, rho_penalty=1.0):
     """Iteration 0 is the pure coarse sweep from the initial state."""
     M = config.instance.M
@@ -99,7 +75,7 @@ def initial_trajectory(config, rho_penalty=1.0):
 
 
 def fine_solve(k, background, config, partition, tol_mps, max_sweeps, rho,
-               pmap=None, patch_rule="owner", factors=None):
+               patch_rule="owner", factors=None):
     """Slab-local assimilation: the fine propagator value MPS(u_{k-1}).
 
     Solves the single-time problem whose background is the slab's coarse
@@ -109,35 +85,22 @@ def fine_solve(k, background, config, partition, tol_mps, max_sweeps, rho,
     """
     slab_config = dataclasses.replace(config, u0=background, time_index=k)
     iterate, history = run_mps(slab_config, partition, tol=tol_mps,
-                               max_iters=max_sweeps, rho=rho, pmap=pmap,
+                               max_iters=max_sweeps, rho=rho,
                                track_cost=False, patch_rule=patch_rule,
                                factors=factors)
     return iterate.patched, history
 
 
-def local_da_solve(k, trajectory, partition, config, tol_mps=1e-10,
-                   max_sweeps=100, patch_rule="owner"):
-    """Fine correction of slab k at the trajectory's current iteration level."""
-    background = trajectory.background[trajectory.n][k]
-    return fine_solve(k, background, config, partition, tol_mps, max_sweeps,
-                      rho=trajectory.rho_penalty, patch_rule=patch_rule)
-
-
 def parareal_update(trajectory, config, partition, tol_mps=1e-10,
-                    max_sweeps=100, pmap=None, update_form="classical",
-                    patch_rule="owner", factors=None):
+                    max_sweeps=100, pmap=None, patch_rule="owner",
+                    factors=None):
     """Advance the trajectory one outer iteration.
 
     The slab corrections are computed first (concurrently when a parallel map
     is supplied), then the corrector recombines them sequentially.  Returns
     the extended trajectory and the per-slab inner-solver histories.  The
     local factors are built here, before the map, unless `factors` is given.
-
-    update_form="shifted" moves the corrector's subtracted coarse term from
-    M u_{k-1}^n to M u_k^n, for diagnostic comparison only.
     """
-    if update_form not in ("classical", "shifted"):
-        raise ValueError(f"unknown update form {update_form!r}")
     n = trajectory.n
     states = trajectory.u[n]
     backgrounds = trajectory.background[n]
@@ -153,21 +116,15 @@ def parareal_update(trajectory, config, partition, tol_mps=1e-10,
 
     mapper = pmap if pmap is not None else lambda f, xs: [f(x) for x in xs]
     results = list(mapper(correct, range(1, n_points)))
-    fine = [None] + [r[0] for r in results]
     histories = [r[1] for r in results]
-
-    delta_n = [None] + [fine[k] - backgrounds[k] for k in range(1, n_points)]
+    delta_n = [None] + [fine - b for (fine, _), b in zip(results, backgrounds[1:])]
 
     u_next = [states[0]]                      # u_0 pinned
     b_next = [states[0]]
     for k in range(1, n_points):
         b = M @ u_next[k - 1]
-        if update_form == "classical":
-            u = b + delta_n[k]
-        else:
-            u = b + fine[k] - M @ states[k]
         b_next.append(b)
-        u_next.append(u)
+        u_next.append(b + delta_n[k])
 
     extended = PararealTrajectory(u=trajectory.u + (tuple(u_next),),
                                   background=trajectory.background + (tuple(b_next),),
@@ -195,7 +152,7 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
 
 def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
                  max_sweeps=100, rho=1.0, pmap=None, reference=None,
-                 update_form="classical", patch_rule="owner", factors=None):
+                 patch_rule="owner", factors=None):
     """Alternate slab corrections and sequential updates until converged.
 
     Stops when the sweep-to-sweep state difference drops below tol, or when
@@ -219,8 +176,8 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         t0 = time.perf_counter()
         trajectory, mps_hists = parareal_update(
             trajectory, config, partition, tol_mps=tol_mps,
-            max_sweeps=max_sweeps, pmap=pmap, update_form=update_form,
-            patch_rule=patch_rule, factors=factors)
+            max_sweeps=max_sweeps, pmap=pmap, patch_rule=patch_rule,
+            factors=factors)
         history.wall_s.append(time.perf_counter() - t0)
         n = trajectory.n
         diff = max(float(np.max(np.abs(a - b)))

@@ -111,17 +111,22 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
                          time_grid=_freeze(time_grid), M=_freeze(M), p=1)
 
 
-def build_covariance(n_grid, n_steps, nobs, sigma_b, sigma_r, L):
+def build_covariance(n_grid, sigma_b, sigma_r, L):
     """Squared-exponential background covariance and diagonal observation covariance.
 
     B_jl = sigma_b^2 exp(-|j - l|^2 / (2 L^2)) plus a diagonal jitter of
     1e-10 sigma_b^2 that keeps the Cholesky factorization safe; L = 0 is the
-    uncorrelated limit.  V is the lower Cholesky factor.  The space-time
-    observation covariance R = sigma_r^2 I of size n_steps * nobs is never
-    materialized: R_block returns its per-time blocks.
+    uncorrelated limit.  V is the lower Cholesky factor.  The observation
+    covariance R = sigma_r^2 I is never materialized: R_block returns its
+    per-time blocks.  Both variances must be normal float64 numbers, so that
+    they and their inverses are finite and nonzero.
     """
     if sigma_b <= 0 or sigma_r <= 0:
         raise TestbedError("sigma_b and sigma_r must be positive")
+    for name, sigma in (("sigma_b", sigma_b), ("sigma_r", sigma_r)):
+        if not np.finfo(float).tiny <= sigma * sigma < np.inf:
+            raise TestbedError(
+                f"{name}^2 = {sigma * sigma:g} is outside the normal float64 range")
     if L < 0:
         raise TestbedError(f"correlation length must be nonnegative, got {L}")
 

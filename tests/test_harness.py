@@ -248,6 +248,29 @@ class TestCli:
         assert captured.err == f"solver error: {error}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("setting", [
+        "sigma_r = 1e-200", "sigma_r = 1e-155", "sigma_r = 1e-150",
+        "sigma_b = 1e200", "diffusivity = 1e300"])
+    def test_numerical_fault_of_valid_config_exits_three(self, tmp_path, capsys,
+                                                         setting):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"np = 16\nn_steps = 4\nnobs = 4\n{setting}\n")
+        out = tmp_path / "report.csv"
+        code = harness.main(["--config", str(cfg_file), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        code = harness.main(["--np", "16", "--slabs", "4", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: out: cannot write report")
+        assert err.count("\n") == 1
+
     def test_stdout_report(self, capsys):
         code = harness.main(["--np", "16", "--slabs", "3", "--format", "json"])
         assert code == 0

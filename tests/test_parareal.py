@@ -1,12 +1,10 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
-from pintda import dd_mps, harness, parareal, var_solver
-from pintda.parareal import (build_time_slabs, coarse_sweep, initial_trajectory,
-                             local_da_solve, parareal_update, run_parareal,
-                             serial_fine_chain)
+from pintda import dd_mps, harness, var_solver
+from pintda.parareal import (fine_solve, initial_trajectory, parareal_update,
+                             run_parareal, serial_fine_chain)
 
 
 def no_observation_config(vconfig):
@@ -21,23 +19,12 @@ def no_observation_config(vconfig):
     return dataclasses.replace(vconfig, observations=empty)
 
 
-class TestTimeSlabs:
-    def test_boundaries_cover_the_window(self, bench_problem):
-        vconfig, _ = bench_problem
-        slabs = build_time_slabs(vconfig.instance)
-        assert slabs.boundaries[0] == 0.0
-        assert slabs.boundaries[-1] == vconfig.instance.T
-        assert slabs.n_slabs == vconfig.instance.n_steps - 1
-        assert slabs.obs_time == tuple(range(1, vconfig.instance.n_steps))
-
-
 class TestCoarseSweep:
     def test_identity_model_keeps_initial_state(self):
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=8, n_steps=4,
                                   nobs=2, velocity=0.0, diffusivity=0.0)
         vconfig, _ = harness.build_problem(cfg)
-        traj = initial_trajectory(vconfig)
-        backgrounds = coarse_sweep(traj, vconfig.instance.M, 0)
+        backgrounds = initial_trajectory(vconfig).background[0]
         for b in backgrounds:
             np.testing.assert_array_equal(b, vconfig.u0)
 
@@ -46,8 +33,7 @@ class TestCoarseSweep:
                                   nobs=2, n_sub=1, overlap=0)
         vconfig, _ = harness.build_problem(cfg)
         M = vconfig.instance.M
-        traj = initial_trajectory(vconfig)
-        backgrounds = coarse_sweep(traj, M, 0)
+        backgrounds = initial_trajectory(vconfig).background[0]
         expected = vconfig.u0.copy()
         for k in range(1, 4):
             expected = M @ expected   # repeated multiplication oracle
@@ -65,18 +51,19 @@ class TestLocalDaSolve:
     def test_no_observations_returns_background(self, bench_problem):
         vconfig, partition = bench_problem
         vempty = no_observation_config(vconfig)
-        traj = initial_trajectory(vempty, rho_penalty=3.7)
-        analysis, hist = local_da_solve(2, traj, partition, vempty)
-        np.testing.assert_array_equal(analysis, traj.background[0][2])
+        background = initial_trajectory(vempty).background[0][2]
+        analysis, hist = fine_solve(2, background, vempty, partition, 1e-10,
+                                    100, rho=3.7)
+        np.testing.assert_array_equal(analysis, background)
         assert hist.converged
 
     def test_single_block_matches_direct_slab_solve(self, bench_problem):
         vconfig, _ = bench_problem
         partition1 = dd_mps.partition_domain(vconfig.instance.np, 1, 0)
-        traj = initial_trajectory(vconfig)
-        analysis, _ = local_da_solve(3, traj, partition1, vconfig)
-        slab_cfg = dataclasses.replace(vconfig, u0=traj.background[0][3],
-                                       time_index=3)
+        background = initial_trajectory(vconfig).background[0][3]
+        analysis, _ = fine_solve(3, background, vconfig, partition1, 1e-10,
+                                 100, rho=1.0)
+        slab_cfg = dataclasses.replace(vconfig, u0=background, time_index=3)
         direct = var_solver.solve_var_direct(slab_cfg, "threeD")
         np.testing.assert_allclose(analysis, direct.u_da, atol=1e-8)
 
@@ -128,26 +115,6 @@ class TestPararealUpdate:
                     traj.u[n][k] - traj.background[n][k],
                     traj.delta[n - 1][k], atol=1e-12)
 
-    def test_shifted_update_form_is_a_distinct_diagnostic(self, bench_problem):
-        # the alternative corrector subtracts the coarse term one slab late,
-        # so it loses the exact-propagation property the classical form keeps
-        vconfig, partition = bench_problem
-        vempty = no_observation_config(vconfig)
-        M = vconfig.instance.M
-        serial = [vempty.u0]
-        for _ in range(1, vconfig.instance.n_steps):
-            serial.append(M @ serial[-1])
-
-        classical, _ = parareal_update(initial_trajectory(vempty), vempty,
-                                       partition, update_form="classical")
-        shifted, _ = parareal_update(initial_trajectory(vempty), vempty,
-                                     partition, update_form="shifted")
-        np.testing.assert_allclose(classical.u[1][-1], serial[-1], rtol=1e-13)
-        assert np.abs(shifted.u[1][-1] - serial[-1]).max() > 1e-6
-        with pytest.raises(ValueError):
-            parareal_update(initial_trajectory(vempty), vempty, partition,
-                            update_form="bogus")
-
 
 class TestRunParareal:
     def test_single_slab_terminates_first_iteration(self):
@@ -157,8 +124,8 @@ class TestRunParareal:
         traj, hist = run_parareal(vconfig, partition, tol=1e-12, max_outer=5)
         assert hist.converged
         assert hist.n_outer == 1
-        fine, _ = parareal.fine_solve(1, vconfig.instance.M @ vconfig.u0,
-                                      vconfig, partition, 1e-10, 100, rho=1.0)
+        fine, _ = fine_solve(1, vconfig.instance.M @ vconfig.u0, vconfig,
+                             partition, 1e-10, 100, rho=1.0)
         np.testing.assert_array_equal(traj.u[1][1], fine)
 
     def test_benchmark_converges_within_slab_count(self, bench_problem):

@@ -60,35 +60,35 @@ class TestModelInstance:
 
 class TestCovariance:
     def test_uncorrelated_limit(self):
-        cov = build_covariance(8, 3, 2, sigma_b=2.0, sigma_r=0.5, L=0.0)
+        cov = build_covariance(8, sigma_b=2.0, sigma_r=0.5, L=0.0)
         np.testing.assert_allclose(cov.B, 4.0 * np.eye(8), rtol=1e-9)
         np.testing.assert_allclose(cov.V, 2.0 * np.eye(8), rtol=1e-9)
 
     @pytest.mark.parametrize("L", [0.0, 0.7, 2.0, 10.0])
     def test_all_eigenvalues_positive(self, L):
-        cov = build_covariance(24, 2, 4, sigma_b=1.3, sigma_r=0.2, L=L)
+        cov = build_covariance(24, sigma_b=1.3, sigma_r=0.2, L=L)
         assert np.linalg.eigvalsh(cov.B).min() > 0
 
     @pytest.mark.parametrize("L", [0.0, 1.5, 4.0])
     def test_factorization_reproduces_B(self, L):
-        cov = build_covariance(16, 2, 4, sigma_b=0.9, sigma_r=0.2, L=L)
+        cov = build_covariance(16, sigma_b=0.9, sigma_r=0.2, L=L)
         err = np.abs(cov.V @ cov.V.T - cov.B).max()
         assert err <= 1e-12 * np.abs(cov.B).max()
 
     def test_B_exactly_symmetric(self):
-        cov = build_covariance(16, 2, 4, sigma_b=1.0, sigma_r=0.1, L=2.5)
+        cov = build_covariance(16, sigma_b=1.0, sigma_r=0.1, L=2.5)
         assert np.abs(cov.B - cov.B.T).max() == 0.0
 
     def test_R_is_diagonal_with_sigma_r(self):
-        cov = build_covariance(8, 3, 2, sigma_b=1.0, sigma_r=0.5, L=0.0)
+        cov = build_covariance(8, sigma_b=1.0, sigma_r=0.5, L=0.0)
         for k in range(3):
             np.testing.assert_array_equal(cov.R_block(k, 2), 0.25 * np.eye(2))
 
     def test_rejects_bad_sigmas(self):
         with pytest.raises(testbed.TestbedError):
-            build_covariance(8, 2, 2, sigma_b=0.0, sigma_r=0.1, L=0.0)
+            build_covariance(8, sigma_b=0.0, sigma_r=0.1, L=0.0)
         with pytest.raises(testbed.TestbedError):
-            build_covariance(8, 2, 2, sigma_b=1.0, sigma_r=1.0, L=-1.0)
+            build_covariance(8, sigma_b=1.0, sigma_r=1.0, L=-1.0)
 
 
 @pytest.fixture()
@@ -98,7 +98,7 @@ def small_instance():
 
 @pytest.fixture()
 def small_cov():
-    return build_covariance(8, 4, 3, sigma_b=1.0, sigma_r=0.3, L=0.0)
+    return build_covariance(8, sigma_b=1.0, sigma_r=0.3, L=0.0)
 
 
 class TestObservations:

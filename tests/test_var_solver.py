@@ -24,11 +24,10 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
                             alpha=alpha, lam=lam)
 
 
-def random_config(n_grid=6, n_steps=3, nobs=2, L=1.2, seed=7, alpha=0.8, lam=1.3):
+def random_config(n_grid=6, n_steps=3, L=1.2, seed=7, alpha=0.8, lam=1.3):
     inst = testbed.build_model_instance(n_grid, n_steps, 1.0, velocity=0.7,
                                         diffusivity=0.04)
-    cov = testbed.build_covariance(n_grid, n_steps, nobs, sigma_b=0.9,
-                                   sigma_r=0.3, L=L)
+    cov = testbed.build_covariance(n_grid, sigma_b=0.9, sigma_r=0.3, L=L)
     rng = np.random.default_rng(seed)
     u_truth = rng.standard_normal(n_grid)
     obs = testbed.build_observations(inst, cov, [1, n_grid - 2], u_truth, seed=seed)
