@@ -286,7 +286,8 @@ def run_experiment(config):
         vconfig, partition, tol=config.tol_parareal, max_outer=config.max_outer,
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
         rho=config.rho_penalty, pmap=pmap, reference=reference,
-        patch_rule=config.patch, factors=factors)
+        patch_rule=config.patch, factors=factors,
+        reference_histories=chain_hists)
 
     # Lipschitz probes: random pairs plus the realized error directions.
     rng_probe = np.random.default_rng([config.seed, 3])
@@ -344,10 +345,14 @@ def run_experiment(config):
                 raise DiagnosticError(f"non-finite diagnostic {f.name} at "
                                       f"k={rec.k}, n={rec.n}")
 
+    solved = sum(len(slabs) for slabs in phist.solved)
     summary = {
         "status": status,
         "parareal_reason": phist.reason,
         "n_outer": phist.n_outer,
+        "outer_to_slabs": phist.n_outer / (n_points - 1),
+        "fine_solves": len(chain_hists) + solved,
+        "fine_solves_reused": phist.n_outer * (n_points - 1) - solved,
         "mps_unconverged": mps_unconverged,
         "bound_dominates": all(rec.E_kn <= rec.c_n for rec in records),
         "mu_A": hessian.mu,
@@ -445,10 +450,14 @@ def main(argv=None):
     or an unwritable report path, 3 a solver fault (a singular system, a
     non-finite diagnostic, an unusable partition or testbed input).
 
-    The stderr status line ends with `reason=` (why the outer iteration
-    stopped), `bound_dominates=` and `mps_unconverged=<count>`, the number of
-    slabs whose Schwarz fine solve hit max_sweeps in the serial chain or any
-    outer iteration, followed by `slabs=<k,...>` when that count is nonzero.
+    The stderr status line ends with `fine_solves=<run>/<run+reused>` (the
+    Schwarz fine solves run, serial chain included, over those plus the
+    Parareal solves reused from a record; summary keys `fine_solves` and
+    `fine_solves_reused`), `reason=` (why the outer iteration stopped),
+    `bound_dominates=` and `mps_unconverged=<count>`, the number of slabs
+    whose Schwarz fine solve hit max_sweeps in the serial chain or any outer
+    iteration, followed by `slabs=<k,...>` when that count is nonzero.
+    summary["outer_to_slabs"] is n_outer over the slab count.
     """
     args = _build_arg_parser().parse_args(argv)
     overrides = {}
@@ -479,7 +488,9 @@ def main(argv=None):
     slabs = f" slabs={','.join(map(str, unconverged))}" if unconverged else ""
     print(f"status={result.status} n_outer={s['n_outer']} "
           f"mu_A={s['mu_A']:.6g} C={s['C_const']:.6g} eps_mps={s['eps_mps']:.3g} "
-          f"C_h={s['C_h']:.6g} reason={s['parareal_reason']} "
+          f"C_h={s['C_h']:.6g} fine_solves={s['fine_solves']}/"
+          f"{s['fine_solves'] + s['fine_solves_reused']} "
+          f"reason={s['parareal_reason']} "
           f"bound_dominates={s['bound_dominates']} "
           f"mps_unconverged={len(unconverged)}{slabs}", file=sys.stderr)
     return 0 if result.converged else 2

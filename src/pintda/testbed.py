@@ -16,6 +16,11 @@ class TestbedError(ValueError):
     """Unusable testbed inputs: bad dimensions or a failed factorization."""
 
 
+# Largest deviation of the propagator's row sums from 1 that build_model_instance
+# accepts; measured deviations are <= 6e-5 up to diffusivity 1e10 and 1.0 from 1e20.
+ROW_SUM_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class ModelInstance:
     """One-step linear forecast model on a periodic 1-D grid."""
@@ -105,7 +110,19 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
     A[idx, left] -= nu / dx**2
     A[idx, right] -= nu / dx**2
 
-    M = np.linalg.inv(np.eye(n_grid) + h * A)
+    # I + hA has unit row sums, so M must too.  An inverse that fails or loses
+    # them is singular in float64: the larger transport term swamps the
+    # identity, and the message names its field.
+    key, value = ("diffusivity", nu) if 2.0 * nu / dx >= abs(a) else ("velocity", a)
+    singular = f"{key}: {value:g} makes the propagator (I + hA)^-1 singular in float64"
+    try:
+        M = np.linalg.inv(np.eye(n_grid) + h * A)
+    except np.linalg.LinAlgError as err:
+        raise TestbedError(f"{singular}: {err}") from err
+    row_error = float(np.abs(M.sum(axis=1) - 1.0).max())
+    if not row_error <= ROW_SUM_TOL:
+        raise TestbedError(f"{singular}: its row sums are off by {row_error:.3g}, "
+                           f"more than {ROW_SUM_TOL:g}")
     time_grid = np.linspace(0.0, T, n_steps)
     return ModelInstance(np=n_grid, n_steps=n_steps, T=float(T), h=h,
                          time_grid=_freeze(time_grid), M=_freeze(M), p=1)

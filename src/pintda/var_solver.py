@@ -12,6 +12,7 @@ package is tested against.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,12 +171,21 @@ def hessian_condition(config, variant="threeD"):
 
     The Hessian is block diagonal and so is its inverse, so both infinity
     norms are maxima over the blocks: mu = max_k ||A_k|| * max_k ||A_k^-1||.
+    A block that is singular to working precision (SciPy's ill-conditioning
+    warning) is a fault: its inverse, and so mu, would be meaningless.
     """
     blocks, norm, inv_norm = [], 0.0, 0.0
-    for A, _ in _normal_systems(config, variant):
+    for k, (A, _) in enumerate(_normal_systems(config, variant)):
         A = 2.0 * A
         try:
-            Ainv = scipy.linalg.inv(A)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                Ainv = scipy.linalg.inv(A)
+        except scipy.linalg.LinAlgWarning as err:
+            # SciPy's text labels the condition number "rcond"; keep it off the CLI
+            raise VarSolverError(f"Hessian block {k} is singular to working "
+                                 "precision: SciPy's inverse finds it "
+                                 "ill-conditioned") from err
         except scipy.linalg.LinAlgError as err:
             raise VarSolverError(f"Hessian is singular: {err}") from err
         blocks.append(A)

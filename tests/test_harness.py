@@ -132,6 +132,33 @@ class TestRunExperiment:
         assert result.summary["parareal_reason"] == "exact"
         assert result.summary["mps_unconverged"] == list(range(1, cfg.n_steps))
 
+    def test_summary_counts_fine_solves(self, bench_result):
+        s = bench_result.summary
+        n_slabs = ExperimentConfig().n_steps - 1
+        assert s["n_outer"] == n_slabs
+        # chain 7, then iteration n solves slabs n+1..7: 6 + 5 + ... + 0
+        assert s["fine_solves"] == n_slabs + 21
+        assert s["fine_solves_reused"] == n_slabs * n_slabs - 21
+        assert s["outer_to_slabs"] == 1.0
+
+    def test_reuse_leaves_records_and_summary_unchanged(self, monkeypatch):
+        cfg = load_config(None, {"max_sweeps": 5, "L": 2.0, "lambda": 0.05,
+                                 "rho_penalty": 5.0, "n_sub": 4})
+        reused = run_experiment(cfg)
+        monkeypatch.setattr(harness.parareal.FineRecords, "find",
+                            lambda self, k, background: None)
+        solved = run_experiment(cfg)
+        assert reused.status == solved.status == "non-converged"
+        assert reused.records == solved.records
+        assert render_report(reused.records) == render_report(solved.records)
+        counts = ("fine_solves", "fine_solves_reused")
+        assert ({k: v for k, v in reused.summary.items() if k not in counts}
+                == {k: v for k, v in solved.summary.items() if k not in counts})
+        n_slabs = cfg.n_steps - 1
+        assert solved.summary["fine_solves"] == n_slabs * (n_slabs + 1)
+        assert solved.summary["fine_solves_reused"] == 0
+        assert reused.summary["fine_solves"] < solved.summary["fine_solves"]
+
     def test_error_bound_dominates_measured_errors(self, bench_result):
         for rec in bench_result.records:
             assert rec.E_kn <= rec.c_n
@@ -225,7 +252,9 @@ class TestCli:
     def test_converged_run_reports_no_inner_failures(self, tmp_path, capsys):
         code = harness.main(["--out", str(tmp_path / "report.csv")])
         assert code == 0
-        assert capsys.readouterr().err.strip().endswith("mps_unconverged=0")
+        line = capsys.readouterr().err.strip()
+        assert line.endswith("mps_unconverged=0")
+        assert " fine_solves=28/56 reason=exact bound_dominates=True " in line
 
     def test_too_many_blocks_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -250,17 +279,21 @@ class TestCli:
 
     @pytest.mark.parametrize("setting", [
         "sigma_r = 1e-200", "sigma_r = 1e-155", "sigma_r = 1e-150",
-        "sigma_b = 1e200", "diffusivity = 1e300"])
+        "sigma_b = 1e200", "diffusivity = 1e300", "diffusivity = 1e50",
+        "velocity = 1e300"])
     def test_numerical_fault_of_valid_config_exits_three(self, tmp_path, capsys,
-                                                         setting):
+                                                         recwarn, setting):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"np = 16\nn_steps = 4\nnobs = 4\n{setting}\n")
         out = tmp_path / "report.csv"
         code = harness.main(["--config", str(cfg_file), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("solver error: ")
+        names = {"sigma_r = 1e-150": "Hessian block 0 is singular to working precision"}
+        field = setting.split(" = ")[0]
+        assert err.startswith(f"solver error: {names.get(setting, field)}")
         assert err.count("\n") == 1
+        assert not recwarn.list
         assert not out.exists()
 
     def test_unwritable_out_exits_one(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from pintda import dd_mps, harness, var_solver
-from pintda.parareal import (fine_solve, initial_trajectory, parareal_update,
-                             run_parareal, serial_fine_chain)
+from pintda.parareal import (FineRecords, fine_solve, initial_trajectory,
+                             parareal_update, run_parareal, serial_fine_chain)
 
 
 def no_observation_config(vconfig):
@@ -182,3 +183,127 @@ class TestRunParareal:
         for n in range(E.shape[0]):
             assert E[n, :min(n, E.shape[1] - 1) + 1].max() <= 1e-10
         assert E[-1].max() < E[1].max()
+
+
+def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps, rho):
+    """Brute-force oracle: fine-solve every slab at every iteration."""
+    M = vconfig.instance.M
+    level = initial_trajectory(vconfig, rho_penalty=rho).u[0]
+    u, background, delta, hists = [level], [level], [], []
+    for n in range(n_outer):
+        solves = [fine_solve(k, background[n][k], vconfig, partition, tol_mps,
+                             max_sweeps, rho) for k in range(1, len(level))]
+        delta.append([None] + [fine - b for (fine, _), b
+                               in zip(solves, background[n][1:])])
+        hists.append([h for _, h in solves])
+        u_next, b_next = [level[0]], [level[0]]
+        for k in range(1, len(level)):
+            b_next.append(M @ u_next[k - 1])
+            u_next.append(b_next[k] + delta[n][k])
+        u.append(u_next)
+        background.append(b_next)
+    return u, background, delta, hists
+
+
+def reuse_run(vconfig, partition, tol_mps=1e-10, max_sweeps=100, rho=1.0,
+              pmap=None):
+    reference, chain_hists = serial_fine_chain(
+        vconfig, partition, tol_mps=tol_mps, max_sweeps=max_sweeps, rho=rho)
+    return run_parareal(vconfig, partition, tol=1e-300,
+                        max_outer=vconfig.instance.n_steps, tol_mps=tol_mps,
+                        max_sweeps=max_sweeps, rho=rho, pmap=pmap,
+                        reference=reference, reference_histories=chain_hists)
+
+
+class TestFineSolveReuse:
+    @pytest.mark.parametrize("which", ["bench", "correlated"])
+    def test_matches_textbook_iteration_bitwise(self, which, bench_problem,
+                                                correlated_problem):
+        if which == "bench":
+            (vconfig, partition), settings = bench_problem, (1e-10, 100, 1.0)
+        else:
+            cfg, vconfig, partition = correlated_problem
+            settings = (cfg.tol_mps, cfg.max_sweeps, cfg.rho_penalty)
+        traj, hist = reuse_run(vconfig, partition, *settings)
+        u, background, delta, hists = textbook_parareal(
+            vconfig, partition, traj.n, *settings)
+        for n in range(traj.n + 1):
+            for k in range(vconfig.instance.n_steps):
+                assert traj.u[n][k].tobytes() == u[n][k].tobytes()
+                assert traj.background[n][k].tobytes() == background[n][k].tobytes()
+        for n in range(traj.n):
+            for k in range(1, vconfig.instance.n_steps):
+                assert traj.delta[n][k].tobytes() == delta[n][k].tobytes()
+            for got, want in zip(hist.mps[n], hists[n]):
+                assert got.eq_residuals == want.eq_residuals
+                assert got.eps_mps == want.eps_mps
+                assert got.converged == want.converged
+
+    def test_iteration_n_solves_only_the_inexact_slabs(self, bench_problem):
+        vconfig, partition = bench_problem
+        traj, hist = reuse_run(vconfig, partition)
+        n_slabs = vconfig.instance.n_steps - 1
+        assert hist.n_outer == n_slabs
+        for n, solved in enumerate(hist.solved, start=1):
+            assert len(solved) <= n_slabs - n + 1
+            assert solved == list(range(n + 1, n_slabs + 1))
+        assert sum(map(len, hist.solved)) == 21
+
+    def test_without_chain_records_reuses_only_unchanged_backgrounds(
+            self, bench_problem):
+        vconfig, partition = bench_problem
+        _, hist = run_parareal(vconfig, partition, tol=1e-300, max_outer=8)
+        n_slabs = vconfig.instance.n_steps - 1
+        for n, solved in enumerate(hist.solved, start=1):
+            assert solved == list(range(n, n_slabs + 1))
+
+    def test_pooled_solves_give_the_same_bytes(self, bench_problem):
+        vconfig, partition = bench_problem
+        t1, h1 = reuse_run(vconfig, partition)
+        t4, h4 = reuse_run(vconfig, partition, pmap=harness.make_pmap(4))
+        assert h1.solved == h4.solved
+        for n in range(t1.n + 1):
+            for k in range(vconfig.instance.n_steps):
+                assert t1.u[n][k].tobytes() == t4.u[n][k].tobytes()
+        for n in range(t1.n):
+            for k in range(1, vconfig.instance.n_steps):
+                assert t1.delta[n][k].tobytes() == t4.delta[n][k].tobytes()
+
+    def test_reused_slab_shares_delta_and_history(self, bench_problem):
+        vconfig, partition = bench_problem
+        traj, hist = reuse_run(vconfig, partition)
+        # slab 1 is never re-solved: every iteration carries the chain's answer
+        for n in range(1, traj.n):
+            assert traj.delta[n][1] is traj.delta[0][1]
+            assert hist.mps[n][0] is hist.mps[0][0]
+
+    def test_records_match_bytes_only(self):
+        background = np.array([0.0, 1.0, -2.5])
+        delta, history = np.ones(3), object()
+        records = FineRecords(n_slabs=2)
+        records.store(1, background, delta, history)
+        assert records.find(1, background.copy()) == (delta, history)
+        assert records.find(2, background) is None
+        assert records.find(1, np.array([-0.0, 1.0, -2.5])) is None
+        assert records.find(1, np.nextafter(background, 1.0)) is None
+        assert records.solved == [1]
+
+    def test_at_most_two_records_per_slab(self, bench_problem):
+        vconfig, partition = bench_problem
+        M = vconfig.instance.M
+        reference, chain_hists = serial_fine_chain(vconfig, partition)
+        records = FineRecords.from_chain(M, reference, chain_hists)
+        chain_background = M @ reference[0]
+        first, second = chain_background + 1.0, chain_background + 2.0
+        records.store(1, first, np.zeros(3), None)
+        records.store(1, second, np.zeros(3), None)
+        assert records.find(1, chain_background) is not None
+        assert records.find(1, second) is not None
+        assert records.find(1, first) is None
+
+    def test_chain_histories_need_the_chain(self, bench_problem):
+        vconfig, partition = bench_problem
+        _, chain_hists = serial_fine_chain(vconfig, partition)
+        with pytest.raises(ValueError, match="reference"):
+            run_parareal(vconfig, partition, tol=1e-9, max_outer=2,
+                         reference_histories=chain_hists)

@@ -57,6 +57,21 @@ class TestModelInstance:
         with pytest.raises(testbed.TestbedError):
             build_model_instance(**kwargs)
 
+    @pytest.mark.parametrize("field,diffusivity,velocity", [
+        ("diffusivity", 1e50, 1.0),      # the inversion itself fails
+        ("diffusivity", 1e300, 1.0),     # the inverse loses its unit row sums
+        ("velocity", 0.05, -1e300),
+    ])
+    def test_rejects_propagator_singular_in_float64(self, field, diffusivity,
+                                                    velocity):
+        with pytest.raises(testbed.TestbedError, match=f"^{field}: .*singular"):
+            build_model_instance(16, 4, 1.0, velocity=velocity,
+                                 diffusivity=diffusivity)
+
+    def test_accepts_large_but_representable_diffusivity(self):
+        inst = build_model_instance(16, 4, 1.0, velocity=1.0, diffusivity=1e6)
+        assert np.abs(inst.M.sum(axis=1) - 1.0).max() <= testbed.ROW_SUM_TOL
+
 
 class TestCovariance:
     def test_uncorrelated_limit(self):

@@ -258,6 +258,20 @@ class TestHessianCondition:
             off[k * n:(k + 1) * n, k * n:(k + 1) * n] = 0.0
         assert not off.any()
 
+    def test_block_singular_to_working_precision_is_a_fault(self, recwarn):
+        # sigma_r = 1e-150 puts 1e300 beside O(1) background weights
+        inst = testbed.build_model_instance(16, 4, 1.0, velocity=1.0,
+                                            diffusivity=0.05)
+        cov = testbed.build_covariance(16, sigma_b=0.5, sigma_r=1e-150, L=0.0)
+        obs = testbed.build_observations(inst, cov, [0, 4, 8, 12],
+                                         np.zeros(16), seed=1)
+        cfg = VarProblemConfig(instance=inst, covpair=cov, observations=obs,
+                               G=testbed.assemble_G(obs, inst), u0=np.zeros(16))
+        with pytest.raises(VarSolverError,
+                           match="Hessian block 0 is singular to working precision"):
+            hessian_condition(cfg, "fourD")
+        assert not recwarn.list
+
     def test_four_d_singular_block_is_a_fault(self):
         cfg = dataclasses.replace(random_config(), alpha=0.0)
         with pytest.raises(VarSolverError):
