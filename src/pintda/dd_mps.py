@@ -14,18 +14,35 @@ the observed rows with S = H_loc V_loc and R_loc^-1) depends only on the
 partition, V, the observation pattern (H_t, R_t), lam and rho.  A
 `FactorTable` builds it once per distinct pattern, so a fine solve only
 recomputes the innovation d = v - H u_b and c_loc = S^T R_loc^-1 d_loc.
+
+A sweep solves each block with one direct LAPACK potrs call on its Cholesky
+factor.  It forms each coupling product C_ij w_j once: the stationarity
+residual at the new iterate reads it, and so does the next sweep's
+right-hand side, both summed in coupling order.  The patched global state is
+built once per solve, when the last iterate is read, or on every sweep when
+the cost history is tracked.  A non-finite background is rejected before the
+sweeps, and any other non-finite value shows in one NaN-propagating check of
+each sweep's iterate difference; both raise VarSolverError naming the
+subdomain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 import scipy.linalg
 
-from .var_solver import eval_cost
+from .var_solver import VarSolverError, eval_cost
+
+_PATCH_RULES = ("owner", "average")
+
+# The float64 LAPACK solve that scipy.linalg.cho_solve dispatches to, bound
+# once: the sweep calls it directly, without cho_solve's per-call checks.
+_potrs = scipy.linalg.lapack.dpotrs
 
 
 class PartitionError(ValueError):
@@ -108,18 +125,21 @@ class LocalFactor:
         else:
             c_loc = np.zeros(self.indices.size)
         return LocalSystem(factor=self, c_loc=c_loc, d_loc=d_loc,
-                           u_b_loc=u_b[self.indices])
+                           u_b_loc=u_b[self.indices],
+                           scale=1.0 + float(np.abs(c_loc).max()))
 
 
 @dataclass(frozen=True)
 class LocalSystem:
     """Preconditioned local control system for one subdomain and background:
-    a shared factor plus the right-hand side c_loc."""
+    a shared factor plus the right-hand side c_loc.  `scale` = 1 + max|c_loc|
+    makes the stationarity residual relative."""
 
     factor: LocalFactor
     c_loc: np.ndarray
     d_loc: np.ndarray
     u_b_loc: np.ndarray
+    scale: float
 
     i = property(attrgetter("factor.i"))
     indices = property(attrgetter("factor.indices"))
@@ -149,18 +169,39 @@ class FactorTable:
         innovation and each c_loc are computed."""
         t = config.time_index
         obs = config.observations
-        d = obs.v[t] - obs.H[t] @ config.u0
-        return [f.system(d, config.u0) for f in self.by_time[t]]
+        u_b = config.u0
+        if not np.isfinite(u_b).all():
+            i = next(f.i for f in self.by_time[t]
+                     if not np.isfinite(u_b[f.indices]).all())
+            raise VarSolverError(f"subdomain {i}: the background is not finite")
+        d = obs.v[t] - obs.H[t] @ u_b
+        return [f.system(d, u_b) for f in self.by_time[t]]
 
 
 @dataclass(frozen=True)
 class SchwarzIterate:
-    """State of the Schwarz iteration: local controls plus the patched state."""
+    """State of the Schwarz iteration after n sweeps.
+
+    `products[i]` holds subdomain i's coupling products coupling[j] @ w[j] in
+    coupling order; the residuals at w were summed from them and the next
+    sweep's right-hand sides read them.  `patched`, the global state patched
+    from w by `patch_rule`, is built on first access and kept, so a solve
+    that reads only its last iterate patches once.  An iterate built by hand
+    (products None) can be patched through recover_and_patch, not swept.
+    """
 
     w: tuple
     n: int
     residual: float         # max_i ||w_i^n - w_i^{n-1}||_inf
-    patched: np.ndarray
+    abs_residual: float = np.inf    # max_i ||local_grad_i(w)||_inf
+    eq_residual: float = np.inf     # the same relative to each 1 + max|c_loc|
+    products: dict = field(default=None, repr=False, compare=False)
+    systems: tuple = field(default=(), repr=False, compare=False)
+    patch_rule: str = "owner"
+
+    @functools.cached_property
+    def patched(self):
+        return _patch_from_systems(self.w, self.systems, self.patch_rule)
 
 
 @dataclass
@@ -262,34 +303,44 @@ def assemble_local_system(i, partition, restrictions, config, rho=1.0):
     H_loc = H[np.ix_(rows, idx)]
     R_loc = Rk[np.ix_(rows, rows)]
 
-    if rows.size:
-        Rinv = scipy.linalg.inv(R_loc)
-        S = H_loc @ V_loc
-        A_loc = S.T @ Rinv @ S + config.lam * np.eye(idx.size)
-    else:
-        Rinv = S = None
-        A_loc = config.lam * np.eye(idx.size)
-
     coupling, interface_maps = {}, {}
-    for j in partition.neighbors(i):
-        gamma = partition.interfaces[(i, j)]
-        if gamma.size == 0:
-            continue
-        V_ij = V[np.ix_(gamma, idx)]
-        V_ij_nb = V[np.ix_(gamma, restrictions.subdomain[j])]
-        A_loc = A_loc + rho * V_ij.T @ V_ij
-        coupling[j] = -rho * V_ij.T @ V_ij_nb
-        interface_maps[j] = (V_ij, V_ij_nb)
+    # Overflow and a non-finite background surface as values, not warnings:
+    # the check below rejects the system, FactorTable.systems the background.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rows.size:
+            Rinv = scipy.linalg.inv(R_loc)
+            S = H_loc @ V_loc
+            A_loc = S.T @ Rinv @ S + config.lam * np.eye(idx.size)
+        else:
+            Rinv = S = None
+            A_loc = config.lam * np.eye(idx.size)
 
-    A_loc = 0.5 * (A_loc + A_loc.T)
-    factor = LocalFactor(i=i, indices=idx, n_grid=partition.n_grid,
-                         lam=float(config.lam), rho=float(rho), A_loc=A_loc,
-                         chol=scipy.linalg.cho_factor(A_loc), coupling=coupling,
-                         interface_maps=interface_maps, V_loc=V_loc,
-                         own_mask=partition.own_masks[i], rows=rows,
-                         H_loc=H_loc, R_loc=R_loc, S=S, Rinv=Rinv)
-    d = config.observations.v[t] - H @ config.u0
-    return factor.system(d, config.u0)
+        for j in partition.neighbors(i):
+            gamma = partition.interfaces[(i, j)]
+            if gamma.size == 0:
+                continue
+            V_ij = V[np.ix_(gamma, idx)]
+            V_ij_nb = V[np.ix_(gamma, restrictions.subdomain[j])]
+            A_loc = A_loc + rho * V_ij.T @ V_ij
+            coupling[j] = -rho * V_ij.T @ V_ij_nb
+            interface_maps[j] = (V_ij, V_ij_nb)
+
+        A_loc = 0.5 * (A_loc + A_loc.T)
+        if not (np.isfinite(A_loc).all()
+                and all(np.isfinite(C).all() for C in coupling.values())):
+            cov = config.covpair
+            raise VarSolverError(
+                f"sigma_b = {cov.sigma_b:g} (with sigma_r = {cov.sigma_r:g}) "
+                f"overflows the local system of subdomain {i} at time {t} "
+                f"in float64")
+        factor = LocalFactor(i=i, indices=idx, n_grid=partition.n_grid,
+                             lam=float(config.lam), rho=float(rho), A_loc=A_loc,
+                             chol=scipy.linalg.cho_factor(A_loc),
+                             coupling=coupling, interface_maps=interface_maps,
+                             V_loc=V_loc, own_mask=partition.own_masks[i],
+                             rows=rows, H_loc=H_loc, R_loc=R_loc, S=S, Rinv=Rinv)
+        d = config.observations.v[t] - H @ config.u0
+        return factor.system(d, config.u0)
 
 
 def _pattern_key(config, t):
@@ -350,18 +401,68 @@ def local_grad(w_i, neighbor_w, system):
 
 
 def mps_sweep(iterate, systems, patch_rule="owner"):
-    """One Jacobi sweep: every local solve reads only iteration-n neighbor data."""
-    def solve_one(sys_i):
-        rhs = sys_i.c_loc.copy()
-        for j, C in sys_i.coupling.items():
-            rhs -= C @ iterate.w[j]
-        return scipy.linalg.cho_solve(sys_i.chol, rhs)
+    """One Jacobi sweep: every local solve reads only iteration-n neighbor data.
 
-    w_new = tuple(solve_one(s) for s in systems)
-    residual = max(float(np.max(np.abs(wn - wo)))
-                   for wn, wo in zip(w_new, iterate.w))
-    return SchwarzIterate(w=w_new, n=iterate.n + 1, residual=residual,
-                          patched=_patch_from_systems(w_new, systems, patch_rule))
+    Block i solves A_loc w_i = c_loc - sum_j coupling[j] @ w_j^n with one
+    LAPACK potrs call on its Cholesky factor; the products coupling[j] @ w_j^n
+    come from iterate.products.  The sweep then forms each product at w^{n+1}
+    once and reads it twice: in the stationarity residual at w^{n+1} here, and
+    in the next sweep's right-hand side through the returned iterate.  A
+    non-finite local solution raises VarSolverError naming its subdomain.
+    """
+    w_new = []
+    for s in systems:
+        rhs = s.c_loc.copy()
+        for P in iterate.products[s.i]:
+            rhs -= P
+        c, lower = s.chol
+        x, info = _potrs(c, rhs, lower=lower, overwrite_b=True)
+        if info:
+            raise VarSolverError(f"subdomain {s.i}: LAPACK potrs rejected "
+                                 f"argument {-info}")
+        w_new.append(x)
+    w_new = tuple(w_new)
+    # one NaN-propagating reduction over every block, unlike max()
+    residual = float(np.abs(np.concatenate(w_new)
+                            - np.concatenate(iterate.w)).max())
+    if not np.isfinite(residual):
+        raise VarSolverError(
+            _nonfinite_message(w_new, iterate.w, systems, iterate.n + 1))
+    return _iterate_at(w_new, iterate.n + 1, residual, systems, patch_rule)
+
+
+def _nonfinite_message(w_new, w_old, systems, n):
+    s = next(s for s, a, b in zip(systems, w_new, w_old)
+             if not np.isfinite(a - b).all())
+    cause = ("its right-hand side c_loc is not finite"
+             if not np.isfinite(s.c_loc).all() else "the iteration overflowed")
+    return (f"subdomain {s.i}: Schwarz sweep {n} gave a non-finite local "
+            f"solution ({cause})")
+
+
+def _iterate_at(w, n, residual, systems, patch_rule):
+    """The iterate w with its coupling products and stationarity residuals.
+
+    Subdomain i's residual is A_loc w_i - c_loc + sum_j coupling[j] @ w_j,
+    summed in coupling order, relative to 1 + max|c_loc|.
+    """
+    products = {}
+    r_abs = np.empty(len(systems))
+    r_rel = np.empty(len(systems))
+    for k, s in enumerate(systems):
+        ps = [C @ w[j] for j, C in s.coupling.items()]
+        products[s.i] = ps
+        g = s.A_loc @ w[s.i]
+        g -= s.c_loc
+        for P in ps:
+            g += P
+        r = np.abs(g).max()
+        r_abs[k] = r
+        r_rel[k] = r / s.scale
+    return SchwarzIterate(w=w, n=n, residual=residual,
+                          abs_residual=float(r_abs.max()),
+                          eq_residual=float(r_rel.max()), products=products,
+                          systems=tuple(systems), patch_rule=patch_rule)
 
 
 def _patch_from_systems(w, systems, rule="owner"):
@@ -381,28 +482,21 @@ def _patch_from_systems(w, systems, rule="owner"):
     return out
 
 
-def _worst_residuals(w, systems):
-    """Largest absolute and largest relative local stationarity residual at w."""
-    worst_abs = worst_rel = 0.0
-    for s in systems:
-        r = local_grad(w[s.i], {j: w[j] for j in s.coupling}, s)
-        r_max = float(np.max(np.abs(r)))
-        scale = 1.0 + (float(np.max(np.abs(s.c_loc))) if s.c_loc.size else 0.0)
-        worst_abs = max(worst_abs, r_max)
-        worst_rel = max(worst_rel, r_max / scale)
-    return worst_abs, worst_rel
-
-
 def dap_residual(w, systems):
     """Largest relative residual of the local stationarity systems at w."""
-    return _worst_residuals(w, systems)[1]
+    worst = 0.0
+    for s in systems:
+        r = local_grad(w[s.i], {j: w[j] for j in s.coupling}, s)
+        worst = max(worst, float(np.max(np.abs(r))) / s.scale)
+    return worst
 
 
 def initial_iterate(systems, patch_rule="owner"):
     """Start at the background: w = 0."""
+    if patch_rule not in _PATCH_RULES:
+        raise ValueError(f"unknown patch rule {patch_rule!r}")
     w = tuple(np.zeros(s.indices.size) for s in systems)
-    return SchwarzIterate(w=w, n=0, residual=np.inf,
-                          patched=_patch_from_systems(w, systems, patch_rule))
+    return _iterate_at(w, 0, np.inf, systems, patch_rule)
 
 
 def recover_and_patch(iterate, partition, config, rule="owner"):
@@ -434,23 +528,22 @@ def run_mps(config, partition, tol, max_iters, rho=1.0, track_cost=True,
                                 times=(config.time_index,))
     elif factors.rho != rho:
         raise ValueError(f"factors were built for rho={factors.rho}, not {rho}")
-    systems = factors.systems(config)
 
-    iterate = initial_iterate(systems, patch_rule=patch_rule)
     history = MpsHistory()
-    abs_res = None
-    for _ in range(max_iters):
-        iterate = mps_sweep(iterate, systems, patch_rule=patch_rule)
-        abs_res, eq_res = _worst_residuals(iterate.w, systems)
-        history.residuals.append(iterate.residual)
-        history.eq_residuals.append(eq_res)
-        if track_cost:
-            history.costs.append(eval_cost(iterate.patched, config, "threeD"))
-        if iterate.residual <= tol or eq_res <= tol:
-            history.converged = True
-            break
-    if abs_res is None:
-        abs_res = _worst_residuals(iterate.w, systems)[0]
+    # Non-finite values are caught by value, not by a floating-point warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        systems = factors.systems(config)
+        iterate = initial_iterate(systems, patch_rule=patch_rule)
+        for _ in range(max_iters):
+            iterate = mps_sweep(iterate, systems, patch_rule=patch_rule)
+            history.residuals.append(iterate.residual)
+            history.eq_residuals.append(iterate.eq_residual)
+            if track_cost:
+                history.costs.append(eval_cost(iterate.patched, config, "threeD"))
+            if iterate.residual <= tol or iterate.eq_residual <= tol:
+                history.converged = True
+                break
     history.n_sweeps = iterate.n
-    history.eps_mps = factors.v_norm * abs_res / max(config.lam, np.finfo(float).tiny)
+    history.eps_mps = (factors.v_norm * iterate.abs_residual
+                       / max(config.lam, np.finfo(float).tiny))
     return iterate, history

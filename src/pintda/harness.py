@@ -324,7 +324,7 @@ def run_experiment(config):
             mps_hist = phist.mps[n - 1][k - 1]
             records.append(DiagnosticsRecord(
                 k=k, n=n, E_kn=errhist.E[n, k],
-                delta_norm=float(np.max(np.abs(trajectory.delta[n - 1][k]))),
+                delta_norm=phist.delta_norms[n - 1][k - 1],
                 c_n=float(errhist.c_bound[n]),
                 mps_residual=mps_hist.eq_residuals[-1],
                 mu_A=hessian.mu, C_const=lip.C, eps_mps=eps_mps,

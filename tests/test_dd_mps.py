@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pintda import dd_mps, harness, testbed, var_solver
@@ -184,7 +185,7 @@ class TestSweepAndPatch:
         w_glob = rng.standard_normal(vconfig.instance.np)
         it = dd_mps.SchwarzIterate(
             w=tuple(w_glob[idx] for idx in partition.index_sets),
-            n=1, residual=0.0, patched=np.zeros(vconfig.instance.np))
+            n=1, residual=0.0)
         owner = recover_and_patch(it, partition, vconfig, rule="owner")
         averaged = recover_and_patch(it, partition, vconfig, rule="average")
         np.testing.assert_allclose(owner, averaged, rtol=1e-12, atol=1e-14)
@@ -347,3 +348,140 @@ class TestFactorTable:
         t = data.draw(st.integers(1, n_steps - 1), label="time_index")
         assert_reuse_matches_fresh(factors, slab_problem(vconfig, t, seed),
                                    partition, rho=cfg.rho_penalty)
+
+
+class TestNonFinite:
+    def test_background_holding_inf_raises(self, correlated_problem):
+        _, vconfig, partition = correlated_problem
+        u0 = vconfig.u0.copy()
+        u0[-1] = np.inf
+        with pytest.raises(var_solver.VarSolverError,
+                           match="subdomain 1: the background is not finite"):
+            run_mps(dataclasses.replace(vconfig, u0=u0), partition, tol=1e-10,
+                    max_iters=5)
+
+    def test_nan_in_last_block_is_not_dropped(self, correlated_problem):
+        # a max() over the blocks would return block 0's finite step
+        _, vconfig, partition = correlated_problem
+        systems = systems_for(vconfig, partition)
+        c_loc = systems[-1].c_loc.copy()
+        c_loc[0] = np.nan
+        systems[-1] = dataclasses.replace(systems[-1], c_loc=c_loc)
+        with pytest.raises(var_solver.VarSolverError,
+                           match="subdomain 1: Schwarz sweep 1 .*c_loc"):
+            mps_sweep(initial_iterate(systems), systems)
+
+    def test_overflowing_local_system_names_sigma_b(self):
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=16, n_steps=4,
+                                  nobs=4, sigma_b=1e153)
+        vconfig, partition = harness.build_problem(harness.validate_config(cfg))
+        with pytest.raises(var_solver.VarSolverError,
+                           match="sigma_b = 1e[+]153 .* subdomain 0 at time 0"):
+            build_factors(vconfig, partition)
+
+
+def patch_every_sweep(w, systems, rule):
+    """Patched global state, written out independently of dd_mps."""
+    out = np.zeros(systems[0].n_grid)
+    count = np.zeros(systems[0].n_grid)
+    for s, w_i in zip(systems, w):
+        u_i = s.u_b_loc + s.V_loc @ w_i
+        if rule == "average":
+            out[s.indices] += u_i
+            count[s.indices] += 1.0
+        else:
+            out[s.indices[s.own_mask]] = u_i[s.own_mask]
+    return out / count if rule == "average" else out
+
+
+def textbook_sweeps(systems, rule, max_iters, tol):
+    """The Jacobi sweep as first written: cho_solve per block, every coupling
+    product formed again for the residual, and a patch on every sweep.
+    Yields (w, residual, abs_residual, eq_residual, patched) per sweep."""
+    def worst(w):
+        worst_abs = worst_rel = 0.0
+        for s in systems:
+            g = local_grad(w[s.i], {j: w[j] for j in s.coupling}, s)
+            r = float(np.max(np.abs(g)))
+            worst_abs = max(worst_abs, r)
+            worst_rel = max(worst_rel, r / (1.0 + float(np.max(np.abs(s.c_loc)))))
+        return worst_abs, worst_rel
+
+    w = tuple(np.zeros(s.indices.size) for s in systems)
+    yield (w, np.inf, *worst(w), patch_every_sweep(w, systems, rule))
+    for _ in range(max_iters):
+        new = []
+        for s in systems:
+            rhs = s.c_loc.copy()
+            for j, C in s.coupling.items():
+                rhs -= C @ w[j]
+            new.append(scipy.linalg.cho_solve(s.chol, rhs))
+        residual = max(float(np.max(np.abs(a - b))) for a, b in zip(new, w))
+        w = tuple(new)
+        abs_res, eq_res = worst(w)
+        yield w, residual, abs_res, eq_res, patch_every_sweep(w, systems, rule)
+        if residual <= tol or eq_res <= tol:
+            return
+
+
+class TestSweepMatchesTextbook:
+    # Small blocks, strong coupling: the two products of a block overlap
+    # enough that summing them in the other order changes the last bits.
+    @example(n_grid=16, n_sub=6, overlap=1, L=2.0, velocity=1.0, patch="owner",
+             lam=0.05, rho=5.0, max_sweeps=12, track_cost=False, seed=0)
+    @example(n_grid=24, n_sub=8, overlap=2, L=2.5, velocity=-1.0,
+             patch="average", lam=0.05, rho=5.0, max_sweeps=12,
+             track_cost=True, seed=2)
+    @settings(max_examples=40, deadline=None)
+    @given(n_grid=st.integers(8, 64), n_sub=st.integers(1, 8),
+           overlap=st.integers(0, 4),
+           L=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+           velocity=st.sampled_from([1.0, -1.0]),
+           patch=st.sampled_from(["owner", "average"]),
+           lam=st.sampled_from([1.0, 0.05]), rho=st.sampled_from([1.0, 5.0]),
+           max_sweeps=st.integers(0, 12), track_cost=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_sweep_is_bitwise_the_textbook_sweep(self, n_grid, n_sub, overlap, L,
+                                                 velocity, patch, lam, rho,
+                                                 max_sweeps, track_cost, seed):
+        assume(n_sub == 1 or overlap * (n_sub - 1) < n_grid)
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=n_grid,
+                                  n_steps=3, nobs=max(1, n_grid // 4),
+                                  n_sub=n_sub, overlap=overlap, L=L,
+                                  velocity=velocity, lam=lam, rho_penalty=rho,
+                                  patch=patch, seed=seed)
+        vconfig, partition = harness.build_problem(harness.validate_config(cfg))
+        slab = slab_problem(vconfig, 1, seed)
+        factors = build_factors(vconfig, partition, rho=rho)
+        systems = factors.systems(slab)
+        tol = 1e-10
+        steps = list(textbook_sweeps(systems, patch, max_sweeps, tol))
+
+        iterate = initial_iterate(systems, patch_rule=patch)
+        for n, (w, residual, abs_res, eq_res, patched) in enumerate(steps):
+            if n:
+                iterate = mps_sweep(iterate, systems, patch_rule=patch)
+            assert iterate.n == n
+            for a, b in zip(iterate.w, w):
+                np.testing.assert_array_equal(a, b)
+            assert iterate.residual == residual
+            assert iterate.abs_residual == abs_res
+            assert iterate.eq_residual == eq_res
+            np.testing.assert_array_equal(iterate.patched, patched)
+
+        it, hist = run_mps(slab, partition, tol=tol, max_iters=max_sweeps,
+                           rho=rho, track_cost=track_cost, patch_rule=patch,
+                           factors=factors)
+        w, _, abs_res, _, patched = steps[-1]
+        for a, b in zip(it.w, w):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(it.patched, patched)
+        assert hist.residuals == [s[1] for s in steps[1:]]
+        assert hist.eq_residuals == [s[3] for s in steps[1:]]
+        assert hist.n_sweeps == len(steps) - 1
+        assert hist.converged == (len(steps) > 1 and (steps[-1][1] <= tol
+                                                      or steps[-1][3] <= tol))
+        assert hist.eps_mps == factors.v_norm * abs_res / lam
+        expected_costs = [var_solver.eval_cost(s[4], slab, "threeD")
+                          for s in steps[1:]] if track_cost else []
+        assert hist.costs == expected_costs

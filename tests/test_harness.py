@@ -111,6 +111,11 @@ class TestRunExperiment:
             texts[workers] = render_report(run_experiment(cfg).records, "csv")
         assert texts[1] == texts[2] == texts[8]
 
+    def test_delta_norm_is_the_slab_correction_norm(self, bench_result):
+        delta = bench_result.trajectory.delta
+        for rec in bench_result.records:
+            assert rec.delta_norm == float(np.max(np.abs(delta[rec.n - 1][rec.k])))
+
     def test_two_runs_same_process_identical(self, bench_result):
         again = run_experiment(ExperimentConfig())
         assert render_report(again.records) == render_report(bench_result.records)
@@ -279,7 +284,8 @@ class TestCli:
 
     @pytest.mark.parametrize("setting", [
         "sigma_r = 1e-200", "sigma_r = 1e-155", "sigma_r = 1e-150",
-        "sigma_b = 1e200", "diffusivity = 1e300", "diffusivity = 1e50",
+        "sigma_b = 1e200", "sigma_b = 1e153", "diffusivity = 1e300",
+        "diffusivity = 1e50",
         "velocity = 1e300"])
     def test_numerical_fault_of_valid_config_exits_three(self, tmp_path, capsys,
                                                          recwarn, setting):
