@@ -38,8 +38,6 @@ import scipy.linalg
 
 from .var_solver import VarSolverError, eval_cost
 
-_PATCH_RULES = ("owner", "average")
-
 # The float64 LAPACK solve that scipy.linalg.cho_solve dispatches to, bound
 # once: the sweep calls it directly, without cho_solve's per-call checks.
 _potrs = scipy.linalg.lapack.dpotrs
@@ -125,21 +123,18 @@ class LocalFactor:
         else:
             c_loc = np.zeros(self.indices.size)
         return LocalSystem(factor=self, c_loc=c_loc, d_loc=d_loc,
-                           u_b_loc=u_b[self.indices],
-                           scale=1.0 + float(np.abs(c_loc).max()))
+                           u_b_loc=u_b[self.indices])
 
 
 @dataclass(frozen=True)
 class LocalSystem:
     """Preconditioned local control system for one subdomain and background:
-    a shared factor plus the right-hand side c_loc.  `scale` = 1 + max|c_loc|
-    makes the stationarity residual relative."""
+    a shared factor plus the right-hand side c_loc."""
 
     factor: LocalFactor
     c_loc: np.ndarray
     d_loc: np.ndarray
     u_b_loc: np.ndarray
-    scale: float
 
     i = property(attrgetter("factor.i"))
     indices = property(attrgetter("factor.indices"))
@@ -149,6 +144,11 @@ class LocalSystem:
     coupling = property(attrgetter("factor.coupling"))
     V_loc = property(attrgetter("factor.V_loc"))
     own_mask = property(attrgetter("factor.own_mask"))
+
+    @functools.cached_property
+    def scale(self):
+        """1 + max|c_loc|, which makes the stationarity residual relative."""
+        return 1.0 + float(np.abs(self.c_loc).max())
 
 
 @dataclass(frozen=True)
@@ -484,17 +484,11 @@ def _patch_from_systems(w, systems, rule="owner"):
 
 def dap_residual(w, systems):
     """Largest relative residual of the local stationarity systems at w."""
-    worst = 0.0
-    for s in systems:
-        r = local_grad(w[s.i], {j: w[j] for j in s.coupling}, s)
-        worst = max(worst, float(np.max(np.abs(r))) / s.scale)
-    return worst
+    return _iterate_at(w, 0, np.inf, systems, "owner").eq_residual
 
 
 def initial_iterate(systems, patch_rule="owner"):
     """Start at the background: w = 0."""
-    if patch_rule not in _PATCH_RULES:
-        raise ValueError(f"unknown patch rule {patch_rule!r}")
     w = tuple(np.zeros(s.indices.size) for s in systems)
     return _iterate_at(w, 0, np.inf, systems, patch_rule)
 

@@ -467,6 +467,7 @@ class TestSweepMatchesTextbook:
             assert iterate.residual == residual
             assert iterate.abs_residual == abs_res
             assert iterate.eq_residual == eq_res
+            assert dap_residual(w, systems) == eq_res
             np.testing.assert_array_equal(iterate.patched, patched)
 
         it, hist = run_mps(slab, partition, tol=tol, max_iters=max_sweeps,
