@@ -24,7 +24,7 @@ print()
 print("=== outer iterations ===")
 trajectory, hist = parareal.run_parareal(vconfig, partition, tol=1e-9,
                                          max_outer=8, reference=reference,
-                                         pmap=harness.make_pmap(4))
+                                         workers=4)
 print(f"stopped after n = {hist.n_outer} iterations ({hist.reason}); "
       f"the slab corrections of each iteration ran on 4 workers")
 print()

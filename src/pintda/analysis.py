@@ -203,21 +203,24 @@ def recurrence_fixed_point(C, mu_A, eps, N):
     return P * eps / denom
 
 
-def error_and_bound_history(trajectory, reference, params, roundoff=None):
+def error_and_bound_history(trajectory, reference, params, roundoff=None,
+                            E=None):
     """Tabulate measured iteration errors next to the recurrence bound.
 
     `reference` is the per-time-point analysis the run is converging to
     (the serial fine chain, or a direct space-time solve split per time).
+    `E` is the error table when the run already measured it against that
+    reference (run_parareal's history.E); otherwise it is computed here.
     The recurrence is seeded with the measured gap c_1 = C_h.
     """
     if reference is None:
         raise ValueError("a reference trajectory is required")
     n_levels = trajectory.n + 1
-    n_points = trajectory.n_points
-    E = np.zeros((n_levels, n_points))
-    for n in range(n_levels):
-        for k in range(n_points):
-            E[n, k] = float(np.max(np.abs(reference[k] - trajectory.u[n][k])))
+    if E is None:
+        reference = np.stack(reference)
+        E = np.stack([np.abs(reference - np.stack(level)).max(axis=1)
+                      for level in trajectory.u])
+    E = np.asarray(E, dtype=float)
 
     c_bound = np.full(n_levels, np.nan)
     if n_levels > 1:

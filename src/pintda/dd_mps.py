@@ -4,9 +4,8 @@ The spatial index set is split into overlapping contiguous subdomains.  Each
 subdomain minimizes its restricted, control-transformed cost plus a quadratic
 interface penalty that ties its boundary values to the neighbor's previous
 iterate.  One sweep solves every local system from iteration-n neighbor data
-only (a Jacobi sweep), so the local solves are order-independent; they run in
-order because the package parallelizes time slabs (`workers`), not subdomains.
-The patched global vector assigns every grid point to its lowest-index owner.
+only (a Jacobi sweep), so the local solves are order-independent.  The
+patched global vector assigns every grid point to its lowest-index owner.
 
 A local system splits into a factor and a right-hand side.  The factor
 (A_loc, its Cholesky factor, the coupling blocks, V_loc, the owner mask and
@@ -15,15 +14,24 @@ partition, V, the observation pattern (H_t, R_t), lam and rho.  A
 `FactorTable` builds it once per distinct pattern, so a fine solve only
 recomputes the innovation d = v - H u_b and c_loc = S^T R_loc^-1 d_loc.
 
-A sweep solves each block with one direct LAPACK potrs call on its Cholesky
-factor.  It forms each coupling product C_ij w_j once: the stationarity
-residual at the new iterate reads it, and so does the next sweep's
-right-hand side, both summed in coupling order.  The patched global state is
-built once per solve, when the last iterate is read, or on every sweep when
-the cost history is tracked.  A non-finite background is rejected before the
-sweeps, and any other non-finite value shows in one NaN-propagating check of
-each sweep's iterate difference; both raise VarSolverError naming the
-subdomain.
+Solves that share a pattern run as the columns of one batch: every
+right-hand side, iterate and residual carries a leading column axis, one row
+per background (run_mps_batch; run_mps is the batch of one, and a single
+system without that axis sweeps through the same code).  Each product is a
+stacked matrix-vector product, one BLAS gemv per column, and each block's
+solve is one multi-column LAPACK potrs call; both give every column the bits
+of its solve alone, which a plain matrix-matrix product would not.  A column
+leaves the batch at the sweep where it converges, so each solve still stops
+on its own.
+
+A sweep forms each coupling product C_ij w_j once: the stationarity residual
+at the new iterate reads it, and so does the next sweep's right-hand side,
+both summed in coupling order.  The patched global state is built once per
+batch, when the last iterate is read, or on every sweep when the cost
+history is tracked.  A non-finite background is rejected before the sweeps,
+and any other non-finite value shows in one NaN-propagating check of each
+sweep's iterate difference; both raise VarSolverError naming the subdomain
+and the time.
 """
 
 from __future__ import annotations
@@ -115,26 +123,35 @@ class LocalFactor:
     S: np.ndarray
     Rinv: np.ndarray
 
-    def system(self, d, u_b):
-        """Bind the factor to a background u_b with innovation d = v - H u_b."""
-        d_loc = d[self.rows]
+    def system(self, d, u_b, t):
+        """Bind the factor to a background u_b of time t with innovation
+        d = v - H u_b; a leading axis of d, u_b and t is the column axis."""
+        d_loc = d[..., self.rows]
         if self.rows.size:
-            c_loc = self.S.T @ (self.Rinv @ d_loc)
+            c_loc = _mv(self.S.T, _mv(self.Rinv, d_loc))
         else:
-            c_loc = np.zeros(self.indices.size)
+            c_loc = np.zeros(u_b.shape[:-1] + (self.indices.size,))
         return LocalSystem(factor=self, c_loc=c_loc, d_loc=d_loc,
-                           u_b_loc=u_b[self.indices])
+                           u_b_loc=u_b[..., self.indices], t=t)
+
+
+def _mv(A, x):
+    """A @ x for every row of x: one gemv per column, so each column has the
+    bits of A @ x alone."""
+    return np.matmul(A, x[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
 class LocalSystem:
     """Preconditioned local control system for one subdomain and background:
-    a shared factor plus the right-hand side c_loc."""
+    a shared factor plus the right-hand side c_loc.  In a batch, c_loc,
+    d_loc and u_b_loc have one row per column and t one entry."""
 
     factor: LocalFactor
     c_loc: np.ndarray
     d_loc: np.ndarray
     u_b_loc: np.ndarray
+    t: object               # observation time (per column in a batch)
 
     i = property(attrgetter("factor.i"))
     indices = property(attrgetter("factor.indices"))
@@ -147,8 +164,15 @@ class LocalSystem:
 
     @functools.cached_property
     def scale(self):
-        """1 + max|c_loc|, which makes the stationarity residual relative."""
-        return 1.0 + float(np.abs(self.c_loc).max())
+        """1 + max|c_loc| per column, which makes the stationarity residual
+        relative."""
+        return 1.0 + np.abs(self.c_loc).max(axis=-1)
+
+    def take(self, rows):
+        """The batch's columns `rows`; an int gives one unbatched system."""
+        return LocalSystem(factor=self.factor, c_loc=self.c_loc[rows],
+                           d_loc=self.d_loc[rows], u_b_loc=self.u_b_loc[rows],
+                           t=self.t[rows])
 
 
 @dataclass(frozen=True)
@@ -164,18 +188,34 @@ class FactorTable:
     rho: float
     v_norm: float
 
+    def batch(self, configs):
+        """Local systems with one column per config; only the innovations
+        and each c_loc are computed.
+
+        The configs differ only in background (u0) and time_index, and their
+        times share one observation pattern, hence one factor tuple and one
+        H_t; each column reads the observations v of its own time.
+        """
+        times = np.array([c.time_index for c in configs])
+        factors = self.by_time[times[0]]
+        if any(self.by_time[t] is not factors for t in times):
+            raise ValueError("a batch needs times that share one observation "
+                             f"pattern, got times {times.tolist()}")
+        u_b = np.stack([c.u0 for c in configs])
+        finite = np.isfinite(u_b)
+        if not finite.all():
+            col = int(np.flatnonzero(~finite.all(axis=1))[0])
+            i = next(f.i for f in factors if not finite[col, f.indices].all())
+            raise VarSolverError(f"subdomain {i}: the background is not finite "
+                                 f"at time {times[col]}")
+        obs = configs[0].observations
+        d = np.stack([obs.v[t] for t in times]) - _mv(obs.H[times[0]], u_b)
+        return [f.system(d, u_b, times) for f in factors]
+
     def systems(self, config):
-        """Local systems for config's background and time index; only the
-        innovation and each c_loc are computed."""
-        t = config.time_index
-        obs = config.observations
-        u_b = config.u0
-        if not np.isfinite(u_b).all():
-            i = next(f.i for f in self.by_time[t]
-                     if not np.isfinite(u_b[f.indices]).all())
-            raise VarSolverError(f"subdomain {i}: the background is not finite")
-        d = obs.v[t] - obs.H[t] @ u_b
-        return [f.system(d, u_b) for f in self.by_time[t]]
+        """Local systems for config's background and time index: the batch
+        of one, without its column axis."""
+        return [s.take(0) for s in self.batch([config])]
 
 
 @dataclass(frozen=True)
@@ -188,6 +228,10 @@ class SchwarzIterate:
     from w by `patch_rule`, is built on first access and kept, so a solve
     that reads only its last iterate patches once.  An iterate built by hand
     (products None) can be patched through recover_and_patch, not swept.
+
+    In a batch every array has a leading column axis and the residuals hold
+    one value per column.  The final iterate of run_mps_batch gathers each
+    column from the sweep where it stopped, so there n is per column too.
     """
 
     w: tuple
@@ -202,6 +246,18 @@ class SchwarzIterate:
     @functools.cached_property
     def patched(self):
         return _patch_from_systems(self.w, self.systems, self.patch_rule)
+
+    def take(self, rows):
+        """The batch's columns `rows`; an int gives one unbatched iterate."""
+        return SchwarzIterate(
+            w=tuple(x[rows] for x in self.w),
+            n=self.n if np.ndim(self.n) == 0 else self.n[rows],
+            residual=self.residual[rows], abs_residual=self.abs_residual[rows],
+            eq_residual=self.eq_residual[rows],
+            products={i: [P[rows] for P in ps]
+                      for i, ps in self.products.items()},
+            systems=tuple(s.take(rows) for s in self.systems),
+            patch_rule=self.patch_rule)
 
 
 @dataclass
@@ -326,21 +382,28 @@ def assemble_local_system(i, partition, restrictions, config, rho=1.0):
             interface_maps[j] = (V_ij, V_ij_nb)
 
         A_loc = 0.5 * (A_loc + A_loc.T)
+        cov = config.covpair
         if not (np.isfinite(A_loc).all()
                 and all(np.isfinite(C).all() for C in coupling.values())):
-            cov = config.covpair
             raise VarSolverError(
                 f"sigma_b = {cov.sigma_b:g} (with sigma_r = {cov.sigma_r:g}) "
                 f"overflows the local system of subdomain {i} at time {t} "
                 f"in float64")
+        try:
+            chol = scipy.linalg.cho_factor(A_loc)
+        except np.linalg.LinAlgError:
+            raise VarSolverError(
+                f"subdomain {i} at time {t}: the local system is not positive "
+                f"definite in float64 (lambda = {config.lam:g} with sigma_b = "
+                f"{cov.sigma_b:g} and sigma_r = {cov.sigma_r:g})") from None
         factor = LocalFactor(i=i, indices=idx, n_grid=partition.n_grid,
                              lam=float(config.lam), rho=float(rho), A_loc=A_loc,
-                             chol=scipy.linalg.cho_factor(A_loc),
-                             coupling=coupling, interface_maps=interface_maps,
-                             V_loc=V_loc, own_mask=partition.own_masks[i],
-                             rows=rows, H_loc=H_loc, R_loc=R_loc, S=S, Rinv=Rinv)
+                             chol=chol, coupling=coupling,
+                             interface_maps=interface_maps, V_loc=V_loc,
+                             own_mask=partition.own_masks[i], rows=rows,
+                             H_loc=H_loc, R_loc=R_loc, S=S, Rinv=Rinv)
         d = config.observations.v[t] - H @ config.u0
-        return factor.system(d, config.u0)
+        return factor.system(d, config.u0, t)
 
 
 def _pattern_key(config, t):
@@ -404,11 +467,12 @@ def mps_sweep(iterate, systems, patch_rule="owner"):
     """One Jacobi sweep: every local solve reads only iteration-n neighbor data.
 
     Block i solves A_loc w_i = c_loc - sum_j coupling[j] @ w_j^n with one
-    LAPACK potrs call on its Cholesky factor; the products coupling[j] @ w_j^n
-    come from iterate.products.  The sweep then forms each product at w^{n+1}
-    once and reads it twice: in the stationarity residual at w^{n+1} here, and
-    in the next sweep's right-hand side through the returned iterate.  A
-    non-finite local solution raises VarSolverError naming its subdomain.
+    LAPACK potrs call on its Cholesky factor, for every column at once; the
+    products coupling[j] @ w_j^n come from iterate.products.  The sweep then
+    forms each product at w^{n+1} once and reads it twice: in the
+    stationarity residual at w^{n+1} here, and in the next sweep's right-hand
+    side through the returned iterate.  A non-finite local solution raises
+    VarSolverError naming its subdomain and time.
     """
     w_new = []
     for s in systems:
@@ -416,69 +480,77 @@ def mps_sweep(iterate, systems, patch_rule="owner"):
         for P in iterate.products[s.i]:
             rhs -= P
         c, lower = s.chol
-        x, info = _potrs(c, rhs, lower=lower, overwrite_b=True)
+        # one column per right-hand side: each column gets its solo bits
+        x, info = _potrs(c, rhs.T, lower=lower, overwrite_b=True)
         if info:
             raise VarSolverError(f"subdomain {s.i}: LAPACK potrs rejected "
                                  f"argument {-info}")
-        w_new.append(x)
+        w_new.append(x.T)
     w_new = tuple(w_new)
-    # one NaN-propagating reduction over every block, unlike max()
-    residual = float(np.abs(np.concatenate(w_new)
-                            - np.concatenate(iterate.w)).max())
-    if not np.isfinite(residual):
+    # one NaN-propagating reduction per column over every block, unlike max()
+    residual = np.abs(np.concatenate(w_new, axis=-1)
+                      - np.concatenate(iterate.w, axis=-1)).max(axis=-1)
+    if not np.isfinite(residual).all():
         raise VarSolverError(
             _nonfinite_message(w_new, iterate.w, systems, iterate.n + 1))
     return _iterate_at(w_new, iterate.n + 1, residual, systems, patch_rule)
 
 
 def _nonfinite_message(w_new, w_old, systems, n):
-    s = next(s for s, a, b in zip(systems, w_new, w_old)
-             if not np.isfinite(a - b).all())
+    """Name the first column, then its first subdomain, with a non-finite step."""
+    bad = [~np.isfinite(np.atleast_2d(a - b)).all(axis=-1)
+           for a, b in zip(w_new, w_old)]
+    col = int(np.flatnonzero(np.any(bad, axis=0))[0])
+    s = next(s for s, b in zip(systems, bad) if b[col])
     cause = ("its right-hand side c_loc is not finite"
-             if not np.isfinite(s.c_loc).all() else "the iteration overflowed")
-    return (f"subdomain {s.i}: Schwarz sweep {n} gave a non-finite local "
-            f"solution ({cause})")
+             if not np.isfinite(np.atleast_2d(s.c_loc)[col]).all()
+             else "the iteration overflowed")
+    return (f"subdomain {s.i}: Schwarz sweep {n} at time "
+            f"{np.atleast_1d(s.t)[col]} gave a non-finite local solution "
+            f"({cause})")
 
 
 def _iterate_at(w, n, residual, systems, patch_rule):
     """The iterate w with its coupling products and stationarity residuals.
 
     Subdomain i's residual is A_loc w_i - c_loc + sum_j coupling[j] @ w_j,
-    summed in coupling order, relative to 1 + max|c_loc|.
+    summed in coupling order, relative to 1 + max|c_loc|; each column takes
+    the worst block.
     """
     products = {}
-    r_abs = np.empty(len(systems))
-    r_rel = np.empty(len(systems))
-    for k, s in enumerate(systems):
-        ps = [C @ w[j] for j, C in s.coupling.items()]
+    r_abs, r_rel = [], []
+    for s in systems:
+        ps = [_mv(C, w[j]) for j, C in s.coupling.items()]
         products[s.i] = ps
-        g = s.A_loc @ w[s.i]
+        g = _mv(s.A_loc, w[s.i])
         g -= s.c_loc
         for P in ps:
             g += P
-        r = np.abs(g).max()
-        r_abs[k] = r
-        r_rel[k] = r / s.scale
+        r = np.abs(g).max(axis=-1)
+        r_abs.append(r)
+        r_rel.append(r / s.scale)
     return SchwarzIterate(w=w, n=n, residual=residual,
-                          abs_residual=float(r_abs.max()),
-                          eq_residual=float(r_rel.max()), products=products,
-                          systems=tuple(systems), patch_rule=patch_rule)
+                          abs_residual=np.stack(r_abs, axis=-1).max(axis=-1),
+                          eq_residual=np.stack(r_rel, axis=-1).max(axis=-1),
+                          products=products, systems=tuple(systems),
+                          patch_rule=patch_rule)
 
 
 def _patch_from_systems(w, systems, rule="owner"):
+    shape = w[0].shape[:-1] + (systems[0].n_grid,)
     if rule == "average":
-        out = np.zeros(systems[0].n_grid)
+        out = np.zeros(shape)
         count = np.zeros(systems[0].n_grid)
         for s, w_i in zip(systems, w):
-            out[s.indices] += s.u_b_loc + s.V_loc @ w_i
+            out[..., s.indices] += s.u_b_loc + _mv(s.V_loc, w_i)
             count[s.indices] += 1.0
         return out / count
     if rule != "owner":
         raise ValueError(f"unknown patch rule {rule!r}")
-    out = np.empty(systems[0].n_grid)
+    out = np.empty(shape)
     for s, w_i in zip(systems, w):
-        u_i = s.u_b_loc + s.V_loc @ w_i
-        out[s.indices[s.own_mask]] = u_i[s.own_mask]
+        u_i = s.u_b_loc + _mv(s.V_loc, w_i)
+        out[..., s.indices[s.own_mask]] = u_i[..., s.own_mask]
     return out
 
 
@@ -489,8 +561,9 @@ def dap_residual(w, systems):
 
 def initial_iterate(systems, patch_rule="owner"):
     """Start at the background: w = 0."""
-    w = tuple(np.zeros(s.indices.size) for s in systems)
-    return _iterate_at(w, 0, np.inf, systems, patch_rule)
+    w = tuple(np.zeros(s.c_loc.shape) for s in systems)
+    return _iterate_at(w, 0, np.full(w[0].shape[:-1], np.inf)[()], systems,
+                       patch_rule)
 
 
 def recover_and_patch(iterate, partition, config, rule="owner"):
@@ -513,31 +586,92 @@ def run_mps(config, partition, tol, max_iters, rho=1.0, track_cost=True,
     assembled here.  Non-convergence within max_iters is reported through
     the returned history, not raised.  history.eps_mps = ||V||_inf |r| / lam
     maps the final worst local residual r to state space, since A_loc >= lam I
-    bounds the control error by |r| / lam up to conditioning.
+    bounds the control error by |r| / lam up to conditioning.  This is
+    run_mps_batch on the batch of one.
+    """
+    final, (history,) = run_mps_batch(
+        [config], partition, tol, max_iters, rho=rho, track_cost=track_cost,
+        patch_rule=patch_rule, factors=factors)
+    return final.take(0), history
+
+
+def run_mps_batch(configs, partition, tol, max_iters, rho=1.0,
+                  track_cost=True, patch_rule="owner", factors=None):
+    """run_mps for several backgrounds at once, one column per config.
+
+    The configs differ only in background (u0) and time_index, and their
+    times share one observation pattern (FactorTable.batch).  A column
+    leaves the batch at the sweep where its own iterate difference or
+    stationarity residual drops below tol; the rest sweep on with their
+    products compacted.  Every per-column value (w, patched state,
+    residuals, sweeps, converged, eps_mps) is bitwise that of the config
+    solved alone, so the bytes do not depend on how solves are batched.
+    Returns the final iterate, each column gathered from the sweep where it
+    stopped, and one MpsHistory per config.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if factors is None:
-        factors = build_factors(config, partition, rho=rho,
-                                times=(config.time_index,))
+        factors = build_factors(configs[0], partition, rho=rho,
+                                times=sorted({c.time_index for c in configs}))
     elif factors.rho != rho:
         raise ValueError(f"factors were built for rho={factors.rho}, not {rho}")
 
-    history = MpsHistory()
+    histories = [MpsHistory() for _ in configs]
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        systems = factors.systems(config)
-        iterate = initial_iterate(systems, patch_rule=patch_rule)
+        iterate = initial_iterate(factors.batch(configs), patch_rule=patch_rule)
+        full_systems = iterate.systems
+        cols = np.arange(len(configs))     # batch column of each active row
+        stopped = []                        # (columns, iterate) where they stop
         for _ in range(max_iters):
-            iterate = mps_sweep(iterate, systems, patch_rule=patch_rule)
-            history.residuals.append(iterate.residual)
-            history.eq_residuals.append(iterate.eq_residual)
+            iterate = mps_sweep(iterate, iterate.systems, patch_rule=patch_rule)
+            for c, r, e in zip(cols.tolist(), iterate.residual.tolist(),
+                               iterate.eq_residual.tolist()):
+                histories[c].residuals.append(r)
+                histories[c].eq_residuals.append(e)
             if track_cost:
-                history.costs.append(eval_cost(iterate.patched, config, "threeD"))
-            if iterate.residual <= tol or iterate.eq_residual <= tol:
-                history.converged = True
+                for c, u in zip(cols.tolist(), iterate.patched):
+                    histories[c].costs.append(eval_cost(u, configs[c], "threeD"))
+            done = (iterate.residual <= tol) | (iterate.eq_residual <= tol)
+            for c in cols[done].tolist():
+                histories[c].converged = True
+            if done.all():
                 break
-    history.n_sweeps = iterate.n
-    history.eps_mps = (factors.v_norm * iterate.abs_residual
-                       / max(config.lam, np.finfo(float).tiny))
-    return iterate, history
+            if done.any():
+                stopped.append((cols[done], iterate.take(done)))
+                cols, iterate = cols[~done], iterate.take(~done)
+        stopped.append((cols, iterate))
+
+    final = _gather(stopped, full_systems)
+    lam = max(configs[0].lam, np.finfo(float).tiny)
+    for h, n, r in zip(histories, np.broadcast_to(final.n, len(configs)).tolist(),
+                       final.abs_residual.tolist()):
+        h.n_sweeps = n
+        h.eps_mps = factors.v_norm * r / lam
+    return final, histories
+
+
+def _gather(stopped, systems):
+    """One iterate holding every column as it was where that column stopped."""
+    if len(stopped) == 1:
+        return stopped[0][1]
+    first = stopped[0][1]
+    m = sum(len(cols) for cols, _ in stopped)
+
+    def gather(part):
+        out = np.empty((m,) + part(first).shape[1:], part(first).dtype)
+        for cols, it in stopped:
+            out[cols] = part(it)
+        return out
+
+    return SchwarzIterate(
+        w=tuple(gather(lambda it, b=b: it.w[b]) for b in range(len(first.w))),
+        n=gather(lambda it: np.full(len(it.residual), it.n)),
+        residual=gather(attrgetter("residual")),
+        abs_residual=gather(attrgetter("abs_residual")),
+        eq_residual=gather(attrgetter("eq_residual")),
+        products={i: [gather(lambda it, i=i, p=p: it.products[i][p])
+                      for p in range(len(ps))]
+                  for i, ps in first.products.items()},
+        systems=systems, patch_rule=first.patch_rule)

@@ -13,8 +13,8 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -174,23 +174,6 @@ def load_config(path=None, overrides=None):
     return validate_config(ExperimentConfig(**values))
 
 
-def parallel_map(fn, items, workers=1):
-    """Order-preserving map; thread-parallel when workers > 1.
-
-    Tasks are pure and gathered by position, so the result is bit-identical
-    for any worker count.
-    """
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def make_pmap(workers):
-    return lambda fn, items: parallel_map(fn, items, workers=workers)
-
-
 @dataclass
 class DiagnosticsRecord:
     """One report row per (slab, outer iteration)."""
@@ -273,7 +256,6 @@ def run_experiment(config):
     instance = vconfig.instance
     M = instance.M
     n_points = instance.n_steps
-    pmap = make_pmap(config.workers)
     factors = dd_mps.build_factors(vconfig, partition, rho=config.rho_penalty)
 
     reference, chain_hists = parareal.serial_fine_chain(
@@ -285,7 +267,7 @@ def run_experiment(config):
     trajectory, phist = parareal.run_parareal(
         vconfig, partition, tol=config.tol_parareal, max_outer=config.max_outer,
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
-        rho=config.rho_penalty, pmap=pmap, reference=reference,
+        rho=config.rho_penalty, workers=config.workers, reference=reference,
         patch_rule=config.patch, factors=factors,
         reference_histories=chain_hists)
 
@@ -311,7 +293,7 @@ def run_experiment(config):
         h=instance.h, p=instance.p, C_h=C_h)
     roundoff = analysis.roundoff_proxies(trajectory, M)
     errhist = analysis.error_and_bound_history(trajectory, reference, params,
-                                               roundoff=roundoff)
+                                               roundoff=roundoff, E=phist.E)
     R_obs, rho_local = roundoff
 
     records = []
@@ -374,29 +356,26 @@ def run_experiment(config):
                             params=params, error_history=errhist)
 
 
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+# One %-conversion per column: the integer columns k and n, then floats
+# with 17 significant digits.
+_CELL = {col: "%d" if col in ("k", "n") else "%.17g" for col in CSV_COLUMNS}
+_ROW = {"csv": ",".join(_CELL.values()),
+        "json": "  {" + ", ".join(f'"{col}": {cell}'
+                                   for col, cell in _CELL.items()) + "}"}
+_cells = attrgetter(*CSV_COLUMNS)
 
 
 def render_report(records, format="csv"):
     """Serialize diagnostics rows; floats carry 17 significant digits."""
     if not records:
         raise ValueError("no diagnostics records to emit")
+    if format not in _ROW:
+        raise ValueError(f"unknown report format {format!r}")
+    row = _ROW[format]
+    rows = [row % _cells(rec) for rec in records]
     if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for rec in records:
-            lines.append(",".join(_fmt(getattr(rec, col)) for col in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        rows = []
-        for rec in records:
-            body = ", ".join(f'"{col}": {_fmt(getattr(rec, col))}'
-                             for col in CSV_COLUMNS)
-            rows.append("  {" + body + "}")
-        return "[\n" + ",\n".join(rows) + "\n]\n"
-    raise ValueError(f"unknown report format {format!r}")
+        return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def emit_report(records, format="csv", path="-"):

@@ -1,7 +1,7 @@
 """Parallel-in-time driver: coarse propagation, slab-local assimilation, correction.
 
-One outer iteration first computes the fine value of every slab concurrently
-(the assimilation of that slab's observations against the slab's coarse
+One outer iteration first computes the fine value of every slab (the
+assimilation of that slab's observations against the slab's coarse
 background), then runs the sequential predictor-corrector recombination
 
     u_{k}^{n+1} = M u_{k-1}^{n+1} + MPS(u_{k-1}^{n}) - M u_{k-1}^{n},
@@ -12,8 +12,11 @@ are slabs the trajectory reproduces the serial fine chain exactly, so the
 driver also stops there.
 
 Slab k is [t_{k-1}, t_k] of instance.time_grid and assimilates the batch at
-t_k.  The slab solves run in parallel through `pmap` (the harness's
-`workers`); inside a slab the Schwarz sweep visits its subdomains in order.
+t_k.  The slabs an iteration solves are independent, so the slabs that share
+an observation pattern are solved as the columns of one Schwarz batch
+(dd_mps.run_mps_batch).  With `workers` > 1 each such batch is split into at
+most `workers` contiguous batches, which run on a thread pool.  A column has
+the bits of its slab solved alone, so the split never changes a byte.
 
 run_parareal does less work than the textbook iteration, which re-solves
 every slab at every iteration.  A fine solve is a deterministic function of
@@ -31,11 +34,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dd_mps import build_factors, run_mps
+from .dd_mps import build_factors, run_mps, run_mps_batch
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,11 @@ class FineRecords:
         self.solved.append(k)
 
 
+def _max_abs(rows):
+    """max |x| of every row, as a list of floats; NaN propagates."""
+    return np.abs(rows).max(axis=1).tolist()
+
+
 def initial_trajectory(config, rho_penalty=1.0):
     """Iteration 0 is the pure coarse sweep from the initial state."""
     M = config.instance.M
@@ -129,14 +138,46 @@ def initial_trajectory(config, rho_penalty=1.0):
                               rho_penalty=float(rho_penalty))
 
 
+def parallel_map(fn, items, workers=1):
+    """Order-preserving map; thread-parallel when workers > 1.
+
+    Tasks are pure and gathered by position, so the result is bit-identical
+    for any worker count.
+    """
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def fine_solve_batch(ks, backgrounds, config, partition, tol_mps, max_sweeps,
+                     rho, patch_rule="owner", factors=None):
+    """Slab-local assimilations of slabs ks, as the columns of one batch.
+
+    Slab k solves the single-time problem whose background is its coarse
+    state and whose observations are the batch at t_k; the slabs must share
+    an observation pattern.  Returns the patched analyses, one row per slab,
+    and the inner-solver histories.  `factors` (a dd_mps.FactorTable of
+    config's problem) spares the solve its local factorizations.
+    """
+    configs = [dataclasses.replace(config, u0=b, time_index=k)
+               for k, b in zip(ks, backgrounds)]
+    final, histories = run_mps_batch(configs, partition, tol=tol_mps,
+                                     max_iters=max_sweeps, rho=rho,
+                                     track_cost=False, patch_rule=patch_rule,
+                                     factors=factors)
+    return final.patched, histories
+
+
 def fine_solve(k, background, config, partition, tol_mps, max_sweeps, rho,
                patch_rule="owner", factors=None):
     """Slab-local assimilation: the fine propagator value MPS(u_{k-1}).
 
     Solves the single-time problem whose background is the slab's coarse
     state and whose observations are the batch at t_k; returns the patched
-    analysis and the inner-solver history.  `factors` (a dd_mps.FactorTable
-    of config's problem) spares the solve its local factorizations.
+    analysis and the inner-solver history.  This is fine_solve_batch on the
+    batch of one, through run_mps.
     """
     slab_config = dataclasses.replace(config, u0=background, time_index=k)
     iterate, history = run_mps(slab_config, partition, tol=tol_mps,
@@ -146,18 +187,33 @@ def fine_solve(k, background, config, partition, tol_mps, max_sweeps, rho,
     return iterate.patched, history
 
 
+def _batches(slabs, factors, workers):
+    """Split slabs into batches that share a factor tuple: one per
+    observation pattern, each cut into at most `workers` contiguous runs."""
+    by_pattern = {}
+    for k in slabs:
+        by_pattern.setdefault(id(factors.by_time[k]), []).append(k)
+    batches = []
+    for ks in by_pattern.values():
+        parts = min(workers, len(ks))
+        cuts = [len(ks) * p // parts for p in range(parts + 1)]
+        batches.extend(ks[a:b] for a, b in zip(cuts, cuts[1:]))
+    return batches
+
+
 def parareal_update(trajectory, config, partition, tol_mps=1e-10,
-                    max_sweeps=100, pmap=None, patch_rule="owner",
+                    max_sweeps=100, workers=1, patch_rule="owner",
                     factors=None, records=None):
     """Advance the trajectory one outer iteration.
 
-    The slab corrections are computed first (concurrently when a parallel map
-    is supplied), then the corrector recombines them sequentially.  Returns
-    the extended trajectory and the per-slab inner-solver histories.  The
-    local factors are built here, before the map, unless `factors` is given.
-    With `records` (a FineRecords), a slab whose background one of its
-    records matches reuses that record's delta and history object; only the
-    other slabs go through the map, and their solves are stored as records.
+    The slab corrections are computed first, as batched fine solves (split
+    over `workers` threads), then the corrector recombines them
+    sequentially.  Returns the extended trajectory and the per-slab
+    inner-solver histories.  The local factors are built here, before the
+    solves, unless `factors` is given.  With `records` (a FineRecords), a
+    slab whose background one of its records matches reuses that record's
+    delta and history object; only the other slabs are solved, and their
+    solves are stored as records.
     """
     n = trajectory.n
     states = trajectory.u[n]
@@ -167,17 +223,23 @@ def parareal_update(trajectory, config, partition, tol_mps=1e-10,
     if factors is None:
         factors = build_factors(config, partition, rho=trajectory.rho_penalty)
 
-    def correct(k):
-        return fine_solve(k, backgrounds[k], config, partition, tol_mps,
-                          max_sweeps, rho=trajectory.rho_penalty,
-                          patch_rule=patch_rule, factors=factors)
+    def correct(ks):
+        return fine_solve_batch(ks, [backgrounds[k] for k in ks], config,
+                                partition, tol_mps, max_sweeps,
+                                rho=trajectory.rho_penalty,
+                                patch_rule=patch_rule, factors=factors)
 
     if records is None:
         records = FineRecords(n_points - 1)
     known = {k: records.find(k, backgrounds[k]) for k in range(1, n_points)}
     todo = [k for k, hit in known.items() if hit is None]
-    mapper = pmap if pmap is not None else lambda f, xs: [f(x) for x in xs]
-    for k, (fine, hist) in zip(todo, mapper(correct, todo)):
+    batches = _batches(todo, factors, workers)
+    solved = {}
+    for ks, (fine, hists) in zip(batches, parallel_map(correct, batches,
+                                                       workers)):
+        solved.update(zip(ks, zip(fine, hists)))
+    for k in todo:
+        fine, hist = solved[k]
         known[k] = (fine - backgrounds[k], hist)
         records.store(k, backgrounds[k], *known[k])
     delta_n = [None] + [known[k][0] for k in range(1, n_points)]
@@ -215,7 +277,7 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
 
 
 def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
-                 max_sweeps=100, rho=1.0, pmap=None, reference=None,
+                 max_sweeps=100, rho=1.0, workers=1, reference=None,
                  patch_rule="owner", factors=None, reference_histories=None):
     """Alternate slab corrections and sequential updates until converged.
 
@@ -249,28 +311,27 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         records = FineRecords(n_slabs)
     history = PararealHistory()
     if reference is not None:
-        history.E.append([float(np.max(np.abs(r - u)))
-                          for r, u in zip(reference, trajectory.u[0])])
+        reference = np.stack(reference)
+        history.E.append(_max_abs(reference - np.stack(trajectory.u[0])))
 
     for _ in range(max_outer):
         t0 = time.perf_counter()
         n_solved = len(records.solved)
         trajectory, mps_hists = parareal_update(
             trajectory, config, partition, tol_mps=tol_mps,
-            max_sweeps=max_sweeps, pmap=pmap, patch_rule=patch_rule,
+            max_sweeps=max_sweeps, workers=workers, patch_rule=patch_rule,
             factors=factors, records=records)
         history.wall_s.append(time.perf_counter() - t0)
         history.solved.append(records.solved[n_solved:])
         n = trajectory.n
-        diff = max(float(np.max(np.abs(a - b)))
-                   for a, b in zip(trajectory.u[n], trajectory.u[n - 1]))
+        level = np.stack(trajectory.u[n])
+        diff = float(np.abs(level - np.stack(trajectory.u[n - 1])).max())
         history.iterate_diffs.append(diff)
         history.delta_norms.append(
-            [float(np.max(np.abs(d))) for d in trajectory.delta[n - 1][1:]])
+            _max_abs(np.stack(trajectory.delta[n - 1][1:])))
         history.mps.append(mps_hists)
         if reference is not None:
-            history.E.append([float(np.max(np.abs(r - u)))
-                              for r, u in zip(reference, trajectory.u[n])])
+            history.E.append(_max_abs(reference - level))
         if diff <= tol:
             history.converged, history.reason = True, "tol"
             break

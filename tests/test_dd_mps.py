@@ -486,3 +486,143 @@ class TestSweepMatchesTextbook:
         expected_costs = [var_solver.eval_cost(s[4], slab, "threeD")
                           for s in steps[1:]] if track_cost else []
         assert hist.costs == expected_costs
+
+
+def patterned_problem(cfg, per_time):
+    """cfg's problem with the observation indices per_time[t] at time t."""
+    vconfig, partition = harness.build_problem(harness.validate_config(cfg))
+    obs = testbed.build_observations(vconfig.instance, vconfig.covpair,
+                                     per_time, vconfig.observations.u_truth,
+                                     seed=cfg.seed)
+    vconfig = dataclasses.replace(
+        vconfig, observations=obs, G=testbed.assemble_G(obs, vconfig.instance))
+    return vconfig, partition
+
+
+def fitted_background(vconfig, t, scale, noise):
+    """u0 moved so that its innovation at time t is -scale * noise there:
+    the smaller the scale, the fewer sweeps the solve takes."""
+    u0 = vconfig.u0 + noise
+    idx = vconfig.observations.obs_indices[t]
+    u0[idx] = vconfig.observations.v[t] + scale * noise[idx]
+    return u0
+
+
+def assert_column_is_solo(final, hist, j, config, partition, solve):
+    """Column j of a batched solve equals config solved alone, bit for bit."""
+    it, solo = run_mps(config, partition, **solve)
+    col = final.take(j)
+    for a, b in zip(col.w, it.w):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(final.patched[j], it.patched)
+    np.testing.assert_array_equal(col.patched, it.patched)
+    assert col.n == it.n == solo.n_sweeps == hist.n_sweeps
+    assert (col.residual, col.abs_residual, col.eq_residual) \
+        == (it.residual, it.abs_residual, it.eq_residual)
+    assert hist.residuals == solo.residuals
+    assert hist.eq_residuals == solo.eq_residuals
+    assert hist.costs == solo.costs
+    assert hist.converged == solo.converged
+    assert hist.eps_mps == solo.eps_mps
+
+
+class TestBatchMatchesSolo:
+    # Times 1 and 3 share a pattern, 2 and 4 have their own.
+    PER_TIME = ([0, 3, 7, 10], [1, 4, 8, 11], [2, 5, 6, 9], [1, 4, 8, 11],
+                [0, 2, 9, 11])
+
+    @example(n_sub=4, overlap=2, L=2.0, velocity=1.0, patch="average",
+             lam=0.05, rho=5.0, max_sweeps=6, track_cost=True, seed=5,
+             scales=[1e-7, 1.0, 30.0, 0.0, 1e-4], repeats=[3, 1],
+             time_pick=0)
+    @settings(max_examples=30, deadline=None)
+    @given(n_sub=st.integers(1, 4), overlap=st.integers(0, 3),
+           L=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+           velocity=st.sampled_from([1.0, -1.0]),
+           patch=st.sampled_from(["owner", "average"]),
+           lam=st.sampled_from([1.0, 0.05]), rho=st.sampled_from([1.0, 5.0]),
+           max_sweeps=st.integers(0, 24), track_cost=st.booleans(),
+           seed=st.integers(0, 2**16),
+           scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-7, 1e-4, 1.0, 30.0]),
+                           min_size=1, max_size=6, unique=True),
+           repeats=st.lists(st.integers(0, 5), max_size=6),
+           time_pick=st.integers(0, 2))
+    def test_batched_columns_are_bitwise_solo_solves(
+            self, n_sub, overlap, L, velocity, patch, lam, rho, max_sweeps,
+            track_cost, seed, scales, repeats, time_pick):
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=5,
+                                  nobs=4, n_sub=n_sub, overlap=overlap, L=L,
+                                  velocity=velocity, lam=lam, rho_penalty=rho,
+                                  patch=patch, seed=seed)
+        vconfig, partition = patterned_problem(cfg, self.PER_TIME)
+        factors = build_factors(vconfig, partition, rho=rho)
+        assert factors.by_time[1] is factors.by_time[3]
+        times = ((1, 3), (2,), (4,))[time_pick]
+        # a pool of backgrounds whose innovations differ in scale, so columns
+        # stop at different sweeps; each once, some again, shuffled
+        rng = np.random.default_rng(seed)
+        pool = [(scale, rng.standard_normal(vconfig.u0.size)) for scale in scales]
+        columns = rng.permutation(list(range(len(pool)))
+                                  + [p % len(pool) for p in repeats])
+        configs = []
+        for q, p in enumerate(columns):
+            t = times[q % len(times)]
+            u0 = fitted_background(vconfig, t, *pool[p])
+            configs.append(dataclasses.replace(vconfig, u0=u0, time_index=t))
+        solve = dict(tol=1e-10, max_iters=max_sweeps, rho=rho,
+                     track_cost=track_cost, patch_rule=patch, factors=factors)
+        final, hists = dd_mps.run_mps_batch(configs, partition, **solve)
+        assert len(hists) == len(configs)
+        for j, (config, hist) in enumerate(zip(configs, hists)):
+            assert_column_is_solo(final, hist, j, config, partition, solve)
+
+    def test_columns_stop_at_their_own_sweep(self, correlated_problem):
+        _, vconfig, partition = correlated_problem
+        factors = build_factors(vconfig, partition)
+        rng = np.random.default_rng(0)
+        configs = [dataclasses.replace(vconfig, u0=fitted_background(
+            vconfig, 0, scale, rng.standard_normal(vconfig.u0.size)))
+            for scale in (1.0, 0.0, 1e-6, 1e-3, 10.0)]
+        solve = dict(tol=1e-10, max_iters=10, track_cost=False, factors=factors)
+        final, hists = dd_mps.run_mps_batch(configs, partition, **solve)
+        sweeps = [h.n_sweeps for h in hists]
+        # some columns converge and leave, one runs out of sweeps
+        assert len(set(sweeps)) > 2
+        assert [h.converged for h in hists].count(False) >= 1
+        np.testing.assert_array_equal(final.n, sweeps)
+        for j, (config, hist) in enumerate(zip(configs, hists)):
+            assert_column_is_solo(final, hist, j, config, partition, solve)
+
+    def test_batch_needs_one_pattern(self):
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=5,
+                                  nobs=4, n_sub=2)
+        vconfig, partition = patterned_problem(cfg, self.PER_TIME)
+        configs = [dataclasses.replace(vconfig, time_index=t) for t in (1, 2)]
+        with pytest.raises(ValueError, match="one observation pattern"):
+            dd_mps.run_mps_batch(configs, partition, tol=1e-10, max_iters=5)
+
+    def test_non_finite_background_names_its_time(self, correlated_problem):
+        _, vconfig, partition = correlated_problem
+        u0 = vconfig.u0.copy()
+        u0[0] = np.nan
+        configs = [dataclasses.replace(vconfig, time_index=1),
+                   dataclasses.replace(vconfig, u0=u0, time_index=2)]
+        with pytest.raises(var_solver.VarSolverError,
+                           match="subdomain 0: the background is not finite "
+                                 "at time 2"):
+            dd_mps.run_mps_batch(configs, partition, tol=1e-10, max_iters=5)
+
+    def test_non_finite_column_names_its_subdomain_and_time(self,
+                                                             correlated_problem):
+        # column 1's last block is the only non-finite one; max() over the
+        # columns' first blocks would not see it
+        _, vconfig, partition = correlated_problem
+        factors = build_factors(vconfig, partition)
+        systems = factors.batch([dataclasses.replace(vconfig, time_index=t)
+                                 for t in (1, 2, 1)])
+        c_loc = systems[-1].c_loc.copy()
+        c_loc[1, 0] = np.nan
+        systems[-1] = dataclasses.replace(systems[-1], c_loc=c_loc)
+        with pytest.raises(var_solver.VarSolverError,
+                           match="subdomain 1: Schwarz sweep 1 at time 2 .*c_loc"):
+            mps_sweep(initial_iterate(systems), systems)

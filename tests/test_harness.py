@@ -8,8 +8,9 @@ import pytest
 
 from pintda import harness
 from pintda.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
-                            emit_report, load_config, parallel_map,
-                            render_report, run_experiment)
+                            emit_report, load_config, render_report,
+                            run_experiment)
+from pintda.parareal import parallel_map
 
 
 class TestConfig:
@@ -83,6 +84,14 @@ class TestConfig:
     def test_validation_names_every_field(self, key, value):
         with pytest.raises(ConfigError, match=key.replace("lambda", "lambda")):
             load_config(None, {key: value})
+
+
+# A valid config whose local system at time 0 loses lambda to rounding.
+NOT_POSITIVE_DEFINITE = "\n".join([
+    "np = 18", "n_steps = 2", "n_sub = 2", "overlap = 4", "nobs = 10", "L = 2",
+    "velocity = 0", "diffusivity = 1", "obs_layout = random", "lambda = 1e-6",
+    "rho_penalty = 0", "alpha = 0.001", "max_sweeps = 5", "max_outer = 2",
+    "seed = 862", "sigma_b = 10", "sigma_r = 1e-4"])
 
 
 class TestParallelMap:
@@ -212,6 +221,29 @@ class TestEmitReport:
             for name in CSV_COLUMNS:
                 assert row[name] == getattr(rec, name)
 
+    def test_rows_match_per_cell_formatting(self):
+        def fmt(value):
+            """The per-cell formatter the row templates replace."""
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            return f"{float(value):.17g}"
+
+        cells = [0.1, np.float64(-2.5e-300), -0.0, np.inf, -np.inf, np.nan,
+                 np.float64(np.nan), 7, np.int64(-3), 1e300, np.float64(1 / 3),
+                 5e-324]
+        records = [harness.DiagnosticsRecord(
+            k, n, *[cells[(i + j) % len(cells)] for j in range(12)])
+            for i, (k, n) in enumerate([(1, 1), (np.int64(2), np.int64(30)),
+                                        (True, 0), (39, np.int64(7))] * 3)]
+        csv_rows = render_report(records, "csv").splitlines()[1:]
+        json_rows = render_report(records, "json").splitlines()[1:-1]
+        assert len(csv_rows) == len(json_rows) == len(records)
+        for rec, csv_row, json_row in zip(records, csv_rows, json_rows):
+            values = [fmt(getattr(rec, col)) for col in CSV_COLUMNS]
+            assert csv_row == ",".join(values)
+            body = ", ".join(f'"{c}": {v}' for c, v in zip(CSV_COLUMNS, values))
+            assert json_row.rstrip(",") == "  {" + body + "}"
+
     def test_unwritable_path_rejected(self, bench_result):
         with pytest.raises(ValueError):
             emit_report(bench_result.records, "csv", "/nonexistent/dir/report.csv")
@@ -286,7 +318,8 @@ class TestCli:
         "sigma_r = 1e-200", "sigma_r = 1e-155", "sigma_r = 1e-150",
         "sigma_b = 1e200", "sigma_b = 1e153", "diffusivity = 1e300",
         "diffusivity = 1e50",
-        "velocity = 1e300"])
+        "velocity = 1e300",
+        pytest.param(NOT_POSITIVE_DEFINITE, id="lambda = 1e-6 local cholesky")])
     def test_numerical_fault_of_valid_config_exits_three(self, tmp_path, capsys,
                                                          recwarn, setting):
         cfg_file = tmp_path / "run.cfg"
@@ -295,7 +328,11 @@ class TestCli:
         code = harness.main(["--config", str(cfg_file), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        names = {"sigma_r = 1e-150": "Hessian block 0 is singular to working precision"}
+        names = {"sigma_r = 1e-150": "Hessian block 0 is singular to working precision",
+                 NOT_POSITIVE_DEFINITE: "subdomain 1 at time 0: the local system "
+                                        "is not positive definite in float64 "
+                                        "(lambda = 1e-06 with sigma_b = 10 and "
+                                        "sigma_r = 0.0001)"}
         field = setting.split(" = ")[0]
         assert err.startswith(f"solver error: {names.get(setting, field)}")
         assert err.count("\n") == 1

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pintda import dd_mps, harness, var_solver
+from pintda import dd_mps, harness, parareal, testbed, var_solver
 from pintda.parareal import (FineRecords, fine_solve, initial_trajectory,
                              parareal_update, run_parareal, serial_fine_chain)
 
@@ -164,9 +164,9 @@ class TestRunParareal:
 
     def test_worker_count_does_not_change_results(self, bench_problem):
         vconfig, partition = bench_problem
-        t1, _ = run_parareal(vconfig, partition, tol=1e-9, max_outer=8, pmap=None)
+        t1, _ = run_parareal(vconfig, partition, tol=1e-9, max_outer=8)
         t4, _ = run_parareal(vconfig, partition, tol=1e-9, max_outer=8,
-                             pmap=harness.make_pmap(4))
+                             workers=4)
         assert t1.n == t4.n
         for n in range(t1.n + 1):
             for k in range(vconfig.instance.n_steps):
@@ -206,12 +206,12 @@ def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps, rho):
 
 
 def reuse_run(vconfig, partition, tol_mps=1e-10, max_sweeps=100, rho=1.0,
-              pmap=None):
+              workers=1):
     reference, chain_hists = serial_fine_chain(
         vconfig, partition, tol_mps=tol_mps, max_sweeps=max_sweeps, rho=rho)
     return run_parareal(vconfig, partition, tol=1e-300,
                         max_outer=vconfig.instance.n_steps, tol_mps=tol_mps,
-                        max_sweeps=max_sweeps, rho=rho, pmap=pmap,
+                        max_sweeps=max_sweeps, rho=rho, workers=workers,
                         reference=reference, reference_histories=chain_hists)
 
 
@@ -260,7 +260,7 @@ class TestFineSolveReuse:
     def test_pooled_solves_give_the_same_bytes(self, bench_problem):
         vconfig, partition = bench_problem
         t1, h1 = reuse_run(vconfig, partition)
-        t4, h4 = reuse_run(vconfig, partition, pmap=harness.make_pmap(4))
+        t4, h4 = reuse_run(vconfig, partition, workers=4)
         assert h1.solved == h4.solved
         for n in range(t1.n + 1):
             for k in range(vconfig.instance.n_steps):
@@ -307,3 +307,76 @@ class TestFineSolveReuse:
         with pytest.raises(ValueError, match="reference"):
             run_parareal(vconfig, partition, tol=1e-9, max_outer=2,
                          reference_histories=chain_hists)
+
+
+def patterned_problem():
+    """Seven slabs over three observation patterns: times 1, 2, 4 and 7
+    share one, 3 and 5 another, and 6 has its own."""
+    cfg = dataclasses.replace(harness.ExperimentConfig(), np=16, n_steps=8,
+                              nobs=4, L=1.0, n_sub=3, overlap=2)
+    vconfig, partition = harness.build_problem(cfg)
+    a, b, c = [0, 5, 9, 13], [2, 6, 10, 14], [1, 3, 7, 15]
+    obs = testbed.build_observations(vconfig.instance, vconfig.covpair,
+                                     [a, a, a, b, a, b, c, a],
+                                     vconfig.observations.u_truth, seed=3)
+    vconfig = dataclasses.replace(
+        vconfig, observations=obs, G=testbed.assemble_G(obs, vconfig.instance))
+    return vconfig, partition
+
+
+class TestBatchedFineSolves:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_patterns_match_textbook_iteration_bitwise(self, workers):
+        vconfig, partition = patterned_problem()
+        traj, hist = reuse_run(vconfig, partition, workers=workers)
+        u, _, delta, hists = textbook_parareal(vconfig, partition, traj.n,
+                                               1e-10, 100, 1.0)
+        for n in range(traj.n + 1):
+            for k in range(vconfig.instance.n_steps):
+                assert traj.u[n][k].tobytes() == u[n][k].tobytes()
+        for n in range(traj.n):
+            for k in range(1, vconfig.instance.n_steps):
+                assert traj.delta[n][k].tobytes() == delta[n][k].tobytes()
+            for got, want in zip(hist.mps[n], hists[n]):
+                assert (got.residuals, got.eq_residuals, got.n_sweeps,
+                        got.converged, got.eps_mps) == \
+                    (want.residuals, want.eq_residuals, want.n_sweeps,
+                     want.converged, want.eps_mps)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_batches_share_a_pattern_and_split_over_workers(self, monkeypatch,
+                                                            workers):
+        vconfig, partition = patterned_problem()
+        factors = dd_mps.build_factors(vconfig, partition)
+        batches = []
+
+        def record(configs, *args, **kwargs):
+            batches.append([c.time_index for c in configs])
+            return dd_mps.run_mps_batch(configs, *args, **kwargs)
+
+        monkeypatch.setattr(parareal, "run_mps_batch", record)
+        traj = initial_trajectory(vconfig)
+        parareal_update(traj, vconfig, partition, workers=workers,
+                        factors=factors)
+        assert sorted(k for ks in batches for k in ks) == list(range(1, 8))
+        by_pattern = {}
+        for ks in batches:
+            assert len({id(factors.by_time[k]) for k in ks}) == 1
+            by_pattern.setdefault(id(factors.by_time[ks[0]]), []).append(ks)
+        for runs in by_pattern.values():
+            assert len(runs) == min(workers, sum(map(len, runs)))
+            # contiguous runs of the pattern's slabs, in order
+            assert [k for ks in runs for k in ks] == \
+                sorted(k for ks in runs for k in ks)
+
+    def test_workers_do_not_change_long_run_reports(self):
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=32,
+                                  n_steps=40, n_sub=2, nobs=8, max_outer=39)
+        runs = {w: harness.run_experiment(dataclasses.replace(cfg, workers=w))
+                for w in (1, 2, 3, 8)}
+        texts = {(harness.render_report(r.records, "csv"),
+                  harness.render_report(r.records, "json"))
+                 for r in runs.values()}
+        assert len(texts) == 1
+        summaries = [r.summary for r in runs.values()]
+        assert all(s == summaries[0] for s in summaries)
