@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_PROBE_BLOCK = 64           # probe differences per stacked product
+
 
 @dataclass(frozen=True)
 class BoundParameters:
@@ -97,7 +99,11 @@ def lipschitz_estimate(M, mu_A, probe_pairs):
     C is chosen as mu_A times the tightest probe ratio, which makes the
     inequality hold (with equality at the worst probe) on everything fed in;
     the caller should include the difference vectors it actually cares about.
-    L = ||M||_inf^2 is reported alongside for the error-magnitude form.
+    Coinciding pairs are skipped and not counted; a non-finite probe makes C
+    non-finite.  L = ||M||_inf^2 is reported alongside for the error-magnitude
+    form.  Blocks of probes run as stacked gemvs, matmul(M, D[..., None]),
+    which keep each row's M @ d bits; never as a gemm (D @ M.T), which does not
+    (a BLAS gemm sums in another order).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -106,21 +112,23 @@ def lipschitz_estimate(M, mu_A, probe_pairs):
     if not probe_pairs:
         raise ValueError("need at least one probe pair")
 
-    max_ratio = 0.0
-    used = 0
-    for u, v in probe_pairs:
-        d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-        nd = float(np.max(np.abs(d)))
-        if nd == 0.0:
-            continue
-        max_ratio = max(max_ratio, float(np.max(np.abs(M @ d))) / nd)
-        used += 1
-    if used == 0:
+    ratios = []
+    for start in range(0, len(probe_pairs), _PROBE_BLOCK):
+        U, V = (np.array(side, dtype=float)
+                for side in zip(*probe_pairs[start:start + _PROBE_BLOCK]))
+        nd = np.abs(U - V).max(axis=1)
+        D, nd = (U - V)[nd != 0.0], nd[nd != 0.0]
+        with np.errstate(invalid="ignore"):     # an inf probe gives inf / inf
+            ratios.append(np.abs(np.matmul(M, D[:, :, None])).max(axis=(1, 2))
+                          / nd)
+    ratios = np.concatenate(ratios)
+    if ratios.size == 0:
         raise ValueError("all probe pairs coincide")
 
+    max_ratio = float(ratios.max())
     L = float(np.abs(M).sum(axis=1).max()) ** 2
     return LipschitzEstimate(C=mu_A * max_ratio, L=L, max_ratio=max_ratio,
-                             n_probes=used)
+                             n_probes=ratios.size)
 
 
 def error_scale_constant(L, delta_err, xi):
@@ -244,40 +252,30 @@ def roundoff_proxies(trajectory, M):
     long-double arithmetic, reusing the stored double-precision correction
     factors as exact data, so it isolates the rounding of the update formula
     itself.  Returns the per-(n, k) global proxies and the largest one-update
-    local proxy.
+    local proxy.  All levels advance together, one time point at a time, as
+    stacked gemvs, matmul(M, X[..., None]), which keep each row's M @ x bits;
+    never as a gemm (X @ M.T), whose bits need not match.
     """
     ld = np.longdouble
     M_ld = np.asarray(M, dtype=ld)
-    n_levels = trajectory.n + 1
-    n_points = trajectory.n_points
-    R_obs = np.zeros((n_levels, n_points))
-
-    shadow = [np.asarray(trajectory.u[0][0], dtype=ld)]
-    for k in range(1, n_points):
-        shadow.append(M_ld @ shadow[-1])
-    for k in range(n_points):
-        R_obs[0, k] = float(np.max(np.abs(
-            np.asarray(trajectory.u[0][k], dtype=ld) - shadow[k])))
-
-    for n in range(1, n_levels):
-        delta = trajectory.delta[n - 1]
-        shadow = [np.asarray(trajectory.u[n][0], dtype=ld)]
-        for k in range(1, n_points):
-            shadow.append(M_ld @ shadow[-1] + np.asarray(delta[k], dtype=ld))
-        for k in range(n_points):
-            R_obs[n, k] = float(np.max(np.abs(
-                np.asarray(trajectory.u[n][k], dtype=ld) - shadow[k])))
+    R_obs = np.empty((trajectory.n + 1, trajectory.n_points))
+    for k in range(trajectory.n_points):
+        states = np.array([level[k] for level in trajectory.u], dtype=ld)
+        if k == 0:
+            shadow = states
+        else:
+            shadow = np.matmul(M_ld, shadow[:, :, None])[:, :, 0]
+            if trajectory.n:            # level 0 has no correction
+                shadow[1:] += np.array(
+                    [delta[k] for delta in trajectory.delta], dtype=ld)
+        R_obs[:, k] = np.abs(states - shadow).max(axis=1)
 
     rho_local = 0.0
-    if n_levels > 1:
-        n = n_levels - 1
-        delta = trajectory.delta[n - 1]
-        for k in range(1, n_points):
-            exact = M_ld @ np.asarray(trajectory.u[n][k - 1], dtype=ld) \
-                + np.asarray(delta[k], dtype=ld)
-            rho_k = float(np.max(np.abs(
-                np.asarray(trajectory.u[n][k], dtype=ld) - exact)))
-            rho_local = max(rho_local, rho_k)
+    if trajectory.n > 0:
+        last = np.array(trajectory.u[-1], dtype=ld)
+        exact = np.matmul(M_ld, last[:-1, :, None])[:, :, 0] \
+            + np.array(trajectory.delta[-1][1:], dtype=ld)
+        rho_local = float(np.abs(last[1:] - exact).max(initial=0.0))
     return R_obs, rho_local
 
 
@@ -286,7 +284,8 @@ def roundoff_bound(params, R_prev, R0, rho):
 
     total = e^{N R} R0 + P (C / mu_A + 1) R_prev + P 2 rho with
     P = (e^{N R} - 1) / R; the terms are returned separately for reporting
-    (initial-value propagation, iteration propagation, local term).
+    (initial-value propagation, iteration propagation, local term).  Array
+    R_prev and R0 broadcast, each cell with the scalar call's bits.
     """
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")

@@ -194,9 +194,7 @@ class DiagnosticsRecord:
     wall_ms: float
 
 
-CSV_COLUMNS = ("k", "n", "E_kn", "delta_norm", "c_n", "mps_residual", "mu_A",
-               "C_const", "eps_mps", "roundoff_total", "roundoff_t1",
-               "roundoff_t2", "roundoff_t3", "wall_ms")
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -275,9 +273,7 @@ def run_experiment(config):
     rng_probe = np.random.default_rng([config.seed, 3])
     probes = [(rng_probe.standard_normal(config.np),
                rng_probe.standard_normal(config.np)) for _ in range(32)]
-    for n in range(trajectory.n + 1):
-        probes.extend((reference[k], trajectory.u[n][k])
-                      for k in range(n_points))
+    probes += [pair for level in trajectory.u for pair in zip(reference, level)]
     lip = analysis.lipschitz_estimate(M, hessian.mu, probes)
 
     xi, sigma_err, delta_err = analysis.twin_error_scales(
@@ -295,24 +291,33 @@ def run_experiment(config):
     errhist = analysis.error_and_bound_history(trajectory, reference, params,
                                                roundoff=roundoff, E=phist.E)
     R_obs, rho_local = roundoff
+    rb = analysis.roundoff_bound(params, R_prev=R_obs[:-1, :-1],
+                                 R0=R_obs[1:, :1], rho=rho_local)
 
-    records = []
-    for n in range(1, trajectory.n + 1):
-        wall_ms = phist.wall_s[n - 1] * 1e3 if config.timing else 0.0
-        for k in range(1, n_points):
-            rb = analysis.roundoff_bound(
-                params, R_prev=R_obs[n - 1, k - 1], R0=R_obs[n, 0],
-                rho=rho_local)
-            mps_hist = phist.mps[n - 1][k - 1]
-            records.append(DiagnosticsRecord(
-                k=k, n=n, E_kn=errhist.E[n, k],
-                delta_norm=phist.delta_norms[n - 1][k - 1],
-                c_n=float(errhist.c_bound[n]),
-                mps_residual=mps_hist.eq_residuals[-1],
-                mu_A=hessian.mu, C_const=lip.C, eps_mps=eps_mps,
-                roundoff_total=rb.total, roundoff_t1=rb.term_initial,
-                roundoff_t2=rb.term_iteration, roundoff_t3=rb.term_rho,
-                wall_ms=wall_ms))
+    # The report's columns in CSV_COLUMNS order, one entry per (n, k) row in
+    # row order; a value fixed per run or per n is one shared object.
+    n_outer, n_slabs = trajectory.n, n_points - 1
+
+    def per_n(values):
+        return [v for v in values for _ in range(n_slabs)]
+
+    columns = (
+        list(range(1, n_points)) * n_outer, per_n(range(1, n_outer + 1)),
+        errhist.E[1:, 1:].ravel().tolist(),
+        [x for norms in phist.delta_norms for x in norms],
+        per_n(errhist.c_bound[1:].tolist()),
+        [h.eq_residuals[-1] for hists in phist.mps for h in hists],
+        *(per_n([v] * n_outer) for v in (hessian.mu, lip.C, eps_mps)),
+        rb.total.ravel().tolist(), per_n(rb.term_initial.ravel().tolist()),
+        rb.term_iteration.ravel().tolist(), per_n([rb.term_rho] * n_outer),
+        per_n([t * 1e3 if config.timing else 0.0 for t in phist.wall_s]))
+    finite = np.isfinite(np.array(columns, dtype=float))
+    if not finite.all():        # name the first row, then its first column
+        row = np.argmin(finite.all(axis=0))
+        raise DiagnosticError(f"non-finite diagnostic "
+                              f"{CSV_COLUMNS[np.argmin(finite[:, row])]} "
+                              f"at k={columns[0][row]}, n={columns[1][row]}")
+    records = [DiagnosticsRecord(*cells) for cells in zip(*columns)]
 
     # slab k's fine solve is chain_hists[k - 1] and phist.mps[n][k - 1]
     mps_unconverged = sorted(
@@ -320,12 +325,6 @@ def run_experiment(config):
          for k, h in enumerate(hists, start=1) if not h.converged})
     converged = phist.converged and not mps_unconverged
     status = "converged" if converged else "non-converged"
-
-    for rec in records:
-        for f in fields(rec):
-            if not np.isfinite(getattr(rec, f.name)):
-                raise DiagnosticError(f"non-finite diagnostic {f.name} at "
-                                      f"k={rec.k}, n={rec.n}")
 
     solved = sum(len(slabs) for slabs in phist.solved)
     summary = {
@@ -336,7 +335,8 @@ def run_experiment(config):
         "fine_solves": len(chain_hists) + solved,
         "fine_solves_reused": phist.n_outer * (n_points - 1) - solved,
         "mps_unconverged": mps_unconverged,
-        "bound_dominates": all(rec.E_kn <= rec.c_n for rec in records),
+        "bound_dominates": bool(np.all(errhist.E[1:, 1:]
+                                       <= errhist.c_bound[1:, None])),
         "mu_A": hessian.mu,
         "C_const": lip.C,
         "C_error_scale": analysis.error_scale_constant(lip.L, delta_err, xi),

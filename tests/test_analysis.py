@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pintda import analysis, harness, parareal
 from pintda.analysis import (BoundParameters, chain_discrepancy,
@@ -79,6 +81,95 @@ class TestLipschitz:
             lipschitz_estimate(np.eye(2), 1.0, [])
         with pytest.raises(ValueError):
             lipschitz_estimate(np.eye(2), 1.0, [(np.ones(2), np.ones(2))])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n_probes=st.sampled_from([1, 2, 63, 64, 65, 129]),
+           n_grid=st.integers(1, 12), seed=st.integers(0, 2**16),
+           coincide=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e150]))
+    def test_blocks_match_the_scalar_loop(self, n_probes, n_grid, seed,
+                                          coincide, scale):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n_grid, n_grid))
+        probes = []
+        for _ in range(n_probes):
+            u = rng.standard_normal(n_grid) * scale
+            v = u.copy() if rng.random() < coincide \
+                else rng.standard_normal(n_grid) * scale
+            probes.append((u, v))
+        expected = _scalar_lipschitz(M, probes)
+        if expected[1] == 0:
+            with pytest.raises(ValueError, match="coincide"):
+                lipschitz_estimate(M, 2.0, probes)
+            return
+        est = lipschitz_estimate(M, 2.0, probes)
+        assert (est.max_ratio, est.n_probes) == expected
+        assert est.C == 2.0 * expected[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_non_finite_probe_propagates(self, bad, position):
+        rng = np.random.default_rng(5)
+        M = np.abs(rng.standard_normal((4, 4))) + 0.1
+        probes = [(rng.standard_normal(4), rng.standard_normal(4))
+                  for _ in range(70)]
+        probes[3] = probes[66] = (np.ones(4), np.ones(4))   # coincide
+        u = np.zeros(4)
+        u[2] = bad
+        probes.insert(0 if position == "first" else len(probes),
+                      (u, np.zeros(4)))
+        est = lipschitz_estimate(M, 3.0, probes)
+        assert math.isnan(est.max_ratio) and math.isnan(est.C)
+        assert est.n_probes == 69       # the bad probe counts, pairs do not
+
+
+def _scalar_lipschitz(M, probes):
+    """Textbook probe loop: (max ratio, probes used), one mat-vec each."""
+    max_ratio, used = 0.0, 0
+    for u, v in probes:
+        d = u - v
+        nd = float(np.max(np.abs(d)))
+        if nd == 0.0:
+            continue
+        max_ratio = max(max_ratio, float(np.max(np.abs(M @ d))) / nd)
+        used += 1
+    return max_ratio, used
+
+
+def _textbook_roundoff(trajectory, M):
+    """The long-double shadow replayed one state at a time."""
+    ld = np.longdouble
+    M_ld = np.asarray(M, dtype=ld)
+    R_obs = np.zeros((trajectory.n + 1, trajectory.n_points))
+    for n in range(trajectory.n + 1):
+        shadow = [np.asarray(trajectory.u[n][0], dtype=ld)]
+        for k in range(1, trajectory.n_points):
+            shadow.append(M_ld @ shadow[-1])
+            if n > 0:
+                shadow[-1] = shadow[-1] + np.asarray(
+                    trajectory.delta[n - 1][k], dtype=ld)
+        for k in range(trajectory.n_points):
+            R_obs[n, k] = float(np.max(np.abs(
+                np.asarray(trajectory.u[n][k], dtype=ld) - shadow[k])))
+    rho_local = 0.0
+    if trajectory.n > 0:
+        level, delta = trajectory.u[-1], trajectory.delta[-1]
+        for k in range(1, trajectory.n_points):
+            exact = M_ld @ np.asarray(level[k - 1], dtype=ld) \
+                + np.asarray(delta[k], dtype=ld)
+            rho_local = max(rho_local, float(np.max(np.abs(
+                np.asarray(level[k], dtype=ld) - exact))))
+    return R_obs, rho_local
+
+
+SPECIALS = np.array([0.0, -0.0, 5e-324, -3e-310, 2.2250738585072014e-308])
+
+
+def _with_specials(rng, shape, share):
+    x = rng.standard_normal(shape)
+    mask = rng.random(shape) < share
+    x[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return x
 
 
 def make_params(C=2.0, mu_A=8.0, eps=1e-8, N=3, C_h=0.1):
@@ -163,6 +254,48 @@ class TestRoundoff:
         assert np.all(np.diff(seq) >= 0)
         assert seq[0] == pytest.approx(1 - math.exp(-1), rel=1e-12)
         assert seq[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(levels=st.integers(1, 5), points=st.integers(2, 6),
+           n_grid=st.integers(1, 6), seed=st.integers(0, 2**16),
+           share=st.sampled_from([0.0, 0.3, 1.0]),
+           zero_deltas=st.booleans())
+    def test_stacked_shadow_is_bitwise_the_per_state_loop(
+            self, levels, points, n_grid, seed, share, zero_deltas):
+        rng = np.random.default_rng(seed)
+        M = _with_specials(rng, (n_grid, n_grid), share)
+        u = tuple(tuple(_with_specials(rng, n_grid, share)
+                        for _ in range(points)) for _ in range(levels))
+        delta = tuple((None,) + tuple(
+            np.zeros(n_grid) if zero_deltas
+            else _with_specials(rng, n_grid, share)
+            for _ in range(points - 1)) for _ in range(levels - 1))
+        trajectory = parareal.PararealTrajectory(
+            u=u, background=u, delta=delta, rho_penalty=1.0)
+        R_obs, rho = roundoff_proxies(trajectory, M)
+        R_ref, rho_ref = _textbook_roundoff(trajectory, M)
+        assert R_obs.tobytes() == R_ref.tobytes()
+        assert np.float64(rho).tobytes() == np.float64(rho_ref).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ratio=st.floats(0.0, 3.0), mu_A=st.floats(1.0, 1e8),
+           N=st.integers(1, 40), rho=st.sampled_from([0.0, 5e-324, 1e-17]),
+           n=st.integers(1, 5), k=st.integers(1, 6),
+           seed=st.integers(0, 2**16))
+    def test_array_call_is_bitwise_the_per_cell_calls(self, ratio, mu_A, N,
+                                                      rho, n, k, seed):
+        params = BoundParameters(C=ratio * mu_A, mu_A=mu_A, eps_mps=0.0, N=N,
+                                 h=0.1, p=1, C_h=0.0)
+        rng = np.random.default_rng(seed)
+        R_obs = np.abs(_with_specials(rng, (n + 1, k + 1), 0.2)) * 1e-16
+        rb = roundoff_bound(params, R_prev=R_obs[:-1, :-1], R0=R_obs[1:, :1],
+                            rho=rho)
+        for name in ("total", "term_initial", "term_iteration", "term_rho"):
+            cells = [[getattr(roundoff_bound(params, R_obs[i, j],
+                                             R_obs[i + 1, 0], rho), name)
+                      for j in range(k)] for i in range(n)]
+            got = np.broadcast_to(getattr(rb, name), (n, k))
+            assert got.tobytes() == np.array(cells, dtype=float).tobytes()
 
     def test_observed_proxies_on_benchmark(self, bench_problem):
         vconfig, partition = bench_problem

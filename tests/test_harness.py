@@ -185,6 +185,83 @@ class TestRunExperiment:
         assert result.records
 
 
+def _poison(monkeypatch, R_obs=(), E=(), probe=None):
+    """Write values into chosen cells of the round-off proxies R_obs[n, k]
+    and the error table E[n, k], and append a probe pair, during a run."""
+    analysis = harness.analysis
+    real_roundoff = analysis.roundoff_proxies
+    real_history = analysis.error_and_bound_history
+    real_lipschitz = analysis.lipschitz_estimate
+
+    def roundoff(trajectory, M):
+        table, rho = real_roundoff(trajectory, M)
+        for (n, k), value in R_obs:
+            table[n, k] = value
+        return table, rho
+
+    def history(*args, **kwargs):
+        errhist = real_history(*args, **kwargs)
+        for (n, k), value in E:
+            errhist.E[n, k] = value
+        return errhist
+
+    def lipschitz(M, mu_A, probe_pairs):
+        return real_lipschitz(M, mu_A, [*probe_pairs, *([probe] if probe else [])])
+
+    monkeypatch.setattr(analysis, "roundoff_proxies", roundoff)
+    monkeypatch.setattr(analysis, "error_and_bound_history", history)
+    monkeypatch.setattr(analysis, "lipschitz_estimate", lipschitz)
+
+
+NAN, INF = float("nan"), float("inf")
+NAN_PROBE = (np.full(16, NAN), np.zeros(16))
+
+
+class TestDiagnosticError:
+    """A non-finite report cell raises DiagnosticError naming the first row
+    (n, then k) that holds one and, in that row, the first such column in
+    CSV_COLUMNS order: what a per-record, per-field loop finds first."""
+
+    # np=16 with 4 time points converges exactly: rows n = 1..3, k = 1..3.
+    # R_obs[n - 1, k - 1] feeds row (n, k)'s roundoff_t2 and roundoff_total;
+    # R_obs[n, 0] feeds roundoff_t1 and roundoff_total of every row at n.
+    @pytest.mark.parametrize("poison, where", [
+        ({"R_obs": [((1, 2), NAN)]}, "roundoff_total at k=3, n=2"),
+        ({"R_obs": [((1, 2), INF)]}, "roundoff_total at k=3, n=2"),
+        ({"R_obs": [((2, 0), NAN)]}, "roundoff_total at k=1, n=2"),
+        ({"E": [((3, 1), NAN)], "R_obs": [((0, 1), INF)]},
+         "roundoff_total at k=2, n=1"),
+        ({"E": [((1, 3), INF)], "R_obs": [((0, 1), NAN)]},
+         "roundoff_total at k=2, n=1"),
+        ({"E": [((2, 2), NAN)], "R_obs": [((1, 1), NAN)]}, "E_kn at k=2, n=2"),
+        ({"E": [((3, 3), -INF)]}, "E_kn at k=3, n=3"),
+        ({"probe": NAN_PROBE}, "C_const at k=1, n=1"),
+    ])
+    def test_message_names_first_row_then_first_column(self, monkeypatch,
+                                                       poison, where):
+        _poison(monkeypatch, **poison)
+        config = load_config(None, {"np": 16, "n_steps": 4})
+        with pytest.raises(harness.DiagnosticError) as info:
+            run_experiment(config)
+        assert str(info.value) == f"non-finite diagnostic {where}"
+
+    @pytest.mark.parametrize("poison, where", [
+        ({"R_obs": [((1, 2), NAN)]}, "roundoff_total at k=3, n=2"),
+        ({"R_obs": [((1, 2), INF)]}, "roundoff_total at k=3, n=2"),
+        ({"probe": NAN_PROBE}, "C_const at k=1, n=1"),
+    ])
+    def test_cli_exits_three_without_report(self, monkeypatch, tmp_path,
+                                            capsys, poison, where):
+        _poison(monkeypatch, **poison)
+        out = tmp_path / "report.csv"
+        code = harness.main(["--np", "16", "--slabs", "4", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"solver error: non-finite diagnostic {where}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestEmitReport:
     def test_header_is_frozen(self, bench_result):
         text = render_report(bench_result.records, "csv")

@@ -1,0 +1,66 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "report_gate.py"
+_spec = importlib.util.spec_from_file_location("report_gate", _PATH)
+report_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_gate)
+
+PARENT = """\
+{"config": "default", "csv_sha256": "aa", "n_outer": 7, "seed": 1, "status": "converged", "summary": {"C_const": 2.5, "chain": {"mu_M_direct": 1.0}, "mps_unconverged": []}}
+{"config": "default", "csv_sha256": "bb", "n_outer": 7, "seed": 2025, "status": "converged", "summary": {"C_const": 0.1, "chain": {"mu_M_direct": NaN}, "mps_unconverged": [2]}}
+{"demo": "01_twin_experiment.py", "exit": 0, "stdout_sha256": "cc"}
+"""
+
+
+def lines(text):
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def edited(old, new):
+    assert old in PARENT
+    return lines(PARENT.replace(old, new))
+
+
+class TestFirstDifference:
+    def test_identical_outputs_agree(self):
+        assert report_gate.first_difference(lines(PARENT), lines(PARENT)) is None
+
+    def test_line_order_does_not_matter(self):
+        assert report_gate.first_difference(
+            lines(PARENT), lines(PARENT)[::-1]) is None
+
+    @pytest.mark.parametrize("old, new, difference", [
+        ('"C_const": 0.1', '"C_const": 0.10000000000000002',
+         "config=default seed=2025 key=summary.C_const: parent 0.1, "
+         "change 0.10000000000000002"),
+        ('"mu_M_direct": 1.0', '"mu_M_direct": -0.0',
+         "config=default seed=1 key=summary.chain.mu_M_direct: parent 1.0, "
+         "change -0.0"),
+        ('"csv_sha256": "bb", "n_outer": 7', '"csv_sha256": "bd", "n_outer": 6',
+         "config=default seed=2025 key=csv_sha256: parent \"bb\", "
+         "change \"bd\""),
+        ('"mps_unconverged": [2]', '"mps_unconverged": [2, 3]',
+         "config=default seed=2025 key=summary.mps_unconverged: parent [2], "
+         "change [2, 3]"),
+        ('"stdout_sha256": "cc"', '"stdout_sha256": "cd"',
+         'demo=01_twin_experiment.py key=stdout_sha256: parent "cc", '
+         'change "cd"'),
+        (', "status": "converged", "summary": {"C_const": 2.5',
+         ', "summary": {"C_const": 2.5',
+         'config=default seed=1 key=status: parent "converged", '
+         'change <absent>'),
+    ])
+    def test_names_first_line_and_key(self, old, new, difference):
+        assert report_gate.first_difference(
+            lines(PARENT), edited(old, new)) == difference
+
+    def test_missing_lines_on_either_side(self):
+        parent, change = lines(PARENT), lines(PARENT)[:2]
+        assert (report_gate.first_difference(parent, change)
+                == "demo=01_twin_experiment.py: missing from the change")
+        assert (report_gate.first_difference(change, parent)
+                == "demo=01_twin_experiment.py: missing from the parent")

@@ -1,10 +1,14 @@
 """Byte-identity gate: the values a change that claims unchanged reports must keep.
 
-Run from a checkout's root, on the parent commit and on the change, and
-compare the outputs:
+Run from a checkout's root, first on the parent commit, then on the change
+with --against the parent's output:
 
-    python3 tools/report_gate.py > gate.jsonl
-    diff parent-gate.jsonl gate.jsonl
+    python3 tools/report_gate.py --demos > parent.jsonl     # parent checkout
+    python3 tools/report_gate.py --demos --against parent.jsonl
+
+With --against the lines are still printed; the exit status is 1, with the
+first config, seed and key that differ on standard error, when any line
+differs from the parent's (or is missing on either side), and 0 otherwise.
 
 For each of eight configs and the seeds 1 and 2025, one JSON line holds the
 sha256 of the CSV and JSON reports, `status`, `n_outer` and every `summary`
@@ -21,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,19 +83,72 @@ def demo_line(path):
             "stdout_sha256": _sha(proc.stdout)}
 
 
+def _identity(line):
+    if "demo" in line:
+        return f"demo={line['demo']}"
+    return f"config={line['config']} seed={line['seed']}"
+
+
+def _flat(line, prefix=""):
+    """{dotted key: value}, nested dicts (summary, summary.chain) flattened."""
+    flat = {}
+    for key, value in line.items():
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def first_difference(parent_lines, change_lines):
+    """The first line and key where two gate outputs differ, or None.
+
+    Lines are matched by config and seed (or demo name) and read in the
+    parent's order; within a line, keys are compared in sorted order.
+    """
+    parent = {_identity(line): _flat(line) for line in parent_lines}
+    change = {_identity(line): _flat(line) for line in change_lines}
+    for ident, old in parent.items():
+        new = change.get(ident)
+        if new is None:
+            return f"{ident}: missing from the change"
+        for key in sorted(old.keys() | new.keys()):
+            # JSON text, as in the output: -0.0 differs from 0.0, NaN equals NaN
+            was, now = (json.dumps(side[key]) if key in side else "<absent>"
+                        for side in (old, new))
+            if was != now:
+                return f"{ident} key={key}: parent {was}, change {now}"
+    extra = [ident for ident in change if ident not in parent]
+    return f"{extra[0]}: missing from the parent" if extra else None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--demos", action="store_true",
                         help="also hash the standard output of every demo")
+    parser.add_argument("--against", metavar="PARENT.jsonl",
+                        help="compare with a parent's output; exit 1 on a "
+                             "difference")
     args = parser.parse_args(argv)
-    for name, overrides in CONFIGS.items():
-        for seed in SEEDS:
-            print(json.dumps(gate_line(name, overrides, seed), sort_keys=True),
-                  flush=True)
+    runs = [partial(gate_line, name, overrides, seed)
+            for name, overrides in CONFIGS.items() for seed in SEEDS]
     if args.demos:
-        for path in sorted((ROOT / "demos").glob("*.py")):
-            print(json.dumps(demo_line(path), sort_keys=True), flush=True)
+        runs += [partial(demo_line, path)
+                 for path in sorted((ROOT / "demos").glob("*.py"))]
+    lines = []
+    for run in runs:
+        lines.append(run())
+        print(json.dumps(lines[-1], sort_keys=True), flush=True)
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            parent = [json.loads(text) for text in fh if text.strip()]
+        difference = first_difference(parent, lines)
+        if difference:
+            print(f"report gate: first difference at {difference}",
+                  file=sys.stderr)
+            return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
