@@ -9,10 +9,12 @@ patched global vector assigns every grid point to its lowest-index owner.
 
 A local system splits into a factor and a right-hand side.  The factor
 (A_loc, its Cholesky factor, the coupling blocks, V_loc, the owner mask and
-the observed rows with S = H_loc V_loc and R_loc^-1) depends only on the
-partition, V, the observation pattern (H_t, R_t), lam and rho.  A
-`FactorTable` builds it once per distinct pattern, so a fine solve only
-recomputes the innovation d = v - H u_b and c_loc = S^T R_loc^-1 d_loc.
+the observed rows with S = V_loc[obs_loc]) depends only on the partition, V,
+the observation pattern obs_indices[t], lam and rho.  A `FactorTable` builds
+it once per distinct pattern, so a fine solve only recomputes the innovation
+d = v - u_b[obs_indices[t]] and c_loc = rinv S^T d_loc, where the scalar
+rinv = 1 / sigma_r^2 is R^-1: observations are a row selection and one
+variance, and a subdomain reads only those inside its block.
 
 Solves that share a pattern run as the columns of one batch: every
 right-hand side, iterate and residual carries a leading column axis, one row
@@ -102,8 +104,9 @@ class LocalFactor:
     `coupling[j]` is the off-diagonal block the sweep subtracts from the
     right-hand side; it is stored with that sign, so stationarity of the
     local cost reads A_loc w_i = c_loc - sum_j coupling[j] @ w_j.  `rows` are
-    the observations inside the block; S = H_loc V_loc and Rinv = R_loc^-1
-    (None when there are none) carry them into c_loc.
+    the observations inside the block and `obs_loc` their local grid
+    positions; S = V_loc[obs_loc] and rinv = 1 / sigma_r^2 carry them into
+    c_loc.
     """
 
     i: int
@@ -118,19 +121,17 @@ class LocalFactor:
     V_loc: np.ndarray
     own_mask: np.ndarray    # True where this subdomain owns the grid point
     rows: np.ndarray
-    H_loc: np.ndarray
-    R_loc: np.ndarray
+    obs_loc: np.ndarray
     S: np.ndarray
-    Rinv: np.ndarray
+    rinv: float
 
     def system(self, d, u_b, t):
         """Bind the factor to a background u_b of time t with innovation
-        d = v - H u_b; a leading axis of d, u_b and t is the column axis."""
+        d = v - u_b[ix_t]; a leading axis of d, u_b and t is the column axis."""
         d_loc = d[..., self.rows]
-        if self.rows.size:
-            c_loc = _mv(self.S.T, _mv(self.Rinv, d_loc))
-        else:
-            c_loc = np.zeros(u_b.shape[:-1] + (self.indices.size,))
+        # a batch's d_loc comes out F-ordered; each column keeps its solo
+        # bits only if the stacked gemv reads a C-ordered operand
+        c_loc = _mv(self.S.T, np.multiply(self.rinv, d_loc, order="C"))
         return LocalSystem(factor=self, c_loc=c_loc, d_loc=d_loc,
                            u_b_loc=u_b[..., self.indices], t=t)
 
@@ -188,34 +189,35 @@ class FactorTable:
     rho: float
     v_norm: float
 
-    def batch(self, configs):
-        """Local systems with one column per config; only the innovations
-        and each c_loc are computed.
+    def batch(self, observations, backgrounds, times):
+        """Local systems with one column per background; only the
+        innovations and each c_loc are computed.
 
-        The configs differ only in background (u0) and time_index, and their
-        times share one observation pattern, hence one factor tuple and one
-        H_t; each column reads the observations v of its own time.
+        Column c is backgrounds[c] at observation time times[c].  The times
+        share one observation pattern, hence one factor tuple and one index
+        array; each column reads the observations v of its own time.
         """
-        times = np.array([c.time_index for c in configs])
+        times = np.asarray(times)
         factors = self.by_time[times[0]]
         if any(self.by_time[t] is not factors for t in times):
             raise ValueError("a batch needs times that share one observation "
                              f"pattern, got times {times.tolist()}")
-        u_b = np.stack([c.u0 for c in configs])
+        u_b = np.asarray(backgrounds, dtype=float)
         finite = np.isfinite(u_b)
         if not finite.all():
             col = int(np.flatnonzero(~finite.all(axis=1))[0])
             i = next(f.i for f in factors if not finite[col, f.indices].all())
             raise VarSolverError(f"subdomain {i}: the background is not finite "
                                  f"at time {times[col]}")
-        obs = configs[0].observations
-        d = np.stack([obs.v[t] for t in times]) - _mv(obs.H[times[0]], u_b)
+        ix = observations.obs_indices[times[0]]
+        d = np.stack([observations.v[t] for t in times]) - u_b[:, ix]
         return [f.system(d, u_b, times) for f in factors]
 
     def systems(self, config):
         """Local systems for config's background and time index: the batch
         of one, without its column axis."""
-        return [s.take(0) for s in self.batch([config])]
+        return [s.take(0) for s in self.batch(
+            config.observations, [config.u0], [config.time_index])]
 
 
 @dataclass(frozen=True)
@@ -339,9 +341,9 @@ def _owner_masks(partition):
 def assemble_local_system(i, partition, restrictions, config, rho=1.0):
     """Build the control-space system of subdomain i.
 
-    A_loc = V_i^T H_i^T R_i^-1 H_i V_i + lam I + rho sum_j V_ij^T V_ij, with
-    V_i = R_i V R_i^T and V_ij = R_ij V R_i^T.  The right-hand side carries
-    the innovation computed once from the background, d = v - H u_b; the
+    A_loc = S^T S / sigma_r^2 + lam I + rho sum_j V_ij^T V_ij, with
+    V_i = R_i V R_i^T, S = H_i V_i (rows of V_i) and V_ij = R_ij V R_i^T.
+    The right-hand side carries the innovation d = v - H u_b; the
     coupling block toward neighbor j is -rho V_ij^T (R_ij V R_j^T), the sign
     making the subtracted sweep right-hand side match the local gradient.
     """
@@ -350,26 +352,21 @@ def assemble_local_system(i, partition, restrictions, config, rho=1.0):
         raise PartitionError(f"subdomain {i} is empty")
     V = config.covpair.V
     t = config.time_index
-    H = config.observations.H[t]
-    Rk = config.covpair.R_block(t, config.observations.nobs)
+    obs_pos = config.observations.obs_indices[t]
 
     V_loc = V[np.ix_(idx, idx)]
-    obs_pos = config.observations.obs_indices[t]
     rows = np.where(np.isin(obs_pos, idx))[0]
-    H_loc = H[np.ix_(rows, idx)]
-    R_loc = Rk[np.ix_(rows, rows)]
+    obs_loc = np.searchsorted(idx, obs_pos[rows])     # idx is sorted
+    S = V_loc[obs_loc]
+    rinv = 1.0 / config.covpair.sigma_r**2
 
     coupling, interface_maps = {}, {}
     # Overflow and a non-finite background surface as values, not warnings:
     # the check below rejects the system, FactorTable.systems the background.
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows.size:
-            Rinv = scipy.linalg.inv(R_loc)
-            S = H_loc @ V_loc
-            A_loc = S.T @ Rinv @ S + config.lam * np.eye(idx.size)
-        else:
-            Rinv = S = None
-            A_loc = config.lam * np.eye(idx.size)
+        # S^T R^-1 kept C-ordered, so the product takes the dense gemm path
+        A_loc = (np.multiply(S.T, rinv, order="C") @ S
+                 + config.lam * np.eye(idx.size))
 
         for j in partition.neighbors(i):
             gamma = partition.interfaces[(i, j)]
@@ -401,16 +398,14 @@ def assemble_local_system(i, partition, restrictions, config, rho=1.0):
                              chol=chol, coupling=coupling,
                              interface_maps=interface_maps, V_loc=V_loc,
                              own_mask=partition.own_masks[i], rows=rows,
-                             H_loc=H_loc, R_loc=R_loc, S=S, Rinv=Rinv)
-        d = config.observations.v[t] - H @ config.u0
+                             obs_loc=obs_loc, S=S, rinv=rinv)
+        d = config.observations.v[t] - config.u0[obs_pos]
         return factor.system(d, config.u0, t)
 
 
 def _pattern_key(config, t):
-    """Content of everything time t's factors read: H_t, its indices, R_t."""
-    obs = config.observations
-    return (obs.H[t].tobytes(), obs.obs_indices[t].tobytes(),
-            config.covpair.R_block(t, obs.nobs).tobytes())
+    """What time t's factors read that differs between times: its indices."""
+    return config.observations.obs_indices[t].tobytes()
 
 
 def build_factors(config, partition, rho=1.0, times=None):
@@ -420,7 +415,7 @@ def build_factors(config, partition, rho=1.0, times=None):
     time only when it is given no table.
     """
     if times is None:
-        times = range(len(config.observations.H))
+        times = range(len(config.observations.v))
     restrictions = build_restrictions(partition)
     by_pattern, by_time = {}, {}
     for t in times:
@@ -445,9 +440,8 @@ def local_cost(w_i, neighbor_w, system):
     """
     f = system.factor
     val = 0.5 * f.lam * float(w_i @ w_i)
-    if system.d_loc.size:
-        obs = f.H_loc @ (f.V_loc @ w_i) - system.d_loc
-        val += 0.5 * float(obs @ np.linalg.solve(f.R_loc, obs))
+    obs = (f.V_loc @ w_i)[f.obs_loc] - system.d_loc
+    val += 0.5 * f.rinv * float(obs @ obs)
     for j, w_j in neighbor_w.items():
         V_ij, V_ij_nb = f.interface_maps[j]
         diff = V_ij @ w_i - V_ij_nb @ w_j
@@ -590,39 +584,45 @@ def run_mps(config, partition, tol, max_iters, rho=1.0, track_cost=True,
     run_mps_batch on the batch of one.
     """
     final, (history,) = run_mps_batch(
-        [config], partition, tol, max_iters, rho=rho, track_cost=track_cost,
-        patch_rule=patch_rule, factors=factors)
+        config, [config.u0], [config.time_index], partition, tol, max_iters,
+        rho=rho, track_cost=track_cost, patch_rule=patch_rule,
+        factors=factors)
     return final.take(0), history
 
 
-def run_mps_batch(configs, partition, tol, max_iters, rho=1.0,
-                  track_cost=True, patch_rule="owner", factors=None):
-    """run_mps for several backgrounds at once, one column per config.
+def run_mps_batch(config, backgrounds, times, partition, tol, max_iters,
+                  rho=1.0, track_cost=True, patch_rule="owner", factors=None):
+    """run_mps for several backgrounds of config's problem at once.
 
-    The configs differ only in background (u0) and time_index, and their
-    times share one observation pattern (FactorTable.batch).  A column
-    leaves the batch at the sweep where its own iterate difference or
+    Column c solves the single-time problem of time times[c] around the
+    background backgrounds[c]; config's own u0 and time_index are not read,
+    and the times share one observation pattern (FactorTable.batch).  A
+    column leaves the batch at the sweep where its own iterate difference or
     stationarity residual drops below tol; the rest sweep on with their
     products compacted.  Every per-column value (w, patched state,
-    residuals, sweeps, converged, eps_mps) is bitwise that of the config
+    residuals, sweeps, converged, eps_mps) is bitwise that of the column
     solved alone, so the bytes do not depend on how solves are batched.
     Returns the final iterate, each column gathered from the sweep where it
-    stopped, and one MpsHistory per config.
+    stopped, and one MpsHistory per column.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if factors is None:
-        factors = build_factors(configs[0], partition, rho=rho,
-                                times=sorted({c.time_index for c in configs}))
+        factors = build_factors(config, partition, rho=rho,
+                                times=sorted(set(times)))
     elif factors.rho != rho:
         raise ValueError(f"factors were built for rho={factors.rho}, not {rho}")
 
-    histories = [MpsHistory() for _ in configs]
+    histories = [MpsHistory() for _ in times]
+    columns = [dataclasses.replace(config, u0=b, time_index=t)
+               for b, t in zip(backgrounds, times)] if track_cost else None
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        iterate = initial_iterate(factors.batch(configs), patch_rule=patch_rule)
+        iterate = initial_iterate(
+            factors.batch(config.observations, backgrounds, times),
+            patch_rule=patch_rule)
         full_systems = iterate.systems
-        cols = np.arange(len(configs))     # batch column of each active row
+        cols = np.arange(len(times))       # batch column of each active row
         stopped = []                        # (columns, iterate) where they stop
         for _ in range(max_iters):
             iterate = mps_sweep(iterate, iterate.systems, patch_rule=patch_rule)
@@ -632,7 +632,7 @@ def run_mps_batch(configs, partition, tol, max_iters, rho=1.0,
                 histories[c].eq_residuals.append(e)
             if track_cost:
                 for c, u in zip(cols.tolist(), iterate.patched):
-                    histories[c].costs.append(eval_cost(u, configs[c], "threeD"))
+                    histories[c].costs.append(eval_cost(u, columns[c], "threeD"))
             done = (iterate.residual <= tol) | (iterate.eq_residual <= tol)
             for c in cols[done].tolist():
                 histories[c].converged = True
@@ -644,8 +644,8 @@ def run_mps_batch(configs, partition, tol, max_iters, rho=1.0,
         stopped.append((cols, iterate))
 
     final = _gather(stopped, full_systems)
-    lam = max(configs[0].lam, np.finfo(float).tiny)
-    for h, n, r in zip(histories, np.broadcast_to(final.n, len(configs)).tolist(),
+    lam = max(config.lam, np.finfo(float).tiny)
+    for h, n, r in zip(histories, np.broadcast_to(final.n, len(times)).tolist(),
                        final.abs_residual.tolist()):
         h.n_sweeps = n
         h.eps_mps = factors.v_norm * r / lam

@@ -161,12 +161,10 @@ def fine_solve_batch(ks, backgrounds, config, partition, tol_mps, max_sweeps,
     and the inner-solver histories.  `factors` (a dd_mps.FactorTable of
     config's problem) spares the solve its local factorizations.
     """
-    configs = [dataclasses.replace(config, u0=b, time_index=k)
-               for k, b in zip(ks, backgrounds)]
-    final, histories = run_mps_batch(configs, partition, tol=tol_mps,
-                                     max_iters=max_sweeps, rho=rho,
-                                     track_cost=False, patch_rule=patch_rule,
-                                     factors=factors)
+    final, histories = run_mps_batch(config, backgrounds, ks, partition,
+                                     tol=tol_mps, max_iters=max_sweeps,
+                                     rho=rho, track_cost=False,
+                                     patch_rule=patch_rule, factors=factors)
     return final.patched, histories
 
 
@@ -310,9 +308,10 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
     else:
         records = FineRecords(n_slabs)
     history = PararealHistory()
+    level = np.stack(trajectory.u[0])
     if reference is not None:
         reference = np.stack(reference)
-        history.E.append(_max_abs(reference - np.stack(trajectory.u[0])))
+        history.E.append(_max_abs(reference - level))
 
     for _ in range(max_outer):
         t0 = time.perf_counter()
@@ -324,8 +323,8 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         history.wall_s.append(time.perf_counter() - t0)
         history.solved.append(records.solved[n_solved:])
         n = trajectory.n
-        level = np.stack(trajectory.u[n])
-        diff = float(np.abs(level - np.stack(trajectory.u[n - 1])).max())
+        previous, level = level, np.stack(trajectory.u[n])
+        diff = float(np.abs(level - previous).max())
         history.iterate_diffs.append(diff)
         history.delta_norms.append(
             _max_abs(np.stack(trajectory.delta[n - 1][1:])))

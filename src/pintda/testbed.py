@@ -51,18 +51,14 @@ class CovarianceFactorPair:
     sigma_r: float
     L: float                # correlation length in grid units
 
-    def R_block(self, k, nobs):
-        """Observation covariance block for time index k (the same for every k)."""
-        return self.sigma_r**2 * np.eye(nobs)
-
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Pointwise observations of a known truth, one batch per time."""
+    """Pointwise observations of a known truth, one batch per time; the
+    operator H_k is the row selection x -> x[obs_indices[k]]."""
 
     nobs: int
     obs_indices: tuple      # per-time integer index arrays
-    H: tuple                # per-time selection matrices, nobs x np
     v: tuple                # per-time observation vectors
     seed: int
     u_truth: np.ndarray
@@ -134,8 +130,8 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
     B_jl = sigma_b^2 exp(-|j - l|^2 / (2 L^2)) plus a diagonal jitter of
     1e-10 sigma_b^2 that keeps the Cholesky factorization safe; L = 0 is the
     uncorrelated limit.  V is the lower Cholesky factor.  The observation
-    covariance R = sigma_r^2 I is never materialized: R_block returns its
-    per-time blocks.  Both variances must be normal float64 numbers, so that
+    covariance R = sigma_r^2 I is never materialized; its consumers read
+    sigma_r.  Both variances must be normal float64 numbers, so that
     they and their inverses are finite and nonzero.
     """
     if sigma_b <= 0 or sigma_r <= 0:
@@ -178,13 +174,6 @@ def _normalize_obs_indices(obs_indices, n_steps):
     return per_time
 
 
-def selection_matrix(indices, n_grid):
-    """Rows of the identity picked out by `indices`."""
-    H = np.zeros((len(indices), n_grid))
-    H[np.arange(len(indices)), indices] = 1.0
-    return H
-
-
 def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True):
     """Observe the propagated truth at the given grid indices.
 
@@ -208,39 +197,38 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
         raise TestbedError(f"u_truth must have shape ({n_grid},)")
 
     rng = np.random.default_rng(seed)
-    H, v = [], []
+    v = []
     x = u_truth
     for k in range(n_steps):
         if k > 0:
             x = instance.M @ x
-        Hk = selection_matrix(per_time[k], n_grid)
-        vk = Hk @ x
+        vk = x[per_time[k]]
         if noise:
             vk = vk + covpair.sigma_r * rng.standard_normal(nobs)
-        H.append(_freeze(Hk))
         v.append(_freeze(vk))
 
     return ObservationSet(nobs=nobs,
                           obs_indices=tuple(_freeze(ix, dtype=int) for ix in per_time),
-                          H=tuple(H), v=tuple(v), seed=int(seed),
-                          u_truth=_freeze(u_truth))
+                          v=tuple(v), seed=int(seed), u_truth=_freeze(u_truth))
 
 
 def assemble_G(observations, instance):
     """Diagonal blocks of the space-time observation operator, one per time.
 
     The space-time operator is block diagonal, so only its blocks are kept:
-    the leading block observes the initial state directly; every later block
-    composes the one-step propagator with that time's selection operator.
+    the leading block observes the initial state directly, G_0 = I[ix_0];
+    every later block selects rows of the one-step propagator, G_k = M[ix_k].
     """
     n_steps = instance.n_steps
-    if len(observations.H) != n_steps:
+    per_time = observations.obs_indices
+    if len(per_time) != n_steps:
         raise TestbedError(
-            f"observation set has {len(observations.H)} times, model has {n_steps}")
-    for Hk in observations.H:
-        if Hk.shape[1] != instance.np:
-            raise TestbedError("observation operator width does not match the grid")
+            f"observation set has {len(per_time)} times, model has {n_steps}")
+    for ix in per_time:
+        if len(ix) and (ix.min() < 0 or ix.max() >= instance.np):
+            raise TestbedError(
+                f"observation index out of range [0, {instance.np})")
 
-    blocks = [observations.H[0]]
-    blocks += [observations.H[k] @ instance.M for k in range(1, n_steps)]
+    blocks = [np.eye(instance.np)[per_time[0]]]
+    blocks += [instance.M[per_time[k]] for k in range(1, n_steps)]
     return tuple(_freeze(b) for b in blocks)

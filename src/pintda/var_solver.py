@@ -1,13 +1,14 @@
 """Direct (oracle) evaluation and minimization of the variational cost functions.
 
-Both cost functions weight misfits by inverse covariances.  The single-time
-variant assimilates one observation batch against the background.  The
-space-time variant stacks the states at every time point; each sees only its
-own observations and background term, so its Hessian is block diagonal and it
-is solved one np x np time block at a time, each block being the single-time
-normal system with H -> G_k and lam -> alpha.  The direct solver factorizes
-each block densely and is the reference every iterative solver in this
-package is tested against.
+Both cost functions weight misfits by inverse covariances, R^-1 being the
+scalar 1 / sigma_r^2.  The single-time variant assimilates one observation
+batch against the background.  The space-time variant stacks the states at
+every time point; each sees only its own observations and background term, so
+its Hessian is block diagonal and it is solved one np x np time block at a
+time, each block being the single-time normal system with H -> G_k and
+lam -> alpha.  The direct solver factorizes each block densely and is the
+reference every iterative solver in this package is tested against, so its
+operators stay dense: H_k = I[obs_indices[k]].
 """
 
 from __future__ import annotations
@@ -68,15 +69,15 @@ class HessianReport:
 
 
 def _blocks(config, variant):
-    """Background weight and per-time (operator, observations, covariance)."""
+    """Background weight and per-time (operator, observations)."""
     if variant not in VARIANTS:
         raise VarSolverError(f"variant must be one of {VARIANTS}, got {variant!r}")
     obs = config.observations
     if variant == "threeD":
         k = config.time_index
-        return config.lam, [(obs.H[k], obs.v[k], config.covpair.R_block(k, obs.nobs))]
-    return config.alpha, [(Gk, obs.v[k], config.covpair.R_block(k, obs.nobs))
-                          for k, Gk in enumerate(config.G)]
+        H = np.eye(config.instance.np)[obs.obs_indices[k]]
+        return config.lam, [(H, obs.v[k])]
+    return config.alpha, list(zip(config.G, obs.v))
 
 
 def _state_blocks(u, config, n_blocks):
@@ -91,18 +92,18 @@ def eval_cost(u, config, variant="threeD"):
     """Quadratic data-assimilation cost of a state vector.
 
     threeD:  (H u - v)^T R^-1 (H u - v) + lam (u - u0)^T B^-1 (u - u0)
-    fourD:   sum_k (G_k u_k - v_k)^T R_k^-1 (G_k u_k - v_k)
+    fourD:   sum_k (G_k u_k - v_k)^T R^-1 (G_k u_k - v_k)
                    + alpha (u_k - u0)^T B^-1 (u_k - u0)
     """
     weight, blocks = _blocks(config, variant)
     U = _state_blocks(u, config, len(blocks))
     D = U - config.u0
     BD = np.linalg.solve(config.covpair.B, D.T).T
+    r_var = config.covpair.sigma_r**2
     total = 0.0
-    for (H, v, Rk), uk, dk, bdk in zip(blocks, U, D, BD):
+    for (H, v), uk, dk, bdk in zip(blocks, U, D, BD):
         r = H @ uk - v
-        total += (float(r @ np.linalg.solve(Rk, r)) if r.size else 0.0) \
-            + weight * float(dk @ bdk)
+        total += float(r @ (r / r_var)) + weight * float(dk @ bdk)
     return total
 
 
@@ -111,32 +112,31 @@ def eval_grad(u, config, variant="threeD"):
     weight, blocks = _blocks(config, variant)
     U = _state_blocks(u, config, len(blocks))
     g = 2.0 * weight * np.linalg.solve(config.covpair.B, (U - config.u0).T).T
-    for k, (H, v, Rk) in enumerate(blocks):
-        if v.size:
-            g[k] = g[k] + 2.0 * H.T @ np.linalg.solve(Rk, H @ U[k] - v)
+    r_var = config.covpair.sigma_r**2
+    for k, (H, v) in enumerate(blocks):
+        g[k] = g[k] + 2.0 * H.T @ ((H @ U[k] - v) / r_var)
     return g.ravel()
 
 
 def _normal_systems(config, variant):
     """Matrix and right-hand side of the stationarity equations, per block.
 
-    Block k is  weight B^-1 + H_k^T R_k^-1 H_k  with right-hand side
-    weight B^-1 u0 + H_k^T R_k^-1 v_k; B^-1 is formed once for all blocks.
+    Block k is  weight B^-1 + H_k^T R^-1 H_k  with right-hand side
+    weight B^-1 u0 + H_k^T R^-1 v_k; B^-1 is formed once for all blocks.
+    H_k^T R^-1 is kept C-ordered, as the product with a dense R^-1 was.
     """
     weight, blocks = _blocks(config, variant)
     Binv = scipy.linalg.inv(config.covpair.B)
     Binv = 0.5 * (Binv + Binv.T)
     A_bg = weight * Binv
     rhs_bg = A_bg @ config.u0
+    rinv = 1.0 / config.covpair.sigma_r**2
 
     systems = []
-    for H, v, Rk in blocks:
-        A, rhs = A_bg, rhs_bg
-        if v.size:
-            Rinv = scipy.linalg.inv(Rk)
-            A = A + H.T @ Rinv @ H
-            rhs = rhs + H.T @ Rinv @ v
-        systems.append((0.5 * (A + A.T), rhs))
+    for H, v in blocks:
+        HtRinv = np.multiply(H.T, rinv, order="C")
+        A = A_bg + HtRinv @ H
+        systems.append((0.5 * (A + A.T), rhs_bg + HtRinv @ v))
     return systems
 
 

@@ -88,7 +88,6 @@ class TestAssembleLocalSystem:
         empty_obs = dataclasses.replace(
             vconfig.observations, nobs=0,
             obs_indices=tuple(np.empty(0, dtype=int) for _ in range(2)),
-            H=tuple(np.zeros((0, 8)) for _ in range(2)),
             v=tuple(np.zeros(0) for _ in range(2)))
         vempty = dataclasses.replace(vconfig, observations=empty_obs)
         sys0 = systems_for(vempty, partition)[0]
@@ -564,27 +563,29 @@ class TestBatchMatchesSolo:
         pool = [(scale, rng.standard_normal(vconfig.u0.size)) for scale in scales]
         columns = rng.permutation(list(range(len(pool)))
                                   + [p % len(pool) for p in repeats])
-        configs = []
-        for q, p in enumerate(columns):
-            t = times[q % len(times)]
-            u0 = fitted_background(vconfig, t, *pool[p])
-            configs.append(dataclasses.replace(vconfig, u0=u0, time_index=t))
+        col_times = [times[q % len(times)] for q in range(len(columns))]
+        backgrounds = [fitted_background(vconfig, t, *pool[p])
+                       for t, p in zip(col_times, columns)]
         solve = dict(tol=1e-10, max_iters=max_sweeps, rho=rho,
                      track_cost=track_cost, patch_rule=patch, factors=factors)
-        final, hists = dd_mps.run_mps_batch(configs, partition, **solve)
-        assert len(hists) == len(configs)
-        for j, (config, hist) in enumerate(zip(configs, hists)):
+        final, hists = dd_mps.run_mps_batch(vconfig, backgrounds, col_times,
+                                            partition, **solve)
+        assert len(hists) == len(columns)
+        for j, (u0, t, hist) in enumerate(zip(backgrounds, col_times, hists)):
+            config = dataclasses.replace(vconfig, u0=u0, time_index=t)
             assert_column_is_solo(final, hist, j, config, partition, solve)
 
     def test_columns_stop_at_their_own_sweep(self, correlated_problem):
         _, vconfig, partition = correlated_problem
         factors = build_factors(vconfig, partition)
         rng = np.random.default_rng(0)
-        configs = [dataclasses.replace(vconfig, u0=fitted_background(
-            vconfig, 0, scale, rng.standard_normal(vconfig.u0.size)))
+        backgrounds = [fitted_background(
+            vconfig, 0, scale, rng.standard_normal(vconfig.u0.size))
             for scale in (1.0, 0.0, 1e-6, 1e-3, 10.0)]
+        configs = [dataclasses.replace(vconfig, u0=u0) for u0 in backgrounds]
         solve = dict(tol=1e-10, max_iters=10, track_cost=False, factors=factors)
-        final, hists = dd_mps.run_mps_batch(configs, partition, **solve)
+        final, hists = dd_mps.run_mps_batch(vconfig, backgrounds, [0] * 5,
+                                            partition, **solve)
         sweeps = [h.n_sweeps for h in hists]
         # some columns converge and leave, one runs out of sweeps
         assert len(set(sweeps)) > 2
@@ -597,20 +598,19 @@ class TestBatchMatchesSolo:
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=5,
                                   nobs=4, n_sub=2)
         vconfig, partition = patterned_problem(cfg, self.PER_TIME)
-        configs = [dataclasses.replace(vconfig, time_index=t) for t in (1, 2)]
         with pytest.raises(ValueError, match="one observation pattern"):
-            dd_mps.run_mps_batch(configs, partition, tol=1e-10, max_iters=5)
+            dd_mps.run_mps_batch(vconfig, [vconfig.u0] * 2, (1, 2), partition,
+                                 tol=1e-10, max_iters=5)
 
     def test_non_finite_background_names_its_time(self, correlated_problem):
         _, vconfig, partition = correlated_problem
         u0 = vconfig.u0.copy()
         u0[0] = np.nan
-        configs = [dataclasses.replace(vconfig, time_index=1),
-                   dataclasses.replace(vconfig, u0=u0, time_index=2)]
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 0: the background is not finite "
                                  "at time 2"):
-            dd_mps.run_mps_batch(configs, partition, tol=1e-10, max_iters=5)
+            dd_mps.run_mps_batch(vconfig, [vconfig.u0, u0], (1, 2), partition,
+                                 tol=1e-10, max_iters=5)
 
     def test_non_finite_column_names_its_subdomain_and_time(self,
                                                              correlated_problem):
@@ -618,11 +618,103 @@ class TestBatchMatchesSolo:
         # columns' first blocks would not see it
         _, vconfig, partition = correlated_problem
         factors = build_factors(vconfig, partition)
-        systems = factors.batch([dataclasses.replace(vconfig, time_index=t)
-                                 for t in (1, 2, 1)])
+        systems = factors.batch(vconfig.observations, [vconfig.u0] * 3,
+                                (1, 2, 1))
         c_loc = systems[-1].c_loc.copy()
         c_loc[1, 0] = np.nan
         systems[-1] = dataclasses.replace(systems[-1], c_loc=c_loc)
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 1: Schwarz sweep 1 at time 2 .*c_loc"):
             mps_sweep(initial_iterate(systems), systems)
+
+
+def dense_H(ix, n_grid):
+    """The textbook observation operator: a dense 0/1 row selection."""
+    H = np.zeros((len(ix), n_grid))
+    H[np.arange(len(ix)), ix] = 1.0
+    return H
+
+
+def dense_local_reference(vconfig, partition, i, rho, backgrounds, times):
+    """Subdomain i's S, A_loc and per-column c_loc by the textbook formula:
+    a dense 0/1 observation matrix H, a dense R = sigma_r^2 I and inv(R)."""
+    obs, V = vconfig.observations, vconfig.covpair.V
+    idx = partition.index_sets[i]
+    ix = obs.obs_indices[times[0]]
+    H = dense_H(ix, vconfig.instance.np)
+    R = vconfig.covpair.sigma_r**2 * np.eye(len(ix))
+    rows = [r for r, p in enumerate(ix) if p in idx]
+    V_loc = V[np.ix_(idx, idx)]
+    S = H[np.ix_(rows, idx)] @ V_loc
+    A = vconfig.lam * np.eye(idx.size)
+    c = [np.zeros(idx.size) for _ in times]
+    if rows:
+        Rinv = scipy.linalg.inv(R[np.ix_(rows, rows)])
+        A = S.T @ Rinv @ S + A
+        c = [S.T @ (Rinv @ (obs.v[t] - H @ u_b)[rows])
+             for u_b, t in zip(backgrounds, times)]
+    for j in partition.neighbors(i):
+        gamma = partition.interfaces[(i, j)]
+        if gamma.size:
+            V_ij = V[np.ix_(gamma, idx)]
+            A = A + rho * V_ij.T @ V_ij
+    return S, 0.5 * (A + A.T), c
+
+
+class TestObservationsAsIndices:
+    @example(n_grid=9, n_sub=3, overlap=2, L=2.0, sigma_r=0.05, lam=1.0,
+             rho=5.0, base=[4, 0, 7], duplicate=True, n_cols=8, seed=1)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_grid=st.integers(6, 20), n_sub=st.integers(1, 3),
+           overlap=st.integers(0, 2), L=st.sampled_from([0.0, 2.0]),
+           sigma_r=st.sampled_from([0.05, 0.2, 0.3, 1e-4]),
+           lam=st.sampled_from([1.0, 0.05]), rho=st.sampled_from([1.0, 5.0]),
+           base=st.lists(st.integers(0, 19), min_size=1, max_size=4),
+           duplicate=st.booleans(), n_cols=st.integers(1, 8),
+           seed=st.integers(0, 2**16))
+    def test_batch_is_bitwise_the_dense_formula(self, n_grid, n_sub, overlap, L,
+                                                sigma_r, lam, rho, base,
+                                                duplicate, n_cols, seed):
+        # batched c_loc must keep each column's solo bits: a d_loc left
+        # F-ordered sends the stacked gemv down another path
+        assume(n_sub == 1 or overlap * (n_sub - 1) < n_grid)
+        ix = [p % n_grid for p in base] + ([base[0] % n_grid] if duplicate else [])
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=n_grid,
+                                  n_steps=4, nobs=1, n_sub=n_sub,
+                                  overlap=overlap, L=L, sigma_r=sigma_r,
+                                  lam=lam, rho_penalty=rho, seed=seed)
+        vconfig, partition = patterned_problem(cfg, ix)
+        rng = np.random.default_rng(seed)
+        times = rng.integers(0, 4, size=n_cols).tolist()
+        backgrounds = vconfig.u0 + rng.standard_normal((n_cols, n_grid))
+        systems = build_factors(vconfig, partition, rho=rho).batch(
+            vconfig.observations, backgrounds, times)
+        for s in systems:
+            S, A_loc, c_loc = dense_local_reference(vconfig, partition, s.i,
+                                                    rho, backgrounds, times)
+            np.testing.assert_array_equal(s.factor.S, S)
+            np.testing.assert_array_equal(s.A_loc, A_loc)
+            for col in range(n_cols):
+                np.testing.assert_array_equal(s.c_loc[col], c_loc[col])
+
+    @pytest.mark.parametrize("n_sub", [1, 2])
+    def test_duplicate_index_solve_matches_dense_reference(self, n_sub):
+        # a repeated index observes its point twice, as a repeated row of H
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=3,
+                                  nobs=1, n_sub=n_sub, overlap=2)
+        ix = [2, 9, 2, 5, 9]
+        vconfig, partition = patterned_problem(cfg, ix)
+        slab = slab_problem(vconfig, 1, seed=0)
+        it, hist = run_mps(slab, partition, tol=1e-13, max_iters=200)
+        assert hist.converged
+
+        H = dense_H(ix, 12)
+        Rinv = np.linalg.inv(vconfig.covpair.sigma_r**2 * np.eye(len(ix)))
+        Binv = np.linalg.inv(vconfig.covpair.B)
+        u = np.linalg.solve(vconfig.lam * Binv + H.T @ Rinv @ H,
+                            vconfig.lam * Binv @ slab.u0
+                            + H.T @ Rinv @ vconfig.observations.v[1])
+        np.testing.assert_allclose(it.patched, u, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            var_solver.solve_var_direct(slab, "threeD").u_da, u, rtol=0,
+            atol=1e-9)

@@ -10,12 +10,10 @@ from pintda.parareal import (FineRecords, fine_solve, initial_trajectory,
 
 def no_observation_config(vconfig):
     """Strip every observation batch; assimilation then returns backgrounds."""
-    n = vconfig.instance.np
     n_steps = vconfig.instance.n_steps
     empty = dataclasses.replace(
         vconfig.observations, nobs=0,
         obs_indices=tuple(np.empty(0, dtype=int) for _ in range(n_steps)),
-        H=tuple(np.zeros((0, n)) for _ in range(n_steps)),
         v=tuple(np.zeros(0) for _ in range(n_steps)))
     return dataclasses.replace(vconfig, observations=empty)
 
@@ -350,9 +348,10 @@ class TestBatchedFineSolves:
         factors = dd_mps.build_factors(vconfig, partition)
         batches = []
 
-        def record(configs, *args, **kwargs):
-            batches.append([c.time_index for c in configs])
-            return dd_mps.run_mps_batch(configs, *args, **kwargs)
+        def record(config, backgrounds, times, *args, **kwargs):
+            batches.append(list(times))
+            return dd_mps.run_mps_batch(config, backgrounds, times, *args,
+                                        **kwargs)
 
         monkeypatch.setattr(parareal, "run_mps_batch", record)
         traj = initial_trajectory(vconfig)

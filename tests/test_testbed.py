@@ -24,6 +24,13 @@ def upwind_scheme_oracle(n_grid, h, velocity, diffusivity):
     return np.linalg.solve(np.eye(n_grid) + h * A, np.eye(n_grid))
 
 
+def selection(indices, n_grid):
+    """The textbook observation operator: a dense 0/1 row selection."""
+    H = np.zeros((len(indices), n_grid))
+    H[np.arange(len(indices)), indices] = 1.0
+    return H
+
+
 class TestModelInstance:
     def test_no_dynamics_gives_identity(self):
         inst = build_model_instance(6, 4, 1.0, velocity=0.0, diffusivity=0.0)
@@ -95,9 +102,12 @@ class TestCovariance:
         assert np.abs(cov.B - cov.B.T).max() == 0.0
 
     def test_R_is_diagonal_with_sigma_r(self):
+        # R = sigma_r^2 I is kept as sigma_r alone: B and V are the only arrays
         cov = build_covariance(8, sigma_b=1.0, sigma_r=0.5, L=0.0)
-        for k in range(3):
-            np.testing.assert_array_equal(cov.R_block(k, 2), 0.25 * np.eye(2))
+        assert cov.sigma_r == 0.5
+        arrays = [name for name, value in vars(cov).items()
+                  if isinstance(value, np.ndarray)]
+        assert sorted(arrays) == ["B", "V"]
 
     def test_rejects_bad_sigmas(self):
         with pytest.raises(testbed.TestbedError):
@@ -151,12 +161,20 @@ class TestObservations:
             np.testing.assert_array_equal(obs.v[k], x[[2, 5, 7]])
 
     def test_selection_property(self, small_instance, small_cov):
+        # unordered and repeated indices: row selection equals the dense H
         rng = np.random.default_rng(5)
-        obs = build_observations(small_instance, small_cov, [0, 2, 6],
-                                 np.zeros(8), seed=1)
+        ix = [6, 0, 2, 0]
+        u_truth = rng.standard_normal(8)
+        obs = build_observations(small_instance, small_cov, ix, u_truth,
+                                 seed=1, noise=False)
+        G = assemble_G(obs, small_instance)
+        x = u_truth
         for k in range(small_instance.n_steps):
-            x = rng.standard_normal(8)
-            np.testing.assert_array_equal(obs.H[k] @ x, x[obs.obs_indices[k]])
+            if k > 0:
+                x = small_instance.M @ x
+            np.testing.assert_array_equal(obs.v[k], selection(ix, 8) @ x)
+        y = rng.standard_normal(8)
+        np.testing.assert_array_equal(G[0] @ y, selection(ix, 8) @ y)
 
     def test_per_time_index_lists(self, small_instance, small_cov):
         per_time = [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]]
@@ -173,18 +191,19 @@ class TestAssembleG:
                                  seed=0, noise=False)
         G = assemble_G(obs, inst)
         assert len(G) == 1
-        np.testing.assert_array_equal(G[0], obs.H[0])
+        np.testing.assert_array_equal(G[0], selection([0, 4, 7], 8))
 
     def test_two_time_points_blocks(self, small_cov):
         inst = build_model_instance(8, 2, 0.5, velocity=1.0, diffusivity=0.1)
         obs = build_observations(inst, small_cov, [1, 3, 6], np.zeros(8),
                                  seed=0, noise=False)
         G = assemble_G(obs, inst)
-        np.testing.assert_array_equal(G[0], obs.H[0])
-        np.testing.assert_array_equal(G[1], obs.H[1] @ inst.M)
+        H = selection([1, 3, 6], 8)
+        np.testing.assert_array_equal(G[0], H)
+        np.testing.assert_array_equal(G[1], H @ inst.M)
         dense = scipy.linalg.block_diag(*G)
-        np.testing.assert_array_equal(dense[:3, :8], obs.H[0])
-        np.testing.assert_array_equal(dense[3:, 8:], obs.H[1] @ inst.M)
+        np.testing.assert_array_equal(dense[:3, :8], H)
+        np.testing.assert_array_equal(dense[3:, 8:], H @ inst.M)
         np.testing.assert_array_equal(dense[:3, 8:], 0.0)
         assert not any(b.flags.writeable for b in G)
 

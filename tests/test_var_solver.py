@@ -16,7 +16,7 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
                          time_grid=np.zeros(1), M=np.eye(n), p=1)
     cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
                                sigma_r=1.0, L=0.0)
-    obs = ObservationSet(nobs=n, obs_indices=(np.arange(n),), H=(np.eye(n),),
+    obs = ObservationSet(nobs=n, obs_indices=(np.arange(n),),
                          v=(np.asarray(v, dtype=float),), seed=0,
                          u_truth=np.zeros(n))
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
@@ -24,28 +24,45 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
                             alpha=alpha, lam=lam)
 
 
-def random_config(n_grid=6, n_steps=3, L=1.2, seed=7, alpha=0.8, lam=1.3):
+def random_config(n_grid=6, n_steps=3, L=1.2, seed=7, alpha=0.8, lam=1.3,
+                  obs_idx=None):
     inst = testbed.build_model_instance(n_grid, n_steps, 1.0, velocity=0.7,
                                         diffusivity=0.04)
     cov = testbed.build_covariance(n_grid, sigma_b=0.9, sigma_r=0.3, L=L)
     rng = np.random.default_rng(seed)
     u_truth = rng.standard_normal(n_grid)
-    obs = testbed.build_observations(inst, cov, [1, n_grid - 2], u_truth, seed=seed)
+    if obs_idx is None:
+        obs_idx = [1, n_grid - 2]
+    obs = testbed.build_observations(inst, cov, obs_idx, u_truth, seed=seed)
     G = testbed.assemble_G(obs, inst)
     u0 = u_truth + 0.2 * rng.standard_normal(n_grid)
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
                             G=G, u0=u0, alpha=alpha, lam=lam)
 
 
+def dense_H(config, k):
+    """Time k's observation operator as the textbook dense 0/1 selection."""
+    ix = config.observations.obs_indices[k]
+    H = np.zeros((len(ix), config.instance.np))
+    H[np.arange(len(ix)), ix] = 1.0
+    return H
+
+
 def dense_G(config):
-    """Independent dense space-time observation operator built from the blocks."""
-    return scipy.linalg.block_diag(*config.G)
+    """Independent dense space-time observation operator: H_0, then H_k M."""
+    M = config.instance.M
+    return scipy.linalg.block_diag(
+        dense_H(config, 0),
+        *(dense_H(config, k) @ M for k in range(1, config.instance.n_steps)))
 
 
-def dense_R(config):
-    """Dense space-time observation covariance, sigma_r^2 I over every batch."""
+def dense_R(config, n_batches=None):
+    """Dense observation covariance, sigma_r^2 I over n_batches batches
+    (default: every batch)."""
     obs = config.observations
-    return config.covpair.sigma_r**2 * np.eye(len(obs.v) * obs.nobs)
+    if n_batches is None:
+        n_batches = len(obs.v)
+    return config.covpair.sigma_r**2 * np.eye(n_batches * obs.nobs)
 
 
 def dense_normal_system(config):
@@ -65,8 +82,8 @@ def brute_force_cost(u, config, variant):
     Binv = np.linalg.inv(config.covpair.B)
     if variant == "threeD":
         k = config.time_index
-        H, v = config.observations.H[k], config.observations.v[k]
-        Rinv = np.linalg.inv(config.covpair.R_block(k, config.observations.nobs))
+        H, v = dense_H(config, k), config.observations.v[k]
+        Rinv = np.linalg.inv(dense_R(config, 1))
         r = H @ u - v
         db = u - config.u0
         return r @ Rinv @ r + config.lam * db @ Binv @ db
@@ -180,8 +197,8 @@ class TestSolveVarDirect:
         # independent dense solve: eigendecomposition of the normal matrix
         Binv = np.linalg.inv(cfg.covpair.B)
         if variant == "threeD":
-            H, v = cfg.observations.H[0], cfg.observations.v[0]
-            Rinv = np.linalg.inv(cfg.covpair.R_block(0, cfg.observations.nobs))
+            H, v = dense_H(cfg, 0), cfg.observations.v[0]
+            Rinv = np.linalg.inv(dense_R(cfg, 1))
             A = cfg.lam * Binv + H.T @ Rinv @ H
             rhs = cfg.lam * Binv @ cfg.u0 + H.T @ Rinv @ v
         else:
@@ -192,6 +209,40 @@ class TestSolveVarDirect:
 
         grad = eval_grad(state.u_da, cfg, variant)
         assert np.max(np.abs(grad)) <= 1e-8
+
+    @pytest.mark.parametrize("variant", ["threeD", "fourD"])
+    def test_duplicate_index_matches_dense_reference(self, variant):
+        # a repeated index observes its point twice, as a repeated row of H;
+        # the Hessian keeps the bits of the dense-H, dense-R^-1 formula
+        cfg = random_config(n_grid=8, seed=3, obs_idx=[5, 1, 5, 6])
+        rng = np.random.default_rng(2)
+        size = cfg.instance.np * (1 if variant == "threeD"
+                                  else cfg.instance.n_steps)
+        u = rng.standard_normal(size)
+        assert eval_cost(u, cfg, variant) == pytest.approx(
+            brute_force_cost(u, cfg, variant), rel=1e-12)
+
+        Binv = scipy.linalg.inv(cfg.covpair.B)
+        Binv = 0.5 * (Binv + Binv.T)
+        Rinv = scipy.linalg.inv(dense_R(cfg, 1))
+        if variant == "threeD":
+            weight, ops = cfg.lam, [dense_H(cfg, 0)]
+        else:
+            weight = cfg.alpha
+            ops = [dense_H(cfg, 0)] + [dense_H(cfg, k) @ cfg.instance.M
+                                       for k in range(1, cfg.instance.n_steps)]
+        report = hessian_condition(cfg, variant)
+        for block, H in zip(report.blocks, ops, strict=True):
+            A = weight * Binv + H.T @ Rinv @ H
+            np.testing.assert_array_equal(block, 2.0 * (0.5 * (A + A.T)))
+
+        if variant == "threeD":
+            A = cfg.lam * Binv + ops[0].T @ Rinv @ ops[0]
+            rhs = cfg.lam * Binv @ cfg.u0 + ops[0].T @ Rinv @ cfg.observations.v[0]
+        else:
+            A, rhs = dense_normal_system(cfg)
+        np.testing.assert_allclose(solve_var_direct(cfg, variant).u_da,
+                                   np.linalg.solve(A, rhs), rtol=0, atol=1e-10)
 
     def test_repeat_solve_is_identical(self):
         cfg = random_config()
