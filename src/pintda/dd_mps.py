@@ -19,21 +19,36 @@ variance, and a subdomain reads only those inside its block.
 Solves that share a pattern run as the columns of one batch: every
 right-hand side, iterate and residual carries a leading column axis, one row
 per background (run_mps_batch; run_mps is the batch of one, and a single
-system without that axis sweeps through the same code).  Each product is a
-stacked matrix-vector product, one BLAS gemv per column, and each block's
-solve is one multi-column LAPACK potrs call; both give every column the bits
-of its solve alone, which a plain matrix-matrix product would not.  A column
-leaves the batch at the sweep where it converges, so each solve still stops
-on its own.
+system without that axis sweeps through the same code).  Every per-column
+value has the bits of its solve alone, and a column leaves the batch at the
+sweep where it converges, so each solve still stops on its own.
 
-A sweep forms each coupling product C_ij w_j once: the stationarity residual
-at the new iterate reads it, and so does the next sweep's right-hand side,
-both summed in coupling order.  The patched global state is built once per
-batch, when the last iterate is read, or on every sweep when the cost
-history is tracked.  A non-finite background is rejected before the sweeps,
-and any other non-finite value shows in one NaN-propagating check of each
-sweep's iterate difference; both raise VarSolverError naming the subdomain
-and the time.
+A sweep runs on a `SweepPlan`, built with the factors once per pattern.  The
+iterate is one array: every block's control side by side in subdomain
+order, after the column axis.  The plan groups the blocks by exact size and
+stacks their A_loc matrices, and groups the coupling blocks by exact shape
+(r_i, r_j) and stacks those, so each product of a sweep is one call per
+group, np.matmul(C_stack, x[..., src][..., None]).  The fancy-index gather
+hands BLAS a C-ordered operand, so every slice is one gemv with the bits of
+C @ w_j alone.  Blocks are never zero-padded to a common size, since a gemv
+of another length may sum in another order, and no product is formed as a
+gemm.  Block i's coupling products sit at its coupling positions of one
+(depth, size) array, with exact zeros where a block has fewer neighbors, so
+rhs = c - P_0 - P_1 ... and g = A w - c + P_0 + ... keep the coupling order:
+x - 0.0 is x, and x + 0.0 changes at most the sign of a zero, which abs
+ignores.  The iterate difference is one reduction, and the per-block
+stationarity maxima are one np.maximum.reduceat at the block starts; max is
+exact, so these are the bits of a per-block loop.  LAPACK has no batched
+potrs, and a stacked inverse or LU solve would change the bits, so each
+block's solve stays one multi-column potrs call.
+
+A sweep forms each coupling product once: the stationarity residual at the
+new iterate reads it, and so does the next sweep's right-hand side.  The
+patched global state is built once per batch, when the last iterate is
+read, or on every sweep when the cost history is tracked.  A non-finite
+background is rejected before the sweeps, and any other non-finite value
+shows in one NaN-propagating check of each sweep's iterate difference; both
+raise VarSolverError naming the subdomain and the time.
 """
 
 from __future__ import annotations
@@ -163,12 +178,6 @@ class LocalSystem:
     V_loc = property(attrgetter("factor.V_loc"))
     own_mask = property(attrgetter("factor.own_mask"))
 
-    @functools.cached_property
-    def scale(self):
-        """1 + max|c_loc| per column, which makes the stationarity residual
-        relative."""
-        return 1.0 + np.abs(self.c_loc).max(axis=-1)
-
     def take(self, rows):
         """The batch's columns `rows`; an int gives one unbatched system."""
         return LocalSystem(factor=self.factor, c_loc=self.c_loc[rows],
@@ -180,12 +189,14 @@ class LocalSystem:
 class FactorTable:
     """Local factors of one problem, built before any fine solve reads them.
 
-    `by_time[t]` is the per-subdomain factor tuple of observation time t;
-    times with the same observation pattern share one tuple.  `v_norm` is
-    ||V||_inf, which maps local residuals into state space.
+    `by_time[t]` is the per-subdomain factor tuple of observation time t and
+    `plans[t]` its sweep plan; times with the same observation pattern share
+    one tuple and one plan.  `v_norm` is ||V||_inf, which maps local
+    residuals into state space.
     """
 
     by_time: dict
+    plans: dict
     rho: float
     v_norm: float
 
@@ -221,15 +232,133 @@ class FactorTable:
 
 
 @dataclass(frozen=True)
+class SweepPlan:
+    """The stacked layout of one observation pattern's blocks.
+
+    Block i's control sits at `slices[i]` of the stacked axis, which is
+    `size` long; `starts` are the first positions of the blocks.  `blocks`
+    holds, per block size r, the stacked A_loc matrices (k, r, r) and the
+    stacked positions (k, r) of their controls.  `couplings` holds, per
+    coupling shape (r_i, r_j), the stacked matrices (m, r_i, r_j), the
+    positions (m, r_j) of the neighbor controls they read, and the positions
+    (m, r_i) where their products land in the flattened (depth, size)
+    product array: row p of that array holds every block's p-th coupling
+    product in coupling order, and exact zeros where a block has fewer than
+    p + 1 neighbors.
+    """
+
+    factors: tuple          # LocalFactor per subdomain, in subdomain order
+    slices: tuple
+    starts: np.ndarray
+    size: int
+    depth: int              # the most coupling blocks of one subdomain
+    blocks: tuple           # (A stack, positions) per block size
+    couplings: tuple        # (C stack, source, destination) per shape
+
+    def apply_A(self, x):
+        """A_loc w_i of every block, stacked like x."""
+        out = np.empty(x.shape)
+        for A, pos in self.blocks:
+            out[..., pos] = np.matmul(A, x[..., pos][..., None])[..., 0]
+        return out
+
+    def coupling_products(self, x):
+        """coupling[j] @ w_j of every block, as a (..., depth, size) array."""
+        out = np.zeros(x.shape[:-1] + (self.depth * self.size,))
+        for C, src, dst in self.couplings:
+            out[..., dst] = np.matmul(C, x[..., src][..., None])[..., 0]
+        return out.reshape(x.shape[:-1] + (self.depth, self.size))
+
+
+def sweep_plan(factors):
+    """The SweepPlan of one factor per subdomain, in subdomain order."""
+    factors = tuple(factors)
+    if [f.i for f in factors] != list(range(len(factors))):
+        raise ValueError("a sweep plan needs one factor per subdomain, "
+                         "in subdomain order")
+    sizes = [f.indices.size for f in factors]
+    starts = np.cumsum([0] + sizes[:-1])
+    pos = [a + np.arange(r) for a, r in zip(starts.tolist(), sizes)]
+    size = sum(sizes)
+    by_size, by_shape = {}, {}
+    for f in factors:
+        by_size.setdefault(f.indices.size, []).append(f.i)
+        for p, (j, C) in enumerate(f.coupling.items()):
+            by_shape.setdefault(C.shape, []).append((f.i, p, j))
+    blocks = tuple((np.stack([factors[i].A_loc for i in members]),
+                    np.stack([pos[i] for i in members]))
+                   for members in by_size.values())
+    couplings = tuple((np.stack([factors[i].coupling[j] for i, _, j in members]),
+                       np.stack([pos[j] for _, _, j in members]),
+                       np.stack([p * size + pos[i] for i, p, _ in members]))
+                      for members in by_shape.values())
+    return SweepPlan(factors=factors,
+                     slices=tuple(slice(a, a + r) for a, r
+                                  in zip(starts.tolist(), sizes)),
+                     starts=starts, size=size,
+                     depth=max((len(f.coupling) for f in factors), default=0),
+                     blocks=blocks, couplings=couplings)
+
+
+@dataclass(frozen=True)
+class StackedSystems:
+    """A batch's local systems bound to their sweep plan.
+
+    `c` holds every block's c_loc stacked like the iterate, and `scale` the
+    1 + max|c_loc| of each block, which makes its stationarity residual
+    relative.  `systems` may list the blocks in any order; `order[k]` is the
+    slice of systems[k] in the stacked axis, and an iterate's w follows
+    that order.
+    """
+
+    plan: SweepPlan
+    systems: tuple
+    c: np.ndarray
+    scale: np.ndarray
+    order: tuple
+
+    def split(self, x):
+        """The per-block controls of a stacked x, in the order of systems."""
+        return tuple(x[..., sl] for sl in self.order)
+
+    def take(self, rows):
+        """The batch's columns `rows`; an int gives one unbatched batch."""
+        return StackedSystems(plan=self.plan,
+                              systems=tuple(s.take(rows) for s in self.systems),
+                              c=self.c[rows], scale=self.scale[rows],
+                              order=self.order)
+
+
+def stack_systems(systems, plan=None):
+    """Bind systems, one per subdomain in any order, to `plan`, or to a plan
+    built from their factors."""
+    systems = tuple(systems)
+    by_i = sorted(systems, key=attrgetter("i"))
+    if plan is None:
+        plan = sweep_plan(s.factor for s in by_i)
+    elif (len(by_i) != len(plan.factors)
+          or any(s.factor is not f for s, f in zip(by_i, plan.factors))):
+        raise ValueError("the systems are not the blocks of this sweep plan")
+    c = np.concatenate([s.c_loc for s in by_i], axis=-1)
+    return StackedSystems(
+        plan=plan, systems=systems, c=c,
+        scale=1.0 + np.maximum.reduceat(np.abs(c), plan.starts, axis=-1),
+        order=tuple(plan.slices[s.i] for s in systems))
+
+
+@dataclass(frozen=True)
 class SchwarzIterate:
     """State of the Schwarz iteration after n sweeps.
 
-    `products[i]` holds subdomain i's coupling products coupling[j] @ w[j] in
-    coupling order; the residuals at w were summed from them and the next
-    sweep's right-hand sides read them.  `patched`, the global state patched
-    from w by `patch_rule`, is built on first access and kept, so a solve
-    that reads only its last iterate patches once.  An iterate built by hand
-    (products None) can be patched through recover_and_patch, not swept.
+    `x` is the stacked iterate (SweepPlan) and `w` its per-block views, in
+    the order of the systems.  `products` holds every block's coupling
+    products coupling[j] @ w[j] at x, as the (..., depth, size) array of
+    SweepPlan.coupling_products; the residuals at x were summed from them
+    and the next sweep's right-hand sides read them.  `patched`, the global
+    state patched from w by `patch_rule`, is built on first access and kept,
+    so a solve that reads only its last iterate patches once.  An iterate
+    built by hand (x and products None) can be patched through
+    recover_and_patch, not swept.
 
     In a batch every array has a leading column axis and the residuals hold
     one value per column.  The final iterate of run_mps_batch gathers each
@@ -241,9 +370,12 @@ class SchwarzIterate:
     residual: float         # max_i ||w_i^n - w_i^{n-1}||_inf
     abs_residual: float = np.inf    # max_i ||local_grad_i(w)||_inf
     eq_residual: float = np.inf     # the same relative to each 1 + max|c_loc|
-    products: dict = field(default=None, repr=False, compare=False)
-    systems: tuple = field(default=(), repr=False, compare=False)
+    x: np.ndarray = field(default=None, repr=False, compare=False)
+    products: np.ndarray = field(default=None, repr=False, compare=False)
+    stacked: StackedSystems = field(default=None, repr=False, compare=False)
     patch_rule: str = "owner"
+
+    systems = property(attrgetter("stacked.systems"))
 
     @functools.cached_property
     def patched(self):
@@ -251,14 +383,13 @@ class SchwarzIterate:
 
     def take(self, rows):
         """The batch's columns `rows`; an int gives one unbatched iterate."""
+        stacked, x = self.stacked.take(rows), self.x[rows]
         return SchwarzIterate(
-            w=tuple(x[rows] for x in self.w),
+            w=stacked.split(x),
             n=self.n if np.ndim(self.n) == 0 else self.n[rows],
             residual=self.residual[rows], abs_residual=self.abs_residual[rows],
-            eq_residual=self.eq_residual[rows],
-            products={i: [P[rows] for P in ps]
-                      for i, ps in self.products.items()},
-            systems=tuple(s.take(rows) for s in self.systems),
+            eq_residual=self.eq_residual[rows], x=x,
+            products=self.products[rows], stacked=stacked,
             patch_rule=self.patch_rule)
 
 
@@ -417,18 +548,20 @@ def build_factors(config, partition, rho=1.0, times=None):
     if times is None:
         times = range(len(config.observations.v))
     restrictions = build_restrictions(partition)
-    by_pattern, by_time = {}, {}
+    by_pattern, by_time, plans = {}, {}, {}
     for t in times:
         key = _pattern_key(config, t)
         if key not in by_pattern:
             config_t = dataclasses.replace(config, time_index=t)
-            by_pattern[key] = tuple(
+            factors = tuple(
                 assemble_local_system(i, partition, restrictions, config_t,
                                       rho=rho).factor
                 for i in range(partition.n_sub))
-        by_time[t] = by_pattern[key]
+            by_pattern[key] = factors, sweep_plan(factors)
+        by_time[t], plans[t] = by_pattern[key]
     v_norm = float(np.abs(config.covpair.V).sum(axis=1).max())
-    return FactorTable(by_time=by_time, rho=float(rho), v_norm=v_norm)
+    return FactorTable(by_time=by_time, plans=plans, rho=float(rho),
+                       v_norm=v_norm)
 
 
 def local_cost(w_i, neighbor_w, system):
@@ -465,37 +598,40 @@ def mps_sweep(iterate, systems, patch_rule="owner"):
     products coupling[j] @ w_j^n come from iterate.products.  The sweep then
     forms each product at w^{n+1} once and reads it twice: in the
     stationarity residual at w^{n+1} here, and in the next sweep's right-hand
-    side through the returned iterate.  A non-finite local solution raises
-    VarSolverError naming its subdomain and time.
+    side through the returned iterate.  `systems` are the iterate's blocks,
+    in any order.  A non-finite local solution raises VarSolverError naming
+    its subdomain and time.
     """
-    w_new = []
-    for s in systems:
-        rhs = s.c_loc.copy()
-        for P in iterate.products[s.i]:
-            rhs -= P
-        c, lower = s.chol
+    stacked = iterate.stacked
+    if systems is not stacked.systems:
+        stacked = stack_systems(systems, stacked.plan)
+    plan = stacked.plan
+    rhs = stacked.c.copy()
+    for p in range(plan.depth):
+        rhs -= iterate.products[..., p, :]
+    x = np.empty(rhs.shape)
+    for f, sl in zip(plan.factors, plan.slices):
+        c, lower = f.chol
         # one column per right-hand side: each column gets its solo bits
-        x, info = _potrs(c, rhs.T, lower=lower, overwrite_b=True)
+        sol, info = _potrs(c, rhs[..., sl].T, lower=lower, overwrite_b=True)
         if info:
-            raise VarSolverError(f"subdomain {s.i}: LAPACK potrs rejected "
+            raise VarSolverError(f"subdomain {f.i}: LAPACK potrs rejected "
                                  f"argument {-info}")
-        w_new.append(x.T)
-    w_new = tuple(w_new)
+        x[..., sl] = sol.T
     # one NaN-propagating reduction per column over every block, unlike max()
-    residual = np.abs(np.concatenate(w_new, axis=-1)
-                      - np.concatenate(iterate.w, axis=-1)).max(axis=-1)
+    step = x - iterate.x
+    residual = np.abs(step).max(axis=-1)
     if not np.isfinite(residual).all():
-        raise VarSolverError(
-            _nonfinite_message(w_new, iterate.w, systems, iterate.n + 1))
-    return _iterate_at(w_new, iterate.n + 1, residual, systems, patch_rule)
+        raise VarSolverError(_nonfinite_message(step, stacked, iterate.n + 1))
+    return _iterate_at(x, iterate.n + 1, residual, stacked, patch_rule)
 
 
-def _nonfinite_message(w_new, w_old, systems, n):
+def _nonfinite_message(step, stacked, n):
     """Name the first column, then its first subdomain, with a non-finite step."""
-    bad = [~np.isfinite(np.atleast_2d(a - b)).all(axis=-1)
-           for a, b in zip(w_new, w_old)]
-    col = int(np.flatnonzero(np.any(bad, axis=0))[0])
-    s = next(s for s, b in zip(systems, bad) if b[col])
+    bad = np.logical_or.reduceat(~np.isfinite(np.atleast_2d(step)),
+                                 stacked.plan.starts, axis=-1)
+    col = int(np.flatnonzero(bad.any(axis=-1))[0])
+    s = next(s for s in stacked.systems if bad[col, s.i])
     cause = ("its right-hand side c_loc is not finite"
              if not np.isfinite(np.atleast_2d(s.c_loc)[col]).all()
              else "the iteration overflowed")
@@ -504,29 +640,25 @@ def _nonfinite_message(w_new, w_old, systems, n):
             f"({cause})")
 
 
-def _iterate_at(w, n, residual, systems, patch_rule):
-    """The iterate w with its coupling products and stationarity residuals.
+def _iterate_at(x, n, residual, stacked, patch_rule):
+    """The stacked iterate x with its coupling products and stationarity
+    residuals.
 
     Subdomain i's residual is A_loc w_i - c_loc + sum_j coupling[j] @ w_j,
     summed in coupling order, relative to 1 + max|c_loc|; each column takes
     the worst block.
     """
-    products = {}
-    r_abs, r_rel = [], []
-    for s in systems:
-        ps = [_mv(C, w[j]) for j, C in s.coupling.items()]
-        products[s.i] = ps
-        g = _mv(s.A_loc, w[s.i])
-        g -= s.c_loc
-        for P in ps:
-            g += P
-        r = np.abs(g).max(axis=-1)
-        r_abs.append(r)
-        r_rel.append(r / s.scale)
-    return SchwarzIterate(w=w, n=n, residual=residual,
-                          abs_residual=np.stack(r_abs, axis=-1).max(axis=-1),
-                          eq_residual=np.stack(r_rel, axis=-1).max(axis=-1),
-                          products=products, systems=tuple(systems),
+    plan = stacked.plan
+    products = plan.coupling_products(x)
+    g = plan.apply_A(x)
+    g -= stacked.c
+    for p in range(plan.depth):
+        g += products[..., p, :]
+    r = np.maximum.reduceat(np.abs(g), plan.starts, axis=-1)
+    return SchwarzIterate(w=stacked.split(x), n=n, residual=residual,
+                          abs_residual=r.max(axis=-1),
+                          eq_residual=(r / stacked.scale).max(axis=-1), x=x,
+                          products=products, stacked=stacked,
                           patch_rule=patch_rule)
 
 
@@ -550,13 +682,21 @@ def _patch_from_systems(w, systems, rule="owner"):
 
 def dap_residual(w, systems):
     """Largest relative residual of the local stationarity systems at w."""
-    return _iterate_at(w, 0, np.inf, systems, "owner").eq_residual
+    stacked = stack_systems(systems)
+    x = np.empty(stacked.c.shape)
+    for sl, w_k in zip(stacked.order, w):
+        x[..., sl] = w_k
+    return _iterate_at(x, 0, np.inf, stacked, "owner").eq_residual
 
 
 def initial_iterate(systems, patch_rule="owner"):
     """Start at the background: w = 0."""
-    w = tuple(np.zeros(s.c_loc.shape) for s in systems)
-    return _iterate_at(w, 0, np.full(w[0].shape[:-1], np.inf)[()], systems,
+    return _start(stack_systems(systems), patch_rule)
+
+
+def _start(stacked, patch_rule):
+    x = np.zeros(stacked.c.shape)
+    return _iterate_at(x, 0, np.full(x.shape[:-1], np.inf)[()], stacked,
                        patch_rule)
 
 
@@ -618,10 +758,10 @@ def run_mps_batch(config, backgrounds, times, partition, tol, max_iters,
                for b, t in zip(backgrounds, times)] if track_cost else None
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        iterate = initial_iterate(
+        iterate = _start(stack_systems(
             factors.batch(config.observations, backgrounds, times),
-            patch_rule=patch_rule)
-        full_systems = iterate.systems
+            factors.plans[times[0]]), patch_rule)
+        full = iterate.stacked
         cols = np.arange(len(times))       # batch column of each active row
         stopped = []                        # (columns, iterate) where they stop
         for _ in range(max_iters):
@@ -643,7 +783,7 @@ def run_mps_batch(config, backgrounds, times, partition, tol, max_iters,
                 cols, iterate = cols[~done], iterate.take(~done)
         stopped.append((cols, iterate))
 
-    final = _gather(stopped, full_systems)
+    final = _gather(stopped, full)
     lam = max(config.lam, np.finfo(float).tiny)
     for h, n, r in zip(histories, np.broadcast_to(final.n, len(times)).tolist(),
                        final.abs_residual.tolist()):
@@ -652,7 +792,7 @@ def run_mps_batch(config, backgrounds, times, partition, tol, max_iters,
     return final, histories
 
 
-def _gather(stopped, systems):
+def _gather(stopped, stacked):
     """One iterate holding every column as it was where that column stopped."""
     if len(stopped) == 1:
         return stopped[0][1]
@@ -665,13 +805,11 @@ def _gather(stopped, systems):
             out[cols] = part(it)
         return out
 
+    x = gather(attrgetter("x"))
     return SchwarzIterate(
-        w=tuple(gather(lambda it, b=b: it.w[b]) for b in range(len(first.w))),
-        n=gather(lambda it: np.full(len(it.residual), it.n)),
+        w=stacked.split(x), n=gather(lambda it: np.full(len(it.residual), it.n)),
         residual=gather(attrgetter("residual")),
         abs_residual=gather(attrgetter("abs_residual")),
-        eq_residual=gather(attrgetter("eq_residual")),
-        products={i: [gather(lambda it, i=i, p=p: it.products[i][p])
-                      for p in range(len(ps))]
-                  for i, ps in first.products.items()},
-        systems=systems, patch_rule=first.patch_rule)
+        eq_residual=gather(attrgetter("eq_residual")), x=x,
+        products=gather(attrgetter("products")), stacked=stacked,
+        patch_rule=first.patch_rule)

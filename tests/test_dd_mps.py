@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -314,10 +315,35 @@ class TestFactorTable:
         by_time = factors.by_time
         assert by_time[0] is by_time[2]
         assert len({id(by_time[t]) for t in (0, 1, 3)}) == 3
+        # one sweep plan per pattern, built from that pattern's factors
+        plans = factors.plans
+        assert plans[0] is plans[2]
+        assert len({id(plans[t]) for t in (0, 1, 3)}) == 3
+        for t in range(4):
+            assert plans[t].factors is by_time[t]
         assert not np.array_equal(by_time[1][0].A_loc, by_time[3][0].A_loc)
         for t in range(4):
             assert_reuse_matches_fresh(factors, slab_problem(vconfig, t, seed=t),
                                        partition)
+
+    def test_collected_table_leaves_no_plan_behind(self):
+        # the plan lives on its table: a table built where a collected one
+        # stood (same shapes, other values) must not sweep on the old plan
+        def problem(L, seed):
+            cfg = dataclasses.replace(harness.ExperimentConfig(), np=24,
+                                      n_steps=3, nobs=6, n_sub=4, overlap=2,
+                                      L=L, seed=seed)
+            return harness.build_problem(harness.validate_config(cfg))
+
+        vconfig, partition = problem(2.0, 11)
+        factors = build_factors(vconfig, partition)
+        run_mps(slab_problem(vconfig, 1, seed=1), partition, tol=1e-10,
+                max_iters=30, track_cost=False, factors=factors)
+        del factors
+        gc.collect()
+        vconfig, partition = problem(1.0, 12)
+        assert_reuse_matches_fresh(build_factors(vconfig, partition),
+                                   slab_problem(vconfig, 1, seed=2), partition)
 
     def test_rho_mismatch_rejected(self, correlated_problem):
         _, vconfig, partition = correlated_problem
@@ -326,7 +352,7 @@ class TestFactorTable:
             run_mps(vconfig, partition, tol=1e-10, max_iters=5, rho=1.0,
                     factors=factors)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(n_grid=st.integers(8, 48), n_steps=st.integers(2, 6),
            n_sub=st.integers(1, 4), overlap=st.integers(0, 3),
            L=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
@@ -431,7 +457,25 @@ class TestSweepMatchesTextbook:
     @example(n_grid=24, n_sub=8, overlap=2, L=2.5, velocity=-1.0,
              patch="average", lam=0.05, rho=5.0, max_sweeps=12,
              track_cost=True, seed=2)
-    @settings(max_examples=40, deadline=None)
+    # sweep_heavy's layout: blocks of 10 and 12 points, three coupling shapes
+    @example(n_grid=64, n_sub=8, overlap=4, L=2.0, velocity=1.0, patch="owner",
+             lam=0.05, rho=5.0, max_sweeps=12, track_cost=False, seed=2025)
+    # blocks of 5 to 8 points, one with four neighbors
+    @example(n_grid=17, n_sub=5, overlap=4, L=2.0, velocity=1.0,
+             patch="average", lam=0.05, rho=5.0, max_sweeps=12,
+             track_cost=True, seed=1)
+    # no overlap: no coupling products at all
+    @example(n_grid=32, n_sub=4, overlap=0, L=2.0, velocity=-1.0,
+             patch="owner", lam=0.05, rho=5.0, max_sweeps=12,
+             track_cost=False, seed=3)
+    # one-point blocks
+    @example(n_grid=8, n_sub=8, overlap=0, L=1.0, velocity=1.0, patch="owner",
+             lam=1.0, rho=1.0, max_sweeps=12, track_cost=True, seed=4)
+    # a single block
+    @example(n_grid=20, n_sub=1, overlap=0, L=2.0, velocity=1.0,
+             patch="average", lam=0.05, rho=5.0, max_sweeps=12,
+             track_cost=False, seed=5)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_grid=st.integers(8, 64), n_sub=st.integers(1, 8),
            overlap=st.integers(0, 4),
            L=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
@@ -530,12 +574,18 @@ class TestBatchMatchesSolo:
     PER_TIME = ([0, 3, 7, 10], [1, 4, 8, 11], [2, 5, 6, 9], [1, 4, 8, 11],
                 [0, 2, 9, 11])
 
-    @example(n_sub=4, overlap=2, L=2.0, velocity=1.0, patch="average",
-             lam=0.05, rho=5.0, max_sweeps=6, track_cost=True, seed=5,
-             scales=[1e-7, 1.0, 30.0, 0.0, 1e-4], repeats=[3, 1],
+    @example(n_grid=12, n_sub=4, overlap=2, L=2.0, velocity=1.0,
+             patch="average", lam=0.05, rho=5.0, max_sweeps=6, track_cost=True,
+             seed=5, scales=[1e-7, 1.0, 30.0, 0.0, 1e-4], repeats=[3, 1],
              time_pick=0)
-    @settings(max_examples=30, deadline=None)
-    @given(n_sub=st.integers(1, 4), overlap=st.integers(0, 3),
+    # blocks of 5, 6 and 7 points with one or two neighbors
+    @example(n_grid=17, n_sub=5, overlap=3, L=2.0, velocity=-1.0,
+             patch="owner", lam=0.05, rho=5.0, max_sweeps=24, track_cost=False,
+             seed=7, scales=[1e-9, 1.0, 30.0, 1e-4], repeats=[0, 2],
+             time_pick=0)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n_grid=st.sampled_from([12, 17]), n_sub=st.integers(1, 5),
+           overlap=st.integers(0, 3),
            L=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
            velocity=st.sampled_from([1.0, -1.0]),
            patch=st.sampled_from(["owner", "average"]),
@@ -547,9 +597,11 @@ class TestBatchMatchesSolo:
            repeats=st.lists(st.integers(0, 5), max_size=6),
            time_pick=st.integers(0, 2))
     def test_batched_columns_are_bitwise_solo_solves(
-            self, n_sub, overlap, L, velocity, patch, lam, rho, max_sweeps,
-            track_cost, seed, scales, repeats, time_pick):
-        cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=5,
+            self, n_grid, n_sub, overlap, L, velocity, patch, lam, rho,
+            max_sweeps, track_cost, seed, scales, repeats, time_pick):
+        assume(n_sub == 1 or overlap * (n_sub - 1) < n_grid)
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=n_grid,
+                                  n_steps=5,
                                   nobs=4, n_sub=n_sub, overlap=overlap, L=L,
                                   velocity=velocity, lam=lam, rho_penalty=rho,
                                   patch=patch, seed=seed)
