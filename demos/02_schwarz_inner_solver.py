@@ -30,10 +30,14 @@ iterate, hist = dd_mps.run_mps(vconfig, partition, tol=1e-10, max_iters=50)
 rel = np.abs(iterate.patched - direct.u_da).max() / np.abs(direct.u_da).max()
 print(f"sweeps: {hist.n_sweeps}, converged: {hist.converged}")
 print(f"relative error vs direct solve: {rel:.2e}")
-for n, (res, eq, cost) in enumerate(zip(hist.residuals, hist.eq_residuals,
-                                        hist.costs), start=1):
-    print(f"  sweep {n}: iterate diff {res:.2e}, stationarity {eq:.2e}, "
-          f"cost {cost:.6f}")
+# the same sweeps one at a time, with the global cost of each patched state
+it = dd_mps.initial_iterate(
+    dd_mps.build_factors(vconfig, partition).systems(vconfig))
+for n in range(1, hist.n_sweeps + 1):
+    it = dd_mps.mps_sweep(it)
+    cost = var_solver.eval_cost(it.patched, vconfig, "threeD")
+    print(f"  sweep {n}: iterate diff {it.residual:.2e}, "
+          f"stationarity {it.eq_residual:.2e}, cost {cost:.6f}")
 
 print()
 print("=== correlated background covariance ===")

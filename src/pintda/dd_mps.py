@@ -42,10 +42,12 @@ exact, so these are the bits of a per-block loop.  LAPACK has no batched
 potrs, and a stacked inverse or LU solve would change the bits, so each
 block's solve stays one multi-column potrs call.
 
-A sweep forms each coupling product once: the stationarity residual at the
-new iterate reads it, and so does the next sweep's right-hand side.  The
-patched global state is built once per batch, when the last iterate is
-read, or on every sweep when the cost history is tracked.  A non-finite
+A solve's state is that stacked x and nothing else: an iterate's
+per-block controls w are views of x, and its systems are one
+`StackedSystems` (c_loc and u_b_loc stacked like x).  A sweep forms each
+coupling product once: the stationarity residual at the new iterate reads
+it, and so does the next sweep's right-hand side.  The patched global state
+is built once per batch, when the last iterate is read.  A non-finite
 background is rejected before the sweeps, and any other non-finite value
 shows in one NaN-propagating check of each sweep's iterate difference; both
 raise VarSolverError naming the subdomain and the time.
@@ -61,7 +63,7 @@ from operator import attrgetter
 import numpy as np
 import scipy.linalg
 
-from .var_solver import VarSolverError, eval_cost
+from .var_solver import VarSolverError
 
 # The float64 LAPACK solve that scipy.linalg.cho_solve dispatches to, bound
 # once: the sweep calls it directly, without cho_solve's per-call checks.
@@ -304,93 +306,84 @@ def sweep_plan(factors):
 class StackedSystems:
     """A batch's local systems bound to their sweep plan.
 
-    `c` holds every block's c_loc stacked like the iterate, and `scale` the
-    1 + max|c_loc| of each block, which makes its stationarity residual
-    relative.  `systems` may list the blocks in any order; `order[k]` is the
-    slice of systems[k] in the stacked axis, and an iterate's w follows
-    that order.
+    `c` and `u_b` hold every block's c_loc and u_b_loc stacked like the
+    iterate, `scale` the 1 + max|c_loc| of each block, which makes its
+    stationarity residual relative, and `t` the observation time (per
+    column in a batch).
     """
 
     plan: SweepPlan
-    systems: tuple
     c: np.ndarray
+    u_b: np.ndarray
     scale: np.ndarray
-    order: tuple
-
-    def split(self, x):
-        """The per-block controls of a stacked x, in the order of systems."""
-        return tuple(x[..., sl] for sl in self.order)
+    t: object
 
     def take(self, rows):
         """The batch's columns `rows`; an int gives one unbatched batch."""
-        return StackedSystems(plan=self.plan,
-                              systems=tuple(s.take(rows) for s in self.systems),
-                              c=self.c[rows], scale=self.scale[rows],
-                              order=self.order)
+        return StackedSystems(plan=self.plan, c=self.c[rows],
+                              u_b=self.u_b[rows], scale=self.scale[rows],
+                              t=self.t[rows])
 
 
 def stack_systems(systems, plan=None):
     """Bind systems, one per subdomain in any order, to `plan`, or to a plan
     built from their factors."""
-    systems = tuple(systems)
-    by_i = sorted(systems, key=attrgetter("i"))
+    systems = sorted(systems, key=attrgetter("i"))
     if plan is None:
-        plan = sweep_plan(s.factor for s in by_i)
-    elif (len(by_i) != len(plan.factors)
-          or any(s.factor is not f for s, f in zip(by_i, plan.factors))):
+        plan = sweep_plan(s.factor for s in systems)
+    elif (len(systems) != len(plan.factors)
+          or any(s.factor is not f for s, f in zip(systems, plan.factors))):
         raise ValueError("the systems are not the blocks of this sweep plan")
-    c = np.concatenate([s.c_loc for s in by_i], axis=-1)
+    c = np.concatenate([s.c_loc for s in systems], axis=-1)
     return StackedSystems(
-        plan=plan, systems=systems, c=c,
+        plan=plan, c=c,
+        u_b=np.concatenate([s.u_b_loc for s in systems], axis=-1),
         scale=1.0 + np.maximum.reduceat(np.abs(c), plan.starts, axis=-1),
-        order=tuple(plan.slices[s.i] for s in systems))
+        t=systems[0].t)
 
 
 @dataclass(frozen=True)
 class SchwarzIterate:
     """State of the Schwarz iteration after n sweeps.
 
-    `x` is the stacked iterate (SweepPlan) and `w` its per-block views, in
-    the order of the systems.  `products` holds every block's coupling
-    products coupling[j] @ w[j] at x, as the (..., depth, size) array of
-    SweepPlan.coupling_products; the residuals at x were summed from them
-    and the next sweep's right-hand sides read them.  `patched`, the global
-    state patched from w by `patch_rule`, is built on first access and kept,
-    so a solve that reads only its last iterate patches once.  An iterate
-    built by hand (x and products None) can be patched through
-    recover_and_patch, not swept.
+    `x` is the stacked iterate (SweepPlan) of the systems `stacked`, and `w`
+    its per-block views in subdomain order.  `products` holds every block's
+    coupling products coupling[j] @ w[j] at x, as the (..., depth, size)
+    array of SweepPlan.coupling_products; the residuals at x were summed
+    from them and the next sweep's right-hand sides read them.  `patched`,
+    the global state patched from x by `patch_rule`, is built on first
+    access and kept, so a solve that reads only its last iterate patches
+    once.
 
     In a batch every array has a leading column axis and the residuals hold
     one value per column.  The final iterate of run_mps_batch gathers each
     column from the sweep where it stopped, so there n is per column too.
     """
 
-    w: tuple
+    x: np.ndarray = field(repr=False, compare=False)
     n: int
     residual: float         # max_i ||w_i^n - w_i^{n-1}||_inf
-    abs_residual: float = np.inf    # max_i ||local_grad_i(w)||_inf
-    eq_residual: float = np.inf     # the same relative to each 1 + max|c_loc|
-    x: np.ndarray = field(default=None, repr=False, compare=False)
-    products: np.ndarray = field(default=None, repr=False, compare=False)
-    stacked: StackedSystems = field(default=None, repr=False, compare=False)
-    patch_rule: str = "owner"
+    abs_residual: float     # max_i ||local_grad_i(w)||_inf
+    eq_residual: float      # the same relative to each 1 + max|c_loc|
+    products: np.ndarray = field(repr=False, compare=False)
+    stacked: StackedSystems = field(repr=False, compare=False)
+    patch_rule: str
 
-    systems = property(attrgetter("stacked.systems"))
+    @property
+    def w(self):
+        return tuple(self.x[..., sl] for sl in self.stacked.plan.slices)
 
     @functools.cached_property
     def patched(self):
-        return _patch_from_systems(self.w, self.systems, self.patch_rule)
+        return _patch(self.stacked, self.x, self.patch_rule)
 
     def take(self, rows):
         """The batch's columns `rows`; an int gives one unbatched iterate."""
-        stacked, x = self.stacked.take(rows), self.x[rows]
         return SchwarzIterate(
-            w=stacked.split(x),
-            n=self.n if np.ndim(self.n) == 0 else self.n[rows],
+            x=self.x[rows], n=self.n if np.ndim(self.n) == 0 else self.n[rows],
             residual=self.residual[rows], abs_residual=self.abs_residual[rows],
-            eq_residual=self.eq_residual[rows], x=x,
-            products=self.products[rows], stacked=stacked,
-            patch_rule=self.patch_rule)
+            eq_residual=self.eq_residual[rows], products=self.products[rows],
+            stacked=self.stacked.take(rows), patch_rule=self.patch_rule)
 
 
 @dataclass
@@ -399,7 +392,6 @@ class MpsHistory:
 
     residuals: list = field(default_factory=list)       # iterate differences
     eq_residuals: list = field(default_factory=list)    # relative stationarity residuals
-    costs: list = field(default_factory=list)           # global single-time cost
     converged: bool = False
     n_sweeps: int = 0
     eps_mps: float = np.inf  # final local residual mapped to state space
@@ -590,7 +582,7 @@ def local_grad(w_i, neighbor_w, system):
     return g
 
 
-def mps_sweep(iterate, systems, patch_rule="owner"):
+def mps_sweep(iterate):
     """One Jacobi sweep: every local solve reads only iteration-n neighbor data.
 
     Block i solves A_loc w_i = c_loc - sum_j coupling[j] @ w_j^n with one
@@ -598,13 +590,11 @@ def mps_sweep(iterate, systems, patch_rule="owner"):
     products coupling[j] @ w_j^n come from iterate.products.  The sweep then
     forms each product at w^{n+1} once and reads it twice: in the
     stationarity residual at w^{n+1} here, and in the next sweep's right-hand
-    side through the returned iterate.  `systems` are the iterate's blocks,
-    in any order.  A non-finite local solution raises VarSolverError naming
-    its subdomain and time.
+    side through the returned iterate, which keeps this one's patch rule.  A
+    non-finite local solution raises VarSolverError naming its subdomain and
+    time.
     """
     stacked = iterate.stacked
-    if systems is not stacked.systems:
-        stacked = stack_systems(systems, stacked.plan)
     plan = stacked.plan
     rhs = stacked.c.copy()
     for p in range(plan.depth):
@@ -623,7 +613,7 @@ def mps_sweep(iterate, systems, patch_rule="owner"):
     residual = np.abs(step).max(axis=-1)
     if not np.isfinite(residual).all():
         raise VarSolverError(_nonfinite_message(step, stacked, iterate.n + 1))
-    return _iterate_at(x, iterate.n + 1, residual, stacked, patch_rule)
+    return _iterate_at(x, iterate.n + 1, residual, stacked, iterate.patch_rule)
 
 
 def _nonfinite_message(step, stacked, n):
@@ -631,12 +621,13 @@ def _nonfinite_message(step, stacked, n):
     bad = np.logical_or.reduceat(~np.isfinite(np.atleast_2d(step)),
                                  stacked.plan.starts, axis=-1)
     col = int(np.flatnonzero(bad.any(axis=-1))[0])
-    s = next(s for s in stacked.systems if bad[col, s.i])
+    i = int(np.flatnonzero(bad[col])[0])
     cause = ("its right-hand side c_loc is not finite"
-             if not np.isfinite(np.atleast_2d(s.c_loc)[col]).all()
+             if not np.isfinite(np.atleast_2d(stacked.c)[
+                 col, stacked.plan.slices[i]]).all()
              else "the iteration overflowed")
-    return (f"subdomain {s.i}: Schwarz sweep {n} at time "
-            f"{np.atleast_1d(s.t)[col]} gave a non-finite local solution "
+    return (f"subdomain {i}: Schwarz sweep {n} at time "
+            f"{np.atleast_1d(stacked.t)[col]} gave a non-finite local solution "
             f"({cause})")
 
 
@@ -655,37 +646,47 @@ def _iterate_at(x, n, residual, stacked, patch_rule):
     for p in range(plan.depth):
         g += products[..., p, :]
     r = np.maximum.reduceat(np.abs(g), plan.starts, axis=-1)
-    return SchwarzIterate(w=stacked.split(x), n=n, residual=residual,
+    return SchwarzIterate(x=x, n=n, residual=residual,
                           abs_residual=r.max(axis=-1),
-                          eq_residual=(r / stacked.scale).max(axis=-1), x=x,
+                          eq_residual=(r / stacked.scale).max(axis=-1),
                           products=products, stacked=stacked,
                           patch_rule=patch_rule)
 
 
-def _patch_from_systems(w, systems, rule="owner"):
-    shape = w[0].shape[:-1] + (systems[0].n_grid,)
-    if rule == "average":
-        out = np.zeros(shape)
-        count = np.zeros(systems[0].n_grid)
-        for s, w_i in zip(systems, w):
-            out[..., s.indices] += s.u_b_loc + _mv(s.V_loc, w_i)
-            count[s.indices] += 1.0
-        return out / count
-    if rule != "owner":
+def _patch_rule(rule):
+    """rule, if it names a patch rule."""
+    if rule not in ("owner", "average"):
         raise ValueError(f"unknown patch rule {rule!r}")
-    out = np.empty(shape)
-    for s, w_i in zip(systems, w):
-        u_i = s.u_b_loc + _mv(s.V_loc, w_i)
-        out[..., s.indices[s.own_mask]] = u_i[..., s.own_mask]
+    return rule
+
+
+def _patch(stacked, x, rule):
+    """Map the stacked controls x back to states, u_i = u_b_i + V_i w_i, and
+    patch them into one global state by `rule`."""
+    plan = stacked.plan
+    n_grid = plan.factors[0].n_grid
+    local = [(f, stacked.u_b[..., sl] + _mv(f.V_loc, x[..., sl]))
+             for f, sl in zip(plan.factors, plan.slices)]
+    if _patch_rule(rule) == "average":
+        out = np.zeros(x.shape[:-1] + (n_grid,))
+        count = np.zeros(n_grid)
+        for f, u_i in local:
+            out[..., f.indices] += u_i
+            count[f.indices] += 1.0
+        return out / count
+    out = np.empty(x.shape[:-1] + (n_grid,))
+    for f, u_i in local:
+        out[..., f.indices[f.own_mask]] = u_i[..., f.own_mask]
     return out
 
 
 def dap_residual(w, systems):
-    """Largest relative residual of the local stationarity systems at w."""
+    """Largest relative residual of the local stationarity systems at w,
+    whose blocks follow the order of systems."""
     stacked = stack_systems(systems)
     x = np.empty(stacked.c.shape)
-    for sl, w_k in zip(stacked.order, w):
-        x[..., sl] = w_k
+    for s, w_k in zip(systems, w):
+        x[..., stacked.plan.slices[s.i]] = w_k
     return _iterate_at(x, 0, np.inf, stacked, "owner").eq_residual
 
 
@@ -697,7 +698,7 @@ def initial_iterate(systems, patch_rule="owner"):
 def _start(stacked, patch_rule):
     x = np.zeros(stacked.c.shape)
     return _iterate_at(x, 0, np.full(x.shape[:-1], np.inf)[()], stacked,
-                       patch_rule)
+                       _patch_rule(patch_rule))
 
 
 def recover_and_patch(iterate, partition, config, rule="owner"):
@@ -706,12 +707,14 @@ def recover_and_patch(iterate, partition, config, rule="owner"):
     rule="owner" assigns overlap points to the lowest-index subdomain;
     rule="average" arithmetically averages every subdomain covering a point.
     """
-    factors = build_factors(config, partition, times=(config.time_index,))
-    return _patch_from_systems(iterate.w, factors.systems(config), rule)
+    t = config.time_index
+    factors = build_factors(config, partition, times=(t,))
+    return _patch(stack_systems(factors.systems(config), factors.plans[t]),
+                  iterate.x, rule)
 
 
-def run_mps(config, partition, tol, max_iters, rho=1.0, track_cost=True,
-            patch_rule="owner", factors=None):
+def run_mps(config, partition, tol, max_iters, rho=1.0, patch_rule="owner",
+            factors=None):
     """Iterate Jacobi sweeps until the iterate difference or the local
     stationarity residual drops below tol.
 
@@ -725,13 +728,12 @@ def run_mps(config, partition, tol, max_iters, rho=1.0, track_cost=True,
     """
     final, (history,) = run_mps_batch(
         config, [config.u0], [config.time_index], partition, tol, max_iters,
-        rho=rho, track_cost=track_cost, patch_rule=patch_rule,
-        factors=factors)
+        rho=rho, patch_rule=patch_rule, factors=factors)
     return final.take(0), history
 
 
 def run_mps_batch(config, backgrounds, times, partition, tol, max_iters,
-                  rho=1.0, track_cost=True, patch_rule="owner", factors=None):
+                  rho=1.0, patch_rule="owner", factors=None):
     """run_mps for several backgrounds of config's problem at once.
 
     Column c solves the single-time problem of time times[c] around the
@@ -754,8 +756,6 @@ def run_mps_batch(config, backgrounds, times, partition, tol, max_iters,
         raise ValueError(f"factors were built for rho={factors.rho}, not {rho}")
 
     histories = [MpsHistory() for _ in times]
-    columns = [dataclasses.replace(config, u0=b, time_index=t)
-               for b, t in zip(backgrounds, times)] if track_cost else None
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
         iterate = _start(stack_systems(
@@ -765,14 +765,11 @@ def run_mps_batch(config, backgrounds, times, partition, tol, max_iters,
         cols = np.arange(len(times))       # batch column of each active row
         stopped = []                        # (columns, iterate) where they stop
         for _ in range(max_iters):
-            iterate = mps_sweep(iterate, iterate.systems, patch_rule=patch_rule)
+            iterate = mps_sweep(iterate)
             for c, r, e in zip(cols.tolist(), iterate.residual.tolist(),
                                iterate.eq_residual.tolist()):
                 histories[c].residuals.append(r)
                 histories[c].eq_residuals.append(e)
-            if track_cost:
-                for c, u in zip(cols.tolist(), iterate.patched):
-                    histories[c].costs.append(eval_cost(u, columns[c], "threeD"))
             done = (iterate.residual <= tol) | (iterate.eq_residual <= tol)
             for c in cols[done].tolist():
                 histories[c].converged = True
@@ -805,11 +802,11 @@ def _gather(stopped, stacked):
             out[cols] = part(it)
         return out
 
-    x = gather(attrgetter("x"))
     return SchwarzIterate(
-        w=stacked.split(x), n=gather(lambda it: np.full(len(it.residual), it.n)),
+        x=gather(attrgetter("x")),
+        n=gather(lambda it: np.full(len(it.residual), it.n)),
         residual=gather(attrgetter("residual")),
         abs_residual=gather(attrgetter("abs_residual")),
-        eq_residual=gather(attrgetter("eq_residual")), x=x,
+        eq_residual=gather(attrgetter("eq_residual")),
         products=gather(attrgetter("products")), stacked=stacked,
         patch_rule=first.patch_rule)

@@ -151,37 +151,19 @@ def parallel_map(fn, items, workers=1):
     return [fn(x) for x in items]
 
 
-def fine_solve_batch(ks, backgrounds, config, partition, tol_mps, max_sweeps,
-                     rho, patch_rule="owner", factors=None):
-    """Slab-local assimilations of slabs ks, as the columns of one batch.
-
-    Slab k solves the single-time problem whose background is its coarse
-    state and whose observations are the batch at t_k; the slabs must share
-    an observation pattern.  Returns the patched analyses, one row per slab,
-    and the inner-solver histories.  `factors` (a dd_mps.FactorTable of
-    config's problem) spares the solve its local factorizations.
-    """
-    final, histories = run_mps_batch(config, backgrounds, ks, partition,
-                                     tol=tol_mps, max_iters=max_sweeps,
-                                     rho=rho, track_cost=False,
-                                     patch_rule=patch_rule, factors=factors)
-    return final.patched, histories
-
-
 def fine_solve(k, background, config, partition, tol_mps, max_sweeps, rho,
                patch_rule="owner", factors=None):
     """Slab-local assimilation: the fine propagator value MPS(u_{k-1}).
 
     Solves the single-time problem whose background is the slab's coarse
     state and whose observations are the batch at t_k; returns the patched
-    analysis and the inner-solver history.  This is fine_solve_batch on the
-    batch of one, through run_mps.
+    analysis and the inner-solver history.  `factors` (a dd_mps.FactorTable
+    of config's problem) spares the solve its local factorizations.
     """
     slab_config = dataclasses.replace(config, u0=background, time_index=k)
     iterate, history = run_mps(slab_config, partition, tol=tol_mps,
                                max_iters=max_sweeps, rho=rho,
-                               track_cost=False, patch_rule=patch_rule,
-                               factors=factors)
+                               patch_rule=patch_rule, factors=factors)
     return iterate.patched, history
 
 
@@ -222,10 +204,12 @@ def parareal_update(trajectory, config, partition, tol_mps=1e-10,
         factors = build_factors(config, partition, rho=trajectory.rho_penalty)
 
     def correct(ks):
-        return fine_solve_batch(ks, [backgrounds[k] for k in ks], config,
-                                partition, tol_mps, max_sweeps,
-                                rho=trajectory.rho_penalty,
-                                patch_rule=patch_rule, factors=factors)
+        final, hists = run_mps_batch(config, [backgrounds[k] for k in ks], ks,
+                                     partition, tol=tol_mps,
+                                     max_iters=max_sweeps,
+                                     rho=trajectory.rho_penalty,
+                                     patch_rule=patch_rule, factors=factors)
+        return final.patched, hists
 
     if records is None:
         records = FineRecords(n_points - 1)

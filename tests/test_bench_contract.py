@@ -39,9 +39,11 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-def test_traced_run_reports_every_metric():
+@pytest.mark.parametrize("workload", ["oracle_wide", "slab_long",
+                                      "sweep_heavy"])
+def test_traced_run_reports_every_metric(workload):
     proc = subprocess.run(
-        [sys.executable, str(BENCH), "--workload", "oracle_wide",
+        [sys.executable, str(BENCH), "--workload", workload,
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr

@@ -143,7 +143,7 @@ class TestSweepAndPatch:
         vconfig, _ = bench_problem
         partition = partition_domain(vconfig.instance.np, 1, 0)
         systems = systems_for(vconfig, partition)
-        it = mps_sweep(initial_iterate(systems), systems)
+        it = mps_sweep(initial_iterate(systems))
         direct = var_solver.solve_var_direct(vconfig, "threeD")
         w_direct = np.linalg.solve(vconfig.covpair.V, direct.u_da - vconfig.u0)
         np.testing.assert_allclose(it.w[0], w_direct, atol=1e-9)
@@ -152,12 +152,11 @@ class TestSweepAndPatch:
     def test_sweep_order_independent(self, correlated_problem):
         _, vconfig, partition = correlated_problem
         systems = systems_for(vconfig, partition)
-        it0 = initial_iterate(systems)
-        it0 = mps_sweep(it0, systems)  # make neighbor data nonzero
-        fwd = mps_sweep(it0, systems)
-        rev_w = mps_sweep(it0, list(reversed(systems))).w
-        for s, w_rev in zip(reversed(systems), rev_w):
-            np.testing.assert_array_equal(fwd.w[s.i], w_rev)
+        # the second sweep reads nonzero neighbor data
+        fwd = mps_sweep(mps_sweep(initial_iterate(systems)))
+        rev = mps_sweep(mps_sweep(initial_iterate(list(reversed(systems)))))
+        for w_fwd, w_rev in zip(fwd.w, rev.w, strict=True):
+            np.testing.assert_array_equal(w_fwd, w_rev)
 
     def test_fixed_point_satisfies_local_systems(self, correlated_problem):
         _, vconfig, partition = correlated_problem
@@ -173,7 +172,7 @@ class TestSweepAndPatch:
         vconfig, _ = bench_problem
         partition = partition_domain(vconfig.instance.np, 1, 0)
         systems = systems_for(vconfig, partition)
-        it = mps_sweep(initial_iterate(systems), systems)
+        it = mps_sweep(initial_iterate(systems))
         expected = vconfig.u0 + vconfig.covpair.V @ it.w[0]
         np.testing.assert_array_equal(recover_and_patch(it, partition, vconfig), expected)
 
@@ -183,9 +182,8 @@ class TestSweepAndPatch:
         systems = systems_for(vconfig, partition)
         rng = np.random.default_rng(8)
         w_glob = rng.standard_normal(vconfig.instance.np)
-        it = dd_mps.SchwarzIterate(
-            w=tuple(w_glob[idx] for idx in partition.index_sets),
-            n=1, residual=0.0)
+        it = dataclasses.replace(initial_iterate(systems), x=np.concatenate(
+            [w_glob[idx] for idx in partition.index_sets]))
         owner = recover_and_patch(it, partition, vconfig, rule="owner")
         averaged = recover_and_patch(it, partition, vconfig, rule="average")
         np.testing.assert_allclose(owner, averaged, rtol=1e-12, atol=1e-14)
@@ -258,7 +256,12 @@ class TestRunMps:
     def test_cost_history_decreases_to_plateau(self, correlated_problem):
         _, vconfig, partition = correlated_problem
         _, hist = run_mps(vconfig, partition, tol=1e-12, max_iters=100)
-        assert hist.costs[-1] <= hist.costs[0]
+        it = initial_iterate(systems_for(vconfig, partition))
+        costs = []
+        for _ in range(hist.n_sweeps):
+            it = mps_sweep(it)
+            costs.append(var_solver.eval_cost(it.patched, vconfig, "threeD"))
+        assert costs[-1] <= costs[0]
 
     def test_average_patch_rule(self, correlated_problem):
         _, vconfig, partition = correlated_problem
@@ -267,9 +270,23 @@ class TestRunMps:
         assert hist.converged
         oracle = recover_and_patch(it_avg, partition, vconfig, rule="average")
         np.testing.assert_array_equal(it_avg.patched, oracle)
-        with pytest.raises(ValueError):
-            run_mps(vconfig, partition, tol=1e-12, max_iters=5,
-                    patch_rule="median")
+        # rejected before the first sweep, so also when no sweep runs
+        for max_iters in (0, 5):
+            with pytest.raises(ValueError, match="'median'"):
+                run_mps(vconfig, partition, tol=1e-12, max_iters=max_iters,
+                        patch_rule="median")
+
+    def test_sweeps_keep_the_patch_rule(self):
+        cfg = dataclasses.replace(harness.ExperimentConfig(), L=2.0, n_sub=4)
+        vconfig, partition = harness.build_problem(cfg)
+        it = initial_iterate(systems_for(vconfig, partition),
+                             patch_rule="average")
+        it = mps_sweep(mps_sweep(it))
+        assert it.patch_rule == "average"
+        average = recover_and_patch(it, partition, vconfig, rule="average")
+        owner = recover_and_patch(it, partition, vconfig, rule="owner")
+        assert not np.array_equal(average, owner)
+        np.testing.assert_array_equal(it.patched, average)
 
 
 def slab_problem(vconfig, t, seed):
@@ -286,7 +303,7 @@ def assert_reuse_matches_fresh(factors, slab, partition, rho=1.0):
         fresh = assemble_local_system(bound.i, partition, restr, slab, rho=rho)
         np.testing.assert_array_equal(bound.A_loc, fresh.A_loc)
         np.testing.assert_array_equal(bound.c_loc, fresh.c_loc)
-    kwargs = dict(tol=1e-10, max_iters=30, rho=rho, track_cost=False)
+    kwargs = dict(tol=1e-10, max_iters=30, rho=rho)
     reused, h_reused = run_mps(slab, partition, factors=factors, **kwargs)
     fresh, h_fresh = run_mps(slab, partition, **kwargs)
     np.testing.assert_array_equal(reused.patched, fresh.patched)
@@ -338,7 +355,7 @@ class TestFactorTable:
         vconfig, partition = problem(2.0, 11)
         factors = build_factors(vconfig, partition)
         run_mps(slab_problem(vconfig, 1, seed=1), partition, tol=1e-10,
-                max_iters=30, track_cost=False, factors=factors)
+                max_iters=30, factors=factors)
         del factors
         gc.collect()
         vconfig, partition = problem(1.0, 12)
@@ -394,7 +411,7 @@ class TestNonFinite:
         systems[-1] = dataclasses.replace(systems[-1], c_loc=c_loc)
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 1: Schwarz sweep 1 .*c_loc"):
-            mps_sweep(initial_iterate(systems), systems)
+            mps_sweep(initial_iterate(systems))
 
     def test_overflowing_local_system_names_sigma_b(self):
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=16, n_steps=4,
@@ -453,28 +470,24 @@ class TestSweepMatchesTextbook:
     # Small blocks, strong coupling: the two products of a block overlap
     # enough that summing them in the other order changes the last bits.
     @example(n_grid=16, n_sub=6, overlap=1, L=2.0, velocity=1.0, patch="owner",
-             lam=0.05, rho=5.0, max_sweeps=12, track_cost=False, seed=0)
+             lam=0.05, rho=5.0, max_sweeps=12, seed=0)
     @example(n_grid=24, n_sub=8, overlap=2, L=2.5, velocity=-1.0,
-             patch="average", lam=0.05, rho=5.0, max_sweeps=12,
-             track_cost=True, seed=2)
+             patch="average", lam=0.05, rho=5.0, max_sweeps=12, seed=2)
     # sweep_heavy's layout: blocks of 10 and 12 points, three coupling shapes
     @example(n_grid=64, n_sub=8, overlap=4, L=2.0, velocity=1.0, patch="owner",
-             lam=0.05, rho=5.0, max_sweeps=12, track_cost=False, seed=2025)
+             lam=0.05, rho=5.0, max_sweeps=12, seed=2025)
     # blocks of 5 to 8 points, one with four neighbors
     @example(n_grid=17, n_sub=5, overlap=4, L=2.0, velocity=1.0,
-             patch="average", lam=0.05, rho=5.0, max_sweeps=12,
-             track_cost=True, seed=1)
+             patch="average", lam=0.05, rho=5.0, max_sweeps=12, seed=1)
     # no overlap: no coupling products at all
     @example(n_grid=32, n_sub=4, overlap=0, L=2.0, velocity=-1.0,
-             patch="owner", lam=0.05, rho=5.0, max_sweeps=12,
-             track_cost=False, seed=3)
+             patch="owner", lam=0.05, rho=5.0, max_sweeps=12, seed=3)
     # one-point blocks
     @example(n_grid=8, n_sub=8, overlap=0, L=1.0, velocity=1.0, patch="owner",
-             lam=1.0, rho=1.0, max_sweeps=12, track_cost=True, seed=4)
+             lam=1.0, rho=1.0, max_sweeps=12, seed=4)
     # a single block
     @example(n_grid=20, n_sub=1, overlap=0, L=2.0, velocity=1.0,
-             patch="average", lam=0.05, rho=5.0, max_sweeps=12,
-             track_cost=False, seed=5)
+             patch="average", lam=0.05, rho=5.0, max_sweeps=12, seed=5)
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_grid=st.integers(8, 64), n_sub=st.integers(1, 8),
            overlap=st.integers(0, 4),
@@ -482,11 +495,10 @@ class TestSweepMatchesTextbook:
            velocity=st.sampled_from([1.0, -1.0]),
            patch=st.sampled_from(["owner", "average"]),
            lam=st.sampled_from([1.0, 0.05]), rho=st.sampled_from([1.0, 5.0]),
-           max_sweeps=st.integers(0, 12), track_cost=st.booleans(),
-           seed=st.integers(0, 2**16))
+           max_sweeps=st.integers(0, 12), seed=st.integers(0, 2**16))
     def test_sweep_is_bitwise_the_textbook_sweep(self, n_grid, n_sub, overlap, L,
                                                  velocity, patch, lam, rho,
-                                                 max_sweeps, track_cost, seed):
+                                                 max_sweeps, seed):
         assume(n_sub == 1 or overlap * (n_sub - 1) < n_grid)
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=n_grid,
                                   n_steps=3, nobs=max(1, n_grid // 4),
@@ -503,7 +515,7 @@ class TestSweepMatchesTextbook:
         iterate = initial_iterate(systems, patch_rule=patch)
         for n, (w, residual, abs_res, eq_res, patched) in enumerate(steps):
             if n:
-                iterate = mps_sweep(iterate, systems, patch_rule=patch)
+                iterate = mps_sweep(iterate)
             assert iterate.n == n
             for a, b in zip(iterate.w, w):
                 np.testing.assert_array_equal(a, b)
@@ -514,8 +526,7 @@ class TestSweepMatchesTextbook:
             np.testing.assert_array_equal(iterate.patched, patched)
 
         it, hist = run_mps(slab, partition, tol=tol, max_iters=max_sweeps,
-                           rho=rho, track_cost=track_cost, patch_rule=patch,
-                           factors=factors)
+                           rho=rho, patch_rule=patch, factors=factors)
         w, _, abs_res, _, patched = steps[-1]
         for a, b in zip(it.w, w):
             np.testing.assert_array_equal(a, b)
@@ -526,9 +537,6 @@ class TestSweepMatchesTextbook:
         assert hist.converged == (len(steps) > 1 and (steps[-1][1] <= tol
                                                       or steps[-1][3] <= tol))
         assert hist.eps_mps == factors.v_norm * abs_res / lam
-        expected_costs = [var_solver.eval_cost(s[4], slab, "threeD")
-                          for s in steps[1:]] if track_cost else []
-        assert hist.costs == expected_costs
 
 
 def patterned_problem(cfg, per_time):
@@ -564,7 +572,6 @@ def assert_column_is_solo(final, hist, j, config, partition, solve):
         == (it.residual, it.abs_residual, it.eq_residual)
     assert hist.residuals == solo.residuals
     assert hist.eq_residuals == solo.eq_residuals
-    assert hist.costs == solo.costs
     assert hist.converged == solo.converged
     assert hist.eps_mps == solo.eps_mps
 
@@ -575,12 +582,12 @@ class TestBatchMatchesSolo:
                 [0, 2, 9, 11])
 
     @example(n_grid=12, n_sub=4, overlap=2, L=2.0, velocity=1.0,
-             patch="average", lam=0.05, rho=5.0, max_sweeps=6, track_cost=True,
+             patch="average", lam=0.05, rho=5.0, max_sweeps=6,
              seed=5, scales=[1e-7, 1.0, 30.0, 0.0, 1e-4], repeats=[3, 1],
              time_pick=0)
     # blocks of 5, 6 and 7 points with one or two neighbors
     @example(n_grid=17, n_sub=5, overlap=3, L=2.0, velocity=-1.0,
-             patch="owner", lam=0.05, rho=5.0, max_sweeps=24, track_cost=False,
+             patch="owner", lam=0.05, rho=5.0, max_sweeps=24,
              seed=7, scales=[1e-9, 1.0, 30.0, 1e-4], repeats=[0, 2],
              time_pick=0)
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -590,7 +597,7 @@ class TestBatchMatchesSolo:
            velocity=st.sampled_from([1.0, -1.0]),
            patch=st.sampled_from(["owner", "average"]),
            lam=st.sampled_from([1.0, 0.05]), rho=st.sampled_from([1.0, 5.0]),
-           max_sweeps=st.integers(0, 24), track_cost=st.booleans(),
+           max_sweeps=st.integers(0, 24),
            seed=st.integers(0, 2**16),
            scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-7, 1e-4, 1.0, 30.0]),
                            min_size=1, max_size=6, unique=True),
@@ -598,7 +605,7 @@ class TestBatchMatchesSolo:
            time_pick=st.integers(0, 2))
     def test_batched_columns_are_bitwise_solo_solves(
             self, n_grid, n_sub, overlap, L, velocity, patch, lam, rho,
-            max_sweeps, track_cost, seed, scales, repeats, time_pick):
+            max_sweeps, seed, scales, repeats, time_pick):
         assume(n_sub == 1 or overlap * (n_sub - 1) < n_grid)
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=n_grid,
                                   n_steps=5,
@@ -619,7 +626,7 @@ class TestBatchMatchesSolo:
         backgrounds = [fitted_background(vconfig, t, *pool[p])
                        for t, p in zip(col_times, columns)]
         solve = dict(tol=1e-10, max_iters=max_sweeps, rho=rho,
-                     track_cost=track_cost, patch_rule=patch, factors=factors)
+                     patch_rule=patch, factors=factors)
         final, hists = dd_mps.run_mps_batch(vconfig, backgrounds, col_times,
                                             partition, **solve)
         assert len(hists) == len(columns)
@@ -635,7 +642,7 @@ class TestBatchMatchesSolo:
             vconfig, 0, scale, rng.standard_normal(vconfig.u0.size))
             for scale in (1.0, 0.0, 1e-6, 1e-3, 10.0)]
         configs = [dataclasses.replace(vconfig, u0=u0) for u0 in backgrounds]
-        solve = dict(tol=1e-10, max_iters=10, track_cost=False, factors=factors)
+        solve = dict(tol=1e-10, max_iters=10, factors=factors)
         final, hists = dd_mps.run_mps_batch(vconfig, backgrounds, [0] * 5,
                                             partition, **solve)
         sweeps = [h.n_sweeps for h in hists]
@@ -677,7 +684,7 @@ class TestBatchMatchesSolo:
         systems[-1] = dataclasses.replace(systems[-1], c_loc=c_loc)
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 1: Schwarz sweep 1 at time 2 .*c_loc"):
-            mps_sweep(initial_iterate(systems), systems)
+            mps_sweep(initial_iterate(systems))
 
 
 def dense_H(ix, n_grid):

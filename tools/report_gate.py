@@ -10,7 +10,7 @@ With --against the lines are still printed; the exit status is 1, with the
 first config, seed and key that differ on standard error, when any line
 differs from the parent's (or is missing on either side), and 0 otherwise.
 
-For each of eleven configs and the seeds 1 and 2025, one JSON line holds the
+For each of twelve configs and the seeds 1 and 2025, one JSON line holds the
 sha256 of the CSV and JSON reports, `status`, `n_outer` and every `summary`
 value (floats as their shortest round-trip repr, so equal text means equal
 bits).  With --demos, one more line per demo holds the sha256 of its
@@ -44,6 +44,8 @@ CONFIGS = {
                     "max_outer": 7},
     "random_average": {"obs_layout": "random", "patch": "average", "np": 48,
                        "n_sub": 3},
+    "correlated_average": {"patch": "average", "L": 2.0, "n_sub": 4,
+                           "lambda": 0.05, "rho_penalty": 5.0},
     "correlated_left": {"L": 1.0, "velocity": -1.0, "n_sub": 3},
     "two_workers": {"workers": 2, "np": 64, "n_sub": 4},
     "inner_unconverged": {"max_sweeps": 5, "L": 2.0, "lambda": 0.05,
