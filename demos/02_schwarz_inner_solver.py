@@ -56,7 +56,7 @@ for L in (0.5, 1.0, 2.0):
 print()
 print("=== patch rules on the overlap ===")
 it, _ = dd_mps.run_mps(vconfig, partition, tol=1e-10, max_iters=50)
-owner = dd_mps.recover_and_patch(it, partition, vconfig, rule="owner")
-average = dd_mps.recover_and_patch(it, partition, vconfig, rule="average")
+owner = dd_mps.recover_and_patch(it, rule="owner")
+average = dd_mps.recover_and_patch(it, rule="average")
 print(f"owner vs average patching differ by {np.abs(owner - average).max():.2e} "
       "(they agree at a consistent fixed point)")

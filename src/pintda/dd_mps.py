@@ -47,10 +47,11 @@ per-block controls w are views of x, and its systems are one
 `StackedSystems` (c_loc and u_b_loc stacked like x).  A sweep forms each
 coupling product once: the stationarity residual at the new iterate reads
 it, and so does the next sweep's right-hand side.  The patched global state
-is built once per batch, when the last iterate is read.  A non-finite
-background is rejected before the sweeps, and any other non-finite value
-shows in one NaN-propagating check of each sweep's iterate difference; both
-raise VarSolverError naming the subdomain and the time.
+is built once per group of columns that stop together, from the iterate
+where they stop.  A non-finite background is rejected before the sweeps, and
+any other non-finite value shows in one NaN-propagating check of each
+sweep's iterate difference; both raise VarSolverError naming the subdomain
+and the time.
 """
 
 from __future__ import annotations
@@ -78,19 +79,15 @@ class PartitionError(ValueError):
 class SubdomainPartition:
     """Overlapping contiguous index blocks with their interfaces.
 
-    `interfaces[(i, j)]` holds the endpoints of block i that fall inside
-    block j; `offsets[(i, j)]` stores (s_ij, sbar_ij) with s_ij = r_i - C_ij
-    and sbar_ij = s_ij + t_ij, the local positions where the overlap with a
-    neighbor and its interface begin.  `own_masks[i]` is True where block i
-    is the lowest-index block containing the point.
+    `interfaces[(i, j)]`, for every pair of intersecting blocks, holds the
+    endpoints of block i that fall inside block j.  `own_masks[i]` is True
+    where block i is the lowest-index block containing the point.
     """
 
     n_grid: int
     n_sub: int
     index_sets: tuple       # per-subdomain integer index arrays
-    overlaps: dict          # (i, j) -> C_ij for intersecting pairs
     interfaces: dict        # (i, j) -> index array Gamma_ij
-    offsets: dict           # (i, j) -> (s_ij, sbar_ij)
     own_masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -191,13 +188,12 @@ class LocalSystem:
 class FactorTable:
     """Local factors of one problem, built before any fine solve reads them.
 
-    `by_time[t]` is the per-subdomain factor tuple of observation time t and
-    `plans[t]` its sweep plan; times with the same observation pattern share
-    one tuple and one plan.  `v_norm` is ||V||_inf, which maps local
-    residuals into state space.
+    `plans[t]` is the sweep plan of observation time t, and its `factors`
+    the per-subdomain factor tuple; times with the same observation pattern
+    share one plan.  `v_norm` is ||V||_inf, which maps a local residual into
+    state space.
     """
 
-    by_time: dict
     plans: dict
     rho: float
     v_norm: float
@@ -211,8 +207,8 @@ class FactorTable:
         array; each column reads the observations v of its own time.
         """
         times = np.asarray(times)
-        factors = self.by_time[times[0]]
-        if any(self.by_time[t] is not factors for t in times):
+        factors = self.plans[times[0]].factors
+        if any(self.plans[t].factors is not factors for t in times):
             raise ValueError("a batch needs times that share one observation "
                              f"pattern, got times {times.tolist()}")
         u_b = np.asarray(backgrounds, dtype=float)
@@ -349,15 +345,14 @@ class SchwarzIterate:
     `x` is the stacked iterate (SweepPlan) of the systems `stacked`, and `w`
     its per-block views in subdomain order.  `products` holds every block's
     coupling products coupling[j] @ w[j] at x, as the (..., depth, size)
-    array of SweepPlan.coupling_products; the residuals at x were summed
-    from them and the next sweep's right-hand sides read them.  `patched`,
-    the global state patched from x by `patch_rule`, is built on first
-    access and kept, so a solve that reads only its last iterate patches
-    once.
+    array of SweepPlan.coupling_products; the stationarity residual at x was
+    summed from them and the next sweep's right-hand sides read them.
+    `patched`, the global state patched from x by `patch_rule`, is built on
+    first access and kept, so a solve that reads only its last iterate
+    patches once.
 
-    In a batch every array has a leading column axis and the residuals hold
-    one value per column.  The final iterate of run_mps_batch gathers each
-    column from the sweep where it stopped, so there n is per column too.
+    In a batch every array has a leading column axis and each residual
+    holds one value per column; n is the sweep count of them all.
     """
 
     x: np.ndarray = field(repr=False, compare=False)
@@ -380,21 +375,21 @@ class SchwarzIterate:
     def take(self, rows):
         """The batch's columns `rows`; an int gives one unbatched iterate."""
         return SchwarzIterate(
-            x=self.x[rows], n=self.n if np.ndim(self.n) == 0 else self.n[rows],
+            x=self.x[rows], n=self.n,
             residual=self.residual[rows], abs_residual=self.abs_residual[rows],
             eq_residual=self.eq_residual[rows], products=self.products[rows],
             stacked=self.stacked.take(rows), patch_rule=self.patch_rule)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MpsHistory:
-    """Per-sweep record of one run_mps call."""
+    """Final values of one fine solve."""
 
-    residuals: list = field(default_factory=list)       # iterate differences
-    eq_residuals: list = field(default_factory=list)    # relative stationarity residuals
-    converged: bool = False
-    n_sweeps: int = 0
-    eps_mps: float = np.inf  # final local residual mapped to state space
+    n_sweeps: int
+    residual: float         # last iterate difference (inf after no sweep)
+    eq_residual: float      # relative stationarity residual at the end
+    converged: bool
+    eps_mps: float          # final local residual mapped to state space
 
 
 def partition_domain(n_grid, n_sub, overlap):
@@ -423,27 +418,19 @@ def partition_domain(n_grid, n_sub, overlap):
         hi = cuts[i + 1] + (ext_r if i < n_sub - 1 else 0)
         index_sets.append(np.arange(max(lo, 0), min(hi, n_grid)))
 
-    overlaps, interfaces, offsets = {}, {}, {}
+    interfaces = {}
     for i in range(n_sub):
         omega_i = set(index_sets[i].tolist())
         endpoints = {int(index_sets[i][0]), int(index_sets[i][-1])}
         for j in range(n_sub):
-            if j == i:
-                continue
             omega_j = set(index_sets[j].tolist())
-            common = omega_i & omega_j
-            gamma = sorted(e for e in endpoints if e in omega_j)
-            if not common and not gamma:
-                continue
-            overlaps[(i, j)] = len(common)
-            interfaces[(i, j)] = np.asarray(gamma, dtype=int)
-            s = len(index_sets[i]) - len(common)
-            offsets[(i, j)] = (s, s + len(gamma))
+            if j != i and omega_i & omega_j:
+                interfaces[(i, j)] = np.asarray(
+                    sorted(e for e in endpoints if e in omega_j), dtype=int)
 
     return SubdomainPartition(n_grid=n_grid, n_sub=n_sub,
                               index_sets=tuple(index_sets),
-                              overlaps=overlaps, interfaces=interfaces,
-                              offsets=offsets)
+                              interfaces=interfaces)
 
 
 def build_restrictions(partition):
@@ -540,20 +527,28 @@ def build_factors(config, partition, rho=1.0, times=None):
     if times is None:
         times = range(len(config.observations.v))
     restrictions = build_restrictions(partition)
-    by_pattern, by_time, plans = {}, {}, {}
+    by_pattern, plans = {}, {}
     for t in times:
         key = _pattern_key(config, t)
         if key not in by_pattern:
             config_t = dataclasses.replace(config, time_index=t)
-            factors = tuple(
+            by_pattern[key] = sweep_plan(
                 assemble_local_system(i, partition, restrictions, config_t,
                                       rho=rho).factor
                 for i in range(partition.n_sub))
-            by_pattern[key] = factors, sweep_plan(factors)
-        by_time[t], plans[t] = by_pattern[key]
+        plans[t] = by_pattern[key]
     v_norm = float(np.abs(config.covpair.V).sum(axis=1).max())
-    return FactorTable(by_time=by_time, plans=plans, rho=float(rho),
-                       v_norm=v_norm)
+    return FactorTable(plans=plans, rho=float(rho), v_norm=v_norm)
+
+
+def factor_table(config, partition, rho, factors=None, times=None):
+    """`factors`, which must have been built for rho, or else a new table
+    of config's problem for `times` (build_factors)."""
+    if factors is None:
+        return build_factors(config, partition, rho=rho, times=times)
+    if factors.rho != rho:
+        raise ValueError(f"factors were built for rho={factors.rho}, not {rho}")
+    return factors
 
 
 def local_cost(w_i, neighbor_w, system):
@@ -633,7 +628,7 @@ def _nonfinite_message(step, stacked, n):
 
 def _iterate_at(x, n, residual, stacked, patch_rule):
     """The stacked iterate x with its coupling products and stationarity
-    residuals.
+    residual.
 
     Subdomain i's residual is A_loc w_i - c_loc + sum_j coupling[j] @ w_j,
     summed in coupling order, relative to 1 + max|c_loc|; each column takes
@@ -701,16 +696,14 @@ def _start(stacked, patch_rule):
                        _patch_rule(patch_rule))
 
 
-def recover_and_patch(iterate, partition, config, rule="owner"):
-    """Map local controls back to states, u_i = u_b_i + V_i w_i, and patch.
+def recover_and_patch(iterate, rule="owner"):
+    """Map the iterate's local controls back to states, u_i = u_b_i + V_i w_i,
+    and patch them.
 
     rule="owner" assigns overlap points to the lowest-index subdomain;
     rule="average" arithmetically averages every subdomain covering a point.
     """
-    t = config.time_index
-    factors = build_factors(config, partition, times=(t,))
-    return _patch(stack_systems(factors.systems(config), factors.plans[t]),
-                  iterate.x, rule)
+    return _patch(iterate.stacked, iterate.x, rule)
 
 
 def run_mps(config, partition, tol, max_iters, rho=1.0, patch_rule="owner",
@@ -719,94 +712,83 @@ def run_mps(config, partition, tol, max_iters, rho=1.0, patch_rule="owner",
     stationarity residual drops below tol.
 
     `factors` is a FactorTable built for this config's problem, partition
-    and rho; without one the local systems of config.time_index are
-    assembled here.  Non-convergence within max_iters is reported through
-    the returned history, not raised.  history.eps_mps = ||V||_inf |r| / lam
-    maps the final worst local residual r to state space, since A_loc >= lam I
-    bounds the control error by |r| / lam up to conditioning.  This is
-    run_mps_batch on the batch of one.
+    and rho (a table built for another rho is rejected); without one the
+    local systems of config.time_index are assembled here.  Non-convergence
+    within max_iters is reported through the returned history, not raised.
+    history.eps_mps = ||V||_inf |r| / lam maps the final worst local residual
+    r to state space, since A_loc >= lam I bounds the control error by
+    |r| / lam up to conditioning.  This is the batch of one of run_mps_batch.
     """
-    final, (history,) = run_mps_batch(
-        config, [config.u0], [config.time_index], partition, tol, max_iters,
-        rho=rho, patch_rule=patch_rule, factors=factors)
+    factors = factor_table(config, partition, rho, factors,
+                           times=(config.time_index,))
+    [(_, final, (history,))] = _sweep_groups(
+        config, [config.u0], [config.time_index], factors, tol, max_iters,
+        patch_rule)
     return final.take(0), history
 
 
-def run_mps_batch(config, backgrounds, times, partition, tol, max_iters,
-                  rho=1.0, patch_rule="owner", factors=None):
+def run_mps_batch(config, backgrounds, times, factors, tol, max_iters,
+                  patch_rule="owner"):
     """run_mps for several backgrounds of config's problem at once.
 
     Column c solves the single-time problem of time times[c] around the
     background backgrounds[c]; config's own u0 and time_index are not read,
-    and the times share one observation pattern (FactorTable.batch).  A
-    column leaves the batch at the sweep where its own iterate difference or
-    stationarity residual drops below tol; the rest sweep on with their
-    products compacted.  Every per-column value (w, patched state,
-    residuals, sweeps, converged, eps_mps) is bitwise that of the column
-    solved alone, so the bytes do not depend on how solves are batched.
-    Returns the final iterate, each column gathered from the sweep where it
-    stopped, and one MpsHistory per column.
+    and the times share one observation pattern of the FactorTable
+    `factors` (FactorTable.batch).  A column leaves the batch at the sweep
+    where its own iterate difference or stationarity residual drops below
+    tol; the rest sweep on with their products compacted.  Returns the
+    patched states, one row per column, and one MpsHistory per column; each
+    is bitwise that of the column solved alone, so the bytes do not depend
+    on how solves are batched.
+    """
+    states = np.empty((len(times), config.covpair.V.shape[0]))
+    histories = [None] * len(times)
+    for cols, iterate, hists in _sweep_groups(config, backgrounds, times,
+                                              factors, tol, max_iters,
+                                              patch_rule):
+        states[cols] = iterate.patched
+        for c, h in zip(cols.tolist(), hists):
+            histories[c] = h
+    return states, histories
+
+
+def _sweep_groups(config, backgrounds, times, factors, tol, max_iters,
+                  patch_rule):
+    """Sweep a batch until every column stops; one (columns, iterate,
+    histories) per group of columns that stop at the same sweep.
+
+    A column stops when its iterate difference or stationarity residual
+    drops below tol, or after max_iters sweeps; the group's iterate is the
+    one it stopped at, and its histories are read off that iterate.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if factors is None:
-        factors = build_factors(config, partition, rho=rho,
-                                times=sorted(set(times)))
-    elif factors.rho != rho:
-        raise ValueError(f"factors were built for rho={factors.rho}, not {rho}")
-
-    histories = [MpsHistory() for _ in times]
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
         iterate = _start(stack_systems(
             factors.batch(config.observations, backgrounds, times),
             factors.plans[times[0]]), patch_rule)
-        full = iterate.stacked
         cols = np.arange(len(times))       # batch column of each active row
-        stopped = []                        # (columns, iterate) where they stop
+        groups = []
         for _ in range(max_iters):
             iterate = mps_sweep(iterate)
-            for c, r, e in zip(cols.tolist(), iterate.residual.tolist(),
-                               iterate.eq_residual.tolist()):
-                histories[c].residuals.append(r)
-                histories[c].eq_residuals.append(e)
             done = (iterate.residual <= tol) | (iterate.eq_residual <= tol)
-            for c in cols[done].tolist():
-                histories[c].converged = True
             if done.all():
                 break
             if done.any():
-                stopped.append((cols[done], iterate.take(done)))
+                groups.append((cols[done], iterate.take(done)))
                 cols, iterate = cols[~done], iterate.take(~done)
-        stopped.append((cols, iterate))
+        groups.append((cols, iterate))
 
-    final = _gather(stopped, full)
     lam = max(config.lam, np.finfo(float).tiny)
-    for h, n, r in zip(histories, np.broadcast_to(final.n, len(times)).tolist(),
-                       final.abs_residual.tolist()):
-        h.n_sweeps = n
-        h.eps_mps = factors.v_norm * r / lam
-    return final, histories
-
-
-def _gather(stopped, stacked):
-    """One iterate holding every column as it was where that column stopped."""
-    if len(stopped) == 1:
-        return stopped[0][1]
-    first = stopped[0][1]
-    m = sum(len(cols) for cols, _ in stopped)
-
-    def gather(part):
-        out = np.empty((m,) + part(first).shape[1:], part(first).dtype)
-        for cols, it in stopped:
-            out[cols] = part(it)
-        return out
-
-    return SchwarzIterate(
-        x=gather(attrgetter("x")),
-        n=gather(lambda it: np.full(len(it.residual), it.n)),
-        residual=gather(attrgetter("residual")),
-        abs_residual=gather(attrgetter("abs_residual")),
-        eq_residual=gather(attrgetter("eq_residual")),
-        products=gather(attrgetter("products")), stacked=stacked,
-        patch_rule=first.patch_rule)
+    out = []
+    for cols, it in groups:
+        # with no sweep run, no column has converged
+        hists = [MpsHistory(n_sweeps=it.n, residual=r, eq_residual=e,
+                            converged=it.n > 0 and (r <= tol or e <= tol),
+                            eps_mps=factors.v_norm * a / lam)
+                 for r, e, a in zip(it.residual.tolist(),
+                                    it.eq_residual.tolist(),
+                                    it.abs_residual.tolist())]
+        out.append((cols, it, hists))
+    return out

@@ -157,6 +157,8 @@ def validate_config(config):
         raise ConfigError(f"patch: expected owner or average, got {c.patch!r}")
     if c.workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {c.workers}")
+    if c.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {c.seed}")
     if c.format not in ("csv", "json"):
         raise ConfigError(f"format: expected csv or json, got {c.format!r}")
     return config
@@ -306,7 +308,7 @@ def run_experiment(config):
         errhist.E[1:, 1:].ravel().tolist(),
         [x for norms in phist.delta_norms for x in norms],
         per_n(errhist.c_bound[1:].tolist()),
-        [h.eq_residuals[-1] for hists in phist.mps for h in hists],
+        [h.eq_residual for hists in phist.mps for h in hists],
         *(per_n([v] * n_outer) for v in (hessian.mu, lip.C, eps_mps)),
         rb.total.ravel().tolist(), per_n(rb.term_initial.ravel().tolist()),
         rb.term_iteration.ravel().tolist(), per_n([rb.term_rho] * n_outer),

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dd_mps import build_factors, run_mps, run_mps_batch
+from .dd_mps import factor_table, run_mps, run_mps_batch
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class PararealTrajectory:
     u: tuple                 # tuple of per-iteration state tuples
     background: tuple
     delta: tuple             # one level shorter than u
-    rho_penalty: float
 
     @property
     def n(self):
@@ -126,7 +125,7 @@ def _max_abs(rows):
     return np.abs(rows).max(axis=1).tolist()
 
 
-def initial_trajectory(config, rho_penalty=1.0):
+def initial_trajectory(config):
     """Iteration 0 is the pure coarse sweep from the initial state."""
     M = config.instance.M
     u0 = np.asarray(config.u0, dtype=float)
@@ -134,8 +133,7 @@ def initial_trajectory(config, rho_penalty=1.0):
     for _ in range(1, config.instance.n_steps):
         states.append(M @ states[-1])
     level = tuple(states)
-    return PararealTrajectory(u=(level,), background=(level,), delta=(),
-                              rho_penalty=float(rho_penalty))
+    return PararealTrajectory(u=(level,), background=(level,), delta=())
 
 
 def parallel_map(fn, items, workers=1):
@@ -172,7 +170,7 @@ def _batches(slabs, factors, workers):
     observation pattern, each cut into at most `workers` contiguous runs."""
     by_pattern = {}
     for k in slabs:
-        by_pattern.setdefault(id(factors.by_time[k]), []).append(k)
+        by_pattern.setdefault(id(factors.plans[k]), []).append(k)
     batches = []
     for ks in by_pattern.values():
         parts = min(workers, len(ks))
@@ -181,35 +179,29 @@ def _batches(slabs, factors, workers):
     return batches
 
 
-def parareal_update(trajectory, config, partition, tol_mps=1e-10,
+def parareal_update(trajectory, config, factors, tol_mps=1e-10,
                     max_sweeps=100, workers=1, patch_rule="owner",
-                    factors=None, records=None):
+                    records=None):
     """Advance the trajectory one outer iteration.
 
-    The slab corrections are computed first, as batched fine solves (split
-    over `workers` threads), then the corrector recombines them
-    sequentially.  Returns the extended trajectory and the per-slab
-    inner-solver histories.  The local factors are built here, before the
-    solves, unless `factors` is given.  With `records` (a FineRecords), a
-    slab whose background one of its records matches reuses that record's
-    delta and history object; only the other slabs are solved, and their
-    solves are stored as records.
+    The slab corrections are computed first, as batched fine solves on the
+    local factors `factors` (a dd_mps.FactorTable of config's problem, which
+    fixes the partition and the penalty weight), split over `workers`
+    threads; then the corrector recombines them sequentially.  Returns the
+    extended trajectory and the per-slab inner-solver histories.  With
+    `records` (a FineRecords), a slab whose background one of its records
+    matches reuses that record's delta and history object; only the other
+    slabs are solved, and their solves are stored as records.
     """
     n = trajectory.n
     states = trajectory.u[n]
     backgrounds = trajectory.background[n]
     M = config.instance.M
     n_points = len(states)
-    if factors is None:
-        factors = build_factors(config, partition, rho=trajectory.rho_penalty)
 
     def correct(ks):
-        final, hists = run_mps_batch(config, [backgrounds[k] for k in ks], ks,
-                                     partition, tol=tol_mps,
-                                     max_iters=max_sweeps,
-                                     rho=trajectory.rho_penalty,
-                                     patch_rule=patch_rule, factors=factors)
-        return final.patched, hists
+        return run_mps_batch(config, [backgrounds[k] for k in ks], ks, factors,
+                             tol_mps, max_sweeps, patch_rule)
 
     if records is None:
         records = FineRecords(n_points - 1)
@@ -236,8 +228,7 @@ def parareal_update(trajectory, config, partition, tol_mps=1e-10,
 
     extended = PararealTrajectory(u=trajectory.u + (tuple(u_next),),
                                   background=trajectory.background + (tuple(b_next),),
-                                  delta=trajectory.delta + (tuple(delta_n),),
-                                  rho_penalty=trajectory.rho_penalty)
+                                  delta=trajectory.delta + (tuple(delta_n),))
     return extended, histories
 
 
@@ -245,8 +236,7 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
                       rho=1.0, patch_rule="owner", factors=None):
     """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially."""
     M = config.instance.M
-    if factors is None:
-        factors = build_factors(config, partition, rho=rho)
+    factors = factor_table(config, partition, rho, factors)
     states = [np.asarray(config.u0, dtype=float)]
     histories = []
     for k in range(1, config.instance.n_steps):
@@ -267,7 +257,7 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
     the iteration count reaches the slab count (beyond which the update is
     stationary by finite-step exactness).  Non-convergence within max_outer
     is reported through the history.  The local factors are built once,
-    before the first iteration, unless `factors` is given.
+    before the first iteration, unless `factors` (built for rho) is given.
 
     The loop does less work than the textbook iteration and returns its
     bytes: a fine solve is a deterministic function of (slab, background),
@@ -282,9 +272,8 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         raise ValueError(f"tol must be positive, got {tol}")
     if reference_histories is not None and reference is None:
         raise ValueError("reference_histories needs the reference chain")
-    if factors is None:
-        factors = build_factors(config, partition, rho=rho)
-    trajectory = initial_trajectory(config, rho_penalty=rho)
+    factors = factor_table(config, partition, rho, factors)
+    trajectory = initial_trajectory(config)
     n_slabs = config.instance.n_steps - 1
     if reference_histories is not None:
         records = FineRecords.from_chain(config.instance.M, reference,
@@ -301,9 +290,9 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         t0 = time.perf_counter()
         n_solved = len(records.solved)
         trajectory, mps_hists = parareal_update(
-            trajectory, config, partition, tol_mps=tol_mps,
+            trajectory, config, factors, tol_mps=tol_mps,
             max_sweeps=max_sweeps, workers=workers, patch_rule=patch_rule,
-            factors=factors, records=records)
+            records=records)
         history.wall_s.append(time.perf_counter() - t0)
         history.solved.append(records.solved[n_solved:])
         n = trajectory.n

@@ -271,7 +271,7 @@ class TestRoundoff:
             else _with_specials(rng, n_grid, share)
             for _ in range(points - 1)) for _ in range(levels - 1))
         trajectory = parareal.PararealTrajectory(
-            u=u, background=u, delta=delta, rho_penalty=1.0)
+            u=u, background=u, delta=delta)
         R_obs, rho = roundoff_proxies(trajectory, M)
         R_ref, rho_ref = _textbook_roundoff(trajectory, M)
         assert R_obs.tobytes() == R_ref.tobytes()

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pintda import dd_mps, harness, testbed, var_solver
+from pintda import dd_mps, harness, parareal, testbed, var_solver
 from pintda.dd_mps import (PartitionError, assemble_local_system,
                            build_factors, build_restrictions, dap_residual,
                            initial_iterate, local_cost, local_grad, mps_sweep,
@@ -19,17 +19,14 @@ class TestPartitionDomain:
         part = partition_domain(10, 1, 0)
         np.testing.assert_array_equal(part.index_sets[0], np.arange(10))
         assert part.interfaces == {}
-        assert part.overlaps == {}
 
     def test_two_blocks_of_eight_enumerated(self):
         part = partition_domain(8, 2, 2)
         np.testing.assert_array_equal(part.index_sets[0], [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(part.index_sets[1], [3, 4, 5, 6, 7])
-        assert part.overlaps[(0, 1)] == 2
-        assert part.overlaps[(1, 0)] == 2
+        assert sorted(part.interfaces) == [(0, 1), (1, 0)]
         np.testing.assert_array_equal(part.interfaces[(0, 1)], [4])
         np.testing.assert_array_equal(part.interfaces[(1, 0)], [3])
-        assert part.offsets[(0, 1)] == (3, 4)
 
     @pytest.mark.parametrize("n_grid,n_sub,overlap", [
         (8, 2, 2), (32, 4, 2), (17, 3, 1), (20, 5, 2), (9, 2, 0),
@@ -38,14 +35,17 @@ class TestPartitionDomain:
         part = partition_domain(n_grid, n_sub, overlap)
         union = np.unique(np.concatenate(part.index_sets))
         np.testing.assert_array_equal(union, np.arange(n_grid))
-        for (i, j), C in part.overlaps.items():
-            r_i = len(part.index_sets[i])
-            s, sbar = part.offsets[(i, j)]
-            assert s == r_i - C
-            assert sbar == s + len(part.interfaces[(i, j)])
-            gamma = set(part.interfaces[(i, j)].tolist())
-            both = set(part.index_sets[i].tolist()) & set(part.index_sets[j].tolist())
-            assert gamma <= both
+        sets = [set(idx.tolist()) for idx in part.index_sets]
+        # an interface for exactly the intersecting pairs
+        assert set(part.interfaces) == {(i, j) for i in range(n_sub)
+                                        for j in range(n_sub)
+                                        if i != j and sets[i] & sets[j]}
+        for (i, j), gamma in part.interfaces.items():
+            # Gamma_ij: the endpoints of block i inside block j
+            idx = part.index_sets[i]
+            ends = sorted({int(idx[0]), int(idx[-1])} & sets[j])
+            np.testing.assert_array_equal(gamma, ends)
+            assert set(gamma.tolist()) <= sets[i] & sets[j]
 
     def test_adjacent_blocks_share_exactly_overlap(self):
         part = partition_domain(32, 4, 2)
@@ -174,7 +174,7 @@ class TestSweepAndPatch:
         systems = systems_for(vconfig, partition)
         it = mps_sweep(initial_iterate(systems))
         expected = vconfig.u0 + vconfig.covpair.V @ it.w[0]
-        np.testing.assert_array_equal(recover_and_patch(it, partition, vconfig), expected)
+        np.testing.assert_array_equal(recover_and_patch(it), expected)
 
     def test_patch_consistent_overlap(self, bench_problem):
         # uncorrelated B: local states from one global control agree on overlaps
@@ -184,8 +184,8 @@ class TestSweepAndPatch:
         w_glob = rng.standard_normal(vconfig.instance.np)
         it = dataclasses.replace(initial_iterate(systems), x=np.concatenate(
             [w_glob[idx] for idx in partition.index_sets]))
-        owner = recover_and_patch(it, partition, vconfig, rule="owner")
-        averaged = recover_and_patch(it, partition, vconfig, rule="average")
+        owner = recover_and_patch(it, rule="owner")
+        averaged = recover_and_patch(it, rule="average")
         np.testing.assert_allclose(owner, averaged, rtol=1e-12, atol=1e-14)
 
     def test_patching_totality(self):
@@ -230,15 +230,16 @@ class TestRunMps:
         systems = systems_for(vconfig, partition)
         it, hist = run_mps(vconfig, partition, tol=1e-13, max_iters=300)
         assert hist.converged
-        if hist.residuals[-1] <= 1e-12:
+        if hist.residual <= 1e-12:
             assert dap_residual(it.w, systems) <= 1e-10
 
     def test_non_convergence_is_reported_not_raised(self, correlated_problem):
         _, vconfig, partition = correlated_problem
         it, hist = run_mps(vconfig, partition, tol=1e-14, max_iters=1)
         assert not hist.converged
-        assert hist.n_sweeps == 1
-        assert len(hist.residuals) == 1
+        assert hist.n_sweeps == it.n == 1
+        assert (hist.residual, hist.eq_residual) == (it.residual,
+                                                     it.eq_residual)
 
     @pytest.mark.parametrize("max_iters", [0, 3])
     def test_eps_mps_maps_final_residual_to_state_space(self, correlated_problem,
@@ -268,7 +269,7 @@ class TestRunMps:
         it_avg, hist = run_mps(vconfig, partition, tol=1e-12, max_iters=100,
                                patch_rule="average")
         assert hist.converged
-        oracle = recover_and_patch(it_avg, partition, vconfig, rule="average")
+        oracle = recover_and_patch(it_avg, rule="average")
         np.testing.assert_array_equal(it_avg.patched, oracle)
         # rejected before the first sweep, so also when no sweep runs
         for max_iters in (0, 5):
@@ -283,8 +284,8 @@ class TestRunMps:
                              patch_rule="average")
         it = mps_sweep(mps_sweep(it))
         assert it.patch_rule == "average"
-        average = recover_and_patch(it, partition, vconfig, rule="average")
-        owner = recover_and_patch(it, partition, vconfig, rule="owner")
+        average = recover_and_patch(it, rule="average")
+        owner = recover_and_patch(it, rule="owner")
         assert not np.array_equal(average, owner)
         np.testing.assert_array_equal(it.patched, average)
 
@@ -329,16 +330,13 @@ class TestFactorTable:
         vconfig = dataclasses.replace(
             vconfig, observations=obs, G=testbed.assemble_G(obs, vconfig.instance))
         factors = build_factors(vconfig, partition)
-        by_time = factors.by_time
-        assert by_time[0] is by_time[2]
-        assert len({id(by_time[t]) for t in (0, 1, 3)}) == 3
         # one sweep plan per pattern, built from that pattern's factors
         plans = factors.plans
         assert plans[0] is plans[2]
         assert len({id(plans[t]) for t in (0, 1, 3)}) == 3
-        for t in range(4):
-            assert plans[t].factors is by_time[t]
-        assert not np.array_equal(by_time[1][0].A_loc, by_time[3][0].A_loc)
+        assert len({id(plans[t].factors) for t in (0, 1, 3)}) == 3
+        assert not np.array_equal(plans[1].factors[0].A_loc,
+                                  plans[3].factors[0].A_loc)
         for t in range(4):
             assert_reuse_matches_fresh(factors, slab_problem(vconfig, t, seed=t),
                                        partition)
@@ -368,6 +366,12 @@ class TestFactorTable:
         with pytest.raises(ValueError, match="rho"):
             run_mps(vconfig, partition, tol=1e-10, max_iters=5, rho=1.0,
                     factors=factors)
+        with pytest.raises(ValueError, match="rho"):
+            parareal.serial_fine_chain(vconfig, partition, rho=1.0,
+                                       factors=factors)
+        with pytest.raises(ValueError, match="rho"):
+            parareal.run_parareal(vconfig, partition, tol=1e-9, max_outer=2,
+                                  rho=1.0, factors=factors)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(n_grid=st.integers(8, 48), n_steps=st.integers(2, 6),
@@ -531,8 +535,8 @@ class TestSweepMatchesTextbook:
         for a, b in zip(it.w, w):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(it.patched, patched)
-        assert hist.residuals == [s[1] for s in steps[1:]]
-        assert hist.eq_residuals == [s[3] for s in steps[1:]]
+        assert hist.residual == steps[-1][1]
+        assert hist.eq_residual == steps[-1][3]
         assert hist.n_sweeps == len(steps) - 1
         assert hist.converged == (len(steps) > 1 and (steps[-1][1] <= tol
                                                       or steps[-1][3] <= tol))
@@ -559,21 +563,35 @@ def fitted_background(vconfig, t, scale, noise):
     return u0
 
 
-def assert_column_is_solo(final, hist, j, config, partition, solve):
-    """Column j of a batched solve equals config solved alone, bit for bit."""
+def solve_batch(vconfig, backgrounds, times, solve):
+    """run_mps_batch under run_mps's keyword arguments `solve`, and the stop
+    groups of the sweep loop the two share."""
+    args = (solve["factors"], solve["tol"], solve["max_iters"],
+            solve.get("patch_rule", "owner"))
+    states, hists = dd_mps.run_mps_batch(vconfig, backgrounds, times, *args)
+    groups = dd_mps._sweep_groups(vconfig, backgrounds, times, *args)
+    return states, hists, groups
+
+
+def assert_column_is_solo(batch, j, config, partition, solve):
+    """Column j of a batched solve (solve_batch) equals config solved alone,
+    bit for bit: its patched row, its history, and its iterate where its
+    stop group left the batch."""
+    states, hists, groups = batch
     it, solo = run_mps(config, partition, **solve)
-    col = final.take(j)
-    for a, b in zip(col.w, it.w):
+    np.testing.assert_array_equal(states[j], it.patched)
+    # all five final values, floats compared exactly
+    assert hists[j] == solo
+    [(col, hist)] = [(group.take(row), group_hists[row])
+                     for cols, group, group_hists in groups
+                     for row, c in enumerate(cols.tolist()) if c == j]
+    assert hist == solo
+    for a, b in zip(col.w, it.w, strict=True):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(final.patched[j], it.patched)
     np.testing.assert_array_equal(col.patched, it.patched)
-    assert col.n == it.n == solo.n_sweeps == hist.n_sweeps
+    assert col.n == it.n == solo.n_sweeps
     assert (col.residual, col.abs_residual, col.eq_residual) \
         == (it.residual, it.abs_residual, it.eq_residual)
-    assert hist.residuals == solo.residuals
-    assert hist.eq_residuals == solo.eq_residuals
-    assert hist.converged == solo.converged
-    assert hist.eps_mps == solo.eps_mps
 
 
 class TestBatchMatchesSolo:
@@ -614,7 +632,7 @@ class TestBatchMatchesSolo:
                                   patch=patch, seed=seed)
         vconfig, partition = patterned_problem(cfg, self.PER_TIME)
         factors = build_factors(vconfig, partition, rho=rho)
-        assert factors.by_time[1] is factors.by_time[3]
+        assert factors.plans[1] is factors.plans[3]
         times = ((1, 3), (2,), (4,))[time_pick]
         # a pool of backgrounds whose innovations differ in scale, so columns
         # stop at different sweeps; each once, some again, shuffled
@@ -627,14 +645,14 @@ class TestBatchMatchesSolo:
                        for t, p in zip(col_times, columns)]
         solve = dict(tol=1e-10, max_iters=max_sweeps, rho=rho,
                      patch_rule=patch, factors=factors)
-        final, hists = dd_mps.run_mps_batch(vconfig, backgrounds, col_times,
-                                            partition, **solve)
-        assert len(hists) == len(columns)
-        for j, (u0, t, hist) in enumerate(zip(backgrounds, col_times, hists)):
+        batch = solve_batch(vconfig, backgrounds, col_times, solve)
+        assert len(batch[0]) == len(batch[1]) == len(columns)
+        for j, (u0, t) in enumerate(zip(backgrounds, col_times)):
             config = dataclasses.replace(vconfig, u0=u0, time_index=t)
-            assert_column_is_solo(final, hist, j, config, partition, solve)
+            assert_column_is_solo(batch, j, config, partition, solve)
 
-    def test_columns_stop_at_their_own_sweep(self, correlated_problem):
+    @pytest.mark.parametrize("patch", ["owner", "average"])
+    def test_columns_stop_at_their_own_sweep(self, correlated_problem, patch):
         _, vconfig, partition = correlated_problem
         factors = build_factors(vconfig, partition)
         rng = np.random.default_rng(0)
@@ -642,23 +660,29 @@ class TestBatchMatchesSolo:
             vconfig, 0, scale, rng.standard_normal(vconfig.u0.size))
             for scale in (1.0, 0.0, 1e-6, 1e-3, 10.0)]
         configs = [dataclasses.replace(vconfig, u0=u0) for u0 in backgrounds]
-        solve = dict(tol=1e-10, max_iters=10, factors=factors)
-        final, hists = dd_mps.run_mps_batch(vconfig, backgrounds, [0] * 5,
-                                            partition, **solve)
+        solve = dict(tol=1e-10, max_iters=10, patch_rule=patch,
+                     factors=factors)
+        batch = solve_batch(vconfig, backgrounds, [0] * 5, solve)
+        _, hists, groups = batch
         sweeps = [h.n_sweeps for h in hists]
         # some columns converge and leave, one runs out of sweeps
         assert len(set(sweeps)) > 2
         assert [h.converged for h in hists].count(False) >= 1
-        np.testing.assert_array_equal(final.n, sweeps)
-        for j, (config, hist) in enumerate(zip(configs, hists)):
-            assert_column_is_solo(final, hist, j, config, partition, solve)
+        # every column in one stop group, whose iterate is at its sweep
+        assert sorted(c for cols, _, _ in groups for c in cols.tolist()) \
+            == list(range(5))
+        for cols, group, _ in groups:
+            assert [sweeps[c] for c in cols.tolist()] == [group.n] * len(cols)
+        for j, config in enumerate(configs):
+            assert_column_is_solo(batch, j, config, partition, solve)
 
     def test_batch_needs_one_pattern(self):
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=5,
                                   nobs=4, n_sub=2)
         vconfig, partition = patterned_problem(cfg, self.PER_TIME)
+        factors = build_factors(vconfig, partition)
         with pytest.raises(ValueError, match="one observation pattern"):
-            dd_mps.run_mps_batch(vconfig, [vconfig.u0] * 2, (1, 2), partition,
+            dd_mps.run_mps_batch(vconfig, [vconfig.u0] * 2, (1, 2), factors,
                                  tol=1e-10, max_iters=5)
 
     def test_non_finite_background_names_its_time(self, correlated_problem):
@@ -668,7 +692,8 @@ class TestBatchMatchesSolo:
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 0: the background is not finite "
                                  "at time 2"):
-            dd_mps.run_mps_batch(vconfig, [vconfig.u0, u0], (1, 2), partition,
+            dd_mps.run_mps_batch(vconfig, [vconfig.u0, u0], (1, 2),
+                                 build_factors(vconfig, partition),
                                  tol=1e-10, max_iters=5)
 
     def test_non_finite_column_names_its_subdomain_and_time(self,

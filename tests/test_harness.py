@@ -79,7 +79,7 @@ class TestConfig:
         ("obs_layout", "grid"), ("n_sub", 0), ("rho_penalty", -1.0),
         ("alpha", 0.0), ("lambda", 0.0), ("tol_mps", 0.0),
         ("tol_parareal", -1.0), ("max_sweeps", 0), ("max_outer", 0),
-        ("patch", "mean"), ("workers", 0), ("format", "xml"),
+        ("patch", "mean"), ("workers", 0), ("format", "xml"), ("seed", -1),
     ])
     def test_validation_names_every_field(self, key, value):
         with pytest.raises(ConfigError, match=key.replace("lambda", "lambda")):

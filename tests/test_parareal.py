@@ -72,7 +72,8 @@ class TestPararealUpdate:
         vconfig, partition = bench_problem
         vempty = no_observation_config(vconfig)
         traj = initial_trajectory(vempty)
-        traj, _ = parareal_update(traj, vempty, partition)
+        traj, _ = parareal_update(traj, vempty,
+                                  dd_mps.build_factors(vempty, partition))
         M = vconfig.instance.M
         serial = [vempty.u0]
         for _ in range(1, vconfig.instance.n_steps):
@@ -85,18 +86,20 @@ class TestPararealUpdate:
     def test_reaches_serial_chain_after_slab_count_iterations(self, bench_problem):
         vconfig, partition = bench_problem
         reference, _ = serial_fine_chain(vconfig, partition)
+        factors = dd_mps.build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
         for _ in range(vconfig.instance.n_steps - 1):
-            traj, _ = parareal_update(traj, vconfig, partition)
+            traj, _ = parareal_update(traj, vconfig, factors)
         scale = max(np.abs(r).max() for r in reference)
         for k, ref_k in enumerate(reference):
             assert np.abs(traj.u[traj.n][k] - ref_k).max() <= 1e-10 * scale
 
     def test_delta_replay_is_bitwise(self, bench_problem):
         vconfig, partition = bench_problem
+        factors = dd_mps.build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
-        traj, _ = parareal_update(traj, vconfig, partition)
-        traj, _ = parareal_update(traj, vconfig, partition)
+        traj, _ = parareal_update(traj, vconfig, factors)
+        traj, _ = parareal_update(traj, vconfig, factors)
         M = vconfig.instance.M
         for n in range(2):
             for k in range(1, vconfig.instance.n_steps):
@@ -186,7 +189,7 @@ class TestRunParareal:
 def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps, rho):
     """Brute-force oracle: fine-solve every slab at every iteration."""
     M = vconfig.instance.M
-    level = initial_trajectory(vconfig, rho_penalty=rho).u[0]
+    level = initial_trajectory(vconfig).u[0]
     u, background, delta, hists = [level], [level], [], []
     for n in range(n_outer):
         solves = [fine_solve(k, background[n][k], vconfig, partition, tol_mps,
@@ -232,10 +235,9 @@ class TestFineSolveReuse:
         for n in range(traj.n):
             for k in range(1, vconfig.instance.n_steps):
                 assert traj.delta[n][k].tobytes() == delta[n][k].tobytes()
-            for got, want in zip(hist.mps[n], hists[n]):
-                assert got.eq_residuals == want.eq_residuals
-                assert got.eps_mps == want.eps_mps
-                assert got.converged == want.converged
+            for got, want in zip(hist.mps[n], hists[n], strict=True):
+                # all five final values, floats compared exactly
+                assert got == want
 
     def test_iteration_n_solves_only_the_inexact_slabs(self, bench_problem):
         vconfig, partition = bench_problem
@@ -335,11 +337,9 @@ class TestBatchedFineSolves:
         for n in range(traj.n):
             for k in range(1, vconfig.instance.n_steps):
                 assert traj.delta[n][k].tobytes() == delta[n][k].tobytes()
-            for got, want in zip(hist.mps[n], hists[n]):
-                assert (got.residuals, got.eq_residuals, got.n_sweeps,
-                        got.converged, got.eps_mps) == \
-                    (want.residuals, want.eq_residuals, want.n_sweeps,
-                     want.converged, want.eps_mps)
+            for got, want in zip(hist.mps[n], hists[n], strict=True):
+                # all five final values, floats compared exactly
+                assert got == want
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_batches_share_a_pattern_and_split_over_workers(self, monkeypatch,
@@ -355,13 +355,12 @@ class TestBatchedFineSolves:
 
         monkeypatch.setattr(parareal, "run_mps_batch", record)
         traj = initial_trajectory(vconfig)
-        parareal_update(traj, vconfig, partition, workers=workers,
-                        factors=factors)
+        parareal_update(traj, vconfig, factors, workers=workers)
         assert sorted(k for ks in batches for k in ks) == list(range(1, 8))
         by_pattern = {}
         for ks in batches:
-            assert len({id(factors.by_time[k]) for k in ks}) == 1
-            by_pattern.setdefault(id(factors.by_time[ks[0]]), []).append(ks)
+            assert len({id(factors.plans[k]) for k in ks}) == 1
+            by_pattern.setdefault(id(factors.plans[ks[0]]), []).append(ks)
         for runs in by_pattern.values():
             assert len(runs) == min(workers, sum(map(len, runs)))
             # contiguous runs of the pattern's slabs, in order

@@ -10,7 +10,7 @@ With --against the lines are still printed; the exit status is 1, with the
 first config, seed and key that differ on standard error, when any line
 differs from the parent's (or is missing on either side), and 0 otherwise.
 
-For each of twelve configs and the seeds 1 and 2025, one JSON line holds the
+For each of thirteen configs and the seeds 1 and 2025, one JSON line holds the
 sha256 of the CSV and JSON reports, `status`, `n_outer` and every `summary`
 value (floats as their shortest round-trip repr, so equal text means equal
 bits).  With --demos, one more line per demo holds the sha256 of its
@@ -54,6 +54,11 @@ CONFIGS = {
     "one_block": {"n_sub": 1, "overlap": 0},
     "ragged_wide": {"np": 17, "n_sub": 5, "overlap": 4, "nobs": 4, "L": 2.0,
                     "lambda": 0.05, "rho_penalty": 5.0},
+    # ragged_wide's batches whose columns stop at different sweeps, patched
+    # by averaging one stop group at a time
+    "ragged_average": {"np": 17, "n_sub": 5, "overlap": 4, "nobs": 4,
+                       "L": 2.0, "lambda": 0.05, "rho_penalty": 5.0,
+                       "patch": "average"},
 }
 SEEDS = (1, 2025)
 
