@@ -1,11 +1,12 @@
-"""The overlapping-Schwarz inner solver against the direct oracle.
+"""The Schwarz-preconditioned CG inner solver against the direct oracle.
 
-The spatial grid is cut into overlapping blocks; each block solves its own
-small preconditioned system and talks to its neighbors only through interface
-penalties.  With an uncorrelated background covariance the patched fixed
-point IS the global analysis; with correlated covariances the decomposition
-leaves a fixed-point bias that grows with the correlation length, measurable
-here because the direct oracle is cheap at this scale.
+The single-time analysis solves A w = c in the control w (u = u_b + V w),
+with A = lam I + S^T S / sigma_r^2 and S the observed rows of V.  The grid
+is cut into overlapping blocks; the preconditioner solves each block's
+A[I, I] and sums the results, and conjugate gradients does the rest.  Its
+limit is the global 3D-Var analysis, so a correlated background, which
+couples the blocks, costs iterations but leaves no bias; the direct oracle
+is cheap at this scale, so the demo measures that.
 """
 
 import dataclasses
@@ -19,44 +20,52 @@ vconfig, _ = harness.build_problem(cfg)
 
 print("=== the decomposition ===")
 partition = dd_mps.partition_domain(cfg.np, n_sub=4, overlap=2)
-for i, idx in enumerate(partition.index_sets):
-    print(f"block {i}: indices {idx[0]}..{idx[-1]} "
-          f"(interfaces toward {partition.neighbors(i)})")
+for i, (idx, core) in enumerate(zip(partition.index_sets, partition.cores)):
+    print(f"block {i}: indices {idx[0]}..{idx[-1]} (owns {core[0]}..{core[-1]})")
 
 print()
-print("=== Jacobi sweeps to the fixed point (uncorrelated B) ===")
+print("=== CG steps to the analysis (uncorrelated B) ===")
 direct = var_solver.solve_var_direct(vconfig, "threeD")
 iterate, hist = dd_mps.run_mps(vconfig, partition, tol=1e-10, max_iters=50)
 rel = np.abs(iterate.patched - direct.u_da).max() / np.abs(direct.u_da).max()
-print(f"sweeps: {hist.n_sweeps}, converged: {hist.converged}")
+print(f"steps: {hist.n_sweeps}, converged: {hist.converged}")
 print(f"relative error vs direct solve: {rel:.2e}")
-# the same sweeps one at a time, with the global cost of each patched state
-it = dd_mps.initial_iterate(
-    dd_mps.build_factors(vconfig, partition).systems(vconfig))
-for n in range(1, hist.n_sweeps + 1):
-    it = dd_mps.mps_sweep(it)
-    cost = var_solver.eval_cost(it.patched, vconfig, "threeD")
-    print(f"  sweep {n}: iterate diff {it.residual:.2e}, "
-          f"stationarity {it.eq_residual:.2e}, cost {cost:.6f}")
+print("A is diagonal here, and the overlap counts a point's block solve twice,")
+print("so the preconditioned operator has two eigenvalues: CG needs two steps.")
+
+
+def narrate(vc, part, tol):
+    """Print each CG step's residuals and the global cost of its state."""
+    factors = dd_mps.build_factors(vc, part, times=(vc.time_index,))
+    it = dd_mps.initial_iterate(factors.bind(
+        vc.observations, [vc.u0], [vc.time_index]).take(0))
+    while it.eq_residual > tol:
+        it = dd_mps.mps_sweep(it)
+        cost = var_solver.eval_cost(it.patched, vc, "threeD")
+        print(f"  step {it.n:2d}: step size {it.residual:.2e}, "
+              f"relative residual {it.eq_residual:.2e}, cost {cost:.6f}")
+    return it
+
+
+narrate(vconfig, partition, 1e-10)
 
 print()
 print("=== correlated background covariance ===")
-print("correlations leak across block boundaries, so the patched fixed point")
-print("is only an approximation of the global analysis:")
+print("correlations couple the blocks, so CG takes more steps, and still")
+print("converges to the global analysis:")
 for L in (0.5, 1.0, 2.0):
-    cfg_L = dataclasses.replace(cfg, L=L)
-    vc, _ = harness.build_problem(cfg_L)
+    vc, _ = harness.build_problem(dataclasses.replace(cfg, L=L))
     d = var_solver.solve_var_direct(vc, "threeD")
     it, h = dd_mps.run_mps(vc, dd_mps.partition_domain(cfg.np, 2, 2),
                            tol=1e-12, max_iters=200)
-    bias = np.abs(it.patched - d.u_da).max() / np.abs(d.u_da).max()
-    print(f"  L = {L}: sweeps {h.n_sweeps:3d}, fixed-point bias {bias:.2e}, "
+    gap = np.abs(it.patched - d.u_da).max() / np.abs(d.u_da).max()
+    print(f"  L = {L}: steps {h.n_sweeps:3d}, gap to the oracle {gap:.2e}, "
           f"measured inner accuracy {h.eps_mps:.2e}")
+print("(at L = 2 a single block, an exact solve, is as far from the oracle:")
+print("the gap is the dense oracle's own float64 floor)")
 
 print()
-print("=== patch rules on the overlap ===")
-it, _ = dd_mps.run_mps(vconfig, partition, tol=1e-10, max_iters=50)
-owner = dd_mps.recover_and_patch(it, rule="owner")
-average = dd_mps.recover_and_patch(it, rule="average")
-print(f"owner vs average patching differ by {np.abs(owner - average).max():.2e} "
-      "(they agree at a consistent fixed point)")
+print("=== the steps of one correlated solve (L = 2, 8 blocks) ===")
+vc, _ = harness.build_problem(dataclasses.replace(
+    cfg, L=2.0, np=64, nobs=16, lam=0.05))
+narrate(vc, dd_mps.partition_domain(64, 8, 4), 1e-10)

@@ -18,7 +18,7 @@ n_slabs = cfg.n_steps - 1
 print("=== the serial fine chain (what we are converging to) ===")
 reference, chain_hists = parareal.serial_fine_chain(vconfig, partition)
 print(f"{n_slabs} slab solves, "
-      f"{sum(h.n_sweeps for h in chain_hists)} inner sweeps total")
+      f"{sum(h.n_sweeps for h in chain_hists)} inner CG steps total")
 
 print()
 print("=== outer iterations ===")

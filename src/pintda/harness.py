@@ -46,14 +46,14 @@ class ExperimentConfig:
     seed: int = 2025
     n_sub: int = 2
     overlap: int = 2
-    rho_penalty: float = 1.0
+    rho_penalty: float = 1.0        # accepted, no effect (see README)
     alpha: float = 1.0
     lam: float = 1.0
     tol_mps: float = 1e-10
     max_sweeps: int = 60
     tol_parareal: float = 1e-9
     max_outer: int = 8
-    patch: str = "owner"            # owner | average
+    patch: str = "owner"            # owner | average; no effect (see README)
     workers: int = 1
     format: str = "csv"             # csv | json
     out: str = "-"
@@ -256,19 +256,17 @@ def run_experiment(config):
     instance = vconfig.instance
     M = instance.M
     n_points = instance.n_steps
-    factors = dd_mps.build_factors(vconfig, partition, rho=config.rho_penalty)
+    factors = dd_mps.build_factors(vconfig, partition)
 
     reference, chain_hists = parareal.serial_fine_chain(
         vconfig, partition, tol_mps=config.tol_mps,
-        max_sweeps=config.max_sweeps, rho=config.rho_penalty,
-        patch_rule=config.patch, factors=factors)
+        max_sweeps=config.max_sweeps, factors=factors)
     hessian = var_solver.hessian_condition(vconfig, "fourD")
 
     trajectory, phist = parareal.run_parareal(
         vconfig, partition, tol=config.tol_parareal, max_outer=config.max_outer,
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
-        rho=config.rho_penalty, workers=config.workers, reference=reference,
-        patch_rule=config.patch, factors=factors,
+        workers=config.workers, reference=reference, factors=factors,
         reference_histories=chain_hists)
 
     # Lipschitz probes: random pairs plus the realized error directions.
@@ -280,6 +278,10 @@ def run_experiment(config):
 
     xi, sigma_err, delta_err = analysis.twin_error_scales(
         vconfig.u0, vconfig.observations.u_truth, reference, M)
+    if xi == 0:
+        raise DiagnosticError(
+            f"sigma_b = {config.sigma_b:g} leaves the background equal to the "
+            f"truth in float64 (xi = 0), so C_error_scale is undefined")
 
     C_h = max(float(np.max(np.abs(reference[k] - M @ reference[k - 1])))
               for k in range(1, n_points))

@@ -13,7 +13,7 @@ driver also stops there.
 
 Slab k is [t_{k-1}, t_k] of instance.time_grid and assimilates the batch at
 t_k.  The slabs an iteration solves are independent, so the slabs that share
-an observation pattern are solved as the columns of one Schwarz batch
+an observation pattern are solved as the columns of one fine-solve batch
 (dd_mps.run_mps_batch).  With `workers` > 1 each such batch is split into at
 most `workers` contiguous batches, which run on a thread pool.  A column has
 the bits of its slab solved alone, so the split never changes a byte.
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dd_mps import factor_table, run_mps, run_mps_batch
+from .dd_mps import build_factors, run_mps, run_mps_batch
 
 
 @dataclass(frozen=True)
@@ -149,19 +149,21 @@ def parallel_map(fn, items, workers=1):
     return [fn(x) for x in items]
 
 
-def fine_solve(k, background, config, partition, tol_mps, max_sweeps, rho,
-               patch_rule="owner", factors=None):
+def fine_solve(k, background, config, partition, tol_mps, max_sweeps,
+               rho=1.0, patch_rule="owner", factors=None):
     """Slab-local assimilation: the fine propagator value MPS(u_{k-1}).
 
     Solves the single-time problem whose background is the slab's coarse
-    state and whose observations are the batch at t_k; returns the patched
-    analysis and the inner-solver history.  `factors` (a dd_mps.FactorTable
-    of config's problem) spares the solve its local factorizations.
+    state and whose observations are the batch at t_k, by Schwarz-
+    preconditioned CG (dd_mps.run_mps); returns the analysis u_b + V w and
+    the inner-solver history.  `factors` (a dd_mps.FactorTable of config's
+    problem) spares the solve its block factorizations.  `rho` and
+    `patch_rule`, the interface penalty and overlap patch of the former
+    Schwarz sweep, are accepted and ignored: CG has neither.
     """
     slab_config = dataclasses.replace(config, u0=background, time_index=k)
     iterate, history = run_mps(slab_config, partition, tol=tol_mps,
-                               max_iters=max_sweeps, rho=rho,
-                               patch_rule=patch_rule, factors=factors)
+                               max_iters=max_sweeps, factors=factors)
     return iterate.patched, history
 
 
@@ -180,13 +182,12 @@ def _batches(slabs, factors, workers):
 
 
 def parareal_update(trajectory, config, factors, tol_mps=1e-10,
-                    max_sweeps=100, workers=1, patch_rule="owner",
-                    records=None):
+                    max_sweeps=100, workers=1, records=None):
     """Advance the trajectory one outer iteration.
 
     The slab corrections are computed first, as batched fine solves on the
-    local factors `factors` (a dd_mps.FactorTable of config's problem, which
-    fixes the partition and the penalty weight), split over `workers`
+    block factors `factors` (a dd_mps.FactorTable of config's problem, which
+    fixes the partition), split over `workers`
     threads; then the corrector recombines them sequentially.  Returns the
     extended trajectory and the per-slab inner-solver histories.  With
     `records` (a FineRecords), a slab whose background one of its records
@@ -201,7 +202,7 @@ def parareal_update(trajectory, config, factors, tol_mps=1e-10,
 
     def correct(ks):
         return run_mps_batch(config, [backgrounds[k] for k in ks], ks, factors,
-                             tol_mps, max_sweeps, patch_rule)
+                             tol_mps, max_sweeps)
 
     if records is None:
         records = FineRecords(n_points - 1)
@@ -234,30 +235,35 @@ def parareal_update(trajectory, config, factors, tol_mps=1e-10,
 
 def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
                       rho=1.0, patch_rule="owner", factors=None):
-    """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially."""
+    """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially.
+
+    `rho` and `patch_rule` are accepted and ignored, as by fine_solve.
+    """
     M = config.instance.M
-    factors = factor_table(config, partition, rho, factors)
+    if factors is None:
+        factors = build_factors(config, partition)
     states = [np.asarray(config.u0, dtype=float)]
     histories = []
     for k in range(1, config.instance.n_steps):
         analysis, hist = fine_solve(k, M @ states[-1], config, partition,
-                                    tol_mps, max_sweeps, rho,
-                                    patch_rule=patch_rule, factors=factors)
+                                    tol_mps, max_sweeps, factors=factors)
         states.append(analysis)
         histories.append(hist)
     return states, histories
 
 
 def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
-                 max_sweeps=100, rho=1.0, workers=1, reference=None,
-                 patch_rule="owner", factors=None, reference_histories=None):
+                 max_sweeps=100, workers=1, reference=None, factors=None,
+                 reference_histories=None):
     """Alternate slab corrections and sequential updates until converged.
 
     Stops when the sweep-to-sweep state difference drops below tol, or when
     the iteration count reaches the slab count (beyond which the update is
     stationary by finite-step exactness).  Non-convergence within max_outer
-    is reported through the history.  The local factors are built once,
-    before the first iteration, unless `factors` (built for rho) is given.
+    is reported through the history.  The block factors are built once,
+    before the first iteration, unless `factors` is given.  Each fine solve
+    is dd_mps's Schwarz-preconditioned CG, so a converged slab correction is
+    the slab's 3D-Var analysis to within tol_mps.
 
     The loop does less work than the textbook iteration and returns its
     bytes: a fine solve is a deterministic function of (slab, background),
@@ -272,7 +278,8 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         raise ValueError(f"tol must be positive, got {tol}")
     if reference_histories is not None and reference is None:
         raise ValueError("reference_histories needs the reference chain")
-    factors = factor_table(config, partition, rho, factors)
+    if factors is None:
+        factors = build_factors(config, partition)
     trajectory = initial_trajectory(config)
     n_slabs = config.instance.n_steps - 1
     if reference_histories is not None:
@@ -291,8 +298,7 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         n_solved = len(records.solved)
         trajectory, mps_hists = parareal_update(
             trajectory, config, factors, tol_mps=tol_mps,
-            max_sweeps=max_sweeps, workers=workers, patch_rule=patch_rule,
-            records=records)
+            max_sweeps=max_sweeps, workers=workers, records=records)
         history.wall_s.append(time.perf_counter() - t0)
         history.solved.append(records.solved[n_solved:])
         n = trajectory.n

@@ -132,7 +132,8 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
     uncorrelated limit.  V is the lower Cholesky factor.  The observation
     covariance R = sigma_r^2 I is never materialized; its consumers read
     sigma_r.  Both variances must be normal float64 numbers, so that
-    they and their inverses are finite and nonzero.
+    they and their inverses are finite and nonzero, and a nonzero L must
+    have a finite, nonzero square.
     """
     if sigma_b <= 0 or sigma_r <= 0:
         raise TestbedError("sigma_b and sigma_r must be positive")
@@ -142,6 +143,10 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
                 f"{name}^2 = {sigma * sigma:g} is outside the normal float64 range")
     if L < 0:
         raise TestbedError(f"correlation length must be nonnegative, got {L}")
+    # exp(-d^2 / (2 L^2)) needs a finite, nonzero L^2: Python's L**2 raises
+    # OverflowError past float64, and an L^2 rounded to 0 makes d^2 / 0 NaN
+    if L > 0 and not 0.0 < L * L < np.inf:
+        raise TestbedError(f"L: {L:g} squared is outside the float64 range")
 
     idx = np.arange(n_grid)
     if L == 0:

@@ -86,6 +86,31 @@ class TestConfig:
             load_config(None, {key: value})
 
 
+class TestRetiredSchwarzKeys:
+    """rho_penalty and patch set the interface penalty and the overlap patch
+    of the former penalty sweep; the CG fine solve has neither, so they are
+    accepted, range-checked and ignored."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        base = {"L": 2.0, "n_sub": 4, "overlap": 2, "lambda": 0.05,
+                "max_outer": 3}
+        return {(patch, rho): render_report(run_experiment(load_config(
+                    None, dict(base, patch=patch, rho_penalty=rho))).records)
+                for patch in ("owner", "average") for rho in (1.0, 5.0)}
+
+    def test_reports_do_not_depend_on_them(self, reports):
+        assert len(set(reports.values())) == 1
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("rho_penalty", -1.0, "rho_penalty: must be nonnegative"),
+        ("patch", "median", "patch: expected owner or average"),
+    ])
+    def test_invalid_values_still_rejected(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            load_config(None, {key: value})
+
+
 # A valid config whose local system at time 0 loses lambda to rounding.
 NOT_POSITIVE_DEFINITE = "\n".join([
     "np = 18", "n_steps = 2", "n_sub = 2", "overlap = 4", "nobs = 10", "L = 2",
@@ -396,6 +421,10 @@ class TestCli:
         "sigma_b = 1e200", "sigma_b = 1e153", "diffusivity = 1e300",
         "diffusivity = 1e50",
         "velocity = 1e300",
+        # L^2 overflows (Python's L**2 raised OverflowError) or underflows to 0
+        "L = 1e300", "L = 1.4e154", "L = 1e-200",
+        # the background rounds to the truth, so xi = 0
+        "sigma_b = 1e-150",
         pytest.param(NOT_POSITIVE_DEFINITE, id="lambda = 1e-6 local cholesky")])
     def test_numerical_fault_of_valid_config_exits_three(self, tmp_path, capsys,
                                                          recwarn, setting):

@@ -186,14 +186,14 @@ class TestRunParareal:
         assert E[-1].max() < E[1].max()
 
 
-def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps, rho):
+def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps):
     """Brute-force oracle: fine-solve every slab at every iteration."""
     M = vconfig.instance.M
     level = initial_trajectory(vconfig).u[0]
     u, background, delta, hists = [level], [level], [], []
     for n in range(n_outer):
         solves = [fine_solve(k, background[n][k], vconfig, partition, tol_mps,
-                             max_sweeps, rho) for k in range(1, len(level))]
+                             max_sweeps) for k in range(1, len(level))]
         delta.append([None] + [fine - b for (fine, _), b
                                in zip(solves, background[n][1:])])
         hists.append([h for _, h in solves])
@@ -206,13 +206,12 @@ def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps, rho):
     return u, background, delta, hists
 
 
-def reuse_run(vconfig, partition, tol_mps=1e-10, max_sweeps=100, rho=1.0,
-              workers=1):
+def reuse_run(vconfig, partition, tol_mps=1e-10, max_sweeps=100, workers=1):
     reference, chain_hists = serial_fine_chain(
-        vconfig, partition, tol_mps=tol_mps, max_sweeps=max_sweeps, rho=rho)
+        vconfig, partition, tol_mps=tol_mps, max_sweeps=max_sweeps)
     return run_parareal(vconfig, partition, tol=1e-300,
                         max_outer=vconfig.instance.n_steps, tol_mps=tol_mps,
-                        max_sweeps=max_sweeps, rho=rho, workers=workers,
+                        max_sweeps=max_sweeps, workers=workers,
                         reference=reference, reference_histories=chain_hists)
 
 
@@ -221,10 +220,10 @@ class TestFineSolveReuse:
     def test_matches_textbook_iteration_bitwise(self, which, bench_problem,
                                                 correlated_problem):
         if which == "bench":
-            (vconfig, partition), settings = bench_problem, (1e-10, 100, 1.0)
+            (vconfig, partition), settings = bench_problem, (1e-10, 100)
         else:
             cfg, vconfig, partition = correlated_problem
-            settings = (cfg.tol_mps, cfg.max_sweeps, cfg.rho_penalty)
+            settings = (cfg.tol_mps, cfg.max_sweeps)
         traj, hist = reuse_run(vconfig, partition, *settings)
         u, background, delta, hists = textbook_parareal(
             vconfig, partition, traj.n, *settings)
@@ -330,7 +329,7 @@ class TestBatchedFineSolves:
         vconfig, partition = patterned_problem()
         traj, hist = reuse_run(vconfig, partition, workers=workers)
         u, _, delta, hists = textbook_parareal(vconfig, partition, traj.n,
-                                               1e-10, 100, 1.0)
+                                               1e-10, 100)
         for n in range(traj.n + 1):
             for k in range(vconfig.instance.n_steps):
                 assert traj.u[n][k].tobytes() == u[n][k].tobytes()

@@ -115,6 +115,16 @@ class TestCovariance:
         with pytest.raises(testbed.TestbedError):
             build_covariance(8, sigma_b=1.0, sigma_r=1.0, L=-1.0)
 
+    @pytest.mark.parametrize("L", [1e300, 1.4e154, 1e-200])
+    def test_rejects_L_whose_square_leaves_float64(self, L):
+        with pytest.raises(testbed.TestbedError, match="^L: "):
+            build_covariance(8, sigma_b=1.0, sigma_r=1.0, L=L)
+
+    def test_accepts_L_just_inside_float64(self):
+        # 2 L^2 overflows here but L^2 does not: B is all sigma_b^2, plus jitter
+        cov = build_covariance(8, sigma_b=1.0, sigma_r=1.0, L=1e154)
+        np.testing.assert_array_equal(cov.B, np.ones((8, 8)) + 1e-10 * np.eye(8))
+
 
 @pytest.fixture()
 def small_instance():
