@@ -27,7 +27,8 @@ carries a leading column axis, one row per background (run_mps_batch;
 run_mps is the batch of one).  Each product is a stacked gemv, one per
 column, each block solve one multi-column potrs call, and alpha, beta and
 every residual are per column, so each column has the bits of its solve
-alone.  A column leaves the batch at the step where it stops.  A non-finite
+alone.  A column leaves the batch at the step where it stops: converged,
+out of steps, or with a step of 0, as where r . z = 0.  A non-finite
 background is rejected before the first step, and any other non-finite value
 shows in one NaN-propagating check of each step; both raise VarSolverError
 naming the subdomain and the time.
@@ -38,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 import scipy.linalg
@@ -69,20 +69,6 @@ class SubdomainPartition:
 
 
 @dataclass(frozen=True)
-class RestrictionOperators:
-    """Subdomain selection operators R_i realized as index arrays; `dense`
-    materializes the 0/1 matrix."""
-
-    n_grid: int
-    subdomain: tuple        # per-subdomain index arrays (R_i)
-
-    def dense(self, i):
-        R = np.zeros((len(self.subdomain[i]), self.n_grid))
-        R[np.arange(len(self.subdomain[i])), self.subdomain[i]] = 1.0
-        return R
-
-
-@dataclass(frozen=True)
 class LocalFactor:
     """Block i's part of one observation pattern's preconditioner:
     A_loc = A[I_i, I_i] and its Cholesky factor."""
@@ -104,40 +90,6 @@ def _rhs(S, rinv, d):
     # a batch's d comes out F-ordered; each column keeps its solo bits only
     # if the stacked gemv reads a C-ordered operand
     return _mv(S.T, np.multiply(rinv, d, order="C"))
-
-
-@dataclass(frozen=True)
-class LocalSystem:
-    """Block i of config's problem: its factor, c_loc = c[I_i], and the
-    problem and partition that its local cost reads."""
-
-    factor: LocalFactor
-    c_loc: np.ndarray
-    config: object = field(repr=False)
-    partition: SubdomainPartition = field(repr=False)
-
-    i = property(attrgetter("factor.i"))
-    indices = property(attrgetter("factor.indices"))
-    A_loc = property(attrgetter("factor.A_loc"))
-    chol = property(attrgetter("factor.chol"))
-
-    @functools.cached_property
-    def coupling(self):
-        """j -> the columns A[I_i, P_j] of block j's owned points P_j outside
-        I_i, placed at their positions in I_j (zero elsewhere), for every
-        block j whose columns are not all zero."""
-        cfg, part, idx = self.config, self.partition, self.indices
-        S = cfg.covpair.V[cfg.observations.obs_indices[cfg.time_index]]
-        left = np.multiply(S[:, idx].T, 1.0 / cfg.covpair.sigma_r**2,
-                           order="C")
-        out = {}
-        for j in range(part.n_sub):
-            points = np.setdiff1d(part.cores[j], idx)
-            C = np.zeros((idx.size, part.index_sets[j].size))
-            C[:, points - part.index_sets[j][0]] = left @ S[:, points]
-            if C.any():
-                out[j] = C
-        return out
 
 
 @dataclass(frozen=True)
@@ -305,31 +257,22 @@ def partition_domain(n_grid, n_sub, overlap):
         cores=tuple(np.arange(a, b) for a, b in zip(cuts, cuts[1:])))
 
 
-def build_restrictions(partition):
-    """Index-map restriction operators for the subdomains."""
-    return RestrictionOperators(n_grid=partition.n_grid,
-                                subdomain=partition.index_sets)
-
-
-def assemble_local_system(i, partition, restrictions, config):
-    """Build block i of config's control-space system.
+def assemble_local_system(i, partition, config):
+    """Factor block i of config's control-space matrix at its time_index.
 
     A_loc = A[I_i, I_i] = rinv S_i^T S_i + lam I with S_i = V[obs, I_i], the
-    columns of S in the block; c_loc = c[I_i] carries the innovation
-    d = v - u_b[obs] of config's background u0.
+    columns of S in the block.  Returns its LocalFactor.
     """
-    idx = restrictions.subdomain[i]
+    idx = partition.index_sets[i]
     if idx.size == 0:
         raise PartitionError(f"subdomain {i} is empty")
     cov = config.covpair
     t = config.time_index
     obs = config.observations.obs_indices[t]
-    S = cov.V[obs]
-    S_i = S[:, idx]
+    S_i = cov.V[obs][:, idx]
     rinv = 1.0 / cov.sigma_r**2
 
-    # Overflow and a non-finite background surface as values, not warnings:
-    # the check below rejects the system, FactorTable.bind the background.
+    # Overflow surfaces as values, not warnings: the check below rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
         # S^T R^-1 kept C-ordered, so the product takes the dense gemm path
         A_loc = (np.multiply(S_i.T, rinv, order="C") @ S_i
@@ -347,10 +290,7 @@ def assemble_local_system(i, partition, restrictions, config):
                 f"subdomain {i} at time {t}: the local system is not positive "
                 f"definite in float64 (lambda = {config.lam:g} with sigma_b = "
                 f"{cov.sigma_b:g} and sigma_r = {cov.sigma_r:g})") from None
-        c = _rhs(S, rinv, config.observations.v[t] - config.u0[obs])
-    return LocalSystem(factor=LocalFactor(i=i, indices=idx, A_loc=A_loc,
-                                          chol=chol),
-                       c_loc=c[idx], config=config, partition=partition)
+    return LocalFactor(i=i, indices=idx, A_loc=A_loc, chol=chol)
 
 
 def build_factors(config, partition, times=None):
@@ -361,7 +301,6 @@ def build_factors(config, partition, times=None):
     """
     if times is None:
         times = range(len(config.observations.v))
-    restrictions = build_restrictions(partition)
     V = config.covpair.V
     by_pattern, plans = {}, {}
     for t in times:
@@ -370,42 +309,13 @@ def build_factors(config, partition, times=None):
         if key not in by_pattern:
             config_t = dataclasses.replace(config, time_index=t)
             by_pattern[key] = CgPlan(
-                factors=tuple(assemble_local_system(i, partition, restrictions,
-                                                    config_t).factor
+                factors=tuple(assemble_local_system(i, partition, config_t)
                               for i in range(partition.n_sub)),
                 obs=obs, S=V[obs], lam=float(config.lam),
                 rinv=1.0 / config.covpair.sigma_r**2, V=V)
         plans[t] = by_pattern[key]
     return FactorTable(plans=plans,
                        v_norm=float(np.abs(V).sum(axis=1).max()))
-
-
-def local_cost(w_i, neighbor_w, system):
-    """The global cost J as a function of block i's control, with every
-    neighbor's owned points held at neighbor_w.
-
-    Written out term by term from the problem (background, observation
-    misfit) so finite differences can check local_grad, which reads the
-    assembled A_loc, c_loc and coupling.
-    """
-    cfg, part = system.config, system.partition
-    w = np.zeros(part.n_grid)           # points no block supplies stay 0
-    for j, w_j in neighbor_w.items():
-        w[part.cores[j]] = w_j[part.cores[j] - part.index_sets[j][0]]
-    w[system.indices] = w_i
-    t = cfg.time_index
-    obs = cfg.observations.obs_indices[t]
-    misfit = cfg.covpair.V[obs] @ w - (cfg.observations.v[t] - cfg.u0[obs])
-    return (0.5 * cfg.lam * float(w @ w)
-            + 0.5 * float(misfit @ misfit) / cfg.covpair.sigma_r**2)
-
-
-def local_grad(w_i, neighbor_w, system):
-    """Gradient of the local cost: A_loc w_i - c_loc + sum_j coupling[j] w_j."""
-    g = system.A_loc @ w_i - system.c_loc
-    for j, w_j in neighbor_w.items():
-        g = g + system.coupling[j] @ w_j
-    return g
 
 
 def _dot(a, b):
@@ -429,8 +339,8 @@ def mps_sweep(iterate):
 
     z = M^-1 r, p = z + beta p (p = z at the first step), then
     alpha = r.z / p.Ap, w += alpha p and r -= alpha Ap, with alpha and beta
-    per column.  A non-finite step raises VarSolverError naming its
-    subdomain and time.
+    per column; alpha = 0 where r.z = 0, so the column's step is 0.  A
+    non-finite step raises VarSolverError naming its subdomain and time.
     """
     batch = iterate.batch
     plan = batch.plan
@@ -440,11 +350,17 @@ def mps_sweep(iterate):
     q = plan.apply_A(p)
     alpha = (rz / _dot(p, q))[..., None]
     step = alpha * p
-    r = iterate.r - alpha * q
     # one NaN-propagating reduction per column, unlike max()
     residual = np.abs(step).max(axis=-1)
     if not np.isfinite(residual).all():
-        raise VarSolverError(_nonfinite_message(step, batch, iterate.n + 1))
+        # a column whose r.z has reached 0 (its r underflowed) has no step
+        # left: alpha = 0 there, not 0/0
+        alpha = np.where(rz[..., None] == 0, 0.0, alpha)
+        step = alpha * p
+        residual = np.abs(step).max(axis=-1)
+        if not np.isfinite(residual).all():
+            raise VarSolverError(_nonfinite_message(step, batch, iterate.n + 1))
+    r = iterate.r - alpha * q
     return CgIterate(w=iterate.w + step, r=r, p=p, rz=rz, n=iterate.n + 1,
                      residual=residual,
                      eq_residual=np.abs(r).max(axis=-1) / batch.scale,
@@ -457,7 +373,7 @@ def _nonfinite_message(step, batch, n):
     step = np.atleast_2d(step)
     col = int(np.flatnonzero(~np.isfinite(step).all(axis=-1))[0])
     c = np.atleast_2d(batch.c)[col]
-    bad, cause = ((c, "its right-hand side c_loc is not finite")
+    bad, cause = ((c, "its right-hand side c is not finite")
                   if not np.isfinite(c).all()
                   else (step[col], "the iteration overflowed"))
     i = next(f.i for f in batch.plan.factors
@@ -521,8 +437,9 @@ def _cg_groups(config, backgrounds, times, factors, tol, max_iters):
 
     A column stops, converged, when its relative recursive residual is at
     most tol, which may hold at the start, or unconverged after max_iters
-    steps.  Its history reads the true residual at the iterate it stopped
-    at.
+    steps or at a step that left w unchanged, as where r.z reached 0 and CG
+    had no step left.  Its history reads the true residual at the iterate it
+    stopped at.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -534,7 +451,7 @@ def _cg_groups(config, backgrounds, times, factors, tol, max_iters):
         cols = np.arange(len(times))       # batch column of each active row
         while True:
             done = iterate.eq_residual <= tol
-            stop = done | (iterate.n >= max_iters)
+            stop = done | (iterate.n >= max_iters) | (iterate.residual == 0)
             if stop.all():
                 groups.append((cols, iterate, done))
                 break

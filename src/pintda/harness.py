@@ -261,7 +261,7 @@ def run_experiment(config):
     reference, chain_hists = parareal.serial_fine_chain(
         vconfig, partition, tol_mps=config.tol_mps,
         max_sweeps=config.max_sweeps, factors=factors)
-    hessian = var_solver.hessian_condition(vconfig, "fourD")
+    mu_A = var_solver.hessian_condition(vconfig, "fourD")
 
     trajectory, phist = parareal.run_parareal(
         vconfig, partition, tol=config.tol_parareal, max_outer=config.max_outer,
@@ -274,7 +274,7 @@ def run_experiment(config):
     probes = [(rng_probe.standard_normal(config.np),
                rng_probe.standard_normal(config.np)) for _ in range(32)]
     probes += [pair for level in trajectory.u for pair in zip(reference, level)]
-    lip = analysis.lipschitz_estimate(M, hessian.mu, probes)
+    lip = analysis.lipschitz_estimate(M, mu_A, probes)
 
     xi, sigma_err, delta_err = analysis.twin_error_scales(
         vconfig.u0, vconfig.observations.u_truth, reference, M)
@@ -289,7 +289,7 @@ def run_experiment(config):
     eps_mps = max(eps_candidates) if eps_candidates else 0.0
 
     params = analysis.BoundParameters(
-        C=lip.C, mu_A=hessian.mu, eps_mps=eps_mps, N=n_points - 1,
+        C=lip.C, mu_A=mu_A, eps_mps=eps_mps, N=n_points - 1,
         h=instance.h, p=instance.p, C_h=C_h)
     roundoff = analysis.roundoff_proxies(trajectory, M)
     errhist = analysis.error_and_bound_history(trajectory, reference, params,
@@ -311,7 +311,7 @@ def run_experiment(config):
         [x for norms in phist.delta_norms for x in norms],
         per_n(errhist.c_bound[1:].tolist()),
         [h.eq_residual for hists in phist.mps for h in hists],
-        *(per_n([v] * n_outer) for v in (hessian.mu, lip.C, eps_mps)),
+        *(per_n([v] * n_outer) for v in (mu_A, lip.C, eps_mps)),
         rb.total.ravel().tolist(), per_n(rb.term_initial.ravel().tolist()),
         rb.term_iteration.ravel().tolist(), per_n([rb.term_rho] * n_outer),
         per_n([t * 1e3 if config.timing else 0.0 for t in phist.wall_s]))
@@ -341,7 +341,7 @@ def run_experiment(config):
         "mps_unconverged": mps_unconverged,
         "bound_dominates": bool(np.all(errhist.E[1:, 1:]
                                        <= errhist.c_bound[1:, None])),
-        "mu_A": hessian.mu,
+        "mu_A": mu_A,
         "C_const": lip.C,
         "C_error_scale": analysis.error_scale_constant(lip.L, delta_err, xi),
         "lipschitz_max_ratio": lip.max_ratio,
@@ -352,7 +352,7 @@ def run_experiment(config):
         "delta_err": delta_err,
         "rho_local": rho_local,
         "R_mu": params.R_mu,
-        "chain": analysis.chain_discrepancy(M, hessian.mu, xi, delta_err),
+        "chain": analysis.chain_discrepancy(M, mu_A, xi, delta_err),
         "wall_s_total": time.perf_counter() - t_start if config.timing else 0.0,
     }
     return ExperimentResult(records=records, status=status, summary=summary,
@@ -438,8 +438,8 @@ def main(argv=None):
     Parareal solves reused from a record; summary keys `fine_solves` and
     `fine_solves_reused`), `reason=` (why the outer iteration stopped),
     `bound_dominates=` and `mps_unconverged=<count>`, the number of slabs
-    whose Schwarz fine solve hit max_sweeps in the serial chain or any outer
-    iteration, followed by `slabs=<k,...>` when that count is nonzero.
+    whose fine solve did not converge (max_sweeps, or r.z = 0) in the serial
+    chain or any outer iteration, then `slabs=<k,...>` when it is nonzero.
     summary["outer_to_slabs"] is n_outer over the slab count.
     """
     args = _build_arg_parser().parse_args(argv)

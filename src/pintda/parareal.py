@@ -150,16 +150,14 @@ def parallel_map(fn, items, workers=1):
 
 
 def fine_solve(k, background, config, partition, tol_mps, max_sweeps,
-               rho=1.0, patch_rule="owner", factors=None):
+               factors=None):
     """Slab-local assimilation: the fine propagator value MPS(u_{k-1}).
 
     Solves the single-time problem whose background is the slab's coarse
     state and whose observations are the batch at t_k, by Schwarz-
     preconditioned CG (dd_mps.run_mps); returns the analysis u_b + V w and
     the inner-solver history.  `factors` (a dd_mps.FactorTable of config's
-    problem) spares the solve its block factorizations.  `rho` and
-    `patch_rule`, the interface penalty and overlap patch of the former
-    Schwarz sweep, are accepted and ignored: CG has neither.
+    problem) spares the solve its block factorizations.
     """
     slab_config = dataclasses.replace(config, u0=background, time_index=k)
     iterate, history = run_mps(slab_config, partition, tol=tol_mps,
@@ -237,7 +235,8 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
                       rho=1.0, patch_rule="owner", factors=None):
     """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially.
 
-    `rho` and `patch_rule` are accepted and ignored, as by fine_solve.
+    `rho` and `patch_rule`, the interface penalty and overlap patch of the
+    former Schwarz sweep, are accepted and ignored: CG has neither.
     """
     M = config.instance.M
     if factors is None:

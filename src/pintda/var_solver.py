@@ -62,12 +62,6 @@ class AnalysisState:
     grad_norm: float
 
 
-@dataclass(frozen=True)
-class HessianReport:
-    blocks: tuple           # per-time Hessians; the single-time variant has one
-    mu: float               # infinity-norm condition number
-
-
 def _blocks(config, variant):
     """Background weight and per-time (operator, observations)."""
     if variant not in VARIANTS:
@@ -167,14 +161,14 @@ def solve_var_direct(config, variant="threeD"):
 
 
 def hessian_condition(config, variant="threeD"):
-    """Constant Hessian of the quadratic cost and its infinity-norm condition number.
+    """Infinity-norm condition number of the quadratic cost's constant Hessian.
 
     The Hessian is block diagonal and so is its inverse, so both infinity
     norms are maxima over the blocks: mu = max_k ||A_k|| * max_k ||A_k^-1||.
     A block that is singular to working precision (SciPy's ill-conditioning
     warning) is a fault: its inverse, and so mu, would be meaningless.
     """
-    blocks, norm, inv_norm = [], 0.0, 0.0
+    norm, inv_norm = 0.0, 0.0
     for k, (A, _) in enumerate(_normal_systems(config, variant)):
         A = 2.0 * A
         try:
@@ -188,7 +182,6 @@ def hessian_condition(config, variant="threeD"):
                                  "ill-conditioned") from err
         except scipy.linalg.LinAlgError as err:
             raise VarSolverError(f"Hessian is singular: {err}") from err
-        blocks.append(A)
         norm = max(norm, np.abs(A).sum(axis=1).max())
         inv_norm = max(inv_norm, np.abs(Ainv).sum(axis=1).max())
-    return HessianReport(blocks=tuple(blocks), mu=float(norm * inv_norm))
+    return float(norm * inv_norm)

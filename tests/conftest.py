@@ -19,8 +19,8 @@ def bench_problem(bench_config):
 
 @pytest.fixture(scope="session")
 def correlated_problem():
-    """Small problem with a correlated background covariance, so the Schwarz
-    sweeps genuinely iterate."""
+    """Small problem with a correlated background covariance, so the
+    Schwarz-preconditioned CG genuinely iterates."""
     cfg = dataclasses.replace(harness.ExperimentConfig(), np=8, n_steps=3,
                               nobs=3, L=1.5, sigma_b=0.8, sigma_r=0.2,
                               n_sub=2, overlap=2, seed=11)

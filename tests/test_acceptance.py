@@ -54,7 +54,7 @@ class TestAcceptance:
         vc1, part1 = harness.build_problem(cfg1)
         traj, hist = parareal.run_parareal(vc1, part1, tol=1e-12, max_outer=5)
         fine, _ = parareal.fine_solve(1, vc1.instance.M @ vc1.u0, vc1, part1,
-                                      1e-10, 100, rho=1.0)
+                                      1e-10, 100)
         single = hist.n_outer == 1 and np.array_equal(traj.u[1][1], fine)
         check(2, f"n_sub=1 rel err {rel:.2e} <= 1e-10; single-slab run is one "
                  f"local solve", rel <= 1e-10 and single)
@@ -124,32 +124,40 @@ class TestAcceptance:
                     lambda u: var_solver.eval_grad(u, vconfig, "fourD"),
                     n * vconfig.instance.n_steps)
 
-        restr = dd_mps.build_restrictions(partition)
-        sys0 = dd_mps.assemble_local_system(0, partition, restr, vconfig)
-        others = {j: rng.standard_normal(len(partition.index_sets[j]))
-                  for j in sys0.coupling}
-        ok &= fd_ok(lambda w: dd_mps.local_cost(w, others, sys0),
-                    lambda w: dd_mps.local_grad(w, others, sys0),
-                    sys0.indices.size)
-        check(7, "analytic gradients of global and local costs match central "
-                 "differences to 1e-6 on 20 random points each", ok)
+        # the fine solve's control cost, term by term, against the gradient
+        # A w - c that its CG iterates on
+        t = vconfig.time_index
+        obs = vconfig.observations.obs_indices[t]
+        d = vconfig.observations.v[t] - vconfig.u0[obs]
+        S = vconfig.covpair.V[obs]
+
+        def control_cost(w):
+            misfit = S @ w - d
+            return (0.5 * vconfig.lam * float(w @ w)
+                    + 0.5 * float(misfit @ misfit) / vconfig.covpair.sigma_r**2)
+
+        batch = dd_mps.build_factors(vconfig, partition).bind(
+            vconfig.observations, [vconfig.u0], [t])
+        ok &= fd_ok(control_cost,
+                    lambda w: batch.plan.apply_A(w[None])[0] - batch.c[0], n)
+        check(7, "analytic gradients of the global costs and the fine solve's "
+                 "control cost match central differences to 1e-6 on 20 random "
+                 "points each", ok)
 
     def test_08_structural_checks(self, bench_problem):
         vconfig, partition = bench_problem
         cov = vconfig.covpair
         ok_fact = np.abs(cov.V @ cov.V.T - cov.B).max() <= 1e-12 * np.abs(cov.B).max()
 
-        restr = dd_mps.build_restrictions(partition)
         ok_spd = True
-        for i in range(partition.n_sub):
-            sys_i = dd_mps.assemble_local_system(i, partition, restr, vconfig)
-            sym = np.abs(sys_i.A_loc - sys_i.A_loc.T).max() == 0.0
-            spd = np.linalg.eigvalsh(sys_i.A_loc).min() > 0
+        for f in dd_mps.build_factors(vconfig, partition).plans[0].factors:
+            sym = np.abs(f.A_loc - f.A_loc.T).max() == 0.0
+            spd = np.linalg.eigvalsh(f.A_loc).min() > 0
             ok_spd = ok_spd and sym and spd
 
         ok_sel = True
-        for i in range(partition.n_sub):
-            R = restr.dense(i)
+        for idx in partition.index_sets:
+            R = np.eye(vconfig.instance.np)[idx]
             ok_sel = ok_sel and np.array_equal(R @ R.T, np.eye(R.shape[0]))
         check(8, "B = V V^T to 1e-12, local systems symmetric positive "
                  "definite, selection rows orthonormal", ok_fact and ok_spd and ok_sel)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from pintda import dd_mps, harness, parareal, testbed, var_solver
 from pintda.dd_mps import (PartitionError, assemble_local_system,
-                           build_factors, build_restrictions, dap_residual,
-                           initial_iterate, local_cost, local_grad, mps_sweep,
-                           partition_domain, run_mps)
+                           build_factors, dap_residual, initial_iterate,
+                           mps_sweep, partition_domain, run_mps)
 
 
 class TestPartitionDomain:
@@ -57,9 +56,8 @@ class TestRestrictions:
     @pytest.mark.parametrize("n_grid,n_sub,overlap", [(8, 2, 2), (64, 4, 2)])
     def test_selection_rows_orthonormal(self, n_grid, n_sub, overlap):
         part = partition_domain(n_grid, n_sub, overlap)
-        restr = build_restrictions(part)
         for i in range(n_sub):
-            R = restr.dense(i)
+            R = np.eye(n_grid)[part.index_sets[i]]
             np.testing.assert_array_equal(R @ R.T, np.eye(len(part.index_sets[i])))
             P = R.T @ R
             np.testing.assert_array_equal(P @ P, P)
@@ -69,8 +67,7 @@ class TestRestrictions:
 
 
 def systems_for(vconfig, partition):
-    restr = build_restrictions(partition)
-    return [assemble_local_system(i, partition, restr, vconfig)
+    return [assemble_local_system(i, partition, vconfig)
             for i in range(partition.n_sub)]
 
 
@@ -90,11 +87,6 @@ def batch_of_one(factors, vconfig):
                         [vconfig.time_index]).take(0)
 
 
-def blocks(w, partition):
-    """The control w cut into its per-block pieces, keyed by block."""
-    return {i: w[idx] for i, idx in enumerate(partition.index_sets)}
-
-
 class TestAssembleLocalSystem:
     def test_empty_problem_reduces_to_identity(self):
         # no observations inside the block and no neighbors
@@ -108,16 +100,15 @@ class TestAssembleLocalSystem:
         vempty = dataclasses.replace(vconfig, observations=empty_obs)
         sys0 = systems_for(vempty, partition)[0]
         np.testing.assert_array_equal(sys0.A_loc, np.eye(8))
-        np.testing.assert_array_equal(sys0.c_loc, np.zeros(8))
-        assert sys0.coupling == {}
+        batch = batch_of_one(build_factors(vempty, partition), vempty)
+        np.testing.assert_array_equal(batch.c, np.zeros(8))
 
     def test_degenerate_block_matches_conjugated_hessian(self, bench_problem):
         vconfig, _ = bench_problem
         partition = partition_domain(vconfig.instance.np, 1, 0)
         sys0 = systems_for(vconfig, partition)[0]
         V = vconfig.covpair.V
-        (hessian,) = var_solver.hessian_condition(vconfig, "threeD").blocks
-        half_hessian = 0.5 * hessian
+        ((half_hessian, _),) = var_solver._normal_systems(vconfig, "threeD")
         np.testing.assert_allclose(sys0.A_loc, V.T @ half_hessian @ V, atol=1e-9)
 
     def test_local_matrices_symmetric_spd(self, correlated_problem):
@@ -127,51 +118,20 @@ class TestAssembleLocalSystem:
                 <= 1e-12 * np.abs(sys_i.A_loc).max()
             assert np.linalg.eigvalsh(sys_i.A_loc).min() > 0
 
-    def test_local_gradient_matches_central_differences(self, correlated_problem):
-        _, vconfig, partition = correlated_problem
-        systems = systems_for(vconfig, partition)
-        rng = np.random.default_rng(3)
-        for sys_i in systems:
-            others = {j: rng.standard_normal(len(partition.index_sets[j]))
-                      for j in sys_i.coupling}
-            for _ in range(20):
-                w = rng.standard_normal(sys_i.indices.size)
-                g = local_grad(w, others, sys_i)
-                fd = np.empty_like(w)
-                eps = 1e-6
-                for m in range(w.size):
-                    e = np.zeros_like(w)
-                    e[m] = eps
-                    fd[m] = (local_cost(w + e, others, sys_i)
-                             - local_cost(w - e, others, sys_i)) / (2 * eps)
-                assert np.max(np.abs(g - fd)) <= 1e-6 * (1 + np.max(np.abs(g)))
-
     @pytest.mark.parametrize("L", [0.0, 2.0])
     def test_blocks_are_the_global_matrix(self, L):
-        # A_loc = A[I_i, I_i]; coupling[j] holds A's columns at block j's
-        # owned points outside I_i, for exactly the blocks A couples; with an
-        # uncorrelated background A is diagonal and no block couples
+        # A_loc = A[I_i, I_i], and the bound right-hand side is c
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=24, n_sub=4,
                                   overlap=4, nobs=6, L=L)
         vconfig, partition = harness.build_problem(cfg)
         A, c = dense_system(vconfig)
-        for s in systems_for(vconfig, partition):
+        factors = build_factors(vconfig, partition)
+        np.testing.assert_allclose(batch_of_one(factors, vconfig).c, c,
+                                   rtol=1e-13, atol=1e-12)
+        for s in factors.plans[vconfig.time_index].factors:
             idx = s.indices
             np.testing.assert_allclose(s.A_loc, A[np.ix_(idx, idx)],
                                        rtol=1e-13, atol=1e-12)
-            np.testing.assert_allclose(s.c_loc, c[idx], rtol=1e-13, atol=1e-12)
-            coupled = []
-            for j in range(partition.n_sub):
-                points = np.setdiff1d(partition.cores[j], idx)
-                if j != s.i and np.any(A[np.ix_(idx, points)]):
-                    coupled.append(j)
-                    C = np.zeros((idx.size, partition.index_sets[j].size))
-                    C[:, points - partition.index_sets[j][0]] = \
-                        A[np.ix_(idx, points)]
-                    np.testing.assert_allclose(s.coupling[j], C, rtol=1e-13,
-                                               atol=1e-12)
-            assert sorted(s.coupling) == coupled
-            assert bool(coupled) == (L > 0)
 
 
 class TestSweepAndPatch:
@@ -205,14 +165,14 @@ class TestSweepAndPatch:
 
     def test_fixed_point_satisfies_local_systems(self, correlated_problem):
         _, vconfig, partition = correlated_problem
-        systems = systems_for(vconfig, partition)
         it, hist = run_mps(vconfig, partition, tol=1e-13, max_iters=200)
         assert hist.converged
         assert dap_residual(it.w, it.batch) <= 1e-10 * it.batch.scale
-        w = blocks(it.w, partition)
-        for s in systems:
-            g = local_grad(w[s.i], {j: w[j] for j in s.coupling}, s)
-            assert np.max(np.abs(g)) <= 1e-10 * (1 + np.abs(s.c_loc).max())
+        # every block's rows of A w = c, formed densely
+        A, c = dense_system(vconfig)
+        g = A @ it.w - c
+        for idx in partition.index_sets:
+            assert np.max(np.abs(g[idx])) <= 1e-10 * (1 + np.abs(c[idx]).max())
 
     def test_patch_single_block(self, bench_problem):
         vconfig, _ = bench_problem
@@ -307,15 +267,27 @@ class TestRunMps:
         assert costs[-1] < costs[0]
 
     def test_average_patch_rule(self, correlated_problem):
-        # the patch rule of the former penalty sweep is accepted and ignored
+        # serial_fine_chain accepts and ignores the penalty and the patch rule
+        # of the former penalty sweep
         _, vconfig, partition = correlated_problem
-        u_b = vconfig.instance.M @ vconfig.u0
-        owner = parareal.fine_solve(1, u_b, vconfig, partition, 1e-12, 100,
-                                    rho=1.0, patch_rule="owner")
-        average = parareal.fine_solve(1, u_b, vconfig, partition, 1e-12, 100,
-                                      rho=5.0, patch_rule="average")
-        assert owner[0].tobytes() == average[0].tobytes()
+        owner = parareal.serial_fine_chain(vconfig, partition, 1e-12, 100,
+                                           rho=1.0, patch_rule="owner")
+        average = parareal.serial_fine_chain(vconfig, partition, 1e-12, 100,
+                                             rho=5.0, patch_rule="average")
+        assert [u.tobytes() for u in owner[0]] \
+            == [u.tobytes() for u in average[0]]
         assert owner[1] == average[1]
+
+    def test_breakdown_is_reported_not_raised(self, correlated_problem):
+        # at tol = 1e-300 the recursive residual shrinks until r.z is 0,
+        # where CG has no step left (alpha would be 0/0)
+        _, vconfig, partition = correlated_problem
+        it, hist = run_mps(vconfig, partition, tol=1e-300, max_iters=500)
+        assert not hist.converged
+        assert it.rz == 0 and 0 < hist.n_sweeps < 500
+        assert hist.residual == 0.0
+        assert np.isfinite(it.patched).all()
+        assert np.isfinite([hist.eq_residual, hist.eps_mps]).all()
 
 
 def slab_problem(vconfig, t, seed):
@@ -327,12 +299,12 @@ def slab_problem(vconfig, t, seed):
 
 def assert_reuse_matches_fresh(factors, slab, partition):
     """A solve on reused factors equals one on freshly assembled systems."""
-    restr = build_restrictions(partition)
     batch = batch_of_one(factors, slab)
+    own = build_factors(slab, partition, times=(slab.time_index,))
+    np.testing.assert_array_equal(batch.c, batch_of_one(own, slab).c)
     for f in factors.plans[slab.time_index].factors:
-        fresh = assemble_local_system(f.i, partition, restr, slab)
+        fresh = assemble_local_system(f.i, partition, slab)
         np.testing.assert_array_equal(f.A_loc, fresh.A_loc)
-        np.testing.assert_array_equal(batch.c[f.indices], fresh.c_loc)
     kwargs = dict(tol=1e-10, max_iters=30)
     reused, h_reused = run_mps(slab, partition, factors=factors, **kwargs)
     fresh, h_fresh = run_mps(slab, partition, **kwargs)
@@ -428,7 +400,8 @@ class TestNonFinite:
         c = batch.c.copy()
         c[-1] = np.nan
         with pytest.raises(var_solver.VarSolverError,
-                           match="subdomain 1: Schwarz CG step 1 .*c_loc"):
+                           match="subdomain 1: Schwarz CG step 1 .*right-hand "
+                                 "side c is not finite"):
             mps_sweep(initial_iterate(dataclasses.replace(batch, c=c)))
 
     def test_overflowing_local_system_names_sigma_b(self):
@@ -639,10 +612,8 @@ class TestBatchMatchesSolo:
             config = dataclasses.replace(vconfig, u0=u0, time_index=t)
             assert_column_is_solo(batch, j, config, partition, solve)
 
-    @pytest.mark.parametrize("patch", ["owner", "average"])
-    def test_columns_stop_at_their_own_sweep(self, patch):
-        # sweep_heavy's layout: CG takes about a dozen steps; fine_solve
-        # ignores the patch rule
+    def test_columns_stop_at_their_own_sweep(self):
+        # sweep_heavy's layout: CG takes about a dozen steps
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=64, n_sub=8,
                                   overlap=4, nobs=16, L=2.0, lam=0.05,
                                   n_steps=2)
@@ -670,10 +641,28 @@ class TestBatchMatchesSolo:
         for j, config in enumerate(configs):
             assert_column_is_solo(batch, j, config, partition, solve)
             fine, hist = parareal.fine_solve(
-                1, config.u0, vconfig, partition, 1e-10, 10, rho=5.0,
-                patch_rule=patch, factors=factors)
+                1, config.u0, vconfig, partition, 1e-10, 10, factors=factors)
             assert fine.tobytes() == states[j].tobytes()
             assert hist == hists[j]
+
+    def test_broken_down_column_is_its_solo_solve(self, correlated_problem):
+        # at tol = 1e-300 one column breaks down (r.z = 0) and leaves the
+        # batch unconverged; one whose innovation is 0 converges at the start
+        _, vconfig, partition = correlated_problem
+        factors = build_factors(vconfig, partition)
+        rng = np.random.default_rng(1)
+        backgrounds = [fitted_background(
+            vconfig, 1, scale, rng.standard_normal(vconfig.u0.size))
+            for scale in (1.0, 0.0)]
+        solve = dict(tol=1e-300, max_iters=500, factors=factors)
+        batch = solve_batch(vconfig, backgrounds, [1, 1], solve)
+        states, hists, _ = batch
+        assert [h.converged for h in hists] == [False, True]
+        assert 0 < hists[0].n_sweeps < 500 and hists[1].n_sweeps == 0
+        assert np.isfinite(states).all()
+        for j, u0 in enumerate(backgrounds):
+            config = dataclasses.replace(vconfig, u0=u0, time_index=1)
+            assert_column_is_solo(batch, j, config, partition, solve)
 
     def test_batch_needs_one_pattern(self):
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=5,
@@ -706,7 +695,7 @@ class TestBatchMatchesSolo:
         c[1, -1] = np.nan
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 1: Schwarz CG step 1 at time 2 "
-                                 ".*c_loc"):
+                                 ".*right-hand side c is not finite"):
             mps_sweep(initial_iterate(dataclasses.replace(batch, c=c)))
 
 

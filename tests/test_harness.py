@@ -388,6 +388,19 @@ class TestCli:
         assert "reason=exact" in line
         assert line.endswith("mps_unconverged=7 slabs=1,2,3,4,5,6,7")
 
+    def test_cg_breakdown_exits_two(self, tmp_path, capsys, recwarn):
+        # at tol_mps = 1e-300 every fine solve's r.z reaches 0 first: CG has
+        # no step left, so the solve is unconverged, not a solver fault
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tol_mps = 1e-300\n")
+        code = harness.main(["--config", str(cfg_file),
+                             "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.strip().endswith("mps_unconverged=7 slabs=1,2,3,4,5,6,7")
+        assert not recwarn.list
+
     def test_converged_run_reports_no_inner_failures(self, tmp_path, capsys):
         code = harness.main(["--out", str(tmp_path / "report.csv")])
         assert code == 0

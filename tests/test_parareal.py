@@ -52,7 +52,7 @@ class TestLocalDaSolve:
         vempty = no_observation_config(vconfig)
         background = initial_trajectory(vempty).background[0][2]
         analysis, hist = fine_solve(2, background, vempty, partition, 1e-10,
-                                    100, rho=3.7)
+                                    100)
         np.testing.assert_array_equal(analysis, background)
         assert hist.converged
 
@@ -61,7 +61,7 @@ class TestLocalDaSolve:
         partition1 = dd_mps.partition_domain(vconfig.instance.np, 1, 0)
         background = initial_trajectory(vconfig).background[0][3]
         analysis, _ = fine_solve(3, background, vconfig, partition1, 1e-10,
-                                 100, rho=1.0)
+                                 100)
         slab_cfg = dataclasses.replace(vconfig, u0=background, time_index=3)
         direct = var_solver.solve_var_direct(slab_cfg, "threeD")
         np.testing.assert_allclose(analysis, direct.u_da, atol=1e-8)
@@ -127,7 +127,7 @@ class TestRunParareal:
         assert hist.converged
         assert hist.n_outer == 1
         fine, _ = fine_solve(1, vconfig.instance.M @ vconfig.u0, vconfig,
-                             partition, 1e-10, 100, rho=1.0)
+                             partition, 1e-10, 100)
         np.testing.assert_array_equal(traj.u[1][1], fine)
 
     def test_benchmark_converges_within_slab_count(self, bench_problem):

@@ -231,8 +231,8 @@ class TestSolveVarDirect:
             weight = cfg.alpha
             ops = [dense_H(cfg, 0)] + [dense_H(cfg, k) @ cfg.instance.M
                                        for k in range(1, cfg.instance.n_steps)]
-        report = hessian_condition(cfg, variant)
-        for block, H in zip(report.blocks, ops, strict=True):
+        hessian = [2.0 * A for A, _ in var_solver._normal_systems(cfg, variant)]
+        for block, H in zip(hessian, ops, strict=True):
             A = weight * Binv + H.T @ Rinv @ H
             np.testing.assert_array_equal(block, 2.0 * (0.5 * (A + A.T)))
 
@@ -265,23 +265,22 @@ class TestSolveVarDirect:
 class TestHessianCondition:
     def test_identity_problem_is_perfectly_conditioned(self):
         cfg = identity_config(4, np.zeros(4), np.ones(4))
-        report = hessian_condition(cfg, "fourD")
-        assert len(report.blocks) == 1
-        np.testing.assert_allclose(report.blocks[0], 4.0 * np.eye(4), atol=1e-13)
-        assert report.mu == pytest.approx(1.0, rel=1e-12)
+        ((A, _),) = var_solver._normal_systems(cfg, "fourD")
+        np.testing.assert_allclose(2.0 * A, 4.0 * np.eye(4), atol=1e-13)
+        assert hessian_condition(cfg, "fourD") == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["threeD", "fourD"])
     def test_mu_at_least_one(self, variant):
-        report = hessian_condition(random_config(), variant)
-        assert report.mu >= 1.0
+        assert hessian_condition(random_config(), variant) >= 1.0
 
     def test_matches_brute_force_inverse(self):
         cfg = random_config(n_grid=6)
-        report = hessian_condition(cfg, "threeD")
-        (A,) = report.blocks
+        ((A, _),) = var_solver._normal_systems(cfg, "threeD")
+        A = 2.0 * A
         mu_oracle = (np.abs(A).sum(axis=1).max()
                      * np.abs(np.linalg.inv(A)).sum(axis=1).max())
-        assert report.mu == pytest.approx(mu_oracle, rel=1e-10)
+        assert hessian_condition(cfg, "threeD") == pytest.approx(mu_oracle,
+                                                                 rel=1e-10)
         # the Hessian is twice the second difference of the cost
         rng = np.random.default_rng(2)
         d = rng.standard_normal(6)
@@ -292,15 +291,16 @@ class TestHessianCondition:
 
     def test_four_d_blocks_match_dense_reference(self):
         cfg = random_config(n_grid=6, n_steps=4, L=1.2, alpha=0.6)
-        report = hessian_condition(cfg, "fourD")
+        blocks = [2.0 * A for A, _ in var_solver._normal_systems(cfg, "fourD")]
         A, _ = dense_normal_system(cfg)
         A = 2.0 * A
         mu_dense = (np.abs(A).sum(axis=1).max()
                     * np.abs(np.linalg.inv(A)).sum(axis=1).max())
-        assert report.mu == pytest.approx(mu_dense, rel=1e-10)
+        assert hessian_condition(cfg, "fourD") == pytest.approx(mu_dense,
+                                                                rel=1e-10)
         n = cfg.instance.np
-        assert len(report.blocks) == cfg.instance.n_steps
-        for k, block in enumerate(report.blocks):
+        assert len(blocks) == cfg.instance.n_steps
+        for k, block in enumerate(blocks):
             np.testing.assert_allclose(block, A[k * n:(k + 1) * n, k * n:(k + 1) * n],
                                        rtol=1e-12, atol=1e-12 * np.abs(A).max())
         # the dense reference really is block diagonal
