@@ -36,8 +36,8 @@ print("so the preconditioned operator has two eigenvalues: CG needs two steps.")
 
 def narrate(vc, part, tol):
     """Print each CG step's residuals and the global cost of its state."""
-    factors = dd_mps.build_factors(vc, part, times=(vc.time_index,))
-    it = dd_mps.initial_iterate(factors.bind(
+    plan = dd_mps.build_factors(vc, part)
+    it = dd_mps.initial_iterate(plan.bind(
         vc.observations, [vc.u0], [vc.time_index]).take(0))
     while it.eq_residual > tol:
         it = dd_mps.mps_sweep(it)

@@ -5,7 +5,7 @@ the control w, with u = u_b + V w and B = V V^T, its cost is
 
     J(w) = lam/2 |w|^2 + rinv/2 |S w - d|^2,   S = V[obs],  d = v - u_b[obs],
 
-where obs are the grid points observed at the time and the scalar
+where obs are the grid points observed, at every time, and the scalar
 rinv = 1 / sigma_r^2 is R^-1: observations are a row selection and one
 variance.  The minimizer solves A w = c with A = lam I + rinv S^T S and
 c = rinv S^T d.  A is SPD, and the solve is conjugate gradients
@@ -17,26 +17,25 @@ config, and its limit is the global minimizer whatever the background's
 correlation length.
 
 A block's matrix A_loc = A[I_i, I_i] and its Cholesky factor depend only on
-the partition, V, lam and the observation pattern obs_indices[t].  A
-`FactorTable` builds them once per distinct pattern, as that pattern's
-`CgPlan`, so a fine solve computes only d and c.  A CG step makes one dpotrs
-call per block and applies A once, as lam p + rinv S^T (S p), never formed.
+the partition, V, lam and the observed points obs, which are the same at
+every time.  build_factors builds them once per problem, as its `CgPlan`, so
+a fine solve computes only d and c.  A CG step makes one dpotrs call per
+block and applies A once, as lam p + rinv S^T (S p), never formed.
 
-Solves that share a pattern run as the columns of one batch: every array
-carries a leading column axis, one row per background (run_mps_batch;
-run_mps is the batch of one).  Each product is a stacked gemv, one per
-column, each block solve one multi-column potrs call, and alpha, beta and
-every residual are per column, so each column has the bits of its solve
-alone.  A column leaves the batch at the step where it stops: converged,
-out of steps, or with a step of 0, as where r . z = 0.  A non-finite
-background is rejected before the first step, and any other non-finite value
-shows in one NaN-propagating check of each step; both raise VarSolverError
-naming the subdomain and the time.
+Solves run as the columns of one batch: every array carries a leading
+column axis, one row per background (run_mps_batch; run_mps is the batch
+of one).  Each product is a stacked gemv, one per column, each block solve
+one multi-column potrs call, and alpha, beta and every residual are per
+column, so each column has the bits of its solve alone.  A column leaves
+the batch at the step where it stops: converged, out of steps, or with a
+step of 0, as where r . z = 0.  A non-finite background is rejected before
+the first step, and any other non-finite value shows in one NaN-propagating
+check of each step; both raise VarSolverError naming the subdomain and the
+time.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, field
 
@@ -70,8 +69,8 @@ class SubdomainPartition:
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """Block i's part of one observation pattern's preconditioner:
-    A_loc = A[I_i, I_i] and its Cholesky factor."""
+    """Block i's part of the preconditioner: A_loc = A[I_i, I_i] and its
+    Cholesky factor."""
 
     i: int
     indices: np.ndarray     # I_i, contiguous
@@ -94,11 +93,13 @@ def _rhs(S, rinv, d):
 
 @dataclass(frozen=True)
 class CgPlan:
-    """One observation pattern's operator and preconditioner.
+    """One problem's operator and preconditioner, built before any fine
+    solve reads them.
 
     `factors` holds one LocalFactor per block in subdomain order, `obs` the
     observed grid points and `S` = V[obs] their rows of V, so that
-    A = lam I + rinv S^T S.  `V` maps a control to a state increment.
+    A = lam I + rinv S^T S.  `V` maps a control to a state increment, and
+    `v_norm` = ||V||_inf maps a control residual into state space.
     """
 
     factors: tuple
@@ -107,6 +108,7 @@ class CgPlan:
     lam: float
     rinv: float
     V: np.ndarray
+    v_norm: float
 
     def apply_A(self, p):
         """A p for every row of p, as lam p + rinv S^T (S p)."""
@@ -125,6 +127,23 @@ class CgPlan:
                                      f"argument {-info}")
             z[..., sl] += sol.T
         return z
+
+    def bind(self, observations, backgrounds, times):
+        """The Batch with one column per background: column c is
+        backgrounds[c] at observation time times[c], reading the
+        observations v of its own time."""
+        times = np.asarray(times)
+        u_b = np.asarray(backgrounds, dtype=float)
+        finite = np.isfinite(u_b)
+        if not finite.all():
+            col = int(np.flatnonzero(~finite.all(axis=1))[0])
+            i = next(f.i for f in self.factors if not finite[col, f.indices].all())
+            raise VarSolverError(f"subdomain {i}: the background is not finite "
+                                 f"at time {times[col]}")
+        d = np.stack([observations.v[t] for t in times]) - u_b[:, self.obs]
+        c = _rhs(self.S, self.rinv, d)
+        return Batch(plan=self, c=c, u_b=u_b,
+                     scale=1.0 + np.abs(c).max(axis=-1), t=times)
 
 
 @dataclass(frozen=True)
@@ -146,41 +165,6 @@ class Batch:
         """The batch's columns `rows`; an int gives one unbatched solve."""
         return Batch(plan=self.plan, c=self.c[rows], u_b=self.u_b[rows],
                      scale=self.scale[rows], t=self.t[rows])
-
-
-@dataclass(frozen=True)
-class FactorTable:
-    """Block factors of one problem, built before any fine solve reads them.
-
-    `plans[t]` is the CgPlan of observation time t; times with the same
-    observation pattern share one plan.  `v_norm` is ||V||_inf, which maps a
-    control residual into state space.
-    """
-
-    plans: dict
-    v_norm: float
-
-    def bind(self, observations, backgrounds, times):
-        """The Batch with one column per background: column c is
-        backgrounds[c] at observation time times[c], reading the
-        observations v of its own time.  The times must share one
-        observation pattern, hence one plan."""
-        times = np.asarray(times)
-        plan = self.plans[times[0]]
-        if any(self.plans[t] is not plan for t in times):
-            raise ValueError("a batch needs times that share one observation "
-                             f"pattern, got times {times.tolist()}")
-        u_b = np.asarray(backgrounds, dtype=float)
-        finite = np.isfinite(u_b)
-        if not finite.all():
-            col = int(np.flatnonzero(~finite.all(axis=1))[0])
-            i = next(f.i for f in plan.factors if not finite[col, f.indices].all())
-            raise VarSolverError(f"subdomain {i}: the background is not finite "
-                                 f"at time {times[col]}")
-        d = np.stack([observations.v[t] for t in times]) - u_b[:, plan.obs]
-        c = _rhs(plan.S, plan.rinv, d)
-        return Batch(plan=plan, c=c, u_b=u_b,
-                     scale=1.0 + np.abs(c).max(axis=-1), t=times)
 
 
 @dataclass(frozen=True)
@@ -258,7 +242,7 @@ def partition_domain(n_grid, n_sub, overlap):
 
 
 def assemble_local_system(i, partition, config):
-    """Factor block i of config's control-space matrix at its time_index.
+    """Factor block i of config's control-space matrix.
 
     A_loc = A[I_i, I_i] = rinv S_i^T S_i + lam I with S_i = V[obs, I_i], the
     columns of S in the block.  Returns its LocalFactor.
@@ -267,9 +251,7 @@ def assemble_local_system(i, partition, config):
     if idx.size == 0:
         raise PartitionError(f"subdomain {i} is empty")
     cov = config.covpair
-    t = config.time_index
-    obs = config.observations.obs_indices[t]
-    S_i = cov.V[obs][:, idx]
+    S_i = cov.V[config.observations.obs][:, idx]
     rinv = 1.0 / cov.sigma_r**2
 
     # Overflow surfaces as values, not warnings: the check below rejects it.
@@ -281,41 +263,25 @@ def assemble_local_system(i, partition, config):
         if not np.isfinite(A_loc).all():
             raise VarSolverError(
                 f"sigma_b = {cov.sigma_b:g} (with sigma_r = {cov.sigma_r:g}) "
-                f"overflows the local system of subdomain {i} at time {t} "
-                f"in float64")
+                f"overflows the local system of subdomain {i} in float64")
         try:
             chol = scipy.linalg.cho_factor(A_loc)
         except np.linalg.LinAlgError:
             raise VarSolverError(
-                f"subdomain {i} at time {t}: the local system is not positive "
+                f"subdomain {i}: the local system is not positive "
                 f"definite in float64 (lambda = {config.lam:g} with sigma_b = "
                 f"{cov.sigma_b:g} and sigma_r = {cov.sigma_r:g})") from None
     return LocalFactor(i=i, indices=idx, A_loc=A_loc, chol=chol)
 
 
-def build_factors(config, partition, times=None):
-    """Factor every block once per distinct observation pattern.
-
-    `times` defaults to every observation time; run_mps asks for its own
-    time only when it is given no table.
-    """
-    if times is None:
-        times = range(len(config.observations.v))
-    V = config.covpair.V
-    by_pattern, plans = {}, {}
-    for t in times:
-        obs = config.observations.obs_indices[t]
-        key = obs.tobytes()
-        if key not in by_pattern:
-            config_t = dataclasses.replace(config, time_index=t)
-            by_pattern[key] = CgPlan(
-                factors=tuple(assemble_local_system(i, partition, config_t)
-                              for i in range(partition.n_sub)),
-                obs=obs, S=V[obs], lam=float(config.lam),
-                rinv=1.0 / config.covpair.sigma_r**2, V=V)
-        plans[t] = by_pattern[key]
-    return FactorTable(plans=plans,
-                       v_norm=float(np.abs(V).sum(axis=1).max()))
+def build_factors(config, partition):
+    """Factor every block of config's problem once: its CgPlan."""
+    V, obs = config.covpair.V, config.observations.obs
+    return CgPlan(factors=tuple(assemble_local_system(i, partition, config)
+                                for i in range(partition.n_sub)),
+                  obs=obs, S=V[obs], lam=float(config.lam),
+                  rinv=1.0 / config.covpair.sigma_r**2, V=V,
+                  v_norm=float(np.abs(V).sum(axis=1).max()))
 
 
 def _dot(a, b):
@@ -390,20 +356,20 @@ def dap_residual(w, batch):
 def run_mps(config, partition, tol, max_iters, factors=None):
     """Solve config's single-time problem by Schwarz-preconditioned CG.
 
-    `factors` is a FactorTable built for this config's problem and
-    partition; without one the blocks of config.time_index are factored
-    here.  The solve stops when max|c - A w| / (1 + max|c|), read from the
-    recursive residual, is at most tol (converged), or after max_iters
-    steps; non-convergence is reported through the returned history, not
-    raised.  The history's eq_residual is the true residual at the final
-    iterate, and eps_mps = ||V||_inf max|c - A w| / lam maps it to state
-    space, since A >= lam I bounds the control error by |c - A w| / lam
-    (in the 2-norm; the max-norm map is a proxy).
+    `factors` is the CgPlan build_factors made for this config's problem
+    and partition; without one the blocks are factored here.  The solve
+    stops when max|c - A w| / (1 + max|c|), read from the recursive
+    residual, is at most tol (converged), or after max_iters steps;
+    non-convergence is reported through the returned history, not raised.
+    The history's eq_residual is the true residual at the final iterate,
+    and eps_mps = ||V||_inf max|c - A w| / lam maps it to state space,
+    since A >= lam I bounds the control error by |c - A w| / lam (in the
+    2-norm; the max-norm map is a proxy).
     Returns the final CgIterate, whose `patched` is the analysis, and the
     history.  This is the batch of one of run_mps_batch.
     """
     if factors is None:
-        factors = build_factors(config, partition, times=(config.time_index,))
+        factors = build_factors(config, partition)
     [(_, final, (history,))] = _cg_groups(
         config, [config.u0], [config.time_index], factors, tol, max_iters)
     return final.take(0), history
@@ -413,13 +379,12 @@ def run_mps_batch(config, backgrounds, times, factors, tol, max_iters):
     """run_mps for several backgrounds of config's problem at once.
 
     Column c solves the single-time problem of time times[c] around the
-    background backgrounds[c]; config's own u0 and time_index are not read,
-    and the times share one observation pattern of the FactorTable
-    `factors` (FactorTable.bind).  A column leaves the batch at the step
-    where it stops; the rest step on.  Returns the analysis states, one row
-    per column, and one MpsHistory per column; each is bitwise that of the
-    column solved alone, so the bytes do not depend on how solves are
-    batched.
+    background backgrounds[c], on the CgPlan `factors` (CgPlan.bind);
+    config's own u0 and time_index are not read.  A column leaves the batch
+    at the step where it stops; the rest step on.  Returns the analysis
+    states, one row per column, and one MpsHistory per column; each is
+    bitwise that of the column solved alone, so the bytes do not depend on
+    how solves are batched.
     """
     states = np.empty((len(times), config.covpair.V.shape[0]))
     histories = [None] * len(times)

@@ -12,11 +12,11 @@ are slabs the trajectory reproduces the serial fine chain exactly, so the
 driver also stops there.
 
 Slab k is [t_{k-1}, t_k] of instance.time_grid and assimilates the batch at
-t_k.  The slabs an iteration solves are independent, so the slabs that share
-an observation pattern are solved as the columns of one fine-solve batch
-(dd_mps.run_mps_batch).  With `workers` > 1 each such batch is split into at
-most `workers` contiguous batches, which run on a thread pool.  A column has
-the bits of its slab solved alone, so the split never changes a byte.
+t_k.  The slabs an iteration solves are independent, so they are solved as
+the columns of one fine-solve batch (dd_mps.run_mps_batch).  With `workers`
+> 1 that batch is split into at most `workers` contiguous batches, which run
+on a thread pool.  A column has the bits of its slab solved alone, so the
+split never changes a byte.
 
 run_parareal does less work than the textbook iteration, which re-solves
 every slab at every iteration.  A fine solve is a deterministic function of
@@ -156,8 +156,8 @@ def fine_solve(k, background, config, partition, tol_mps, max_sweeps,
     Solves the single-time problem whose background is the slab's coarse
     state and whose observations are the batch at t_k, by Schwarz-
     preconditioned CG (dd_mps.run_mps); returns the analysis u_b + V w and
-    the inner-solver history.  `factors` (a dd_mps.FactorTable of config's
-    problem) spares the solve its block factorizations.
+    the inner-solver history.  `factors` (config's dd_mps.CgPlan, from
+    dd_mps.build_factors) spares the solve its block factorizations.
     """
     slab_config = dataclasses.replace(config, u0=background, time_index=k)
     iterate, history = run_mps(slab_config, partition, tol=tol_mps,
@@ -165,18 +165,11 @@ def fine_solve(k, background, config, partition, tol_mps, max_sweeps,
     return iterate.patched, history
 
 
-def _batches(slabs, factors, workers):
-    """Split slabs into batches that share a factor tuple: one per
-    observation pattern, each cut into at most `workers` contiguous runs."""
-    by_pattern = {}
-    for k in slabs:
-        by_pattern.setdefault(id(factors.plans[k]), []).append(k)
-    batches = []
-    for ks in by_pattern.values():
-        parts = min(workers, len(ks))
-        cuts = [len(ks) * p // parts for p in range(parts + 1)]
-        batches.extend(ks[a:b] for a, b in zip(cuts, cuts[1:]))
-    return batches
+def _batches(slabs, workers):
+    """Cut slabs into at most `workers` contiguous runs; none for no slab."""
+    parts = min(workers, len(slabs))
+    return [slabs[len(slabs) * p // parts:len(slabs) * (p + 1) // parts]
+            for p in range(parts)]
 
 
 def parareal_update(trajectory, config, factors, tol_mps=1e-10,
@@ -184,13 +177,13 @@ def parareal_update(trajectory, config, factors, tol_mps=1e-10,
     """Advance the trajectory one outer iteration.
 
     The slab corrections are computed first, as batched fine solves on the
-    block factors `factors` (a dd_mps.FactorTable of config's problem, which
-    fixes the partition), split over `workers`
-    threads; then the corrector recombines them sequentially.  Returns the
-    extended trajectory and the per-slab inner-solver histories.  With
-    `records` (a FineRecords), a slab whose background one of its records
-    matches reuses that record's delta and history object; only the other
-    slabs are solved, and their solves are stored as records.
+    block factors `factors` (config's dd_mps.CgPlan, which fixes the
+    partition), split over `workers` threads; then the corrector recombines
+    them sequentially.  Returns the extended trajectory and the per-slab
+    inner-solver histories.  With `records` (a FineRecords), a slab whose
+    background one of its records matches reuses that record's delta and
+    history object; only the other slabs are solved, and their solves are
+    stored as records.
     """
     n = trajectory.n
     states = trajectory.u[n]
@@ -206,7 +199,7 @@ def parareal_update(trajectory, config, factors, tol_mps=1e-10,
         records = FineRecords(n_points - 1)
     known = {k: records.find(k, backgrounds[k]) for k in range(1, n_points)}
     todo = [k for k, hit in known.items() if hit is None]
-    batches = _batches(todo, factors, workers)
+    batches = _batches(todo, workers)
     solved = {}
     for ks, (fine, hists) in zip(batches, parallel_map(correct, batches,
                                                        workers)):

@@ -54,11 +54,11 @@ class CovarianceFactorPair:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Pointwise observations of a known truth, one batch per time; the
-    operator H_k is the row selection x -> x[obs_indices[k]]."""
+    """Pointwise observations of a known truth at the same grid points at
+    every time; the operator H is the row selection x -> x[obs]."""
 
     nobs: int
-    obs_indices: tuple      # per-time integer index arrays
+    obs: np.ndarray         # observed grid points, one frozen index array
     v: tuple                # per-time observation vectors
     seed: int
     u_truth: np.ndarray
@@ -166,36 +166,26 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
                                 L=float(L))
 
 
-def _normalize_obs_indices(obs_indices, n_steps):
-    """Accept one index list (reused at every time) or one list per time."""
-    first = obs_indices[0] if len(obs_indices) else None
-    if first is None or np.isscalar(first):
-        per_time = [np.asarray(obs_indices, dtype=int)] * n_steps
-    else:
-        if len(obs_indices) != n_steps:
-            raise TestbedError(
-                f"need one index list per time point ({n_steps}), got {len(obs_indices)}")
-        per_time = [np.asarray(ix, dtype=int) for ix in obs_indices]
-    return per_time
-
-
 def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True):
-    """Observe the propagated truth at the given grid indices.
+    """Observe the propagated truth at the same grid points at every time.
 
-    v_k = H_k M^k u_truth + eta_k with eta_k ~ N(0, sigma_r^2 I) drawn from a
+    obs_indices is one 1-D list of integer grid indices (repeats allowed);
+    v_k = H M^k u_truth + eta_k with eta_k ~ N(0, sigma_r^2 I) drawn from a
     generator seeded with `seed`; pass noise=False for exact-recovery tests.
     """
     n_grid, n_steps = instance.np, instance.n_steps
-    per_time = _normalize_obs_indices(obs_indices, n_steps)
-
-    nobs = len(per_time[0])
-    for ix in per_time:
-        if len(ix) != nobs:
-            raise TestbedError("all time points must carry the same number of observations")
-        if len(ix) and (ix.min() < 0 or ix.max() >= n_grid):
-            raise TestbedError(f"observation index out of range [0, {n_grid})")
+    try:
+        obs = np.asarray(obs_indices)
+    except ValueError:          # a ragged list of lists, so not 1-D
+        obs = np.empty((0, 0))
+    if obs.ndim != 1 or not (obs.size == 0 or np.issubdtype(obs.dtype, np.integer)):
+        raise TestbedError("obs_indices: expected one 1-D list of integer grid indices")
+    nobs = len(obs)
+    if nobs and (obs.min() < 0 or obs.max() >= n_grid):
+        raise TestbedError(f"observation index out of range [0, {n_grid})")
     if nobs >= n_grid:
         raise TestbedError(f"nobs must be < np ({n_grid}), got {nobs}")
+    obs = _freeze(obs, dtype=int)
 
     u_truth = np.asarray(u_truth, dtype=float)
     if u_truth.shape != (n_grid,):
@@ -207,33 +197,28 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
     for k in range(n_steps):
         if k > 0:
             x = instance.M @ x
-        vk = x[per_time[k]]
+        vk = x[obs]
         if noise:
             vk = vk + covpair.sigma_r * rng.standard_normal(nobs)
         v.append(_freeze(vk))
 
-    return ObservationSet(nobs=nobs,
-                          obs_indices=tuple(_freeze(ix, dtype=int) for ix in per_time),
-                          v=tuple(v), seed=int(seed), u_truth=_freeze(u_truth))
+    return ObservationSet(nobs=nobs, obs=obs, v=tuple(v), seed=int(seed),
+                          u_truth=_freeze(u_truth))
 
 
 def assemble_G(observations, instance):
     """Diagonal blocks of the space-time observation operator, one per time.
 
     The space-time operator is block diagonal, so only its blocks are kept:
-    the leading block observes the initial state directly, G_0 = I[ix_0];
-    every later block selects rows of the one-step propagator, G_k = M[ix_k].
+    the leading block observes the initial state directly, G_0 = I[obs];
+    every later block selects the same rows of the one-step propagator,
+    G_k = M[obs], one frozen array shared by every k >= 1.
     """
-    n_steps = instance.n_steps
-    per_time = observations.obs_indices
-    if len(per_time) != n_steps:
+    n_steps, obs = instance.n_steps, observations.obs
+    if len(observations.v) != n_steps:
         raise TestbedError(
-            f"observation set has {len(per_time)} times, model has {n_steps}")
-    for ix in per_time:
-        if len(ix) and (ix.min() < 0 or ix.max() >= instance.np):
-            raise TestbedError(
-                f"observation index out of range [0, {instance.np})")
-
-    blocks = [np.eye(instance.np)[per_time[0]]]
-    blocks += [instance.M[per_time[k]] for k in range(1, n_steps)]
-    return tuple(_freeze(b) for b in blocks)
+            f"observation set has {len(observations.v)} times, model has {n_steps}")
+    if len(obs) and (obs.min() < 0 or obs.max() >= instance.np):
+        raise TestbedError(f"observation index out of range [0, {instance.np})")
+    return (_freeze(np.eye(instance.np)[obs]),) \
+        + (_freeze(instance.M[obs]),) * (n_steps - 1)

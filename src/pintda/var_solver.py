@@ -8,7 +8,7 @@ its Hessian is block diagonal and it is solved one np x np time block at a
 time, each block being the single-time normal system with H -> G_k and
 lam -> alpha.  The direct solver factorizes each block densely and is the
 reference every iterative solver in this package is tested against, so its
-operators stay dense: H_k = I[obs_indices[k]].
+operators stay dense: H = I[obs], the same at every time.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ def _blocks(config, variant):
         raise VarSolverError(f"variant must be one of {VARIANTS}, got {variant!r}")
     obs = config.observations
     if variant == "threeD":
-        k = config.time_index
-        H = np.eye(config.instance.np)[obs.obs_indices[k]]
-        return config.lam, [(H, obs.v[k])]
+        H = np.eye(config.instance.np)[obs.obs]
+        return config.lam, [(H, obs.v[config.time_index])]
     return config.alpha, list(zip(config.G, obs.v))
 
 
@@ -112,25 +111,35 @@ def eval_grad(u, config, variant="threeD"):
     return g.ravel()
 
 
+def _background_term(config, weight):
+    """weight B^-1, symmetrized, the part every block shares."""
+    Binv = scipy.linalg.inv(config.covpair.B)
+    return weight * (0.5 * (Binv + Binv.T))
+
+
+def _normal_matrix(A_bg, H, rinv):
+    """A_bg + H^T R^-1 H, symmetrized, and H^T R^-1, kept C-ordered as the
+    product with a dense R^-1 was."""
+    HtRinv = np.multiply(H.T, rinv, order="C")
+    A = A_bg + HtRinv @ H
+    return 0.5 * (A + A.T), HtRinv
+
+
 def _normal_systems(config, variant):
     """Matrix and right-hand side of the stationarity equations, per block.
 
     Block k is  weight B^-1 + H_k^T R^-1 H_k  with right-hand side
     weight B^-1 u0 + H_k^T R^-1 v_k; B^-1 is formed once for all blocks.
-    H_k^T R^-1 is kept C-ordered, as the product with a dense R^-1 was.
     """
     weight, blocks = _blocks(config, variant)
-    Binv = scipy.linalg.inv(config.covpair.B)
-    Binv = 0.5 * (Binv + Binv.T)
-    A_bg = weight * Binv
+    A_bg = _background_term(config, weight)
     rhs_bg = A_bg @ config.u0
     rinv = 1.0 / config.covpair.sigma_r**2
 
     systems = []
     for H, v in blocks:
-        HtRinv = np.multiply(H.T, rinv, order="C")
-        A = A_bg + HtRinv @ H
-        systems.append((0.5 * (A + A.T), rhs_bg + HtRinv @ v))
+        A, HtRinv = _normal_matrix(A_bg, H, rinv)
+        systems.append((A, rhs_bg + HtRinv @ v))
     return systems
 
 
@@ -165,12 +174,21 @@ def hessian_condition(config, variant="threeD"):
 
     The Hessian is block diagonal and so is its inverse, so both infinity
     norms are maxima over the blocks: mu = max_k ||A_k|| * max_k ||A_k^-1||.
-    A block that is singular to working precision (SciPy's ill-conditioning
+    Blocks whose operators G_k have equal bytes are one matrix, so each
+    distinct block is formed and inverted once, at its first k.  A block
+    that is singular to working precision (SciPy's ill-conditioning
     warning) is a fault: its inverse, and so mu, would be meaningless.
     """
-    norm, inv_norm = 0.0, 0.0
-    for k, (A, _) in enumerate(_normal_systems(config, variant)):
-        A = 2.0 * A
+    weight, blocks = _blocks(config, variant)
+    A_bg = _background_term(config, weight)
+    rinv = 1.0 / config.covpair.sigma_r**2
+    norm, inv_norm, seen = 0.0, 0.0, set()
+    for k, (H, _) in enumerate(blocks):
+        key = (H.shape, H.tobytes())
+        if key in seen:
+            continue
+        seen.add(key)
+        A = 2.0 * _normal_matrix(A_bg, H, rinv)[0]
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", scipy.linalg.LinAlgWarning)

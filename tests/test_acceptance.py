@@ -127,7 +127,7 @@ class TestAcceptance:
         # the fine solve's control cost, term by term, against the gradient
         # A w - c that its CG iterates on
         t = vconfig.time_index
-        obs = vconfig.observations.obs_indices[t]
+        obs = vconfig.observations.obs
         d = vconfig.observations.v[t] - vconfig.u0[obs]
         S = vconfig.covpair.V[obs]
 
@@ -150,7 +150,7 @@ class TestAcceptance:
         ok_fact = np.abs(cov.V @ cov.V.T - cov.B).max() <= 1e-12 * np.abs(cov.B).max()
 
         ok_spd = True
-        for f in dd_mps.build_factors(vconfig, partition).plans[0].factors:
+        for f in dd_mps.build_factors(vconfig, partition).factors:
             sym = np.abs(f.A_loc - f.A_loc.T).max() == 0.0
             spd = np.linalg.eigvalsh(f.A_loc).min() > 0
             ok_spd = ok_spd and sym and spd

@@ -74,7 +74,7 @@ def systems_for(vconfig, partition):
 def dense_system(vconfig):
     """A = lam I + S^T S / sigma_r^2 and c of vconfig's time, formed densely."""
     t = vconfig.time_index
-    ix = vconfig.observations.obs_indices[t]
+    ix = vconfig.observations.obs
     S = vconfig.covpair.V[ix]
     rinv = 1.0 / vconfig.covpair.sigma_r**2
     A = vconfig.lam * np.eye(vconfig.instance.np) + rinv * S.T @ S
@@ -95,7 +95,7 @@ class TestAssembleLocalSystem:
         vconfig, partition = harness.build_problem(cfg)
         empty_obs = dataclasses.replace(
             vconfig.observations, nobs=0,
-            obs_indices=tuple(np.empty(0, dtype=int) for _ in range(2)),
+            obs=np.empty(0, dtype=int),
             v=tuple(np.zeros(0) for _ in range(2)))
         vempty = dataclasses.replace(vconfig, observations=empty_obs)
         sys0 = systems_for(vempty, partition)[0]
@@ -128,7 +128,7 @@ class TestAssembleLocalSystem:
         factors = build_factors(vconfig, partition)
         np.testing.assert_allclose(batch_of_one(factors, vconfig).c, c,
                                    rtol=1e-13, atol=1e-12)
-        for s in factors.plans[vconfig.time_index].factors:
+        for s in factors.factors:
             idx = s.indices
             np.testing.assert_allclose(s.A_loc, A[np.ix_(idx, idx)],
                                        rtol=1e-13, atol=1e-12)
@@ -300,9 +300,9 @@ def slab_problem(vconfig, t, seed):
 def assert_reuse_matches_fresh(factors, slab, partition):
     """A solve on reused factors equals one on freshly assembled systems."""
     batch = batch_of_one(factors, slab)
-    own = build_factors(slab, partition, times=(slab.time_index,))
+    own = build_factors(slab, partition)
     np.testing.assert_array_equal(batch.c, batch_of_one(own, slab).c)
-    for f in factors.plans[slab.time_index].factors:
+    for f in factors.factors:
         fresh = assemble_local_system(f.i, partition, slab)
         np.testing.assert_array_equal(f.A_loc, fresh.A_loc)
     kwargs = dict(tol=1e-10, max_iters=30)
@@ -318,28 +318,6 @@ class TestFactorTable:
         factors = build_factors(vconfig, partition)
         assert_reuse_matches_fresh(factors, slab_problem(vconfig, 2, seed=4),
                                    partition)
-
-    def test_distinct_patterns_get_distinct_factors(self):
-        cfg = dataclasses.replace(harness.ExperimentConfig(), np=16, n_steps=4,
-                                  nobs=4, L=1.0, n_sub=3, overlap=2)
-        vconfig, partition = harness.build_problem(cfg)
-        per_time = [[0, 5, 9, 13], [2, 6, 10, 14], [0, 5, 9, 13], [1, 3, 7, 15]]
-        obs = testbed.build_observations(vconfig.instance, vconfig.covpair,
-                                         per_time, vconfig.observations.u_truth,
-                                         seed=3)
-        vconfig = dataclasses.replace(
-            vconfig, observations=obs, G=testbed.assemble_G(obs, vconfig.instance))
-        factors = build_factors(vconfig, partition)
-        # one plan per pattern, built from that pattern's factors
-        plans = factors.plans
-        assert plans[0] is plans[2]
-        assert len({id(plans[t]) for t in (0, 1, 3)}) == 3
-        assert len({id(plans[t].factors) for t in (0, 1, 3)}) == 3
-        assert not np.array_equal(plans[1].factors[0].A_loc,
-                                  plans[3].factors[0].A_loc)
-        for t in range(4):
-            assert_reuse_matches_fresh(factors, slab_problem(vconfig, t, seed=t),
-                                       partition)
 
     def test_collected_table_leaves_no_plan_behind(self):
         # the plan lives on its table: a table built where a collected one
@@ -409,7 +387,7 @@ class TestNonFinite:
                                   nobs=4, sigma_b=1e153)
         vconfig, partition = harness.build_problem(harness.validate_config(cfg))
         with pytest.raises(var_solver.VarSolverError,
-                           match="sigma_b = 1e[+]153 .* subdomain 0 at time 0"):
+                           match="sigma_b = 1e[+]153 .* subdomain 0 in float64$"):
             build_factors(vconfig, partition)
 
 
@@ -418,7 +396,7 @@ def textbook_cg(slab, systems, max_iters, tol):
     cho_solve per block summed into z, dot products with @.  Yields
     (w, residual, eq_residual, patched) per step, then the true residual."""
     t = slab.time_index
-    ix = slab.observations.obs_indices[t]
+    ix = slab.observations.obs
     V = slab.covpair.V
     S = V[ix]
     rinv = 1.0 / slab.covpair.sigma_r**2
@@ -512,11 +490,11 @@ class TestSweepMatchesTextbook:
         assert hist.eps_mps == factors.v_norm * true / lam
 
 
-def patterned_problem(cfg, per_time):
-    """cfg's problem with the observation indices per_time[t] at time t."""
+def indexed_problem(cfg, ix):
+    """cfg's problem observing the grid points ix at every time."""
     vconfig, partition = harness.build_problem(harness.validate_config(cfg))
     obs = testbed.build_observations(vconfig.instance, vconfig.covpair,
-                                     per_time, vconfig.observations.u_truth,
+                                     ix, vconfig.observations.u_truth,
                                      seed=cfg.seed)
     vconfig = dataclasses.replace(
         vconfig, observations=obs, G=testbed.assemble_G(obs, vconfig.instance))
@@ -527,7 +505,7 @@ def fitted_background(vconfig, t, scale, noise):
     """u0 moved so that its innovation at time t is -scale * noise there:
     the smaller the scale, the fewer steps the solve takes."""
     u0 = vconfig.u0 + noise
-    idx = vconfig.observations.obs_indices[t]
+    idx = vconfig.observations.obs
     u0[idx] = vconfig.observations.v[t] + scale * noise[idx]
     return u0
 
@@ -561,17 +539,13 @@ def assert_column_is_solo(batch, j, config, partition, solve):
 
 
 class TestBatchMatchesSolo:
-    # Times 1 and 3 share a pattern, 2 and 4 have their own.
-    PER_TIME = ([0, 3, 7, 10], [1, 4, 8, 11], [2, 5, 6, 9], [1, 4, 8, 11],
-                [0, 2, 9, 11])
-
     @example(n_grid=12, n_sub=4, overlap=2, L=2.0, velocity=1.0, lam=0.05,
              max_sweeps=6, seed=5, scales=[1e-7, 1.0, 30.0, 0.0, 1e-4],
-             repeats=[3, 1], time_pick=0)
+             repeats=[3, 1], layout="random")
     # blocks of 5, 6 and 7 points, each point in up to two blocks
     @example(n_grid=17, n_sub=5, overlap=3, L=2.0, velocity=-1.0, lam=0.05,
              max_sweeps=24, seed=7, scales=[1e-9, 1.0, 30.0, 1e-4],
-             repeats=[0, 2], time_pick=0)
+             repeats=[0, 2], layout="stride")
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_grid=st.sampled_from([12, 17]), n_sub=st.integers(1, 5),
            overlap=st.integers(0, 3),
@@ -583,26 +557,26 @@ class TestBatchMatchesSolo:
            scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-7, 1e-4, 1.0, 30.0]),
                            min_size=1, max_size=6, unique=True),
            repeats=st.lists(st.integers(0, 5), max_size=6),
-           time_pick=st.integers(0, 2))
+           layout=st.sampled_from(["stride", "random"]))
     def test_batched_columns_are_bitwise_solo_solves(
             self, n_grid, n_sub, overlap, L, velocity, lam, max_sweeps, seed,
-            scales, repeats, time_pick):
+            scales, repeats, layout):
         assume(n_sub == 1 or overlap * (n_sub - 1) < n_grid)
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=n_grid,
                                   n_steps=5,
                                   nobs=4, n_sub=n_sub, overlap=overlap, L=L,
-                                  velocity=velocity, lam=lam, seed=seed)
-        vconfig, partition = patterned_problem(cfg, self.PER_TIME)
+                                  velocity=velocity, lam=lam,
+                                  obs_layout=layout, seed=seed)
+        vconfig, partition = harness.build_problem(harness.validate_config(cfg))
         factors = build_factors(vconfig, partition)
-        assert factors.plans[1] is factors.plans[3]
-        times = ((1, 3), (2,), (4,))[time_pick]
         # a pool of backgrounds whose innovations differ in scale, so columns
-        # stop at different steps; each once, some again, shuffled
+        # stop at different steps; each once, some again, shuffled, and each
+        # at a time of its own: every column reads its own time's v
         rng = np.random.default_rng(seed)
         pool = [(scale, rng.standard_normal(vconfig.u0.size)) for scale in scales]
         columns = rng.permutation(list(range(len(pool)))
                                   + [p % len(pool) for p in repeats])
-        col_times = [times[q % len(times)] for q in range(len(columns))]
+        col_times = rng.integers(1, 5, size=len(columns)).tolist()
         backgrounds = [fitted_background(vconfig, t, *pool[p])
                        for t, p in zip(col_times, columns)]
         solve = dict(tol=1e-10, max_iters=max_sweeps, factors=factors)
@@ -664,15 +638,6 @@ class TestBatchMatchesSolo:
             config = dataclasses.replace(vconfig, u0=u0, time_index=1)
             assert_column_is_solo(batch, j, config, partition, solve)
 
-    def test_batch_needs_one_pattern(self):
-        cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=5,
-                                  nobs=4, n_sub=2)
-        vconfig, partition = patterned_problem(cfg, self.PER_TIME)
-        factors = build_factors(vconfig, partition)
-        with pytest.raises(ValueError, match="one observation pattern"):
-            dd_mps.run_mps_batch(vconfig, [vconfig.u0] * 2, (1, 2), factors,
-                                 tol=1e-10, max_iters=5)
-
     def test_non_finite_background_names_its_time(self, correlated_problem):
         _, vconfig, partition = correlated_problem
         u0 = vconfig.u0.copy()
@@ -712,7 +677,7 @@ def dense_local_reference(vconfig, partition, i, backgrounds, times):
     inv(R)."""
     obs, V = vconfig.observations, vconfig.covpair.V
     idx = partition.index_sets[i]
-    ix = obs.obs_indices[times[0]]
+    ix = obs.obs
     H = dense_H(ix, vconfig.instance.np)
     R = vconfig.covpair.sigma_r**2 * np.eye(len(ix))
     S = H @ V
@@ -745,7 +710,7 @@ class TestObservationsAsIndices:
                                   n_steps=4, nobs=1, n_sub=n_sub,
                                   overlap=overlap, L=L, sigma_r=sigma_r,
                                   lam=lam, seed=seed)
-        vconfig, partition = patterned_problem(cfg, ix)
+        vconfig, partition = indexed_problem(cfg, ix)
         rng = np.random.default_rng(seed)
         times = rng.integers(0, 4, size=n_cols).tolist()
         backgrounds = vconfig.u0 + rng.standard_normal((n_cols, n_grid))
@@ -765,7 +730,7 @@ class TestObservationsAsIndices:
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=12, n_steps=3,
                                   nobs=1, n_sub=n_sub, overlap=2)
         ix = [2, 9, 2, 5, 9]
-        vconfig, partition = patterned_problem(cfg, ix)
+        vconfig, partition = indexed_problem(cfg, ix)
         slab = slab_problem(vconfig, 1, seed=0)
         it, hist = run_mps(slab, partition, tol=1e-13, max_iters=200)
         assert hist.converged

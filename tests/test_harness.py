@@ -111,7 +111,7 @@ class TestRetiredSchwarzKeys:
             load_config(None, {key: value})
 
 
-# A valid config whose local system at time 0 loses lambda to rounding.
+# A valid config whose local system loses lambda to rounding.
 NOT_POSITIVE_DEFINITE = "\n".join([
     "np = 18", "n_steps = 2", "n_sub = 2", "overlap = 4", "nobs = 10", "L = 2",
     "velocity = 0", "diffusivity = 1", "obs_layout = random", "lambda = 1e-6",
@@ -448,7 +448,7 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         names = {"sigma_r = 1e-150": "Hessian block 0 is singular to working precision",
-                 NOT_POSITIVE_DEFINITE: "subdomain 1 at time 0: the local system "
+                 NOT_POSITIVE_DEFINITE: "subdomain 1: the local system "
                                         "is not positive definite in float64 "
                                         "(lambda = 1e-06 with sigma_b = 10 and "
                                         "sigma_r = 0.0001)"}

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pintda import dd_mps, harness, parareal, testbed, var_solver
+from pintda import dd_mps, harness, parareal, var_solver
 from pintda.parareal import (FineRecords, fine_solve, initial_trajectory,
                              parareal_update, run_parareal, serial_fine_chain)
 
@@ -13,7 +13,7 @@ def no_observation_config(vconfig):
     n_steps = vconfig.instance.n_steps
     empty = dataclasses.replace(
         vconfig.observations, nobs=0,
-        obs_indices=tuple(np.empty(0, dtype=int) for _ in range(n_steps)),
+        obs=np.empty(0, dtype=int),
         v=tuple(np.zeros(0) for _ in range(n_steps)))
     return dataclasses.replace(vconfig, observations=empty)
 
@@ -308,42 +308,37 @@ class TestFineSolveReuse:
                          reference_histories=chain_hists)
 
 
-def patterned_problem():
-    """Seven slabs over three observation patterns: times 1, 2, 4 and 7
-    share one, 3 and 5 another, and 6 has its own."""
+def one_network_problem(layout):
+    """Seven slabs over one observation network in the given layout, with a
+    correlated background so that CG iterates."""
     cfg = dataclasses.replace(harness.ExperimentConfig(), np=16, n_steps=8,
-                              nobs=4, L=1.0, n_sub=3, overlap=2)
-    vconfig, partition = harness.build_problem(cfg)
-    a, b, c = [0, 5, 9, 13], [2, 6, 10, 14], [1, 3, 7, 15]
-    obs = testbed.build_observations(vconfig.instance, vconfig.covpair,
-                                     [a, a, a, b, a, b, c, a],
-                                     vconfig.observations.u_truth, seed=3)
-    vconfig = dataclasses.replace(
-        vconfig, observations=obs, G=testbed.assemble_G(obs, vconfig.instance))
-    return vconfig, partition
+                              nobs=4, L=1.0, n_sub=3, overlap=2,
+                              obs_layout=layout, seed=3)
+    return harness.build_problem(harness.validate_config(cfg))
 
 
 class TestBatchedFineSolves:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_patterns_match_textbook_iteration_bitwise(self, workers):
-        vconfig, partition = patterned_problem()
-        traj, hist = reuse_run(vconfig, partition, workers=workers)
-        u, _, delta, hists = textbook_parareal(vconfig, partition, traj.n,
-                                               1e-10, 100)
-        for n in range(traj.n + 1):
-            for k in range(vconfig.instance.n_steps):
-                assert traj.u[n][k].tobytes() == u[n][k].tobytes()
-        for n in range(traj.n):
-            for k in range(1, vconfig.instance.n_steps):
-                assert traj.delta[n][k].tobytes() == delta[n][k].tobytes()
-            for got, want in zip(hist.mps[n], hists[n], strict=True):
-                # all five final values, floats compared exactly
-                assert got == want
+        for layout in ("stride", "random"):
+            vconfig, partition = one_network_problem(layout)
+            traj, hist = reuse_run(vconfig, partition, workers=workers)
+            u, _, delta, hists = textbook_parareal(vconfig, partition, traj.n,
+                                                   1e-10, 100)
+            for n in range(traj.n + 1):
+                for k in range(vconfig.instance.n_steps):
+                    assert traj.u[n][k].tobytes() == u[n][k].tobytes()
+            for n in range(traj.n):
+                for k in range(1, vconfig.instance.n_steps):
+                    assert traj.delta[n][k].tobytes() == delta[n][k].tobytes()
+                for got, want in zip(hist.mps[n], hists[n], strict=True):
+                    # all five final values, floats compared exactly
+                    assert got == want
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_batches_share_a_pattern_and_split_over_workers(self, monkeypatch,
                                                             workers):
-        vconfig, partition = patterned_problem()
+        vconfig, partition = one_network_problem("random")
         factors = dd_mps.build_factors(vconfig, partition)
         batches = []
 
@@ -354,17 +349,19 @@ class TestBatchedFineSolves:
 
         monkeypatch.setattr(parareal, "run_mps_batch", record)
         traj = initial_trajectory(vconfig)
-        parareal_update(traj, vconfig, factors, workers=workers)
-        assert sorted(k for ks in batches for k in ks) == list(range(1, 8))
-        by_pattern = {}
-        for ks in batches:
-            assert len({id(factors.plans[k]) for k in ks}) == 1
-            by_pattern.setdefault(id(factors.plans[ks[0]]), []).append(ks)
-        for runs in by_pattern.values():
-            assert len(runs) == min(workers, sum(map(len, runs)))
-            # contiguous runs of the pattern's slabs, in order
-            assert [k for ks in runs for k in ks] == \
-                sorted(k for ks in runs for k in ks)
+        records = FineRecords(7)
+        parareal_update(traj, vconfig, factors, workers=workers,
+                        records=records)
+        # contiguous runs of the slabs, in order, one per worker
+        assert [k for ks in batches for k in ks] == list(range(1, 8))
+        assert len(batches) == min(workers, 7)
+        assert max(map(len, batches)) - min(map(len, batches)) <= 1
+        # every record matches: no slab is left, so no batch is made
+        batches.clear()
+        parareal_update(traj, vconfig, factors, workers=workers,
+                        records=records)
+        assert batches == []
+        assert parareal._batches([], workers) == []
 
     def test_workers_do_not_change_long_run_reports(self):
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=32,

@@ -186,11 +186,40 @@ class TestObservations:
         y = rng.standard_normal(8)
         np.testing.assert_array_equal(G[0] @ y, selection(ix, 8) @ y)
 
-    def test_per_time_index_lists(self, small_instance, small_cov):
-        per_time = [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]]
-        obs = build_observations(small_instance, small_cov, per_time,
-                                 np.ones(8), seed=0, noise=False)
-        assert [ix.tolist() for ix in obs.obs_indices] == per_time
+    @pytest.mark.parametrize("obs_indices", [
+        pytest.param([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]], id="per-time"),
+        pytest.param([[0, 1, 2], [3]], id="ragged"),
+        pytest.param(3, id="0-d"),
+        pytest.param([0.5, 3.7], id="non-integral"),
+        pytest.param(np.array([1.0, 3.0]), id="float"),
+        pytest.param([True, False, True], id="bool"),
+    ])
+    def test_rejects_all_but_one_1d_integer_list(self, small_instance,
+                                                 small_cov, obs_indices):
+        with pytest.raises(testbed.TestbedError, match="^obs_indices: "):
+            build_observations(small_instance, small_cov, obs_indices,
+                               np.ones(8), seed=0)
+
+    @pytest.mark.parametrize("obs_indices", [
+        [5, 1, 5], (5, 1, 5), np.array([5, 1, 5], dtype=np.int32)])
+    def test_one_frozen_network_at_every_time(self, small_instance, small_cov,
+                                              obs_indices):
+        u_truth = np.arange(8.0)
+        obs = build_observations(small_instance, small_cov, obs_indices,
+                                 u_truth, seed=0, noise=False)
+        assert obs.obs.dtype == int and not obs.obs.flags.writeable
+        assert obs.obs.tolist() == [5, 1, 5] and obs.nobs == 3
+        assert len(obs.v) == small_instance.n_steps
+        G = assemble_G(obs, small_instance)
+        # one shared block for every time after the first
+        assert all(b is G[1] for b in G[1:])
+        np.testing.assert_array_equal(G[1], small_instance.M[[5, 1, 5]])
+
+    def test_no_observations(self, small_instance, small_cov):
+        obs = build_observations(small_instance, small_cov, [], np.ones(8),
+                                 seed=0)
+        assert obs.nobs == 0 and obs.obs.shape == (0,)
+        assert all(v.shape == (0,) for v in obs.v)
 
 
 class TestAssembleG:

@@ -16,7 +16,7 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
                          time_grid=np.zeros(1), M=np.eye(n), p=1)
     cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
                                sigma_r=1.0, L=0.0)
-    obs = ObservationSet(nobs=n, obs_indices=(np.arange(n),),
+    obs = ObservationSet(nobs=n, obs=np.arange(n),
                          v=(np.asarray(v, dtype=float),), seed=0,
                          u_truth=np.zeros(n))
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
@@ -40,9 +40,9 @@ def random_config(n_grid=6, n_steps=3, L=1.2, seed=7, alpha=0.8, lam=1.3,
                             G=G, u0=u0, alpha=alpha, lam=lam)
 
 
-def dense_H(config, k):
-    """Time k's observation operator as the textbook dense 0/1 selection."""
-    ix = config.observations.obs_indices[k]
+def dense_H(config):
+    """The observation operator as the textbook dense 0/1 selection."""
+    ix = config.observations.obs
     H = np.zeros((len(ix), config.instance.np))
     H[np.arange(len(ix)), ix] = 1.0
     return H
@@ -52,8 +52,8 @@ def dense_G(config):
     """Independent dense space-time observation operator: H_0, then H_k M."""
     M = config.instance.M
     return scipy.linalg.block_diag(
-        dense_H(config, 0),
-        *(dense_H(config, k) @ M for k in range(1, config.instance.n_steps)))
+        dense_H(config),
+        *(dense_H(config) @ M for _ in range(1, config.instance.n_steps)))
 
 
 def dense_R(config, n_batches=None):
@@ -82,7 +82,7 @@ def brute_force_cost(u, config, variant):
     Binv = np.linalg.inv(config.covpair.B)
     if variant == "threeD":
         k = config.time_index
-        H, v = dense_H(config, k), config.observations.v[k]
+        H, v = dense_H(config), config.observations.v[k]
         Rinv = np.linalg.inv(dense_R(config, 1))
         r = H @ u - v
         db = u - config.u0
@@ -197,7 +197,7 @@ class TestSolveVarDirect:
         # independent dense solve: eigendecomposition of the normal matrix
         Binv = np.linalg.inv(cfg.covpair.B)
         if variant == "threeD":
-            H, v = dense_H(cfg, 0), cfg.observations.v[0]
+            H, v = dense_H(cfg), cfg.observations.v[0]
             Rinv = np.linalg.inv(dense_R(cfg, 1))
             A = cfg.lam * Binv + H.T @ Rinv @ H
             rhs = cfg.lam * Binv @ cfg.u0 + H.T @ Rinv @ v
@@ -226,11 +226,11 @@ class TestSolveVarDirect:
         Binv = 0.5 * (Binv + Binv.T)
         Rinv = scipy.linalg.inv(dense_R(cfg, 1))
         if variant == "threeD":
-            weight, ops = cfg.lam, [dense_H(cfg, 0)]
+            weight, ops = cfg.lam, [dense_H(cfg)]
         else:
             weight = cfg.alpha
-            ops = [dense_H(cfg, 0)] + [dense_H(cfg, k) @ cfg.instance.M
-                                       for k in range(1, cfg.instance.n_steps)]
+            ops = [dense_H(cfg)] + [dense_H(cfg) @ cfg.instance.M
+                                    for _ in range(1, cfg.instance.n_steps)]
         hessian = [2.0 * A for A, _ in var_solver._normal_systems(cfg, variant)]
         for block, H in zip(hessian, ops, strict=True):
             A = weight * Binv + H.T @ Rinv @ H
@@ -308,6 +308,45 @@ class TestHessianCondition:
         for k in range(cfg.instance.n_steps):
             off[k * n:(k + 1) * n, k * n:(k + 1) * n] = 0.0
         assert not off.any()
+
+    @pytest.mark.parametrize("case", ["bench", "block per time",
+                                      "equal copies"])
+    def test_each_distinct_block_is_inverted_once(self, case, bench_problem,
+                                                  monkeypatch):
+        if case == "bench":
+            cfg, distinct = bench_problem[0], 2
+        else:
+            cfg = random_config(n_grid=6, n_steps=4)
+            M, obs = cfg.instance.M, cfg.observations.obs
+            powers = (0, 1, 2, 3) if case == "block per time" else (0, 1, 1, 0)
+            # separate arrays: equal blocks are found by their bytes
+            cfg = dataclasses.replace(cfg, G=tuple(
+                np.linalg.matrix_power(M, k)[obs] for k in powers))
+            distinct = len(set(powers))
+        # the loop over every block that the distinct-block loop replaces
+        norm = inv_norm = 0.0
+        for A, _ in var_solver._normal_systems(cfg, "fourD"):
+            A = 2.0 * A
+            norm = max(norm, np.abs(A).sum(axis=1).max())
+            inv_norm = max(inv_norm,
+                           np.abs(scipy.linalg.inv(A)).sum(axis=1).max())
+
+        inverted = []
+        inv = scipy.linalg.inv
+        monkeypatch.setattr(scipy.linalg, "inv",
+                            lambda a: inverted.append(a) or inv(a))
+        assert hessian_condition(cfg, "fourD") == float(norm * inv_norm)
+        # B, then each distinct block
+        assert len(inverted) == 1 + distinct
+
+    def test_singular_block_names_first_time_of_its_operator(self):
+        # blocks 0 and 1 observe every point; 2 and 3 share an operator that
+        # leaves the other points to a background weight of 1e-20
+        cfg = random_config(n_grid=6, n_steps=4, alpha=1e-20)
+        H = np.eye(6)[cfg.observations.obs]
+        cfg = dataclasses.replace(cfg, G=(np.eye(6), np.eye(6), H, H.copy()))
+        with pytest.raises(VarSolverError, match="^Hessian block 2 is singular"):
+            hessian_condition(cfg, "fourD")
 
     def test_block_singular_to_working_precision_is_a_fault(self, recwarn):
         # sigma_r = 1e-150 puts 1e300 beside O(1) background weights
