@@ -23,8 +23,8 @@ print(f"{n_slabs} slab solves, "
 print()
 print("=== outer iterations ===")
 trajectory, hist = parareal.run_parareal(vconfig, partition, tol=1e-9,
-                                         max_outer=8, reference=reference,
-                                         workers=4)
+                                         max_outer=8, workers=4,
+                                         chain=(reference, chain_hists))
 print(f"stopped after n = {hist.n_outer} iterations ({hist.reason}); "
       f"the slab corrections of each iteration ran on 4 workers")
 print()

@@ -8,20 +8,13 @@ the three-term round-off bound, checked against an extended-precision shadow
 of the recombination.
 """
 
-import dataclasses
-import math
-
-import numpy as np
-
 from pintda import analysis, harness
 
 cfg = harness.ExperimentConfig()
 result = harness.run_experiment(cfg)
-params = result.params
-errhist = result.error_history
+s = result.summary
 
 print("=== measured bound ingredients ===")
-s = result.summary
 print(f"mu(A)      = {s['mu_A']:.4f}   (condition number of the space-time Hessian)")
 print(f"C          = {s['C_const']:.4f}   (tightest Lipschitz constant on probes)")
 print(f"R_mu       = {s['R_mu']:.4f}   ((C - mu) / mu, drives the Gronwall factor)")
@@ -34,43 +27,23 @@ print(f"imported-identity check: mu(M) direct {s['chain']['mu_M_direct']:.4f} "
 print()
 print("=== measured errors under the recurrence bound ===")
 print("   n    max_k E_k^n        c_n   dominated?")
-for n in range(1, errhist.E.shape[0]):
-    emax = errhist.E[n].max()
-    cn = errhist.c_bound[n]
+for n in range(1, s["n_outer"] + 1):
+    rows = [rec for rec in result.records if rec.n == n]
+    emax = max(rec.E_kn for rec in rows)
+    cn = rows[0].c_n
     print(f"  {n:2d}    {emax:10.3e}  {cn:9.3e}   {emax <= cn}")
 
 print()
-print("=== the vanishing-error limit ===")
-print("holding C fixed while mu(A) grows, the recurrence fixed point drops to")
-print("the inner-solver accuracy scale:")
-for mu in (1e3, 1e5, 1e7):
-    fp = analysis.recurrence_fixed_point(C=s['C_const'], mu_A=mu,
-                                         eps=s['eps_mps'], N=params.N)
-    print(f"  mu(A) = {mu:8.0e}: fixed point {fp:.3e}")
-print(f"  limit value eps * (1 - e^-N) = "
-      f"{s['eps_mps'] * (1 - math.exp(-params.N)):.3e}")
-
-print()
-print("=== two-resolution check of the one-slab gap ===")
-cfg_fine = dataclasses.replace(cfg, n_steps=2 * cfg.n_steps - 1,
-                               max_outer=2 * cfg.n_steps)
-result_fine = harness.run_experiment(cfg_fine)
-report = analysis.resolution_ratio_report(
-    result.params.h, result.params.C_h,
-    result_fine.params.h, result_fine.params.C_h)
-print(f"halving h changes C_h from {result.params.C_h:.4f} to "
-      f"{result_fine.params.C_h:.4f} (ratio {report['ratio']:.3f}, implied "
-      f"order {report['implied_order']:.2f})")
-print("twin experiments generate the truth with the model itself, so the gap")
-print("tracks the background error rather than a discretization error and")
-print("does not shrink with h; the recurrence consumes the measured value")
-
-print()
 print("=== round-off ===")
-print(f"largest observed recombination round-off: {errhist.R_round.max():.2e}")
-print(f"local one-update round-off proxy:         {errhist.rho_local:.2e}")
-rb = analysis.roundoff_bound(params, R_prev=errhist.R_round[-2:].max(),
-                             R0=0.0, rho=errhist.rho_local)
+M = harness.build_problem(cfg)[0].instance.M
+R_obs, rho_local = analysis.roundoff_proxies(result.trajectory, M)
+print(f"largest observed recombination round-off: {R_obs.max():.2e}")
+print(f"local one-update round-off proxy:         {rho_local:.2e}")
+params = analysis.BoundParameters(C=s["C_const"], mu_A=s["mu_A"],
+                                  eps_mps=s["eps_mps"], N=cfg.n_steps - 1,
+                                  C_h=s["C_h"])
+rb = analysis.roundoff_bound(params, R_prev=R_obs[-2:].max(), R0=0.0,
+                             rho=rho_local)
 print(f"three-term bound: initial {rb.term_initial:.2e} + iteration "
       f"{rb.term_iteration:.2e} + local {rb.term_rho:.2e} = {rb.total:.2e}")
 

@@ -25,8 +25,6 @@ class BoundParameters:
     mu_A: float             # condition number of the cost Hessian
     eps_mps: float          # measured inner-solver accuracy
     N: int                  # slab count
-    h: float                # time step
-    p: int                  # formal order of the time scheme
     C_h: float              # measured one-slab assimilation gap, seeds c_1
 
     @property
@@ -58,8 +56,6 @@ class ErrorHistory:
 
     E: np.ndarray           # E[n, k] = ||u_k^DA - u_k^n||_inf
     c_bound: np.ndarray     # c_bound[n] valid for n >= 1 (nan at 0)
-    R_round: np.ndarray     # observed recombination round-off, same layout as E
-    rho_local: float        # max per-slab local round-off proxy
 
 
 def gronwall_bound(M0, R, H, N):
@@ -174,75 +170,26 @@ def chain_discrepancy(M, mu_A, xi, delta_err):
             "discrepancy": abs(mu_M - chained)}
 
 
-def resolution_ratio_report(h_coarse, gap_coarse, h_fine, gap_fine):
-    """Two-resolution ratio of the measured one-slab gap.
-
-    Reports gap_coarse / gap_fine and the order it implies,
-    log(gap_coarse / gap_fine) / log(h_coarse / h_fine).  A diagnostic, not a
-    test: in twin experiments the truth is generated by the model itself, so
-    the gap is dominated by the background error and need not shrink with h.
-    """
-    if h_coarse <= 0 or h_fine <= 0 or h_coarse == h_fine:
-        raise ValueError("need two distinct positive step sizes")
-    if gap_coarse <= 0 or gap_fine <= 0:
-        raise ValueError("gaps must be positive")
-    ratio = gap_coarse / gap_fine
-    implied_order = math.log(ratio) / math.log(h_coarse / h_fine)
-    return {"ratio": ratio, "implied_order": implied_order}
-
-
 def recurrence_step(c_n, params):
     """One step of the error recurrence c_{n+1} = P (C c_n / mu_A + eps)."""
     P = gronwall_prefactor(params.N, params.R_mu)
     return P * (params.C * c_n / params.mu_A + params.eps_mps)
 
 
-def recurrence_fixed_point(C, mu_A, eps, N):
-    """Fixed point P eps / (1 - P C / mu_A) of the recurrence, inf if divergent.
-
-    As mu_A grows with C fixed, P tends to 1 - e^{-N} and the fixed point
-    collapses to the inner-solver accuracy scale.
-    """
-    R = (C - mu_A) / mu_A
-    P = gronwall_prefactor(N, R)
-    denom = 1.0 - P * C / mu_A
-    if denom <= 0:
-        return math.inf
-    return P * eps / denom
-
-
-def error_and_bound_history(trajectory, reference, params, roundoff=None,
-                            E=None):
+def error_and_bound_history(E, params):
     """Tabulate measured iteration errors next to the recurrence bound.
 
-    `reference` is the per-time-point analysis the run is converging to
-    (the serial fine chain, or a direct space-time solve split per time).
-    `E` is the error table when the run already measured it against that
-    reference (run_parareal's history.E); otherwise it is computed here.
-    The recurrence is seeded with the measured gap c_1 = C_h.
+    `E` is the error table run_parareal measured against the serial fine
+    chain (history.E): E[n, k] = ||u_k^DA - u_k^n||_inf.  The recurrence is
+    seeded with the measured gap c_1 = C_h.
     """
-    if reference is None:
-        raise ValueError("a reference trajectory is required")
-    n_levels = trajectory.n + 1
-    if E is None:
-        reference = np.stack(reference)
-        E = np.stack([np.abs(reference - np.stack(level)).max(axis=1)
-                      for level in trajectory.u])
     E = np.asarray(E, dtype=float)
-
-    c_bound = np.full(n_levels, np.nan)
-    if n_levels > 1:
+    c_bound = np.full(len(E), np.nan)
+    if len(E) > 1:
         c_bound[1] = params.C_h
-        for n in range(1, n_levels - 1):
+        for n in range(1, len(E) - 1):
             c_bound[n + 1] = recurrence_step(c_bound[n], params)
-
-    if roundoff is None:
-        R_round = np.zeros_like(E)
-        rho_local = 0.0
-    else:
-        R_round, rho_local = roundoff
-    return ErrorHistory(E=E, c_bound=c_bound, R_round=np.asarray(R_round),
-                        rho_local=float(rho_local))
+    return ErrorHistory(E=E, c_bound=c_bound)
 
 
 def roundoff_proxies(trajectory, M):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -65,6 +66,14 @@ _KEY_TO_FIELD = {f.name: f.name for f in fields(ExperimentConfig)}
 _KEY_TO_FIELD["lambda"] = "lam"
 del _KEY_TO_FIELD["lam"]
 
+# dataclass field -> the type of its default, which a config file parses to
+_FIELD_TYPE = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+# field type -> what validate_config accepts for it, and its name for messages;
+# an int is a real, kept unconverted, and a bool is neither
+_ACCEPTS = {int: (numbers.Integral, "an integer"),
+            float: (numbers.Real, "a real number"),
+            bool: (bool, "true or false"), str: (str, "a string")}
+
 
 def _parse_value(key, raw, target_type):
     raw = raw.strip()
@@ -89,8 +98,6 @@ def parse_config_file(path):
             lines = fh.readlines()
     except OSError as err:
         raise ConfigError(f"config: cannot read {path}: {err}") from err
-    type_of = {f.name: type(getattr(ExperimentConfig(), f.name))
-               for f in fields(ExperimentConfig)}
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -101,15 +108,19 @@ def parse_config_file(path):
         if key not in _KEY_TO_FIELD:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         field_name = _KEY_TO_FIELD[key]
-        values[field_name] = _parse_value(key, raw, type_of[field_name])
+        values[field_name] = _parse_value(key, raw, _FIELD_TYPE[field_name])
     return values
 
 
 def validate_config(config):
-    """Range-check every numeric field; messages name the offending field."""
+    """Type- and range-check every field; messages name the offending field."""
     c = config
     for key, name in _KEY_TO_FIELD.items():
         value = getattr(c, name)
+        accepted, what = _ACCEPTS[_FIELD_TYPE[name]]
+        if not isinstance(value, accepted) or (isinstance(value, bool)
+                                               and accepted is not bool):
+            raise ConfigError(f"{key}: expected {what}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
     if c.np < 2:
@@ -206,8 +217,6 @@ class ExperimentResult:
     summary: dict
     trajectory: object
     reference: list
-    params: object
-    error_history: object
 
     @property
     def converged(self):
@@ -235,9 +244,8 @@ def build_problem(config):
                                             replace=False))
     observations = testbed.build_observations(instance, covpair, obs_idx,
                                               u_truth, seed=config.seed)
-    G = testbed.assemble_G(observations, instance)
     vconfig = var_solver.VarProblemConfig(
-        instance=instance, covpair=covpair, observations=observations, G=G,
+        instance=instance, covpair=covpair, observations=observations,
         u0=u0, alpha=config.alpha, lam=config.lam)
     partition = dd_mps.partition_domain(config.np, config.n_sub, config.overlap)
     return vconfig, partition
@@ -253,21 +261,19 @@ def run_experiment(config):
     validate_config(config)
     t_start = time.perf_counter()
     vconfig, partition = build_problem(config)
-    instance = vconfig.instance
-    M = instance.M
-    n_points = instance.n_steps
+    M, n_points = vconfig.instance.M, vconfig.instance.n_steps
     factors = dd_mps.build_factors(vconfig, partition)
 
-    reference, chain_hists = parareal.serial_fine_chain(
+    chain = parareal.serial_fine_chain(
         vconfig, partition, tol_mps=config.tol_mps,
         max_sweeps=config.max_sweeps, factors=factors)
+    reference, chain_hists = chain
     mu_A = var_solver.hessian_condition(vconfig, "fourD")
 
     trajectory, phist = parareal.run_parareal(
         vconfig, partition, tol=config.tol_parareal, max_outer=config.max_outer,
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
-        workers=config.workers, reference=reference, factors=factors,
-        reference_histories=chain_hists)
+        workers=config.workers, chain=chain, factors=factors)
 
     # Lipschitz probes: random pairs plus the realized error directions.
     rng_probe = np.random.default_rng([config.seed, 3])
@@ -289,12 +295,9 @@ def run_experiment(config):
     eps_mps = max(eps_candidates) if eps_candidates else 0.0
 
     params = analysis.BoundParameters(
-        C=lip.C, mu_A=mu_A, eps_mps=eps_mps, N=n_points - 1,
-        h=instance.h, p=instance.p, C_h=C_h)
-    roundoff = analysis.roundoff_proxies(trajectory, M)
-    errhist = analysis.error_and_bound_history(trajectory, reference, params,
-                                               roundoff=roundoff, E=phist.E)
-    R_obs, rho_local = roundoff
+        C=lip.C, mu_A=mu_A, eps_mps=eps_mps, N=n_points - 1, C_h=C_h)
+    errhist = analysis.error_and_bound_history(phist.E, params)
+    R_obs, rho_local = analysis.roundoff_proxies(trajectory, M)
     rb = analysis.roundoff_bound(params, R_prev=R_obs[:-1, :-1],
                                  R0=R_obs[1:, :1], rho=rho_local)
 
@@ -356,8 +359,7 @@ def run_experiment(config):
         "wall_s_total": time.perf_counter() - t_start if config.timing else 0.0,
     }
     return ExperimentResult(records=records, status=status, summary=summary,
-                            trajectory=trajectory, reference=reference,
-                            params=params, error_history=errhist)
+                            trajectory=trajectory, reference=reference)
 
 
 # One %-conversion per column: the integer columns k and n, then floats

@@ -71,7 +71,7 @@ class PararealHistory:
     mps: list = field(default_factory=list)             # per iteration, per slab
     solved: list = field(default_factory=list)          # per iteration, slabs solved
     wall_s: list = field(default_factory=list)          # per iteration
-    E: list = field(default_factory=list)               # vs reference, per level
+    E: list = field(default_factory=list)               # vs the chain, per level
     converged: bool = False
     reason: str = "max_outer"
     n_outer: int = 0
@@ -245,8 +245,7 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
 
 
 def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
-                 max_sweeps=100, workers=1, reference=None, factors=None,
-                 reference_histories=None):
+                 max_sweeps=100, workers=1, chain=None, factors=None):
     """Alternate slab corrections and sequential updates until converged.
 
     Stops when the sweep-to-sweep state difference drops below tol, or when
@@ -260,29 +259,26 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
     The loop does less work than the textbook iteration and returns its
     bytes: a fine solve is a deterministic function of (slab, background),
     so a slab whose background is bitwise unchanged since its latest solve
-    is not solved again.  `reference_histories`, the histories returned with
-    `reference` by serial_fine_chain under these same solver settings, also
-    seeds every slab with the chain's solve; iteration n then solves only the
-    slabs k > n.  history.solved lists the slabs solved per iteration, and
-    history.wall_s measures the reduced work.
+    is not solved again.  `chain`, the (states, histories) pair that
+    serial_fine_chain returns under these same solver settings, seeds every
+    slab with the chain's solve, so iteration n solves only the slabs k > n,
+    and history.E measures every level against the chain's states.
+    history.solved lists the slabs solved per iteration, and history.wall_s
+    measures the reduced work.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if reference_histories is not None and reference is None:
-        raise ValueError("reference_histories needs the reference chain")
     if factors is None:
         factors = build_factors(config, partition)
     trajectory = initial_trajectory(config)
     n_slabs = config.instance.n_steps - 1
-    if reference_histories is not None:
-        records = FineRecords.from_chain(config.instance.M, reference,
-                                         reference_histories)
-    else:
-        records = FineRecords(n_slabs)
     history = PararealHistory()
     level = np.stack(trajectory.u[0])
-    if reference is not None:
-        reference = np.stack(reference)
+    if chain is None:
+        records, reference = FineRecords(n_slabs), None
+    else:
+        records = FineRecords.from_chain(config.instance.M, *chain)
+        reference = np.stack(chain[0])
         history.E.append(_max_abs(reference - level))
 
     for _ in range(max_outer):

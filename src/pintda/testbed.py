@@ -174,8 +174,8 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
     generator seeded with `seed`; pass noise=False for exact-recovery tests.
     """
     n_grid, n_steps = instance.np, instance.n_steps
-    try:
-        obs = np.asarray(obs_indices)
+    try:                        # copies: freezing must not touch the caller's arrays
+        obs = np.array(obs_indices)
     except ValueError:          # a ragged list of lists, so not 1-D
         obs = np.empty((0, 0))
     if obs.ndim != 1 or not (obs.size == 0 or np.issubdtype(obs.dtype, np.integer)):
@@ -187,7 +187,7 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
         raise TestbedError(f"nobs must be < np ({n_grid}), got {nobs}")
     obs = _freeze(obs, dtype=int)
 
-    u_truth = np.asarray(u_truth, dtype=float)
+    u_truth = np.array(u_truth, dtype=float)
     if u_truth.shape != (n_grid,):
         raise TestbedError(f"u_truth must have shape ({n_grid},)")
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import testbed
+
 
 class VarSolverError(ValueError):
     """Inconsistent shapes or a singular stationarity system."""
@@ -31,16 +33,15 @@ VARIANTS = ("threeD", "fourD")
 class VarProblemConfig:
     """Everything needed to evaluate and minimize the variational costs.
 
-    `G` holds the per-time observation operators of the space-time variant
-    (G[0] = H_0, G[k] = H_k M).  For the single-time variant, `time_index`
-    selects which observation batch is assimilated and `u0` doubles as the
-    background state.
+    The space-time variant's observation operators G_k are derived from the
+    observation network and the model (testbed.assemble_G).  For the
+    single-time variant, `time_index` selects which observation batch is
+    assimilated and `u0` doubles as the background state.
     """
 
     instance: object
     covpair: object
     observations: object
-    G: tuple
     u0: np.ndarray
     alpha: float = 1.0
     lam: float = 1.0
@@ -58,7 +59,6 @@ class VarProblemConfig:
 @dataclass(frozen=True)
 class AnalysisState:
     u_da: np.ndarray
-    cost: float
     grad_norm: float
 
 
@@ -70,7 +70,8 @@ def _blocks(config, variant):
     if variant == "threeD":
         H = np.eye(config.instance.np)[obs.obs]
         return config.lam, [(H, obs.v[config.time_index])]
-    return config.alpha, list(zip(config.G, obs.v))
+    G = testbed.assemble_G(obs, config.instance)
+    return config.alpha, list(zip(G, obs.v))
 
 
 def _state_blocks(u, config, n_blocks):
@@ -165,8 +166,7 @@ def solve_var_direct(config, variant="threeD"):
     if grad_norm > tol:
         raise VarSolverError(
             f"direct solve left gradient residual {grad_norm:.3e} > {tol:.3e}")
-    u = np.concatenate(parts)
-    return AnalysisState(u_da=u, cost=eval_cost(u, config, variant), grad_norm=grad_norm)
+    return AnalysisState(u_da=np.concatenate(parts), grad_norm=grad_norm)
 
 
 def hessian_condition(config, variant="threeD"):
@@ -174,20 +174,16 @@ def hessian_condition(config, variant="threeD"):
 
     The Hessian is block diagonal and so is its inverse, so both infinity
     norms are maxima over the blocks: mu = max_k ||A_k|| * max_k ||A_k^-1||.
-    Blocks whose operators G_k have equal bytes are one matrix, so each
-    distinct block is formed and inverted once, at its first k.  A block
-    that is singular to working precision (SciPy's ill-conditioning
-    warning) is a fault: its inverse, and so mu, would be meaningless.
+    Every block k >= 1 observes through the same G_k = M[obs], so only the
+    first two blocks are formed and inverted.  A block that is singular to
+    working precision (SciPy's ill-conditioning warning) is a fault: its
+    inverse, and so mu, would be meaningless.
     """
     weight, blocks = _blocks(config, variant)
     A_bg = _background_term(config, weight)
     rinv = 1.0 / config.covpair.sigma_r**2
-    norm, inv_norm, seen = 0.0, 0.0, set()
-    for k, (H, _) in enumerate(blocks):
-        key = (H.shape, H.tobytes())
-        if key in seen:
-            continue
-        seen.add(key)
+    norm, inv_norm = 0.0, 0.0
+    for k, (H, _) in enumerate(blocks[:2]):
         A = 2.0 * _normal_matrix(A_bg, H, rinv)[0]
         try:
             with warnings.catch_warnings():

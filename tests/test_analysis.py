@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pintda import analysis, harness, parareal
+from pintda import parareal
 from pintda.analysis import (BoundParameters, chain_discrepancy,
                              error_and_bound_history, error_scale_constant,
                              gronwall_bound, gronwall_prefactor,
                              lipschitz_estimate, prefactor_sequence,
-                             recurrence_fixed_point, roundoff_bound,
-                             roundoff_proxies, twin_error_scales)
+                             roundoff_bound, roundoff_proxies,
+                             twin_error_scales)
 
 
 class TestGronwall:
@@ -173,8 +173,7 @@ def _with_specials(rng, shape, share):
 
 
 def make_params(C=2.0, mu_A=8.0, eps=1e-8, N=3, C_h=0.1):
-    return BoundParameters(C=C, mu_A=mu_A, eps_mps=eps, N=N, h=0.125, p=1,
-                           C_h=C_h)
+    return BoundParameters(C=C, mu_A=mu_A, eps_mps=eps, N=N, C_h=C_h)
 
 
 class TestBoundParameters:
@@ -191,44 +190,29 @@ class TestBoundParameters:
 @pytest.fixture(scope="module")
 def run(bench_problem):
     vconfig, partition = bench_problem
-    reference, _ = parareal.serial_fine_chain(vconfig, partition)
-    trajectory, _ = parareal.run_parareal(vconfig, partition, tol=1e-9,
-                                          max_outer=8)
-    return vconfig, trajectory, reference
+    chain = parareal.serial_fine_chain(vconfig, partition)
+    trajectory, history = parareal.run_parareal(vconfig, partition, tol=1e-9,
+                                                max_outer=8, chain=chain)
+    return trajectory, history
 
 
 class TestErrorAndBoundHistory:
 
     def test_reference_iterate_has_zero_error(self, run):
-        vconfig, trajectory, reference = run
-        errhist = error_and_bound_history(trajectory, reference, make_params())
+        trajectory, history = run
+        errhist = error_and_bound_history(history.E, make_params())
+        assert errhist.E.shape == (trajectory.n + 1, trajectory.n_points)
         # exact slabs show zero measured error
         assert errhist.E[trajectory.n, :trajectory.n + 1].max() <= 1e-12
 
     def test_recurrence_seeded_with_measured_gap(self, run):
-        _, trajectory, reference = run
+        _, history = run
         params = make_params(C_h=0.25)
-        errhist = error_and_bound_history(trajectory, reference, params)
+        errhist = error_and_bound_history(history.E, params)
         assert errhist.c_bound[1] == 0.25
         P = gronwall_prefactor(params.N, params.R_mu)
         expected = P * (params.C * 0.25 / params.mu_A + params.eps_mps)
         assert errhist.c_bound[2] == pytest.approx(expected, rel=1e-12)
-
-    def test_requires_reference(self, run):
-        _, trajectory, _ = run
-        with pytest.raises(ValueError):
-            error_and_bound_history(trajectory, None, make_params())
-
-    def test_fixed_point_collapses_to_inner_accuracy(self):
-        # with C held fixed the fixed point tends to eps * (1 - e^-N)
-        eps, N, C = 1e-8, 3, 5.0
-        values = [recurrence_fixed_point(C, mu, eps, N)
-                  for mu in (1e2, 1e4, 1e6, 1e8)]
-        target = eps * (1 - math.exp(-N))
-        assert values[-1] == pytest.approx(target, rel=1e-6)
-        assert all(abs(a - target) >= abs(b - target) * (1 - 1e-12)
-                   for a, b in zip(values, values[1:]))
-        assert values[-1] <= 2 * eps
 
 
 class TestRoundoff:
@@ -285,7 +269,7 @@ class TestRoundoff:
     def test_array_call_is_bitwise_the_per_cell_calls(self, ratio, mu_A, N,
                                                       rho, n, k, seed):
         params = BoundParameters(C=ratio * mu_A, mu_A=mu_A, eps_mps=0.0, N=N,
-                                 h=0.1, p=1, C_h=0.0)
+                                 C_h=0.0)
         rng = np.random.default_rng(seed)
         R_obs = np.abs(_with_specials(rng, (n + 1, k + 1), 0.2)) * 1e-16
         rb = roundoff_bound(params, R_prev=R_obs[:-1, :-1], R0=R_obs[1:, :1],
@@ -307,24 +291,6 @@ class TestRoundoff:
         assert 0 <= rho < 1e-12
         # recombination round-off stays at the scale of machine epsilon
         assert R_obs.max() < 1e-12
-
-
-class TestResolutionRatio:
-    def test_recovers_known_order(self):
-        # gaps manufactured as 3 h^2: the implied order must come back as 2
-        report = analysis.resolution_ratio_report(0.2, 3 * 0.2**2, 0.1, 3 * 0.1**2)
-        assert report["ratio"] == pytest.approx(4.0)
-        assert report["implied_order"] == pytest.approx(2.0)
-
-    def test_flat_gaps_imply_zero_order(self):
-        report = analysis.resolution_ratio_report(0.2, 0.15, 0.1, 0.15)
-        assert report["implied_order"] == pytest.approx(0.0)
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            analysis.resolution_ratio_report(0.1, 1.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            analysis.resolution_ratio_report(0.2, 0.0, 0.1, 1.0)
 
 
 class TestTwinScales:

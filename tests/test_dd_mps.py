@@ -496,9 +496,7 @@ def indexed_problem(cfg, ix):
     obs = testbed.build_observations(vconfig.instance, vconfig.covpair,
                                      ix, vconfig.observations.u_truth,
                                      seed=cfg.seed)
-    vconfig = dataclasses.replace(
-        vconfig, observations=obs, G=testbed.assemble_G(obs, vconfig.instance))
-    return vconfig, partition
+    return dataclasses.replace(vconfig, observations=obs), partition
 
 
 def fitted_background(vconfig, t, scale, noise):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -84,6 +85,28 @@ class TestConfig:
     def test_validation_names_every_field(self, key, value):
         with pytest.raises(ConfigError, match=key.replace("lambda", "lambda")):
             load_config(None, {key: value})
+
+    @pytest.mark.parametrize("key,value,what", [
+        ("np", 32.0, "an integer"), ("n_steps", "8", "an integer"),
+        ("workers", 1.5, "an integer"), ("seed", True, "an integer"),
+        ("lambda", "1", "a real number"), ("sigma_b", False, "a real number"),
+        ("timing", "yes", "true or false"), ("format", 1, "a string"),
+    ])
+    def test_mistyped_field_is_named(self, key, value, what):
+        message = re.escape(f"{key}: expected {what}, got {value!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(None, {key: value})
+        field = "lam" if key == "lambda" else key
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_experiment(dataclasses.replace(ExperimentConfig(),
+                                               **{field: value}))
+
+    def test_integer_for_a_real_field_is_kept_as_given(self, bench_result):
+        cfg = load_config(None, {"T": 1, "velocity": 1, "alpha": 1,
+                                 "lambda": 1})
+        assert type(cfg.T) is int and type(cfg.lam) is int
+        assert (render_report(run_experiment(cfg).records)
+                == render_report(bench_result.records))
 
 
 class TestRetiredSchwarzKeys:

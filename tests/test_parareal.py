@@ -175,9 +175,8 @@ class TestRunParareal:
 
     def test_error_history_against_reference(self, bench_problem):
         vconfig, partition = bench_problem
-        reference, _ = serial_fine_chain(vconfig, partition)
         _, hist = run_parareal(vconfig, partition, tol=1e-9, max_outer=8,
-                               reference=reference)
+                               chain=serial_fine_chain(vconfig, partition))
         E = np.array(hist.E)
         assert E.shape[0] == hist.n_outer + 1
         # errors vanish on the exact leading slabs and shrink overall
@@ -207,12 +206,11 @@ def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps):
 
 
 def reuse_run(vconfig, partition, tol_mps=1e-10, max_sweeps=100, workers=1):
-    reference, chain_hists = serial_fine_chain(
-        vconfig, partition, tol_mps=tol_mps, max_sweeps=max_sweeps)
+    chain = serial_fine_chain(vconfig, partition, tol_mps=tol_mps,
+                              max_sweeps=max_sweeps)
     return run_parareal(vconfig, partition, tol=1e-300,
                         max_outer=vconfig.instance.n_steps, tol_mps=tol_mps,
-                        max_sweeps=max_sweeps, workers=workers,
-                        reference=reference, reference_histories=chain_hists)
+                        max_sweeps=max_sweeps, workers=workers, chain=chain)
 
 
 class TestFineSolveReuse:
@@ -299,13 +297,6 @@ class TestFineSolveReuse:
         assert records.find(1, chain_background) is not None
         assert records.find(1, second) is not None
         assert records.find(1, first) is None
-
-    def test_chain_histories_need_the_chain(self, bench_problem):
-        vconfig, partition = bench_problem
-        _, chain_hists = serial_fine_chain(vconfig, partition)
-        with pytest.raises(ValueError, match="reference"):
-            run_parareal(vconfig, partition, tol=1e-9, max_outer=2,
-                         reference_histories=chain_hists)
 
 
 def one_network_problem(layout):

@@ -215,6 +215,16 @@ class TestObservations:
         assert all(b is G[1] for b in G[1:])
         np.testing.assert_array_equal(G[1], small_instance.M[[5, 1, 5]])
 
+    def test_freezes_copies_not_the_callers_arrays(self, small_instance,
+                                                   small_cov):
+        ix, u_truth = np.array([1, 4]), np.ones(8)
+        obs = build_observations(small_instance, small_cov, ix, u_truth,
+                                 seed=0)
+        assert ix.flags.writeable and u_truth.flags.writeable
+        assert not obs.obs.flags.writeable and not obs.u_truth.flags.writeable
+        ix[0], u_truth[0] = 7, 2.0
+        assert obs.obs.tolist() == [1, 4] and obs.u_truth[0] == 1.0
+
     def test_no_observations(self, small_instance, small_cov):
         obs = build_observations(small_instance, small_cov, [], np.ones(8),
                                  seed=0)

@@ -20,8 +20,8 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
                          v=(np.asarray(v, dtype=float),), seed=0,
                          u_truth=np.zeros(n))
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
-                            G=(np.eye(n),), u0=np.asarray(u0, dtype=float),
-                            alpha=alpha, lam=lam)
+                            u0=np.asarray(u0, dtype=float), alpha=alpha,
+                            lam=lam)
 
 
 def random_config(n_grid=6, n_steps=3, L=1.2, seed=7, alpha=0.8, lam=1.3,
@@ -34,10 +34,9 @@ def random_config(n_grid=6, n_steps=3, L=1.2, seed=7, alpha=0.8, lam=1.3,
     if obs_idx is None:
         obs_idx = [1, n_grid - 2]
     obs = testbed.build_observations(inst, cov, obs_idx, u_truth, seed=seed)
-    G = testbed.assemble_G(obs, inst)
     u0 = u_truth + 0.2 * rng.standard_normal(n_grid)
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
-                            G=G, u0=u0, alpha=alpha, lam=lam)
+                            u0=u0, alpha=alpha, lam=lam)
 
 
 def dense_H(config):
@@ -309,21 +308,13 @@ class TestHessianCondition:
             off[k * n:(k + 1) * n, k * n:(k + 1) * n] = 0.0
         assert not off.any()
 
-    @pytest.mark.parametrize("case", ["bench", "block per time",
-                                      "equal copies"])
+    @pytest.mark.parametrize("case", ["bench", "equal copies"])
     def test_each_distinct_block_is_inverted_once(self, case, bench_problem,
                                                   monkeypatch):
-        if case == "bench":
-            cfg, distinct = bench_problem[0], 2
-        else:
-            cfg = random_config(n_grid=6, n_steps=4)
-            M, obs = cfg.instance.M, cfg.observations.obs
-            powers = (0, 1, 2, 3) if case == "block per time" else (0, 1, 1, 0)
-            # separate arrays: equal blocks are found by their bytes
-            cfg = dataclasses.replace(cfg, G=tuple(
-                np.linalg.matrix_power(M, k)[obs] for k in powers))
-            distinct = len(set(powers))
-        # the loop over every block that the distinct-block loop replaces
+        # blocks 1, 2, ... are equal copies of the block of G_k = M[obs]
+        cfg = bench_problem[0] if case == "bench" \
+            else random_config(n_grid=6, n_steps=4)
+        # the loop over every block that the two-block loop replaces
         norm = inv_norm = 0.0
         for A, _ in var_solver._normal_systems(cfg, "fourD"):
             A = 2.0 * A
@@ -336,17 +327,8 @@ class TestHessianCondition:
         monkeypatch.setattr(scipy.linalg, "inv",
                             lambda a: inverted.append(a) or inv(a))
         assert hessian_condition(cfg, "fourD") == float(norm * inv_norm)
-        # B, then each distinct block
-        assert len(inverted) == 1 + distinct
-
-    def test_singular_block_names_first_time_of_its_operator(self):
-        # blocks 0 and 1 observe every point; 2 and 3 share an operator that
-        # leaves the other points to a background weight of 1e-20
-        cfg = random_config(n_grid=6, n_steps=4, alpha=1e-20)
-        H = np.eye(6)[cfg.observations.obs]
-        cfg = dataclasses.replace(cfg, G=(np.eye(6), np.eye(6), H, H.copy()))
-        with pytest.raises(VarSolverError, match="^Hessian block 2 is singular"):
-            hessian_condition(cfg, "fourD")
+        # B, then the blocks of I[obs] and M[obs]
+        assert len(inverted) == 1 + 2
 
     def test_block_singular_to_working_precision_is_a_fault(self, recwarn):
         # sigma_r = 1e-150 puts 1e300 beside O(1) background weights
@@ -356,7 +338,7 @@ class TestHessianCondition:
         obs = testbed.build_observations(inst, cov, [0, 4, 8, 12],
                                          np.zeros(16), seed=1)
         cfg = VarProblemConfig(instance=inst, covpair=cov, observations=obs,
-                               G=testbed.assemble_G(obs, inst), u0=np.zeros(16))
+                               u0=np.zeros(16))
         with pytest.raises(VarSolverError,
                            match="Hessian block 0 is singular to working precision"):
             hessian_condition(cfg, "fourD")

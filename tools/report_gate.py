@@ -10,10 +10,10 @@ With --against the lines are still printed; the exit status is 1, with the
 first config, seed and key that differ on standard error, when any line
 differs from the parent's (or is missing on either side), and 0 otherwise.
 
-For each of twelve configs and the seeds 1 and 2025, one JSON line holds the
-sha256 of the CSV and JSON reports, `status`, `n_outer` and every `summary`
-value (floats as their shortest round-trip repr, so equal text means equal
-bits).  With --demos, one more line per demo holds the sha256 of its
+For each of thirteen configs and the seeds 1 and 2025, one JSON line holds
+the sha256 of the CSV and JSON reports, `status`, `n_outer` and every
+`summary` value (floats as their shortest round-trip repr, so equal text
+means equal bits).  With --demos, one more line per demo holds the sha256 of its
 standard output.  `timing` stays off, so no wall time enters any line.
 """
 
@@ -55,6 +55,10 @@ CONFIGS = {
     "ras_diverges": {"overlap": 0, "lambda": 0.05, "L": 4.0, "n_sub": 4},
     "ras_diverges_wide": {"np": 64, "nobs": 16, "obs_layout": "random",
                           "overlap": 0, "lambda": 0.05, "L": 4.0, "n_sub": 8},
+    # the only config with alpha != 1, which weights the space-time Hessian
+    # blocks behind mu_A
+    "weak_space_time": {"alpha": 0.25, "obs_layout": "random", "L": 1.0,
+                        "n_sub": 3},
 }
 SEEDS = (1, 2025)
 
