@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .var_solver import VarSolverError
+from .var_solver import VarSolverError, weighted_transpose
 
 # The float64 LAPACK solve that scipy.linalg.cho_solve dispatches to, bound
 # once: the preconditioner calls it directly, without cho_solve's checks.
@@ -256,8 +256,7 @@ def assemble_local_system(i, partition, config):
 
     # Overflow surfaces as values, not warnings: the check below rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # S^T R^-1 kept C-ordered, so the product takes the dense gemm path
-        A_loc = (np.multiply(S_i.T, rinv, order="C") @ S_i
+        A_loc = (weighted_transpose(S_i, rinv) @ S_i
                  + config.lam * np.eye(idx.size))
         A_loc = 0.5 * (A_loc + A_loc.T)
         if not np.isfinite(A_loc).all():

@@ -31,7 +31,6 @@ class ModelInstance:
     h: float                # time step, T / (n_steps - 1)
     time_grid: np.ndarray   # t_k = k * h
     M: np.ndarray           # one-step propagator, np x np
-    p: int                  # formal order of the time discretization
 
     def propagate(self, u, steps=1):
         """Apply the one-step propagator `steps` times."""
@@ -121,7 +120,7 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
                            f"more than {ROW_SUM_TOL:g}")
     time_grid = np.linspace(0.0, T, n_steps)
     return ModelInstance(np=n_grid, n_steps=n_steps, T=float(T), h=h,
-                         time_grid=_freeze(time_grid), M=_freeze(M), p=1)
+                         time_grid=_freeze(time_grid), M=_freeze(M))
 
 
 def build_covariance(n_grid, sigma_b, sigma_r, L):

@@ -118,10 +118,20 @@ def _background_term(config, weight):
     return weight * (0.5 * (Binv + Binv.T))
 
 
+def weighted_transpose(X, s):
+    """X^T s, C-ordered.
+
+    X^T alone is an F-ordered view, which a gemm reads as a transposed
+    operand and may sum in another order than a C-ordered one.  Both
+    H_k^T R^-1 here and S^T R^-1 in dd_mps go through this copy, so their
+    products keep the bits of the product with a dense R^-1.
+    """
+    return np.multiply(X.T, s, order="C")
+
+
 def _normal_matrix(A_bg, H, rinv):
-    """A_bg + H^T R^-1 H, symmetrized, and H^T R^-1, kept C-ordered as the
-    product with a dense R^-1 was."""
-    HtRinv = np.multiply(H.T, rinv, order="C")
+    """A_bg + H^T R^-1 H, symmetrized, and H^T R^-1."""
+    HtRinv = weighted_transpose(H, rinv)
     A = A_bg + HtRinv @ H
     return 0.5 * (A + A.T), HtRinv
 

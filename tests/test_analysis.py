@@ -151,15 +151,16 @@ def _textbook_roundoff(trajectory, M):
         for k in range(trajectory.n_points):
             R_obs[n, k] = float(np.max(np.abs(
                 np.asarray(trajectory.u[n][k], dtype=ld) - shadow[k])))
-    rho_local = 0.0
+    local = [0.0]
     if trajectory.n > 0:
         level, delta = trajectory.u[-1], trajectory.delta[-1]
         for k in range(1, trajectory.n_points):
             exact = M_ld @ np.asarray(level[k - 1], dtype=ld) \
                 + np.asarray(delta[k], dtype=ld)
-            rho_local = max(rho_local, float(np.max(np.abs(
+            local.append(float(np.max(np.abs(
                 np.asarray(level[k], dtype=ld) - exact))))
-    return R_obs, rho_local
+    # np.max, not a running max(), so that a NaN anywhere comes through
+    return R_obs, float(np.max(local))
 
 
 SPECIALS = np.array([0.0, -0.0, 5e-324, -3e-310, 2.2250738585072014e-308])
@@ -256,6 +257,61 @@ class TestRoundoff:
             for _ in range(points - 1)) for _ in range(levels - 1))
         trajectory = parareal.PararealTrajectory(
             u=u, background=u, delta=delta)
+        R_obs, rho = roundoff_proxies(trajectory, M)
+        R_ref, rho_ref = _textbook_roundoff(trajectory, M)
+        assert R_obs.tobytes() == R_ref.tobytes()
+        assert np.float64(rho).tobytes() == np.float64(rho_ref).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(levels=st.integers(2, 6), points=st.integers(2, 6),
+           n_grid=st.integers(1, 4), seed=st.integers(0, 2**16),
+           share=st.sampled_from([0.0, 0.3]),
+           cuts=st.lists(st.integers(1, 6), min_size=6, max_size=6),
+           copies=st.lists(st.booleans(), min_size=6, max_size=6),
+           moved=st.integers(1, 6), odd=st.integers(2, 6),
+           odd_at=st.tuples(st.integers(1, 5), st.integers(0, 3)),
+           odd_kind=st.sampled_from(["sign", "value"]),
+           nans=st.sampled_from([0.0, 0.2]))
+    def test_shared_rows_are_bitwise_the_per_state_loop(
+            self, levels, points, n_grid, seed, share, cuts, copies, moved,
+            odd, odd_at, odd_kind, nans):
+        # Parareal-shaped: level n takes level n-1's correction up to a cut,
+        # as the same array or a byte-equal copy
+        rng = np.random.default_rng(seed)
+
+        def fresh():
+            d = _with_specials(rng, n_grid, share)
+            d[rng.random(n_grid) < nans] = np.nan
+            return d
+
+        M = _with_specials(rng, (n_grid, n_grid), share)
+        u = [[_with_specials(rng, n_grid, share) for _ in range(points)]
+             for _ in range(levels)]
+        delta = [[None] + [fresh() for _ in range(points - 1)]]
+        for n in range(2, levels):
+            below = delta[-1]
+            delta.append([None] + [
+                (below[k].copy() if copies[n] else below[k]) if k < cuts[n]
+                else fresh() for k in range(1, points)])
+        for level in u[1:]:
+            level[0] = u[0][0]
+        if moved < levels:
+            # every correction equal to the level below, another start
+            if moved > 1:
+                delta[moved - 1] = list(delta[moved - 2])
+            u[moved][0] = u[0][0] + 1.0
+        k, j = odd_at[0], odd_at[1] % n_grid
+        if odd < levels and k < points:
+            # an equal pair but for one entry: 0.0 against -0.0, or a value
+            below = delta[odd - 2][k]
+            odd_pair = delta[odd - 1][k] = below.copy()
+            if odd_kind == "sign":
+                below[j], odd_pair[j] = 0.0, -0.0
+            else:
+                odd_pair[j] = below[j] + 1.0
+        trajectory = parareal.PararealTrajectory(
+            u=tuple(map(tuple, u)), background=tuple(map(tuple, u)),
+            delta=tuple(map(tuple, delta)))
         R_obs, rho = roundoff_proxies(trajectory, M)
         R_ref, rho_ref = _textbook_roundoff(trajectory, M)
         assert R_obs.tobytes() == R_ref.tobytes()

@@ -40,7 +40,6 @@ class TestModelInstance:
         inst = build_model_instance(4, 5, 1.0, velocity=1.0, diffusivity=0.0)
         np.testing.assert_array_equal(inst.time_grid, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert inst.h == 0.25
-        assert inst.p == 1
 
     def test_propagator_is_dissipative(self):
         # row-sum norm computed on an independently assembled scheme
@@ -235,7 +234,7 @@ class TestObservations:
 class TestAssembleG:
     def test_single_time_point_gives_H0(self, small_cov):
         inst = testbed.ModelInstance(np=8, n_steps=1, T=0.0, h=1.0,
-                                     time_grid=np.zeros(1), M=np.eye(8), p=1)
+                                     time_grid=np.zeros(1), M=np.eye(8))
         obs = build_observations(inst, small_cov, [0, 4, 7], np.zeros(8),
                                  seed=0, noise=False)
         G = assemble_G(obs, inst)

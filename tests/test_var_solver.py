@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pintda import testbed, var_solver
+from pintda import dd_mps, testbed, var_solver
 from pintda.testbed import CovarianceFactorPair, ModelInstance, ObservationSet
 from pintda.var_solver import (VarProblemConfig, VarSolverError, eval_cost,
                                eval_grad, hessian_condition, solve_var_direct)
@@ -13,7 +13,7 @@ from pintda.var_solver import (VarProblemConfig, VarSolverError, eval_cost,
 def identity_config(n, u0, v, alpha=1.0, lam=1.0):
     """Hand-built single-time problem with G = H = I and B = R = I."""
     inst = ModelInstance(np=n, n_steps=1, T=0.0, h=1.0,
-                         time_grid=np.zeros(1), M=np.eye(n), p=1)
+                         time_grid=np.zeros(1), M=np.eye(n))
     cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
                                sigma_r=1.0, L=0.0)
     obs = ObservationSet(nobs=n, obs=np.arange(n),
@@ -348,3 +348,34 @@ class TestHessianCondition:
         cfg = dataclasses.replace(random_config(), alpha=0.0)
         with pytest.raises(VarSolverError):
             solve_var_direct(cfg, "fourD")
+
+
+class TestWeightedTranspose:
+    def test_is_the_scaled_transpose_in_c_order(self):
+        X = np.arange(12.0).reshape(3, 4)
+        out = var_solver.weighted_transpose(X, 0.5)
+        assert out.flags.c_contiguous and not X.T.flags.c_contiguous
+        assert out.tobytes() == np.ascontiguousarray(X.T * 0.5).tobytes()
+
+    def test_oracle_and_schwarz_blocks_read_it(self, monkeypatch):
+        # H_k^T R^-1 in the oracle's normal matrices, S_i^T R^-1 in dd_mps
+        real = var_solver.weighted_transpose
+        assert dd_mps.weighted_transpose is real
+        seen = []
+
+        def spy(X, s):
+            out = real(X, s)
+            seen.append((X.shape, out.flags.c_contiguous))
+            return out
+
+        for module in (var_solver, dd_mps):
+            monkeypatch.setattr(module, "weighted_transpose", spy)
+        cfg = random_config(n_grid=8)
+        solve_var_direct(cfg, "fourD")
+        assert seen == [((2, 8), True)] * cfg.instance.n_steps
+        seen.clear()
+        partition = dd_mps.partition_domain(8, 2, 1)
+        for i in range(2):
+            dd_mps.assemble_local_system(i, partition, cfg)
+        assert seen == [((2, idx.size), True)
+                        for idx in partition.index_sets]

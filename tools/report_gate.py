@@ -10,7 +10,7 @@ With --against the lines are still printed; the exit status is 1, with the
 first config, seed and key that differ on standard error, when any line
 differs from the parent's (or is missing on either side), and 0 otherwise.
 
-For each of thirteen configs and the seeds 1 and 2025, one JSON line holds
+For each of fourteen configs and the seeds 1 and 2025, one JSON line holds
 the sha256 of the CSV and JSON reports, `status`, `n_outer` and every
 `summary` value (floats as their shortest round-trip repr, so equal text
 means equal bits).  With --demos, one more line per demo holds the sha256 of its
@@ -59,6 +59,9 @@ CONFIGS = {
     # blocks behind mu_A
     "weak_space_time": {"alpha": 0.25, "obs_layout": "random", "L": 1.0,
                         "n_sub": 3},
+    # the 256 x 32 point of the size ladder, the run where the round-off
+    # shadow costs the most
+    "ladder_256x32": {"np": 256, "n_steps": 32, "nobs": 64, "max_outer": 31},
 }
 SEEDS = (1, 2025)
 
