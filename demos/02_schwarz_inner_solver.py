@@ -26,7 +26,9 @@ for i, (idx, core) in enumerate(zip(partition.index_sets, partition.cores)):
 print()
 print("=== CG steps to the analysis (uncorrelated B) ===")
 direct = var_solver.solve_var_direct(vconfig, "threeD")
-iterate, hist = dd_mps.run_mps(vconfig, partition, tol=1e-10, max_iters=50)
+plan = dd_mps.build_factors(vconfig, partition)
+iterate, hist = dd_mps.run_mps(plan, vconfig.u0, vconfig.time_index,
+                               tol=1e-10, max_iters=50)
 rel = np.abs(iterate.patched - direct.u_da).max() / np.abs(direct.u_da).max()
 print(f"steps: {hist.n_sweeps}, converged: {hist.converged}")
 print(f"relative error vs direct solve: {rel:.2e}")
@@ -37,8 +39,7 @@ print("so the preconditioned operator has two eigenvalues: CG needs two steps.")
 def narrate(vc, part, tol):
     """Print each CG step's residuals and the global cost of its state."""
     plan = dd_mps.build_factors(vc, part)
-    it = dd_mps.initial_iterate(plan.bind(
-        vc.observations, [vc.u0], [vc.time_index]).take(0))
+    it = dd_mps.initial_iterate(plan.bind([vc.u0], [vc.time_index]).take(0))
     while it.eq_residual > tol:
         it = dd_mps.mps_sweep(it)
         cost = var_solver.eval_cost(it.patched, vc, "threeD")
@@ -56,13 +57,14 @@ print("converges to the global analysis:")
 for L in (0.5, 1.0, 2.0):
     vc, _ = harness.build_problem(dataclasses.replace(cfg, L=L))
     d = var_solver.solve_var_direct(vc, "threeD")
-    it, h = dd_mps.run_mps(vc, dd_mps.partition_domain(cfg.np, 2, 2),
-                           tol=1e-12, max_iters=200)
+    plan = dd_mps.build_factors(vc, dd_mps.partition_domain(cfg.np, 2, 2))
+    it, h = dd_mps.run_mps(plan, vc.u0, vc.time_index, tol=1e-12,
+                           max_iters=200)
     gap = np.abs(it.patched - d.u_da).max() / np.abs(d.u_da).max()
     print(f"  L = {L}: steps {h.n_sweeps:3d}, gap to the oracle {gap:.2e}, "
           f"measured inner accuracy {h.eps_mps:.2e}")
-print("(at L = 2 a single block, an exact solve, is as far from the oracle:")
-print("the gap is the dense oracle's own float64 floor)")
+print("(the oracle solves in the control too: at L = 2, where cond(B) is 6e7,")
+print("an oracle that formed B^-1 was 1.2e-10 from the analysis)")
 
 print()
 print("=== the steps of one correlated solve (L = 2, 8 blocks) ===")

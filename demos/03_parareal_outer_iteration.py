@@ -9,20 +9,22 @@ iterate differences shrink long before that.
 
 import numpy as np
 
-from pintda import harness, parareal
+from pintda import dd_mps, harness, parareal
 
 cfg = harness.ExperimentConfig()
 vconfig, partition = harness.build_problem(cfg)
 n_slabs = cfg.n_steps - 1
 
 print("=== the serial fine chain (what we are converging to) ===")
-reference, chain_hists = parareal.serial_fine_chain(vconfig, partition)
+plan = dd_mps.build_factors(vconfig, partition)
+reference, chain_hists = parareal.serial_fine_chain(vconfig, partition,
+                                                    factors=plan)
 print(f"{n_slabs} slab solves, "
       f"{sum(h.n_sweeps for h in chain_hists)} inner CG steps total")
 
 print()
 print("=== outer iterations ===")
-trajectory, hist = parareal.run_parareal(vconfig, partition, tol=1e-9,
+trajectory, hist = parareal.run_parareal(vconfig, plan, tol=1e-9,
                                          max_outer=8, workers=4,
                                          chain=(reference, chain_hists))
 print(f"stopped after n = {hist.n_outer} iterations ({hist.reason}); "

@@ -18,20 +18,24 @@ correlation length.
 
 A block's matrix A_loc = A[I_i, I_i] and its Cholesky factor depend only on
 the partition, V, lam and the observed points obs, which are the same at
-every time.  build_factors builds them once per problem, as its `CgPlan`, so
-a fine solve computes only d and c.  A CG step makes one dpotrs call per
-block and applies A once, as lam p + rinv S^T (S p), never formed.
+every time.  build_factors builds them once per problem, as its `CgPlan`,
+which also holds the per-time observations v.  A fine solve is then a
+function of (plan, background, time) alone and computes only d and c.  A CG
+step makes one dpotrs call per block and applies A once, as
+lam p + rinv S^T (S p), never formed.
 
 Solves run as the columns of one batch: every array carries a leading
-column axis, one row per background (run_mps_batch; run_mps is the batch
-of one).  Each product is a stacked gemv, one per column, each block solve
-one multi-column potrs call, and alpha, beta and every residual are per
-column, so each column has the bits of its solve alone.  A column leaves
-the batch at the step where it stops: converged, out of steps, or with a
-step of 0, as where r . z = 0.  A non-finite background is rejected before
-the first step, and any other non-finite value shows in one NaN-propagating
-check of each step; both raise VarSolverError naming the subdomain and the
-time.
+column axis, one row per background (run_mps_batch(plan, backgrounds,
+times, tol, max_iters); run_mps(plan, background, time, tol, max_iters) is
+the batch of one).  Each product is a stacked gemv, one per column, each
+block solve one multi-column potrs call, and alpha, beta and every residual
+are per column, so each column has the bits of its solve alone.  A column
+leaves the batch at the step where it stops: converged, out of steps, or
+with a step of 0, as where r . z = 0.  A time outside the observations and
+a non-finite background are rejected before the first step, and any other
+non-finite value shows in one NaN-propagating check of each step; each
+raises VarSolverError naming the time (and the subdomain, where there is
+one).
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ class CgPlan:
     `factors` holds one LocalFactor per block in subdomain order, `obs` the
     observed grid points and `S` = V[obs] their rows of V, so that
     A = lam I + rinv S^T S.  `V` maps a control to a state increment, and
-    `v_norm` = ||V||_inf maps a control residual into state space.
+    `v_norm` = ||V||_inf maps a control residual into state space.  `v`
+    holds the observation vector of each time.
     """
 
     factors: tuple
@@ -109,6 +114,7 @@ class CgPlan:
     rinv: float
     V: np.ndarray
     v_norm: float
+    v: tuple
 
     def apply_A(self, p):
         """A p for every row of p, as lam p + rinv S^T (S p)."""
@@ -128,11 +134,16 @@ class CgPlan:
             z[..., sl] += sol.T
         return z
 
-    def bind(self, observations, backgrounds, times):
+    def bind(self, backgrounds, times):
         """The Batch with one column per background: column c is
         backgrounds[c] at observation time times[c], reading the
-        observations v of its own time."""
+        observations v of its own time.  A time outside [0, len(v)) raises
+        VarSolverError."""
         times = np.asarray(times)
+        outside = (times < 0) | (times >= len(self.v))
+        if outside.any():
+            raise VarSolverError(f"observation time {times[outside][0]} is "
+                                 f"outside [0, {len(self.v)})")
         u_b = np.asarray(backgrounds, dtype=float)
         finite = np.isfinite(u_b)
         if not finite.all():
@@ -140,7 +151,7 @@ class CgPlan:
             i = next(f.i for f in self.factors if not finite[col, f.indices].all())
             raise VarSolverError(f"subdomain {i}: the background is not finite "
                                  f"at time {times[col]}")
-        d = np.stack([observations.v[t] for t in times]) - u_b[:, self.obs]
+        d = np.stack([self.v[t] for t in times]) - u_b[:, self.obs]
         c = _rhs(self.S, self.rinv, d)
         return Batch(plan=self, c=c, u_b=u_b,
                      scale=1.0 + np.abs(c).max(axis=-1), t=times)
@@ -280,7 +291,8 @@ def build_factors(config, partition):
                                 for i in range(partition.n_sub)),
                   obs=obs, S=V[obs], lam=float(config.lam),
                   rinv=1.0 / config.covpair.sigma_r**2, V=V,
-                  v_norm=float(np.abs(V).sum(axis=1).max()))
+                  v_norm=float(np.abs(V).sum(axis=1).max()),
+                  v=config.observations.v)
 
 
 def _dot(a, b):
@@ -352,50 +364,46 @@ def dap_residual(w, batch):
     return np.abs(batch.c - batch.plan.apply_A(w)).max(axis=-1)
 
 
-def run_mps(config, partition, tol, max_iters, factors=None):
-    """Solve config's single-time problem by Schwarz-preconditioned CG.
+def run_mps(plan, background, time, tol, max_iters):
+    """Solve the single-time problem of observation time `time` around
+    `background` by Schwarz-preconditioned CG on the CgPlan `plan`.
 
-    `factors` is the CgPlan build_factors made for this config's problem
-    and partition; without one the blocks are factored here.  The solve
-    stops when max|c - A w| / (1 + max|c|), read from the recursive
-    residual, is at most tol (converged), or after max_iters steps;
-    non-convergence is reported through the returned history, not raised.
-    The history's eq_residual is the true residual at the final iterate,
-    and eps_mps = ||V||_inf max|c - A w| / lam maps it to state space,
-    since A >= lam I bounds the control error by |c - A w| / lam (in the
-    2-norm; the max-norm map is a proxy).
+    The solve stops when max|c - A w| / (1 + max|c|), read from the
+    recursive residual, is at most tol (converged), or after max_iters
+    steps; non-convergence is reported through the returned history, not
+    raised.  The history's eq_residual is the true residual at the final
+    iterate, and eps_mps = ||V||_inf max|c - A w| / lam maps it to state
+    space, since A >= lam I bounds the control error by |c - A w| / lam (in
+    the 2-norm; the max-norm map is a proxy).
     Returns the final CgIterate, whose `patched` is the analysis, and the
     history.  This is the batch of one of run_mps_batch.
     """
-    if factors is None:
-        factors = build_factors(config, partition)
-    [(_, final, (history,))] = _cg_groups(
-        config, [config.u0], [config.time_index], factors, tol, max_iters)
+    [(_, final, (history,))] = _cg_groups(plan, [background], [time], tol,
+                                          max_iters)
     return final.take(0), history
 
 
-def run_mps_batch(config, backgrounds, times, factors, tol, max_iters):
-    """run_mps for several backgrounds of config's problem at once.
+def run_mps_batch(plan, backgrounds, times, tol, max_iters):
+    """run_mps for several backgrounds at once.
 
     Column c solves the single-time problem of time times[c] around the
-    background backgrounds[c], on the CgPlan `factors` (CgPlan.bind);
-    config's own u0 and time_index are not read.  A column leaves the batch
-    at the step where it stops; the rest step on.  Returns the analysis
-    states, one row per column, and one MpsHistory per column; each is
-    bitwise that of the column solved alone, so the bytes do not depend on
-    how solves are batched.
+    background backgrounds[c], on the CgPlan `plan` (CgPlan.bind).  A column
+    leaves the batch at the step where it stops; the rest step on.  Returns
+    the analysis states, one row per column, and one MpsHistory per column;
+    each is bitwise that of the column solved alone, so the bytes do not
+    depend on how solves are batched.
     """
-    states = np.empty((len(times), config.covpair.V.shape[0]))
+    states = np.empty((len(times), plan.V.shape[0]))
     histories = [None] * len(times)
-    for cols, iterate, hists in _cg_groups(config, backgrounds, times,
-                                           factors, tol, max_iters):
+    for cols, iterate, hists in _cg_groups(plan, backgrounds, times, tol,
+                                           max_iters):
         states[cols] = iterate.patched
         for c, h in zip(cols.tolist(), hists):
             histories[c] = h
     return states, histories
 
 
-def _cg_groups(config, backgrounds, times, factors, tol, max_iters):
+def _cg_groups(plan, backgrounds, times, tol, max_iters):
     """Step a batch until every column stops; one (columns, iterate,
     histories) per group of columns that stop at the same step.
 
@@ -410,8 +418,7 @@ def _cg_groups(config, backgrounds, times, factors, tol, max_iters):
     groups, out = [], []
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        iterate = initial_iterate(
-            factors.bind(config.observations, backgrounds, times))
+        iterate = initial_iterate(plan.bind(backgrounds, times))
         cols = np.arange(len(times))       # batch column of each active row
         while True:
             done = iterate.eq_residual <= tol
@@ -424,11 +431,11 @@ def _cg_groups(config, backgrounds, times, factors, tol, max_iters):
                 cols, iterate = cols[~stop], iterate.take(~stop)
             iterate = mps_sweep(iterate)
 
-        lam = max(config.lam, np.finfo(float).tiny)
+        lam = max(plan.lam, np.finfo(float).tiny)
         for cols, it, done in groups:
             res = dap_residual(it.w, it.batch)
             hists = [MpsHistory(n_sweeps=it.n, residual=r, eq_residual=e,
-                                converged=ok, eps_mps=factors.v_norm * a / lam)
+                                converged=ok, eps_mps=plan.v_norm * a / lam)
                      for r, e, a, ok in zip(it.residual.tolist(),
                                             (res / it.batch.scale).tolist(),
                                             res.tolist(), done.tolist())]

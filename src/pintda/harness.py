@@ -271,9 +271,9 @@ def run_experiment(config):
     mu_A = var_solver.hessian_condition(vconfig, "fourD")
 
     trajectory, phist = parareal.run_parareal(
-        vconfig, partition, tol=config.tol_parareal, max_outer=config.max_outer,
+        vconfig, factors, tol=config.tol_parareal, max_outer=config.max_outer,
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
-        workers=config.workers, chain=chain, factors=factors)
+        workers=config.workers, chain=chain)
 
     # Lipschitz probes: random pairs plus the realized error directions.
     rng_probe = np.random.default_rng([config.seed, 3])

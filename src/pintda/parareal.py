@@ -12,11 +12,13 @@ are slabs the trajectory reproduces the serial fine chain exactly, so the
 driver also stops there.
 
 Slab k is [t_{k-1}, t_k] of instance.time_grid and assimilates the batch at
-t_k.  The slabs an iteration solves are independent, so they are solved as
-the columns of one fine-solve batch (dd_mps.run_mps_batch).  With `workers`
-> 1 that batch is split into at most `workers` contiguous batches, which run
-on a thread pool.  A column has the bits of its slab solved alone, so the
-split never changes a byte.
+t_k.  Its fine solve is dd_mps.run_mps(plan, background, k, ...): a
+function of the problem's CgPlan, which build_factors makes once per run,
+the slab's coarse background and its time alone.  The slabs an iteration
+solves are independent, so they are solved as the columns of one fine-solve
+batch (dd_mps.run_mps_batch).  With `workers` > 1 that batch is split into
+at most `workers` contiguous batches, which run on a thread pool.  A column
+has the bits of its slab solved alone, so the split never changes a byte.
 
 run_parareal does less work than the textbook iteration, which re-solves
 every slab at every iteration.  A fine solve is a deterministic function of
@@ -32,7 +34,6 @@ bitwise the textbook one; only the per-iteration wall time (the report's `wall_m
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -149,22 +150,6 @@ def parallel_map(fn, items, workers=1):
     return [fn(x) for x in items]
 
 
-def fine_solve(k, background, config, partition, tol_mps, max_sweeps,
-               factors=None):
-    """Slab-local assimilation: the fine propagator value MPS(u_{k-1}).
-
-    Solves the single-time problem whose background is the slab's coarse
-    state and whose observations are the batch at t_k, by Schwarz-
-    preconditioned CG (dd_mps.run_mps); returns the analysis u_b + V w and
-    the inner-solver history.  `factors` (config's dd_mps.CgPlan, from
-    dd_mps.build_factors) spares the solve its block factorizations.
-    """
-    slab_config = dataclasses.replace(config, u0=background, time_index=k)
-    iterate, history = run_mps(slab_config, partition, tol=tol_mps,
-                               max_iters=max_sweeps, factors=factors)
-    return iterate.patched, history
-
-
 def _batches(slabs, workers):
     """Cut slabs into at most `workers` contiguous runs; none for no slab."""
     parts = min(workers, len(slabs))
@@ -172,18 +157,17 @@ def _batches(slabs, workers):
             for p in range(parts)]
 
 
-def parareal_update(trajectory, config, factors, tol_mps=1e-10,
-                    max_sweeps=100, workers=1, records=None):
+def parareal_update(trajectory, config, factors, records, tol_mps=1e-10,
+                    max_sweeps=100, workers=1):
     """Advance the trajectory one outer iteration.
 
     The slab corrections are computed first, as batched fine solves on the
-    block factors `factors` (config's dd_mps.CgPlan, which fixes the
-    partition), split over `workers` threads; then the corrector recombines
-    them sequentially.  Returns the extended trajectory and the per-slab
-    inner-solver histories.  With `records` (a FineRecords), a slab whose
-    background one of its records matches reuses that record's delta and
-    history object; only the other slabs are solved, and their solves are
-    stored as records.
+    block factors `factors` (config's dd_mps.CgPlan), split over `workers`
+    threads; then the corrector recombines them sequentially.  Returns the
+    extended trajectory and the per-slab inner-solver histories.  A slab
+    whose background one of its `records` (a FineRecords) matches reuses
+    that record's delta and history object; only the other slabs are
+    solved, and their solves are stored as records.
     """
     n = trajectory.n
     states = trajectory.u[n]
@@ -192,11 +176,9 @@ def parareal_update(trajectory, config, factors, tol_mps=1e-10,
     n_points = len(states)
 
     def correct(ks):
-        return run_mps_batch(config, [backgrounds[k] for k in ks], ks, factors,
+        return run_mps_batch(factors, [backgrounds[k] for k in ks], ks,
                              tol_mps, max_sweeps)
 
-    if records is None:
-        records = FineRecords(n_points - 1)
     known = {k: records.find(k, backgrounds[k]) for k in range(1, n_points)}
     todo = [k for k, hit in known.items() if hit is None]
     batches = _batches(todo, workers)
@@ -228,8 +210,11 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
                       rho=1.0, patch_rule="owner", factors=None):
     """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially.
 
-    `rho` and `patch_rule`, the interface penalty and overlap patch of the
-    former Schwarz sweep, are accepted and ignored: CG has neither.
+    Slab k's fine solve is run_mps(factors, M u_{k-1}, k, ...).  Only this
+    entry point still takes the partition and builds the CgPlan when
+    `factors` is not given, and accepts and ignores `rho` and `patch_rule`
+    (the former Schwarz sweep's penalty and patch): perfbench/run.py calls
+    it in that form.
     """
     M = config.instance.M
     if factors is None:
@@ -237,24 +222,24 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
     states = [np.asarray(config.u0, dtype=float)]
     histories = []
     for k in range(1, config.instance.n_steps):
-        analysis, hist = fine_solve(k, M @ states[-1], config, partition,
-                                    tol_mps, max_sweeps, factors=factors)
-        states.append(analysis)
+        iterate, hist = run_mps(factors, M @ states[-1], k, tol_mps,
+                                max_sweeps)
+        states.append(iterate.patched)
         histories.append(hist)
     return states, histories
 
 
-def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
-                 max_sweeps=100, workers=1, chain=None, factors=None):
+def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
+                 max_sweeps=100, workers=1, chain=None):
     """Alternate slab corrections and sequential updates until converged.
 
     Stops when the sweep-to-sweep state difference drops below tol, or when
     the iteration count reaches the slab count (beyond which the update is
     stationary by finite-step exactness).  Non-convergence within max_outer
-    is reported through the history.  The block factors are built once,
-    before the first iteration, unless `factors` is given.  Each fine solve
-    is dd_mps's Schwarz-preconditioned CG, so a converged slab correction is
-    the slab's 3D-Var analysis to within tol_mps.
+    is reported through the history.  Every fine solve is dd_mps's
+    Schwarz-preconditioned CG on `factors`, config's dd_mps.CgPlan, so a
+    converged slab correction is the slab's 3D-Var analysis to within
+    tol_mps.
 
     The loop does less work than the textbook iteration and returns its
     bytes: a fine solve is a deterministic function of (slab, background),
@@ -268,8 +253,6 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if factors is None:
-        factors = build_factors(config, partition)
     trajectory = initial_trajectory(config)
     n_slabs = config.instance.n_steps - 1
     history = PararealHistory()
@@ -285,8 +268,8 @@ def run_parareal(config, partition, tol, max_outer, tol_mps=1e-10,
         t0 = time.perf_counter()
         n_solved = len(records.solved)
         trajectory, mps_hists = parareal_update(
-            trajectory, config, factors, tol_mps=tol_mps,
-            max_sweeps=max_sweeps, workers=workers, records=records)
+            trajectory, config, factors, records, tol_mps=tol_mps,
+            max_sweeps=max_sweeps, workers=workers)
         history.wall_s.append(time.perf_counter() - t0)
         history.solved.append(records.solved[n_solved:])
         n = trajectory.n

@@ -8,7 +8,9 @@ its Hessian is block diagonal and it is solved one np x np time block at a
 time, each block being the single-time normal system with H -> G_k and
 lam -> alpha.  The direct solver factorizes each block densely and is the
 reference every iterative solver in this package is tested against, so its
-operators stay dense: H = I[obs], the same at every time.
+operators stay dense: H = I[obs], the same at every time.  It solves in the
+control w (u = u0 + V w, B = V V^T): a formed B^-1 loses log10 cond(B)
+digits, and cond(B) reaches 1e11 at L = 4.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ class VarProblemConfig:
         u0 = np.asarray(self.u0, dtype=float)
         if u0.shape != (self.instance.np,):
             raise VarSolverError(f"u0 must have shape ({self.instance.np},)")
+        if not 0 <= self.time_index < self.instance.n_steps:
+            raise VarSolverError(f"time_index {self.time_index} is outside "
+                                 f"[0, {self.instance.n_steps})")
         object.__setattr__(self, "u0", u0)
 
 
@@ -136,43 +141,42 @@ def _normal_matrix(A_bg, H, rinv):
     return 0.5 * (A + A.T), HtRinv
 
 
-def _normal_systems(config, variant):
-    """Matrix and right-hand side of the stationarity equations, per block.
-
-    Block k is  weight B^-1 + H_k^T R^-1 H_k  with right-hand side
-    weight B^-1 u0 + H_k^T R^-1 v_k; B^-1 is formed once for all blocks.
-    """
+def _hessian_blocks(config, variant, count=None):
+    """The first `count` (all by default) blocks of the half Hessian,
+    weight B^-1 + H_k^T R^-1 H_k; B^-1 is formed once for all blocks."""
     weight, blocks = _blocks(config, variant)
     A_bg = _background_term(config, weight)
-    rhs_bg = A_bg @ config.u0
     rinv = 1.0 / config.covpair.sigma_r**2
-
-    systems = []
-    for H, v in blocks:
-        A, HtRinv = _normal_matrix(A_bg, H, rinv)
-        systems.append((A, rhs_bg + HtRinv @ v))
-    return systems
+    return [_normal_matrix(A_bg, H, rinv)[0] for H, _ in blocks[:count]]
 
 
 def solve_var_direct(config, variant="threeD"):
-    """Minimize the cost by a dense solve of each block of its normal equations.
+    """Minimize the cost by a dense solve of each block of its normal
+    equations, in the control w_k where u_k = u0 + V w_k.
 
-    One step of iterative refinement per block keeps the returned gradient
-    residual at round-off level; a singular block is reported as a fault.
+    Block k is  weight I + S_k^T R^-1 S_k  with S_k = H_k V and right-hand
+    side S_k^T R^-1 (v_k - H_k u0).  One step of iterative refinement per
+    block keeps the returned gradient residual, in the control, at
+    round-off level; a singular block is reported as a fault.
     """
-    systems = _normal_systems(config, variant)
-    parts = []
-    for A, rhs in systems:
+    weight, blocks = _blocks(config, variant)
+    V, u0 = config.covpair.V, config.u0
+    A_bg = weight * np.eye(config.instance.np)
+    rinv = 1.0 / config.covpair.sigma_r**2
+    parts, grad_norm, rhs_max = [], 0.0, 0.0
+    for H, v in blocks:
+        A, StRinv = _normal_matrix(A_bg, H @ V, rinv)
+        rhs = StRinv @ (v - H @ u0)
         try:
-            u = scipy.linalg.solve(A, rhs, assume_a="pos")
-            u = u + scipy.linalg.solve(A, rhs - A @ u, assume_a="pos")
+            w = scipy.linalg.solve(A, rhs, assume_a="pos")
+            w = w + scipy.linalg.solve(A, rhs - A @ w, assume_a="pos")
         except scipy.linalg.LinAlgError as err:
             raise VarSolverError(f"stationarity system is singular: {err}") from err
-        parts.append(u)
+        grad_norm = max(grad_norm, float(np.max(np.abs(2.0 * (A @ w - rhs)))))
+        rhs_max = max(rhs_max, float(np.max(np.abs(rhs))))
+        parts.append(u0 + V @ w)
 
-    grad_norm = max(float(np.max(np.abs(2.0 * (A @ u - rhs))))
-                    for (A, rhs), u in zip(systems, parts))
-    tol = 1e-10 * (1.0 + max(float(np.max(np.abs(rhs))) for _, rhs in systems))
+    tol = 1e-10 * (1.0 + rhs_max)
     if grad_norm > tol:
         raise VarSolverError(
             f"direct solve left gradient residual {grad_norm:.3e} > {tol:.3e}")
@@ -189,12 +193,9 @@ def hessian_condition(config, variant="threeD"):
     working precision (SciPy's ill-conditioning warning) is a fault: its
     inverse, and so mu, would be meaningless.
     """
-    weight, blocks = _blocks(config, variant)
-    A_bg = _background_term(config, weight)
-    rinv = 1.0 / config.covpair.sigma_r**2
     norm, inv_norm = 0.0, 0.0
-    for k, (H, _) in enumerate(blocks[:2]):
-        A = 2.0 * _normal_matrix(A_bg, H, rinv)[0]
+    for k, half in enumerate(_hessian_blocks(config, variant, 2)):
+        A = 2.0 * half
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", scipy.linalg.LinAlgWarning)

@@ -33,8 +33,9 @@ class TestAcceptance:
         worst = 0.0
         for n_sub in (2, 4):
             partition = dd_mps.partition_domain(32, n_sub, 2)
-            iterate, hist = dd_mps.run_mps(vconfig, partition, tol=1e-10,
-                                           max_iters=50)
+            iterate, hist = dd_mps.run_mps(
+                dd_mps.build_factors(vconfig, partition), vconfig.u0,
+                vconfig.time_index, tol=1e-10, max_iters=50)
             assert hist.converged
             rel = np.abs(iterate.patched - direct.u_da).max() \
                 / np.abs(direct.u_da).max()
@@ -46,15 +47,18 @@ class TestAcceptance:
     def test_02_degenerate_exactness(self, bench_problem):
         vconfig, _ = bench_problem
         partition1 = dd_mps.partition_domain(32, 1, 0)
-        iterate, _ = dd_mps.run_mps(vconfig, partition1, tol=1e-12, max_iters=20)
+        iterate, _ = dd_mps.run_mps(dd_mps.build_factors(vconfig, partition1),
+                                    vconfig.u0, vconfig.time_index, tol=1e-12,
+                                    max_iters=20)
         direct = var_solver.solve_var_direct(vconfig, "threeD")
         rel = np.abs(iterate.patched - direct.u_da).max() / np.abs(direct.u_da).max()
 
         cfg1 = dataclasses.replace(harness.ExperimentConfig(), n_steps=2)
         vc1, part1 = harness.build_problem(cfg1)
-        traj, hist = parareal.run_parareal(vc1, part1, tol=1e-12, max_outer=5)
-        fine, _ = parareal.fine_solve(1, vc1.instance.M @ vc1.u0, vc1, part1,
-                                      1e-10, 100)
+        plan1 = dd_mps.build_factors(vc1, part1)
+        traj, hist = parareal.run_parareal(vc1, plan1, tol=1e-12, max_outer=5)
+        fine = dd_mps.run_mps(plan1, vc1.instance.M @ vc1.u0, 1, 1e-10,
+                              100)[0].patched
         single = hist.n_outer == 1 and np.array_equal(traj.u[1][1], fine)
         check(2, f"n_sub=1 rel err {rel:.2e} <= 1e-10; single-slab run is one "
                  f"local solve", rel <= 1e-10 and single)
@@ -62,8 +66,9 @@ class TestAcceptance:
     def test_03_finite_step_exactness(self, bench_problem):
         vconfig, partition = bench_problem
         reference, _ = parareal.serial_fine_chain(vconfig, partition)
-        traj, _ = parareal.run_parareal(vconfig, partition, tol=1e-300,
-                                        max_outer=vconfig.instance.n_steps)
+        traj, _ = parareal.run_parareal(
+            vconfig, dd_mps.build_factors(vconfig, partition), tol=1e-300,
+            max_outer=vconfig.instance.n_steps)
         scale = max(np.abs(r).max() for r in reference)
         worst = max(np.abs(traj.u[traj.n][k] - reference[k]).max()
                     for k in range(len(reference))) / scale
@@ -136,8 +141,8 @@ class TestAcceptance:
             return (0.5 * vconfig.lam * float(w @ w)
                     + 0.5 * float(misfit @ misfit) / vconfig.covpair.sigma_r**2)
 
-        batch = dd_mps.build_factors(vconfig, partition).bind(
-            vconfig.observations, [vconfig.u0], [t])
+        batch = dd_mps.build_factors(vconfig, partition).bind([vconfig.u0],
+                                                              [t])
         ok &= fd_ok(control_cost,
                     lambda w: batch.plan.apply_A(w[None])[0] - batch.c[0], n)
         check(7, "analytic gradients of the global costs and the fine solve's "

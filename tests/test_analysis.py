@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pintda import parareal
+from pintda import dd_mps, parareal
 from pintda.analysis import (BoundParameters, chain_discrepancy,
                              error_and_bound_history, error_scale_constant,
                              gronwall_bound, gronwall_prefactor,
@@ -191,8 +191,9 @@ class TestBoundParameters:
 @pytest.fixture(scope="module")
 def run(bench_problem):
     vconfig, partition = bench_problem
-    chain = parareal.serial_fine_chain(vconfig, partition)
-    trajectory, history = parareal.run_parareal(vconfig, partition, tol=1e-9,
+    plan = dd_mps.build_factors(vconfig, partition)
+    chain = parareal.serial_fine_chain(vconfig, partition, factors=plan)
+    trajectory, history = parareal.run_parareal(vconfig, plan, tol=1e-9,
                                                 max_outer=8, chain=chain)
     return trajectory, history
 
@@ -339,8 +340,9 @@ class TestRoundoff:
 
     def test_observed_proxies_on_benchmark(self, bench_problem):
         vconfig, partition = bench_problem
-        trajectory, _ = parareal.run_parareal(vconfig, partition, tol=1e-9,
-                                              max_outer=8)
+        trajectory, _ = parareal.run_parareal(
+            vconfig, dd_mps.build_factors(vconfig, partition), tol=1e-9,
+            max_outer=8)
         R_obs, rho = roundoff_proxies(trajectory, vconfig.instance.M)
         assert R_obs.shape == (trajectory.n + 1, vconfig.instance.n_steps)
         assert np.all(R_obs >= 0)

@@ -8,6 +8,7 @@ these checks are what keeps a rename in pintda from blanking the benchmark.
 
 import ast
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -53,3 +54,41 @@ def test_traced_run_reports_every_metric(workload):
     nulls = sorted(name for name, entry in last["metrics"].items()
                    if entry["value"] is None)
     assert nulls == []
+
+
+# pintda functions perfbench calls directly, as self.<module>.<function>(...)
+DIRECT = {"serial_fine_chain", "solve_var_direct", "load_config",
+          "build_problem", "run_experiment", "render_report"}
+
+
+def direct_calls():
+    """perfbench's direct calls into pintda, as (module, function, line,
+    call node), read without importing the script."""
+    calls = []
+    for node in ast.walk(ast.parse(BENCH.read_text())):
+        fn = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(fn, ast.Attribute)
+                and fn.attr in DIRECT and isinstance(fn.value, ast.Attribute)
+                and isinstance(fn.value.value, ast.Name)
+                and fn.value.value.id == "self"):
+            calls.append((fn.value.attr, fn.attr, node.lineno, node))
+    return calls
+
+
+def test_every_direct_call_is_found():
+    assert {name for _, name, _, _ in direct_calls()} == DIRECT
+
+
+@pytest.mark.parametrize("module,name,line,call", [
+    pytest.param(*c, id=f"{c[0]}.{c[1]}@{c[2]}") for c in direct_calls()])
+def test_direct_call_binds_to_the_current_signature(module, name, line, call):
+    assert not any(isinstance(a, ast.Starred) for a in call.args)
+    keywords = [k.arg for k in call.keywords]
+    assert None not in keywords, f"line {line} passes **kwargs"
+    fn = getattr(importlib.import_module(f"pintda.{module}"), name)
+    try:
+        inspect.signature(fn).bind(*call.args, **dict.fromkeys(keywords))
+    except TypeError as err:
+        pytest.fail(f"perfbench/run.py line {line} calls pintda.{module}."
+                    f"{name} with {len(call.args)} positional arguments and "
+                    f"keywords {keywords}: {err}")

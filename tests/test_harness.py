@@ -221,6 +221,27 @@ class TestRunExperiment:
         assert solved.summary["fine_solves_reused"] == 0
         assert reused.summary["fine_solves"] < solved.summary["fine_solves"]
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # the sweep_heavy benchmark workload
+        {"np": 64, "n_steps": 8, "n_sub": 8, "overlap": 4, "nobs": 16,
+         "L": 2.0, "lambda": 0.05, "rho_penalty": 5.0, "max_outer": 7},
+    ], ids=["default", "sweep_heavy"])
+    def test_one_plan_per_run(self, monkeypatch, overrides):
+        # the serial chain and every Parareal iteration solve on one CgPlan:
+        # a plan built on the side would factor every block again
+        assembled = []
+        real = harness.dd_mps.assemble_local_system
+
+        def spy(i, partition, config):
+            assembled.append(i)
+            return real(i, partition, config)
+
+        monkeypatch.setattr(harness.dd_mps, "assemble_local_system", spy)
+        cfg = load_config(None, overrides)
+        assert run_experiment(cfg).status == "converged"
+        assert assembled == list(range(cfg.n_sub))
+
     def test_error_bound_dominates_measured_errors(self, bench_result):
         for rec in bench_result.records:
             assert rec.E_kn <= rec.c_n

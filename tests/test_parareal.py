@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pintda import dd_mps, harness, parareal, var_solver
-from pintda.parareal import (FineRecords, fine_solve, initial_trajectory,
-                             parareal_update, run_parareal, serial_fine_chain)
+from pintda import harness, parareal, var_solver
+from pintda.dd_mps import build_factors, partition_domain, run_mps
+from pintda.parareal import (FineRecords, initial_trajectory, parareal_update,
+                             run_parareal, serial_fine_chain)
 
 
 def no_observation_config(vconfig):
@@ -40,7 +41,8 @@ class TestCoarseSweep:
 
     def test_initial_point_pinned_at_every_level(self, bench_problem):
         vconfig, partition = bench_problem
-        traj, _ = run_parareal(vconfig, partition, tol=1e-9, max_outer=3)
+        traj, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                               tol=1e-9, max_outer=3)
         for n in range(traj.n + 1):
             np.testing.assert_array_equal(traj.u[n][0], vconfig.u0)
             np.testing.assert_array_equal(traj.background[n][0], vconfig.u0)
@@ -51,20 +53,20 @@ class TestLocalDaSolve:
         vconfig, partition = bench_problem
         vempty = no_observation_config(vconfig)
         background = initial_trajectory(vempty).background[0][2]
-        analysis, hist = fine_solve(2, background, vempty, partition, 1e-10,
-                                    100)
-        np.testing.assert_array_equal(analysis, background)
+        it, hist = run_mps(build_factors(vempty, partition), background, 2,
+                           1e-10, 100)
+        np.testing.assert_array_equal(it.patched, background)
         assert hist.converged
 
     def test_single_block_matches_direct_slab_solve(self, bench_problem):
         vconfig, _ = bench_problem
-        partition1 = dd_mps.partition_domain(vconfig.instance.np, 1, 0)
+        partition1 = partition_domain(vconfig.instance.np, 1, 0)
         background = initial_trajectory(vconfig).background[0][3]
-        analysis, _ = fine_solve(3, background, vconfig, partition1, 1e-10,
-                                 100)
+        it, _ = run_mps(build_factors(vconfig, partition1), background, 3,
+                        1e-10, 100)
         slab_cfg = dataclasses.replace(vconfig, u0=background, time_index=3)
         direct = var_solver.solve_var_direct(slab_cfg, "threeD")
-        np.testing.assert_allclose(analysis, direct.u_da, atol=1e-8)
+        np.testing.assert_allclose(it.patched, direct.u_da, atol=1e-8)
 
 
 class TestPararealUpdate:
@@ -72,8 +74,10 @@ class TestPararealUpdate:
         vconfig, partition = bench_problem
         vempty = no_observation_config(vconfig)
         traj = initial_trajectory(vempty)
+        n_slabs = vconfig.instance.n_steps - 1
         traj, _ = parareal_update(traj, vempty,
-                                  dd_mps.build_factors(vempty, partition))
+                                  build_factors(vempty, partition),
+                                  FineRecords(n_slabs))
         M = vconfig.instance.M
         serial = [vempty.u0]
         for _ in range(1, vconfig.instance.n_steps):
@@ -86,20 +90,23 @@ class TestPararealUpdate:
     def test_reaches_serial_chain_after_slab_count_iterations(self, bench_problem):
         vconfig, partition = bench_problem
         reference, _ = serial_fine_chain(vconfig, partition)
-        factors = dd_mps.build_factors(vconfig, partition)
+        factors = build_factors(vconfig, partition)
+        n_slabs = vconfig.instance.n_steps - 1
         traj = initial_trajectory(vconfig)
-        for _ in range(vconfig.instance.n_steps - 1):
-            traj, _ = parareal_update(traj, vconfig, factors)
+        for _ in range(n_slabs):
+            traj, _ = parareal_update(traj, vconfig, factors,
+                                      FineRecords(n_slabs))
         scale = max(np.abs(r).max() for r in reference)
         for k, ref_k in enumerate(reference):
             assert np.abs(traj.u[traj.n][k] - ref_k).max() <= 1e-10 * scale
 
     def test_delta_replay_is_bitwise(self, bench_problem):
         vconfig, partition = bench_problem
-        factors = dd_mps.build_factors(vconfig, partition)
+        factors = build_factors(vconfig, partition)
+        n_slabs = vconfig.instance.n_steps - 1
         traj = initial_trajectory(vconfig)
-        traj, _ = parareal_update(traj, vconfig, factors)
-        traj, _ = parareal_update(traj, vconfig, factors)
+        traj, _ = parareal_update(traj, vconfig, factors, FineRecords(n_slabs))
+        traj, _ = parareal_update(traj, vconfig, factors, FineRecords(n_slabs))
         M = vconfig.instance.M
         for n in range(2):
             for k in range(1, vconfig.instance.n_steps):
@@ -110,7 +117,8 @@ class TestPararealUpdate:
     def test_update_consistency_with_backgrounds(self, bench_problem):
         # u^{n+1} - b^{n+1} equals the stored correction factor
         vconfig, partition = bench_problem
-        traj, _ = run_parareal(vconfig, partition, tol=1e-9, max_outer=4)
+        traj, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                               tol=1e-9, max_outer=4)
         for n in range(1, traj.n + 1):
             for k in range(1, vconfig.instance.n_steps):
                 np.testing.assert_allclose(
@@ -123,16 +131,18 @@ class TestRunParareal:
         cfg = dataclasses.replace(harness.ExperimentConfig(), n_steps=2,
                                   max_outer=5)
         vconfig, partition = harness.build_problem(cfg)
-        traj, hist = run_parareal(vconfig, partition, tol=1e-12, max_outer=5)
+        plan = build_factors(vconfig, partition)
+        traj, hist = run_parareal(vconfig, plan, tol=1e-12, max_outer=5)
         assert hist.converged
         assert hist.n_outer == 1
-        fine, _ = fine_solve(1, vconfig.instance.M @ vconfig.u0, vconfig,
-                             partition, 1e-10, 100)
+        fine = run_mps(plan, vconfig.instance.M @ vconfig.u0, 1, 1e-10,
+                       100)[0].patched
         np.testing.assert_array_equal(traj.u[1][1], fine)
 
     def test_benchmark_converges_within_slab_count(self, bench_problem):
         vconfig, partition = bench_problem
-        traj, hist = run_parareal(vconfig, partition, tol=1e-9, max_outer=8)
+        traj, hist = run_parareal(vconfig, build_factors(vconfig, partition),
+                                  tol=1e-9, max_outer=8)
         assert hist.converged
         assert hist.n_outer <= vconfig.instance.n_steps
         # measured on the benchmark problem, frozen as a regression value
@@ -141,14 +151,16 @@ class TestRunParareal:
 
     def test_huge_tolerance_stops_after_one_iteration(self, bench_problem):
         vconfig, partition = bench_problem
-        _, hist = run_parareal(vconfig, partition, tol=1e9, max_outer=8)
+        _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
+                               tol=1e9, max_outer=8)
         assert hist.converged
         assert hist.reason == "tol"
         assert hist.n_outer == 1
 
     def test_non_convergence_reported(self, bench_problem):
         vconfig, partition = bench_problem
-        _, hist = run_parareal(vconfig, partition, tol=1e-14, max_outer=2)
+        _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
+                               tol=1e-14, max_outer=2)
         assert not hist.converged
         assert hist.reason == "max_outer"
         assert hist.n_outer == 2
@@ -156,7 +168,8 @@ class TestRunParareal:
     def test_finite_step_exactness_level_by_level(self, bench_problem):
         vconfig, partition = bench_problem
         reference, _ = serial_fine_chain(vconfig, partition)
-        traj, _ = run_parareal(vconfig, partition, tol=1e-300, max_outer=8)
+        traj, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                               tol=1e-300, max_outer=8)
         scale = max(np.abs(r).max() for r in reference)
         for n in range(traj.n + 1):
             for k in range(min(n, len(reference) - 1) + 1):
@@ -165,9 +178,10 @@ class TestRunParareal:
 
     def test_worker_count_does_not_change_results(self, bench_problem):
         vconfig, partition = bench_problem
-        t1, _ = run_parareal(vconfig, partition, tol=1e-9, max_outer=8)
-        t4, _ = run_parareal(vconfig, partition, tol=1e-9, max_outer=8,
-                             workers=4)
+        t1, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                             tol=1e-9, max_outer=8)
+        t4, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                             tol=1e-9, max_outer=8, workers=4)
         assert t1.n == t4.n
         for n in range(t1.n + 1):
             for k in range(vconfig.instance.n_steps):
@@ -175,7 +189,8 @@ class TestRunParareal:
 
     def test_error_history_against_reference(self, bench_problem):
         vconfig, partition = bench_problem
-        _, hist = run_parareal(vconfig, partition, tol=1e-9, max_outer=8,
+        _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
+                               tol=1e-9, max_outer=8,
                                chain=serial_fine_chain(vconfig, partition))
         E = np.array(hist.E)
         assert E.shape[0] == hist.n_outer + 1
@@ -188,12 +203,13 @@ class TestRunParareal:
 def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps):
     """Brute-force oracle: fine-solve every slab at every iteration."""
     M = vconfig.instance.M
+    plan = build_factors(vconfig, partition)
     level = initial_trajectory(vconfig).u[0]
     u, background, delta, hists = [level], [level], [], []
     for n in range(n_outer):
-        solves = [fine_solve(k, background[n][k], vconfig, partition, tol_mps,
-                             max_sweeps) for k in range(1, len(level))]
-        delta.append([None] + [fine - b for (fine, _), b
+        solves = [run_mps(plan, background[n][k], k, tol_mps, max_sweeps)
+                  for k in range(1, len(level))]
+        delta.append([None] + [it.patched - b for (it, _), b
                                in zip(solves, background[n][1:])])
         hists.append([h for _, h in solves])
         u_next, b_next = [level[0]], [level[0]]
@@ -206,9 +222,10 @@ def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps):
 
 
 def reuse_run(vconfig, partition, tol_mps=1e-10, max_sweeps=100, workers=1):
+    plan = build_factors(vconfig, partition)
     chain = serial_fine_chain(vconfig, partition, tol_mps=tol_mps,
-                              max_sweeps=max_sweeps)
-    return run_parareal(vconfig, partition, tol=1e-300,
+                              max_sweeps=max_sweeps, factors=plan)
+    return run_parareal(vconfig, plan, tol=1e-300,
                         max_outer=vconfig.instance.n_steps, tol_mps=tol_mps,
                         max_sweeps=max_sweeps, workers=workers, chain=chain)
 
@@ -249,7 +266,8 @@ class TestFineSolveReuse:
     def test_without_chain_records_reuses_only_unchanged_backgrounds(
             self, bench_problem):
         vconfig, partition = bench_problem
-        _, hist = run_parareal(vconfig, partition, tol=1e-300, max_outer=8)
+        _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
+                               tol=1e-300, max_outer=8)
         n_slabs = vconfig.instance.n_steps - 1
         for n, solved in enumerate(hist.solved, start=1):
             assert solved == list(range(n, n_slabs + 1))
@@ -310,7 +328,7 @@ def one_network_problem(layout):
 
 class TestBatchedFineSolves:
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_patterns_match_textbook_iteration_bitwise(self, workers):
+    def test_layouts_match_textbook_iteration_bitwise(self, workers):
         for layout in ("stride", "random"):
             vconfig, partition = one_network_problem(layout)
             traj, hist = reuse_run(vconfig, partition, workers=workers)
@@ -327,16 +345,15 @@ class TestBatchedFineSolves:
                     assert got == want
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_batches_share_a_pattern_and_split_over_workers(self, monkeypatch,
-                                                            workers):
+    def test_batches_split_over_workers(self, monkeypatch, workers):
         vconfig, partition = one_network_problem("random")
-        factors = dd_mps.build_factors(vconfig, partition)
+        factors = build_factors(vconfig, partition)
         batches = []
+        run_mps_batch = parareal.run_mps_batch
 
-        def record(config, backgrounds, times, *args, **kwargs):
+        def record(plan, backgrounds, times, *args, **kwargs):
             batches.append(list(times))
-            return dd_mps.run_mps_batch(config, backgrounds, times, *args,
-                                        **kwargs)
+            return run_mps_batch(plan, backgrounds, times, *args, **kwargs)
 
         monkeypatch.setattr(parareal, "run_mps_batch", record)
         traj = initial_trajectory(vconfig)

@@ -230,7 +230,7 @@ class TestSolveVarDirect:
             weight = cfg.alpha
             ops = [dense_H(cfg)] + [dense_H(cfg) @ cfg.instance.M
                                     for _ in range(1, cfg.instance.n_steps)]
-        hessian = [2.0 * A for A, _ in var_solver._normal_systems(cfg, variant)]
+        hessian = [2.0 * A for A in var_solver._hessian_blocks(cfg, variant)]
         for block, H in zip(hessian, ops, strict=True):
             A = weight * Binv + H.T @ Rinv @ H
             np.testing.assert_array_equal(block, 2.0 * (0.5 * (A + A.T)))
@@ -254,6 +254,37 @@ class TestSolveVarDirect:
         state = solve_var_direct(cfg, "threeD")
         assert state.grad_norm <= 1e-10 * (1 + np.abs(state.u_da).max() * 100)
 
+    @pytest.mark.parametrize("variant", ["threeD", "fourD"])
+    def test_correlated_background_keeps_full_precision(self, variant):
+        # cond(B) is 9.5e10 at L = 4: an oracle that formed B^-1 was 1e-7 to
+        # 1e-6 from this control-space reference, solved by eigendecomposition
+        cfg = random_config(n_grid=32, L=4.0,
+                            obs_idx=[3, 7, 12, 18, 21, 26, 29, 31])
+        n_blocks = 1 if variant == "threeD" else cfg.instance.n_steps
+        if variant == "threeD":
+            weight, G, v = cfg.lam, dense_H(cfg), cfg.observations.v[0]
+        else:
+            weight, G = cfg.alpha, dense_G(cfg)
+            v = np.concatenate(cfg.observations.v)
+        V = scipy.linalg.block_diag(*[cfg.covpair.V] * n_blocks)
+        u0 = np.tile(cfg.u0, n_blocks)
+        S = G @ V
+        rinv = 1.0 / cfg.covpair.sigma_r**2
+        lam, Q = np.linalg.eigh(weight * np.eye(S.shape[1]) + rinv * S.T @ S)
+        u = u0 + V @ (Q @ ((Q.T @ (rinv * S.T @ (v - G @ u0))) / lam))
+        got = solve_var_direct(cfg, variant).u_da
+        assert np.abs(got - u).max() <= 1e-12 * np.abs(u).max()
+
+    @pytest.mark.parametrize("which", ["before", "after"])
+    def test_time_outside_the_observations_is_rejected(self, which):
+        # -1 would read the last time's observations, n_steps none at all
+        cfg = random_config()
+        n_steps = cfg.instance.n_steps
+        t = -1 if which == "before" else n_steps
+        match = rf"time_index {t} is outside \[0, {n_steps}\)"
+        with pytest.raises(VarSolverError, match=match):
+            solve_var_direct(dataclasses.replace(cfg, time_index=t), "threeD")
+
     def test_singular_system_is_a_fault(self):
         # no regularization and fewer observations than states: rank deficient
         cfg = dataclasses.replace(random_config(), alpha=0.0, lam=0.0)
@@ -264,7 +295,7 @@ class TestSolveVarDirect:
 class TestHessianCondition:
     def test_identity_problem_is_perfectly_conditioned(self):
         cfg = identity_config(4, np.zeros(4), np.ones(4))
-        ((A, _),) = var_solver._normal_systems(cfg, "fourD")
+        (A,) = var_solver._hessian_blocks(cfg, "fourD")
         np.testing.assert_allclose(2.0 * A, 4.0 * np.eye(4), atol=1e-13)
         assert hessian_condition(cfg, "fourD") == pytest.approx(1.0, rel=1e-12)
 
@@ -274,7 +305,7 @@ class TestHessianCondition:
 
     def test_matches_brute_force_inverse(self):
         cfg = random_config(n_grid=6)
-        ((A, _),) = var_solver._normal_systems(cfg, "threeD")
+        (A,) = var_solver._hessian_blocks(cfg, "threeD")
         A = 2.0 * A
         mu_oracle = (np.abs(A).sum(axis=1).max()
                      * np.abs(np.linalg.inv(A)).sum(axis=1).max())
@@ -290,7 +321,7 @@ class TestHessianCondition:
 
     def test_four_d_blocks_match_dense_reference(self):
         cfg = random_config(n_grid=6, n_steps=4, L=1.2, alpha=0.6)
-        blocks = [2.0 * A for A, _ in var_solver._normal_systems(cfg, "fourD")]
+        blocks = [2.0 * A for A in var_solver._hessian_blocks(cfg, "fourD")]
         A, _ = dense_normal_system(cfg)
         A = 2.0 * A
         mu_dense = (np.abs(A).sum(axis=1).max()
@@ -316,7 +347,7 @@ class TestHessianCondition:
             else random_config(n_grid=6, n_steps=4)
         # the loop over every block that the two-block loop replaces
         norm = inv_norm = 0.0
-        for A, _ in var_solver._normal_systems(cfg, "fourD"):
+        for A in var_solver._hessian_blocks(cfg, "fourD"):
             A = 2.0 * A
             norm = max(norm, np.abs(A).sum(axis=1).max())
             inv_norm = max(inv_norm,
