@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .var_solver import VarSolverError, weighted_transpose
+from .var_solver import VarSolverError, normal_matrix
 
 # The float64 LAPACK solve that scipy.linalg.cho_solve dispatches to, bound
 # once: the preconditioner calls it directly, without cho_solve's checks.
@@ -255,8 +255,9 @@ def partition_domain(n_grid, n_sub, overlap):
 def assemble_local_system(i, partition, config):
     """Factor block i of config's control-space matrix.
 
-    A_loc = A[I_i, I_i] = rinv S_i^T S_i + lam I with S_i = V[obs, I_i], the
-    columns of S in the block.  Returns its LocalFactor.
+    A_loc = A[I_i, I_i] = lam I + rinv S_i^T S_i with S_i = V[obs, I_i], the
+    columns of S in the block, built by var_solver.normal_matrix.  Returns
+    its LocalFactor.
     """
     idx = partition.index_sets[i]
     if idx.size == 0:
@@ -267,9 +268,7 @@ def assemble_local_system(i, partition, config):
 
     # Overflow surfaces as values, not warnings: the check below rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
-        A_loc = (weighted_transpose(S_i, rinv) @ S_i
-                 + config.lam * np.eye(idx.size))
-        A_loc = 0.5 * (A_loc + A_loc.T)
+        A_loc, _ = normal_matrix(config.lam * np.eye(idx.size), S_i, rinv)
         if not np.isfinite(A_loc).all():
             raise VarSolverError(
                 f"sigma_b = {cov.sigma_b:g} (with sigma_r = {cov.sigma_r:g}) "

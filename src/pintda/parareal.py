@@ -253,6 +253,8 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     trajectory = initial_trajectory(config)
     n_slabs = config.instance.n_steps - 1
     history = PararealHistory()

@@ -6,11 +6,12 @@ batch against the background.  The space-time variant stacks the states at
 every time point; each sees only its own observations and background term, so
 its Hessian is block diagonal and it is solved one np x np time block at a
 time, each block being the single-time normal system with H -> G_k and
-lam -> alpha.  The direct solver factorizes each block densely and is the
-reference every iterative solver in this package is tested against, so its
-operators stay dense: H = I[obs], the same at every time.  It solves in the
-control w (u = u0 + V w, B = V V^T): a formed B^-1 loses log10 cond(B)
-digits, and cond(B) reaches 1e11 at L = 4.
+lam -> alpha.  The direct solver is the reference every iterative solver in
+this package is tested against, so its operators stay dense.  It solves in
+the control w (u = u0 + V w, B = V V^T): a formed B^-1 loses log10 cond(B)
+digits, and cond(B) reaches 1e11 at L = 4.  It forms and factors each
+distinct block once: one single-time block (H = I[obs]); two space-time
+blocks, G_0 = I[obs] and the one array M[obs] every G_k, k >= 1, shares.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ class VarProblemConfig:
     time_index: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.lam < 0:
-            raise VarSolverError("regularization weights must be nonnegative")
+        for name in ("alpha", "lam"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise VarSolverError(f"{name} must be finite and nonnegative, "
+                                     f"got {getattr(self, name)}")
         u0 = np.asarray(self.u0, dtype=float)
         if u0.shape != (self.instance.np,):
             raise VarSolverError(f"u0 must have shape ({self.instance.np},)")
@@ -123,31 +126,27 @@ def _background_term(config, weight):
     return weight * (0.5 * (Binv + Binv.T))
 
 
-def weighted_transpose(X, s):
-    """X^T s, C-ordered.
+def normal_matrix(A_bg, H, rinv):
+    """A_bg + rinv H^T H, symmetrized, and rinv H^T: the one builder of the
+    oracle's blocks and of dd_mps's Schwarz blocks.
 
-    X^T alone is an F-ordered view, which a gemm reads as a transposed
-    operand and may sum in another order than a C-ordered one.  Both
-    H_k^T R^-1 here and S^T R^-1 in dd_mps go through this copy, so their
+    rinv H^T is a C-ordered copy: H.T alone is an F-ordered view, which a
+    gemm reads as a transposed operand and may sum in another order, so the
     products keep the bits of the product with a dense R^-1.
     """
-    return np.multiply(X.T, s, order="C")
-
-
-def _normal_matrix(A_bg, H, rinv):
-    """A_bg + H^T R^-1 H, symmetrized, and H^T R^-1."""
-    HtRinv = weighted_transpose(H, rinv)
+    HtRinv = np.multiply(H.T, rinv, order="C")
     A = A_bg + HtRinv @ H
     return 0.5 * (A + A.T), HtRinv
 
 
-def _hessian_blocks(config, variant, count=None):
-    """The first `count` (all by default) blocks of the half Hessian,
-    weight B^-1 + H_k^T R^-1 H_k; B^-1 is formed once for all blocks."""
+def _hessian_blocks(config, variant):
+    """The distinct blocks of the half Hessian, weight B^-1 + H^T R^-1 H, in
+    time order (each G_k, k >= 1, is one array); B^-1 is formed once."""
     weight, blocks = _blocks(config, variant)
     A_bg = _background_term(config, weight)
     rinv = 1.0 / config.covpair.sigma_r**2
-    return [_normal_matrix(A_bg, H, rinv)[0] for H, _ in blocks[:count]]
+    return [normal_matrix(A_bg, H, rinv)[0]
+            for H in {id(H): H for H, _ in blocks}.values()]
 
 
 def solve_var_direct(config, variant="threeD"):
@@ -155,23 +154,26 @@ def solve_var_direct(config, variant="threeD"):
     equations, in the control w_k where u_k = u0 + V w_k.
 
     Block k is  weight I + S_k^T R^-1 S_k  with S_k = H_k V and right-hand
-    side S_k^T R^-1 (v_k - H_k u0).  One step of iterative refinement per
-    block keeps the returned gradient residual, in the control, at
-    round-off level; a singular block is reported as a fault.
+    side S_k^T R^-1 (v_k - H_k u0).  Each distinct block is Cholesky-factored
+    once, and one refinement step per time keeps the gradient residual, in
+    the control, at round-off level; a singular block is reported as a fault.
     """
     weight, blocks = _blocks(config, variant)
     V, u0 = config.covpair.V, config.u0
     A_bg = weight * np.eye(config.instance.np)
     rinv = 1.0 / config.covpair.sigma_r**2
-    parts, grad_norm, rhs_max = [], 0.0, 0.0
+    parts, grad_norm, rhs_max, factored = [], 0.0, 0.0, {}
     for H, v in blocks:
-        A, StRinv = _normal_matrix(A_bg, H @ V, rinv)
+        if id(H) not in factored:
+            A, StRinv = normal_matrix(A_bg, H @ V, rinv)
+            try:
+                factored[id(H)] = A, StRinv, scipy.linalg.cho_factor(A)
+            except scipy.linalg.LinAlgError as err:
+                raise VarSolverError(f"stationarity system is singular: {err}") from err
+        A, StRinv, chol = factored[id(H)]
         rhs = StRinv @ (v - H @ u0)
-        try:
-            w = scipy.linalg.solve(A, rhs, assume_a="pos")
-            w = w + scipy.linalg.solve(A, rhs - A @ w, assume_a="pos")
-        except scipy.linalg.LinAlgError as err:
-            raise VarSolverError(f"stationarity system is singular: {err}") from err
+        w = scipy.linalg.cho_solve(chol, rhs)
+        w = w + scipy.linalg.cho_solve(chol, rhs - A @ w)
         grad_norm = max(grad_norm, float(np.max(np.abs(2.0 * (A @ w - rhs)))))
         rhs_max = max(rhs_max, float(np.max(np.abs(rhs))))
         parts.append(u0 + V @ w)
@@ -188,13 +190,13 @@ def hessian_condition(config, variant="threeD"):
 
     The Hessian is block diagonal and so is its inverse, so both infinity
     norms are maxima over the blocks: mu = max_k ||A_k|| * max_k ||A_k^-1||.
-    Every block k >= 1 observes through the same G_k = M[obs], so only the
-    first two blocks are formed and inverted.  A block that is singular to
+    Every block k >= 1 observes through the same G_k = M[obs], so at most two
+    distinct blocks are formed and inverted.  A block that is singular to
     working precision (SciPy's ill-conditioning warning) is a fault: its
     inverse, and so mu, would be meaningless.
     """
     norm, inv_norm = 0.0, 0.0
-    for k, half in enumerate(_hessian_blocks(config, variant, 2)):
+    for k, half in enumerate(_hessian_blocks(config, variant)):
         A = 2.0 * half
         try:
             with warnings.catch_warnings():

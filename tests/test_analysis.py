@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pintda import dd_mps, parareal
@@ -82,6 +82,7 @@ class TestLipschitz:
         with pytest.raises(ValueError):
             lipschitz_estimate(np.eye(2), 1.0, [(np.ones(2), np.ones(2))])
 
+    @seed(2301)
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_probes=st.sampled_from([1, 2, 63, 64, 65, 129]),
            n_grid=st.integers(1, 12), seed=st.integers(0, 2**16),
@@ -241,6 +242,7 @@ class TestRoundoff:
         assert seq[0] == pytest.approx(1 - math.exp(-1), rel=1e-12)
         assert seq[-1] == pytest.approx(1.0, abs=1e-12)
 
+    @seed(2302)
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(levels=st.integers(1, 5), points=st.integers(2, 6),
            n_grid=st.integers(1, 6), seed=st.integers(0, 2**16),
@@ -263,6 +265,7 @@ class TestRoundoff:
         assert R_obs.tobytes() == R_ref.tobytes()
         assert np.float64(rho).tobytes() == np.float64(rho_ref).tobytes()
 
+    @seed(2303)
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(levels=st.integers(2, 6), points=st.integers(2, 6),
            n_grid=st.integers(1, 4), seed=st.integers(0, 2**16),
@@ -318,6 +321,7 @@ class TestRoundoff:
         assert R_obs.tobytes() == R_ref.tobytes()
         assert np.float64(rho).tobytes() == np.float64(rho_ref).tobytes()
 
+    @seed(2304)
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(ratio=st.floats(0.0, 3.0), mu_A=st.floats(1.0, 1e8),
            N=st.integers(1, 40), rho=st.sampled_from([0.0, 5e-324, 1e-17]),

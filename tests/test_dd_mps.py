@@ -4,7 +4,7 @@ import gc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from pintda import dd_mps, harness, parareal, testbed, var_solver
@@ -341,6 +341,7 @@ class TestPlanReuse:
         assert_reuse_matches_fresh(build_factors(vconfig, partition),
                                    slab_problem(vconfig, 1, seed=2), partition)
 
+    @seed(2305)
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(n_grid=st.integers(8, 48), n_steps=st.integers(2, 6),
            n_sub=st.integers(1, 4), overlap=st.integers(0, 3),
@@ -465,6 +466,7 @@ class TestSweepMatchesTextbook:
     # a single block
     @example(n_grid=20, n_sub=1, overlap=0, L=2.0, velocity=1.0, lam=0.05,
              max_sweeps=12, seed=5)
+    @seed(2306)
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_grid=st.integers(8, 64), n_sub=st.integers(1, 8),
            overlap=st.integers(0, 4),
@@ -562,6 +564,7 @@ class TestBatchMatchesSolo:
     @example(n_grid=17, n_sub=5, overlap=3, L=2.0, velocity=-1.0, lam=0.05,
              max_sweeps=24, seed=7, scales=[1e-9, 1.0, 30.0, 1e-4],
              repeats=[0, 2], layout="stride")
+    @seed(2307)
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_grid=st.sampled_from([12, 17]), n_sub=st.integers(1, 5),
            overlap=st.integers(0, 3),
@@ -703,6 +706,7 @@ def dense_local_reference(vconfig, partition, i, backgrounds, times):
 class TestObservationsAsIndices:
     @example(n_grid=9, n_sub=3, overlap=2, L=2.0, sigma_r=0.05, lam=1.0,
              base=[4, 0, 7], duplicate=True, n_cols=8, seed=1)
+    @seed(2308)
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_grid=st.integers(6, 20), n_sub=st.integers(1, 3),
            overlap=st.integers(0, 2), L=st.sampled_from([0.0, 2.0]),
@@ -770,8 +774,10 @@ class TestOracleEquivalence:
     # an oracle that formed B^-1 was 1.3e-6 from the analysis here
     @example(np_=64, L=4.0, n_sub=2, overlap=0, lam=0.05, layout="random",
              seed=1)
+    @seed(2309)
     @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(np_=st.sampled_from([32, 64]), L=st.sampled_from([1.0, 2.0, 4.0]),
+    @given(np_=st.sampled_from([32, 64]),
+           L=st.sampled_from([0.0, 1.0, 2.0, 4.0]),
            n_sub=st.sampled_from([2, 4, 8]), overlap=st.sampled_from([0, 1, 4]),
            lam=st.sampled_from([0.05, 1.0]),
            layout=st.sampled_from(["stride", "random"]),
@@ -785,7 +791,23 @@ class TestOracleEquivalence:
         vconfig, partition = harness.build_problem(harness.validate_config(cfg))
         slab = dataclasses.replace(vconfig, u0=vconfig.instance.M @ vconfig.u0,
                                    time_index=1)
-        it, hist = run_own(slab, partition, tol=1e-10, max_iters=200)
+        plan = build_factors(slab, partition)
+        it, hist = run_mps(plan, slab.u0, 1, tol=1e-10, max_iters=200)
         direct = var_solver.solve_var_direct(slab, "threeD").u_da
         assert hist.converged
-        assert np.abs(it.patched - direct).max() / np.abs(direct).max() <= 1e-6
+        # The bound is the two solves' own accuracy.  CG stops with the true
+        # residual r = c - A w, and eps_mps = ||V||_inf max|r| / lam.  Since
+        # A >= lam I, the control error is |w - w*|_2 <= |r|_2 / lam
+        # <= sqrt(np) max|r| / lam, which V maps to at most sqrt(np) eps_mps
+        # in the max-norm.  The oracle's Cholesky solve has a forward error of
+        # order np eps kappa_2(A) |w*| in the control, which V maps by
+        # ||V||_inf, and forming u_b + V w rounds by
+        # np eps (|u_b| + ||V||_inf |w|).  The gap stays below a tenth of the
+        # sum on every draw and on a wider grid of configs.
+        A = plan.lam * np.eye(np_) + plan.rinv * plan.S.T @ plan.S
+        lam_min, *_, lam_max = np.linalg.eigvalsh(A)
+        vw_max = plan.v_norm * np.abs(it.w).max()
+        roundoff = np_ * np.finfo(float).eps * (
+            (lam_max / lam_min + 1.0) * vw_max + np.abs(slab.u0).max())
+        assert np.abs(it.patched - direct).max() \
+            <= np.sqrt(np_) * hist.eps_mps + roundoff

@@ -157,6 +157,14 @@ class TestRunParareal:
         assert hist.reason == "tol"
         assert hist.n_outer == 1
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_rejected(self, bench_problem, workers):
+        # they once cut the slabs into no batch, then read the missing solves
+        vconfig, partition = bench_problem
+        with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}"):
+            run_parareal(vconfig, build_factors(vconfig, partition), tol=1e-9,
+                         max_outer=8, workers=workers)
+
     def test_non_convergence_reported(self, bench_problem):
         vconfig, partition = bench_problem
         _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
@@ -360,7 +368,10 @@ class TestBatchedFineSolves:
         records = FineRecords(7)
         parareal_update(traj, vconfig, factors, workers=workers,
                         records=records)
-        # contiguous runs of the slabs, in order, one per worker
+        # threads enter run_mps_batch in any order: sorted by first slab, the
+        # batches are contiguous runs that cover every slab, one per worker
+        batches.sort(key=lambda ks: ks[0])
+        assert all(ks == list(range(ks[0], ks[-1] + 1)) for ks in batches)
         assert [k for ks in batches for k in ks] == list(range(1, 8))
         assert len(batches) == min(workers, 7)
         assert max(map(len, batches)) - min(map(len, batches)) <= 1

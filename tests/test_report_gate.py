@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pintda import harness, var_solver
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "report_gate.py"
 _spec = importlib.util.spec_from_file_location("report_gate", _PATH)
@@ -64,3 +69,24 @@ class TestFirstDifference:
                 == "demo=01_twin_experiment.py: missing from the change")
         assert (report_gate.first_difference(change, parent)
                 == "demo=01_twin_experiment.py: missing from the parent")
+
+
+class TestOracleLine:
+    def test_hashes_the_chained_oracle(self):
+        # perfbench's oracle_gap chain: each time's oracle around M times the
+        # previous analysis, from the background u0
+        line = report_gate.gate_line("two_steps", {"n_steps": 3}, 2025)
+        config = harness.load_config(overrides={"n_steps": 3, "seed": 2025})
+        vconfig, _ = harness.build_problem(config)
+        u = vconfig.u0
+        chain = [u]
+        for k in (1, 2):
+            slab = dataclasses.replace(vconfig, u0=vconfig.instance.M @ u,
+                                       time_index=k)
+            u = var_solver.solve_var_direct(slab, "threeD").u_da
+            chain.append(u)
+        want = hashlib.sha256(np.concatenate(chain).tobytes()).hexdigest()
+        assert line["oracle_sha256"] == want
+        # a different seed observes other data: another chain
+        assert report_gate.gate_line("two_steps", {"n_steps": 3}, 1)[
+            "oracle_sha256"] != want

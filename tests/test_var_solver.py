@@ -227,9 +227,9 @@ class TestSolveVarDirect:
         if variant == "threeD":
             weight, ops = cfg.lam, [dense_H(cfg)]
         else:
+            # the distinct blocks: that of H, and the one every H M shares
             weight = cfg.alpha
-            ops = [dense_H(cfg)] + [dense_H(cfg) @ cfg.instance.M
-                                    for _ in range(1, cfg.instance.n_steps)]
+            ops = [dense_H(cfg), dense_H(cfg) @ cfg.instance.M]
         hessian = [2.0 * A for A in var_solver._hessian_blocks(cfg, variant)]
         for block, H in zip(hessian, ops, strict=True):
             A = weight * Binv + H.T @ Rinv @ H
@@ -285,6 +285,30 @@ class TestSolveVarDirect:
         with pytest.raises(VarSolverError, match=match):
             solve_var_direct(dataclasses.replace(cfg, time_index=t), "threeD")
 
+    @pytest.mark.parametrize("variant, n_steps, factored", [
+        ("threeD", 3, 1), ("fourD", 2, 2), ("fourD", 3, 2), ("fourD", 6, 2)])
+    def test_each_distinct_block_is_factored_once(self, monkeypatch, variant,
+                                                  n_steps, factored):
+        # fourD: the block of G_0 = I[obs], and the one every k >= 1 shares
+        # through assemble_G's one array M[obs]
+        cfg = random_config(n_steps=n_steps)
+        want = solve_var_direct(cfg, variant).u_da
+        calls = []
+        cho_factor = scipy.linalg.cho_factor
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            lambda a: calls.append(a.shape) or cho_factor(a))
+        got = solve_var_direct(cfg, variant).u_da
+        assert calls == [(cfg.instance.np,) * 2] * factored
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["alpha", "lam"])
+    def test_weight_must_be_finite_and_nonnegative(self, field, value):
+        # NaN and inf once passed, and failed later under another field's name
+        with pytest.raises(VarSolverError,
+                           match=rf"^{field} must be finite and nonnegative"):
+            dataclasses.replace(random_config(), **{field: value})
+
     def test_singular_system_is_a_fault(self):
         # no regularization and fewer observations than states: rank deficient
         cfg = dataclasses.replace(random_config(), alpha=0.0, lam=0.0)
@@ -329,9 +353,11 @@ class TestHessianCondition:
         assert hessian_condition(cfg, "fourD") == pytest.approx(mu_dense,
                                                                 rel=1e-10)
         n = cfg.instance.np
-        assert len(blocks) == cfg.instance.n_steps
-        for k, block in enumerate(blocks):
-            np.testing.assert_allclose(block, A[k * n:(k + 1) * n, k * n:(k + 1) * n],
+        # block 0, then the one block every time k >= 1 shares
+        assert len(blocks) == 2
+        for k in range(cfg.instance.n_steps):
+            np.testing.assert_allclose(blocks[min(k, 1)],
+                                       A[k * n:(k + 1) * n, k * n:(k + 1) * n],
                                        rtol=1e-12, atol=1e-12 * np.abs(A).max())
         # the dense reference really is block diagonal
         off = A.copy()
@@ -345,7 +371,8 @@ class TestHessianCondition:
         # blocks 1, 2, ... are equal copies of the block of G_k = M[obs]
         cfg = bench_problem[0] if case == "bench" \
             else random_config(n_grid=6, n_steps=4)
-        # the loop over every block that the two-block loop replaces
+        # the loop over the distinct blocks, without hessian_condition's
+        # fault handling
         norm = inv_norm = 0.0
         for A in var_solver._hessian_blocks(cfg, "fourD"):
             A = 2.0 * A
@@ -381,29 +408,33 @@ class TestHessianCondition:
             solve_var_direct(cfg, "fourD")
 
 
-class TestWeightedTranspose:
-    def test_is_the_scaled_transpose_in_c_order(self):
+class TestNormalMatrix:
+    def test_weighted_transpose_is_c_ordered(self):
         X = np.arange(12.0).reshape(3, 4)
-        out = var_solver.weighted_transpose(X, 0.5)
+        A_bg = np.diag(np.arange(1.0, 5.0))
+        A, out = var_solver.normal_matrix(A_bg, X, 0.5)
         assert out.flags.c_contiguous and not X.T.flags.c_contiguous
         assert out.tobytes() == np.ascontiguousarray(X.T * 0.5).tobytes()
+        want = A_bg + out @ X
+        assert A.tobytes() == (0.5 * (want + want.T)).tobytes()
 
     def test_oracle_and_schwarz_blocks_read_it(self, monkeypatch):
-        # H_k^T R^-1 in the oracle's normal matrices, S_i^T R^-1 in dd_mps
-        real = var_solver.weighted_transpose
-        assert dd_mps.weighted_transpose is real
+        # the oracle's distinct control-space blocks, and dd_mps's blocks
+        real = var_solver.normal_matrix
+        assert dd_mps.normal_matrix is real
         seen = []
 
-        def spy(X, s):
-            out = real(X, s)
-            seen.append((X.shape, out.flags.c_contiguous))
-            return out
+        def spy(A_bg, H, rinv):
+            A, out = real(A_bg, H, rinv)
+            seen.append((H.shape, out.flags.c_contiguous))
+            return A, out
 
         for module in (var_solver, dd_mps):
-            monkeypatch.setattr(module, "weighted_transpose", spy)
+            monkeypatch.setattr(module, "normal_matrix", spy)
         cfg = random_config(n_grid=8)
         solve_var_direct(cfg, "fourD")
-        assert seen == [((2, 8), True)] * cfg.instance.n_steps
+        assert cfg.instance.n_steps == 3
+        assert seen == [((2, 8), True)] * 2
         seen.clear()
         partition = dd_mps.partition_domain(8, 2, 1)
         for i in range(2):

@@ -13,13 +13,16 @@ differs from the parent's (or is missing on either side), and 0 otherwise.
 For each of fourteen configs and the seeds 1 and 2025, one JSON line holds
 the sha256 of the CSV and JSON reports, `status`, `n_outer` and every
 `summary` value (floats as their shortest round-trip repr, so equal text
-means equal bits).  With --demos, one more line per demo holds the sha256 of its
-standard output.  `timing` stays off, so no wall time enters any line.
+means equal bits), and `oracle_sha256`, the sha256 of the chained dense
+3D-Var oracle that perfbench's oracle_gap compares against.  With --demos,
+one more line per demo holds the sha256 of its standard output.  `timing`
+stays off, so no wall time enters any line.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,7 +34,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pintda import harness  # noqa: E402
+import numpy as np  # noqa: E402
+
+from pintda import harness, var_solver  # noqa: E402
 
 CONFIGS = {
     "default": {},
@@ -79,6 +84,18 @@ def _plain(value):
     return value.item() if hasattr(value, "item") else value
 
 
+def oracle_sha256(config):
+    """sha256 of the stacked oracle chain u_0 = u0, u_k = the single-time
+    oracle analysis of time k around M u_{k-1}, chained as perfbench's
+    oracle_gap chains it."""
+    vconfig, _ = harness.build_problem(config)
+    M, chain = vconfig.instance.M, [vconfig.u0]
+    for k in range(1, vconfig.instance.n_steps):
+        slab = dataclasses.replace(vconfig, u0=M @ chain[-1], time_index=k)
+        chain.append(var_solver.solve_var_direct(slab, "threeD").u_da)
+    return hashlib.sha256(np.stack(chain).tobytes()).hexdigest()
+
+
 def gate_line(name, overrides, seed):
     config = harness.load_config(overrides=dict(overrides, seed=seed))
     result = harness.run_experiment(config)
@@ -86,7 +103,8 @@ def gate_line(name, overrides, seed):
             "csv_sha256": _sha(harness.render_report(result.records, "csv")),
             "json_sha256": _sha(harness.render_report(result.records, "json")),
             "status": result.status, "n_outer": result.summary["n_outer"],
-            "summary": _plain(result.summary)}
+            "summary": _plain(result.summary),
+            "oracle_sha256": oracle_sha256(config)}
 
 
 def demo_line(path):
