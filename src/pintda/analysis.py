@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_PROBE_BLOCK = 64           # probe differences per stacked product
-
 
 @dataclass(frozen=True)
 class BoundParameters:
@@ -89,35 +87,30 @@ def prefactor_sequence(n_max, R=-1.0):
     return np.array([gronwall_prefactor(n, R) for n in range(1, n_max + 1)])
 
 
-def lipschitz_estimate(M, mu_A, probe_pairs):
+def lipschitz_estimate(M, mu_A, differences):
     """Derive the constant of ||Mu - Mv|| <= (C / mu_A) ||u - v|| empirically.
 
-    C is chosen as mu_A times the tightest probe ratio, which makes the
+    `differences` holds one probe difference u - v per row.  C is chosen as
+    mu_A times the tightest probe ratio ||M d|| / ||d||, which makes the
     inequality hold (with equality at the worst probe) on everything fed in;
     the caller should include the difference vectors it actually cares about.
-    Coinciding pairs are skipped and not counted; a non-finite probe makes C
-    non-finite.  L = ||M||_inf^2 is reported alongside for the error-magnitude
-    form.  Blocks of probes run as stacked gemvs, matmul(M, D[..., None]),
-    which keep each row's M @ d bits; never as a gemm (D @ M.T), which does not
-    (a BLAS gemm sums in another order).
+    Zero rows (coinciding pairs) are skipped and not counted; a non-finite
+    probe makes C non-finite.  L = ||M||_inf^2 is reported alongside for the
+    error-magnitude form.  The probes run as stacked gemvs,
+    matmul(M, D[..., None]), which keep each row's M @ d bits; never as a
+    gemm (D @ M.T), which does not (a BLAS gemm sums in another order).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
-    probe_pairs = list(probe_pairs)
-    if not probe_pairs:
-        raise ValueError("need at least one probe pair")
+    D = np.ascontiguousarray(differences, dtype=float)
+    if not D.size:
+        raise ValueError("need at least one probe difference")
 
-    ratios = []
-    for start in range(0, len(probe_pairs), _PROBE_BLOCK):
-        U, V = (np.array(side, dtype=float)
-                for side in zip(*probe_pairs[start:start + _PROBE_BLOCK]))
-        nd = np.abs(U - V).max(axis=1)
-        D, nd = (U - V)[nd != 0.0], nd[nd != 0.0]
-        with np.errstate(invalid="ignore"):     # an inf probe gives inf / inf
-            ratios.append(np.abs(np.matmul(M, D[:, :, None])).max(axis=(1, 2))
-                          / nd)
-    ratios = np.concatenate(ratios)
+    nd = np.abs(D).max(axis=1)
+    with np.errstate(invalid="ignore"):     # inf / inf; 0 / 0 on a zero row
+        ratios = (np.abs(np.matmul(M, D[:, :, None])).max(axis=(1, 2))
+                  / nd)[nd != 0.0]
     if ratios.size == 0:
         raise ValueError("all probe pairs coincide")
 
@@ -218,20 +211,19 @@ def roundoff_proxies(trajectory, M):
     ld = np.longdouble
     M_ld = np.asarray(M, dtype=ld)
     levels, points = trajectory.n + 1, trajectory.n_points
+    U, D = np.array(trajectory.u), np.array(trajectory.delta)
     # shared[n, k]: level n's row at point k is level n - 1's.  A level's
     # inputs are compared as bytes, one level against the one below at a time.
     shared = np.zeros((levels, points), dtype=bool)
-    below = None
-    for n in range(1, levels):
-        inputs = np.array([trajectory.u[n][0], *trajectory.delta[n - 1][1:]],
-                          dtype=float).view(np.uint64)
-        if below is not None:
-            shared[n] = np.logical_and.accumulate((inputs == below).all(axis=1))
-        below = inputs
+    bits = D.view(np.uint64)
+    for n in range(2, levels):
+        same = (bits[n - 1] == bits[n - 2]).all(axis=1)
+        same[0] = U[n, 0].tobytes() == U[n - 1, 0].tobytes()
+        shared[n] = np.logical_and.accumulate(same)
 
     R_obs = np.empty((levels, points))
     for k in range(points):
-        states = np.array([level[k] for level in trajectory.u], dtype=ld)
+        states = U[:, k].astype(ld)
         fresh = ~shared[:, k]
         new = np.flatnonzero(fresh)
         if k == 0:
@@ -239,16 +231,14 @@ def roundoff_proxies(trajectory, M):
         else:
             rows = np.dot(M_ld, rows[row_of[new]].T).T
             if new.size > 1:            # level 0 has no correction
-                rows[1:] += np.array([trajectory.delta[n - 1][k]
-                                      for n in new[1:]], dtype=ld)
+                rows[1:] += D[new[1:] - 1, k]
         row_of = np.cumsum(fresh) - 1
         R_obs[:, k] = np.abs(states - rows[row_of]).max(axis=1)
 
     rho_local = 0.0
     if trajectory.n > 0:
-        last = np.array(trajectory.u[-1], dtype=ld)
-        exact = np.dot(M_ld, last[:-1].T).T \
-            + np.array(trajectory.delta[-1][1:], dtype=ld)
+        last = U[-1].astype(ld)
+        exact = np.dot(M_ld, last[:-1].T).T + D[-1, 1:]
         rho_local = float(np.abs(last[1:] - exact).max(initial=0.0))
     return R_obs, rho_local
 

@@ -19,9 +19,9 @@ correlation length.
 A block's matrix A_loc = A[I_i, I_i] and its Cholesky factor depend only on
 the partition, V, lam and the observed points obs, which are the same at
 every time.  build_factors builds them once per problem, as its `CgPlan`,
-which also holds the per-time observations v.  A fine solve is then a
-function of (plan, background, time) alone and computes only d and c.  A CG
-step makes one dpotrs call per block and applies A once, as
+which also holds the observations v, one row per time.  A fine solve is
+then a function of (plan, background, time) alone and computes only d and
+c.  A CG step makes one dpotrs call per block and applies A once, as
 lam p + rinv S^T (S p), never formed.
 
 Solves run as the columns of one batch: every array carries a leading
@@ -104,7 +104,7 @@ class CgPlan:
     observed grid points and `S` = V[obs] their rows of V, so that
     A = lam I + rinv S^T S.  `V` maps a control to a state increment, and
     `v_norm` = ||V||_inf maps a control residual into state space.  `v`
-    holds the observation vector of each time.
+    holds the observations, one (n_steps, nobs) array whose row t is time t's.
     """
 
     factors: tuple
@@ -114,7 +114,7 @@ class CgPlan:
     rinv: float
     V: np.ndarray
     v_norm: float
-    v: tuple
+    v: np.ndarray
 
     def apply_A(self, p):
         """A p for every row of p, as lam p + rinv S^T (S p)."""
@@ -151,7 +151,7 @@ class CgPlan:
             i = next(f.i for f in self.factors if not finite[col, f.indices].all())
             raise VarSolverError(f"subdomain {i}: the background is not finite "
                                  f"at time {times[col]}")
-        d = np.stack([self.v[t] for t in times]) - u_b[:, self.obs]
+        d = self.v[times] - u_b[:, self.obs]
         c = _rhs(self.S, self.rinv, d)
         return Batch(plan=self, c=c, u_b=u_b,
                      scale=1.0 + np.abs(c).max(axis=-1), t=times)
@@ -412,7 +412,7 @@ def _cg_groups(plan, backgrounds, times, tol, max_iters):
     had no step left.  Its history reads the true residual at the iterate it
     stopped at.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     groups, out = [], []
     # Non-finite values are caught by value, not by a floating-point warning.

@@ -91,8 +91,9 @@ def _parse_value(key, raw, target_type):
 
 
 def parse_config_file(path):
-    """Read a flat key=value file; '#' starts a comment, unknown keys reject."""
-    values = {}
+    """Read a flat key=value file; '#' starts a comment, unknown and
+    repeated keys reject."""
+    values, line_of = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -107,6 +108,10 @@ def parse_config_file(path):
         key, raw = (part.strip() for part in body.split("=", 1))
         if key not in _KEY_TO_FIELD:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"config line {lineno}: key {key!r} is already "
+                              f"given on line {line_of[key]}")
+        line_of[key] = lineno
         field_name = _KEY_TO_FIELD[key]
         values[field_name] = _parse_value(key, raw, _FIELD_TYPE[field_name])
     return values
@@ -216,7 +221,7 @@ class ExperimentResult:
     status: str              # converged | non-converged
     summary: dict
     trajectory: object
-    reference: list
+    reference: np.ndarray    # the serial fine chain, one row per time point
 
     @property
     def converged(self):
@@ -275,12 +280,12 @@ def run_experiment(config):
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
         workers=config.workers, chain=chain)
 
-    # Lipschitz probes: random pairs plus the realized error directions.
-    rng_probe = np.random.default_rng([config.seed, 3])
-    probes = [(rng_probe.standard_normal(config.np),
-               rng_probe.standard_normal(config.np)) for _ in range(32)]
-    probes += [pair for level in trajectory.u for pair in zip(reference, level)]
-    lip = analysis.lipschitz_estimate(M, mu_A, probes)
+    # Lipschitz probes: the differences of random pairs, then the realized
+    # error directions reference - u^n of every level.
+    pairs = np.random.default_rng([config.seed, 3]).standard_normal(
+        (32, 2, config.np))
+    lip = analysis.lipschitz_estimate(M, mu_A, np.concatenate(
+        [pairs[:, 0] - pairs[:, 1], *(reference - u for u in trajectory.u)]))
 
     xi, sigma_err, delta_err = analysis.twin_error_scales(
         vconfig.u0, vconfig.observations.u_truth, reference, M)

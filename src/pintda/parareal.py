@@ -6,10 +6,11 @@ background), then runs the sequential predictor-corrector recombination
 
     u_{k}^{n+1} = M u_{k-1}^{n+1} + MPS(u_{k-1}^{n}) - M u_{k-1}^{n},
 
-storing the correction factor delta = fine - coarse per slab.  The initial
-state is pinned to u0 at every iteration.  After as many iterations as there
-are slabs the trajectory reproduces the serial fine chain exactly, so the
-driver also stops there.
+storing the correction factor delta = fine - coarse per slab, each level
+one (n_points, np) array with row k for time point k.  The initial state is
+pinned to u0 at every iteration.  After as many iterations as there are
+slabs the trajectory reproduces the serial fine chain exactly, so the driver
+also stops there.
 
 Slab k is [t_{k-1}, t_k] of instance.time_grid and assimilates the batch at
 t_k.  Its fine solve is dd_mps.run_mps(plan, background, k, ...): a
@@ -47,12 +48,14 @@ from .dd_mps import build_factors, run_mps, run_mps_batch
 class PararealTrajectory:
     """States, backgrounds and correction factors over slabs and iterations.
 
-    u[n][k] is the state at time point k after n outer iterations;
-    background[n][k] = M u[n][k-1]; delta[n][k] = MPS(u[n][k-1]) - M u[n][k-1]
-    (None at k = 0).  The initial state u[n][0] is pinned to u0 for every n.
+    Every level is one C-contiguous (n_points, np) array.  u[n][k] is the
+    state at time point k after n outer iterations; background[n][k] =
+    M u[n][k-1]; delta[n][k] = MPS(u[n][k-1]) - M u[n][k-1].  The initial
+    state u[n][0] is pinned to u0 for every n, and background[n][0] = u0;
+    u0 takes no correction, so delta[n][0] is a zero row.
     """
 
-    u: tuple                 # tuple of per-iteration state tuples
+    u: tuple                 # one array per iteration
     background: tuple
     delta: tuple             # one level shorter than u
 
@@ -129,11 +132,10 @@ def _max_abs(rows):
 def initial_trajectory(config):
     """Iteration 0 is the pure coarse sweep from the initial state."""
     M = config.instance.M
-    u0 = np.asarray(config.u0, dtype=float)
-    states = [u0]
-    for _ in range(1, config.instance.n_steps):
-        states.append(M @ states[-1])
-    level = tuple(states)
+    level = np.empty((config.instance.n_steps, len(config.u0)))
+    level[0] = config.u0
+    for k in range(1, len(level)):
+        level[k] = M @ level[k - 1]
     return PararealTrajectory(u=(level,), background=(level,), delta=())
 
 
@@ -165,44 +167,44 @@ def parareal_update(trajectory, config, factors, records, tol_mps=1e-10,
     block factors `factors` (config's dd_mps.CgPlan), split over `workers`
     threads; then the corrector recombines them sequentially.  Returns the
     extended trajectory and the per-slab inner-solver histories.  A slab
-    whose background one of its `records` (a FineRecords) matches reuses
-    that record's delta and history object; only the other slabs are
+    whose background one of its `records` (a FineRecords) matches takes
+    that record's delta bytes and history object; only the other slabs are
     solved, and their solves are stored as records.
     """
-    n = trajectory.n
-    states = trajectory.u[n]
-    backgrounds = trajectory.background[n]
+    states = trajectory.u[-1]
+    backgrounds = trajectory.background[-1]
     M = config.instance.M
-    n_points = len(states)
+    delta = np.zeros(states.shape)            # u_0 takes no correction
+    histories = [None] * (len(states) - 1)
+    todo = []
+    for k in range(1, len(states)):
+        hit = records.find(k, backgrounds[k])
+        if hit is None:
+            todo.append(k)
+        else:
+            delta[k], histories[k - 1] = hit
 
     def correct(ks):
-        return run_mps_batch(factors, [backgrounds[k] for k in ks], ks,
-                             tol_mps, max_sweeps)
+        return run_mps_batch(factors, backgrounds[ks], ks, tol_mps,
+                             max_sweeps)
 
-    known = {k: records.find(k, backgrounds[k]) for k in range(1, n_points)}
-    todo = [k for k, hit in known.items() if hit is None]
     batches = _batches(todo, workers)
-    solved = {}
     for ks, (fine, hists) in zip(batches, parallel_map(correct, batches,
                                                        workers)):
-        solved.update(zip(ks, zip(fine, hists)))
-    for k in todo:
-        fine, hist = solved[k]
-        known[k] = (fine - backgrounds[k], hist)
-        records.store(k, backgrounds[k], *known[k])
-    delta_n = [None] + [known[k][0] for k in range(1, n_points)]
-    histories = [known[k][1] for k in range(1, n_points)]
+        delta[ks] = fine - backgrounds[ks]
+        for k, hist in zip(ks, hists):
+            histories[k - 1] = hist
+            records.store(k, backgrounds[k], delta[k], hist)
 
-    u_next = [states[0]]                      # u_0 pinned
-    b_next = [states[0]]
-    for k in range(1, n_points):
-        b = M @ u_next[k - 1]
-        b_next.append(b)
-        u_next.append(b + delta_n[k])
+    u_next, b_next = np.empty(states.shape), np.empty(states.shape)
+    u_next[0] = b_next[0] = states[0]         # u_0 pinned
+    for k in range(1, len(states)):
+        b_next[k] = M @ u_next[k - 1]
+        u_next[k] = b_next[k] + delta[k]
 
-    extended = PararealTrajectory(u=trajectory.u + (tuple(u_next),),
-                                  background=trajectory.background + (tuple(b_next),),
-                                  delta=trajectory.delta + (tuple(delta_n),))
+    extended = PararealTrajectory(u=trajectory.u + (u_next,),
+                                  background=trajectory.background + (b_next,),
+                                  delta=trajectory.delta + (delta,))
     return extended, histories
 
 
@@ -210,21 +212,25 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
                       rho=1.0, patch_rule="owner", factors=None):
     """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially.
 
-    Slab k's fine solve is run_mps(factors, M u_{k-1}, k, ...).  Only this
+    Returns the states, one (n_steps, np) array, and slab k's fine solve
+    run_mps(factors, M u_{k-1}, k, ...) history at index k - 1.  Only this
     entry point still takes the partition and builds the CgPlan when
     `factors` is not given, and accepts and ignores `rho` and `patch_rule`
     (the former Schwarz sweep's penalty and patch): perfbench/run.py calls
     it in that form.
     """
+    if not tol_mps > 0:
+        raise ValueError(f"tol_mps must be positive, got {tol_mps}")
     M = config.instance.M
     if factors is None:
         factors = build_factors(config, partition)
-    states = [np.asarray(config.u0, dtype=float)]
+    states = np.empty((config.instance.n_steps, len(config.u0)))
+    states[0] = config.u0
     histories = []
-    for k in range(1, config.instance.n_steps):
-        iterate, hist = run_mps(factors, M @ states[-1], k, tol_mps,
+    for k in range(1, len(states)):
+        iterate, hist = run_mps(factors, M @ states[k - 1], k, tol_mps,
                                 max_sweeps)
-        states.append(iterate.patched)
+        states[k] = iterate.patched
         histories.append(hist)
     return states, histories
 
@@ -251,20 +257,21 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     history.solved lists the slabs solved per iteration, and history.wall_s
     measures the reduced work.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    for name, value in (("tol", tol), ("tol_mps", tol_mps)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    for name, value in (("max_outer", max_outer), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     trajectory = initial_trajectory(config)
     n_slabs = config.instance.n_steps - 1
     history = PararealHistory()
-    level = np.stack(trajectory.u[0])
     if chain is None:
         records, reference = FineRecords(n_slabs), None
     else:
         records = FineRecords.from_chain(config.instance.M, *chain)
-        reference = np.stack(chain[0])
-        history.E.append(_max_abs(reference - level))
+        reference = chain[0]
+        history.E.append(_max_abs(reference - trajectory.u[0]))
 
     for _ in range(max_outer):
         t0 = time.perf_counter()
@@ -274,12 +281,10 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
             max_sweeps=max_sweeps, workers=workers)
         history.wall_s.append(time.perf_counter() - t0)
         history.solved.append(records.solved[n_solved:])
-        n = trajectory.n
-        previous, level = level, np.stack(trajectory.u[n])
-        diff = float(np.abs(level - previous).max())
+        n, level = trajectory.n, trajectory.u[-1]
+        diff = float(np.abs(level - trajectory.u[-2]).max())
         history.iterate_diffs.append(diff)
-        history.delta_norms.append(
-            _max_abs(np.stack(trajectory.delta[n - 1][1:])))
+        history.delta_norms.append(_max_abs(trajectory.delta[-1][1:]))
         history.mps.append(mps_hists)
         if reference is not None:
             history.E.append(_max_abs(reference - level))

@@ -58,7 +58,7 @@ class ObservationSet:
 
     nobs: int
     obs: np.ndarray         # observed grid points, one frozen index array
-    v: tuple                # per-time observation vectors
+    v: np.ndarray           # (n_steps, nobs), row k observes time k; frozen
     seed: int
     u_truth: np.ndarray
 
@@ -169,8 +169,9 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
     """Observe the propagated truth at the same grid points at every time.
 
     obs_indices is one 1-D list of integer grid indices (repeats allowed);
-    v_k = H M^k u_truth + eta_k with eta_k ~ N(0, sigma_r^2 I) drawn from a
-    generator seeded with `seed`; pass noise=False for exact-recovery tests.
+    row k of v is v_k = H M^k u_truth + eta_k, with eta_k ~ N(0, sigma_r^2 I)
+    drawn from a generator seeded with `seed`, time by time; pass
+    noise=False for exact-recovery tests.
     """
     n_grid, n_steps = instance.np, instance.n_steps
     try:                        # copies: freezing must not touch the caller's arrays
@@ -190,18 +191,16 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
     if u_truth.shape != (n_grid,):
         raise TestbedError(f"u_truth must have shape ({n_grid},)")
 
-    rng = np.random.default_rng(seed)
-    v = []
-    x = u_truth
-    for k in range(n_steps):
-        if k > 0:
-            x = instance.M @ x
-        vk = x[obs]
-        if noise:
-            vk = vk + covpair.sigma_r * rng.standard_normal(nobs)
-        v.append(_freeze(vk))
+    truth = np.empty((n_steps, n_grid))
+    truth[0] = u_truth
+    for k in range(1, n_steps):
+        truth[k] = instance.M @ truth[k - 1]
+    v = truth.take(obs, axis=1)
+    if noise:
+        v += covpair.sigma_r * np.random.default_rng(seed).standard_normal(
+            (n_steps, nobs))
 
-    return ObservationSet(nobs=nobs, obs=obs, v=tuple(v), seed=int(seed),
+    return ObservationSet(nobs=nobs, obs=obs, v=_freeze(v), seed=int(seed),
                           u_truth=_freeze(u_truth))
 
 

@@ -51,10 +51,9 @@ class TestGronwall:
 
 class TestLipschitz:
     def test_identity_has_unit_ratios(self):
-        rng = np.random.default_rng(0)
-        probes = [(rng.standard_normal(6), rng.standard_normal(6))
-                  for _ in range(10)]
-        est = lipschitz_estimate(np.eye(6), mu_A=3.0, probe_pairs=probes)
+        pairs = np.random.default_rng(0).standard_normal((10, 2, 6))
+        est = lipschitz_estimate(np.eye(6), mu_A=3.0,
+                                 differences=pairs[:, 0] - pairs[:, 1])
         assert est.max_ratio == pytest.approx(1.0, rel=1e-12)
         assert est.L == pytest.approx(1.0)
         assert est.C == pytest.approx(3.0, rel=1e-12)
@@ -62,25 +61,24 @@ class TestLipschitz:
     def test_inequality_holds_on_probes(self):
         rng = np.random.default_rng(7)
         M = rng.standard_normal((16, 16)) / 4.0
-        probes = [(rng.standard_normal(16), rng.standard_normal(16))
-                  for _ in range(100)]
+        pairs = rng.standard_normal((100, 2, 16))
         mu_A = 37.0
-        est = lipschitz_estimate(M, mu_A, probes)
-        for u, v in probes:
+        est = lipschitz_estimate(M, mu_A, pairs[:, 0] - pairs[:, 1])
+        for u, v in pairs:
             lhs = np.abs(M @ (u - v)).max()
             rhs = est.C / mu_A * np.abs(u - v).max()
             assert lhs <= rhs * (1 + 1e-12)
 
     def test_L_is_squared_row_sum_norm(self):
         M = np.array([[0.5, -0.25], [0.1, 0.3]])
-        est = lipschitz_estimate(M, 2.0, [(np.ones(2), np.zeros(2))])
+        est = lipschitz_estimate(M, 2.0, [np.ones(2)])
         assert est.L == pytest.approx(0.75**2)
 
     def test_degenerate_probes_rejected(self):
-        with pytest.raises(ValueError):
-            lipschitz_estimate(np.eye(2), 1.0, [])
-        with pytest.raises(ValueError):
-            lipschitz_estimate(np.eye(2), 1.0, [(np.ones(2), np.ones(2))])
+        with pytest.raises(ValueError, match="at least one"):
+            lipschitz_estimate(np.eye(2), 1.0, np.empty((0, 2)))
+        with pytest.raises(ValueError, match="coincide"):
+            lipschitz_estimate(np.eye(2), 1.0, [np.zeros(2)])
 
     @seed(2301)
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -88,22 +86,23 @@ class TestLipschitz:
            n_grid=st.integers(1, 12), seed=st.integers(0, 2**16),
            coincide=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
            scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e150]))
-    def test_blocks_match_the_scalar_loop(self, n_probes, n_grid, seed,
-                                          coincide, scale):
+    def test_stacked_products_match_the_scalar_loop(self, n_probes, n_grid,
+                                                    seed, coincide, scale):
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((n_grid, n_grid))
-        probes = []
+        differences = []
         for _ in range(n_probes):
             u = rng.standard_normal(n_grid) * scale
             v = u.copy() if rng.random() < coincide \
                 else rng.standard_normal(n_grid) * scale
-            probes.append((u, v))
-        expected = _scalar_lipschitz(M, probes)
+            differences.append(u - v)
+        differences = np.array(differences)
+        expected = _scalar_lipschitz(M, differences)
         if expected[1] == 0:
             with pytest.raises(ValueError, match="coincide"):
-                lipschitz_estimate(M, 2.0, probes)
+                lipschitz_estimate(M, 2.0, differences)
             return
-        est = lipschitz_estimate(M, 2.0, probes)
+        est = lipschitz_estimate(M, 2.0, differences)
         assert (est.max_ratio, est.n_probes) == expected
         assert est.C == 2.0 * expected[0]
 
@@ -112,23 +111,22 @@ class TestLipschitz:
     def test_non_finite_probe_propagates(self, bad, position):
         rng = np.random.default_rng(5)
         M = np.abs(rng.standard_normal((4, 4))) + 0.1
-        probes = [(rng.standard_normal(4), rng.standard_normal(4))
-                  for _ in range(70)]
-        probes[3] = probes[66] = (np.ones(4), np.ones(4))   # coincide
-        u = np.zeros(4)
-        u[2] = bad
-        probes.insert(0 if position == "first" else len(probes),
-                      (u, np.zeros(4)))
-        est = lipschitz_estimate(M, 3.0, probes)
+        pairs = rng.standard_normal((70, 2, 4))
+        differences = pairs[:, 0] - pairs[:, 1]
+        differences[[3, 66]] = 0.0                          # coinciding pairs
+        d = np.zeros(4)
+        d[2] = bad
+        differences = np.insert(differences,
+                                0 if position == "first" else 70, d, axis=0)
+        est = lipschitz_estimate(M, 3.0, differences)
         assert math.isnan(est.max_ratio) and math.isnan(est.C)
-        assert est.n_probes == 69       # the bad probe counts, pairs do not
+        assert est.n_probes == 69   # the bad probe counts, zero rows do not
 
 
-def _scalar_lipschitz(M, probes):
+def _scalar_lipschitz(M, differences):
     """Textbook probe loop: (max ratio, probes used), one mat-vec each."""
     max_ratio, used = 0.0, 0
-    for u, v in probes:
-        d = u - v
+    for d in differences:
         nd = float(np.max(np.abs(d)))
         if nd == 0.0:
             continue
@@ -252,12 +250,12 @@ class TestRoundoff:
             self, levels, points, n_grid, seed, share, zero_deltas):
         rng = np.random.default_rng(seed)
         M = _with_specials(rng, (n_grid, n_grid), share)
-        u = tuple(tuple(_with_specials(rng, n_grid, share)
-                        for _ in range(points)) for _ in range(levels))
-        delta = tuple((None,) + tuple(
+        u = tuple(np.array([_with_specials(rng, n_grid, share)
+                            for _ in range(points)]) for _ in range(levels))
+        delta = tuple(np.array([np.zeros(n_grid)] + [
             np.zeros(n_grid) if zero_deltas
             else _with_specials(rng, n_grid, share)
-            for _ in range(points - 1)) for _ in range(levels - 1))
+            for _ in range(points - 1)]) for _ in range(levels - 1))
         trajectory = parareal.PararealTrajectory(
             u=u, background=u, delta=delta)
         R_obs, rho = roundoff_proxies(trajectory, M)
@@ -280,7 +278,8 @@ class TestRoundoff:
             self, levels, points, n_grid, seed, share, cuts, copies, moved,
             odd, odd_at, odd_kind, nans):
         # Parareal-shaped: level n takes level n-1's correction up to a cut,
-        # as the same array or a byte-equal copy
+        # as the same row object or a byte-equal copy, and the levels are
+        # stacked into arrays last
         rng = np.random.default_rng(seed)
 
         def fresh():
@@ -291,10 +290,10 @@ class TestRoundoff:
         M = _with_specials(rng, (n_grid, n_grid), share)
         u = [[_with_specials(rng, n_grid, share) for _ in range(points)]
              for _ in range(levels)]
-        delta = [[None] + [fresh() for _ in range(points - 1)]]
+        delta = [[np.zeros(n_grid)] + [fresh() for _ in range(points - 1)]]
         for n in range(2, levels):
             below = delta[-1]
-            delta.append([None] + [
+            delta.append([np.zeros(n_grid)] + [
                 (below[k].copy() if copies[n] else below[k]) if k < cuts[n]
                 else fresh() for k in range(1, points)])
         for level in u[1:]:
@@ -313,9 +312,9 @@ class TestRoundoff:
                 below[j], odd_pair[j] = 0.0, -0.0
             else:
                 odd_pair[j] = below[j] + 1.0
+        u = tuple(map(np.array, u))
         trajectory = parareal.PararealTrajectory(
-            u=tuple(map(tuple, u)), background=tuple(map(tuple, u)),
-            delta=tuple(map(tuple, delta)))
+            u=u, background=u, delta=tuple(map(np.array, delta)))
         R_obs, rho = roundoff_proxies(trajectory, M)
         R_ref, rho_ref = _textbook_roundoff(trajectory, M)
         assert R_obs.tobytes() == R_ref.tobytes()

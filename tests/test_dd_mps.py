@@ -101,7 +101,7 @@ class TestAssembleLocalSystem:
         empty_obs = dataclasses.replace(
             vconfig.observations, nobs=0,
             obs=np.empty(0, dtype=int),
-            v=tuple(np.zeros(0) for _ in range(2)))
+            v=np.zeros((2, 0)))
         vempty = dataclasses.replace(vconfig, observations=empty_obs)
         sys0 = systems_for(vempty, partition)[0]
         np.testing.assert_array_equal(sys0.A_loc, np.eye(8))
@@ -234,6 +234,20 @@ class TestRunMps:
         np.testing.assert_allclose(hist.eq_residual,
                                    np.abs(c - A @ it.w).max()
                                    / (1 + np.abs(c).max()), rtol=0.5, atol=1e-15)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, bench_problem, batched, tol):
+        # a NaN tol once ran every solve to max_iters and reported it
+        # unconverged at a residual of 1e-16
+        vconfig, partition = bench_problem
+        plan = build_factors(vconfig, partition)
+        with pytest.raises(ValueError,
+                           match=rf"^tol must be positive, got {tol}$"):
+            if batched:
+                dd_mps.run_mps_batch(plan, [vconfig.u0] * 2, [1, 2], tol, 50)
+            else:
+                run_mps(plan, vconfig.u0, 1, tol, 50)
 
     def test_non_convergence_is_reported_not_raised(self, correlated_problem):
         _, vconfig, partition = correlated_problem

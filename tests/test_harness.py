@@ -36,6 +36,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="wibble"):
             load_config(str(path))
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("np = 16\n# a comment\nseed = 3\nnp = 24\n")
+        with pytest.raises(ConfigError, match=r"^config line 4: key 'np' is "
+                                              r"already given on line 1$"):
+            load_config(str(path))
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("np 16\n")
@@ -256,7 +263,8 @@ class TestRunExperiment:
 
 def _poison(monkeypatch, R_obs=(), E=(), probe=None):
     """Write values into chosen cells of the round-off proxies R_obs[n, k]
-    and the error table E[n, k], and append a probe pair, during a run."""
+    and the error table E[n, k], and append a probe difference, during a
+    run."""
     analysis = harness.analysis
     real_roundoff = analysis.roundoff_proxies
     real_history = analysis.error_and_bound_history
@@ -274,8 +282,9 @@ def _poison(monkeypatch, R_obs=(), E=(), probe=None):
             errhist.E[n, k] = value
         return errhist
 
-    def lipschitz(M, mu_A, probe_pairs):
-        return real_lipschitz(M, mu_A, [*probe_pairs, *([probe] if probe else [])])
+    def lipschitz(M, mu_A, differences):
+        return real_lipschitz(M, mu_A, differences if probe is None
+                              else np.vstack([differences, probe]))
 
     monkeypatch.setattr(analysis, "roundoff_proxies", roundoff)
     monkeypatch.setattr(analysis, "error_and_bound_history", history)
@@ -283,7 +292,7 @@ def _poison(monkeypatch, R_obs=(), E=(), probe=None):
 
 
 NAN, INF = float("nan"), float("inf")
-NAN_PROBE = (np.full(16, NAN), np.zeros(16))
+NAN_PROBE = np.full(16, NAN)
 
 
 class TestDiagnosticError:
@@ -485,8 +494,12 @@ class TestCli:
         pytest.param(NOT_POSITIVE_DEFINITE, id="lambda = 1e-6 local cholesky")])
     def test_numerical_fault_of_valid_config_exits_three(self, tmp_path, capsys,
                                                          recwarn, setting):
+        # the small problem, but for the keys that the setting gives itself
+        given = {line.split(" = ")[0] for line in setting.splitlines()}
+        base = [line for line in ("np = 16", "n_steps = 4", "nobs = 4")
+                if line.split(" = ")[0] not in given]
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"np = 16\nn_steps = 4\nnobs = 4\n{setting}\n")
+        cfg_file.write_text("\n".join([*base, setting, ""]))
         out = tmp_path / "report.csv"
         code = harness.main(["--config", str(cfg_file), "--out", str(out)])
         assert code == 3

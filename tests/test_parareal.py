@@ -15,7 +15,7 @@ def no_observation_config(vconfig):
     empty = dataclasses.replace(
         vconfig.observations, nobs=0,
         obs=np.empty(0, dtype=int),
-        v=tuple(np.zeros(0) for _ in range(n_steps)))
+        v=np.zeros((n_steps, 0)))
     return dataclasses.replace(vconfig, observations=empty)
 
 
@@ -165,6 +165,34 @@ class TestRunParareal:
             run_parareal(vconfig, build_factors(vconfig, partition), tol=1e-9,
                          max_outer=8, workers=workers)
 
+    @pytest.mark.parametrize("max_outer", [0, -3])
+    def test_max_outer_below_one_is_rejected(self, bench_problem, max_outer):
+        # it once returned a run of no iteration
+        vconfig, partition = bench_problem
+        with pytest.raises(ValueError,
+                           match=rf"^max_outer must be >= 1, got {max_outer}$"):
+            run_parareal(vconfig, build_factors(vconfig, partition), tol=1e-9,
+                         max_outer=max_outer)
+
+    @pytest.mark.parametrize("name", ["tol", "tol_mps"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_tolerances_must_be_positive(self, bench_problem, name, value):
+        # a NaN tol_mps once let every fine solve run unconverged under a run
+        # that reported converged
+        vconfig, partition = bench_problem
+        tols = dict({"tol": 1e-9, "tol_mps": 1e-10}, **{name: value})
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be positive, got {value}$"):
+            run_parareal(vconfig, build_factors(vconfig, partition),
+                         max_outer=8, **tols)
+
+    @pytest.mark.parametrize("tol_mps", [0.0, -1.0, float("nan")])
+    def test_chain_tolerance_must_be_positive(self, bench_problem, tol_mps):
+        vconfig, partition = bench_problem
+        with pytest.raises(ValueError,
+                           match=rf"^tol_mps must be positive, got {tol_mps}$"):
+            serial_fine_chain(vconfig, partition, tol_mps=tol_mps)
+
     def test_non_convergence_reported(self, bench_problem):
         vconfig, partition = bench_problem
         _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
@@ -294,11 +322,18 @@ class TestFineSolveReuse:
 
     def test_reused_slab_shares_delta_and_history(self, bench_problem):
         vconfig, partition = bench_problem
-        traj, hist = reuse_run(vconfig, partition)
-        # slab 1 is never re-solved: every iteration carries the chain's answer
-        for n in range(1, traj.n):
-            assert traj.delta[n][1] is traj.delta[0][1]
-            assert hist.mps[n][0] is hist.mps[0][0]
+        plan = build_factors(vconfig, partition)
+        reference, chain_hists = serial_fine_chain(vconfig, partition,
+                                                   factors=plan)
+        traj, hist = run_parareal(vconfig, plan, tol=1e-300,
+                                  max_outer=vconfig.instance.n_steps,
+                                  chain=(reference, chain_hists))
+        chain_delta = reference[1] - vconfig.instance.M @ reference[0]
+        # slab 1 is never re-solved: every iteration carries the chain's
+        # correction bytes and its history object
+        for n in range(traj.n):
+            assert traj.delta[n][1].tobytes() == chain_delta.tobytes()
+            assert hist.mps[n][0] is chain_hists[0]
 
     def test_records_match_bytes_only(self):
         background = np.array([0.0, 1.0, -2.5])

@@ -3,11 +3,12 @@ import hashlib
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pintda import harness, var_solver
+from pintda import harness, parareal, var_solver
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "report_gate.py"
 _spec = importlib.util.spec_from_file_location("report_gate", _PATH)
@@ -90,3 +91,37 @@ class TestOracleLine:
         # a different seed observes other data: another chain
         assert report_gate.gate_line("two_steps", {"n_steps": 3}, 1)[
             "oracle_sha256"] != want
+
+
+def short_run():
+    config = harness.load_config(overrides={"n_steps": 3, "seed": 2025})
+    return harness.run_experiment(config)
+
+
+def parts_sha256(parts):
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+class TestTrajectoryLine:
+    def test_hashes_levels_then_the_chain(self):
+        result = short_run()
+        t = result.trajectory
+        want = parts_sha256([*t.u, *t.background,
+                             *(level[1:] for level in t.delta),
+                             result.reference])
+        line = report_gate.gate_line("two_steps", {"n_steps": 3}, 2025)
+        assert line["trajectory_sha256"] == want
+
+    def test_per_point_vectors_hash_alike(self):
+        # a trajectory kept as tuples of per-point vectors, with None for
+        # delta[n][0], and a chain kept as a list
+        result = short_run()
+        t = result.trajectory
+        vectors = parareal.PararealTrajectory(
+            u=tuple(map(tuple, t.u)),
+            background=tuple(map(tuple, t.background)),
+            delta=tuple((None, *level[1:]) for level in t.delta))
+        as_vectors = SimpleNamespace(trajectory=vectors,
+                                     reference=list(result.reference))
+        assert (report_gate.trajectory_sha256(as_vectors)
+                == report_gate.trajectory_sha256(result))

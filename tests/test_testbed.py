@@ -214,6 +214,14 @@ class TestObservations:
         assert all(b is G[1] for b in G[1:])
         np.testing.assert_array_equal(G[1], small_instance.M[[5, 1, 5]])
 
+    def test_observations_are_one_frozen_array(self, small_instance,
+                                               small_cov):
+        obs = build_observations(small_instance, small_cov, [1, 4, 6],
+                                 np.ones(8), seed=0)
+        assert obs.v.shape == (small_instance.n_steps, 3)
+        assert obs.v.dtype == float and obs.v.flags.c_contiguous
+        assert not obs.v.flags.writeable
+
     def test_freezes_copies_not_the_callers_arrays(self, small_instance,
                                                    small_cov):
         ix, u_truth = np.array([1, 4]), np.ones(8)
@@ -228,7 +236,7 @@ class TestObservations:
         obs = build_observations(small_instance, small_cov, [], np.ones(8),
                                  seed=0)
         assert obs.nobs == 0 and obs.obs.shape == (0,)
-        assert all(v.shape == (0,) for v in obs.v)
+        assert obs.v.shape == (small_instance.n_steps, 0)
 
 
 class TestAssembleG:

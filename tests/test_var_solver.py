@@ -17,7 +17,7 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
     cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
                                sigma_r=1.0, L=0.0)
     obs = ObservationSet(nobs=n, obs=np.arange(n),
-                         v=(np.asarray(v, dtype=float),), seed=0,
+                         v=np.asarray(v, dtype=float)[None], seed=0,
                          u_truth=np.zeros(n))
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
                             u0=np.asarray(u0, dtype=float), alpha=alpha,
@@ -104,7 +104,7 @@ class TestEvalCost:
         v_fit = dense_G(cfg) @ u
         obs_fit = dataclasses.replace(
             cfg.observations,
-            v=tuple(v_fit[k * 2:(k + 1) * 2] for k in range(N)))
+            v=v_fit.reshape(N, 2))
         cfg_fit = dataclasses.replace(cfg, observations=obs_fit)
         assert eval_cost(u, cfg_fit, "fourD") == pytest.approx(0.0, abs=1e-20)
 
@@ -182,7 +182,7 @@ class TestSolveVarDirect:
         v_fit = dense_G(cfg) @ np.tile(cfg.u0, cfg.instance.n_steps)
         obs_fit = dataclasses.replace(
             cfg.observations,
-            v=tuple(v_fit[k * 2:(k + 1) * 2] for k in range(cfg.instance.n_steps)))
+            v=v_fit.reshape(cfg.instance.n_steps, 2))
         cfg_fit = dataclasses.replace(cfg, observations=obs_fit)
         state = solve_var_direct(cfg_fit, "fourD")
         np.testing.assert_allclose(state.u_da, np.tile(cfg.u0, cfg.instance.n_steps),

@@ -13,8 +13,10 @@ differs from the parent's (or is missing on either side), and 0 otherwise.
 For each of fourteen configs and the seeds 1 and 2025, one JSON line holds
 the sha256 of the CSV and JSON reports, `status`, `n_outer` and every
 `summary` value (floats as their shortest round-trip repr, so equal text
-means equal bits), and `oracle_sha256`, the sha256 of the chained dense
-3D-Var oracle that perfbench's oracle_gap compares against.  With --demos,
+means equal bits), `oracle_sha256`, the sha256 of the chained dense
+3D-Var oracle that perfbench's oracle_gap compares against, and
+`trajectory_sha256`, the sha256 of the run's Parareal trajectory and serial
+chain.  With --demos,
 one more line per demo holds the sha256 of its standard output.  `timing`
 stays off, so no wall time enters any line.
 """
@@ -96,6 +98,19 @@ def oracle_sha256(config):
     return hashlib.sha256(np.stack(chain).tobytes()).hexdigest()
 
 
+def trajectory_sha256(result):
+    """sha256 of every level's states, then backgrounds, then the rows
+    k >= 1 of every correction level, then the serial chain.  Each part is
+    stacked with np.asarray, so per-point vectors and per-level arrays of the
+    same values hash alike."""
+    trajectory = result.trajectory
+    digest = hashlib.sha256()
+    for part in (trajectory.u, trajectory.background,
+                 [level[1:] for level in trajectory.delta], result.reference):
+        digest.update(np.asarray(part, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
 def gate_line(name, overrides, seed):
     config = harness.load_config(overrides=dict(overrides, seed=seed))
     result = harness.run_experiment(config)
@@ -104,7 +119,8 @@ def gate_line(name, overrides, seed):
             "json_sha256": _sha(harness.render_report(result.records, "json")),
             "status": result.status, "n_outer": result.summary["n_outer"],
             "summary": _plain(result.summary),
-            "oracle_sha256": oracle_sha256(config)}
+            "oracle_sha256": oracle_sha256(config),
+            "trajectory_sha256": trajectory_sha256(result)}
 
 
 def demo_line(path):
