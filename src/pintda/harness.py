@@ -97,7 +97,7 @@ def parse_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"config: cannot read {path}: {err}") from err
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -442,11 +442,12 @@ def main(argv=None):
 
     The stderr status line ends with `fine_solves=<run>/<run+reused>` (the
     Schwarz fine solves run, serial chain included, over those plus the
-    Parareal solves reused from a record; summary keys `fine_solves` and
-    `fine_solves_reused`), `reason=` (why the outer iteration stopped),
-    `bound_dominates=` and `mps_unconverged=<count>`, the number of slabs
-    whose fine solve did not converge (max_sweeps, or r.z = 0) in the serial
-    chain or any outer iteration, then `slabs=<k,...>` when it is nonzero.
+    Parareal solves reused from the previous level or the chain; summary keys
+    `fine_solves` and `fine_solves_reused`), `reason=` (why the outer
+    iteration stopped), `bound_dominates=` and `mps_unconverged=<count>`, the
+    number of slabs whose fine solve did not converge (max_sweeps, or r.z = 0)
+    in the serial chain or any outer iteration, then `slabs=<k,...>` when it
+    is nonzero.
     summary["outer_to_slabs"] is n_outer over the slab count.
     """
     args = _build_arg_parser().parse_args(argv)

@@ -24,13 +24,14 @@ has the bits of its slab solved alone, so the split never changes a byte.
 run_parareal does less work than the textbook iteration, which re-solves
 every slab at every iteration.  A fine solve is a deterministic function of
 (slab, background), so a slab whose background is bitwise unchanged since
-its latest solve takes that solve's delta and history instead of solving
-again; by finite-step exactness that is every slab k < n at iteration n.
-Given the serial fine chain, it also reuses the chain's solves (slab k's
-chain background is M reference[k-1]), which covers slab n too: iteration n
-then solves only the slabs k > n.  Every state, delta and history is
-bitwise the textbook one; only the per-iteration wall time (the report's `wall_ms` under
-`timing = true`) measures the reduced work.
+the previous iteration, or equal to the chain's background, takes the delta
+and history that the previous level, or the serial fine chain, already
+holds instead of solving again.  By finite-step exactness the first covers
+every slab k < n at iteration n; the chain (slab k's chain background is
+M reference[k-1]) covers slab n too, so iteration n then solves only the
+slabs k > n.  Every state, delta and history is bitwise the textbook one;
+only the per-iteration wall time (the report's `wall_ms` under `timing =
+true`) measures the reduced work.
 """
 
 from __future__ import annotations
@@ -81,49 +82,6 @@ class PararealHistory:
     n_outer: int = 0
 
 
-class FineRecords:
-    """The fine solves a run already has, per slab, keyed by background bytes.
-
-    A fine solve is a deterministic function of (slab, background), so a
-    record whose background bytes equal a new background holds the exact
-    answer: delta = fine - background and the inner-solver history.  Bytes,
-    not values, are compared, so -0.0 and 0.0 differ.  Slab k keeps at most
-    two records: a fixed one seeded from the serial chain and its latest
-    solve.  `solved` logs every slab solved through `store`, in order.
-    """
-
-    def __init__(self, n_slabs):
-        self._chain = [None] * (n_slabs + 1)
-        self._latest = [None] * (n_slabs + 1)
-        self.solved = []
-
-    @classmethod
-    def from_chain(cls, M, reference, histories):
-        """Seed slab k with the chain's solve from the background M reference[k-1].
-
-        reference[k] - that background is computed by the same operations on
-        the same inputs as a fine solve's delta, so it is bitwise that delta.
-        """
-        records = cls(len(reference) - 1)
-        for k in range(1, len(reference)):
-            background = M @ reference[k - 1]
-            records._chain[k] = (background.tobytes(),
-                                 reference[k] - background, histories[k - 1])
-        return records
-
-    def find(self, k, background):
-        """(delta, history) of slab k's solve from `background`, or None."""
-        key = background.tobytes()
-        for record in (self._latest[k], self._chain[k]):
-            if record is not None and record[0] == key:
-                return record[1], record[2]
-        return None
-
-    def store(self, k, background, delta, history):
-        self._latest[k] = (background.tobytes(), delta, history)
-        self.solved.append(k)
-
-
 def _max_abs(rows):
     """max |x| of every row, as a list of floats; NaN propagates."""
     return np.abs(rows).max(axis=1).tolist()
@@ -159,30 +117,36 @@ def _batches(slabs, workers):
             for p in range(parts)]
 
 
-def parareal_update(trajectory, config, factors, records, tol_mps=1e-10,
+def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
                     max_sweeps=100, workers=1):
     """Advance the trajectory one outer iteration.
 
     The slab corrections are computed first, as batched fine solves on the
     block factors `factors` (config's dd_mps.CgPlan), split over `workers`
-    threads; then the corrector recombines them sequentially.  Returns the
-    extended trajectory and the per-slab inner-solver histories.  A slab
-    whose background one of its `records` (a FineRecords) matches takes
-    that record's delta bytes and history object; only the other slabs are
-    solved, and their solves are stored as records.
+    threads; then the corrector recombines them sequentially.  `known` is a
+    tuple of earlier levels (backgrounds, deltas, histories), where row k
+    and history k - 1 belong to slab k.  A slab whose background has the
+    bytes of a known level's row (so -0.0 and 0.0 differ) takes that level's
+    delta row and history object, the first matching level winning; only
+    the other slabs are solved.  Returns the extended trajectory, the
+    per-slab inner-solver histories and the list of slabs solved.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     states = trajectory.u[-1]
     backgrounds = trajectory.background[-1]
     M = config.instance.M
     delta = np.zeros(states.shape)            # u_0 takes no correction
     histories = [None] * (len(states) - 1)
-    todo = []
-    for k in range(1, len(states)):
-        hit = records.find(k, backgrounds[k])
-        if hit is None:
-            todo.append(k)
-        else:
-            delta[k], histories[k - 1] = hit
+    todo = np.arange(1, len(states))
+    for known_b, known_delta, known_hists in known:
+        hit = (known_b[todo].view(np.uint64)
+               == backgrounds[todo].view(np.uint64)).all(axis=1)
+        reused, todo = todo[hit], todo[~hit]
+        delta[reused] = known_delta[reused]
+        for k in reused.tolist():
+            histories[k - 1] = known_hists[k - 1]
+    todo = todo.tolist()
 
     def correct(ks):
         return run_mps_batch(factors, backgrounds[ks], ks, tol_mps,
@@ -194,7 +158,6 @@ def parareal_update(trajectory, config, factors, records, tol_mps=1e-10,
         delta[ks] = fine - backgrounds[ks]
         for k, hist in zip(ks, hists):
             histories[k - 1] = hist
-            records.store(k, backgrounds[k], delta[k], hist)
 
     u_next, b_next = np.empty(states.shape), np.empty(states.shape)
     u_next[0] = b_next[0] = states[0]         # u_0 pinned
@@ -205,7 +168,7 @@ def parareal_update(trajectory, config, factors, records, tol_mps=1e-10,
     extended = PararealTrajectory(u=trajectory.u + (u_next,),
                                   background=trajectory.background + (b_next,),
                                   delta=trajectory.delta + (delta,))
-    return extended, histories
+    return extended, histories, todo
 
 
 def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
@@ -249,38 +212,52 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
 
     The loop does less work than the textbook iteration and returns its
     bytes: a fine solve is a deterministic function of (slab, background),
-    so a slab whose background is bitwise unchanged since its latest solve
-    is not solved again.  `chain`, the (states, histories) pair that
-    serial_fine_chain returns under these same solver settings, seeds every
-    slab with the chain's solve, so iteration n solves only the slabs k > n,
-    and history.E measures every level against the chain's states.
+    so each iteration passes parareal_update the previous level (its
+    backgrounds, deltas and histories) as known, and a slab whose background
+    is bitwise unchanged since the previous iteration is not solved again.
+    `chain`, the (states, histories) pair that serial_fine_chain returns
+    under these same solver settings, must hold one (n_steps, np) state
+    array and n_steps - 1 histories.  It adds one known level, built once:
+    slab k's chain background M reference[k-1] and delta reference[k] minus
+    it, so iteration n solves only the slabs k > n, and history.E measures
+    every level against the chain's states.
     history.solved lists the slabs solved per iteration, and history.wall_s
     measures the reduced work.
     """
     for name, value in (("tol", tol), ("tol_mps", tol_mps)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
-    for name, value in (("max_outer", max_outer), ("workers", workers)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     trajectory = initial_trajectory(config)
     n_slabs = config.instance.n_steps - 1
     history = PararealHistory()
-    if chain is None:
-        records, reference = FineRecords(n_slabs), None
-    else:
-        records = FineRecords.from_chain(config.instance.M, *chain)
-        reference = chain[0]
+    reference, chain_level = None, ()
+    if chain is not None:
+        reference, chain_hists = chain
+        shape = trajectory.u[0].shape
+        if np.shape(reference) != shape:
+            raise ValueError(f"chain states must have shape {shape}, got "
+                             f"{np.shape(reference)}")
+        if len(chain_hists) != n_slabs:
+            raise ValueError(f"chain must hold {n_slabs} histories, got "
+                             f"{len(chain_hists)}")
+        # each row's delta is bitwise the delta its fine solve computes
+        backgrounds = np.array(reference, dtype=float)
+        for k in range(1, len(backgrounds)):
+            backgrounds[k] = config.instance.M @ reference[k - 1]
+        chain_level = ((backgrounds, reference - backgrounds, chain_hists),)
         history.E.append(_max_abs(reference - trajectory.u[0]))
 
     for _ in range(max_outer):
         t0 = time.perf_counter()
-        n_solved = len(records.solved)
-        trajectory, mps_hists = parareal_update(
-            trajectory, config, factors, records, tol_mps=tol_mps,
-            max_sweeps=max_sweeps, workers=workers)
+        previous = ((trajectory.background[-2], trajectory.delta[-1],
+                     history.mps[-1]),) if trajectory.n else ()
+        trajectory, mps_hists, solved = parareal_update(
+            trajectory, config, factors, previous + chain_level,
+            tol_mps=tol_mps, max_sweeps=max_sweeps, workers=workers)
         history.wall_s.append(time.perf_counter() - t0)
-        history.solved.append(records.solved[n_solved:])
+        history.solved.append(solved)
         n, level = trajectory.n, trajectory.u[-1]
         diff = float(np.abs(level - trajectory.u[-2]).max())
         history.iterate_diffs.append(diff)

@@ -214,8 +214,13 @@ class TestRunExperiment:
         cfg = load_config(None, {"max_sweeps": 5, "L": 2.0, "lambda": 0.05,
                                  "rho_penalty": 5.0, "n_sub": 4})
         reused = run_experiment(cfg)
-        monkeypatch.setattr(harness.parareal.FineRecords, "find",
-                            lambda self, k, background: None)
+        update = harness.parareal.parareal_update
+
+        def solve_every_slab(trajectory, config, factors, known, **kwargs):
+            return update(trajectory, config, factors, (), **kwargs)
+
+        monkeypatch.setattr(harness.parareal, "parareal_update",
+                            solve_every_slab)
         solved = run_experiment(cfg)
         assert reused.status == solved.status == "non-converged"
         assert reused.records == solved.records
@@ -460,6 +465,17 @@ class TestCli:
         line = capsys.readouterr().err.strip()
         assert line.endswith("mps_unconverged=0")
         assert " fine_solves=28/56 reason=exact bound_dominates=True " in line
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        # it once escaped main as a UnicodeDecodeError traceback
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"np = 3\xff2\n")
+        code = harness.main(["--config", str(cfg_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: config: cannot read "
+                              f"{cfg_file}: ")
 
     def test_too_many_blocks_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

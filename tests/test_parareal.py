@@ -5,8 +5,8 @@ import pytest
 
 from pintda import harness, parareal, var_solver
 from pintda.dd_mps import build_factors, partition_domain, run_mps
-from pintda.parareal import (FineRecords, initial_trajectory, parareal_update,
-                             run_parareal, serial_fine_chain)
+from pintda.parareal import (PararealTrajectory, initial_trajectory,
+                             parareal_update, run_parareal, serial_fine_chain)
 
 
 def no_observation_config(vconfig):
@@ -74,10 +74,8 @@ class TestPararealUpdate:
         vconfig, partition = bench_problem
         vempty = no_observation_config(vconfig)
         traj = initial_trajectory(vempty)
-        n_slabs = vconfig.instance.n_steps - 1
-        traj, _ = parareal_update(traj, vempty,
-                                  build_factors(vempty, partition),
-                                  FineRecords(n_slabs))
+        traj, *_ = parareal_update(traj, vempty,
+                                   build_factors(vempty, partition), ())
         M = vconfig.instance.M
         serial = [vempty.u0]
         for _ in range(1, vconfig.instance.n_steps):
@@ -94,8 +92,7 @@ class TestPararealUpdate:
         n_slabs = vconfig.instance.n_steps - 1
         traj = initial_trajectory(vconfig)
         for _ in range(n_slabs):
-            traj, _ = parareal_update(traj, vconfig, factors,
-                                      FineRecords(n_slabs))
+            traj, *_ = parareal_update(traj, vconfig, factors, ())
         scale = max(np.abs(r).max() for r in reference)
         for k, ref_k in enumerate(reference):
             assert np.abs(traj.u[traj.n][k] - ref_k).max() <= 1e-10 * scale
@@ -103,10 +100,9 @@ class TestPararealUpdate:
     def test_delta_replay_is_bitwise(self, bench_problem):
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
-        n_slabs = vconfig.instance.n_steps - 1
         traj = initial_trajectory(vconfig)
-        traj, _ = parareal_update(traj, vconfig, factors, FineRecords(n_slabs))
-        traj, _ = parareal_update(traj, vconfig, factors, FineRecords(n_slabs))
+        traj, *_ = parareal_update(traj, vconfig, factors, ())
+        traj, *_ = parareal_update(traj, vconfig, factors, ())
         M = vconfig.instance.M
         for n in range(2):
             for k in range(1, vconfig.instance.n_steps):
@@ -192,6 +188,22 @@ class TestRunParareal:
         with pytest.raises(ValueError,
                            match=rf"^tol_mps must be positive, got {tol_mps}$"):
             serial_fine_chain(vconfig, partition, tol_mps=tol_mps)
+
+    @pytest.mark.parametrize("cut, message", [
+        ((slice(4), slice(None)),
+         r"^chain states must have shape \(8, 32\), got \(4, 32\)$"),
+        ((slice(None), slice(1, None)),
+         r"^chain must hold 7 histories, got 6$"),
+    ], ids=["four_states", "six_histories"])
+    def test_chain_of_another_shape_is_rejected(self, bench_problem, cut,
+                                                message):
+        # four states once failed inside NumPy's broadcasting
+        vconfig, partition = bench_problem
+        plan = build_factors(vconfig, partition)
+        states, hists = serial_fine_chain(vconfig, partition, factors=plan)
+        with pytest.raises(ValueError, match=message):
+            run_parareal(vconfig, plan, tol=1e-9, max_outer=8,
+                         chain=(states[cut[0]], hists[cut[1]]))
 
     def test_non_convergence_reported(self, bench_problem):
         vconfig, partition = bench_problem
@@ -335,29 +347,88 @@ class TestFineSolveReuse:
             assert traj.delta[n][1].tobytes() == chain_delta.tobytes()
             assert hist.mps[n][0] is chain_hists[0]
 
-    def test_records_match_bytes_only(self):
-        background = np.array([0.0, 1.0, -2.5])
-        delta, history = np.ones(3), object()
-        records = FineRecords(n_slabs=2)
-        records.store(1, background, delta, history)
-        assert records.find(1, background.copy()) == (delta, history)
-        assert records.find(2, background) is None
-        assert records.find(1, np.array([-0.0, 1.0, -2.5])) is None
-        assert records.find(1, np.nextafter(background, 1.0)) is None
-        assert records.solved == [1]
-
-    def test_at_most_two_records_per_slab(self, bench_problem):
+    def test_known_rows_match_bytes_only(self, bench_problem):
         vconfig, partition = bench_problem
+        factors = build_factors(vconfig, partition)
+        level = initial_trajectory(vconfig).u[0].copy()
+        level[3, 0] = 0.0
+        traj = PararealTrajectory(u=(level,), background=(level,), delta=())
+        backgrounds = level.copy()
+        backgrounds[2] = np.nextafter(level[2], np.inf)
+        backgrounds[3, 0] = -0.0
+        deltas, hists = np.full(level.shape, 7.0), [object() for _ in range(7)]
+        got, got_hists, solved = parareal_update(
+            traj, vconfig, factors, ((backgrounds, deltas, hists),))
+        fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
+        # nextafter and -0.0 miss, so slabs 2 and 3 are solved
+        assert solved == [2, 3]
+        for k in range(1, 8):
+            if k in solved:
+                assert (got.delta[0][k].tobytes()
+                        == fresh.delta[0][k].tobytes())
+                assert got_hists[k - 1] == fresh_hists[k - 1]
+            else:
+                assert got.delta[0][k].tobytes() == deltas[k].tobytes()
+                assert got_hists[k - 1] is hists[k - 1]
+
+    def test_first_matching_level_wins(self, bench_problem):
+        vconfig, partition = bench_problem
+        factors = build_factors(vconfig, partition)
+        traj = initial_trajectory(vconfig)
+        first = (traj.background[0].copy(), np.full(traj.u[0].shape, 1.0),
+                 [object() for _ in range(7)])
+        second = (traj.background[0].copy(), np.full(traj.u[0].shape, 2.0),
+                  [object() for _ in range(7)])
+        got, hists, solved = parareal_update(traj, vconfig, factors,
+                                             (first, second))
+        assert solved == []
+        np.testing.assert_array_equal(got.delta[0][1:], 1.0)
+        assert all(h is want for h, want in zip(hists, first[2], strict=True))
+
+    def test_unmatched_slabs_are_solved(self, bench_problem):
+        vconfig, partition = bench_problem
+        factors = build_factors(vconfig, partition)
+        traj = initial_trajectory(vconfig)
+        moved = (traj.background[0] + 1.0, np.zeros(traj.u[0].shape),
+                 [None] * 7)
+        got, hists, solved = parareal_update(traj, vconfig, factors, (moved,))
+        fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
+        assert solved == list(range(1, 8))
+        assert got.delta[0].tobytes() == fresh.delta[0].tobytes()
+        assert hists == fresh_hists
+
+    def test_run_passes_the_previous_level_then_the_chain(
+            self, monkeypatch, bench_problem):
+        vconfig, partition = bench_problem
+        plan = build_factors(vconfig, partition)
+        reference, chain_hists = serial_fine_chain(vconfig, partition,
+                                                   factors=plan)
+        calls = []
+        update = parareal.parareal_update
+
+        def spy(trajectory, config, factors, known, **kwargs):
+            calls.append((trajectory, known))
+            return update(trajectory, config, factors, known, **kwargs)
+
+        monkeypatch.setattr(parareal, "parareal_update", spy)
+        traj, hist = run_parareal(vconfig, plan, tol=1e-300, max_outer=8,
+                                  chain=(reference, chain_hists))
         M = vconfig.instance.M
-        reference, chain_hists = serial_fine_chain(vconfig, partition)
-        records = FineRecords.from_chain(M, reference, chain_hists)
-        chain_background = M @ reference[0]
-        first, second = chain_background + 1.0, chain_background + 2.0
-        records.store(1, first, np.zeros(3), None)
-        records.store(1, second, np.zeros(3), None)
-        assert records.find(1, chain_background) is not None
-        assert records.find(1, second) is not None
-        assert records.find(1, first) is None
+        for n, (trajectory, known) in enumerate(calls):
+            *previous, (backgrounds, deltas, hists) = known
+            if n == 0:
+                assert previous == []
+            else:
+                (prev_b, prev_delta, prev_hists), = previous
+                assert prev_b is traj.background[n - 1]
+                assert prev_delta is traj.delta[n - 1]
+                assert prev_hists is hist.mps[n - 1]
+            assert hists is chain_hists
+            for k in range(1, vconfig.instance.n_steps):
+                chain_b = M @ reference[k - 1]
+                assert backgrounds[k].tobytes() == chain_b.tobytes()
+                assert (deltas[k].tobytes()
+                        == (reference[k] - chain_b).tobytes())
 
 
 def one_network_problem(layout):
@@ -400,9 +471,9 @@ class TestBatchedFineSolves:
 
         monkeypatch.setattr(parareal, "run_mps_batch", record)
         traj = initial_trajectory(vconfig)
-        records = FineRecords(7)
-        parareal_update(traj, vconfig, factors, workers=workers,
-                        records=records)
+        traj1, hists, solved = parareal_update(traj, vconfig, factors, (),
+                                               workers=workers)
+        assert solved == list(range(1, 8))
         # threads enter run_mps_batch in any order: sorted by first slab, the
         # batches are contiguous runs that cover every slab, one per worker
         batches.sort(key=lambda ks: ks[0])
@@ -410,12 +481,23 @@ class TestBatchedFineSolves:
         assert [k for ks in batches for k in ks] == list(range(1, 8))
         assert len(batches) == min(workers, 7)
         assert max(map(len, batches)) - min(map(len, batches)) <= 1
-        # every record matches: no slab is left, so no batch is made
+        # the level just solved is known: no slab is left, so no batch is made
         batches.clear()
-        parareal_update(traj, vconfig, factors, workers=workers,
-                        records=records)
-        assert batches == []
+        known = ((traj.background[0], traj1.delta[0], hists),)
+        _, _, solved = parareal_update(traj, vconfig, factors, known,
+                                       workers=workers)
+        assert batches == [] and solved == []
         assert parareal._batches([], workers) == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_update_rejects_workers_below_one(self, bench_problem, workers):
+        # they once cut the slabs into no batch and returned zero corrections
+        vconfig, partition = bench_problem
+        with pytest.raises(ValueError,
+                           match=rf"^workers must be >= 1, got {workers}$"):
+            parareal_update(initial_trajectory(vconfig), vconfig,
+                            build_factors(vconfig, partition), (),
+                            workers=workers)
 
     def test_workers_do_not_change_long_run_reports(self):
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=32,

@@ -125,3 +125,27 @@ class TestTrajectoryLine:
                                      reference=list(result.reference))
         assert (report_gate.trajectory_sha256(as_vectors)
                 == report_gate.trajectory_sha256(result))
+
+
+class TestSolvedLine:
+    @pytest.mark.parametrize("overrides, solved", [
+        ({"n_steps": 4}, [[2, 3], [3], []]),
+        ({"n_steps": 4, "max_outer": 1, "workers": 2}, [[2, 3]]),
+    ], ids=["three_slabs", "one_iteration"])
+    def test_lists_the_slabs_the_run_solved(self, monkeypatch, overrides,
+                                            solved):
+        histories = []
+        run = parareal.run_parareal
+
+        def spy(*args, **kwargs):
+            trajectory, history = run(*args, **kwargs)
+            histories.append(history)
+            return trajectory, history
+
+        monkeypatch.setattr(parareal, "run_parareal", spy)
+        line = report_gate.gate_line("short", overrides, 2025)
+        # the harness's run, then the gate's re-run with its settings
+        assert len(histories) == 2
+        assert line["solved"] == histories[0].solved == solved
+        assert json.loads(json.dumps(line))["solved"] == solved
+        assert line["summary"]["fine_solves"] == 3 + sum(map(len, solved))

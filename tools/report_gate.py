@@ -16,9 +16,9 @@ the sha256 of the CSV and JSON reports, `status`, `n_outer` and every
 means equal bits), `oracle_sha256`, the sha256 of the chained dense
 3D-Var oracle that perfbench's oracle_gap compares against, and
 `trajectory_sha256`, the sha256 of the run's Parareal trajectory and serial
-chain.  With --demos,
-one more line per demo holds the sha256 of its standard output.  `timing`
-stays off, so no wall time enters any line.
+chain, and `solved`, the slabs run_parareal solves in each iteration.  With
+--demos, one more line per demo holds the sha256 of its standard output.
+`timing` stays off, so no wall time enters any line.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from pintda import harness, var_solver  # noqa: E402
+from pintda import dd_mps, harness, parareal, var_solver  # noqa: E402
 
 CONFIGS = {
     "default": {},
@@ -111,6 +111,21 @@ def trajectory_sha256(result):
     return digest.hexdigest()
 
 
+def solved_slabs(config):
+    """The slabs run_parareal solves in each iteration, from a re-run with
+    the harness's settings and serial chain (the report keeps only the
+    totals)."""
+    vconfig, partition = harness.build_problem(config)
+    factors = dd_mps.build_factors(vconfig, partition)
+    settings = {"tol_mps": config.tol_mps, "max_sweeps": config.max_sweeps}
+    chain = parareal.serial_fine_chain(vconfig, partition, factors=factors,
+                                       **settings)
+    _, history = parareal.run_parareal(
+        vconfig, factors, tol=config.tol_parareal, max_outer=config.max_outer,
+        workers=config.workers, chain=chain, **settings)
+    return _plain(history.solved)
+
+
 def gate_line(name, overrides, seed):
     config = harness.load_config(overrides=dict(overrides, seed=seed))
     result = harness.run_experiment(config)
@@ -120,7 +135,8 @@ def gate_line(name, overrides, seed):
             "status": result.status, "n_outer": result.summary["n_outer"],
             "summary": _plain(result.summary),
             "oracle_sha256": oracle_sha256(config),
-            "trajectory_sha256": trajectory_sha256(result)}
+            "trajectory_sha256": trajectory_sha256(result),
+            "solved": solved_slabs(config)}
 
 
 def demo_line(path):
