@@ -39,7 +39,7 @@ print("so the preconditioned operator has two eigenvalues: CG needs two steps.")
 def narrate(vc, part, tol):
     """Print each CG step's residuals and the global cost of its state."""
     plan = dd_mps.build_factors(vc, part)
-    it = dd_mps.initial_iterate(plan.bind([vc.u0], [vc.time_index]).take(0))
+    it = plan.bind([vc.u0], [vc.time_index]).take(0)
     while it.eq_residual > tol:
         it = dd_mps.mps_sweep(it)
         cost = var_solver.eval_cost(it.patched, vc, "threeD")

@@ -24,18 +24,19 @@ then a function of (plan, background, time) alone and computes only d and
 c.  A CG step makes one dpotrs call per block and applies A once, as
 lam p + rinv S^T (S p), never formed.
 
-Solves run as the columns of one batch: every array carries a leading
-column axis, one row per background (run_mps_batch(plan, backgrounds,
-times, tol, max_iters); run_mps(plan, background, time, tol, max_iters) is
-the batch of one).  Each product is a stacked gemv, one per column, each
-block solve one multi-column potrs call, and alpha, beta and every residual
-are per column, so each column has the bits of its solve alone.  A column
-leaves the batch at the step where it stops: converged, out of steps, or
-with a step of 0, as where r . z = 0.  A time outside the observations and
-a non-finite background are rejected before the first step, and any other
-non-finite value shows in one NaN-propagating check of each step; each
-raises VarSolverError naming the time (and the subdomain, where there is
-one).
+Solves run as the columns of one batch: every array carries a leading column
+axis, one row per background (run_mps_batch(plan, backgrounds, times, tol,
+max_iters); run_mps(plan, background, time, tol, max_iters) is the batch of
+one).  Each product is a stacked gemv, one per column, each block solve one
+multi-column potrs call, and alpha, beta and every residual are per column,
+so each column has the bits of its solve alone.  A column leaves the batch at
+the step where it stops: converged, out of steps, or with a step of 0, as
+where r . z = 0.  Stepwise, plan.bind(backgrounds, times) is the step-0
+CgIterate, mps_sweep advances it by one step, and its `patched` is the
+analysis.  build_factors rejects lam <= 0, and bind a time that is not an
+integer in [0, n_steps) or a non-finite background; any other non-finite
+value shows in one NaN-propagating check of each step.  Each raises
+VarSolverError naming lambda or the time (and the subdomain).
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class SubdomainPartition:
     extension, the points block i owns; the cores partition the grid.
     """
 
-    n_grid: int
     n_sub: int
     index_sets: tuple       # per-subdomain integer index arrays
     cores: tuple            # per-subdomain owned index arrays
@@ -135,15 +135,17 @@ class CgPlan:
         return z
 
     def bind(self, backgrounds, times):
-        """The Batch with one column per background: column c is
-        backgrounds[c] at observation time times[c], reading the
-        observations v of its own time.  A time outside [0, len(v)) raises
-        VarSolverError."""
-        times = np.asarray(times)
-        outside = (times < 0) | (times >= len(self.v))
-        if outside.any():
-            raise VarSolverError(f"observation time {times[outside][0]} is "
-                                 f"outside [0, {len(self.v)})")
+        """The CgIterate at step 0 with one column per background: column c
+        is backgrounds[c] at observation time times[c], reading the
+        observations v of its own time, and starts at w = 0, so r = c.  A
+        time that is not an integer in [0, len(v)) raises VarSolverError."""
+        for t in times:
+            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+                raise VarSolverError(f"observation time {t} is not an integer")
+            if not 0 <= t < len(self.v):
+                raise VarSolverError(f"observation time {t} is outside "
+                                     f"[0, {len(self.v)})")
+        times = np.asarray(times, dtype=int)
         u_b = np.asarray(backgrounds, dtype=float)
         finite = np.isfinite(u_b)
         if not finite.all():
@@ -153,42 +155,32 @@ class CgPlan:
                                  f"at time {times[col]}")
         d = self.v[times] - u_b[:, self.obs]
         c = _rhs(self.S, self.rinv, d)
-        return Batch(plan=self, c=c, u_b=u_b,
-                     scale=1.0 + np.abs(c).max(axis=-1), t=times)
-
-
-@dataclass(frozen=True)
-class Batch:
-    """The right-hand sides of a batch of solves on one CgPlan.
-
-    `c` holds c = rinv S^T d and `u_b` the background, one row per column;
-    `scale` is each column's 1 + max|c|, which makes its residual relative,
-    and `t` its observation time.
-    """
-
-    plan: CgPlan
-    c: np.ndarray
-    u_b: np.ndarray
-    scale: np.ndarray
-    t: object
-
-    def take(self, rows):
-        """The batch's columns `rows`; an int gives one unbatched solve."""
-        return Batch(plan=self.plan, c=self.c[rows], u_b=self.u_b[rows],
-                     scale=self.scale[rows], t=self.t[rows])
+        c_max, zeros = np.abs(c).max(axis=-1), np.zeros(c.shape)
+        return CgIterate(plan=self, c=c, u_b=u_b, scale=1.0 + c_max, t=times,
+                         w=zeros, r=c, p=zeros, rz=np.zeros(len(c)), n=0,
+                         residual=np.full(len(c), np.inf),
+                         eq_residual=c_max / (1.0 + c_max))
 
 
 @dataclass(frozen=True)
 class CgIterate:
-    """Conjugate-gradient state after n steps, one row per column in a batch.
+    """Conjugate-gradient state of a batch of solves on one CgPlan after n
+    steps, one row per column.
 
-    `w` is the control, `r` the recursive residual c - A w, `p` the last
-    search direction and `rz` the r . z that made it (both unused at
+    `c` is the right-hand side rinv S^T d, `u_b` the background, `scale`
+    1 + max|c|, which makes residuals relative, and `t` the observation
+    time.  `w` is the control, `r` the recursive residual c - A w, `p` the
+    last search direction and `rz` the r . z that made it (both unused at
     n = 0).  `residual` is the last step's max|w^n - w^{n-1}| (inf at n = 0)
-    and `eq_residual` max|r| / (1 + max|c|).  `patched`, the analysis state
-    u_b + V w, is built on first access and kept.
+    and `eq_residual` max|r| / scale.  `patched`, the analysis u_b + V w,
+    is built on first access and kept.
     """
 
+    plan: CgPlan = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    u_b: np.ndarray = field(repr=False)
+    scale: np.ndarray
+    t: np.ndarray
     w: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
@@ -196,19 +188,19 @@ class CgIterate:
     n: int
     residual: np.ndarray
     eq_residual: np.ndarray
-    batch: Batch = field(repr=False)
 
     @functools.cached_property
     def patched(self):
-        return self.batch.u_b + _mv(self.batch.plan.V, self.w)
+        return self.u_b + _mv(self.plan.V, self.w)
 
     def take(self, rows):
         """The batch's columns `rows`; an int gives one unbatched iterate."""
-        return CgIterate(w=self.w[rows], r=self.r[rows], p=self.p[rows],
+        return CgIterate(plan=self.plan, c=self.c[rows], u_b=self.u_b[rows],
+                         scale=self.scale[rows], t=self.t[rows],
+                         w=self.w[rows], r=self.r[rows], p=self.p[rows],
                          rz=self.rz[rows], n=self.n,
                          residual=self.residual[rows],
-                         eq_residual=self.eq_residual[rows],
-                         batch=self.batch.take(rows))
+                         eq_residual=self.eq_residual[rows])
 
 
 @dataclass(frozen=True)
@@ -248,7 +240,7 @@ def partition_domain(n_grid, n_sub, overlap):
         hi = cuts[i + 1] + (ext_r if i < n_sub - 1 else 0)
         index_sets.append(np.arange(max(lo, 0), min(hi, n_grid)))
     return SubdomainPartition(
-        n_grid=n_grid, n_sub=n_sub, index_sets=tuple(index_sets),
+        n_sub=n_sub, index_sets=tuple(index_sets),
         cores=tuple(np.arange(a, b) for a, b in zip(cuts, cuts[1:])))
 
 
@@ -284,7 +276,10 @@ def assemble_local_system(i, partition, config):
 
 
 def build_factors(config, partition):
-    """Factor every block of config's problem once: its CgPlan."""
+    """Factor every block of config's problem once: its CgPlan.  lam must be
+    positive: at lam = 0, A = rinv S^T S has rank at most nobs < np."""
+    if not config.lam > 0:
+        raise VarSolverError(f"lambda must be positive, got {config.lam:g}")
     V, obs = config.covpair.V, config.observations.obs
     return CgPlan(factors=tuple(assemble_local_system(i, partition, config)
                                 for i in range(partition.n_sub)),
@@ -299,16 +294,6 @@ def _dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def initial_iterate(batch):
-    """Start at the background: w = 0, so r = c."""
-    c = batch.c
-    zeros = np.zeros(c.shape)
-    return CgIterate(w=zeros, r=c, p=zeros, rz=np.zeros(c.shape[:-1])[()],
-                     n=0, residual=np.full(c.shape[:-1], np.inf)[()],
-                     eq_residual=np.abs(c).max(axis=-1) / batch.scale,
-                     batch=batch)
-
-
 def mps_sweep(iterate):
     """One preconditioned CG step for every column (the name is the
     Jacobi sweep's that this step replaced, which the benchmark traces).
@@ -318,8 +303,7 @@ def mps_sweep(iterate):
     per column; alpha = 0 where r.z = 0, so the column's step is 0.  A
     non-finite step raises VarSolverError naming its subdomain and time.
     """
-    batch = iterate.batch
-    plan = batch.plan
+    plan = iterate.plan
     z = plan.precondition(iterate.r)
     rz = _dot(iterate.r, z)
     p = z if iterate.n == 0 else z + (rz / iterate.rz)[..., None] * iterate.p
@@ -335,32 +319,33 @@ def mps_sweep(iterate):
         step = alpha * p
         residual = np.abs(step).max(axis=-1)
         if not np.isfinite(residual).all():
-            raise VarSolverError(_nonfinite_message(step, batch, iterate.n + 1))
+            raise VarSolverError(_nonfinite_message(step, iterate))
     r = iterate.r - alpha * q
-    return CgIterate(w=iterate.w + step, r=r, p=p, rz=rz, n=iterate.n + 1,
-                     residual=residual,
-                     eq_residual=np.abs(r).max(axis=-1) / batch.scale,
-                     batch=batch)
+    # the constructor, not dataclasses.replace, which walks every field
+    return CgIterate(plan=plan, c=iterate.c, u_b=iterate.u_b,
+                     scale=iterate.scale, t=iterate.t, w=iterate.w + step, r=r,
+                     p=p, rz=rz, n=iterate.n + 1, residual=residual,
+                     eq_residual=np.abs(r).max(axis=-1) / iterate.scale)
 
 
-def _nonfinite_message(step, batch, n):
-    """Name the first column with a non-finite step, then the first
-    subdomain where its c, or else its step, is not finite."""
+def _nonfinite_message(step, iterate):
+    """Name the first column with a non-finite step from `iterate`, then
+    the first subdomain where its c, or else its step, is not finite."""
     step = np.atleast_2d(step)
     col = int(np.flatnonzero(~np.isfinite(step).all(axis=-1))[0])
-    c = np.atleast_2d(batch.c)[col]
+    c = np.atleast_2d(iterate.c)[col]
     bad, cause = ((c, "its right-hand side c is not finite")
                   if not np.isfinite(c).all()
                   else (step[col], "the iteration overflowed"))
-    i = next(f.i for f in batch.plan.factors
+    i = next(f.i for f in iterate.plan.factors
              if not np.isfinite(bad[f.indices]).all())
-    return (f"subdomain {i}: Schwarz CG step {n} at time "
-            f"{np.atleast_1d(batch.t)[col]} gave a non-finite iterate ({cause})")
+    return (f"subdomain {i}: Schwarz CG step {iterate.n + 1} at time "
+            f"{np.atleast_1d(iterate.t)[col]} gave a non-finite iterate ({cause})")
 
 
-def dap_residual(w, batch):
+def dap_residual(iterate):
     """Largest entry of the true residual c - A w, per column."""
-    return np.abs(batch.c - batch.plan.apply_A(w)).max(axis=-1)
+    return np.abs(iterate.c - iterate.plan.apply_A(iterate.w)).max(axis=-1)
 
 
 def run_mps(plan, background, time, tol, max_iters):
@@ -417,7 +402,7 @@ def _cg_groups(plan, backgrounds, times, tol, max_iters):
     groups, out = [], []
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        iterate = initial_iterate(plan.bind(backgrounds, times))
+        iterate = plan.bind(backgrounds, times)
         cols = np.arange(len(times))       # batch column of each active row
         while True:
             done = iterate.eq_residual <= tol
@@ -430,13 +415,13 @@ def _cg_groups(plan, backgrounds, times, tol, max_iters):
                 cols, iterate = cols[~stop], iterate.take(~stop)
             iterate = mps_sweep(iterate)
 
-        lam = max(plan.lam, np.finfo(float).tiny)
         for cols, it, done in groups:
-            res = dap_residual(it.w, it.batch)
+            res = dap_residual(it)
             hists = [MpsHistory(n_sweeps=it.n, residual=r, eq_residual=e,
-                                converged=ok, eps_mps=plan.v_norm * a / lam)
+                                converged=ok,
+                                eps_mps=plan.v_norm * a / plan.lam)
                      for r, e, a, ok in zip(it.residual.tolist(),
-                                            (res / it.batch.scale).tolist(),
+                                            (res / it.scale).tolist(),
                                             res.tolist(), done.tolist())]
             out.append((cols, it, hists))
     return out

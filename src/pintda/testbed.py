@@ -27,7 +27,6 @@ class ModelInstance:
 
     np: int                 # number of spatial grid points
     n_steps: int            # number of time points on [0, T]
-    T: float
     h: float                # time step, T / (n_steps - 1)
     time_grid: np.ndarray   # t_k = k * h
     M: np.ndarray           # one-step propagator, np x np
@@ -48,7 +47,6 @@ class CovarianceFactorPair:
     V: np.ndarray
     sigma_b: float
     sigma_r: float
-    L: float                # correlation length in grid units
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,6 @@ class ObservationSet:
     nobs: int
     obs: np.ndarray         # observed grid points, one frozen index array
     v: np.ndarray           # (n_steps, nobs), row k observes time k; frozen
-    seed: int
     u_truth: np.ndarray
 
 
@@ -119,7 +116,7 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
         raise TestbedError(f"{singular}: its row sums are off by {row_error:.3g}, "
                            f"more than {ROW_SUM_TOL:g}")
     time_grid = np.linspace(0.0, T, n_steps)
-    return ModelInstance(np=n_grid, n_steps=n_steps, T=float(T), h=h,
+    return ModelInstance(np=n_grid, n_steps=n_steps, h=h,
                          time_grid=_freeze(time_grid), M=_freeze(M))
 
 
@@ -161,8 +158,7 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
         raise TestbedError(f"background covariance is not SPD: {err}") from err
 
     return CovarianceFactorPair(B=_freeze(B), V=_freeze(V),
-                                sigma_b=float(sigma_b), sigma_r=float(sigma_r),
-                                L=float(L))
+                                sigma_b=float(sigma_b), sigma_r=float(sigma_r))
 
 
 def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True):
@@ -200,7 +196,7 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
         v += covpair.sigma_r * np.random.default_rng(seed).standard_normal(
             (n_steps, nobs))
 
-    return ObservationSet(nobs=nobs, obs=obs, v=_freeze(v), seed=int(seed),
+    return ObservationSet(nobs=nobs, obs=obs, v=_freeze(v),
                           u_truth=_freeze(u_truth))
 
 

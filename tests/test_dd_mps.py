@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from pintda import dd_mps, harness, parareal, testbed, var_solver
 from pintda.dd_mps import (PartitionError, assemble_local_system,
-                           build_factors, dap_residual, initial_iterate,
-                           mps_sweep, partition_domain, run_mps)
+                           build_factors, dap_residual, mps_sweep,
+                           partition_domain, run_mps)
 
 
 class TestPartitionDomain:
@@ -81,8 +81,8 @@ def dense_system(vconfig):
     return A, rinv * S.T @ (vconfig.observations.v[t] - vconfig.u0[ix])
 
 
-def batch_of_one(factors, vconfig):
-    """The unbatched Batch of vconfig's background and time."""
+def start_of(factors, vconfig):
+    """The unbatched step-0 iterate of vconfig's background and time."""
     return factors.bind([vconfig.u0], [vconfig.time_index]).take(0)
 
 
@@ -105,8 +105,8 @@ class TestAssembleLocalSystem:
         vempty = dataclasses.replace(vconfig, observations=empty_obs)
         sys0 = systems_for(vempty, partition)[0]
         np.testing.assert_array_equal(sys0.A_loc, np.eye(8))
-        batch = batch_of_one(build_factors(vempty, partition), vempty)
-        np.testing.assert_array_equal(batch.c, np.zeros(8))
+        start = start_of(build_factors(vempty, partition), vempty)
+        np.testing.assert_array_equal(start.c, np.zeros(8))
 
     def test_degenerate_block_matches_conjugated_hessian(self, bench_problem):
         vconfig, _ = bench_problem
@@ -131,7 +131,7 @@ class TestAssembleLocalSystem:
         vconfig, partition = harness.build_problem(cfg)
         A, c = dense_system(vconfig)
         factors = build_factors(vconfig, partition)
-        np.testing.assert_allclose(batch_of_one(factors, vconfig).c, c,
+        np.testing.assert_allclose(start_of(factors, vconfig).c, c,
                                    rtol=1e-13, atol=1e-12)
         for s in factors.factors:
             idx = s.indices
@@ -143,8 +143,8 @@ class TestSweepAndPatch:
     def test_single_block_sweep_hits_global_solution(self, bench_problem):
         vconfig, _ = bench_problem
         partition = partition_domain(vconfig.instance.np, 1, 0)
-        batch = batch_of_one(build_factors(vconfig, partition), vconfig)
-        it = mps_sweep(initial_iterate(batch))
+        start = start_of(build_factors(vconfig, partition), vconfig)
+        it = mps_sweep(start)
         direct = var_solver.solve_var_direct(vconfig, "threeD")
         w_direct = np.linalg.solve(vconfig.covpair.V, direct.u_da - vconfig.u0)
         np.testing.assert_allclose(it.w, w_direct, atol=1e-9)
@@ -157,8 +157,8 @@ class TestSweepAndPatch:
         rng = np.random.default_rng(5)
         backgrounds = [vconfig.u0 + rng.standard_normal(vconfig.u0.size)
                        for _ in range(3)]
-        fwd = initial_iterate(factors.bind(backgrounds, [1, 1, 1]))
-        rev = initial_iterate(factors.bind(backgrounds[::-1], [1, 1, 1]))
+        fwd = factors.bind(backgrounds, [1, 1, 1])
+        rev = factors.bind(backgrounds[::-1], [1, 1, 1])
         for _ in range(3):
             fwd, rev = mps_sweep(fwd), mps_sweep(rev)
             np.testing.assert_array_equal(fwd.w, rev.w[::-1])
@@ -170,7 +170,7 @@ class TestSweepAndPatch:
         _, vconfig, partition = correlated_problem
         it, hist = run_own(vconfig, partition, tol=1e-13, max_iters=200)
         assert hist.converged
-        assert dap_residual(it.w, it.batch) <= 1e-10 * it.batch.scale
+        assert dap_residual(it) <= 1e-10 * it.scale
         # every block's rows of A w = c, formed densely
         A, c = dense_system(vconfig)
         g = A @ it.w - c
@@ -180,8 +180,8 @@ class TestSweepAndPatch:
     def test_patch_single_block(self, bench_problem):
         vconfig, _ = bench_problem
         partition = partition_domain(vconfig.instance.np, 1, 0)
-        batch = batch_of_one(build_factors(vconfig, partition), vconfig)
-        it = mps_sweep(initial_iterate(batch))
+        start = start_of(build_factors(vconfig, partition), vconfig)
+        it = mps_sweep(start)
         expected = vconfig.u0 + vconfig.covpair.V @ it.w
         np.testing.assert_array_equal(it.patched, expected)
 
@@ -255,7 +255,7 @@ class TestRunMps:
         assert not hist.converged
         assert hist.n_sweeps == it.n == 1
         assert hist.residual == it.residual
-        assert hist.eq_residual == dap_residual(it.w, it.batch) / it.batch.scale
+        assert hist.eq_residual == dap_residual(it) / it.scale
 
     @pytest.mark.parametrize("max_iters", [0, 3])
     def test_eps_mps_maps_final_residual_to_state_space(self, correlated_problem,
@@ -264,7 +264,7 @@ class TestRunMps:
         it, hist = run_own(vconfig, partition, tol=1e-14, max_iters=max_iters)
         assert hist.n_sweeps == max_iters
         v_norm = float(np.abs(vconfig.covpair.V).sum(axis=1).max())
-        true = dap_residual(it.w, it.batch)
+        true = dap_residual(it)
         assert hist.eps_mps == v_norm * true / vconfig.lam
         A, c = dense_system(vconfig)
         np.testing.assert_allclose(true, np.abs(c - A @ it.w).max(),
@@ -273,8 +273,7 @@ class TestRunMps:
     def test_cost_history_decreases_to_plateau(self, correlated_problem):
         _, vconfig, partition = correlated_problem
         _, hist = run_own(vconfig, partition, tol=1e-12, max_iters=100)
-        it = initial_iterate(batch_of_one(build_factors(vconfig, partition),
-                                          vconfig))
+        it = start_of(build_factors(vconfig, partition), vconfig)
         costs = [var_solver.eval_cost(it.patched, vconfig, "threeD")]
         for _ in range(hist.n_sweeps):
             it = mps_sweep(it)
@@ -294,6 +293,18 @@ class TestRunMps:
         assert [u.tobytes() for u in owner[0]] \
             == [u.tobytes() for u in average[0]]
         assert owner[1] == average[1]
+
+    def test_zero_lambda_is_rejected(self):
+        # every one-point block is positive definite at lam = 0, but
+        # A = rinv S^T S has rank 4 < 32: CG once reported this solve
+        # converged with eps_mps near 1e294 for a state of size 2e3
+        cfg = dataclasses.replace(harness.ExperimentConfig(), np=32, L=2.0,
+                                  n_sub=32, overlap=0)
+        vconfig, partition = indexed_problem(cfg, [3, 11, 19, 31])
+        singular = dataclasses.replace(vconfig, lam=0.0)
+        with pytest.raises(var_solver.VarSolverError,
+                           match="^lambda must be positive, got 0$"):
+            build_factors(singular, partition)
 
     def test_breakdown_is_reported_not_raised(self, correlated_problem):
         # at tol = 1e-300 the recursive residual shrinks until r.z is 0,
@@ -316,9 +327,9 @@ def slab_problem(vconfig, t, seed):
 
 def assert_reuse_matches_fresh(factors, slab, partition):
     """A solve on reused factors equals one on freshly assembled systems."""
-    batch = batch_of_one(factors, slab)
+    start = start_of(factors, slab)
     own = build_factors(slab, partition)
-    np.testing.assert_array_equal(batch.c, batch_of_one(own, slab).c)
+    np.testing.assert_array_equal(start.c, start_of(own, slab).c)
     for f in factors.factors:
         fresh = assemble_local_system(f.i, partition, slab)
         np.testing.assert_array_equal(f.A_loc, fresh.A_loc)
@@ -392,13 +403,13 @@ class TestNonFinite:
     def test_nan_in_last_block_is_not_dropped(self, correlated_problem):
         # a max() over the blocks would return block 0's finite values
         _, vconfig, partition = correlated_problem
-        batch = batch_of_one(build_factors(vconfig, partition), vconfig)
-        c = batch.c.copy()
+        start = start_of(build_factors(vconfig, partition), vconfig)
+        c = start.c.copy()
         c[-1] = np.nan
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 1: Schwarz CG step 1 .*right-hand "
                                  "side c is not finite"):
-            mps_sweep(initial_iterate(dataclasses.replace(batch, c=c)))
+            mps_sweep(dataclasses.replace(start, c=c, r=c))
 
     def test_overflowing_local_system_names_sigma_b(self):
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=16, n_steps=4,
@@ -409,17 +420,21 @@ class TestNonFinite:
             build_factors(vconfig, partition)
 
 
-
 class TestObservationTime:
-    @pytest.mark.parametrize("which", ["before", "after"])
+    @pytest.mark.parametrize("which", ["before", "after", "float", "bool"])
     def test_time_outside_the_observations_is_rejected(self, correlated_problem,
                                                        which):
-        # -1 would read the last time's observations, n_steps none at all
+        # -1 would read the last time's observations, n_steps none at all;
+        # 1.0 and True raised a bare IndexError, and in a batch with an int
+        # True became the int 1
         _, vconfig, partition = correlated_problem
         n_steps = vconfig.instance.n_steps
-        t = -1 if which == "before" else n_steps
+        t, why = {"before": (-1, rf"is outside \[0, {n_steps}\)"),
+                  "after": (n_steps, rf"is outside \[0, {n_steps}\)"),
+                  "float": (1.0, "is not an integer"),
+                  "bool": (True, "is not an integer")}[which]
         plan = build_factors(vconfig, partition)
-        match = rf"observation time {t} is outside \[0, {n_steps}\)"
+        match = rf"^observation time {t} {why}$"
         with pytest.raises(var_solver.VarSolverError, match=match):
             run_mps(plan, vconfig.u0, t, tol=1e-10, max_iters=5)
         with pytest.raises(var_solver.VarSolverError, match=match):
@@ -503,7 +518,7 @@ class TestSweepMatchesTextbook:
         *steps, true = textbook_cg(slab, systems_for(slab, partition),
                                    max_sweeps, tol)
 
-        iterate = initial_iterate(batch_of_one(factors, slab))
+        iterate = start_of(factors, slab)
         for n, (w, residual, eq_res, patched) in enumerate(steps):
             if n:
                 iterate = mps_sweep(iterate)
@@ -512,7 +527,7 @@ class TestSweepMatchesTextbook:
             assert iterate.residual == residual
             assert iterate.eq_residual == eq_res
             np.testing.assert_array_equal(iterate.patched, patched)
-        assert dap_residual(iterate.w, iterate.batch) == true
+        assert dap_residual(iterate) == true
 
         it, hist = run_mps(factors, slab.u0, slab.time_index, tol=tol,
                            max_iters=max_sweeps)
@@ -520,7 +535,7 @@ class TestSweepMatchesTextbook:
         np.testing.assert_array_equal(it.w, w)
         np.testing.assert_array_equal(it.patched, patched)
         assert hist.residual == residual
-        assert hist.eq_residual == true / iterate.batch.scale
+        assert hist.eq_residual == true / iterate.scale
         assert hist.n_sweeps == len(steps) - 1
         assert hist.converged == (eq_res <= tol)
         assert hist.eps_mps == factors.v_norm * true / lam
@@ -684,13 +699,13 @@ class TestBatchMatchesSolo:
         # columns' first blocks would not see it
         _, vconfig, partition = correlated_problem
         factors = build_factors(vconfig, partition)
-        batch = factors.bind([vconfig.u0] * 3, (1, 2, 1))
-        c = batch.c.copy()
+        start = factors.bind([vconfig.u0] * 3, (1, 2, 1))
+        c = start.c.copy()
         c[1, -1] = np.nan
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 1: Schwarz CG step 1 at time 2 "
                                  ".*right-hand side c is not finite"):
-            mps_sweep(initial_iterate(dataclasses.replace(batch, c=c)))
+            mps_sweep(dataclasses.replace(start, c=c, r=c))
 
 
 def dense_H(ix, n_grid):
@@ -744,14 +759,14 @@ class TestObservationsAsIndices:
         rng = np.random.default_rng(seed)
         times = rng.integers(0, 4, size=n_cols).tolist()
         backgrounds = vconfig.u0 + rng.standard_normal((n_cols, n_grid))
-        batch = build_factors(vconfig, partition).bind(backgrounds, times)
-        for f in batch.plan.factors:
+        start = build_factors(vconfig, partition).bind(backgrounds, times)
+        for f in start.plan.factors:
             S, A_loc, c = dense_local_reference(vconfig, partition, f.i,
                                                 backgrounds, times)
-            np.testing.assert_array_equal(batch.plan.S, S)
+            np.testing.assert_array_equal(start.plan.S, S)
             np.testing.assert_array_equal(f.A_loc, A_loc)
             for col in range(n_cols):
-                np.testing.assert_array_equal(batch.c[col], c[col])
+                np.testing.assert_array_equal(start.c[col], c[col])
 
     @pytest.mark.parametrize("n_sub", [1, 2])
     def test_duplicate_index_solve_matches_dense_reference(self, n_sub):

@@ -241,7 +241,7 @@ class TestObservations:
 
 class TestAssembleG:
     def test_single_time_point_gives_H0(self, small_cov):
-        inst = testbed.ModelInstance(np=8, n_steps=1, T=0.0, h=1.0,
+        inst = testbed.ModelInstance(np=8, n_steps=1, h=1.0,
                                      time_grid=np.zeros(1), M=np.eye(8))
         obs = build_observations(inst, small_cov, [0, 4, 7], np.zeros(8),
                                  seed=0, noise=False)

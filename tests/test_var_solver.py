@@ -12,12 +12,12 @@ from pintda.var_solver import (VarProblemConfig, VarSolverError, eval_cost,
 
 def identity_config(n, u0, v, alpha=1.0, lam=1.0):
     """Hand-built single-time problem with G = H = I and B = R = I."""
-    inst = ModelInstance(np=n, n_steps=1, T=0.0, h=1.0,
-                         time_grid=np.zeros(1), M=np.eye(n))
+    inst = ModelInstance(np=n, n_steps=1, h=1.0, time_grid=np.zeros(1),
+                         M=np.eye(n))
     cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
-                               sigma_r=1.0, L=0.0)
+                               sigma_r=1.0)
     obs = ObservationSet(nobs=n, obs=np.arange(n),
-                         v=np.asarray(v, dtype=float)[None], seed=0,
+                         v=np.asarray(v, dtype=float)[None],
                          u_truth=np.zeros(n))
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
                             u0=np.asarray(u0, dtype=float), alpha=alpha,
