@@ -31,7 +31,7 @@ print(f"stopped after n = {hist.n_outer} iterations ({hist.reason}); "
       f"the slab corrections of each iteration ran on 4 workers")
 print()
 print("error vs the serial chain, per iteration and slab:")
-E = np.array(hist.E)
+E = np.abs(reference - np.array(trajectory.u)).max(axis=2)
 header = "  n\\k " + " ".join(f"{k:9d}" for k in range(E.shape[1]))
 print(header)
 for n in range(E.shape[0]):
@@ -42,8 +42,9 @@ print("the first n slabs already carry the exact fine solution")
 
 print()
 print("=== iterate differences and correction factors ===")
-for n, diff in enumerate(hist.iterate_diffs, start=1):
-    dmax = max(hist.delta_norms[n - 1])
+for n in range(1, trajectory.n + 1):
+    diff = np.abs(trajectory.u[n] - trajectory.u[n - 1]).max()
+    dmax = np.abs(trajectory.delta[n - 1][1:]).max()
     print(f"  iteration {n}: max state change {diff:.2e}, "
           f"largest correction factor {dmax:.2e}")
 

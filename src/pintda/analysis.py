@@ -4,7 +4,10 @@ All norms here are max norms.  The central objects are the discrete Gronwall
 bound, the Lipschitz constant of the propagator expressed against the cost
 Hessian's condition number, the geometric recurrence that bounds the outer
 iteration error, and the three-term round-off bound; each is evaluated with
-measured inputs rather than asserted symbolically.
+measured inputs rather than asserted symbolically.  The measured inputs come
+from the caller: harness.run_experiment reads the error table E and the
+probe differences from the Parareal trajectory and the serial fine chain,
+and passes them in.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ class LipschitzEstimate:
     C: float
     L: float                # ||M||_inf^2
     max_ratio: float        # tightest empirical ||M(u-v)|| / ||u-v||
-    n_probes: int
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,6 @@ class RoundoffBound:
     term_initial: float     # propagation of the initial-value round-off
     term_iteration: float   # propagation of the previous iteration's round-off
     term_rho: float         # local round-off contribution
-
-
-@dataclass(frozen=True)
-class ErrorHistory:
-    """Measured errors next to the recurrence bound that should dominate them."""
-
-    E: np.ndarray           # E[n, k] = ||u_k^DA - u_k^n||_inf
-    c_bound: np.ndarray     # c_bound[n] valid for n >= 1 (nan at 0)
 
 
 def gronwall_bound(M0, R, H, N):
@@ -94,9 +88,9 @@ def lipschitz_estimate(M, mu_A, differences):
     mu_A times the tightest probe ratio ||M d|| / ||d||, which makes the
     inequality hold (with equality at the worst probe) on everything fed in;
     the caller should include the difference vectors it actually cares about.
-    Zero rows (coinciding pairs) are skipped and not counted; a non-finite
-    probe makes C non-finite.  L = ||M||_inf^2 is reported alongside for the
-    error-magnitude form.  The probes run as stacked gemvs,
+    Zero rows (coinciding pairs) are skipped; a non-finite probe makes C
+    non-finite.  L = ||M||_inf^2 is reported alongside for the error-magnitude
+    form.  The probes run as stacked gemvs,
     matmul(M, D[..., None]), which keep each row's M @ d bits; never as a
     gemm (D @ M.T), which does not (a BLAS gemm sums in another order).
     """
@@ -116,8 +110,7 @@ def lipschitz_estimate(M, mu_A, differences):
 
     max_ratio = float(ratios.max())
     L = float(np.abs(M).sum(axis=1).max()) ** 2
-    return LipschitzEstimate(C=mu_A * max_ratio, L=L, max_ratio=max_ratio,
-                             n_probes=ratios.size)
+    return LipschitzEstimate(C=mu_A * max_ratio, L=L, max_ratio=max_ratio)
 
 
 def error_scale_constant(L, delta_err, xi):
@@ -170,19 +163,20 @@ def recurrence_step(c_n, params):
 
 
 def error_and_bound_history(E, params):
-    """Tabulate measured iteration errors next to the recurrence bound.
+    """The recurrence bound c_bound[n] for every level n of the error table E.
 
-    `E` is the error table run_parareal measured against the serial fine
-    chain (history.E): E[n, k] = ||u_k^DA - u_k^n||_inf.  The recurrence is
-    seeded with the measured gap c_1 = C_h.
+    E[n, k] = ||u_k^DA - u_k^n||_inf is measured by the caller, against the
+    serial fine chain, from the Parareal trajectory's levels
+    (harness.run_experiment); only its level count is read here.  The
+    recurrence is seeded with the measured gap c_1 = C_h; c_bound[0] is NaN,
+    since level 0 has no bound.
     """
-    E = np.asarray(E, dtype=float)
     c_bound = np.full(len(E), np.nan)
     if len(E) > 1:
         c_bound[1] = params.C_h
         for n in range(1, len(E) - 1):
             c_bound[n + 1] = recurrence_step(c_bound[n], params)
-    return ErrorHistory(E=E, c_bound=c_bound)
+    return c_bound
 
 
 def roundoff_proxies(trajectory, M):

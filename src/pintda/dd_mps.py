@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .var_solver import VarSolverError, normal_matrix
+from .var_solver import VarSolverError, normal_matrix, require_integer
 
 # The float64 LAPACK solve that scipy.linalg.cho_solve dispatches to, bound
 # once: the preconditioner calls it directly, without cho_solve's checks.
@@ -140,8 +140,7 @@ class CgPlan:
         observations v of its own time, and starts at w = 0, so r = c.  A
         time that is not an integer in [0, len(v)) raises VarSolverError."""
         for t in times:
-            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-                raise VarSolverError(f"observation time {t} is not an integer")
+            require_integer("observation time", t)
             if not 0 <= t < len(self.v):
                 raise VarSolverError(f"observation time {t} is outside "
                                      f"[0, {len(self.v)})")
@@ -219,8 +218,12 @@ def partition_domain(n_grid, n_sub, overlap):
 
     Each internal cut extends the left block right by ceil(overlap/2) and the
     right block left by floor(overlap/2); a block's core is its span between
-    the cuts.
+    the cuts.  An argument that is not an integer (a bool is not) raises
+    PartitionError naming it.
     """
+    for name, value in (("n_grid", n_grid), ("n_sub", n_sub),
+                        ("overlap", overlap)):
+        require_integer(name, value, PartitionError)
     if n_sub < 1:
         raise PartitionError(f"n_sub must be >= 1, got {n_sub}")
     if overlap < 0:
@@ -354,11 +357,12 @@ def run_mps(plan, background, time, tol, max_iters):
 
     The solve stops when max|c - A w| / (1 + max|c|), read from the
     recursive residual, is at most tol (converged), or after max_iters
-    steps; non-convergence is reported through the returned history, not
-    raised.  The history's eq_residual is the true residual at the final
-    iterate, and eps_mps = ||V||_inf max|c - A w| / lam maps it to state
-    space, since A >= lam I bounds the control error by |c - A w| / lam (in
-    the 2-norm; the max-norm map is a proxy).
+    steps (an integer >= 0, else ValueError); non-convergence is reported
+    through the returned history, not raised.  The history's eq_residual
+    is the true residual at the final iterate, and eps_mps = ||V||_inf
+    max|c - A w| / lam maps it to state space, since A >= lam I bounds the
+    control error by |c - A w| / lam (in the 2-norm; the max-norm map is a
+    proxy).
     Returns the final CgIterate, whose `patched` is the analysis, and the
     history.  This is the batch of one of run_mps_batch.
     """
@@ -399,6 +403,9 @@ def _cg_groups(plan, backgrounds, times, tol, max_iters):
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    require_integer("max_iters", max_iters, ValueError)
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     groups, out = [], []
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

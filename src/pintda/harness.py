@@ -4,7 +4,10 @@ A run is fully determined by (config, seed): the truth, the background, the
 observation noise and every solver phase are seeded or exactly reproducible,
 and the worker count only changes how independent slab corrections are
 scheduled, never their values.  Reports are emitted with 17 significant
-digits so a parsed report reproduces every float exactly.
+digits so a parsed report reproduces every float exactly.  run_experiment
+reads the report's error table E_kn = ||reference[k] - u^n_k|| and its
+correction norms delta_norm from the Parareal trajectory's levels and the
+serial fine chain; the iteration's history adds only what it alone knows.
 """
 
 from __future__ import annotations
@@ -280,12 +283,18 @@ def run_experiment(config):
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
         workers=config.workers, chain=chain)
 
-    # Lipschitz probes: the differences of random pairs, then the realized
-    # error directions reference - u^n of every level.
+    # The realized error directions reference - u^n of every level, formed
+    # once and in place as one (levels, points, np) array: the Lipschitz
+    # probes read them after the differences of random pairs, then they
+    # reduce in place to the error table E[n, k] = ||reference[k] - u^n_k||.
+    errors = np.array(trajectory.u)
+    np.subtract(reference, errors, out=errors)
     pairs = np.random.default_rng([config.seed, 3]).standard_normal(
         (32, 2, config.np))
     lip = analysis.lipschitz_estimate(M, mu_A, np.concatenate(
-        [pairs[:, 0] - pairs[:, 1], *(reference - u for u in trajectory.u)]))
+        [pairs[:, 0] - pairs[:, 1], *errors]))
+    E = np.abs(errors, out=errors).max(axis=2)
+    del errors          # not held through the round-off shadow's own stacks
 
     xi, sigma_err, delta_err = analysis.twin_error_scales(
         vconfig.u0, vconfig.observations.u_truth, reference, M)
@@ -301,7 +310,7 @@ def run_experiment(config):
 
     params = analysis.BoundParameters(
         C=lip.C, mu_A=mu_A, eps_mps=eps_mps, N=n_points - 1, C_h=C_h)
-    errhist = analysis.error_and_bound_history(phist.E, params)
+    c_bound = analysis.error_and_bound_history(E, params)
     R_obs, rho_local = analysis.roundoff_proxies(trajectory, M)
     rb = analysis.roundoff_bound(params, R_prev=R_obs[:-1, :-1],
                                  R0=R_obs[1:, :1], rho=rho_local)
@@ -315,9 +324,10 @@ def run_experiment(config):
 
     columns = (
         list(range(1, n_points)) * n_outer, per_n(range(1, n_outer + 1)),
-        errhist.E[1:, 1:].ravel().tolist(),
-        [x for norms in phist.delta_norms for x in norms],
-        per_n(errhist.c_bound[1:].tolist()),
+        E[1:, 1:].ravel().tolist(),
+        [x for delta in trajectory.delta
+         for x in np.abs(delta[1:]).max(axis=1).tolist()],
+        per_n(c_bound[1:].tolist()),
         [h.eq_residual for hists in phist.mps for h in hists],
         *(per_n([v] * n_outer) for v in (mu_A, lip.C, eps_mps)),
         rb.total.ravel().tolist(), per_n(rb.term_initial.ravel().tolist()),
@@ -347,8 +357,7 @@ def run_experiment(config):
         "fine_solves": len(chain_hists) + solved,
         "fine_solves_reused": phist.n_outer * (n_points - 1) - solved,
         "mps_unconverged": mps_unconverged,
-        "bound_dominates": bool(np.all(errhist.E[1:, 1:]
-                                       <= errhist.c_bound[1:, None])),
+        "bound_dominates": bool(np.all(E[1:, 1:] <= c_bound[1:, None])),
         "mu_A": mu_A,
         "C_const": lip.C,
         "C_error_scale": analysis.error_scale_constant(lip.L, delta_err, xi),
@@ -403,36 +412,26 @@ def emit_report(records, format="csv", path="-"):
 
 
 def _build_arg_parser():
+    """Each flag but --config writes its config key, its `dest`."""
     parser = argparse.ArgumentParser(
         prog="pintda",
         description="Run a parallel-in-time data-assimilation twin experiment.")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--np", type=int, dest="np_points",
-                        help="number of spatial grid points")
-    parser.add_argument("--slabs", type=int, help="number of time points")
-    parser.add_argument("--nsub", type=int, help="number of subdomains")
+    parser.add_argument("--np", type=int, help="number of spatial grid points")
+    parser.add_argument("--slabs", type=int, dest="n_steps",
+                        help="number of time points")
+    parser.add_argument("--nsub", type=int, dest="n_sub",
+                        help="number of subdomains")
     parser.add_argument("--overlap", type=int, help="shared points between blocks")
-    parser.add_argument("--tol", type=float, help="outer iteration tolerance")
-    parser.add_argument("--max-iters", type=int, help="outer iteration cap")
+    parser.add_argument("--tol", type=float, dest="tol_parareal",
+                        help="outer iteration tolerance")
+    parser.add_argument("--max-iters", type=int, dest="max_outer",
+                        help="outer iteration cap")
     parser.add_argument("--workers", type=int, help="parallel workers")
     parser.add_argument("--seed", type=int, help="experiment seed")
     parser.add_argument("--format", choices=("csv", "json"), help="report format")
     parser.add_argument("--out", help="report path, '-' for stdout")
     return parser
-
-
-_CLI_TO_KEY = {
-    "np_points": "np",
-    "slabs": "n_steps",
-    "nsub": "n_sub",
-    "overlap": "overlap",
-    "tol": "tol_parareal",
-    "max_iters": "max_outer",
-    "workers": "workers",
-    "seed": "seed",
-    "format": "format",
-    "out": "out",
-}
 
 
 def main(argv=None):
@@ -450,14 +449,11 @@ def main(argv=None):
     is nonzero.
     summary["outer_to_slabs"] is n_outer over the slab count.
     """
-    args = _build_arg_parser().parse_args(argv)
-    overrides = {}
-    for attr, key in _CLI_TO_KEY.items():
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: value for key, value
+                 in vars(_build_arg_parser().parse_args(argv)).items()
+                 if value is not None}
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(overrides.pop("config", None), overrides)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1

@@ -10,12 +10,14 @@ storing the correction factor delta = fine - coarse per slab, each level
 one (n_points, np) array with row k for time point k.  The initial state is
 pinned to u0 at every iteration.  After as many iterations as there are
 slabs the trajectory reproduces the serial fine chain exactly, so the driver
-also stops there.
+also stops there.  The trajectory is the run's record: the error table
+E[n, k] = ||reference[k] - u[n][k]||_inf, the correction norms and the
+iterate differences are all read from its levels.
 
-Slab k is [t_{k-1}, t_k] of instance.time_grid and assimilates the batch at
-t_k.  Its fine solve is dd_mps.run_mps(plan, background, k, ...): a
-function of the problem's CgPlan, which build_factors makes once per run,
-the slab's coarse background and its time alone.  The slabs an iteration
+Slab k is [t_{k-1}, t_k], with t_k = k h (h = instance.h), and assimilates
+the batch at t_k.  Its fine solve is dd_mps.run_mps(plan, background, k,
+...): a function of the problem's CgPlan, which build_factors makes once per
+run, the slab's coarse background and its time alone.  The slabs an iteration
 solves are independent, so they are solved as the columns of one fine-solve
 batch (dd_mps.run_mps_batch).  With `workers` > 1 that batch is split into
 at most `workers` contiguous batches, which run on a thread pool.  A column
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dd_mps import build_factors, run_mps, run_mps_batch
+from .var_solver import require_integer
 
 
 @dataclass(frozen=True)
@@ -71,20 +74,14 @@ class PararealTrajectory:
 
 @dataclass
 class PararealHistory:
-    iterate_diffs: list = field(default_factory=list)   # max_k ||u^{n+1}-u^n||_inf
-    delta_norms: list = field(default_factory=list)     # per iteration, per slab
+    """What only the iteration knows; all else is read from the trajectory."""
+
     mps: list = field(default_factory=list)             # per iteration, per slab
     solved: list = field(default_factory=list)          # per iteration, slabs solved
     wall_s: list = field(default_factory=list)          # per iteration
-    E: list = field(default_factory=list)               # vs the chain, per level
     converged: bool = False
     reason: str = "max_outer"
     n_outer: int = 0
-
-
-def _max_abs(rows):
-    """max |x| of every row, as a list of floats; NaN propagates."""
-    return np.abs(rows).max(axis=1).tolist()
 
 
 def initial_trajectory(config):
@@ -131,6 +128,7 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     the other slabs are solved.  Returns the extended trajectory, the
     per-slab inner-solver histories and the list of slabs solved.
     """
+    require_integer("workers", workers, ValueError)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     states = trajectory.u[-1]
@@ -216,23 +214,24 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     backgrounds, deltas and histories) as known, and a slab whose background
     is bitwise unchanged since the previous iteration is not solved again.
     `chain`, the (states, histories) pair that serial_fine_chain returns
-    under these same solver settings, must hold one (n_steps, np) state
-    array and n_steps - 1 histories.  It adds one known level, built once:
-    slab k's chain background M reference[k-1] and delta reference[k] minus
-    it, so iteration n solves only the slabs k > n, and history.E measures
-    every level against the chain's states.
+    under these same solver settings, must hold one finite (n_steps, np)
+    state array and n_steps - 1 histories.  It adds one known level, built
+    once: slab k's chain background M reference[k-1] and delta reference[k]
+    minus it, so iteration n solves only the slabs k > n.
     history.solved lists the slabs solved per iteration, and history.wall_s
-    measures the reduced work.
+    measures the reduced work.  max_outer and workers must be integers,
+    not bools.
     """
     for name, value in (("tol", tol), ("tol_mps", tol_mps)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
+    require_integer("max_outer", max_outer, ValueError)
     if max_outer < 1:
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     trajectory = initial_trajectory(config)
     n_slabs = config.instance.n_steps - 1
     history = PararealHistory()
-    reference, chain_level = None, ()
+    chain_level = ()
     if chain is not None:
         reference, chain_hists = chain
         shape = trajectory.u[0].shape
@@ -242,12 +241,15 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
         if len(chain_hists) != n_slabs:
             raise ValueError(f"chain must hold {n_slabs} histories, got "
                              f"{len(chain_hists)}")
+        finite = np.isfinite(reference).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"chain states are not finite at time "
+                             f"{np.argmin(finite)}")
         # each row's delta is bitwise the delta its fine solve computes
         backgrounds = np.array(reference, dtype=float)
         for k in range(1, len(backgrounds)):
             backgrounds[k] = config.instance.M @ reference[k - 1]
         chain_level = ((backgrounds, reference - backgrounds, chain_hists),)
-        history.E.append(_max_abs(reference - trajectory.u[0]))
 
     for _ in range(max_outer):
         t0 = time.perf_counter()
@@ -258,17 +260,11 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
             tol_mps=tol_mps, max_sweeps=max_sweeps, workers=workers)
         history.wall_s.append(time.perf_counter() - t0)
         history.solved.append(solved)
-        n, level = trajectory.n, trajectory.u[-1]
-        diff = float(np.abs(level - trajectory.u[-2]).max())
-        history.iterate_diffs.append(diff)
-        history.delta_norms.append(_max_abs(trajectory.delta[-1][1:]))
         history.mps.append(mps_hists)
-        if reference is not None:
-            history.E.append(_max_abs(reference - level))
-        if diff <= tol:
+        if np.abs(trajectory.u[-1] - trajectory.u[-2]).max() <= tol:
             history.converged, history.reason = True, "tol"
             break
-        if n >= n_slabs:
+        if trajectory.n >= n_slabs:
             history.converged, history.reason = True, "exact"
             break
     history.n_outer = trajectory.n

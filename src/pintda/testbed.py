@@ -27,8 +27,7 @@ class ModelInstance:
 
     np: int                 # number of spatial grid points
     n_steps: int            # number of time points on [0, T]
-    h: float                # time step, T / (n_steps - 1)
-    time_grid: np.ndarray   # t_k = k * h
+    h: float                # time step T / (n_steps - 1); t_k = k h
     M: np.ndarray           # one-step propagator, np x np
 
     def propagate(self, u, steps=1):
@@ -54,7 +53,6 @@ class ObservationSet:
     """Pointwise observations of a known truth at the same grid points at
     every time; the operator H is the row selection x -> x[obs]."""
 
-    nobs: int
     obs: np.ndarray         # observed grid points, one frozen index array
     v: np.ndarray           # (n_steps, nobs), row k observes time k; frozen
     u_truth: np.ndarray
@@ -115,9 +113,7 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
     if not row_error <= ROW_SUM_TOL:
         raise TestbedError(f"{singular}: its row sums are off by {row_error:.3g}, "
                            f"more than {ROW_SUM_TOL:g}")
-    time_grid = np.linspace(0.0, T, n_steps)
-    return ModelInstance(np=n_grid, n_steps=n_steps, h=h,
-                         time_grid=_freeze(time_grid), M=_freeze(M))
+    return ModelInstance(np=n_grid, n_steps=n_steps, h=h, M=_freeze(M))
 
 
 def build_covariance(n_grid, sigma_b, sigma_r, L):
@@ -196,8 +192,7 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
         v += covpair.sigma_r * np.random.default_rng(seed).standard_normal(
             (n_steps, nobs))
 
-    return ObservationSet(nobs=nobs, obs=obs, v=_freeze(v),
-                          u_truth=_freeze(u_truth))
+    return ObservationSet(obs=obs, v=_freeze(v), u_truth=_freeze(u_truth))
 
 
 def assemble_G(observations, instance):

@@ -51,6 +51,16 @@ class TestPartitionDomain:
         with pytest.raises(PartitionError):
             partition_domain(*args)
 
+    @pytest.mark.parametrize("args, name, value", [
+        ((32, 2, 1.5), "overlap", 1.5), ((32.0, 2, 2), "n_grid", 32.0),
+        ((32, True, 0), "n_sub", True), ((32, 2.0, 0), "n_sub", 2.0)])
+    def test_non_integer_arguments_are_named(self, args, name, value):
+        # 1.5 and 32.0 once gave float index arrays that build_factors
+        # rejected with a bare IndexError; True was taken as one block
+        with pytest.raises(PartitionError,
+                           match=rf"^{name} {value} is not an integer$"):
+            partition_domain(*args)
+
 
 class TestBlockSelection:
     @pytest.mark.parametrize("n_grid,n_sub,overlap", [(8, 2, 2), (64, 4, 2)])
@@ -99,8 +109,7 @@ class TestAssembleLocalSystem:
                                   nobs=1, n_sub=1, overlap=0)
         vconfig, partition = harness.build_problem(cfg)
         empty_obs = dataclasses.replace(
-            vconfig.observations, nobs=0,
-            obs=np.empty(0, dtype=int),
+            vconfig.observations, obs=np.empty(0, dtype=int),
             v=np.zeros((2, 0)))
         vempty = dataclasses.replace(vconfig, observations=empty_obs)
         sys0 = systems_for(vempty, partition)[0]
@@ -293,6 +302,21 @@ class TestRunMps:
         assert [u.tobytes() for u in owner[0]] \
             == [u.tobytes() for u in average[0]]
         assert owner[1] == average[1]
+
+    @pytest.mark.parametrize("max_iters, why", [
+        (-1, "must be >= 0, got -1"), (2.5, "2.5 is not an integer"),
+        (True, "True is not an integer")])
+    def test_bad_step_cap_is_rejected(self, correlated_problem, max_iters,
+                                      why):
+        # -1 once took no step, and 2.5 was taken as a cap, both silently
+        _, vconfig, partition = correlated_problem
+        plan = build_factors(vconfig, partition)
+        match = rf"^max_iters {why}$"
+        with pytest.raises(ValueError, match=match):
+            run_mps(plan, vconfig.u0, 1, tol=1e-10, max_iters=max_iters)
+        with pytest.raises(ValueError, match=match):
+            dd_mps.run_mps_batch(plan, [vconfig.u0] * 2, [1, 2], tol=1e-10,
+                                 max_iters=max_iters)
 
     def test_zero_lambda_is_rejected(self):
         # every one-point block is positive definite at lam = 0, but

@@ -180,6 +180,23 @@ class TestRunExperiment:
         for rec in bench_result.records:
             assert rec.delta_norm == float(np.max(np.abs(delta[rec.n - 1][rec.k])))
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n_steps": 40, "n_sub": 2, "nobs": 8, "max_outer": 39}],
+        ids=["default", "slab_long"])
+    def test_error_and_correction_columns_read_the_levels(self, overrides):
+        # E_kn and delta_norm, recomputed one level and one point at a time
+        # from the trajectory and the serial chain
+        result = run_experiment(load_config(None, overrides))
+        u, delta = result.trajectory.u, result.trajectory.delta
+        rows = [(n, k) for n in range(1, result.trajectory.n + 1)
+                for k in range(1, result.trajectory.n_points)]
+        assert [(r.n, r.k) for r in result.records] == rows
+        assert [r.E_kn for r in result.records] == [
+            float(np.max(np.abs(result.reference[k] - u[n][k])))
+            for n, k in rows]
+        assert [r.delta_norm for r in result.records] == [
+            float(np.max(np.abs(delta[n - 1][k]))) for n, k in rows]
+
     def test_two_runs_same_process_identical(self, bench_result):
         again = run_experiment(ExperimentConfig())
         assert render_report(again.records) == render_report(bench_result.records)
@@ -281,11 +298,10 @@ def _poison(monkeypatch, R_obs=(), E=(), probe=None):
             table[n, k] = value
         return table, rho
 
-    def history(*args, **kwargs):
-        errhist = real_history(*args, **kwargs)
+    def history(table, params):
         for (n, k), value in E:
-            errhist.E[n, k] = value
-        return errhist
+            table[n, k] = value
+        return real_history(table, params)
 
     def lipschitz(M, mu_A, differences):
         return real_lipschitz(M, mu_A, differences if probe is None
@@ -565,6 +581,28 @@ class TestCli:
                                   max_outer=3)
         result = run_experiment(cfg)
         assert result.records
+
+    @pytest.mark.parametrize("flag, raw, key, value", [
+        ("--np", "16", "np", 16), ("--slabs", "5", "n_steps", 5),
+        ("--nsub", "3", "n_sub", 3), ("--overlap", "1", "overlap", 1),
+        ("--tol", "1e-7", "tol_parareal", 1e-7),
+        ("--max-iters", "4", "max_outer", 4), ("--workers", "2", "workers", 2),
+        ("--seed", "9", "seed", 9), ("--format", "json", "format", "json"),
+        ("--out", "r.csv", "out", "r.csv")])
+    def test_each_flag_reaches_its_key(self, monkeypatch, capsys, flag, raw,
+                                       key, value):
+        seen = []
+
+        def run(config):
+            seen.append(config)
+            raise harness.DiagnosticError("stop")
+
+        monkeypatch.setattr(harness, "run_experiment", run)
+        assert harness.main([flag, raw]) == 3
+        [config] = seen
+        assert getattr(config, key) == value
+        assert config == dataclasses.replace(ExperimentConfig(), **{key: value})
+        assert capsys.readouterr().err == "solver error: stop\n"
 
     def test_config_file_flag(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

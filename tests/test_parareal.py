@@ -13,8 +13,7 @@ def no_observation_config(vconfig):
     """Strip every observation batch; assimilation then returns backgrounds."""
     n_steps = vconfig.instance.n_steps
     empty = dataclasses.replace(
-        vconfig.observations, nobs=0,
-        obs=np.empty(0, dtype=int),
+        vconfig.observations, obs=np.empty(0, dtype=int),
         v=np.zeros((n_steps, 0)))
     return dataclasses.replace(vconfig, observations=empty)
 
@@ -170,6 +169,31 @@ class TestRunParareal:
             run_parareal(vconfig, build_factors(vconfig, partition), tol=1e-9,
                          max_outer=max_outer)
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_outer", 2.5), ("max_outer", True), ("workers", 1.5),
+        ("workers", True)])
+    def test_counts_must_be_integers(self, bench_problem, name, value):
+        # 2.5 and 1.5 once raised a bare TypeError, and max_outer=True ran
+        # one iteration
+        vconfig, partition = bench_problem
+        with pytest.raises(ValueError,
+                           match=rf"^{name} {value} is not an integer$"):
+            run_parareal(vconfig, build_factors(vconfig, partition), tol=1e-9,
+                         **{"max_outer": 8, name: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_chain_is_rejected(self, bench_problem, bad):
+        # a NaN in row 3 once reached the trajectory through chain reuse and
+        # surfaced as a non-finite Parareal background at time 5
+        vconfig, partition = bench_problem
+        plan = build_factors(vconfig, partition)
+        states, hists = serial_fine_chain(vconfig, partition, factors=plan)
+        states[3, 7] = bad
+        with pytest.raises(ValueError,
+                           match=r"^chain states are not finite at time 3$"):
+            run_parareal(vconfig, plan, tol=1e-9, max_outer=8,
+                         chain=(states, hists))
+
     @pytest.mark.parametrize("name", ["tol", "tol_mps"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_tolerances_must_be_positive(self, bench_problem, name, value):
@@ -237,10 +261,11 @@ class TestRunParareal:
 
     def test_error_history_against_reference(self, bench_problem):
         vconfig, partition = bench_problem
-        _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
-                               tol=1e-9, max_outer=8,
-                               chain=serial_fine_chain(vconfig, partition))
-        E = np.array(hist.E)
+        reference, hists = serial_fine_chain(vconfig, partition)
+        traj, hist = run_parareal(vconfig, build_factors(vconfig, partition),
+                                  tol=1e-9, max_outer=8,
+                                  chain=(reference, hists))
+        E = np.abs(reference - np.array(traj.u)).max(axis=2)
         assert E.shape[0] == hist.n_outer + 1
         # errors vanish on the exact leading slabs and shrink overall
         for n in range(E.shape[0]):

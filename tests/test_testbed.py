@@ -38,8 +38,10 @@ class TestModelInstance:
 
     def test_time_grid_arithmetic(self):
         inst = build_model_instance(4, 5, 1.0, velocity=1.0, diffusivity=0.0)
-        np.testing.assert_array_equal(inst.time_grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+        # t_k = k h lands on the grid points of [0, T] exactly
         assert inst.h == 0.25
+        np.testing.assert_array_equal(np.arange(inst.n_steps) * inst.h,
+                                      [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_propagator_is_dissipative(self):
         # row-sum norm computed on an independently assembled scheme
@@ -207,7 +209,7 @@ class TestObservations:
         obs = build_observations(small_instance, small_cov, obs_indices,
                                  u_truth, seed=0, noise=False)
         assert obs.obs.dtype == int and not obs.obs.flags.writeable
-        assert obs.obs.tolist() == [5, 1, 5] and obs.nobs == 3
+        assert obs.obs.tolist() == [5, 1, 5]
         assert len(obs.v) == small_instance.n_steps
         G = assemble_G(obs, small_instance)
         # one shared block for every time after the first
@@ -235,14 +237,13 @@ class TestObservations:
     def test_no_observations(self, small_instance, small_cov):
         obs = build_observations(small_instance, small_cov, [], np.ones(8),
                                  seed=0)
-        assert obs.nobs == 0 and obs.obs.shape == (0,)
+        assert obs.obs.shape == (0,)
         assert obs.v.shape == (small_instance.n_steps, 0)
 
 
 class TestAssembleG:
     def test_single_time_point_gives_H0(self, small_cov):
-        inst = testbed.ModelInstance(np=8, n_steps=1, h=1.0,
-                                     time_grid=np.zeros(1), M=np.eye(8))
+        inst = testbed.ModelInstance(np=8, n_steps=1, h=1.0, M=np.eye(8))
         obs = build_observations(inst, small_cov, [0, 4, 7], np.zeros(8),
                                  seed=0, noise=False)
         G = assemble_G(obs, inst)
@@ -267,7 +268,7 @@ class TestAssembleG:
         obs = build_observations(small_instance, small_cov, [0, 2, 6],
                                  np.zeros(8), seed=0)
         G = assemble_G(obs, small_instance)
-        n, nobs = small_instance.n_steps, obs.nobs
+        n, nobs = small_instance.n_steps, len(obs.obs)
         assert len(G) == n
         assert all(b.shape == (nobs, small_instance.np) for b in G)
         assert scipy.linalg.block_diag(*G).shape == (n * nobs, small_instance.np * n)

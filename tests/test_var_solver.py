@@ -12,11 +12,10 @@ from pintda.var_solver import (VarProblemConfig, VarSolverError, eval_cost,
 
 def identity_config(n, u0, v, alpha=1.0, lam=1.0):
     """Hand-built single-time problem with G = H = I and B = R = I."""
-    inst = ModelInstance(np=n, n_steps=1, h=1.0, time_grid=np.zeros(1),
-                         M=np.eye(n))
+    inst = ModelInstance(np=n, n_steps=1, h=1.0, M=np.eye(n))
     cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
                                sigma_r=1.0)
-    obs = ObservationSet(nobs=n, obs=np.arange(n),
+    obs = ObservationSet(obs=np.arange(n),
                          v=np.asarray(v, dtype=float)[None],
                          u_truth=np.zeros(n))
     return VarProblemConfig(instance=inst, covpair=cov, observations=obs,
@@ -61,7 +60,7 @@ def dense_R(config, n_batches=None):
     obs = config.observations
     if n_batches is None:
         n_batches = len(obs.v)
-    return config.covpair.sigma_r**2 * np.eye(n_batches * obs.nobs)
+    return config.covpair.sigma_r**2 * np.eye(n_batches * len(obs.obs))
 
 
 def dense_normal_system(config):
@@ -284,6 +283,22 @@ class TestSolveVarDirect:
         match = rf"time_index {t} is outside \[0, {n_steps}\)"
         with pytest.raises(VarSolverError, match=match):
             solve_var_direct(dataclasses.replace(cfg, time_index=t), "threeD")
+
+    @pytest.mark.parametrize("t", [1.5, True, 1.0])
+    def test_time_index_that_is_not_an_integer_is_rejected(self, t):
+        # 1.5 once made the threeD solve raise a bare IndexError, and True
+        # a broadcasting ValueError
+        with pytest.raises(VarSolverError,
+                           match=rf"^time_index {t} is not an integer$"):
+            dataclasses.replace(random_config(), time_index=t)
+
+    def test_numpy_integer_time_index_is_accepted(self):
+        cfg = random_config()
+        want = solve_var_direct(dataclasses.replace(cfg, time_index=1),
+                                "threeD").u_da
+        got = solve_var_direct(dataclasses.replace(cfg, time_index=np.int64(1)),
+                               "threeD").u_da
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("variant, n_steps, factored", [
         ("threeD", 3, 1), ("fourD", 2, 2), ("fourD", 3, 2), ("fourD", 6, 2)])
