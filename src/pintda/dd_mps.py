@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .var_solver import VarSolverError, normal_matrix, require_integer
+from .testbed import require_integer
+from .var_solver import VarSolverError, normal_matrix
 
 # The float64 LAPACK solve that scipy.linalg.cho_solve dispatches to, bound
 # once: the preconditioner calls it directly, without cho_solve's checks.
@@ -140,7 +141,7 @@ class CgPlan:
         observations v of its own time, and starts at w = 0, so r = c.  A
         time that is not an integer in [0, len(v)) raises VarSolverError."""
         for t in times:
-            require_integer("observation time", t)
+            require_integer("observation time", t, VarSolverError)
             if not 0 <= t < len(self.v):
                 raise VarSolverError(f"observation time {t} is outside "
                                      f"[0, {len(self.v)})")

@@ -16,7 +16,6 @@ import argparse
 import math
 import numbers
 import sys
-import time
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -61,7 +60,6 @@ class ExperimentConfig:
     workers: int = 1
     format: str = "csv"             # csv | json
     out: str = "-"
-    timing: bool = False
 
 
 # config-file key -> dataclass field (lambda is a reserved word in Python)
@@ -74,20 +72,12 @@ _FIELD_TYPE = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 # field type -> what validate_config accepts for it, and its name for messages;
 # an int is a real, kept unconverted, and a bool is neither
 _ACCEPTS = {int: (numbers.Integral, "an integer"),
-            float: (numbers.Real, "a real number"),
-            bool: (bool, "true or false"), str: (str, "a string")}
+            float: (numbers.Real, "a real number"), str: (str, "a string")}
 
 
 def _parse_value(key, raw, target_type):
     raw = raw.strip()
     try:
-        if target_type is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return target_type(raw)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {target_type.__name__}") from None
@@ -126,8 +116,7 @@ def validate_config(config):
     for key, name in _KEY_TO_FIELD.items():
         value = getattr(c, name)
         accepted, what = _ACCEPTS[_FIELD_TYPE[name]]
-        if not isinstance(value, accepted) or (isinstance(value, bool)
-                                               and accepted is not bool):
+        if not isinstance(value, accepted) or isinstance(value, bool):
             raise ConfigError(f"{key}: expected {what}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
@@ -212,7 +201,6 @@ class DiagnosticsRecord:
     roundoff_t1: float
     roundoff_t2: float
     roundoff_t3: float
-    wall_ms: float
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
@@ -267,7 +255,6 @@ def run_experiment(config):
     never in a silent success.
     """
     validate_config(config)
-    t_start = time.perf_counter()
     vconfig, partition = build_problem(config)
     M, n_points = vconfig.instance.M, vconfig.instance.n_steps
     factors = dd_mps.build_factors(vconfig, partition)
@@ -331,8 +318,7 @@ def run_experiment(config):
         [h.eq_residual for hists in phist.mps for h in hists],
         *(per_n([v] * n_outer) for v in (mu_A, lip.C, eps_mps)),
         rb.total.ravel().tolist(), per_n(rb.term_initial.ravel().tolist()),
-        rb.term_iteration.ravel().tolist(), per_n([rb.term_rho] * n_outer),
-        per_n([t * 1e3 if config.timing else 0.0 for t in phist.wall_s]))
+        rb.term_iteration.ravel().tolist(), per_n([rb.term_rho] * n_outer))
     finite = np.isfinite(np.array(columns, dtype=float))
     if not finite.all():        # name the first row, then its first column
         row = np.argmin(finite.all(axis=0))
@@ -370,7 +356,6 @@ def run_experiment(config):
         "rho_local": rho_local,
         "R_mu": params.R_mu,
         "chain": analysis.chain_discrepancy(M, mu_A, xi, delta_err),
-        "wall_s_total": time.perf_counter() - t_start if config.timing else 0.0,
     }
     return ExperimentResult(records=records, status=status, summary=summary,
                             trajectory=trajectory, reference=reference)

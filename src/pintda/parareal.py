@@ -32,20 +32,18 @@ holds instead of solving again.  By finite-step exactness the first covers
 every slab k < n at iteration n; the chain (slab k's chain background is
 M reference[k-1]) covers slab n too, so iteration n then solves only the
 slabs k > n.  Every state, delta and history is bitwise the textbook one;
-only the per-iteration wall time (the report's `wall_ms` under `timing =
-true`) measures the reduced work.
+the reduced work shows in history.solved, the slabs each iteration solved.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dd_mps import build_factors, run_mps, run_mps_batch
-from .var_solver import require_integer
+from .testbed import require_integer
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class PararealHistory:
 
     mps: list = field(default_factory=list)             # per iteration, per slab
     solved: list = field(default_factory=list)          # per iteration, slabs solved
-    wall_s: list = field(default_factory=list)          # per iteration
     converged: bool = False
     reason: str = "max_outer"
     n_outer: int = 0
@@ -128,6 +125,7 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     the other slabs are solved.  Returns the extended trajectory, the
     per-slab inner-solver histories and the list of slabs solved.
     """
+    _check_fine_settings(tol_mps, max_sweeps)
     require_integer("workers", workers, ValueError)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -169,6 +167,16 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     return extended, histories, todo
 
 
+def _check_fine_settings(tol_mps, max_sweeps):
+    """The fine-solve settings, checked under their own names: dd_mps
+    calls the step cap max_iters."""
+    if not tol_mps > 0:
+        raise ValueError(f"tol_mps must be positive, got {tol_mps}")
+    require_integer("max_sweeps", max_sweeps, ValueError)
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
+
+
 def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
                       rho=1.0, patch_rule="owner", factors=None):
     """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially.
@@ -180,8 +188,7 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
     (the former Schwarz sweep's penalty and patch): perfbench/run.py calls
     it in that form.
     """
-    if not tol_mps > 0:
-        raise ValueError(f"tol_mps must be positive, got {tol_mps}")
+    _check_fine_settings(tol_mps, max_sweeps)
     M = config.instance.M
     if factors is None:
         factors = build_factors(config, partition)
@@ -218,13 +225,12 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     state array and n_steps - 1 histories.  It adds one known level, built
     once: slab k's chain background M reference[k-1] and delta reference[k]
     minus it, so iteration n solves only the slabs k > n.
-    history.solved lists the slabs solved per iteration, and history.wall_s
-    measures the reduced work.  max_outer and workers must be integers,
-    not bools.
+    history.solved lists the slabs solved per iteration: the reduced work.
+    max_outer, max_sweeps and workers must be integers, not bools.
     """
-    for name, value in (("tol", tol), ("tol_mps", tol_mps)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    _check_fine_settings(tol_mps, max_sweeps)
     require_integer("max_outer", max_outer, ValueError)
     if max_outer < 1:
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
@@ -252,13 +258,11 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
         chain_level = ((backgrounds, reference - backgrounds, chain_hists),)
 
     for _ in range(max_outer):
-        t0 = time.perf_counter()
         previous = ((trajectory.background[-2], trajectory.delta[-1],
                      history.mps[-1]),) if trajectory.n else ()
         trajectory, mps_hists, solved = parareal_update(
             trajectory, config, factors, previous + chain_level,
             tol_mps=tol_mps, max_sweeps=max_sweeps, workers=workers)
-        history.wall_s.append(time.perf_counter() - t0)
         history.solved.append(solved)
         history.mps.append(mps_hists)
         if np.abs(trajectory.u[-1] - trajectory.u[-2]).max() <= tol:

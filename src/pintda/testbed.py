@@ -7,6 +7,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,13 @@ import numpy as np
 
 class TestbedError(ValueError):
     """Unusable testbed inputs: bad dimensions or a failed factorization."""
+
+
+def require_integer(name, value, error):
+    """Raise `error` naming `name` unless value is an integer: a Python or
+    NumPy int, not a bool and not a float of integral value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} {value} is not an integer")
 
 
 # Largest deviation of the propagator's row sums from 1 that build_model_instance
@@ -29,12 +37,6 @@ class ModelInstance:
     n_steps: int            # number of time points on [0, T]
     h: float                # time step T / (n_steps - 1); t_k = k h
     M: np.ndarray           # one-step propagator, np x np
-
-    def propagate(self, u, steps=1):
-        """Apply the one-step propagator `steps` times."""
-        for _ in range(steps):
-            u = self.M @ u
-        return u
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,10 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
     centred second difference for diffusion.  One implicit Euler step gives
     M = (I + h A)^-1, which is unconditionally stable and dissipative:
     I + h A has unit row sums and is an M-matrix, so ||M||_inf = 1.
+    n_grid and n_steps must be integers (a bool is not).
     """
+    for name, value in (("n_grid", n_grid), ("n_steps", n_steps)):
+        require_integer(name, value, TestbedError)
     if n_grid < 2:
         raise TestbedError(f"need at least 2 grid points, got {n_grid}")
     if n_steps < 2:
@@ -125,8 +130,9 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
     covariance R = sigma_r^2 I is never materialized; its consumers read
     sigma_r.  Both variances must be normal float64 numbers, so that
     they and their inverses are finite and nonzero, and a nonzero L must
-    have a finite, nonzero square.
+    have a finite, nonzero square, and n_grid must be an integer.
     """
+    require_integer("n_grid", n_grid, TestbedError)
     if sigma_b <= 0 or sigma_r <= 0:
         raise TestbedError("sigma_b and sigma_r must be positive")
     for name, sigma in (("sigma_b", sigma_b), ("sigma_r", sigma_r)):

@@ -16,7 +16,6 @@ blocks, G_0 = I[obs] and the one array M[obs] every G_k, k >= 1, shares.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,13 +30,6 @@ class VarSolverError(ValueError):
 
 
 VARIANTS = ("threeD", "fourD")
-
-
-def require_integer(name, value, error=VarSolverError):
-    """Raise `error` naming `name` unless value is an integer: a Python or
-    NumPy int, not a bool and not a float of integral value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} {value} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,7 @@ class VarProblemConfig:
         u0 = np.asarray(self.u0, dtype=float)
         if u0.shape != (self.instance.np,):
             raise VarSolverError(f"u0 must have shape ({self.instance.np},)")
-        require_integer("time_index", self.time_index)
+        testbed.require_integer("time_index", self.time_index, VarSolverError)
         if not 0 <= self.time_index < self.instance.n_steps:
             raise VarSolverError(f"time_index {self.time_index} is outside "
                                  f"[0, {self.instance.n_steps})")

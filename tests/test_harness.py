@@ -22,19 +22,35 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("np = 16\nn_steps = 4   # time points\n"
-                        "lambda = 2.5\nseed = 7\ntiming = false\n")
+                        "lambda = 2.5\nseed = 7\n")
         cfg = load_config(str(path))
         assert cfg.np == 16
         assert cfg.n_steps == 4
         assert cfg.lam == 2.5
         assert cfg.seed == 7
-        assert cfg.timing is False
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("np = 16\nwibble = 3\n")
         with pytest.raises(ConfigError, match="wibble"):
             load_config(str(path))
+
+    def test_timing_is_an_unknown_key(self, tmp_path):
+        # the wall clock stays out of the report: no key turns it on
+        path = tmp_path / "run.cfg"
+        path.write_text("timing = true\n")
+        with pytest.raises(ConfigError,
+                           match=r"^config line 1: unknown key 'timing'$"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=r"^unknown config key 'timing'$"):
+            load_config(None, {"timing": True})
+        proc = subprocess.run(
+            [sys.executable, "-m", "pintda", "--config", str(path)],
+            capture_output=True, text=True, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == ("configuration error: config line 1: "
+                               "unknown key 'timing'\n")
+        assert proc.stdout == ""
 
     def test_repeated_key_names_both_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -97,7 +113,7 @@ class TestConfig:
         ("np", 32.0, "an integer"), ("n_steps", "8", "an integer"),
         ("workers", 1.5, "an integer"), ("seed", True, "an integer"),
         ("lambda", "1", "a real number"), ("sigma_b", False, "a real number"),
-        ("timing", "yes", "true or false"), ("format", 1, "a string"),
+        ("format", 1, "a string"),
     ])
     def test_mistyped_field_is_named(self, key, value, what):
         message = re.escape(f"{key}: expected {what}, got {value!r}")
@@ -366,8 +382,7 @@ class TestEmitReport:
         text = render_report(bench_result.records, "csv")
         assert text.splitlines()[0] == ("k,n,E_kn,delta_norm,c_n,mps_residual,"
                                         "mu_A,C_const,eps_mps,roundoff_total,"
-                                        "roundoff_t1,roundoff_t2,roundoff_t3,"
-                                        "wall_ms")
+                                        "roundoff_t1,roundoff_t2,roundoff_t3")
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -408,7 +423,7 @@ class TestEmitReport:
                  np.float64(np.nan), 7, np.int64(-3), 1e300, np.float64(1 / 3),
                  5e-324]
         records = [harness.DiagnosticsRecord(
-            k, n, *[cells[(i + j) % len(cells)] for j in range(12)])
+            k, n, *[cells[(i + j) % len(cells)] for j in range(11)])
             for i, (k, n) in enumerate([(1, 1), (np.int64(2), np.int64(30)),
                                         (True, 0), (39, np.int64(7))] * 3)]
         csv_rows = render_report(records, "csv").splitlines()[1:]

@@ -181,6 +181,26 @@ class TestRunParareal:
             run_parareal(vconfig, build_factors(vconfig, partition), tol=1e-9,
                          **{"max_outer": 8, name: value})
 
+    @pytest.mark.parametrize("value, message", [
+        (-1, "max_sweeps must be >= 0, got -1"),
+        (2.0, "max_sweeps 2.0 is not an integer")])
+    @pytest.mark.parametrize("entry", ["run_parareal", "serial_fine_chain",
+                                       "parareal_update"])
+    def test_bad_step_cap_is_named_max_sweeps(self, bench_problem, entry,
+                                              value, message):
+        # all three were once reported as dd_mps's max_iters
+        vconfig, partition = bench_problem
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            if entry == "run_parareal":
+                run_parareal(vconfig, build_factors(vconfig, partition),
+                             tol=1e-9, max_outer=8, max_sweeps=value)
+            elif entry == "serial_fine_chain":
+                serial_fine_chain(vconfig, partition, max_sweeps=value)
+            else:
+                parareal_update(initial_trajectory(vconfig), vconfig,
+                                build_factors(vconfig, partition), (),
+                                max_sweeps=value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_chain_is_rejected(self, bench_problem, bad):
         # a NaN in row 3 once reached the trajectory through chain reuse and

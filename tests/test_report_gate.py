@@ -32,12 +32,14 @@ def edited(old, new):
 
 
 class TestFirstDifference:
+    """differences lists every differing line and key, the first first."""
+
     def test_identical_outputs_agree(self):
-        assert report_gate.first_difference(lines(PARENT), lines(PARENT)) is None
+        assert report_gate.differences(lines(PARENT), lines(PARENT)) == []
 
     def test_line_order_does_not_matter(self):
-        assert report_gate.first_difference(
-            lines(PARENT), lines(PARENT)[::-1]) is None
+        assert report_gate.differences(
+            lines(PARENT), lines(PARENT)[::-1]) == []
 
     @pytest.mark.parametrize("old, new, difference", [
         ('"C_const": 0.1', '"C_const": 0.10000000000000002',
@@ -61,15 +63,56 @@ class TestFirstDifference:
          'change <absent>'),
     ])
     def test_names_first_line_and_key(self, old, new, difference):
-        assert report_gate.first_difference(
-            lines(PARENT), edited(old, new)) == difference
+        assert report_gate.differences(
+            lines(PARENT), edited(old, new))[0] == difference
 
     def test_missing_lines_on_either_side(self):
         parent, change = lines(PARENT), lines(PARENT)[:2]
-        assert (report_gate.first_difference(parent, change)
-                == "demo=01_twin_experiment.py: missing from the change")
-        assert (report_gate.first_difference(change, parent)
-                == "demo=01_twin_experiment.py: missing from the parent")
+        assert (report_gate.differences(parent, change)
+                == ["demo=01_twin_experiment.py: missing from the change"])
+        assert (report_gate.differences(change, parent)
+                == ["demo=01_twin_experiment.py: missing from the parent"])
+
+    def test_lists_every_difference_in_order(self):
+        # parent line order, sorted keys within a line, then the change's
+        # extra lines
+        change = lines(PARENT.replace('"C_const": 2.5', '"C_const": 2.0')
+                       .replace('"seed": 1,', '"seed": 1, "extra": 0,')
+                       .replace('"mps_unconverged": [2]',
+                                '"mps_unconverged": []')
+                       .replace('"n_outer": 7, "seed": 2025',
+                                '"n_outer": 6, "seed": 2025'))
+        change[2]["demo"] = "05_new.py"
+        assert report_gate.differences(lines(PARENT), change) == [
+            "config=default seed=1 key=extra: parent <absent>, change 0",
+            "config=default seed=1 key=summary.C_const: parent 2.5, "
+            "change 2.0",
+            "config=default seed=2025 key=n_outer: parent 7, change 6",
+            "config=default seed=2025 key=summary.mps_unconverged: "
+            "parent [2], change []",
+            "demo=01_twin_experiment.py: missing from the change",
+            "demo=05_new.py: missing from the parent"]
+
+    def test_main_prints_every_difference(self, monkeypatch, tmp_path,
+                                          capsys):
+        monkeypatch.setattr(report_gate, "CONFIGS", {"short": {"n_steps": 3}})
+        monkeypatch.setattr(report_gate, "SEEDS", (1, 2))
+        assert report_gate.main([]) == 0
+        out = capsys.readouterr().out
+        parent = tmp_path / "parent.jsonl"
+        parent.write_text(out)
+        assert report_gate.main(["--against", str(parent)]) == 0
+        assert capsys.readouterr().err == ""
+        edits = [json.loads(text) for text in out.splitlines()]
+        for line in edits:
+            line["status"] = "edited"
+        parent.write_text("".join(json.dumps(line) + "\n" for line in edits))
+        assert report_gate.main(["--against", str(parent)]) == 1
+        err = capsys.readouterr().err
+        assert err == "".join(
+            f"report gate: difference at config=short seed={seed} "
+            f'key=status: parent "edited", change "converged"\n'
+            for seed in (1, 2))
 
 
 class TestOracleLine:

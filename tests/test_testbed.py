@@ -65,6 +65,23 @@ class TestModelInstance:
         with pytest.raises(testbed.TestbedError):
             build_model_instance(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_grid", 32.0), ("n_grid", True), ("n_steps", 8.0),
+        ("n_steps", True)])
+    def test_dimensions_must_be_integers(self, name, value):
+        # n_grid = 32.0 once raised a bare NumPy TypeError, n_steps = 8.0 was
+        # stored, and n_steps = True was "need at least 2 time points"
+        sizes = dict({"n_grid": 32, "n_steps": 8}, **{name: value})
+        with pytest.raises(testbed.TestbedError,
+                           match=rf"^{name} {value} is not an integer$"):
+            build_model_instance(**sizes, T=1.0, velocity=1.0,
+                                 diffusivity=0.05)
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        inst = build_model_instance(np.int64(16), np.int64(5), 1.0, 1.0, 0.05)
+        np.testing.assert_array_equal(
+            inst.M, build_model_instance(16, 5, 1.0, 1.0, 0.05).M)
+
     @pytest.mark.parametrize("field,diffusivity,velocity", [
         ("diffusivity", 1e50, 1.0),      # the inversion itself fails
         ("diffusivity", 1e300, 1.0),     # the inverse loses its unit row sums
@@ -115,6 +132,17 @@ class TestCovariance:
             build_covariance(8, sigma_b=0.0, sigma_r=0.1, L=0.0)
         with pytest.raises(testbed.TestbedError):
             build_covariance(8, sigma_b=1.0, sigma_r=1.0, L=-1.0)
+
+    @pytest.mark.parametrize("n_grid", [32.0, True])
+    def test_grid_size_must_be_an_integer(self, n_grid):
+        with pytest.raises(testbed.TestbedError,
+                           match=rf"^n_grid {n_grid} is not an integer$"):
+            build_covariance(n_grid, sigma_b=0.5, sigma_r=0.05, L=0.0)
+
+    def test_numpy_integer_grid_size_is_accepted(self):
+        cov = build_covariance(np.int64(8), sigma_b=0.5, sigma_r=0.05, L=1.0)
+        np.testing.assert_array_equal(
+            cov.V, build_covariance(8, sigma_b=0.5, sigma_r=0.05, L=1.0).V)
 
     @pytest.mark.parametrize("L", [1e300, 1.4e154, 1e-200])
     def test_rejects_L_whose_square_leaves_float64(self, L):

@@ -6,9 +6,10 @@ with --against the parent's output:
     python3 tools/report_gate.py --demos > parent.jsonl     # parent checkout
     python3 tools/report_gate.py --demos --against parent.jsonl
 
-With --against the lines are still printed; the exit status is 1, with the
-first config, seed and key that differ on standard error, when any line
-differs from the parent's (or is missing on either side), and 0 otherwise.
+With --against the lines are still printed; the exit status is 1, with
+every config, seed and key that differ on standard error, one per line, when
+any line differs from the parent's (or is missing on either side), and 0
+otherwise.
 
 For each of fourteen configs and the seeds 1 and 2025, one JSON line holds
 the sha256 of the CSV and JSON reports, `status`, `n_outer` and every
@@ -18,7 +19,6 @@ means equal bits), `oracle_sha256`, the sha256 of the chained dense
 `trajectory_sha256`, the sha256 of the run's Parareal trajectory and serial
 chain, and `solved`, the slabs run_parareal solves in each iteration.  With
 --demos, one more line per demo holds the sha256 of its standard output.
-`timing` stays off, so no wall time enters any line.
 """
 
 from __future__ import annotations
@@ -164,26 +164,30 @@ def _flat(line, prefix=""):
     return flat
 
 
-def first_difference(parent_lines, change_lines):
-    """The first line and key where two gate outputs differ, or None.
+def differences(parent_lines, change_lines):
+    """Every line and key where two gate outputs differ, in order; [] when
+    they agree.
 
     Lines are matched by config and seed (or demo name) and read in the
-    parent's order; within a line, keys are compared in sorted order.
+    parent's order, then the lines only the change has; within a line, keys
+    are compared in sorted order.
     """
     parent = {_identity(line): _flat(line) for line in parent_lines}
     change = {_identity(line): _flat(line) for line in change_lines}
+    found = []
     for ident, old in parent.items():
         new = change.get(ident)
         if new is None:
-            return f"{ident}: missing from the change"
+            found.append(f"{ident}: missing from the change")
+            continue
         for key in sorted(old.keys() | new.keys()):
             # JSON text, as in the output: -0.0 differs from 0.0, NaN equals NaN
             was, now = (json.dumps(side[key]) if key in side else "<absent>"
                         for side in (old, new))
             if was != now:
-                return f"{ident} key={key}: parent {was}, change {now}"
-    extra = [ident for ident in change if ident not in parent]
-    return f"{extra[0]}: missing from the parent" if extra else None
+                found.append(f"{ident} key={key}: parent {was}, change {now}")
+    return found + [f"{ident}: missing from the parent"
+                    for ident in change if ident not in parent]
 
 
 def main(argv=None):
@@ -206,10 +210,10 @@ def main(argv=None):
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
             parent = [json.loads(text) for text in fh if text.strip()]
-        difference = first_difference(parent, lines)
-        if difference:
-            print(f"report gate: first difference at {difference}",
-                  file=sys.stderr)
+        found = differences(parent, lines)
+        for difference in found:
+            print(f"report gate: difference at {difference}", file=sys.stderr)
+        if found:
             return 1
     return 0
 
