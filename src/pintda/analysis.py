@@ -7,7 +7,8 @@ iteration error, and the three-term round-off bound; each is evaluated with
 measured inputs rather than asserted symbolically.  The measured inputs come
 from the caller: harness.run_experiment reads the error table E and the
 probe differences from the Parareal trajectory and the serial fine chain,
-and passes them in.
+and passes them in.  No dense inverse is formed here: mu(M) reads
+||M^-1||_inf from the model's stencil (testbed.ModelInstance.M_inv_norm).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .testbed import require_integer
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,18 @@ def gronwall_bound(M0, R, H, N):
     """Discrete Gronwall bound e^{NR} M0 + (e^{NR} - 1)/R * H.
 
     Dominates any sequence with |M_k| <= (1 + R) |M_{k-1}| + H; the
-    hypothesis requires R > 0.
+    hypothesis requires R > 0.  M0, R and H must be finite (NaN is not)
+    and N a positive integer.
     """
+    for name, value in (("M0", M0), ("R", R), ("H", H)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if R <= 0:
         raise ValueError(f"the Gronwall hypothesis needs R > 0, got {R}")
-    if H < 0 or M0 < 0:
-        raise ValueError("M0 and H must be nonnegative")
+    for name, value in (("M0", M0), ("H", H)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    require_integer("N", N, ValueError)
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     return math.exp(N * R) * M0 + math.expm1(N * R) / R * H
@@ -142,15 +151,17 @@ def twin_error_scales(u0, u_truth, reference, M):
     return xi, sigma, delta_err
 
 
-def chain_discrepancy(M, mu_A, xi, delta_err):
+def chain_discrepancy(M, M_inv_norm, mu_A, xi, delta_err):
     """Both sides of the imported identity mu(M) = (||delta|| / ||xi||) / mu(A).
 
-    The identity leans on assumptions we cannot verify, so both sides are
+    mu(M) = ||M||_inf ||M^-1||_inf takes ||M^-1||_inf = M_inv_norm as given:
+    the model records it in closed form from its stencil
+    (testbed.ModelInstance.M_inv_norm), so M is never inverted here.  The
+    identity leans on assumptions we cannot verify, so both sides are
     computed and reported rather than asserted.
     """
     M = np.asarray(M, dtype=float)
-    mu_M = float(np.abs(M).sum(axis=1).max()
-                 * np.abs(np.linalg.inv(M)).sum(axis=1).max())
+    mu_M = float(np.abs(M).sum(axis=1).max() * M_inv_norm)
     chained = (delta_err / xi) / mu_A if xi else np.inf
     return {"mu_M_direct": mu_M, "mu_M_chained": chained,
             "discrepancy": abs(mu_M - chained)}

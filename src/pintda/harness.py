@@ -355,7 +355,8 @@ def run_experiment(config):
         "delta_err": delta_err,
         "rho_local": rho_local,
         "R_mu": params.R_mu,
-        "chain": analysis.chain_discrepancy(M, mu_A, xi, delta_err),
+        "chain": analysis.chain_discrepancy(
+            M, vconfig.instance.M_inv_norm, mu_A, xi, delta_err),
     }
     return ExperimentResult(records=records, status=status, summary=summary,
                             trajectory=trajectory, reference=reference)

@@ -7,6 +7,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -31,12 +32,18 @@ ROW_SUM_TOL = 1e-3
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """One-step linear forecast model on a periodic 1-D grid."""
+    """One-step linear forecast model on a periodic 1-D grid.
+
+    M = (I + h A)^-1, so ||M^-1||_inf = ||I + h A||_inf, which
+    build_model_instance reads off the stencil in closed form; the analysis
+    layer takes mu(M) = ||M||_inf ||M^-1||_inf from it without inverting M.
+    """
 
     np: int                 # number of spatial grid points
     n_steps: int            # number of time points on [0, T]
     h: float                # time step T / (n_steps - 1); t_k = k h
     M: np.ndarray           # one-step propagator, np x np
+    M_inv_norm: float       # ||M^-1||_inf = ||I + h A||_inf, from the stencil
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,16 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
     centred second difference for diffusion.  One implicit Euler step gives
     M = (I + h A)^-1, which is unconditionally stable and dissipative:
     I + h A has unit row sums and is an M-matrix, so ||M||_inf = 1.
-    n_grid and n_steps must be integers (a bool is not).
+    n_grid and n_steps must be integers (a bool is not); T, velocity and
+    diffusivity must be finite.
+
+    ||M^-1||_inf = ||I + h A||_inf is read off the stencil.  Every row has
+    the diagonal 1 + h (|a|/dx + 2 nu/dx^2); its off-diagonals are <= 0 and
+    sum to -h (|a|/dx + 2 nu/dx^2), the upwind neighbour's -h |a|/dx plus
+    -h nu/dx^2 on each side.  So every absolute row sum is
+    1 + 2 h (|a|/dx + 2 nu/dx^2).  At n_grid = 2 left and right are the same
+    neighbour, whose one entry is the whole off-diagonal sum, so the same
+    value holds.
     """
     for name, value in (("n_grid", n_grid), ("n_steps", n_steps)):
         require_integer(name, value, TestbedError)
@@ -82,6 +98,10 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
         raise TestbedError(f"need at least 2 grid points, got {n_grid}")
     if n_steps < 2:
         raise TestbedError(f"need at least 2 time points, got {n_steps}")
+    for name, value in (("T", T), ("velocity", velocity),
+                        ("diffusivity", diffusivity)):
+        if not math.isfinite(value):
+            raise TestbedError(f"{name}: must be finite, got {value}")
     if T <= 0:
         raise TestbedError(f"time horizon must be positive, got {T}")
     if diffusivity < 0:
@@ -118,7 +138,9 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
     if not row_error <= ROW_SUM_TOL:
         raise TestbedError(f"{singular}: its row sums are off by {row_error:.3g}, "
                            f"more than {ROW_SUM_TOL:g}")
-    return ModelInstance(np=n_grid, n_steps=n_steps, h=h, M=_freeze(M))
+    M_inv_norm = 1.0 + 2.0 * h * (abs(a) / dx + 2.0 * nu / dx**2)
+    return ModelInstance(np=n_grid, n_steps=n_steps, h=h, M=_freeze(M),
+                         M_inv_norm=M_inv_norm)
 
 
 def build_covariance(n_grid, sigma_b, sigma_r, L):
@@ -129,8 +151,9 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
     uncorrelated limit.  V is the lower Cholesky factor.  The observation
     covariance R = sigma_r^2 I is never materialized; its consumers read
     sigma_r.  Both variances must be normal float64 numbers, so that
-    they and their inverses are finite and nonzero, and a nonzero L must
-    have a finite, nonzero square, and n_grid must be an integer.
+    they and their inverses are finite and nonzero.  L must be nonnegative
+    (NaN is not), a nonzero L must have a finite, nonzero square, and
+    n_grid must be an integer.
     """
     require_integer("n_grid", n_grid, TestbedError)
     if sigma_b <= 0 or sigma_r <= 0:
@@ -139,8 +162,8 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
         if not np.finfo(float).tiny <= sigma * sigma < np.inf:
             raise TestbedError(
                 f"{name}^2 = {sigma * sigma:g} is outside the normal float64 range")
-    if L < 0:
-        raise TestbedError(f"correlation length must be nonnegative, got {L}")
+    if not L >= 0:              # NaN fails this too
+        raise TestbedError(f"L: correlation length must be nonnegative, got {L}")
     # exp(-d^2 / (2 L^2)) needs a finite, nonzero L^2: Python's L**2 raises
     # OverflowError past float64, and an L^2 rounded to 0 makes d^2 / 0 NaN
     if L > 0 and not 0.0 < L * L < np.inf:

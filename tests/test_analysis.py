@@ -27,6 +27,33 @@ class TestGronwall:
         with pytest.raises(ValueError):
             gronwall_bound(1.0, -0.5, 1.0, 3)
 
+    @pytest.mark.parametrize("name", ["M0", "R", "H"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs_by_name(self, name, value):
+        args = dict(dict(M0=1.0, R=0.5, H=1.0), **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gronwall_bound(args["M0"], args["R"], args["H"], 3)
+
+    @pytest.mark.parametrize("name", ["M0", "H"])
+    def test_rejects_negative_data_by_name(self, name):
+        args = dict(dict(M0=1.0, H=1.0), **{name: -1.0})
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+            gronwall_bound(args["M0"], 0.5, args["H"], 3)
+
+    @pytest.mark.parametrize("N", [2.5, 3.0, True])
+    def test_rejects_non_integer_N(self, N):
+        # N = 2.5 once returned 4.124...
+        with pytest.raises(ValueError, match=rf"^N {N} is not an integer$"):
+            gronwall_bound(1.0, 0.5, 1.0, N)
+
+    def test_rejects_N_below_one(self):
+        with pytest.raises(ValueError, match="^N must be a positive integer"):
+            gronwall_bound(1.0, 0.5, 1.0, 0)
+
+    def test_numpy_integer_N_is_accepted(self):
+        assert gronwall_bound(1.0, 0.5, 1.0, np.int64(3)) \
+            == gronwall_bound(1.0, 0.5, 1.0, 3)
+
     def test_dominates_randomized_recurrences(self):
         # sequences obeying |M_k| <= (1+R)|M_{k-1}| + H never cross the bound
         rng = np.random.default_rng(1234)
@@ -368,6 +395,27 @@ class TestTwinScales:
         assert xi == np.abs(vconfig.u0 - vconfig.observations.u_truth).max()
         # dissipative propagation cannot grow the background error
         assert sigma <= xi * (1 + 1e-12)
-        report = chain_discrepancy(M, mu_A=100.0, xi=xi, delta_err=delta_err)
-        assert report["mu_M_direct"] >= 1.0
-        assert report["discrepancy"] >= 0.0
+        inst = vconfig.instance
+        report = chain_discrepancy(M, inst.M_inv_norm, mu_A=100.0, xi=xi,
+                                   delta_err=delta_err)
+        # ||M|| ||M^-1|| with ||M^-1|| read off the stencil, bit for bit
+        assert report["mu_M_direct"] == (np.abs(M).sum(axis=1).max()
+                                         * inst.M_inv_norm)
+        # ... and within the explicit inverse's rounding of the textbook value
+        direct = (np.abs(M).sum(axis=1).max()
+                  * np.abs(np.linalg.inv(M)).sum(axis=1).max())
+        assert report["mu_M_direct"] == pytest.approx(direct, rel=1e-10)
+        # the bench model: h = 1/7, dx = 1/32, |a| = 1, nu = 0.05, and
+        # ||M|| = 1 up to the rounding of M's own inverse
+        assert report["mu_M_direct"] == pytest.approx(
+            1 + 2 / 7 * (32 + 2 * 0.05 * 32**2), rel=1e-12)
+        assert report["mu_M_chained"] == (delta_err / xi) / 100.0
+        assert report["discrepancy"] == abs(report["mu_M_direct"]
+                                            - report["mu_M_chained"])
+
+    def test_chain_discrepancy_reads_the_given_inverse_norm(self):
+        # M is never inverted: the caller's ||M^-1|| is taken as given
+        report = chain_discrepancy(0.5 * np.eye(3), 4.0, mu_A=2.0, xi=1.0,
+                                   delta_err=3.0)
+        assert report == {"mu_M_direct": 2.0, "mu_M_chained": 1.5,
+                          "discrepancy": 0.5}

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pintda import harness
 from pintda.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
@@ -190,6 +191,32 @@ class TestRunExperiment:
             cfg = dataclasses.replace(ExperimentConfig(), workers=workers)
             texts[workers] = render_report(run_experiment(cfg).records, "csv")
         assert texts[1] == texts[2] == texts[8]
+
+    def test_dense_inverse_budget(self, monkeypatch):
+        """The dense inverses one default run forms, counted by name.
+
+        numpy.linalg.inv runs once: the model's own M = (I + hA)^-1.  mu(M)
+        reads ||M^-1|| off the stencil, so analysis inverts nothing.
+        scipy.linalg.inv runs three times, all for mu_A in
+        var_solver.hessian_condition: B^-1 and the two distinct Hessian
+        blocks.  ROADMAP item 2 takes mu_A off the run path and will lower
+        that count; a new dense inverse anywhere raises one of them.
+        """
+        counts = {}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                key = f"{module.__name__}.{name}"
+                counts[key] = counts.get(key, 0) + 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(np.linalg, "inv")
+        counting(scipy.linalg, "inv")
+        run_experiment(ExperimentConfig())
+        assert counts == {"numpy.linalg.inv": 1, "scipy.linalg.inv": 3}
 
     def test_delta_norm_is_the_slab_correction_norm(self, bench_result):
         delta = bench_result.trajectory.delta

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,8 +9,8 @@ from pintda.testbed import (assemble_G, build_covariance,
                             build_model_instance, build_observations)
 
 
-def upwind_scheme_oracle(n_grid, h, velocity, diffusivity):
-    """Independent assembly of the implicit scheme, written pointwise."""
+def upwind_stencil(n_grid, h, velocity, diffusivity):
+    """Independent assembly of I + h A for the implicit scheme, pointwise."""
     dx = 1.0 / n_grid
     A = np.zeros((n_grid, n_grid))
     for j in range(n_grid):
@@ -21,7 +23,13 @@ def upwind_scheme_oracle(n_grid, h, velocity, diffusivity):
         A[j, j] += 2 * diffusivity / dx**2
         A[j, (j - 1) % n_grid] -= diffusivity / dx**2
         A[j, (j + 1) % n_grid] -= diffusivity / dx**2
-    return np.linalg.solve(np.eye(n_grid) + h * A, np.eye(n_grid))
+    return np.eye(n_grid) + h * A
+
+
+def upwind_scheme_oracle(n_grid, h, velocity, diffusivity):
+    """The propagator (I + h A)^-1 of the independently assembled stencil."""
+    return np.linalg.solve(upwind_stencil(n_grid, h, velocity, diffusivity),
+                           np.eye(n_grid))
 
 
 def selection(indices, n_grid):
@@ -93,9 +101,51 @@ class TestModelInstance:
             build_model_instance(16, 4, 1.0, velocity=velocity,
                                  diffusivity=diffusivity)
 
+    @pytest.mark.parametrize("field", ["T", "velocity", "diffusivity"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs_by_name(self, field, value):
+        # T = nan and diffusivity = nan were blamed on velocity as a singular
+        # propagator, and T = inf warned first
+        kwargs = dict(dict(T=1.0, velocity=1.0, diffusivity=0.05),
+                      **{field: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(testbed.TestbedError,
+                               match=rf"^{field}: must be finite, got {value}$"):
+                build_model_instance(16, 4, **kwargs)
+
     def test_accepts_large_but_representable_diffusivity(self):
         inst = build_model_instance(16, 4, 1.0, velocity=1.0, diffusivity=1e6)
         assert np.abs(inst.M.sum(axis=1) - 1.0).max() <= testbed.ROW_SUM_TOL
+
+
+@pytest.mark.parametrize("diffusivity", [0.0, 0.05])
+@pytest.mark.parametrize("velocity", [1.0, -1.0])
+@pytest.mark.parametrize("n_grid", [2, 3, 32, 256])
+class TestStencilInverseNorm:
+    """M_inv_norm is ||M^-1||_inf = ||I + hA||_inf, read off the stencil."""
+
+    # Inverting M explicitly adds rounding of order cond(M) eps, and
+    # cond(M) <= M_inv_norm ~ 1.9e3 here: measured <= 2e-13.  1e-10 leaves
+    # room for that and still catches a wrong stencil term, which moves the
+    # norm by O(h / dx).
+    INVERSE_RTOL = 1e-10
+    # The stencil's row sums add the same entries in another order: a few ulps.
+    ROW_SUM_RTOL = 1e-14
+
+    def test_matches_the_explicit_inverse(self, n_grid, velocity, diffusivity):
+        inst = build_model_instance(n_grid, 8, 1.0, velocity, diffusivity)
+        direct = np.abs(np.linalg.inv(inst.M)).sum(axis=1).max()
+        assert inst.M_inv_norm == pytest.approx(direct, rel=self.INVERSE_RTOL)
+
+    def test_is_every_row_sum_of_the_stencil(self, n_grid, velocity,
+                                             diffusivity):
+        inst = build_model_instance(n_grid, 8, 1.0, velocity, diffusivity)
+        rows = np.abs(upwind_stencil(n_grid, inst.h, velocity,
+                                     diffusivity)).sum(axis=1)
+        np.testing.assert_allclose(rows, inst.M_inv_norm,
+                                   rtol=self.ROW_SUM_RTOL)
+        assert type(inst.M_inv_norm) is float
 
 
 class TestCovariance:
@@ -148,6 +198,11 @@ class TestCovariance:
     def test_rejects_L_whose_square_leaves_float64(self, L):
         with pytest.raises(testbed.TestbedError, match="^L: "):
             build_covariance(8, sigma_b=1.0, sigma_r=1.0, L=L)
+
+    def test_rejects_nan_L(self):
+        # L < 0 and L > 0 are both False for NaN: B and V came back all NaN
+        with pytest.raises(testbed.TestbedError, match="^L: .*got nan$"):
+            build_covariance(8, sigma_b=1.0, sigma_r=1.0, L=np.nan)
 
     def test_accepts_L_just_inside_float64(self):
         # 2 L^2 overflows here but L^2 does not: B is all sigma_b^2, plus jitter
@@ -271,7 +326,8 @@ class TestObservations:
 
 class TestAssembleG:
     def test_single_time_point_gives_H0(self, small_cov):
-        inst = testbed.ModelInstance(np=8, n_steps=1, h=1.0, M=np.eye(8))
+        inst = testbed.ModelInstance(np=8, n_steps=1, h=1.0, M=np.eye(8),
+                                     M_inv_norm=1.0)
         obs = build_observations(inst, small_cov, [0, 4, 7], np.zeros(8),
                                  seed=0, noise=False)
         G = assemble_G(obs, inst)
