@@ -57,8 +57,8 @@ def gronwall_bound(M0, R, H, N):
     """Discrete Gronwall bound e^{NR} M0 + (e^{NR} - 1)/R * H.
 
     Dominates any sequence with |M_k| <= (1 + R) |M_{k-1}| + H; the
-    hypothesis requires R > 0.  M0, R and H must be finite (NaN is not)
-    and N a positive integer.
+    hypothesis requires R > 0.  M0, R and H must be finite (NaN is not),
+    N a positive integer, and e^{NR} a finite float.
     """
     for name, value in (("M0", M0), ("R", R), ("H", H)):
         if not math.isfinite(value):
@@ -71,18 +71,28 @@ def gronwall_bound(M0, R, H, N):
     require_integer("N", N, ValueError)
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    return math.exp(N * R) * M0 + math.expm1(N * R) / R * H
+    return _exp_of_NR(math.exp, N, R) * M0 + gronwall_prefactor(N, R) * H
+
+
+def _exp_of_NR(exp, N, R):
+    """exp(N R), a ValueError naming N and R where it overflows a float."""
+    try:
+        return exp(N * R)
+    except OverflowError:
+        raise ValueError(f"e^(N R) overflows a float at N = {N}, "
+                         f"R = {R}") from None
 
 
 def gronwall_prefactor(N, R):
     """(e^{NR} - 1) / R, extended by its limit N at R = 0.
 
     Well defined for negative R as well, which is how the convergence and
-    round-off bounds consume it.
+    round-off bounds consume it.  N must be an integer; a NaN R gives NaN.
     """
+    require_integer("N", N, ValueError)
     if R == 0:
         return float(N)
-    return math.expm1(N * R) / R
+    return _exp_of_NR(math.expm1, N, R) / R
 
 
 def prefactor_sequence(n_max, R=-1.0):

@@ -213,6 +213,7 @@ class ExperimentResult:
     summary: dict
     trajectory: object
     reference: np.ndarray    # the serial fine chain, one row per time point
+    history: object          # the run's parareal.PararealHistory
 
     @property
     def converged(self):
@@ -290,8 +291,8 @@ def run_experiment(config):
             f"sigma_b = {config.sigma_b:g} leaves the background equal to the "
             f"truth in float64 (xi = 0), so C_error_scale is undefined")
 
-    C_h = max(float(np.max(np.abs(reference[k] - M @ reference[k - 1])))
-              for k in range(1, n_points))
+    C_h = float(np.max(np.abs(
+        reference - parareal.fine_backgrounds(M, reference))))
     eps_candidates = [h.eps_mps for hists in phist.mps for h in hists]
     eps_mps = max(eps_candidates) if eps_candidates else 0.0
 
@@ -359,7 +360,8 @@ def run_experiment(config):
             M, vconfig.instance.M_inv_norm, mu_A, xi, delta_err),
     }
     return ExperimentResult(records=records, status=status, summary=summary,
-                            trajectory=trajectory, reference=reference)
+                            trajectory=trajectory, reference=reference,
+                            history=phist)
 
 
 # One %-conversion per column: the integer columns k and n, then floats

@@ -7,12 +7,13 @@ background), then runs the sequential predictor-corrector recombination
     u_{k}^{n+1} = M u_{k-1}^{n+1} + MPS(u_{k-1}^{n}) - M u_{k-1}^{n},
 
 storing the correction factor delta = fine - coarse per slab, each level
-one (n_points, np) array with row k for time point k.  The initial state is
-pinned to u0 at every iteration.  After as many iterations as there are
-slabs the trajectory reproduces the serial fine chain exactly, so the driver
-also stops there.  The trajectory is the run's record: the error table
-E[n, k] = ||reference[k] - u[n][k]||_inf, the correction norms and the
-iterate differences are all read from its levels.
+one (n_points, np) array with row k for time point k.  Slab k's fine-solve
+background M u_{k-1}^{n} is not stored: fine_backgrounds recomputes it from
+the states.  The initial state is pinned to u0 at every iteration.  After as
+many iterations as there are slabs the trajectory reproduces the serial fine
+chain exactly, so run_parareal also stops there.  The trajectory is the run's
+record: the error table E[n, k] = ||reference[k] - u[n][k]||_inf, the
+correction norms and the iterate differences are all read from its levels.
 
 Slab k is [t_{k-1}, t_k], with t_k = k h (h = instance.h), and assimilates
 the batch at t_k.  Its fine solve is dd_mps.run_mps(plan, background, k,
@@ -48,17 +49,15 @@ from .testbed import require_integer
 
 @dataclass(frozen=True)
 class PararealTrajectory:
-    """States, backgrounds and correction factors over slabs and iterations.
+    """States and correction factors over slabs and iterations.
 
     Every level is one C-contiguous (n_points, np) array.  u[n][k] is the
-    state at time point k after n outer iterations; background[n][k] =
-    M u[n][k-1]; delta[n][k] = MPS(u[n][k-1]) - M u[n][k-1].  The initial
-    state u[n][0] is pinned to u0 for every n, and background[n][0] = u0;
-    u0 takes no correction, so delta[n][0] is a zero row.
+    state at time point k after n outer iterations; delta[n][k] = MPS(b) - b
+    for the background b = M u[n][k-1] (fine_backgrounds).  u[n][0] is
+    pinned to u0 and takes no correction, so delta[n][0] is a zero row.
     """
 
     u: tuple                 # one array per iteration
-    background: tuple
     delta: tuple             # one level shorter than u
 
     @property
@@ -81,6 +80,12 @@ class PararealHistory:
     n_outer: int = 0
 
 
+def fine_backgrounds(M, states):
+    """Slab k's background M states[k-1] in row k, states[0] in row 0: one
+    stacked gemv (each row has M @ x's bits), C-contiguous for uint64 views."""
+    return np.vstack((states[:1], np.matmul(M, states[:-1, :, None])[..., 0]))
+
+
 def initial_trajectory(config):
     """Iteration 0 is the pure coarse sweep from the initial state."""
     M = config.instance.M
@@ -88,7 +93,7 @@ def initial_trajectory(config):
     level[0] = config.u0
     for k in range(1, len(level)):
         level[k] = M @ level[k - 1]
-    return PararealTrajectory(u=(level,), background=(level,), delta=())
+    return PararealTrajectory(u=(level,), delta=())
 
 
 def parallel_map(fn, items, workers=1):
@@ -129,9 +134,8 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     require_integer("workers", workers, ValueError)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    states = trajectory.u[-1]
-    backgrounds = trajectory.background[-1]
-    M = config.instance.M
+    states, M = trajectory.u[-1], config.instance.M
+    backgrounds = fine_backgrounds(M, states)
     delta = np.zeros(states.shape)            # u_0 takes no correction
     histories = [None] * (len(states) - 1)
     todo = np.arange(1, len(states))
@@ -155,14 +159,12 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
         for k, hist in zip(ks, hists):
             histories[k - 1] = hist
 
-    u_next, b_next = np.empty(states.shape), np.empty(states.shape)
-    u_next[0] = b_next[0] = states[0]         # u_0 pinned
+    u_next = np.empty(states.shape)
+    u_next[0] = states[0]                     # u_0 pinned
     for k in range(1, len(states)):
-        b_next[k] = M @ u_next[k - 1]
-        u_next[k] = b_next[k] + delta[k]
+        u_next[k] = M @ u_next[k - 1] + delta[k]
 
     extended = PararealTrajectory(u=trajectory.u + (u_next,),
-                                  background=trajectory.background + (b_next,),
                                   delta=trajectory.delta + (delta,))
     return extended, histories, todo
 
@@ -223,9 +225,8 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     `chain`, the (states, histories) pair that serial_fine_chain returns
     under these same solver settings, must hold one finite (n_steps, np)
     state array and n_steps - 1 histories.  It adds one known level, built
-    once: slab k's chain background M reference[k-1] and delta reference[k]
-    minus it, so iteration n solves only the slabs k > n.
-    history.solved lists the slabs solved per iteration: the reduced work.
+    once from fine_backgrounds(M, reference), so iteration n solves only the
+    slabs k > n.  history.solved lists the slabs solved per iteration.
     max_outer, max_sweeps and workers must be integers, not bools.
     """
     if not tol > 0:
@@ -235,7 +236,7 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     if max_outer < 1:
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     trajectory = initial_trajectory(config)
-    n_slabs = config.instance.n_steps - 1
+    M, n_slabs = config.instance.M, config.instance.n_steps - 1
     history = PararealHistory()
     chain_level = ()
     if chain is not None:
@@ -252,14 +253,13 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
             raise ValueError(f"chain states are not finite at time "
                              f"{np.argmin(finite)}")
         # each row's delta is bitwise the delta its fine solve computes
-        backgrounds = np.array(reference, dtype=float)
-        for k in range(1, len(backgrounds)):
-            backgrounds[k] = config.instance.M @ reference[k - 1]
+        backgrounds = fine_backgrounds(M, reference)
         chain_level = ((backgrounds, reference - backgrounds, chain_hists),)
 
     for _ in range(max_outer):
-        previous = ((trajectory.background[-2], trajectory.delta[-1],
-                     history.mps[-1]),) if trajectory.n else ()
+        previous = () if not trajectory.n else (
+            (fine_backgrounds(M, trajectory.u[-2]), trajectory.delta[-1],
+             history.mps[-1]),)
         trajectory, mps_hists, solved = parareal_update(
             trajectory, config, factors, previous + chain_level,
             tol_mps=tol_mps, max_sweeps=max_sweeps, workers=workers)

@@ -191,9 +191,12 @@ def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True
 
     obs_indices is one 1-D list of integer grid indices (repeats allowed);
     row k of v is v_k = H M^k u_truth + eta_k, with eta_k ~ N(0, sigma_r^2 I)
-    drawn from a generator seeded with `seed`, time by time; pass
-    noise=False for exact-recovery tests.
+    drawn from a generator seeded with `seed`, a non-negative integer (not a
+    bool), time by time; pass noise=False for exact-recovery tests.
     """
+    require_integer("seed", seed, TestbedError)
+    if seed < 0:
+        raise TestbedError(f"seed must be >= 0, got {seed}")
     n_grid, n_steps = instance.np, instance.n_steps
     try:                        # copies: freezing must not touch the caller's arrays
         obs = np.array(obs_indices)

@@ -67,6 +67,33 @@ class TestGronwall:
                 m = float(rng.uniform(0.0, 1.0)) * ((1.0 + R) * m + H)
                 assert m <= bound + 1e-12
 
+    @pytest.mark.parametrize("call", [
+        lambda: gronwall_bound(1.0, 800.0, 0.0, 1),
+        lambda: gronwall_bound(1.0, 0.5, 1.0, 2000),
+        lambda: gronwall_prefactor(1, 800.0),
+        lambda: gronwall_prefactor(2000, 0.5)],
+        ids=["bound_R", "bound_N", "prefactor_R", "prefactor_N"])
+    def test_overflow_names_N_and_R(self, call):
+        # e^{NR} once escaped as a bare OverflowError
+        with pytest.raises(ValueError,
+                           match=r"^e\^\(N R\) overflows a float at N = "):
+            call()
+
+    @pytest.mark.parametrize("N", [2.5, 3.0, True])
+    def test_prefactor_rejects_non_integer_N(self, N):
+        # N = 2.5 once returned 2.5 at R = 0
+        for R in (0.0, -1.0):
+            with pytest.raises(ValueError,
+                               match=rf"^N {N} is not an integer$"):
+                gronwall_prefactor(N, R)
+
+    def test_prefactor_passes_nan_R_through(self):
+        # the report turns a NaN bound into a DiagnosticError, so NaN must
+        # reach it
+        assert math.isnan(gronwall_prefactor(3, math.nan))
+        assert gronwall_prefactor(np.int64(3), -1.0) \
+            == gronwall_prefactor(3, -1.0)
+
     def test_prefactor_limits(self):
         assert gronwall_prefactor(5, 0.0) == 5.0
         assert gronwall_prefactor(3, -1.0) == pytest.approx(1 - math.exp(-3), rel=1e-14)
@@ -286,8 +313,7 @@ class TestRoundoff:
             np.zeros(n_grid) if zero_deltas
             else _with_specials(rng, n_grid, share)
             for _ in range(points - 1)]) for _ in range(levels - 1))
-        trajectory = parareal.PararealTrajectory(
-            u=u, background=u, delta=delta)
+        trajectory = parareal.PararealTrajectory(u=u, delta=delta)
         R_obs, rho = roundoff_proxies(trajectory, M)
         R_ref, rho_ref = _textbook_roundoff(trajectory, M)
         assert R_obs.tobytes() == R_ref.tobytes()
@@ -344,7 +370,7 @@ class TestRoundoff:
                 odd_pair[j] = below[j] + 1.0
         u = tuple(map(np.array, u))
         trajectory = parareal.PararealTrajectory(
-            u=u, background=u, delta=tuple(map(np.array, delta)))
+            u=u, delta=tuple(map(np.array, delta)))
         R_obs, rho = roundoff_proxies(trajectory, M)
         R_ref, rho_ref = _textbook_roundoff(trajectory, M)
         assert R_obs.tobytes() == R_ref.tobytes()

@@ -269,6 +269,19 @@ class TestRunExperiment:
         assert s["fine_solves"] == n_slabs + 21
         assert s["fine_solves_reused"] == n_slabs * n_slabs - 21
         assert s["outer_to_slabs"] == 1.0
+        # the counts read the run's own history, which the result keeps
+        history = bench_result.history
+        assert history.n_outer == s["n_outer"]
+        assert history.solved == [list(range(n + 1, n_slabs + 1))
+                                  for n in range(1, n_slabs + 1)]
+
+    def test_C_h_is_the_chains_largest_one_slab_gap(self, bench_result):
+        # max_k ||reference[k] - M reference[k - 1]||, one slab at a time
+        reference = bench_result.reference
+        M = harness.build_problem(ExperimentConfig())[0].instance.M
+        assert bench_result.summary["C_h"] == max(
+            float(np.max(np.abs(reference[k] - M @ reference[k - 1])))
+            for k in range(1, len(reference)))
 
     def test_reuse_leaves_records_and_summary_unchanged(self, monkeypatch):
         cfg = load_config(None, {"max_sweeps": 5, "L": 2.0, "lambda": 0.05,

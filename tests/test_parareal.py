@@ -5,8 +5,9 @@ import pytest
 
 from pintda import harness, parareal, var_solver
 from pintda.dd_mps import build_factors, partition_domain, run_mps
-from pintda.parareal import (PararealTrajectory, initial_trajectory,
-                             parareal_update, run_parareal, serial_fine_chain)
+from pintda.parareal import (PararealTrajectory, fine_backgrounds,
+                             initial_trajectory, parareal_update, run_parareal,
+                             serial_fine_chain)
 
 
 def no_observation_config(vconfig):
@@ -23,7 +24,8 @@ class TestCoarseSweep:
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=8, n_steps=4,
                                   nobs=2, velocity=0.0, diffusivity=0.0)
         vconfig, _ = harness.build_problem(cfg)
-        backgrounds = initial_trajectory(vconfig).background[0]
+        backgrounds = fine_backgrounds(vconfig.instance.M,
+                                       initial_trajectory(vconfig).u[0])
         for b in backgrounds:
             np.testing.assert_array_equal(b, vconfig.u0)
 
@@ -32,7 +34,7 @@ class TestCoarseSweep:
                                   nobs=2, n_sub=1, overlap=0)
         vconfig, _ = harness.build_problem(cfg)
         M = vconfig.instance.M
-        backgrounds = initial_trajectory(vconfig).background[0]
+        backgrounds = fine_backgrounds(M, initial_trajectory(vconfig).u[0])
         expected = vconfig.u0.copy()
         for k in range(1, 4):
             expected = M @ expected   # repeated multiplication oracle
@@ -44,14 +46,42 @@ class TestCoarseSweep:
                                tol=1e-9, max_outer=3)
         for n in range(traj.n + 1):
             np.testing.assert_array_equal(traj.u[n][0], vconfig.u0)
-            np.testing.assert_array_equal(traj.background[n][0], vconfig.u0)
+            np.testing.assert_array_equal(
+                fine_backgrounds(vconfig.instance.M, traj.u[n])[0], vconfig.u0)
+
+
+class TestFineBackgrounds:
+    @pytest.mark.parametrize("n_points, n_grid", [
+        (2, 2), (2, 9), (7, 2), (8, 32), (32, 256)])
+    def test_rows_are_bitwise_the_per_row_products(self, n_points, n_grid):
+        rng = np.random.default_rng([n_points, n_grid])
+        M = rng.standard_normal((n_grid, n_grid))
+        states = rng.standard_normal((n_points, n_grid))
+        backgrounds = fine_backgrounds(M, states)
+        assert backgrounds.shape == states.shape
+        assert backgrounds.flags.c_contiguous
+        assert backgrounds[0].tobytes() == states[0].tobytes()
+        for k in range(1, n_points):
+            assert backgrounds[k].tobytes() == (M @ states[k - 1]).tobytes()
+
+    def test_model_propagator_rows(self, bench_problem):
+        vconfig, _ = bench_problem
+        M, states = vconfig.instance.M, initial_trajectory(vconfig).u[0]
+        backgrounds = fine_backgrounds(M, states)
+        # iteration 0 is the coarse sweep, so its backgrounds are its states
+        assert backgrounds.tobytes() == states.tobytes()
+
+    def test_levels_keep_only_states_and_corrections(self):
+        assert [f.name for f in dataclasses.fields(PararealTrajectory)] == [
+            "u", "delta"]
 
 
 class TestLocalDaSolve:
     def test_no_observations_returns_background(self, bench_problem):
         vconfig, partition = bench_problem
         vempty = no_observation_config(vconfig)
-        background = initial_trajectory(vempty).background[0][2]
+        background = fine_backgrounds(vempty.instance.M,
+                                      initial_trajectory(vempty).u[0])[2]
         it, hist = run_mps(build_factors(vempty, partition), background, 2,
                            1e-10, 100)
         np.testing.assert_array_equal(it.patched, background)
@@ -60,7 +90,8 @@ class TestLocalDaSolve:
     def test_single_block_matches_direct_slab_solve(self, bench_problem):
         vconfig, _ = bench_problem
         partition1 = partition_domain(vconfig.instance.np, 1, 0)
-        background = initial_trajectory(vconfig).background[0][3]
+        background = fine_backgrounds(vconfig.instance.M,
+                                      initial_trajectory(vconfig).u[0])[3]
         it, _ = run_mps(build_factors(vconfig, partition1), background, 3,
                         1e-10, 100)
         slab_cfg = dataclasses.replace(vconfig, u0=background, time_index=3)
@@ -105,7 +136,7 @@ class TestPararealUpdate:
         M = vconfig.instance.M
         for n in range(2):
             for k in range(1, vconfig.instance.n_steps):
-                fine = traj.delta[n][k] + traj.background[n][k]
+                fine = traj.delta[n][k] + fine_backgrounds(M, traj.u[n])[k]
                 replay = fine - M @ traj.u[n][k - 1]
                 np.testing.assert_array_equal(traj.delta[n][k], replay)
 
@@ -115,9 +146,10 @@ class TestPararealUpdate:
         traj, _ = run_parareal(vconfig, build_factors(vconfig, partition),
                                tol=1e-9, max_outer=4)
         for n in range(1, traj.n + 1):
+            backgrounds = fine_backgrounds(vconfig.instance.M, traj.u[n])
             for k in range(1, vconfig.instance.n_steps):
                 np.testing.assert_allclose(
-                    traj.u[n][k] - traj.background[n][k],
+                    traj.u[n][k] - backgrounds[k],
                     traj.delta[n - 1][k], atol=1e-12)
 
 
@@ -336,9 +368,10 @@ class TestFineSolveReuse:
         u, background, delta, hists = textbook_parareal(
             vconfig, partition, traj.n, *settings)
         for n in range(traj.n + 1):
+            backgrounds = fine_backgrounds(vconfig.instance.M, traj.u[n])
             for k in range(vconfig.instance.n_steps):
                 assert traj.u[n][k].tobytes() == u[n][k].tobytes()
-                assert traj.background[n][k].tobytes() == background[n][k].tobytes()
+                assert backgrounds[k].tobytes() == background[n][k].tobytes()
         for n in range(traj.n):
             for k in range(1, vconfig.instance.n_steps):
                 assert traj.delta[n][k].tobytes() == delta[n][k].tobytes()
@@ -396,10 +429,11 @@ class TestFineSolveReuse:
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
         level = initial_trajectory(vconfig).u[0].copy()
-        level[3, 0] = 0.0
-        traj = PararealTrajectory(u=(level,), background=(level,), delta=())
-        backgrounds = level.copy()
-        backgrounds[2] = np.nextafter(level[2], np.inf)
+        level[2] = 0.0                    # slab 3's background M 0 is +0.0
+        traj = PararealTrajectory(u=(level,), delta=())
+        backgrounds = fine_backgrounds(vconfig.instance.M, level)
+        assert backgrounds[3, 0] == 0.0 and not np.signbit(backgrounds[3, 0])
+        backgrounds[2] = np.nextafter(backgrounds[2], np.inf)
         backgrounds[3, 0] = -0.0
         deltas, hists = np.full(level.shape, 7.0), [object() for _ in range(7)]
         got, got_hists, solved = parareal_update(
@@ -420,9 +454,10 @@ class TestFineSolveReuse:
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
-        first = (traj.background[0].copy(), np.full(traj.u[0].shape, 1.0),
+        backgrounds = fine_backgrounds(vconfig.instance.M, traj.u[0])
+        first = (backgrounds.copy(), np.full(traj.u[0].shape, 1.0),
                  [object() for _ in range(7)])
-        second = (traj.background[0].copy(), np.full(traj.u[0].shape, 2.0),
+        second = (backgrounds.copy(), np.full(traj.u[0].shape, 2.0),
                   [object() for _ in range(7)])
         got, hists, solved = parareal_update(traj, vconfig, factors,
                                              (first, second))
@@ -434,8 +469,8 @@ class TestFineSolveReuse:
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
-        moved = (traj.background[0] + 1.0, np.zeros(traj.u[0].shape),
-                 [None] * 7)
+        moved = (fine_backgrounds(vconfig.instance.M, traj.u[0]) + 1.0,
+                 np.zeros(traj.u[0].shape), [None] * 7)
         got, hists, solved = parareal_update(traj, vconfig, factors, (moved,))
         fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
         assert solved == list(range(1, 8))
@@ -465,7 +500,8 @@ class TestFineSolveReuse:
                 assert previous == []
             else:
                 (prev_b, prev_delta, prev_hists), = previous
-                assert prev_b is traj.background[n - 1]
+                assert (prev_b.tobytes()
+                        == fine_backgrounds(M, traj.u[n - 1]).tobytes())
                 assert prev_delta is traj.delta[n - 1]
                 assert prev_hists is hist.mps[n - 1]
             assert hists is chain_hists
@@ -528,7 +564,8 @@ class TestBatchedFineSolves:
         assert max(map(len, batches)) - min(map(len, batches)) <= 1
         # the level just solved is known: no slab is left, so no batch is made
         batches.clear()
-        known = ((traj.background[0], traj1.delta[0], hists),)
+        known = ((fine_backgrounds(vconfig.instance.M, traj.u[0]),
+                  traj1.delta[0], hists),)
         _, _, solved = parareal_update(traj, vconfig, factors, known,
                                        workers=workers)
         assert batches == [] and solved == []

@@ -138,7 +138,8 @@ class TestOracleLine:
 
 def short_run():
     config = harness.load_config(overrides={"n_steps": 3, "seed": 2025})
-    return harness.run_experiment(config)
+    return harness.run_experiment(config), harness.build_problem(
+        config)[0].instance.M
 
 
 def parts_sha256(parts):
@@ -147,9 +148,12 @@ def parts_sha256(parts):
 
 class TestTrajectoryLine:
     def test_hashes_levels_then_the_chain(self):
-        result = short_run()
+        result, M = short_run()
         t = result.trajectory
-        want = parts_sha256([*t.u, *t.background,
+        # each level's backgrounds row by row: u0, then M @ the state at k - 1
+        backgrounds = [row for level in t.u
+                       for row in (level[0], *(M @ x for x in level[:-1]))]
+        want = parts_sha256([*t.u, *backgrounds,
                              *(level[1:] for level in t.delta),
                              result.reference])
         line = report_gate.gate_line("two_steps", {"n_steps": 3}, 2025)
@@ -158,16 +162,15 @@ class TestTrajectoryLine:
     def test_per_point_vectors_hash_alike(self):
         # a trajectory kept as tuples of per-point vectors, with None for
         # delta[n][0], and a chain kept as a list
-        result = short_run()
+        result, M = short_run()
         t = result.trajectory
         vectors = parareal.PararealTrajectory(
             u=tuple(map(tuple, t.u)),
-            background=tuple(map(tuple, t.background)),
             delta=tuple((None, *level[1:]) for level in t.delta))
         as_vectors = SimpleNamespace(trajectory=vectors,
                                      reference=list(result.reference))
-        assert (report_gate.trajectory_sha256(as_vectors)
-                == report_gate.trajectory_sha256(result))
+        assert (report_gate.trajectory_sha256(as_vectors, M)
+                == report_gate.trajectory_sha256(result, M))
 
 
 class TestSolvedLine:
@@ -187,8 +190,8 @@ class TestSolvedLine:
 
         monkeypatch.setattr(parareal, "run_parareal", spy)
         line = report_gate.gate_line("short", overrides, 2025)
-        # the harness's run, then the gate's re-run with its settings
-        assert len(histories) == 2
+        # the harness's one run, read from its result
+        assert len(histories) == 1
         assert line["solved"] == histories[0].solved == solved
         assert json.loads(json.dumps(line))["solved"] == solved
         assert line["summary"]["fine_solves"] == 3 + sum(map(len, solved))

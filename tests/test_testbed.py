@@ -236,6 +236,27 @@ class TestObservations:
         with pytest.raises(testbed.TestbedError):
             build_observations(small_instance, small_cov, [0, 9], np.zeros(8), seed=0)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed 1.5 is not an integer"),
+        (True, "seed True is not an integer"),
+        (None, "seed None is not an integer")])
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_rejects_invalid_seed_by_name(self, small_instance, small_cov,
+                                          seed, message, noise):
+        # -1 and 1.5 once raised NumPy's bare errors; True was taken as 1
+        with pytest.raises(testbed.TestbedError, match=f"^{message}$"):
+            build_observations(small_instance, small_cov, [1, 4], np.zeros(8),
+                               seed=seed, noise=noise)
+
+    def test_numpy_integer_seed_is_accepted(self, small_instance, small_cov):
+        u_truth = np.sin(np.arange(8.0))
+        a = build_observations(small_instance, small_cov, [1, 4], u_truth,
+                               seed=np.int64(42))
+        b = build_observations(small_instance, small_cov, [1, 4], u_truth,
+                               seed=42)
+        assert a.v.tobytes() == b.v.tobytes()
+
     def test_same_seed_bitwise_identical(self, small_instance, small_cov):
         u_truth = np.sin(np.arange(8.0))
         a = build_observations(small_instance, small_cov, [1, 4, 6], u_truth, seed=42)

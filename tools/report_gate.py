@@ -17,8 +17,9 @@ the sha256 of the CSV and JSON reports, `status`, `n_outer` and every
 means equal bits), `oracle_sha256`, the sha256 of the chained dense
 3D-Var oracle that perfbench's oracle_gap compares against, and
 `trajectory_sha256`, the sha256 of the run's Parareal trajectory and serial
-chain, and `solved`, the slabs run_parareal solves in each iteration.  With
---demos, one more line per demo holds the sha256 of its standard output.
+chain, and `solved`, the slabs each of the run's Parareal iterations
+solved (its history.solved).  With --demos, one more line per demo holds
+the sha256 of its standard output.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from pintda import dd_mps, harness, parareal, var_solver  # noqa: E402
+from pintda import harness, var_solver  # noqa: E402
 
 CONFIGS = {
     "default": {},
@@ -86,11 +87,10 @@ def _plain(value):
     return value.item() if hasattr(value, "item") else value
 
 
-def oracle_sha256(config):
+def oracle_sha256(vconfig):
     """sha256 of the stacked oracle chain u_0 = u0, u_k = the single-time
     oracle analysis of time k around M u_{k-1}, chained as perfbench's
     oracle_gap chains it."""
-    vconfig, _ = harness.build_problem(config)
     M, chain = vconfig.instance.M, [vconfig.u0]
     for k in range(1, vconfig.instance.n_steps):
         slab = dataclasses.replace(vconfig, u0=M @ chain[-1], time_index=k)
@@ -98,45 +98,41 @@ def oracle_sha256(config):
     return hashlib.sha256(np.stack(chain).tobytes()).hexdigest()
 
 
-def trajectory_sha256(result):
-    """sha256 of every level's states, then backgrounds, then the rows
-    k >= 1 of every correction level, then the serial chain.  Each part is
-    stacked with np.asarray, so per-point vectors and per-level arrays of the
-    same values hash alike."""
+def level_backgrounds(M, level):
+    """A level's fine-solve backgrounds, row by row: its state at time 0,
+    then M @ its state at k - 1 for each later time k.  A per-row loop, not
+    parareal.fine_backgrounds, so the hash checks that helper's bits."""
+    rows = np.asarray(level, dtype=float)
+    return [rows[0], *(M @ row for row in rows[:-1])]
+
+
+def trajectory_sha256(result, M):
+    """sha256 of every level's states, then backgrounds (level_backgrounds
+    under the model's M), then the rows k >= 1 of every correction level,
+    then the serial chain.  Each part is stacked with np.asarray, so
+    per-point vectors and per-level arrays of the same values hash alike."""
     trajectory = result.trajectory
     digest = hashlib.sha256()
-    for part in (trajectory.u, trajectory.background,
+    for part in (trajectory.u,
+                 [level_backgrounds(M, level) for level in trajectory.u],
                  [level[1:] for level in trajectory.delta], result.reference):
         digest.update(np.asarray(part, dtype=float).tobytes())
     return digest.hexdigest()
 
 
-def solved_slabs(config):
-    """The slabs run_parareal solves in each iteration, from a re-run with
-    the harness's settings and serial chain (the report keeps only the
-    totals)."""
-    vconfig, partition = harness.build_problem(config)
-    factors = dd_mps.build_factors(vconfig, partition)
-    settings = {"tol_mps": config.tol_mps, "max_sweeps": config.max_sweeps}
-    chain = parareal.serial_fine_chain(vconfig, partition, factors=factors,
-                                       **settings)
-    _, history = parareal.run_parareal(
-        vconfig, factors, tol=config.tol_parareal, max_outer=config.max_outer,
-        workers=config.workers, chain=chain, **settings)
-    return _plain(history.solved)
-
-
 def gate_line(name, overrides, seed):
     config = harness.load_config(overrides=dict(overrides, seed=seed))
     result = harness.run_experiment(config)
+    vconfig, _ = harness.build_problem(config)
     return {"config": name, "seed": seed,
             "csv_sha256": _sha(harness.render_report(result.records, "csv")),
             "json_sha256": _sha(harness.render_report(result.records, "json")),
             "status": result.status, "n_outer": result.summary["n_outer"],
             "summary": _plain(result.summary),
-            "oracle_sha256": oracle_sha256(config),
-            "trajectory_sha256": trajectory_sha256(result),
-            "solved": solved_slabs(config)}
+            "oracle_sha256": oracle_sha256(vconfig),
+            "trajectory_sha256": trajectory_sha256(result,
+                                                   vconfig.instance.M),
+            "solved": _plain(result.history.solved)}
 
 
 def demo_line(path):
