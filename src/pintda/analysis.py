@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .testbed import require_integer
+from .testbed import gemv_rows, require_integer
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,8 @@ def lipschitz_estimate(M, mu_A, differences):
     the caller should include the difference vectors it actually cares about.
     Zero rows (coinciding pairs) are skipped; a non-finite probe makes C
     non-finite.  L = ||M||_inf^2 is reported alongside for the error-magnitude
-    form.  The probes run as stacked gemvs,
-    matmul(M, D[..., None]), which keep each row's M @ d bits; never as a
-    gemm (D @ M.T), which does not (a BLAS gemm sums in another order).
+    form.  The probes run as one testbed.gemv_rows, so each row keeps its
+    M @ d bits.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -122,8 +121,7 @@ def lipschitz_estimate(M, mu_A, differences):
 
     nd = np.abs(D).max(axis=1)
     with np.errstate(invalid="ignore"):     # inf / inf; 0 / 0 on a zero row
-        ratios = (np.abs(np.matmul(M, D[:, :, None])).max(axis=(1, 2))
-                  / nd)[nd != 0.0]
+        ratios = (np.abs(gemv_rows(M, D)).max(axis=1) / nd)[nd != 0.0]
     if ratios.size == 0:
         raise ValueError("all probe pairs coincide")
 

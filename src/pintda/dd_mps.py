@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .testbed import require_integer
+from .testbed import gemv_rows, require_integer
 from .var_solver import VarSolverError, normal_matrix
 
 # The float64 LAPACK solve that scipy.linalg.cho_solve dispatches to, bound
@@ -83,17 +83,11 @@ class LocalFactor:
     chol: tuple = field(repr=False)
 
 
-def _mv(A, x):
-    """A @ x for every row of x: one gemv per column, so each column has the
-    bits of A @ x alone."""
-    return np.matmul(A, x[..., None])[..., 0]
-
-
 def _rhs(S, rinv, d):
     """c = rinv S^T d for every row of the innovations d."""
     # a batch's d comes out F-ordered; each column keeps its solo bits only
     # if the stacked gemv reads a C-ordered operand
-    return _mv(S.T, np.multiply(rinv, d, order="C"))
+    return gemv_rows(S.T, np.multiply(rinv, d, order="C"))
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ class CgPlan:
 
     def apply_A(self, p):
         """A p for every row of p, as lam p + rinv S^T (S p)."""
-        return self.lam * p + _rhs(self.S, self.rinv, _mv(self.S, p))
+        return self.lam * p + _rhs(self.S, self.rinv, gemv_rows(self.S, p))
 
     def precondition(self, r):
         """sum_i R_i^T A_loc_i^-1 R_i r: one potrs call per block for every
@@ -191,7 +185,7 @@ class CgIterate:
 
     @functools.cached_property
     def patched(self):
-        return self.u_b + _mv(self.plan.V, self.w)
+        return self.u_b + gemv_rows(self.plan.V, self.w)
 
     def take(self, rows):
         """The batch's columns `rows`; an int gives one unbatched iterate."""

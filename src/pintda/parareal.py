@@ -8,12 +8,12 @@ background), then runs the sequential predictor-corrector recombination
 
 storing the correction factor delta = fine - coarse per slab, each level
 one (n_points, np) array with row k for time point k.  Slab k's fine-solve
-background M u_{k-1}^{n} is not stored: fine_backgrounds recomputes it from
-the states.  The initial state is pinned to u0 at every iteration.  After as
-many iterations as there are slabs the trajectory reproduces the serial fine
-chain exactly, so run_parareal also stops there.  The trajectory is the run's
-record: the error table E[n, k] = ||reference[k] - u[n][k]||_inf, the
-correction norms and the iterate differences are all read from its levels.
+background M u_{k-1}^{n} is not stored (fine_backgrounds defines it).  The
+initial state is pinned to u0 at every iteration.  After as many iterations
+as there are slabs the trajectory reproduces the serial fine chain exactly,
+so run_parareal also stops there.  The trajectory is the run's record: the
+error table E[n, k] = ||reference[k] - u[n][k]||_inf, the correction norms
+and the iterate differences are all read from its levels.
 
 Slab k is [t_{k-1}, t_k], with t_k = k h (h = instance.h), and assimilates
 the batch at t_k.  Its fine solve is dd_mps.run_mps(plan, background, k,
@@ -25,15 +25,15 @@ at most `workers` contiguous batches, which run on a thread pool.  A column
 has the bits of its slab solved alone, so the split never changes a byte.
 
 run_parareal does less work than the textbook iteration, which re-solves
-every slab at every iteration.  A fine solve is a deterministic function of
-(slab, background), so a slab whose background is bitwise unchanged since
-the previous iteration, or equal to the chain's background, takes the delta
-and history that the previous level, or the serial fine chain, already
-holds instead of solving again.  By finite-step exactness the first covers
-every slab k < n at iteration n; the chain (slab k's chain background is
-M reference[k-1]) covers slab n too, so iteration n then solves only the
-slabs k > n.  Every state, delta and history is bitwise the textbook one;
-the reduced work shows in history.solved, the slabs each iteration solved.
+every slab at every iteration.  Slab k's fine solve is a deterministic
+function of its input state u_{k-1}, so a slab whose input state is bitwise
+unchanged since the previous iteration, or equal to the chain's, takes the
+delta and history that the previous level, or the serial fine chain, already
+holds; only the slabs solved get a background.  By finite-step exactness the
+first covers every slab k < n at iteration n and the chain slab n too, so
+iteration n solves only the slabs k > n.  Every state, delta and history is
+bitwise the textbook one; history.solved lists the slabs each iteration
+solved.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dd_mps import build_factors, run_mps, run_mps_batch
-from .testbed import require_integer
+from .testbed import gemv_rows, require_integer
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ class PararealHistory:
 
 def fine_backgrounds(M, states):
     """Slab k's background M states[k-1] in row k, states[0] in row 0: one
-    stacked gemv (each row has M @ x's bits), C-contiguous for uint64 views."""
-    return np.vstack((states[:1], np.matmul(M, states[:-1, :, None])[..., 0]))
+    gemv_rows, so each row has M @ states[k-1]'s bits."""
+    return np.vstack((states[:1], gemv_rows(M, states[:-1])))
 
 
 def initial_trajectory(config):
@@ -123,11 +123,12 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     The slab corrections are computed first, as batched fine solves on the
     block factors `factors` (config's dd_mps.CgPlan), split over `workers`
     threads; then the corrector recombines them sequentially.  `known` is a
-    tuple of earlier levels (backgrounds, deltas, histories), where row k
-    and history k - 1 belong to slab k.  A slab whose background has the
-    bytes of a known level's row (so -0.0 and 0.0 differ) takes that level's
-    delta row and history object, the first matching level winning; only
-    the other slabs are solved.  Returns the extended trajectory, the
+    tuple of earlier levels (states, deltas, histories), where delta row k
+    and history k - 1 belong to slab k and state row k - 1 is its input.  A
+    slab whose input state has the bytes of a known level's state row (so
+    -0.0 and 0.0 differ) takes that level's delta row and history object,
+    the first matching level winning; only the other slabs are solved, and
+    only their backgrounds are formed.  Returns the extended trajectory, the
     per-slab inner-solver histories and the list of slabs solved.
     """
     _check_fine_settings(tol_mps, max_sweeps)
@@ -135,13 +136,12 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     states, M = trajectory.u[-1], config.instance.M
-    backgrounds = fine_backgrounds(M, states)
     delta = np.zeros(states.shape)            # u_0 takes no correction
     histories = [None] * (len(states) - 1)
     todo = np.arange(1, len(states))
-    for known_b, known_delta, known_hists in known:
-        hit = (known_b[todo].view(np.uint64)
-               == backgrounds[todo].view(np.uint64)).all(axis=1)
+    for known_u, known_delta, known_hists in known:
+        hit = (known_u[todo - 1].view(np.uint64)
+               == states[todo - 1].view(np.uint64)).all(axis=1)
         reused, todo = todo[hit], todo[~hit]
         delta[reused] = known_delta[reused]
         for k in reused.tolist():
@@ -149,13 +149,15 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     todo = todo.tolist()
 
     def correct(ks):
-        return run_mps_batch(factors, backgrounds[ks], ks, tol_mps,
-                             max_sweeps)
+        backgrounds = gemv_rows(M, states[[k - 1 for k in ks]])
+        fine, hists = run_mps_batch(factors, backgrounds, ks, tol_mps,
+                                    max_sweeps)
+        return fine - backgrounds, hists
 
     batches = _batches(todo, workers)
-    for ks, (fine, hists) in zip(batches, parallel_map(correct, batches,
-                                                       workers)):
-        delta[ks] = fine - backgrounds[ks]
+    for ks, (fine_delta, hists) in zip(batches, parallel_map(correct, batches,
+                                                             workers)):
+        delta[ks] = fine_delta
         for k, hist in zip(ks, hists):
             histories[k - 1] = hist
 
@@ -218,15 +220,14 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     tol_mps.
 
     The loop does less work than the textbook iteration and returns its
-    bytes: a fine solve is a deterministic function of (slab, background),
-    so each iteration passes parareal_update the previous level (its
-    backgrounds, deltas and histories) as known, and a slab whose background
-    is bitwise unchanged since the previous iteration is not solved again.
-    `chain`, the (states, histories) pair that serial_fine_chain returns
-    under these same solver settings, must hold one finite (n_steps, np)
-    state array and n_steps - 1 histories.  It adds one known level, built
-    once from fine_backgrounds(M, reference), so iteration n solves only the
-    slabs k > n.  history.solved lists the slabs solved per iteration.
+    bytes: a fine solve is a deterministic function of (slab, input state),
+    so each iteration passes parareal_update the previous level (the states,
+    deltas and histories it already holds) as known.  `chain`, the
+    (states, histories) pair that serial_fine_chain returns under these same
+    solver settings, must hold one finite (n_steps, np) state array and
+    n_steps - 1 histories.  It adds one known level, whose deltas are formed
+    once with fine_backgrounds, so iteration n solves only the slabs k > n.
+    history.solved lists the slabs solved per iteration.
     max_outer, max_sweeps and workers must be integers, not bools.
     """
     if not tol > 0:
@@ -253,13 +254,12 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
             raise ValueError(f"chain states are not finite at time "
                              f"{np.argmin(finite)}")
         # each row's delta is bitwise the delta its fine solve computes
-        backgrounds = fine_backgrounds(M, reference)
-        chain_level = ((backgrounds, reference - backgrounds, chain_hists),)
+        chain_level = ((reference, reference - fine_backgrounds(M, reference),
+                        chain_hists),)
 
     for _ in range(max_outer):
         previous = () if not trajectory.n else (
-            (fine_backgrounds(M, trajectory.u[-2]), trajectory.delta[-1],
-             history.mps[-1]),)
+            (trajectory.u[-2], trajectory.delta[-1], history.mps[-1]),)
         trajectory, mps_hists, solved = parareal_update(
             trajectory, config, factors, previous + chain_level,
             tol_mps=tol_mps, max_sweeps=max_sweeps, workers=workers)

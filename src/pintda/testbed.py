@@ -25,6 +25,16 @@ def require_integer(name, value, error):
         raise error(f"{name} {value} is not an integer")
 
 
+def gemv_rows(A, x):
+    """A @ x[i] for every row i of x, as one stacked gemv.
+
+    Each row has the bits of A @ x[i] computed alone, for any number of rows,
+    provided x is C-ordered: a gemm (x @ A.T) makes no such promise, since
+    BLAS may sum a blocked product in another order.
+    """
+    return np.matmul(A, x[..., None])[..., 0]
+
+
 # Largest deviation of the propagator's row sums from 1 that build_model_instance
 # accepts; measured deviations are <= 6e-5 up to diffusivity 1e10 and 1.0 from 1e20.
 ROW_SUM_TOL = 1e-3
@@ -174,7 +184,10 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
         B = sigma_b**2 * np.eye(n_grid)
     else:
         d2 = (idx[:, None] - idx[None, :]).astype(float) ** 2
-        B = sigma_b**2 * np.exp(-d2 / (2.0 * L**2))
+        # below about L = 1e-153, d^2 / (2 L^2) overflows to inf off the
+        # diagonal, and exp(-inf) = 0 is the exact uncorrelated value
+        with np.errstate(over="ignore"):
+            B = sigma_b**2 * np.exp(-d2 / (2.0 * L**2))
     B = B + 1e-10 * sigma_b**2 * np.eye(n_grid)
 
     try:

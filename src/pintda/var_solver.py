@@ -142,12 +142,34 @@ def normal_matrix(A_bg, H, rinv):
 
 def _hessian_blocks(config, variant):
     """The distinct blocks of the half Hessian, weight B^-1 + H^T R^-1 H, in
-    time order (each G_k, k >= 1, is one array); B^-1 is formed once."""
+    time order (each G_k, k >= 1, is one array); B^-1 is formed once.
+
+    A B that is singular to working precision (SciPy's ill-conditioning
+    warning) and a block that overflows float64 are faults, raised as
+    VarSolverError naming the fields that cause them.
+    """
     weight, blocks = _blocks(config, variant)
-    A_bg = _background_term(config, weight)
-    rinv = 1.0 / config.covpair.sigma_r**2
-    return [normal_matrix(A_bg, H, rinv)[0]
-            for H in {id(H): H for H, _ in blocks}.values()]
+    cov = config.covpair
+    rinv = 1.0 / cov.sigma_r**2
+    # Overflow surfaces as values, not warnings: the check below rejects it.
+    with warnings.catch_warnings(), np.errstate(over="ignore",
+                                                invalid="ignore"):
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            A_bg = _background_term(config, weight)
+        except scipy.linalg.LinAlgWarning as err:
+            raise VarSolverError(
+                f"sigma_b = {cov.sigma_b:g} and L make the background "
+                "covariance B singular to working precision: SciPy's inverse "
+                "finds it ill-conditioned") from err
+        halves = [normal_matrix(A_bg, H, rinv)[0]
+                  for H in {id(H): H for H, _ in blocks}.values()]
+    if not all(np.isfinite(half).all() for half in halves):
+        name = "alpha" if variant == "fourD" else "lambda"
+        raise VarSolverError(
+            f"{name} = {weight:g} with sigma_b = {cov.sigma_b:g} and sigma_r "
+            f"= {cov.sigma_r:g} overflows the Hessian in float64")
+    return halves
 
 
 def solve_var_direct(config, variant="threeD"):

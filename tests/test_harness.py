@@ -164,6 +164,8 @@ NOT_POSITIVE_DEFINITE = "\n".join([
     "velocity = 0", "diffusivity = 1", "obs_layout = random", "lambda = 1e-6",
     "rho_penalty = 0", "alpha = 0.001", "max_sweeps = 5", "max_outer = 2",
     "seed = 862", "sigma_b = 10", "sigma_r = 1e-4"])
+ALPHA_OVERFLOW = "alpha = 1e303\nsigma_b = 0.001"
+B_SINGULAR = "sigma_b = 1e-150\nL = 1000"
 
 
 class TestParallelMap:
@@ -578,6 +580,10 @@ class TestCli:
         "L = 1e300", "L = 1.4e154", "L = 1e-200",
         # the background rounds to the truth, so xi = 0
         "sigma_b = 1e-150",
+        # alpha B^-1 overflows: 1e303 times 1 / sigma_b^2 = 1e6
+        pytest.param(ALPHA_OVERFLOW, id="alpha = 1e303 Hessian overflow"),
+        # B = 1e-300 (ones + 1e-10 I): the jitter is subnormal, so rcond = 0
+        pytest.param(B_SINGULAR, id="sigma_b = 1e-150 L = 1000 singular B"),
         pytest.param(NOT_POSITIVE_DEFINITE, id="lambda = 1e-6 local cholesky")])
     def test_numerical_fault_of_valid_config_exits_three(self, tmp_path, capsys,
                                                          recwarn, setting):
@@ -595,7 +601,13 @@ class TestCli:
                  NOT_POSITIVE_DEFINITE: "subdomain 1: the local system "
                                         "is not positive definite in float64 "
                                         "(lambda = 1e-06 with sigma_b = 10 and "
-                                        "sigma_r = 0.0001)"}
+                                        "sigma_r = 0.0001)",
+                 ALPHA_OVERFLOW: "alpha = 1e+303 with sigma_b = 0.001 and "
+                                 "sigma_r = 0.05 overflows the Hessian in "
+                                 "float64\n",
+                 B_SINGULAR: "sigma_b = 1e-150 and L make the background "
+                             "covariance B singular to working precision: "
+                             "SciPy's inverse finds it ill-conditioned\n"}
         field = setting.split(" = ")[0]
         assert err.startswith(f"solver error: {names.get(setting, field)}")
         assert err.count("\n") == 1

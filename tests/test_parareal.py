@@ -429,15 +429,14 @@ class TestFineSolveReuse:
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
         level = initial_trajectory(vconfig).u[0].copy()
-        level[2] = 0.0                    # slab 3's background M 0 is +0.0
+        level[2] = 0.0                    # slab 3's input state is +0.0
         traj = PararealTrajectory(u=(level,), delta=())
-        backgrounds = fine_backgrounds(vconfig.instance.M, level)
-        assert backgrounds[3, 0] == 0.0 and not np.signbit(backgrounds[3, 0])
-        backgrounds[2] = np.nextafter(backgrounds[2], np.inf)
-        backgrounds[3, 0] = -0.0
+        states = level.copy()
+        states[1] = np.nextafter(states[1], np.inf)
+        states[2, 0] = -0.0
         deltas, hists = np.full(level.shape, 7.0), [object() for _ in range(7)]
         got, got_hists, solved = parareal_update(
-            traj, vconfig, factors, ((backgrounds, deltas, hists),))
+            traj, vconfig, factors, ((states, deltas, hists),))
         fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
         # nextafter and -0.0 miss, so slabs 2 and 3 are solved
         assert solved == [2, 3]
@@ -450,14 +449,36 @@ class TestFineSolveReuse:
                 assert got.delta[0][k].tobytes() == deltas[k].tobytes()
                 assert got_hists[k - 1] is hists[k - 1]
 
+    def test_signed_zero_state_is_solved_though_its_background_matches(
+            self, bench_problem):
+        vconfig, partition = bench_problem
+        factors = build_factors(vconfig, partition)
+        M = vconfig.instance.M
+        level = initial_trajectory(vconfig).u[0].copy()
+        level[2] = 0.0
+        traj = PararealTrajectory(u=(level,), delta=())
+        states = level.copy()
+        states[2, 0] = -0.0
+        # M (-0.0, 0, ...) sums to +0.0: the backgrounds share their bytes
+        assert (fine_backgrounds(M, states)[3].tobytes()
+                == fine_backgrounds(M, level)[3].tobytes())
+        deltas, hists = np.full(level.shape, 7.0), [object() for _ in range(7)]
+        got, got_hists, solved = parareal_update(
+            traj, vconfig, factors, ((states, deltas, hists),))
+        fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
+        # the state differs, so slab 3 is solved again, to the same bytes
+        assert solved == [3]
+        assert got.delta[0][3].tobytes() == fresh.delta[0][3].tobytes()
+        assert got_hists[2] == fresh_hists[2]
+        assert got_hists[2] is not hists[2]
+
     def test_first_matching_level_wins(self, bench_problem):
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
-        backgrounds = fine_backgrounds(vconfig.instance.M, traj.u[0])
-        first = (backgrounds.copy(), np.full(traj.u[0].shape, 1.0),
+        first = (traj.u[0].copy(), np.full(traj.u[0].shape, 1.0),
                  [object() for _ in range(7)])
-        second = (backgrounds.copy(), np.full(traj.u[0].shape, 2.0),
+        second = (traj.u[0].copy(), np.full(traj.u[0].shape, 2.0),
                   [object() for _ in range(7)])
         got, hists, solved = parareal_update(traj, vconfig, factors,
                                              (first, second))
@@ -469,8 +490,7 @@ class TestFineSolveReuse:
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
-        moved = (fine_backgrounds(vconfig.instance.M, traj.u[0]) + 1.0,
-                 np.zeros(traj.u[0].shape), [None] * 7)
+        moved = (traj.u[0] + 1.0, np.zeros(traj.u[0].shape), [None] * 7)
         got, hists, solved = parareal_update(traj, vconfig, factors, (moved,))
         fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
         assert solved == list(range(1, 8))
@@ -495,21 +515,67 @@ class TestFineSolveReuse:
                                   chain=(reference, chain_hists))
         M = vconfig.instance.M
         for n, (trajectory, known) in enumerate(calls):
-            *previous, (backgrounds, deltas, hists) = known
+            *previous, (states, deltas, hists) = known
             if n == 0:
                 assert previous == []
             else:
-                (prev_b, prev_delta, prev_hists), = previous
-                assert (prev_b.tobytes()
-                        == fine_backgrounds(M, traj.u[n - 1]).tobytes())
+                (prev_u, prev_delta, prev_hists), = previous
+                assert prev_u is traj.u[n - 1]
                 assert prev_delta is traj.delta[n - 1]
                 assert prev_hists is hist.mps[n - 1]
+            assert states is reference
             assert hists is chain_hists
             for k in range(1, vconfig.instance.n_steps):
                 chain_b = M @ reference[k - 1]
-                assert backgrounds[k].tobytes() == chain_b.tobytes()
                 assert (deltas[k].tobytes()
                         == (reference[k] - chain_b).tobytes())
+
+    @pytest.mark.parametrize("max_outer", [1, 3, 8])
+    @pytest.mark.parametrize("with_chain", [True, False])
+    def test_backgrounds_of_whole_levels_only_for_the_chain(
+            self, monkeypatch, bench_problem, max_outer, with_chain):
+        vconfig, partition = bench_problem
+        plan = build_factors(vconfig, partition)
+        chain = (serial_fine_chain(vconfig, partition, factors=plan)
+                 if with_chain else None)
+        calls = []
+        backgrounds = parareal.fine_backgrounds
+
+        def spy(M, states):
+            calls.append(states)
+            return backgrounds(M, states)
+
+        monkeypatch.setattr(parareal, "fine_backgrounds", spy)
+        traj, _ = run_parareal(vconfig, plan, tol=1e-300, max_outer=max_outer,
+                               chain=chain)
+        assert traj.n == min(max_outer, vconfig.instance.n_steps - 1)
+        assert len(calls) == with_chain
+        if with_chain:
+            assert calls[0] is chain[0]
+
+    @pytest.mark.parametrize("with_chain", [True, False])
+    def test_rows_multiplied_are_the_slabs_solved(self, monkeypatch,
+                                                  bench_problem, with_chain):
+        vconfig, partition = bench_problem
+        plan = build_factors(vconfig, partition)
+        chain = (serial_fine_chain(vconfig, partition, factors=plan)
+                 if with_chain else None)
+        rows = []
+        kernel = parareal.gemv_rows
+
+        def spy(A, x):
+            rows.append(len(x))
+            return kernel(A, x)
+
+        monkeypatch.setattr(parareal, "gemv_rows", spy)
+        _, hist = run_parareal(vconfig, plan, tol=1e-300, max_outer=8,
+                               chain=chain)
+        n_slabs = vconfig.instance.n_steps - 1
+        # the chain level's deltas take one product of every chain state
+        # but the last; every other row is a solved slab's background
+        chain_rows = n_slabs if with_chain else 0
+        assert sum(rows) == chain_rows + sum(len(s) for s in hist.solved)
+        assert sum(len(s) for s in hist.solved) < n_slabs * hist.n_outer
 
 
 def one_network_problem(layout):
@@ -564,8 +630,7 @@ class TestBatchedFineSolves:
         assert max(map(len, batches)) - min(map(len, batches)) <= 1
         # the level just solved is known: no slab is left, so no batch is made
         batches.clear()
-        known = ((fine_backgrounds(vconfig.instance.M, traj.u[0]),
-                  traj1.delta[0], hists),)
+        known = ((traj.u[0], traj1.delta[0], hists),)
         _, _, solved = parareal_update(traj, vconfig, factors, known,
                                        workers=workers)
         assert batches == [] and solved == []

@@ -209,6 +209,37 @@ class TestCovariance:
         cov = build_covariance(8, sigma_b=1.0, sigma_r=1.0, L=1e154)
         np.testing.assert_array_equal(cov.B, np.ones((8, 8)) + 1e-10 * np.eye(8))
 
+    def test_tiny_L_is_the_uncorrelated_limit_without_a_warning(self):
+        # d^2 / (2 L^2) overflows to inf off the diagonal: exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = build_covariance(32, sigma_b=0.5, sigma_r=0.05, L=1e-156)
+        zero = build_covariance(32, sigma_b=0.5, sigma_r=0.05, L=0.0)
+        assert tiny.B.tobytes() == zero.B.tobytes()
+        assert tiny.V.tobytes() == zero.V.tobytes()
+
+
+class TestGemvRows:
+    @pytest.mark.parametrize("n_rows, n_grid", [
+        (2, 2), (2, 9), (7, 2), (8, 32), (32, 256)])
+    def test_rows_are_bitwise_the_per_row_products(self, n_rows, n_grid):
+        rng = np.random.default_rng([n_rows, n_grid])
+        A = rng.standard_normal((n_grid, n_grid))
+        x = rng.standard_normal((n_rows, n_grid))
+        got = testbed.gemv_rows(A, x)
+        assert got.shape == x.shape
+        for i in range(n_rows):
+            assert got[i].tobytes() == (A @ x[i]).tobytes()
+
+    def test_rectangular_operator(self):
+        rng = np.random.default_rng(5)
+        S = rng.standard_normal((3, 11))
+        x = rng.standard_normal((4, 11))
+        got = testbed.gemv_rows(S, x)
+        assert got.shape == (4, 3)
+        for i in range(4):
+            assert got[i].tobytes() == (S @ x[i]).tobytes()
+
 
 @pytest.fixture()
 def small_instance():
