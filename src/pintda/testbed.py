@@ -59,12 +59,14 @@ class ModelInstance:
 @dataclass(frozen=True)
 class CovarianceFactorPair:
     """Background covariance B with lower-triangular factor V (B = V V^T),
-    plus the observation covariance R = sigma_r^2 I, kept as sigma_r alone."""
+    plus the observation covariance R = sigma_r^2 I, kept as sigma_r alone;
+    sigma_b and L are B's parameters."""
 
     B: np.ndarray
     V: np.ndarray
     sigma_b: float
     sigma_r: float
+    L: float
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,8 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
         raise TestbedError(f"background covariance is not SPD: {err}") from err
 
     return CovarianceFactorPair(B=_freeze(B), V=_freeze(V),
-                                sigma_b=float(sigma_b), sigma_r=float(sigma_r))
+                                sigma_b=float(sigma_b), sigma_r=float(sigma_r),
+                                L=float(L))
 
 
 def build_observations(instance, covpair, obs_indices, u_truth, seed, noise=True):

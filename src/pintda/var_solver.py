@@ -121,9 +121,27 @@ def eval_grad(u, config, variant="threeD"):
     return g.ravel()
 
 
+def _checked_inv(A, what):
+    """scipy.linalg.inv(A), with a singular A, or one singular to working
+    precision (SciPy's ill-conditioning warning), raised as VarSolverError
+    naming `what`."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.inv(A)
+    except scipy.linalg.LinAlgWarning as err:
+        # SciPy's text labels the condition number "rcond"; keep it off the CLI
+        raise VarSolverError(f"{what} is singular to working precision: "
+                             "SciPy's inverse finds it ill-conditioned") from err
+    except scipy.linalg.LinAlgError as err:
+        raise VarSolverError(f"{what} is singular: {err}") from err
+
+
 def _background_term(config, weight):
     """weight B^-1, symmetrized, the part every block shares."""
-    Binv = scipy.linalg.inv(config.covpair.B)
+    cov = config.covpair
+    Binv = _checked_inv(cov.B, f"the background covariance B (sigma_b = "
+                               f"{cov.sigma_b:g}, L = {cov.L:g})")
     return weight * (0.5 * (Binv + Binv.T))
 
 
@@ -152,16 +170,8 @@ def _hessian_blocks(config, variant):
     cov = config.covpair
     rinv = 1.0 / cov.sigma_r**2
     # Overflow surfaces as values, not warnings: the check below rejects it.
-    with warnings.catch_warnings(), np.errstate(over="ignore",
-                                                invalid="ignore"):
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            A_bg = _background_term(config, weight)
-        except scipy.linalg.LinAlgWarning as err:
-            raise VarSolverError(
-                f"sigma_b = {cov.sigma_b:g} and L make the background "
-                "covariance B singular to working precision: SciPy's inverse "
-                "finds it ill-conditioned") from err
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_bg = _background_term(config, weight)
         halves = [normal_matrix(A_bg, H, rinv)[0]
                   for H in {id(H): H for H, _ in blocks}.values()]
     if not all(np.isfinite(half).all() for half in halves):
@@ -221,17 +231,7 @@ def hessian_condition(config, variant="threeD"):
     norm, inv_norm = 0.0, 0.0
     for k, half in enumerate(_hessian_blocks(config, variant)):
         A = 2.0 * half
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                Ainv = scipy.linalg.inv(A)
-        except scipy.linalg.LinAlgWarning as err:
-            # SciPy's text labels the condition number "rcond"; keep it off the CLI
-            raise VarSolverError(f"Hessian block {k} is singular to working "
-                                 "precision: SciPy's inverse finds it "
-                                 "ill-conditioned") from err
-        except scipy.linalg.LinAlgError as err:
-            raise VarSolverError(f"Hessian is singular: {err}") from err
+        Ainv = _checked_inv(A, f"Hessian block {k}")
         norm = max(norm, np.abs(A).sum(axis=1).max())
         inv_norm = max(inv_norm, np.abs(Ainv).sum(axis=1).max())
     return float(norm * inv_norm)

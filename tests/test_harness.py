@@ -605,9 +605,10 @@ class TestCli:
                  ALPHA_OVERFLOW: "alpha = 1e+303 with sigma_b = 0.001 and "
                                  "sigma_r = 0.05 overflows the Hessian in "
                                  "float64\n",
-                 B_SINGULAR: "sigma_b = 1e-150 and L make the background "
-                             "covariance B singular to working precision: "
-                             "SciPy's inverse finds it ill-conditioned\n"}
+                 B_SINGULAR: "the background covariance B (sigma_b = "
+                             "1e-150, L = 1000) is singular to working "
+                             "precision: SciPy's inverse finds it "
+                             "ill-conditioned\n"}
         field = setting.split(" = ")[0]
         assert err.startswith(f"solver error: {names.get(setting, field)}")
         assert err.count("\n") == 1

@@ -59,10 +59,6 @@ class TestLadderBench:
             "fine_solves_reused": s["fine_solves_reused"],
             "cg_steps": sum(h.n_sweeps for h in [*chain_hists, *solved])}
 
-    def test_timed_runs_must_be_positive(self):
-        with pytest.raises(ValueError, match="^timed must be >= 1, got 0$"):
-            ladder_bench.run_ladder(rungs=(), timed=0)
-
     def test_compare_sets_files_side_by_side(self, tiny_bench):
         lines = ladder_bench.compare(tiny_bench, tiny_bench)
         assert lines[0].startswith("16x4: wall median ")

@@ -14,7 +14,7 @@ def identity_config(n, u0, v, alpha=1.0, lam=1.0):
     """Hand-built single-time problem with G = H = I and B = R = I."""
     inst = ModelInstance(np=n, n_steps=1, h=1.0, M=np.eye(n), M_inv_norm=1.0)
     cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
-                               sigma_r=1.0)
+                               sigma_r=1.0, L=0.0)
     obs = ObservationSet(obs=np.arange(n),
                          v=np.asarray(v, dtype=float)[None],
                          u_truth=np.zeros(n))

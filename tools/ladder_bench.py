@@ -3,13 +3,13 @@
 Run from a checkout's root; it writes BENCH_31.json there:
 
     python3 tools/ladder_bench.py
-    python3 tools/ladder_bench.py --out BENCH_parent.json --timed 7
+    python3 tools/ladder_bench.py --out BENCH_parent.json
     python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_31.json
 
 Each rung is one np x n_steps run_experiment config with nobs = np / 4,
 n_sub = 2, max_outer = n_steps - 1 and seed 1; one operation is
 run_experiment plus render_report, the work of a CLI run.  Per rung, after
-`warm` untimed operations, `timed` operations give the wall time (min,
+WARM untimed operations, TIMED operations give the wall time (min,
 median, max), and one more, under cProfile, gives its profiled time, each
 named layer's share of it (cumulative) and the deterministic counts: n_outer,
 fine_solves, fine_solves_reused and the CG steps summed over all fine
@@ -48,6 +48,7 @@ import scipy  # noqa: E402
 from pintda import harness, parareal  # noqa: E402
 
 RUNGS = ((256, 32), (512, 32), (1024, 32))     # (np, n_steps)
+WARM, TIMED = 2, 5                              # operations per rung
 LAYERS = ("run_parareal", "fine_backgrounds", "mps_sweep", "serial_fine_chain",
           "roundoff_proxies", "lipschitz_estimate", "hessian_condition",
           "build_problem", "render_report")
@@ -114,7 +115,7 @@ def _profiled(config):
     return total, share, result, chain_hists
 
 
-def measure_rung(n_grid, n_steps, warm=2, timed=5):
+def measure_rung(n_grid, n_steps, warm=WARM, timed=TIMED):
     """One rung's entry of the BENCH file."""
     config = rung_config(n_grid, n_steps)
     for _ in range(warm):
@@ -144,10 +145,8 @@ def measure_rung(n_grid, n_steps, warm=2, timed=5):
     }
 
 
-def run_ladder(rungs=RUNGS, warm=2, timed=5):
+def run_ladder(rungs=RUNGS, warm=WARM, timed=TIMED):
     """The BENCH file's contents for the given (np, n_steps) rungs."""
-    if timed < 1:
-        raise ValueError(f"timed must be >= 1, got {timed}")
     return {"machine": machine(), "warm": warm, "timed": timed,
             "rungs": [measure_rung(n, t, warm, timed) for n, t in rungs]}
 
@@ -172,15 +171,13 @@ def compare(old, new):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_31.json"))
-    parser.add_argument("--warm", type=int, default=2)
-    parser.add_argument("--timed", type=int, default=5)
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (json.loads(Path(p).read_text()) for p in args.compare)
         print("\n".join(compare(old, new)))
         return 0
-    bench = run_ladder(warm=args.warm, timed=args.timed)
+    bench = run_ladder()
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
     for rung in bench["rungs"]:
         print(f"{rung['rung']}: wall median {rung['wall_s']['median']:.3f} s, "
