@@ -264,7 +264,7 @@ def roundoff_bound(params, R_prev, R0, rho):
     (initial-value propagation, iteration propagation, local term).  Array
     R_prev and R0 broadcast, each cell with the scalar call's bits.
     """
-    if rho < 0:
+    if not rho >= 0:                # NaN fails too
         raise ValueError(f"rho must be nonnegative, got {rho}")
     R = params.R_mu
     P = gronwall_prefactor(params.N, R)

@@ -7,7 +7,8 @@ scheduled, never their values.  Reports are emitted with 17 significant
 digits so a parsed report reproduces every float exactly.  run_experiment
 reads the report's error table E_kn = ||reference[k] - u^n_k|| and its
 correction norms delta_norm from the Parareal trajectory's levels and the
-serial fine chain; the iteration's history adds only what it alone knows.
+serial fine chain, which run_parareal solves inside its batches; the
+iteration's history adds only what it alone knows.
 """
 
 from __future__ import annotations
@@ -213,6 +214,7 @@ class ExperimentResult:
     summary: dict
     trajectory: object
     reference: np.ndarray    # the serial fine chain, one row per time point
+    chain_histories: list    # slab k's chain fine-solve history at k - 1
     history: object          # the run's parareal.PararealHistory
 
     @property
@@ -260,16 +262,13 @@ def run_experiment(config):
     M, n_points = vconfig.instance.M, vconfig.instance.n_steps
     factors = dd_mps.build_factors(vconfig, partition)
 
-    chain = parareal.serial_fine_chain(
-        vconfig, partition, tol_mps=config.tol_mps,
-        max_sweeps=config.max_sweeps, factors=factors)
-    reference, chain_hists = chain
     mu_A = var_solver.hessian_condition(vconfig, "fourD")
 
-    trajectory, phist = parareal.run_parareal(
+    trajectory, phist, chain = parareal.run_parareal(
         vconfig, factors, tol=config.tol_parareal, max_outer=config.max_outer,
         tol_mps=config.tol_mps, max_sweeps=config.max_sweeps,
-        workers=config.workers, chain=chain)
+        workers=config.workers)
+    reference, chain_delta, chain_hists = chain
 
     # The realized error directions reference - u^n of every level, formed
     # once and in place as one (levels, points, np) array: the Lipschitz
@@ -291,8 +290,7 @@ def run_experiment(config):
             f"sigma_b = {config.sigma_b:g} leaves the background equal to the "
             f"truth in float64 (xi = 0), so C_error_scale is undefined")
 
-    C_h = float(np.max(np.abs(
-        reference - parareal.fine_backgrounds(M, reference))))
+    C_h = float(np.max(np.abs(chain_delta)))
     eps_candidates = [h.eps_mps for hists in phist.mps for h in hists]
     eps_mps = max(eps_candidates) if eps_candidates else 0.0
 
@@ -361,7 +359,7 @@ def run_experiment(config):
     }
     return ExperimentResult(records=records, status=status, summary=summary,
                             trajectory=trajectory, reference=reference,
-                            history=phist)
+                            chain_histories=chain_hists, history=phist)
 
 
 # One %-conversion per column: the integer columns k and n, then floats

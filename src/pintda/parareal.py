@@ -8,12 +8,12 @@ background), then runs the sequential predictor-corrector recombination
 
 storing the correction factor delta = fine - coarse per slab, each level
 one (n_points, np) array with row k for time point k.  Slab k's fine-solve
-background M u_{k-1}^{n} is not stored (fine_backgrounds defines it).  The
-initial state is pinned to u0 at every iteration.  After as many iterations
-as there are slabs the trajectory reproduces the serial fine chain exactly,
-so run_parareal also stops there.  The trajectory is the run's record: the
-error table E[n, k] = ||reference[k] - u[n][k]||_inf, the correction norms
-and the iterate differences are all read from its levels.
+background M u_{k-1}^{n} is not stored.  The initial state is pinned to u0
+at every iteration.  After as many iterations as there are slabs the
+trajectory reproduces the serial fine chain exactly, so run_parareal also
+stops there.  The trajectory is the run's record: the error table
+E[n, k] = ||reference[k] - u[n][k]||_inf, the correction norms and the
+iterate differences are all read from its levels.
 
 Slab k is [t_{k-1}, t_k], with t_k = k h (h = instance.h), and assimilates
 the batch at t_k.  Its fine solve is dd_mps.run_mps(plan, background, k,
@@ -24,16 +24,28 @@ batch (dd_mps.run_mps_batch).  With `workers` > 1 that batch is split into
 at most `workers` contiguous batches, which run on a thread pool.  A column
 has the bits of its slab solved alone, so the split never changes a byte.
 
+run_parareal also solves the serial fine chain u_k = MPS(u_{k-1}), the
+reference the run is measured against, one slab ahead of the exactness
+front.  Chain slab 1 is solved alone before iteration 1; iteration n then
+carries chain slab n + 1, whose input chain state n is already known, as one
+more column of its batch; the chain slabs no iteration carried, after a
+`tol` or `max_outer` stop, are solved one by one after the loop.  Every
+chain state, delta and history is bitwise what serial_fine_chain computes,
+which stays as the chain's independent definition.
+
 run_parareal does less work than the textbook iteration, which re-solves
 every slab at every iteration.  Slab k's fine solve is a deterministic
 function of its input state u_{k-1}, so a slab whose input state is bitwise
-unchanged since the previous iteration, or equal to the chain's, takes the
-delta and history that the previous level, or the serial fine chain, already
-holds; only the slabs solved get a background.  By finite-step exactness the
-first covers every slab k < n at iteration n and the chain slab n too, so
-iteration n solves only the slabs k > n.  Every state, delta and history is
-bitwise the textbook one; history.solved lists the slabs each iteration
-solved.
+unchanged since the previous iteration, or equal to a chain state whose
+slab is already solved, takes the delta and history that the previous level,
+or the chain, already holds; only the slabs solved get a background.  By
+finite-step exactness the first covers every slab k < n at iteration n and
+the chain slab n too, so iteration n solves only the slabs k > n.  Every
+state, delta and history is bitwise the textbook one; history.solved lists
+the slabs each iteration solved.  A slab whose input equals a chain state
+whose slab is not solved yet is solved again, to the same bytes, so only in
+that case could `solved` list a slab that a fully known chain would have
+spared.
 """
 
 from __future__ import annotations
@@ -53,8 +65,8 @@ class PararealTrajectory:
 
     Every level is one C-contiguous (n_points, np) array.  u[n][k] is the
     state at time point k after n outer iterations; delta[n][k] = MPS(b) - b
-    for the background b = M u[n][k-1] (fine_backgrounds).  u[n][0] is
-    pinned to u0 and takes no correction, so delta[n][0] is a zero row.
+    for the background b = M u[n][k-1].  u[n][0] is pinned to u0 and takes
+    no correction, so delta[n][0] is a zero row.
     """
 
     u: tuple                 # one array per iteration
@@ -80,12 +92,6 @@ class PararealHistory:
     n_outer: int = 0
 
 
-def fine_backgrounds(M, states):
-    """Slab k's background M states[k-1] in row k, states[0] in row 0: one
-    gemv_rows, so each row has M @ states[k-1]'s bits."""
-    return np.vstack((states[:1], gemv_rows(M, states[:-1])))
-
-
 def initial_trajectory(config):
     """Iteration 0 is the pure coarse sweep from the initial state."""
     M = config.instance.M
@@ -109,27 +115,32 @@ def parallel_map(fn, items, workers=1):
     return [fn(x) for x in items]
 
 
-def _batches(slabs, workers):
-    """Cut slabs into at most `workers` contiguous runs; none for no slab."""
-    parts = min(workers, len(slabs))
-    return [slabs[len(slabs) * p // parts:len(slabs) * (p + 1) // parts]
+def _batches(columns, workers):
+    """Cut columns into at most `workers` contiguous runs; none for no
+    column."""
+    parts = min(workers, len(columns))
+    return [columns[len(columns) * p // parts:len(columns) * (p + 1) // parts]
             for p in range(parts)]
 
 
 def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
-                    max_sweeps=100, workers=1):
+                    max_sweeps=100, workers=1, ahead=None):
     """Advance the trajectory one outer iteration.
 
     The slab corrections are computed first, as batched fine solves on the
     block factors `factors` (config's dd_mps.CgPlan), split over `workers`
     threads; then the corrector recombines them sequentially.  `known` is a
     tuple of earlier levels (states, deltas, histories), where delta row k
-    and history k - 1 belong to slab k and state row k - 1 is its input.  A
+    and history k - 1 belong to slab k and state row k - 1 is its input; a
+    level whose states hold only rows 0..m-1 knows only the slabs 1..m.  A
     slab whose input state has the bytes of a known level's state row (so
     -0.0 and 0.0 differ) takes that level's delta row and history object,
     the first matching level winning; only the other slabs are solved, and
-    only their backgrounds are formed.  Returns the extended trajectory, the
-    per-slab inner-solver histories and the list of slabs solved.
+    only their backgrounds are formed.  `ahead`, an (input state, time)
+    pair, is one more fine solve that rides in the same batch.  Returns the
+    extended trajectory, the per-slab inner-solver histories, the list of
+    slabs solved and, for `ahead`, its (fine state, delta, history), else
+    None.
     """
     _check_fine_settings(tol_mps, max_sweeps)
     require_integer("workers", workers, ValueError)
@@ -140,26 +151,34 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     histories = [None] * (len(states) - 1)
     todo = np.arange(1, len(states))
     for known_u, known_delta, known_hists in known:
-        hit = (known_u[todo - 1].view(np.uint64)
-               == states[todo - 1].view(np.uint64)).all(axis=1)
-        reused, todo = todo[hit], todo[~hit]
+        # todo is sorted, and a level of m state rows knows slabs 1..m
+        head = todo[:np.searchsorted(todo, len(known_u), side="right")]
+        hit = (known_u[head - 1].view(np.uint64)
+               == states[head - 1].view(np.uint64)).all(axis=1)
+        reused, todo = head[hit], np.concatenate((head[~hit],
+                                                  todo[len(head):]))
         delta[reused] = known_delta[reused]
         for k in reused.tolist():
             histories[k - 1] = known_hists[k - 1]
+    inputs, times = states[todo - 1], todo.tolist()
+    if ahead is not None:
+        inputs = np.vstack((inputs, ahead[0]))
+        times.append(ahead[1])
+
+    def correct(cols):                        # a range of batch columns
+        part = slice(cols.start, cols.stop)
+        backgrounds = gemv_rows(M, inputs[part])
+        fine, hists = run_mps_batch(factors, backgrounds, times[part],
+                                    tol_mps, max_sweeps)
+        return zip(fine, fine - backgrounds, hists)
+
+    batches = parallel_map(correct, _batches(range(len(times)), workers),
+                           workers)
+    solves = [solve for batch in batches for solve in batch]
     todo = todo.tolist()
-
-    def correct(ks):
-        backgrounds = gemv_rows(M, states[[k - 1 for k in ks]])
-        fine, hists = run_mps_batch(factors, backgrounds, ks, tol_mps,
-                                    max_sweeps)
-        return fine - backgrounds, hists
-
-    batches = _batches(todo, workers)
-    for ks, (fine_delta, hists) in zip(batches, parallel_map(correct, batches,
-                                                             workers)):
-        delta[ks] = fine_delta
-        for k, hist in zip(ks, hists):
-            histories[k - 1] = hist
+    for k, (_, fine_delta, hist) in zip(todo, solves):
+        delta[k] = fine_delta
+        histories[k - 1] = hist
 
     u_next = np.empty(states.shape)
     u_next[0] = states[0]                     # u_0 pinned
@@ -168,7 +187,7 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
 
     extended = PararealTrajectory(u=trajectory.u + (u_next,),
                                   delta=trajectory.delta + (delta,))
-    return extended, histories, todo
+    return extended, histories, todo, solves[-1] if ahead is not None else None
 
 
 def _check_fine_settings(tol_mps, max_sweeps):
@@ -186,7 +205,9 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
     """Slab-by-slab fine solution: u_k = MPS(u_{k-1}) chained sequentially.
 
     Returns the states, one (n_steps, np) array, and slab k's fine solve
-    run_mps(factors, M u_{k-1}, k, ...) history at index k - 1.  Only this
+    run_mps(factors, M u_{k-1}, k, ...) history at index k - 1.
+    run_parareal solves the same chain inside its batches; this is the
+    chain's independent definition, for tests and perfbench.  Only this
     entry point still takes the partition and builds the CgPlan when
     `factors` is not given, and accepts and ignores `rho` and `patch_rule`
     (the former Schwarz sweep's penalty and patch): perfbench/run.py calls
@@ -208,7 +229,7 @@ def serial_fine_chain(config, partition, tol_mps=1e-10, max_sweeps=100,
 
 
 def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
-                 max_sweeps=100, workers=1, chain=None):
+                 max_sweeps=100, workers=1):
     """Alternate slab corrections and sequential updates until converged.
 
     Stops when the sweep-to-sweep state difference drops below tol, or when
@@ -222,12 +243,17 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     The loop does less work than the textbook iteration and returns its
     bytes: a fine solve is a deterministic function of (slab, input state),
     so each iteration passes parareal_update the previous level (the states,
-    deltas and histories it already holds) as known.  `chain`, the
-    (states, histories) pair that serial_fine_chain returns under these same
-    solver settings, must hold one finite (n_steps, np) state array and
-    n_steps - 1 histories.  It adds one known level, whose deltas are formed
-    once with fine_backgrounds, so iteration n solves only the slabs k > n.
-    history.solved lists the slabs solved per iteration.
+    deltas and histories it already holds) and the serial fine chain's
+    solved rows as known, and iteration n solves only the slabs k > n.  The
+    chain is solved one slab ahead of the exactness front: slab 1 alone by
+    run_mps, slab n + 1 in iteration n's batch, and the slabs left after a
+    tol or max_outer stop alone by run_mps.  The lone run_mps solves are
+    where a caller that wraps run_mps, as perfbench's per-solve sweep counts
+    do, sees a fine solve at all.  history.solved lists the slabs solved per
+    iteration.  Returns the trajectory, the history and the chain as one
+    known level: its (n_steps, np) states, its deltas, with a zero row 0,
+    and its n_steps - 1 histories, where states and histories are bitwise
+    serial_fine_chain's under these solver settings.
     max_outer, max_sweeps and workers must be integers, not bools.
     """
     if not tol > 0:
@@ -239,30 +265,34 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     trajectory = initial_trajectory(config)
     M, n_slabs = config.instance.M, config.instance.n_steps - 1
     history = PararealHistory()
-    chain_level = ()
-    if chain is not None:
-        reference, chain_hists = chain
-        shape = trajectory.u[0].shape
-        if np.shape(reference) != shape:
-            raise ValueError(f"chain states must have shape {shape}, got "
-                             f"{np.shape(reference)}")
-        if len(chain_hists) != n_slabs:
-            raise ValueError(f"chain must hold {n_slabs} histories, got "
-                             f"{len(chain_hists)}")
-        finite = np.isfinite(reference).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"chain states are not finite at time "
-                             f"{np.argmin(finite)}")
-        # each row's delta is bitwise the delta its fine solve computes
-        chain_level = ((reference, reference - fine_backgrounds(M, reference),
-                        chain_hists),)
+    reference = np.empty(trajectory.u[0].shape)
+    reference[0] = config.u0
+    chain_delta = np.zeros(reference.shape)
+    chain_hists = [None] * n_slabs
 
+    def solve_chain(k):
+        background = M @ reference[k - 1]
+        iterate, chain_hists[k - 1] = run_mps(factors, background, k, tol_mps,
+                                              max_sweeps)
+        reference[k] = iterate.patched
+        chain_delta[k] = iterate.patched - background
+
+    solve_chain(1)
+    solved_to = 1                  # the chain slabs 1..solved_to are solved
     for _ in range(max_outer):
         previous = () if not trajectory.n else (
             (trajectory.u[-2], trajectory.delta[-1], history.mps[-1]),)
-        trajectory, mps_hists, solved = parareal_update(
-            trajectory, config, factors, previous + chain_level,
-            tol_mps=tol_mps, max_sweeps=max_sweeps, workers=workers)
+        chain = (reference[:solved_to], chain_delta, chain_hists)
+        ahead = ((reference[solved_to], solved_to + 1)
+                 if solved_to < n_slabs else None)
+        trajectory, mps_hists, solved, chain_next = parareal_update(
+            trajectory, config, factors, previous + (chain,),
+            tol_mps=tol_mps, max_sweeps=max_sweeps, workers=workers,
+            ahead=ahead)
+        if chain_next is not None:
+            solved_to += 1
+            (reference[solved_to], chain_delta[solved_to],
+             chain_hists[solved_to - 1]) = chain_next
         history.solved.append(solved)
         history.mps.append(mps_hists)
         if np.abs(trajectory.u[-1] - trajectory.u[-2]).max() <= tol:
@@ -271,5 +301,7 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
         if trajectory.n >= n_slabs:
             history.converged, history.reason = True, "exact"
             break
+    for k in range(solved_to + 1, n_slabs + 1):
+        solve_chain(k)
     history.n_outer = trajectory.n
-    return trajectory, history
+    return trajectory, history, (reference, chain_delta, chain_hists)

@@ -56,7 +56,8 @@ class TestAcceptance:
         cfg1 = dataclasses.replace(harness.ExperimentConfig(), n_steps=2)
         vc1, part1 = harness.build_problem(cfg1)
         plan1 = dd_mps.build_factors(vc1, part1)
-        traj, hist = parareal.run_parareal(vc1, plan1, tol=1e-12, max_outer=5)
+        traj, hist, _ = parareal.run_parareal(vc1, plan1, tol=1e-12,
+                                              max_outer=5)
         fine = dd_mps.run_mps(plan1, vc1.instance.M @ vc1.u0, 1, 1e-10,
                               100)[0].patched
         single = hist.n_outer == 1 and np.array_equal(traj.u[1][1], fine)
@@ -66,7 +67,7 @@ class TestAcceptance:
     def test_03_finite_step_exactness(self, bench_problem):
         vconfig, partition = bench_problem
         reference, _ = parareal.serial_fine_chain(vconfig, partition)
-        traj, _ = parareal.run_parareal(
+        traj, _, _ = parareal.run_parareal(
             vconfig, dd_mps.build_factors(vconfig, partition), tol=1e-300,
             max_outer=vconfig.instance.n_steps)
         scale = max(np.abs(r).max() for r in reference)

@@ -246,10 +246,9 @@ def run(bench_problem):
     E[n, k] = ||reference[k] - u^n_k||_inf."""
     vconfig, partition = bench_problem
     plan = dd_mps.build_factors(vconfig, partition)
-    chain = parareal.serial_fine_chain(vconfig, partition, factors=plan)
-    trajectory, _ = parareal.run_parareal(vconfig, plan, tol=1e-9,
-                                          max_outer=8, chain=chain)
-    return trajectory, np.abs(chain[0] - np.array(trajectory.u)).max(axis=2)
+    trajectory, _, (reference, _, _) = parareal.run_parareal(
+        vconfig, plan, tol=1e-9, max_outer=8)
+    return trajectory, np.abs(reference - np.array(trajectory.u)).max(axis=2)
 
 
 class TestErrorAndBoundHistory:
@@ -289,6 +288,12 @@ class TestRoundoff:
     def test_rejects_negative_rho(self):
         with pytest.raises(ValueError):
             roundoff_bound(make_params(), 0.0, 0.0, -1e-16)
+
+    def test_rejects_nan_rho_by_name(self):
+        # NaN once passed the rho < 0 check and gave NaN totals
+        with pytest.raises(ValueError,
+                           match=r"^rho must be nonnegative, got nan$"):
+            roundoff_bound(make_params(), 0, 0, float("nan"))
 
     def test_prefactor_sequence_monotone_to_one(self):
         seq = prefactor_sequence(50, R=-1.0)
@@ -399,7 +404,7 @@ class TestRoundoff:
 
     def test_observed_proxies_on_benchmark(self, bench_problem):
         vconfig, partition = bench_problem
-        trajectory, _ = parareal.run_parareal(
+        trajectory, _, _ = parareal.run_parareal(
             vconfig, dd_mps.build_factors(vconfig, partition), tol=1e-9,
             max_outer=8)
         R_obs, rho = roundoff_proxies(trajectory, vconfig.instance.M)

@@ -50,6 +50,8 @@ class TestLadderBench:
         _, chain_hists = parareal.serial_fine_chain(
             vconfig, partition, tol_mps=config.tol_mps,
             max_sweeps=config.max_sweeps)
+        # the result's chain is the serial chain, history by history
+        assert result.chain_histories == chain_hists
         phist = result.history
         solved = [phist.mps[n][k - 1] for n, ks in enumerate(phist.solved)
                   for k in ks]

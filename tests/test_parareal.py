@@ -5,9 +5,14 @@ import pytest
 
 from pintda import harness, parareal, var_solver
 from pintda.dd_mps import build_factors, partition_domain, run_mps
-from pintda.parareal import (PararealTrajectory, fine_backgrounds,
-                             initial_trajectory, parareal_update, run_parareal,
-                             serial_fine_chain)
+from pintda.parareal import (PararealTrajectory, initial_trajectory,
+                             parareal_update, run_parareal, serial_fine_chain)
+from pintda.testbed import gemv_rows
+
+
+def level_backgrounds(M, level):
+    """Slab k's background M level[k-1] in row k, level[0] in row 0."""
+    return np.vstack((level[:1], gemv_rows(M, level[:-1])))
 
 
 def no_observation_config(vconfig):
@@ -24,7 +29,7 @@ class TestCoarseSweep:
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=8, n_steps=4,
                                   nobs=2, velocity=0.0, diffusivity=0.0)
         vconfig, _ = harness.build_problem(cfg)
-        backgrounds = fine_backgrounds(vconfig.instance.M,
+        backgrounds = level_backgrounds(vconfig.instance.M,
                                        initial_trajectory(vconfig).u[0])
         for b in backgrounds:
             np.testing.assert_array_equal(b, vconfig.u0)
@@ -34,7 +39,7 @@ class TestCoarseSweep:
                                   nobs=2, n_sub=1, overlap=0)
         vconfig, _ = harness.build_problem(cfg)
         M = vconfig.instance.M
-        backgrounds = fine_backgrounds(M, initial_trajectory(vconfig).u[0])
+        backgrounds = level_backgrounds(M, initial_trajectory(vconfig).u[0])
         expected = vconfig.u0.copy()
         for k in range(1, 4):
             expected = M @ expected   # repeated multiplication oracle
@@ -42,34 +47,37 @@ class TestCoarseSweep:
 
     def test_initial_point_pinned_at_every_level(self, bench_problem):
         vconfig, partition = bench_problem
-        traj, _ = run_parareal(vconfig, build_factors(vconfig, partition),
-                               tol=1e-9, max_outer=3)
+        traj, _, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                                  tol=1e-9, max_outer=3)
         for n in range(traj.n + 1):
             np.testing.assert_array_equal(traj.u[n][0], vconfig.u0)
             np.testing.assert_array_equal(
-                fine_backgrounds(vconfig.instance.M, traj.u[n])[0], vconfig.u0)
+                level_backgrounds(vconfig.instance.M, traj.u[n])[0],
+                vconfig.u0)
 
 
 class TestFineBackgrounds:
+    """A level's slab backgrounds M states[k-1], as one gemv_rows over its
+    input rows, have the bits of the products M @ states[k-1]."""
+
     @pytest.mark.parametrize("n_points, n_grid", [
         (2, 2), (2, 9), (7, 2), (8, 32), (32, 256)])
     def test_rows_are_bitwise_the_per_row_products(self, n_points, n_grid):
         rng = np.random.default_rng([n_points, n_grid])
         M = rng.standard_normal((n_grid, n_grid))
         states = rng.standard_normal((n_points, n_grid))
-        backgrounds = fine_backgrounds(M, states)
-        assert backgrounds.shape == states.shape
+        backgrounds = gemv_rows(M, states[:-1])
+        assert backgrounds.shape == (n_points - 1, n_grid)
         assert backgrounds.flags.c_contiguous
-        assert backgrounds[0].tobytes() == states[0].tobytes()
         for k in range(1, n_points):
-            assert backgrounds[k].tobytes() == (M @ states[k - 1]).tobytes()
+            assert (backgrounds[k - 1].tobytes()
+                    == (M @ states[k - 1]).tobytes())
 
     def test_model_propagator_rows(self, bench_problem):
         vconfig, _ = bench_problem
         M, states = vconfig.instance.M, initial_trajectory(vconfig).u[0]
-        backgrounds = fine_backgrounds(M, states)
         # iteration 0 is the coarse sweep, so its backgrounds are its states
-        assert backgrounds.tobytes() == states.tobytes()
+        assert gemv_rows(M, states[:-1]).tobytes() == states[1:].tobytes()
 
     def test_levels_keep_only_states_and_corrections(self):
         assert [f.name for f in dataclasses.fields(PararealTrajectory)] == [
@@ -80,7 +88,7 @@ class TestLocalDaSolve:
     def test_no_observations_returns_background(self, bench_problem):
         vconfig, partition = bench_problem
         vempty = no_observation_config(vconfig)
-        background = fine_backgrounds(vempty.instance.M,
+        background = level_backgrounds(vempty.instance.M,
                                       initial_trajectory(vempty).u[0])[2]
         it, hist = run_mps(build_factors(vempty, partition), background, 2,
                            1e-10, 100)
@@ -90,7 +98,7 @@ class TestLocalDaSolve:
     def test_single_block_matches_direct_slab_solve(self, bench_problem):
         vconfig, _ = bench_problem
         partition1 = partition_domain(vconfig.instance.np, 1, 0)
-        background = fine_backgrounds(vconfig.instance.M,
+        background = level_backgrounds(vconfig.instance.M,
                                       initial_trajectory(vconfig).u[0])[3]
         it, _ = run_mps(build_factors(vconfig, partition1), background, 3,
                         1e-10, 100)
@@ -136,17 +144,17 @@ class TestPararealUpdate:
         M = vconfig.instance.M
         for n in range(2):
             for k in range(1, vconfig.instance.n_steps):
-                fine = traj.delta[n][k] + fine_backgrounds(M, traj.u[n])[k]
+                fine = traj.delta[n][k] + level_backgrounds(M, traj.u[n])[k]
                 replay = fine - M @ traj.u[n][k - 1]
                 np.testing.assert_array_equal(traj.delta[n][k], replay)
 
     def test_update_consistency_with_backgrounds(self, bench_problem):
         # u^{n+1} - b^{n+1} equals the stored correction factor
         vconfig, partition = bench_problem
-        traj, _ = run_parareal(vconfig, build_factors(vconfig, partition),
-                               tol=1e-9, max_outer=4)
+        traj, _, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                                  tol=1e-9, max_outer=4)
         for n in range(1, traj.n + 1):
-            backgrounds = fine_backgrounds(vconfig.instance.M, traj.u[n])
+            backgrounds = level_backgrounds(vconfig.instance.M, traj.u[n])
             for k in range(1, vconfig.instance.n_steps):
                 np.testing.assert_allclose(
                     traj.u[n][k] - backgrounds[k],
@@ -159,7 +167,7 @@ class TestRunParareal:
                                   max_outer=5)
         vconfig, partition = harness.build_problem(cfg)
         plan = build_factors(vconfig, partition)
-        traj, hist = run_parareal(vconfig, plan, tol=1e-12, max_outer=5)
+        traj, hist, _ = run_parareal(vconfig, plan, tol=1e-12, max_outer=5)
         assert hist.converged
         assert hist.n_outer == 1
         fine = run_mps(plan, vconfig.instance.M @ vconfig.u0, 1, 1e-10,
@@ -168,8 +176,8 @@ class TestRunParareal:
 
     def test_benchmark_converges_within_slab_count(self, bench_problem):
         vconfig, partition = bench_problem
-        traj, hist = run_parareal(vconfig, build_factors(vconfig, partition),
-                                  tol=1e-9, max_outer=8)
+        traj, hist, _ = run_parareal(
+            vconfig, build_factors(vconfig, partition), tol=1e-9, max_outer=8)
         assert hist.converged
         assert hist.n_outer <= vconfig.instance.n_steps
         # measured on the benchmark problem, frozen as a regression value
@@ -178,8 +186,8 @@ class TestRunParareal:
 
     def test_huge_tolerance_stops_after_one_iteration(self, bench_problem):
         vconfig, partition = bench_problem
-        _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
-                               tol=1e9, max_outer=8)
+        _, hist, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                                  tol=1e9, max_outer=8)
         assert hist.converged
         assert hist.reason == "tol"
         assert hist.n_outer == 1
@@ -233,19 +241,6 @@ class TestRunParareal:
                                 build_factors(vconfig, partition), (),
                                 max_sweeps=value)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_chain_is_rejected(self, bench_problem, bad):
-        # a NaN in row 3 once reached the trajectory through chain reuse and
-        # surfaced as a non-finite Parareal background at time 5
-        vconfig, partition = bench_problem
-        plan = build_factors(vconfig, partition)
-        states, hists = serial_fine_chain(vconfig, partition, factors=plan)
-        states[3, 7] = bad
-        with pytest.raises(ValueError,
-                           match=r"^chain states are not finite at time 3$"):
-            run_parareal(vconfig, plan, tol=1e-9, max_outer=8,
-                         chain=(states, hists))
-
     @pytest.mark.parametrize("name", ["tol", "tol_mps"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_tolerances_must_be_positive(self, bench_problem, name, value):
@@ -265,26 +260,10 @@ class TestRunParareal:
                            match=rf"^tol_mps must be positive, got {tol_mps}$"):
             serial_fine_chain(vconfig, partition, tol_mps=tol_mps)
 
-    @pytest.mark.parametrize("cut, message", [
-        ((slice(4), slice(None)),
-         r"^chain states must have shape \(8, 32\), got \(4, 32\)$"),
-        ((slice(None), slice(1, None)),
-         r"^chain must hold 7 histories, got 6$"),
-    ], ids=["four_states", "six_histories"])
-    def test_chain_of_another_shape_is_rejected(self, bench_problem, cut,
-                                                message):
-        # four states once failed inside NumPy's broadcasting
-        vconfig, partition = bench_problem
-        plan = build_factors(vconfig, partition)
-        states, hists = serial_fine_chain(vconfig, partition, factors=plan)
-        with pytest.raises(ValueError, match=message):
-            run_parareal(vconfig, plan, tol=1e-9, max_outer=8,
-                         chain=(states[cut[0]], hists[cut[1]]))
-
     def test_non_convergence_reported(self, bench_problem):
         vconfig, partition = bench_problem
-        _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
-                               tol=1e-14, max_outer=2)
+        _, hist, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                                  tol=1e-14, max_outer=2)
         assert not hist.converged
         assert hist.reason == "max_outer"
         assert hist.n_outer == 2
@@ -292,8 +271,8 @@ class TestRunParareal:
     def test_finite_step_exactness_level_by_level(self, bench_problem):
         vconfig, partition = bench_problem
         reference, _ = serial_fine_chain(vconfig, partition)
-        traj, _ = run_parareal(vconfig, build_factors(vconfig, partition),
-                               tol=1e-300, max_outer=8)
+        traj, _, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                                  tol=1e-300, max_outer=8)
         scale = max(np.abs(r).max() for r in reference)
         for n in range(traj.n + 1):
             for k in range(min(n, len(reference) - 1) + 1):
@@ -302,10 +281,10 @@ class TestRunParareal:
 
     def test_worker_count_does_not_change_results(self, bench_problem):
         vconfig, partition = bench_problem
-        t1, _ = run_parareal(vconfig, build_factors(vconfig, partition),
-                             tol=1e-9, max_outer=8)
-        t4, _ = run_parareal(vconfig, build_factors(vconfig, partition),
-                             tol=1e-9, max_outer=8, workers=4)
+        t1, _, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                                tol=1e-9, max_outer=8)
+        t4, _, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                                tol=1e-9, max_outer=8, workers=4)
         assert t1.n == t4.n
         for n in range(t1.n + 1):
             for k in range(vconfig.instance.n_steps):
@@ -313,10 +292,8 @@ class TestRunParareal:
 
     def test_error_history_against_reference(self, bench_problem):
         vconfig, partition = bench_problem
-        reference, hists = serial_fine_chain(vconfig, partition)
-        traj, hist = run_parareal(vconfig, build_factors(vconfig, partition),
-                                  tol=1e-9, max_outer=8,
-                                  chain=(reference, hists))
+        traj, hist, (reference, _, _) = run_parareal(
+            vconfig, build_factors(vconfig, partition), tol=1e-9, max_outer=8)
         E = np.abs(reference - np.array(traj.u)).max(axis=2)
         assert E.shape[0] == hist.n_outer + 1
         # errors vanish on the exact leading slabs and shrink overall
@@ -347,12 +324,13 @@ def textbook_parareal(vconfig, partition, n_outer, tol_mps, max_sweeps):
 
 
 def reuse_run(vconfig, partition, tol_mps=1e-10, max_sweeps=100, workers=1):
-    plan = build_factors(vconfig, partition)
-    chain = serial_fine_chain(vconfig, partition, tol_mps=tol_mps,
-                              max_sweeps=max_sweeps, factors=plan)
-    return run_parareal(vconfig, plan, tol=1e-300,
-                        max_outer=vconfig.instance.n_steps, tol_mps=tol_mps,
-                        max_sweeps=max_sweeps, workers=workers, chain=chain)
+    """run_parareal to finite-step exactness; returns its trajectory and
+    history."""
+    traj, hist, _ = run_parareal(
+        vconfig, build_factors(vconfig, partition), tol=1e-300,
+        max_outer=vconfig.instance.n_steps, tol_mps=tol_mps,
+        max_sweeps=max_sweeps, workers=workers)
+    return traj, hist
 
 
 class TestFineSolveReuse:
@@ -368,7 +346,7 @@ class TestFineSolveReuse:
         u, background, delta, hists = textbook_parareal(
             vconfig, partition, traj.n, *settings)
         for n in range(traj.n + 1):
-            backgrounds = fine_backgrounds(vconfig.instance.M, traj.u[n])
+            backgrounds = level_backgrounds(vconfig.instance.M, traj.u[n])
             for k in range(vconfig.instance.n_steps):
                 assert traj.u[n][k].tobytes() == u[n][k].tobytes()
                 assert backgrounds[k].tobytes() == background[n][k].tobytes()
@@ -391,11 +369,16 @@ class TestFineSolveReuse:
 
     def test_without_chain_records_reuses_only_unchanged_backgrounds(
             self, bench_problem):
+        # with only the previous level known, iteration n solves slab n
+        # again: its input state became exact one iteration before
         vconfig, partition = bench_problem
-        _, hist = run_parareal(vconfig, build_factors(vconfig, partition),
-                               tol=1e-300, max_outer=8)
+        factors = build_factors(vconfig, partition)
+        traj, previous = initial_trajectory(vconfig), ()
         n_slabs = vconfig.instance.n_steps - 1
-        for n, solved in enumerate(hist.solved, start=1):
+        for n in range(1, n_slabs + 1):
+            traj, hists, solved, _ = parareal_update(traj, vconfig, factors,
+                                                     previous)
+            previous = ((traj.u[-2], traj.delta[-1], hists),)
             assert solved == list(range(n, n_slabs + 1))
 
     def test_pooled_solves_give_the_same_bytes(self, bench_problem):
@@ -413,16 +396,15 @@ class TestFineSolveReuse:
     def test_reused_slab_shares_delta_and_history(self, bench_problem):
         vconfig, partition = bench_problem
         plan = build_factors(vconfig, partition)
-        reference, chain_hists = serial_fine_chain(vconfig, partition,
-                                                   factors=plan)
-        traj, hist = run_parareal(vconfig, plan, tol=1e-300,
-                                  max_outer=vconfig.instance.n_steps,
-                                  chain=(reference, chain_hists))
-        chain_delta = reference[1] - vconfig.instance.M @ reference[0]
+        traj, hist, (reference, chain_delta, chain_hists) = run_parareal(
+            vconfig, plan, tol=1e-300, max_outer=vconfig.instance.n_steps)
+        M = vconfig.instance.M
+        assert (chain_delta[1].tobytes()
+                == (reference[1] - M @ reference[0]).tobytes())
         # slab 1 is never re-solved: every iteration carries the chain's
         # correction bytes and its history object
         for n in range(traj.n):
-            assert traj.delta[n][1].tobytes() == chain_delta.tobytes()
+            assert traj.delta[n][1].tobytes() == chain_delta[1].tobytes()
             assert hist.mps[n][0] is chain_hists[0]
 
     def test_known_rows_match_bytes_only(self, bench_problem):
@@ -435,9 +417,9 @@ class TestFineSolveReuse:
         states[1] = np.nextafter(states[1], np.inf)
         states[2, 0] = -0.0
         deltas, hists = np.full(level.shape, 7.0), [object() for _ in range(7)]
-        got, got_hists, solved = parareal_update(
+        got, got_hists, solved, _ = parareal_update(
             traj, vconfig, factors, ((states, deltas, hists),))
-        fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
+        fresh, fresh_hists, *_ = parareal_update(traj, vconfig, factors, ())
         # nextafter and -0.0 miss, so slabs 2 and 3 are solved
         assert solved == [2, 3]
         for k in range(1, 8):
@@ -460,12 +442,12 @@ class TestFineSolveReuse:
         states = level.copy()
         states[2, 0] = -0.0
         # M (-0.0, 0, ...) sums to +0.0: the backgrounds share their bytes
-        assert (fine_backgrounds(M, states)[3].tobytes()
-                == fine_backgrounds(M, level)[3].tobytes())
+        assert (level_backgrounds(M, states)[3].tobytes()
+                == level_backgrounds(M, level)[3].tobytes())
         deltas, hists = np.full(level.shape, 7.0), [object() for _ in range(7)]
-        got, got_hists, solved = parareal_update(
+        got, got_hists, solved, _ = parareal_update(
             traj, vconfig, factors, ((states, deltas, hists),))
-        fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
+        fresh, fresh_hists, *_ = parareal_update(traj, vconfig, factors, ())
         # the state differs, so slab 3 is solved again, to the same bytes
         assert solved == [3]
         assert got.delta[0][3].tobytes() == fresh.delta[0][3].tobytes()
@@ -480,8 +462,8 @@ class TestFineSolveReuse:
                  [object() for _ in range(7)])
         second = (traj.u[0].copy(), np.full(traj.u[0].shape, 2.0),
                   [object() for _ in range(7)])
-        got, hists, solved = parareal_update(traj, vconfig, factors,
-                                             (first, second))
+        got, hists, solved, _ = parareal_update(traj, vconfig, factors,
+                                                (first, second))
         assert solved == []
         np.testing.assert_array_equal(got.delta[0][1:], 1.0)
         assert all(h is want for h, want in zip(hists, first[2], strict=True))
@@ -491,8 +473,9 @@ class TestFineSolveReuse:
         factors = build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
         moved = (traj.u[0] + 1.0, np.zeros(traj.u[0].shape), [None] * 7)
-        got, hists, solved = parareal_update(traj, vconfig, factors, (moved,))
-        fresh, fresh_hists, _ = parareal_update(traj, vconfig, factors, ())
+        got, hists, solved, _ = parareal_update(traj, vconfig, factors,
+                                                (moved,))
+        fresh, fresh_hists, *_ = parareal_update(traj, vconfig, factors, ())
         assert solved == list(range(1, 8))
         assert got.delta[0].tobytes() == fresh.delta[0].tobytes()
         assert hists == fresh_hists
@@ -501,65 +484,97 @@ class TestFineSolveReuse:
             self, monkeypatch, bench_problem):
         vconfig, partition = bench_problem
         plan = build_factors(vconfig, partition)
-        reference, chain_hists = serial_fine_chain(vconfig, partition,
-                                                   factors=plan)
         calls = []
         update = parareal.parareal_update
 
         def spy(trajectory, config, factors, known, **kwargs):
-            calls.append((trajectory, known))
+            calls.append((known, kwargs["ahead"]))
             return update(trajectory, config, factors, known, **kwargs)
 
         monkeypatch.setattr(parareal, "parareal_update", spy)
-        traj, hist = run_parareal(vconfig, plan, tol=1e-300, max_outer=8,
-                                  chain=(reference, chain_hists))
-        M = vconfig.instance.M
-        for n, (trajectory, known) in enumerate(calls):
+        traj, hist, (reference, chain_delta, chain_hists) = run_parareal(
+            vconfig, plan, tol=1e-300, max_outer=8)
+        M, n_slabs = vconfig.instance.M, vconfig.instance.n_steps - 1
+        assert len(calls) == traj.n == n_slabs
+        for n, (known, ahead) in enumerate(calls, start=1):
             *previous, (states, deltas, hists) = known
-            if n == 0:
+            if n == 1:
                 assert previous == []
             else:
                 (prev_u, prev_delta, prev_hists), = previous
-                assert prev_u is traj.u[n - 1]
-                assert prev_delta is traj.delta[n - 1]
-                assert prev_hists is hist.mps[n - 1]
-            assert states is reference
-            assert hists is chain_hists
-            for k in range(1, vconfig.instance.n_steps):
-                chain_b = M @ reference[k - 1]
-                assert (deltas[k].tobytes()
-                        == (reference[k] - chain_b).tobytes())
+                assert prev_u is traj.u[n - 2]
+                assert prev_delta is traj.delta[n - 2]
+                assert prev_hists is hist.mps[n - 2]
+            # iteration n knows the chain rows 0..n - 1, the inputs of the
+            # chain slabs 1..n solved so far, and carries chain slab n + 1
+            assert states.base is reference and len(states) == n
+            assert deltas is chain_delta and hists is chain_hists
+            if n < n_slabs:
+                state, time = ahead
+                assert state.tobytes() == reference[n].tobytes()
+                assert time == n + 1
+            else:
+                assert ahead is None
+        assert not chain_delta[0].any()
+        for k in range(1, n_slabs + 1):
+            assert (chain_delta[k].tobytes()
+                    == (reference[k] - M @ reference[k - 1]).tobytes())
 
     @pytest.mark.parametrize("max_outer", [1, 3, 8])
-    @pytest.mark.parametrize("with_chain", [True, False])
-    def test_backgrounds_of_whole_levels_only_for_the_chain(
-            self, monkeypatch, bench_problem, max_outer, with_chain):
+    def test_lone_chain_solves_are_slab_one_and_the_tail(
+            self, monkeypatch, bench_problem, max_outer):
         vconfig, partition = bench_problem
         plan = build_factors(vconfig, partition)
-        chain = (serial_fine_chain(vconfig, partition, factors=plan)
-                 if with_chain else None)
-        calls = []
-        backgrounds = parareal.fine_backgrounds
+        lone, batches = [], []
+        solve, solve_batch = parareal.run_mps, parareal.run_mps_batch
 
-        def spy(M, states):
-            calls.append(states)
-            return backgrounds(M, states)
+        def lone_spy(plan, background, time, *args):
+            lone.append(time)
+            return solve(plan, background, time, *args)
 
-        monkeypatch.setattr(parareal, "fine_backgrounds", spy)
-        traj, _ = run_parareal(vconfig, plan, tol=1e-300, max_outer=max_outer,
-                               chain=chain)
-        assert traj.n == min(max_outer, vconfig.instance.n_steps - 1)
-        assert len(calls) == with_chain
-        if with_chain:
-            assert calls[0] is chain[0]
+        def batch_spy(plan, backgrounds, times, *args):
+            batches.append(list(times))
+            return solve_batch(plan, backgrounds, times, *args)
 
-    @pytest.mark.parametrize("with_chain", [True, False])
+        monkeypatch.setattr(parareal, "run_mps", lone_spy)
+        monkeypatch.setattr(parareal, "run_mps_batch", batch_spy)
+        traj, hist, _ = run_parareal(vconfig, plan, tol=1e-300,
+                                     max_outer=max_outer)
+        n_slabs = vconfig.instance.n_steps - 1
+        carried = min(traj.n, n_slabs - 1)
+        # slab 1 alone, slab n + 1 in iteration n's one batch after the
+        # slabs it solves, then the tail left by a max_outer stop
+        assert lone == [1, *range(carried + 2, n_slabs + 1)]
+        assert batches == [[*solved, n + 1] for n, solved
+                           in enumerate(hist.solved[:carried], start=1)]
+
+    def test_partial_level_knows_only_its_rows(self, bench_problem):
+        vconfig, partition = bench_problem
+        factors = build_factors(vconfig, partition)
+        traj = initial_trajectory(vconfig)
+        states = traj.u[0]
+        deltas = np.full(states.shape, 7.0)
+        hists = [object() for _ in range(7)]
+        # rows 0..2 are the inputs of slabs 1..3; the state rows 3..6 match
+        # too, but a level that does not hold them cannot know their slabs
+        got, got_hists, solved, _ = parareal_update(
+            traj, vconfig, factors, ((states[:3].copy(), deltas, hists),))
+        fresh, fresh_hists, *_ = parareal_update(traj, vconfig, factors, ())
+        assert solved == [4, 5, 6, 7]
+        for k in range(1, 8):
+            if k in solved:
+                assert (got.delta[0][k].tobytes()
+                        == fresh.delta[0][k].tobytes())
+                assert got_hists[k - 1] == fresh_hists[k - 1]
+            else:
+                assert got.delta[0][k].tobytes() == deltas[k].tobytes()
+                assert got_hists[k - 1] is hists[k - 1]
+
+    @pytest.mark.parametrize("early", [True, False])
     def test_rows_multiplied_are_the_slabs_solved(self, monkeypatch,
-                                                  bench_problem, with_chain):
+                                                  bench_problem, early):
         vconfig, partition = bench_problem
         plan = build_factors(vconfig, partition)
-        chain = (serial_fine_chain(vconfig, partition, factors=plan)
-                 if with_chain else None)
         rows = []
         kernel = parareal.gemv_rows
 
@@ -568,14 +583,50 @@ class TestFineSolveReuse:
             return kernel(A, x)
 
         monkeypatch.setattr(parareal, "gemv_rows", spy)
-        _, hist = run_parareal(vconfig, plan, tol=1e-300, max_outer=8,
-                               chain=chain)
+        _, hist, _ = run_parareal(vconfig, plan, tol=1e-300,
+                                  max_outer=3 if early else 8)
         n_slabs = vconfig.instance.n_steps - 1
-        # the chain level's deltas take one product of every chain state
-        # but the last; every other row is a solved slab's background
-        chain_rows = n_slabs if with_chain else 0
-        assert sum(rows) == chain_rows + sum(len(s) for s in hist.solved)
+        # one product per solved slab, and one per chain slab that rode in
+        # a batch: slabs 2..n_outer + 1; slab 1 and the tail take M @ alone
+        carried = min(hist.n_outer, n_slabs - 1)
+        assert sum(rows) == carried + sum(len(s) for s in hist.solved)
+        assert len(rows) == carried
         assert sum(len(s) for s in hist.solved) < n_slabs * hist.n_outer
+
+
+def slab_long_problem():
+    """slab_long's settings on 12 time points: with tol 1e-4, Parareal stops
+    by tol at iteration 9 of 11 slabs, which leaves chain slab 11 to the
+    tail."""
+    cfg = dataclasses.replace(harness.ExperimentConfig(), np=32, n_steps=12,
+                              n_sub=2, nobs=8, max_outer=11)
+    return harness.build_problem(harness.validate_config(cfg))
+
+
+class TestChainInTheBatches:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("stop, reason, n_outer", [
+        (dict(tol=1e-300, max_outer=8), "exact", 7),
+        (dict(tol=1e-4, max_outer=11), "tol", 9),
+        (dict(tol=1e-300, max_outer=3), "max_outer", 3),
+    ], ids=["exact", "tol", "max_outer"])
+    def test_chain_is_serial_fine_chain_bitwise(self, bench_problem, workers,
+                                                stop, reason, n_outer):
+        vconfig, partition = (slab_long_problem() if reason == "tol"
+                              else bench_problem)
+        plan = build_factors(vconfig, partition)
+        _, hist, (states, deltas, hists) = run_parareal(
+            vconfig, plan, workers=workers, **stop)
+        assert (hist.reason, hist.n_outer) == (reason, n_outer)
+        want_states, want_hists = serial_fine_chain(vconfig, partition,
+                                                    factors=plan)
+        assert states.tobytes() == want_states.tobytes()
+        # every MpsHistory field, floats compared exactly
+        assert hists == want_hists
+        M = vconfig.instance.M
+        for k in range(1, len(states)):
+            assert (deltas[k].tobytes()
+                    == (states[k] - M @ states[k - 1]).tobytes())
 
 
 def one_network_problem(layout):
@@ -618,8 +669,8 @@ class TestBatchedFineSolves:
 
         monkeypatch.setattr(parareal, "run_mps_batch", record)
         traj = initial_trajectory(vconfig)
-        traj1, hists, solved = parareal_update(traj, vconfig, factors, (),
-                                               workers=workers)
+        traj1, hists, solved, _ = parareal_update(traj, vconfig, factors, (),
+                                                  workers=workers)
         assert solved == list(range(1, 8))
         # threads enter run_mps_batch in any order: sorted by first slab, the
         # batches are contiguous runs that cover every slab, one per worker
@@ -631,8 +682,8 @@ class TestBatchedFineSolves:
         # the level just solved is known: no slab is left, so no batch is made
         batches.clear()
         known = ((traj.u[0], traj1.delta[0], hists),)
-        _, _, solved = parareal_update(traj, vconfig, factors, known,
-                                       workers=workers)
+        _, _, solved, _ = parareal_update(traj, vconfig, factors, known,
+                                          workers=workers)
         assert batches == [] and solved == []
         assert parareal._batches([], workers) == []
 

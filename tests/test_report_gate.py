@@ -184,9 +184,9 @@ class TestSolvedLine:
         run = parareal.run_parareal
 
         def spy(*args, **kwargs):
-            trajectory, history = run(*args, **kwargs)
+            trajectory, history, chain = run(*args, **kwargs)
             histories.append(history)
-            return trajectory, history
+            return trajectory, history, chain
 
         monkeypatch.setattr(parareal, "run_parareal", spy)
         line = report_gate.gate_line("short", overrides, 2025)

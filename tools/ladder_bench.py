@@ -1,10 +1,10 @@
 """Size-ladder bench: wall time, layer shares and work counts per rung.
 
-Run from a checkout's root; it writes BENCH_31.json there:
+Run from a checkout's root; it writes BENCH_32.json there:
 
     python3 tools/ladder_bench.py
     python3 tools/ladder_bench.py --out BENCH_parent.json
-    python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_31.json
+    python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_32.json
 
 Each rung is one np x n_steps run_experiment config with nobs = np / 4,
 n_sub = 2, max_outer = n_steps - 1 and seed 1; one operation is
@@ -13,10 +13,11 @@ WARM untimed operations, TIMED operations give the wall time (min,
 median, max), and one more, under cProfile, gives its profiled time, each
 named layer's share of it (cumulative) and the deterministic counts: n_outer,
 fine_solves, fine_solves_reused and the CG steps summed over all fine
-solves, the serial chain's included.  BLAS is pinned to one thread before
-NumPy loads, and the machine is recorded, so that two files compare only
-when their `machine` entries agree.  --compare prints, per rung, the two
-median wall times and the two shares of each layer.
+solves, the serial chain's (the result's chain_histories) included.  BLAS
+is pinned to one thread before NumPy loads, and the machine is recorded, so
+that two files compare only when their `machine` entries agree.  --compare
+prints, per rung, the two median wall times and the two shares of each
+layer.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from pintda import harness, parareal  # noqa: E402
+from pintda import harness  # noqa: E402
 
 RUNGS = ((256, 32), (512, 32), (1024, 32))     # (np, n_steps)
 WARM, TIMED = 2, 5                              # operations per rung
-LAYERS = ("run_parareal", "fine_backgrounds", "mps_sweep", "serial_fine_chain",
-          "roundoff_proxies", "lipschitz_estimate", "hessian_condition",
-          "build_problem", "render_report")
+LAYERS = ("run_parareal", "mps_sweep", "roundoff_proxies",
+          "lipschitz_estimate", "hessian_condition", "build_problem",
+          "render_report")
 
 
 def rung_config(n_grid, n_steps):
@@ -90,29 +91,17 @@ def machine():
 
 
 def _profiled(config):
-    """One operation under cProfile, with the serial chain's histories
-    recorded: its profiled time, the layer shares of it, the result and the
-    chain's histories."""
-    chains, chain = [], parareal.serial_fine_chain
-
-    def record(*args, **kwargs):
-        chains.append(chain(*args, **kwargs))
-        return chains[-1]
-
-    parareal.serial_fine_chain = record
+    """One operation under cProfile: its profiled time, the layer shares of
+    it and the result."""
     profile = cProfile.Profile()
-    try:
-        result = profile.runcall(operation, config)
-    finally:
-        parareal.serial_fine_chain = chain
+    result = profile.runcall(operation, config)
     cumulative = {}
     for (path, _, name), row in pstats.Stats(profile).stats.items():
         if Path(path).parent.name == "pintda" or name == operation.__name__:
             cumulative[name] = cumulative.get(name, 0.0) + row[3]
     total = cumulative[operation.__name__]
     share = {name: cumulative.get(name, 0.0) / total for name in LAYERS}
-    (_, chain_hists), = chains
-    return total, share, result, chain_hists
+    return total, share, result
 
 
 def measure_rung(n_grid, n_steps, warm=WARM, timed=TIMED):
@@ -125,9 +114,9 @@ def measure_rung(n_grid, n_steps, warm=WARM, timed=TIMED):
         start = time.perf_counter()
         operation(config)
         walls.append(time.perf_counter() - start)
-    profiled_s, share, result, chain_hists = _profiled(config)
+    profiled_s, share, result = _profiled(config)
     phist, s = result.history, result.summary
-    cg_steps = sum(h.n_sweeps for h in chain_hists) + sum(
+    cg_steps = sum(h.n_sweeps for h in result.chain_histories) + sum(
         hists[k - 1].n_sweeps
         for hists, solved in zip(phist.mps, phist.solved) for k in solved)
     return {
@@ -170,7 +159,7 @@ def compare(old, new):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_31.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_32.json"))
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
