@@ -133,12 +133,16 @@ class CgPlan:
         """The CgIterate at step 0 with one column per background: column c
         is backgrounds[c] at observation time times[c], reading the
         observations v of its own time, and starts at w = 0, so r = c.  A
-        time that is not an integer in [0, len(v)) raises VarSolverError."""
-        for t in times:
-            require_integer("observation time", t, VarSolverError)
-            if not 0 <= t < len(self.v):
-                raise VarSolverError(f"observation time {t} is outside "
-                                     f"[0, {len(self.v)})")
+        time that is not an integer in [0, len(v)) raises VarSolverError.
+        A batch of plain in-range ints is checked in one pass; any other
+        batch is checked time by time, to name the first bad time."""
+        if not (set(map(type, times)) == {int}
+                and 0 <= min(times) and max(times) < len(self.v)):
+            for t in times:
+                require_integer("observation time", t, VarSolverError)
+                if not 0 <= t < len(self.v):
+                    raise VarSolverError(f"observation time {t} is outside "
+                                         f"[0, {len(self.v)})")
         times = np.asarray(times, dtype=int)
         u_b = np.asarray(backgrounds, dtype=float)
         finite = np.isfinite(u_b)

@@ -363,25 +363,52 @@ def run_experiment(config):
 
 
 # One %-conversion per column: the integer columns k and n, then floats
-# with 17 significant digits.
-_CELL = {col: "%d" if col in ("k", "n") else "%.17g" for col in CSV_COLUMNS}
-_ROW = {"csv": ",".join(_CELL.values()),
-        "json": "  {" + ", ".join(f'"{col}": {cell}'
-                                   for col, cell in _CELL.items()) + "}"}
-_cells = attrgetter(*CSV_COLUMNS)
+# with 17 significant digits.  Per format, a row from its cells' strings and
+# the text between rows.
+_INTEGER = ("k", "n")
+_CELL = {col: "%d" if col in _INTEGER else "%.17g" for col in CSV_COLUMNS}
+_DTYPE = {col: np.int64 if col in _INTEGER else np.float64
+          for col in CSV_COLUMNS}
+_ROW = {"csv": (",".join, "\n"),
+        "json": (("  {" + ", ".join(f'"{col}": %s' for col in CSV_COLUMNS)
+                  + "}").__mod__, ",\n")}
+_BLOCK = 64                     # rows joined at a time
+
+
+def _column_text(records, col):
+    """The column's strings, each distinct value formatted once: a value is
+    keyed by its 64 bits, so -0.0 and 0.0 stay apart."""
+    values = list(map(attrgetter(col), records))
+    bits = np.array(values, dtype=_DTYPE[col]).view(np.uint64).tolist()
+    distinct = dict(zip(bits, values))
+    text = dict(zip(distinct, map(_CELL[col].__mod__, distinct.values())))
+    return list(map(text.__getitem__, bits))
 
 
 def render_report(records, format="csv"):
-    """Serialize diagnostics rows; floats carry 17 significant digits."""
+    """Serialize diagnostics rows; floats carry 17 significant digits.
+
+    Each distinct value of a column is formatted once, and the rows are
+    built from those strings, so a long report whose cells repeat (the
+    exact slabs' zeros, per-run and per-iteration constants) pays per
+    distinct value, not per cell.  The rows are joined a block at a time,
+    each block's cell strings dropped as it is joined, so the strings and
+    the rows never all live at once."""
     if not records:
         raise ValueError("no diagnostics records to emit")
     if format not in _ROW:
         raise ValueError(f"unknown report format {format!r}")
-    row = _ROW[format]
-    rows = [row % _cells(rec) for rec in records]
+    row, sep = _ROW[format]
+    texts = [_column_text(records, col) for col in CSV_COLUMNS]
+    blocks = []
+    while texts[0]:
+        block = [text[:_BLOCK] for text in texts]
+        for text in texts:
+            del text[:_BLOCK]
+        blocks.append(sep.join(map(row, zip(*block))))
     if format == "csv":
-        return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+        return "\n".join([",".join(CSV_COLUMNS), *blocks, ""])
+    return "[\n" + sep.join(blocks) + "\n]\n"
 
 
 def emit_report(records, format="csv", path="-"):

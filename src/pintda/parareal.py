@@ -8,8 +8,10 @@ background), then runs the sequential predictor-corrector recombination
 
 storing the correction factor delta = fine - coarse per slab, each level
 one (n_points, np) array with row k for time point k.  Slab k's fine-solve
-background M u_{k-1}^{n} is not stored.  The initial state is pinned to u0
-at every iteration.  After as many iterations as there are slabs the
+background M u_{k-1}^{n} is not stored in the trajectory: run_parareal
+carries one level's backgrounds as loop state, the products the
+recombination formed.  The initial state is pinned to u0 at every
+iteration.  After as many iterations as there are slabs the
 trajectory reproduces the serial fine chain exactly, so run_parareal also
 stops there.  The trajectory is the run's record: the error table
 E[n, k] = ||reference[k] - u[n][k]||_inf, the correction norms and the
@@ -38,14 +40,20 @@ every slab at every iteration.  Slab k's fine solve is a deterministic
 function of its input state u_{k-1}, so a slab whose input state is bitwise
 unchanged since the previous iteration, or equal to a chain state whose
 slab is already solved, takes the delta and history that the previous level,
-or the chain, already holds; only the slabs solved get a background.  By
-finite-step exactness the first covers every slab k < n at iteration n and
-the chain slab n too, so iteration n solves only the slabs k > n.  Every
-state, delta and history is bitwise the textbook one; history.solved lists
-the slabs each iteration solved.  A slab whose input equals a chain state
-whose slab is not solved yet is solved again, to the same bytes, so only in
-that case could `solved` list a slab that a fully known chain would have
-spared.
+or the chain, already holds.  By finite-step exactness the first covers
+every slab k < n at iteration n and the chain slab n too, so iteration n
+solves only the slabs k > n.  Each level also pays only for the rows where
+it differs from the level before: the slabs whose delta is the one that
+made the current level keep its states and backgrounds, copied, and the
+recombination runs from the first other slab on.  Every product
+M u_{k-1}^{n+1} it forms is kept as row k of the next level's backgrounds,
+which the next batch reads, so the only background an iteration forms
+outside the recombination is the chain slab's that rides in its batch.
+Every state, delta and history is bitwise the textbook one; history.solved
+lists the slabs each iteration solved.  A slab whose input equals a chain
+state whose slab is not solved yet is solved again, to the same bytes, so
+only in that case could `solved` list a slab that a fully known chain would
+have spared.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dd_mps import build_factors, run_mps, run_mps_batch
-from .testbed import gemv_rows, require_integer
+from .testbed import require_integer
 
 
 @dataclass(frozen=True)
@@ -123,11 +131,13 @@ def _batches(columns, workers):
             for p in range(parts)]
 
 
-def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
-                    max_sweeps=100, workers=1, ahead=None):
+def parareal_update(trajectory, backgrounds, config, factors, known,
+                    tol_mps=1e-10, max_sweeps=100, workers=1, ahead=None):
     """Advance the trajectory one outer iteration.
 
-    The slab corrections are computed first, as batched fine solves on the
+    `backgrounds` holds the current level's slab backgrounds: row k is
+    M u[k-1], the product the recombination formed, and row 0 is u0.  The
+    slab corrections are computed first, as batched fine solves on the
     block factors `factors` (config's dd_mps.CgPlan), split over `workers`
     threads; then the corrector recombines them sequentially.  `known` is a
     tuple of earlier levels (states, deltas, histories), where delta row k
@@ -135,18 +145,29 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
     level whose states hold only rows 0..m-1 knows only the slabs 1..m.  A
     slab whose input state has the bytes of a known level's state row (so
     -0.0 and 0.0 differ) takes that level's delta row and history object,
-    the first matching level winning; only the other slabs are solved, and
-    only their backgrounds are formed.  `ahead`, an (input state, time)
-    pair, is one more fine solve that rides in the same batch.  Returns the
-    extended trajectory, the per-slab inner-solver histories, the list of
-    slabs solved and, for `ahead`, its (fine state, delta, history), else
-    None.
+    the first matching level winning; only the other slabs are solved, on
+    their rows of `backgrounds`.  `ahead`, an (input state, time) pair, is
+    one more fine solve that rides in the same batch, the only one whose
+    background is formed here.
+
+    The new level shares its prefix with the current one: while slab k's
+    new delta has the bytes of the delta that made the current level, its
+    new state and background are the current level's, copied; from the
+    first slab j whose delta differs, the recombination
+    u_next[k] = M u_next[k-1] + delta[k] runs and keeps each product
+    M u_next[k-1] as row k of the next backgrounds.  Returns the extended
+    trajectory, the next level's backgrounds, the per-slab inner-solver
+    histories, the list of slabs solved and, for `ahead`, its (fine state,
+    delta, history), else None.
     """
     _check_fine_settings(tol_mps, max_sweeps)
     require_integer("workers", workers, ValueError)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     states, M = trajectory.u[-1], config.instance.M
+    if np.shape(backgrounds) != states.shape:
+        raise ValueError(f"backgrounds must have the level's shape "
+                         f"{states.shape}, got {np.shape(backgrounds)}")
     delta = np.zeros(states.shape)            # u_0 takes no correction
     histories = [None] * (len(states) - 1)
     todo = np.arange(1, len(states))
@@ -160,17 +181,16 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
         delta[reused] = known_delta[reused]
         for k in reused.tolist():
             histories[k - 1] = known_hists[k - 1]
-    inputs, times = states[todo - 1], todo.tolist()
+    inputs, times = backgrounds[todo], todo.tolist()
     if ahead is not None:
-        inputs = np.vstack((inputs, ahead[0]))
+        inputs = np.vstack((inputs, M @ ahead[0]))
         times.append(ahead[1])
 
     def correct(cols):                        # a range of batch columns
         part = slice(cols.start, cols.stop)
-        backgrounds = gemv_rows(M, inputs[part])
-        fine, hists = run_mps_batch(factors, backgrounds, times[part],
+        fine, hists = run_mps_batch(factors, inputs[part], times[part],
                                     tol_mps, max_sweeps)
-        return zip(fine, fine - backgrounds, hists)
+        return zip(fine, fine - inputs[part], hists)
 
     batches = parallel_map(correct, _batches(range(len(times)), workers),
                            workers)
@@ -180,14 +200,23 @@ def parareal_update(trajectory, config, factors, known, tol_mps=1e-10,
         delta[k] = fine_delta
         histories[k - 1] = hist
 
-    u_next = np.empty(states.shape)
-    u_next[0] = states[0]                     # u_0 pinned
-    for k in range(1, len(states)):
-        u_next[k] = M @ u_next[k - 1] + delta[k]
+    # Slab j is the first whose delta is not the one that made this level:
+    # the rows before it keep their inputs and deltas, so their bytes.
+    j = 1                                     # u_0 pinned
+    if trajectory.delta:
+        same = (delta[1:].view(np.uint64)
+                == trajectory.delta[-1][1:].view(np.uint64)).all(axis=1)
+        j += int(np.argmin(np.append(same, False)))
+    u_next, b_next = np.empty(states.shape), np.empty(states.shape)
+    u_next[:j], b_next[:j] = states[:j], backgrounds[:j]
+    for k in range(j, len(states)):
+        b_next[k] = M @ u_next[k - 1]
+        u_next[k] = b_next[k] + delta[k]
 
     extended = PararealTrajectory(u=trajectory.u + (u_next,),
                                   delta=trajectory.delta + (delta,))
-    return extended, histories, todo, solves[-1] if ahead is not None else None
+    return (extended, b_next, histories, todo,
+            solves[-1] if ahead is not None else None)
 
 
 def _check_fine_settings(tol_mps, max_sweeps):
@@ -245,6 +274,10 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
     so each iteration passes parareal_update the previous level (the states,
     deltas and histories it already holds) and the serial fine chain's
     solved rows as known, and iteration n solves only the slabs k > n.  The
+    loop carries the current level's backgrounds, which each update returns
+    for the next: level 0 is the coarse sweep, whose rows are its own
+    backgrounds, and every later row is a product the recombination formed
+    or a row it copied with the level's unchanged prefix.  The
     chain is solved one slab ahead of the exactness front: slab 1 alone by
     run_mps, slab n + 1 in iteration n's batch, and the slabs left after a
     tol or max_outer stop alone by run_mps.  The lone run_mps solves are
@@ -279,16 +312,18 @@ def run_parareal(config, factors, tol, max_outer, tol_mps=1e-10,
 
     solve_chain(1)
     solved_to = 1                  # the chain slabs 1..solved_to are solved
+    backgrounds = trajectory.u[0]  # row k = M row k - 1: the coarse sweep
     for _ in range(max_outer):
         previous = () if not trajectory.n else (
             (trajectory.u[-2], trajectory.delta[-1], history.mps[-1]),)
         chain = (reference[:solved_to], chain_delta, chain_hists)
         ahead = ((reference[solved_to], solved_to + 1)
                  if solved_to < n_slabs else None)
-        trajectory, mps_hists, solved, chain_next = parareal_update(
-            trajectory, config, factors, previous + (chain,),
-            tol_mps=tol_mps, max_sweeps=max_sweeps, workers=workers,
-            ahead=ahead)
+        trajectory, backgrounds, mps_hists, solved, chain_next = (
+            parareal_update(trajectory, backgrounds, config, factors,
+                            previous + (chain,),
+                            tol_mps=tol_mps, max_sweeps=max_sweeps,
+                            workers=workers, ahead=ahead))
         if chain_next is not None:
             solved_to += 1
             (reference[solved_to], chain_delta[solved_to],

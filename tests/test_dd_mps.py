@@ -465,6 +465,36 @@ class TestObservationTime:
             dd_mps.run_mps_batch(plan, [vconfig.u0] * 2, (1, t), tol=1e-10,
                                  max_iters=5)
 
+    @pytest.mark.parametrize("bad, why", [
+        (True, "is not an integer"), (1.0, "is not an integer"),
+        (3, r"is outside \[0, 3\)")])
+    def test_bad_time_in_the_middle_of_a_batch_is_named(
+            self, correlated_problem, bad, why):
+        # a batch of plain in-range ints skips the per-time loop; one bad
+        # time anywhere sends it back there, to be named
+        _, vconfig, partition = correlated_problem
+        plan = build_factors(vconfig, partition)
+        times = (1, 2, bad, 0, 1)
+        with pytest.raises(var_solver.VarSolverError,
+                           match=rf"^observation time {bad} {why}$"):
+            dd_mps.run_mps_batch(plan, [vconfig.u0] * len(times), times,
+                                 tol=1e-10, max_iters=5)
+
+    def test_first_bad_time_is_named(self, correlated_problem):
+        _, vconfig, partition = correlated_problem
+        plan = build_factors(vconfig, partition)
+        with pytest.raises(var_solver.VarSolverError,
+                           match=r"^observation time -1 is outside \[0, 3\)$"):
+            plan.bind([vconfig.u0] * 3, [2, -1, True])
+
+    def test_numpy_integer_times_are_accepted(self, correlated_problem):
+        _, vconfig, partition = correlated_problem
+        plan = build_factors(vconfig, partition)
+        plain = plan.bind([vconfig.u0] * 3, [0, 1, 2])
+        mixed = plan.bind([vconfig.u0] * 3, [0, np.int64(1), np.int32(2)])
+        assert plain.t.tolist() == mixed.t.tolist() == [0, 1, 2]
+        assert plain.c.tobytes() == mixed.c.tobytes()
+
 def textbook_cg(slab, systems, max_iters, tol):
     """Preconditioned CG as first written: A applied from S = V[obs], one
     cho_solve per block summed into z, dot products with @.  Yields

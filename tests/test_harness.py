@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pintda import harness
 from pintda.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
@@ -291,8 +293,10 @@ class TestRunExperiment:
         reused = run_experiment(cfg)
         update = harness.parareal.parareal_update
 
-        def solve_every_slab(trajectory, config, factors, known, **kwargs):
-            return update(trajectory, config, factors, (), **kwargs)
+        def solve_every_slab(trajectory, backgrounds, config, factors, known,
+                             **kwargs):
+            return update(trajectory, backgrounds, config, factors, (),
+                          **kwargs)
 
         monkeypatch.setattr(harness.parareal, "parareal_update",
                             solve_every_slab)
@@ -419,6 +423,18 @@ class TestDiagnosticError:
         assert not out.exists()
 
 
+def per_row_report(records, fmt):
+    """The report formatted cell by cell, one %-template per row."""
+    cells = ["%d", "%d", *["%.17g"] * 11]
+    row = {"csv": ",".join(cells),
+           "json": "  {" + ", ".join(f'"{col}": {cell}' for col, cell
+                                     in zip(CSV_COLUMNS, cells)) + "}"}[fmt]
+    rows = [row % dataclasses.astuple(rec) for rec in records]
+    if fmt == "csv":
+        return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
 class TestEmitReport:
     def test_header_is_frozen(self, bench_result):
         text = render_report(bench_result.records, "csv")
@@ -476,6 +492,43 @@ class TestEmitReport:
             assert csv_row == ",".join(values)
             body = ", ".join(f'"{c}": {v}' for c, v in zip(CSV_COLUMNS, values))
             assert json_row.rstrip(",") == "  {" + body + "}"
+
+    @seed(3301)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(extra=st.lists(st.one_of(
+               st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308,
+                                np.inf, -np.inf, np.nan, -np.nan, 1 / 3]),
+               st.floats(allow_subnormal=True)), max_size=4),
+           rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                                   st.integers(0, 50),
+                                   st.lists(st.integers(0, 5), min_size=11,
+                                            max_size=11)),
+                         min_size=1, max_size=12))
+    def test_report_is_the_per_row_formula(self, extra, rows):
+        # each float cell is drawn from a small pool, so cells repeat
+        pool = [0.0, -0.0, *extra]
+        records = [harness.DiagnosticsRecord(
+            k, n, *[pool[i % len(pool)] for i in picks])
+            for k, n, picks in rows]
+        for fmt in ("csv", "json"):
+            assert render_report(records, fmt) == per_row_report(records, fmt)
+
+    @pytest.mark.parametrize("n_rows", [63, 64, 65, 128, 129, 200])
+    def test_block_edges_keep_every_row(self, n_rows):
+        # rows are joined 64 at a time
+        records = [harness.DiagnosticsRecord(i, i % 7, i / 3, *[-0.0] * 10)
+                   for i in range(n_rows)]
+        for fmt in ("csv", "json"):
+            assert render_report(records, fmt) == per_row_report(records, fmt)
+
+    def test_signed_zeros_in_one_column_stay_apart(self):
+        records = [harness.DiagnosticsRecord(1, n, z, *[1.0] * 10)
+                   for n, z in enumerate([0.0, -0.0, 0.0, -0.0], start=1)]
+        cells = [line.split(",")[2] for line
+                 in render_report(records, "csv").splitlines()[1:]]
+        assert cells == ["0", "-0", "0", "-0"]
+        assert re.findall(r'"E_kn": ([^,]*),', render_report(
+            records, "json")) == ["0", "-0", "0", "-0"]
 
     def test_unwritable_path_rejected(self, bench_result):
         with pytest.raises(ValueError):

@@ -65,6 +65,12 @@ class TestLadderBench:
         lines = ladder_bench.compare(tiny_bench, tiny_bench)
         assert lines[0].startswith("16x4: wall median ")
         assert len(lines) == 1 + len(ladder_bench.LAYERS)
+        # each share beside its seconds, share x profiled time
+        (rung,) = tiny_bench["rungs"]
+        share = rung["share"]["run_parareal"]
+        seconds = f"{share * rung['profiled_s']:7.3f} s"
+        assert lines[1] == (f"  {'run_parareal':20s} {share:6.1%} {seconds} "
+                            f"-> {share:6.1%} {seconds}")
         other = copy.deepcopy(tiny_bench)
         other["machine"]["nproc"] = -1
         other["rungs"] = []

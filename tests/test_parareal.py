@@ -112,7 +112,7 @@ class TestPararealUpdate:
         vconfig, partition = bench_problem
         vempty = no_observation_config(vconfig)
         traj = initial_trajectory(vempty)
-        traj, *_ = parareal_update(traj, vempty,
+        traj, *_ = parareal_update(traj, traj.u[0], vempty,
                                    build_factors(vempty, partition), ())
         M = vconfig.instance.M
         serial = [vempty.u0]
@@ -129,8 +129,10 @@ class TestPararealUpdate:
         factors = build_factors(vconfig, partition)
         n_slabs = vconfig.instance.n_steps - 1
         traj = initial_trajectory(vconfig)
+        backgrounds = traj.u[0]
         for _ in range(n_slabs):
-            traj, *_ = parareal_update(traj, vconfig, factors, ())
+            traj, backgrounds, *_ = parareal_update(traj, backgrounds, vconfig,
+                                                    factors, ())
         scale = max(np.abs(r).max() for r in reference)
         for k, ref_k in enumerate(reference):
             assert np.abs(traj.u[traj.n][k] - ref_k).max() <= 1e-10 * scale
@@ -139,8 +141,9 @@ class TestPararealUpdate:
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
-        traj, *_ = parareal_update(traj, vconfig, factors, ())
-        traj, *_ = parareal_update(traj, vconfig, factors, ())
+        traj, backgrounds, *_ = parareal_update(traj, traj.u[0], vconfig,
+                                                factors, ())
+        traj, *_ = parareal_update(traj, backgrounds, vconfig, factors, ())
         M = vconfig.instance.M
         for n in range(2):
             for k in range(1, vconfig.instance.n_steps):
@@ -237,7 +240,8 @@ class TestRunParareal:
             elif entry == "serial_fine_chain":
                 serial_fine_chain(vconfig, partition, max_sweeps=value)
             else:
-                parareal_update(initial_trajectory(vconfig), vconfig,
+                traj = initial_trajectory(vconfig)
+                parareal_update(traj, traj.u[0], vconfig,
                                 build_factors(vconfig, partition), (),
                                 max_sweeps=value)
 
@@ -374,10 +378,11 @@ class TestFineSolveReuse:
         vconfig, partition = bench_problem
         factors = build_factors(vconfig, partition)
         traj, previous = initial_trajectory(vconfig), ()
+        backgrounds = traj.u[0]
         n_slabs = vconfig.instance.n_steps - 1
         for n in range(1, n_slabs + 1):
-            traj, hists, solved, _ = parareal_update(traj, vconfig, factors,
-                                                     previous)
+            traj, backgrounds, hists, solved, _ = parareal_update(
+                traj, backgrounds, vconfig, factors, previous)
             previous = ((traj.u[-2], traj.delta[-1], hists),)
             assert solved == list(range(n, n_slabs + 1))
 
@@ -417,9 +422,11 @@ class TestFineSolveReuse:
         states[1] = np.nextafter(states[1], np.inf)
         states[2, 0] = -0.0
         deltas, hists = np.full(level.shape, 7.0), [object() for _ in range(7)]
-        got, got_hists, solved, _ = parareal_update(
-            traj, vconfig, factors, ((states, deltas, hists),))
-        fresh, fresh_hists, *_ = parareal_update(traj, vconfig, factors, ())
+        backgrounds = level_backgrounds(vconfig.instance.M, level)
+        got, _, got_hists, solved, _ = parareal_update(
+            traj, backgrounds, vconfig, factors, ((states, deltas, hists),))
+        fresh, _, fresh_hists, *_ = parareal_update(traj, backgrounds, vconfig,
+                                                    factors, ())
         # nextafter and -0.0 miss, so slabs 2 and 3 are solved
         assert solved == [2, 3]
         for k in range(1, 8):
@@ -445,9 +452,11 @@ class TestFineSolveReuse:
         assert (level_backgrounds(M, states)[3].tobytes()
                 == level_backgrounds(M, level)[3].tobytes())
         deltas, hists = np.full(level.shape, 7.0), [object() for _ in range(7)]
-        got, got_hists, solved, _ = parareal_update(
-            traj, vconfig, factors, ((states, deltas, hists),))
-        fresh, fresh_hists, *_ = parareal_update(traj, vconfig, factors, ())
+        backgrounds = level_backgrounds(M, level)
+        got, _, got_hists, solved, _ = parareal_update(
+            traj, backgrounds, vconfig, factors, ((states, deltas, hists),))
+        fresh, _, fresh_hists, *_ = parareal_update(traj, backgrounds, vconfig,
+                                                    factors, ())
         # the state differs, so slab 3 is solved again, to the same bytes
         assert solved == [3]
         assert got.delta[0][3].tobytes() == fresh.delta[0][3].tobytes()
@@ -462,8 +471,8 @@ class TestFineSolveReuse:
                  [object() for _ in range(7)])
         second = (traj.u[0].copy(), np.full(traj.u[0].shape, 2.0),
                   [object() for _ in range(7)])
-        got, hists, solved, _ = parareal_update(traj, vconfig, factors,
-                                                (first, second))
+        got, _, hists, solved, _ = parareal_update(traj, traj.u[0], vconfig,
+                                                   factors, (first, second))
         assert solved == []
         np.testing.assert_array_equal(got.delta[0][1:], 1.0)
         assert all(h is want for h, want in zip(hists, first[2], strict=True))
@@ -473,9 +482,10 @@ class TestFineSolveReuse:
         factors = build_factors(vconfig, partition)
         traj = initial_trajectory(vconfig)
         moved = (traj.u[0] + 1.0, np.zeros(traj.u[0].shape), [None] * 7)
-        got, hists, solved, _ = parareal_update(traj, vconfig, factors,
-                                                (moved,))
-        fresh, fresh_hists, *_ = parareal_update(traj, vconfig, factors, ())
+        got, _, hists, solved, _ = parareal_update(traj, traj.u[0], vconfig,
+                                                   factors, (moved,))
+        fresh, _, fresh_hists, *_ = parareal_update(traj, traj.u[0], vconfig,
+                                                    factors, ())
         assert solved == list(range(1, 8))
         assert got.delta[0].tobytes() == fresh.delta[0].tobytes()
         assert hists == fresh_hists
@@ -487,9 +497,10 @@ class TestFineSolveReuse:
         calls = []
         update = parareal.parareal_update
 
-        def spy(trajectory, config, factors, known, **kwargs):
+        def spy(trajectory, backgrounds, config, factors, known, **kwargs):
             calls.append((known, kwargs["ahead"]))
-            return update(trajectory, config, factors, known, **kwargs)
+            return update(trajectory, backgrounds, config, factors, known,
+                          **kwargs)
 
         monkeypatch.setattr(parareal, "parareal_update", spy)
         traj, hist, (reference, chain_delta, chain_hists) = run_parareal(
@@ -557,9 +568,11 @@ class TestFineSolveReuse:
         hists = [object() for _ in range(7)]
         # rows 0..2 are the inputs of slabs 1..3; the state rows 3..6 match
         # too, but a level that does not hold them cannot know their slabs
-        got, got_hists, solved, _ = parareal_update(
-            traj, vconfig, factors, ((states[:3].copy(), deltas, hists),))
-        fresh, fresh_hists, *_ = parareal_update(traj, vconfig, factors, ())
+        got, _, got_hists, solved, _ = parareal_update(
+            traj, states, vconfig, factors,
+            ((states[:3].copy(), deltas, hists),))
+        fresh, _, fresh_hists, *_ = parareal_update(traj, states, vconfig,
+                                                    factors, ())
         assert solved == [4, 5, 6, 7]
         for k in range(1, 8):
             if k in solved:
@@ -575,23 +588,55 @@ class TestFineSolveReuse:
                                                   bench_problem, early):
         vconfig, partition = bench_problem
         plan = build_factors(vconfig, partition)
-        rows = []
-        kernel = parareal.gemv_rows
+        logged, per_update = logged_model(vconfig), []
+        update = parareal.parareal_update
 
-        def spy(A, x):
-            rows.append(len(x))
-            return kernel(A, x)
+        def spy(*args, **kwargs):
+            start = len(logged.products)
+            out = update(*args, **kwargs)
+            per_update.append(logged.products[start:])
+            return out
 
-        monkeypatch.setattr(parareal, "gemv_rows", spy)
-        _, hist, _ = run_parareal(vconfig, plan, tol=1e-300,
-                                  max_outer=3 if early else 8)
+        monkeypatch.setattr(parareal, "parareal_update", spy)
+        traj, hist, (reference, _, _) = run_parareal(
+            logged.config, plan, tol=1e-300, max_outer=3 if early else 8)
         n_slabs = vconfig.instance.n_steps - 1
-        # one product per solved slab, and one per chain slab that rode in
-        # a batch: slabs 2..n_outer + 1; slab 1 and the tail take M @ alone
         carried = min(hist.n_outer, n_slabs - 1)
-        assert sum(rows) == carried + sum(len(s) for s in hist.solved)
-        assert len(rows) == carried
+        for n, products in enumerate(per_update, start=1):
+            # slabs 1..n - 1 keep the previous level's deltas and slab n
+            # takes the chain's, so the recombination runs from slab n, once
+            # per row; the solved slabs n + 1.. read their backgrounds from
+            # the carried rows, and only chain slab n + 1 takes a fresh M @
+            ahead = [reference[n]] if n <= carried else []
+            want = ahead + [traj.u[n][k - 1] for k in range(n, n_slabs + 1)]
+            assert [x.tobytes() for x in products] == [
+                x.tobytes() for x in want]
+        # level 0's coarse sweep, chain slab 1, the iterations, the tail
+        tail = n_slabs - carried - 1
+        assert len(logged.products) == n_slabs + 1 + sum(
+            map(len, per_update)) + tail
         assert sum(len(s) for s in hist.solved) < n_slabs * hist.n_outer
+
+
+class _ProductLog(np.ndarray):
+    """A model matrix that logs the rows of every product formed with it;
+    each product is computed on the plain array, so it keeps its bits."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul and inputs[0] is self:
+            self.products.extend(plain[1].reshape(-1, len(self)).copy())
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def logged_model(vconfig):
+    """vconfig with M replaced by a _ProductLog view; returns the view, whose
+    `config` is the new vconfig and `products` the rows it multiplied."""
+    M = vconfig.instance.M.view(_ProductLog)
+    M.products = []
+    M.config = dataclasses.replace(
+        vconfig, instance=dataclasses.replace(vconfig.instance, M=M))
+    return M
 
 
 def slab_long_problem():
@@ -627,6 +672,57 @@ class TestChainInTheBatches:
         for k in range(1, len(states)):
             assert (deltas[k].tobytes()
                     == (states[k] - M @ states[k - 1]).tobytes())
+
+
+class TestCarriedBackgrounds:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("problem, stop, reason", [
+        ("bench", dict(tol=1e-300, max_outer=8), "exact"),
+        ("bench", dict(tol=1e-2, max_outer=8), "tol"),
+        ("bench", dict(tol=1e-300, max_outer=3), "max_outer"),
+        ("slab_long", dict(tol=1e-300, max_outer=11), "exact"),
+        ("slab_long", dict(tol=1e-4, max_outer=11), "tol"),
+        ("slab_long", dict(tol=1e-300, max_outer=3), "max_outer"),
+    ])
+    def test_levels_and_backgrounds_are_the_textbook_loops(
+            self, monkeypatch, bench_problem, workers, problem, stop, reason):
+        vconfig, partition = (bench_problem if problem == "bench"
+                              else slab_long_problem())
+        given, backgrounds = [], []
+        update = parareal.parareal_update
+
+        def spy(trajectory, carried, *args, **kwargs):
+            out = update(trajectory, carried, *args, **kwargs)
+            given.append(carried)
+            backgrounds.append(out[1])
+            return out
+
+        monkeypatch.setattr(parareal, "parareal_update", spy)
+        traj, hist, _ = run_parareal(vconfig, build_factors(vconfig, partition),
+                                     workers=workers, **stop)
+        assert hist.reason == reason
+        # level 0 is its own backgrounds; each later update gets what the
+        # one before returned
+        assert given[0] is traj.u[0]
+        assert all(a is b for a, b in zip(given[1:], backgrounds))
+        backgrounds.insert(0, given[0])
+        M, u0 = vconfig.instance.M, vconfig.u0
+        for n in range(traj.n + 1):
+            u, b = [u0], [u0]
+            for k in range(1, vconfig.instance.n_steps):
+                b.append(M @ traj.u[n][k - 1])
+                coarse = M @ u[k - 1]
+                u.append(coarse + traj.delta[n - 1][k] if n else coarse)
+            assert traj.u[n].tobytes() == np.array(u).tobytes()
+            assert backgrounds[n].tobytes() == np.array(b).tobytes()
+
+    def test_backgrounds_must_have_the_levels_shape(self, bench_problem):
+        vconfig, partition = bench_problem
+        traj = initial_trajectory(vconfig)
+        with pytest.raises(ValueError, match=r"^backgrounds must have the "
+                           r"level's shape \(8, 32\), got \(7, 32\)$"):
+            parareal_update(traj, traj.u[0][1:], vconfig,
+                            build_factors(vconfig, partition), ())
 
 
 def one_network_problem(layout):
@@ -669,8 +765,8 @@ class TestBatchedFineSolves:
 
         monkeypatch.setattr(parareal, "run_mps_batch", record)
         traj = initial_trajectory(vconfig)
-        traj1, hists, solved, _ = parareal_update(traj, vconfig, factors, (),
-                                                  workers=workers)
+        traj1, _, hists, solved, _ = parareal_update(
+            traj, traj.u[0], vconfig, factors, (), workers=workers)
         assert solved == list(range(1, 8))
         # threads enter run_mps_batch in any order: sorted by first slab, the
         # batches are contiguous runs that cover every slab, one per worker
@@ -682,8 +778,8 @@ class TestBatchedFineSolves:
         # the level just solved is known: no slab is left, so no batch is made
         batches.clear()
         known = ((traj.u[0], traj1.delta[0], hists),)
-        _, _, solved, _ = parareal_update(traj, vconfig, factors, known,
-                                          workers=workers)
+        _, _, _, solved, _ = parareal_update(traj, traj.u[0], vconfig, factors,
+                                             known, workers=workers)
         assert batches == [] and solved == []
         assert parareal._batches([], workers) == []
 
@@ -693,7 +789,8 @@ class TestBatchedFineSolves:
         vconfig, partition = bench_problem
         with pytest.raises(ValueError,
                            match=rf"^workers must be >= 1, got {workers}$"):
-            parareal_update(initial_trajectory(vconfig), vconfig,
+            traj = initial_trajectory(vconfig)
+            parareal_update(traj, traj.u[0], vconfig,
                             build_factors(vconfig, partition), (),
                             workers=workers)
 

@@ -1,10 +1,10 @@
 """Size-ladder bench: wall time, layer shares and work counts per rung.
 
-Run from a checkout's root; it writes BENCH_32.json there:
+Run from a checkout's root; it writes BENCH_33.json there:
 
     python3 tools/ladder_bench.py
     python3 tools/ladder_bench.py --out BENCH_parent.json
-    python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_32.json
+    python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_33.json
 
 Each rung is one np x n_steps run_experiment config with nobs = np / 4,
 n_sub = 2, max_outer = n_steps - 1 and seed 1; one operation is
@@ -16,8 +16,8 @@ fine_solves, fine_solves_reused and the CG steps summed over all fine
 solves, the serial chain's (the result's chain_histories) included.  BLAS
 is pinned to one thread before NumPy loads, and the machine is recorded, so
 that two files compare only when their `machine` entries agree.  --compare
-prints, per rung, the two median wall times and the two shares of each
-layer.
+prints, per rung, the two median wall times and, for each layer, its two
+shares, each beside its seconds: the share times the profiled time.
 """
 
 from __future__ import annotations
@@ -140,6 +140,12 @@ def run_ladder(rungs=RUNGS, warm=WARM, timed=TIMED):
             "rungs": [measure_rung(n, t, warm, timed) for n, t in rungs]}
 
 
+def _layer(rung, name):
+    """A layer's share of the rung's profiled time, and its seconds."""
+    share = rung["share"][name]
+    return f"{share:6.1%} {share * rung['profiled_s']:7.3f} s"
+
+
 def compare(old, new):
     """Lines setting two BENCH files side by side, rung by rung."""
     out = [] if old["machine"] == new["machine"] else [
@@ -152,14 +158,14 @@ def compare(old, new):
             continue
         out.append(f"{a['rung']}: wall median {a['wall_s']['median']:.3f} s "
                    f"-> {b['wall_s']['median']:.3f} s")
-        out += [f"  {name:20s} {a['share'][name]:6.1%} -> "
-                f"{b['share'][name]:6.1%}" for name in LAYERS]
+        out += [f"  {name:20s} {_layer(a, name)} -> {_layer(b, name)}"
+                for name in LAYERS]
     return out
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_32.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_33.json"))
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:

@@ -101,8 +101,8 @@ def oracle_sha256(vconfig):
 def level_backgrounds(M, level):
     """A level's fine-solve backgrounds, row by row: its state at time 0,
     then M @ its state at k - 1 for each later time k.  A per-row loop of
-    plain products, the bits that the stacked gemv_rows products of a run's
-    fine-solve batches must have."""
+    plain products, the bits that the backgrounds a run carries from its
+    recombination to its fine-solve batches must have."""
     rows = np.asarray(level, dtype=float)
     return [rows[0], *(M @ row for row in rows[:-1])]
 
