@@ -107,10 +107,10 @@ def lipschitz_estimate(M, mu_A, differences):
     mu_A times the tightest probe ratio ||M d|| / ||d||, which makes the
     inequality hold (with equality at the worst probe) on everything fed in;
     the caller should include the difference vectors it actually cares about.
-    Zero rows (coinciding pairs) are skipped; a non-finite probe makes C
-    non-finite.  L = ||M||_inf^2 is reported alongside for the error-magnitude
-    form.  The probes run as one testbed.gemv_rows, so each row keeps its
-    M @ d bits.
+    Zero rows (coinciding pairs) are skipped before any product is formed;
+    a non-finite probe makes C non-finite.  L = ||M||_inf^2 is reported
+    alongside for the error-magnitude form.  The probes run as one
+    testbed.gemv_rows, so each row keeps its M @ d bits.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -120,10 +120,11 @@ def lipschitz_estimate(M, mu_A, differences):
         raise ValueError("need at least one probe difference")
 
     nd = np.abs(D).max(axis=1)
-    with np.errstate(invalid="ignore"):     # inf / inf; 0 / 0 on a zero row
-        ratios = (np.abs(gemv_rows(M, D)).max(axis=1) / nd)[nd != 0.0]
-    if ratios.size == 0:
+    nonzero = nd != 0.0
+    if not nonzero.any():
         raise ValueError("all probe pairs coincide")
+    with np.errstate(invalid="ignore"):     # inf / inf
+        ratios = np.abs(gemv_rows(M, D[nonzero])).max(axis=1) / nd[nonzero]
 
     max_ratio = float(ratios.max())
     L = float(np.abs(M).sum(axis=1).max()) ** 2

@@ -9,6 +9,13 @@ reads the report's error table E_kn = ||reference[k] - u^n_k|| and its
 correction norms delta_norm from the Parareal trajectory's levels and the
 serial fine chain, which run_parareal solves inside its batches; the
 iteration's history adds only what it alone knows.
+
+ExperimentResult.records is the report as a DiagnosticsTable: one read-only
+NumPy column per CSV_COLUMNS entry (k and n int64, the rest float64), one
+row per (n, k).  render_report reads those columns.  The table is also a
+sequence of DiagnosticsRecord: len(records), records[i] and iterating it
+build the rows, with Python int and float cells, only when asked, and
+records.columns gives the arrays themselves.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ import argparse
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -205,11 +212,57 @@ class DiagnosticsRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+_INTEGER = ("k", "n")
+_DTYPE = {col: np.int64 if col in _INTEGER else np.float64
+          for col in CSV_COLUMNS}
+
+
+class DiagnosticsTable(Sequence):
+    """The report rows as columns: one read-only NumPy array per
+    CSV_COLUMNS entry, `columns`, k and n int64 and the rest float64.
+
+    It is a sequence of DiagnosticsRecord: indexing and iteration build each
+    row, with Python int and float cells, when asked.  Two tables are equal
+    when every cell compares equal (so -0.0 equals 0.0, NaN equals nothing),
+    as two lists of their records do.  The columns are copied in.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns):
+        if len(columns) != len(CSV_COLUMNS):
+            raise ValueError(f"need {len(CSV_COLUMNS)} columns, "
+                             f"got {len(columns)}")
+        arrays = tuple(np.array(values, dtype=_DTYPE[col])
+                       for col, values in zip(CSV_COLUMNS, columns))
+        if {a.shape for a in arrays} != {(len(arrays[0]),)}:
+            raise ValueError(f"columns must be 1-D and of one length, got "
+                             f"shapes {[a.shape for a in arrays]}")
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "columns", arrays)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a DiagnosticsTable is immutable")
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        return DiagnosticsRecord(*(col[i].item() for col in self.columns))
+
+    def __iter__(self):
+        return map(DiagnosticsRecord, *(col.tolist() for col in self.columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, DiagnosticsTable):
+            return NotImplemented
+        return all(map(np.array_equal, self.columns, other.columns))
 
 
 @dataclass
 class ExperimentResult:
-    records: list
+    records: DiagnosticsTable
     status: str              # converged | non-converged
     summary: dict
     trajectory: object
@@ -302,29 +355,29 @@ def run_experiment(config):
                                  R0=R_obs[1:, :1], rho=rho_local)
 
     # The report's columns in CSV_COLUMNS order, one entry per (n, k) row in
-    # row order; a value fixed per run or per n is one shared object.
+    # row order, as the rows of one float array for the finiteness check; a
+    # value fixed per run or per n is broadcast or repeated.
     n_outer, n_slabs = trajectory.n, n_points - 1
-
-    def per_n(values):
-        return [v for v in values for _ in range(n_slabs)]
-
-    columns = (
-        list(range(1, n_points)) * n_outer, per_n(range(1, n_outer + 1)),
-        E[1:, 1:].ravel().tolist(),
-        [x for delta in trajectory.delta
-         for x in np.abs(delta[1:]).max(axis=1).tolist()],
-        per_n(c_bound[1:].tolist()),
-        [h.eq_residual for hists in phist.mps for h in hists],
-        *(per_n([v] * n_outer) for v in (mu_A, lip.C, eps_mps)),
-        rb.total.ravel().tolist(), per_n(rb.term_initial.ravel().tolist()),
-        rb.term_iteration.ravel().tolist(), per_n([rb.term_rho] * n_outer))
-    finite = np.isfinite(np.array(columns, dtype=float))
+    k = np.tile(np.arange(1, n_points), n_outer)
+    n = np.repeat(np.arange(1, n_outer + 1), n_slabs)
+    cells = np.empty((len(CSV_COLUMNS), n_outer * n_slabs))
+    cells[0], cells[1], cells[2] = k, n, E[1:, 1:].ravel()
+    for row, delta in zip(cells[3].reshape(n_outer, n_slabs), trajectory.delta):
+        np.max(np.abs(delta[1:]), axis=1, out=row)
+    cells[4] = np.repeat(c_bound[1:], n_slabs)
+    cells[5] = np.fromiter((h.eq_residual for hists in phist.mps for h in hists),
+                           float, count=len(k))
+    cells[6], cells[7], cells[8] = mu_A, lip.C, eps_mps
+    cells[9] = rb.total.ravel()
+    cells[10] = np.repeat(rb.term_initial.ravel(), n_slabs)
+    cells[11], cells[12] = rb.term_iteration.ravel(), rb.term_rho
+    finite = np.isfinite(cells)
     if not finite.all():        # name the first row, then its first column
         row = np.argmin(finite.all(axis=0))
         raise DiagnosticError(f"non-finite diagnostic "
                               f"{CSV_COLUMNS[np.argmin(finite[:, row])]} "
-                              f"at k={columns[0][row]}, n={columns[1][row]}")
-    records = [DiagnosticsRecord(*cells) for cells in zip(*columns)]
+                              f"at k={k[row]}, n={n[row]}")
+    records = DiagnosticsTable(k, n, *cells[2:])
 
     # slab k's fine solve is chain_hists[k - 1] and phist.mps[n][k - 1]
     mps_unconverged = sorted(
@@ -365,41 +418,44 @@ def run_experiment(config):
 # One %-conversion per column: the integer columns k and n, then floats
 # with 17 significant digits.  Per format, a row from its cells' strings and
 # the text between rows.
-_INTEGER = ("k", "n")
 _CELL = {col: "%d" if col in _INTEGER else "%.17g" for col in CSV_COLUMNS}
-_DTYPE = {col: np.int64 if col in _INTEGER else np.float64
-          for col in CSV_COLUMNS}
 _ROW = {"csv": (",".join, "\n"),
         "json": (("  {" + ", ".join(f'"{col}": %s' for col in CSV_COLUMNS)
                   + "}").__mod__, ",\n")}
 _BLOCK = 64                     # rows joined at a time
 
 
-def _column_text(records, col):
+def _column_text(column, cell):
     """The column's strings, each distinct value formatted once: a value is
-    keyed by its 64 bits, so -0.0 and 0.0 stay apart."""
-    values = list(map(attrgetter(col), records))
-    bits = np.array(values, dtype=_DTYPE[col]).view(np.uint64).tolist()
-    distinct = dict(zip(bits, values))
-    text = dict(zip(distinct, map(_CELL[col].__mod__, distinct.values())))
+    keyed by its 64 bits, so -0.0 and 0.0 stay apart.  The distinct bits
+    are found with a dict, not a sort: with NumPy 2.4 the first call of any
+    NumPy sort adds 128-320 KB to the process's resident memory."""
+    bits = column.view(np.uint64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    values = np.array(distinct, dtype=np.uint64).view(column.dtype).tolist()
+    text = dict(zip(distinct, map(cell.__mod__, values)))
     return list(map(text.__getitem__, bits))
 
 
 def render_report(records, format="csv"):
-    """Serialize diagnostics rows; floats carry 17 significant digits.
+    """Serialize a DiagnosticsTable; floats carry 17 significant digits.
 
-    Each distinct value of a column is formatted once, and the rows are
-    built from those strings, so a long report whose cells repeat (the
-    exact slabs' zeros, per-run and per-iteration constants) pays per
-    distinct value, not per cell.  The rows are joined a block at a time,
-    each block's cell strings dropped as it is joined, so the strings and
-    the rows never all live at once."""
+    `records` is ExperimentResult.records, the columnar table run_experiment
+    forms; its rows, as DiagnosticsRecord, come from iterating or indexing
+    it, but render_report reads its `columns` arrays.  Each distinct value
+    of a column is formatted once, and the rows are built from those
+    strings, so a long report whose cells repeat (the exact slabs' zeros,
+    per-run and per-iteration constants) pays per distinct value, not per
+    cell.  The rows are joined a block at a time, each block's cell strings
+    dropped as it is joined, so the strings and the rows never all live at
+    once."""
     if not records:
         raise ValueError("no diagnostics records to emit")
     if format not in _ROW:
         raise ValueError(f"unknown report format {format!r}")
     row, sep = _ROW[format]
-    texts = [_column_text(records, col) for col in CSV_COLUMNS]
+    texts = [_column_text(column, _CELL[col])
+             for col, column in zip(CSV_COLUMNS, records.columns)]
     blocks = []
     while texts[0]:
         block = [text[:_BLOCK] for text in texts]

@@ -48,7 +48,9 @@ made the current level keep its states and backgrounds, copied, and the
 recombination runs from the first other slab on.  Every product
 M u_{k-1}^{n+1} it forms is kept as row k of the next level's backgrounds,
 which the next batch reads, so the only background an iteration forms
-outside the recombination is the chain slab's that rides in its batch.
+outside the recombination is the chain slab's that rides in its batch; the
+recombination takes that one as its own product where its input state has
+the chain state's bytes, so no iteration forms a product twice.
 Every state, delta and history is bitwise the textbook one; history.solved
 lists the slabs each iteration solved.  A slab whose input equals a chain
 state whose slab is not solved yet is solved again, to the same bytes, so
@@ -148,14 +150,16 @@ def parareal_update(trajectory, backgrounds, config, factors, known,
     the first matching level winning; only the other slabs are solved, on
     their rows of `backgrounds`.  `ahead`, an (input state, time) pair, is
     one more fine solve that rides in the same batch, the only one whose
-    background is formed here.
+    background is formed outside the recombination.
 
     The new level shares its prefix with the current one: while slab k's
     new delta has the bytes of the delta that made the current level, its
     new state and background are the current level's, copied; from the
     first slab j whose delta differs, the recombination
     u_next[k] = M u_next[k-1] + delta[k] runs and keeps each product
-    M u_next[k-1] as row k of the next backgrounds.  Returns the extended
+    M u_next[k-1] as row k of the next backgrounds; at the ahead time t, when
+    u_next[t-1] has the bytes of the ahead input state, the product is the
+    ahead background, taken rather than formed again.  Returns the extended
     trajectory, the next level's backgrounds, the per-slab inner-solver
     histories, the list of slabs solved and, for `ahead`, its (fine state,
     delta, history), else None.
@@ -182,9 +186,11 @@ def parareal_update(trajectory, backgrounds, config, factors, known,
         for k in reused.tolist():
             histories[k - 1] = known_hists[k - 1]
     inputs, times = backgrounds[todo], todo.tolist()
+    ahead_time = None
     if ahead is not None:
         inputs = np.vstack((inputs, M @ ahead[0]))
         times.append(ahead[1])
+        ahead_time, ahead_bytes = ahead[1], ahead[0].tobytes()
 
     def correct(cols):                        # a range of batch columns
         part = slice(cols.start, cols.stop)
@@ -210,7 +216,10 @@ def parareal_update(trajectory, backgrounds, config, factors, known,
     u_next, b_next = np.empty(states.shape), np.empty(states.shape)
     u_next[:j], b_next[:j] = states[:j], backgrounds[:j]
     for k in range(j, len(states)):
-        b_next[k] = M @ u_next[k - 1]
+        if k == ahead_time and u_next[k - 1].tobytes() == ahead_bytes:
+            b_next[k] = inputs[-1]
+        else:
+            b_next[k] = M @ u_next[k - 1]
         u_next[k] = b_next[k] + delta[k]
 
     extended = PararealTrajectory(u=trajectory.u + (u_next,),

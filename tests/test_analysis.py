@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from pintda import dd_mps, parareal
+from pintda import analysis, dd_mps, parareal
 from pintda.analysis import (BoundParameters, chain_discrepancy,
                              error_and_bound_history, error_scale_constant,
                              gronwall_bound, gronwall_prefactor,
@@ -159,6 +159,41 @@ class TestLipschitz:
         est = lipschitz_estimate(M, 2.0, differences)
         assert est.max_ratio == expected[0]
         assert est.C == 2.0 * expected[0]
+
+    @pytest.mark.parametrize("n_grid", [4, 32])
+    def test_only_nonzero_rows_are_multiplied(self, monkeypatch, n_grid):
+        # as in a run's error directions, where every row k <= n of level n
+        # is exactly zero; the kept rows' ratios and C are bitwise those of
+        # the product of every row
+        rng = np.random.default_rng(n_grid)
+        M = rng.standard_normal((n_grid, n_grid))
+        D = rng.standard_normal((70, n_grid))
+        D[::3] = 0.0
+        D[4] = -0.0
+        products = []
+        real = analysis.gemv_rows
+
+        def spy(A, x):
+            products.append((x.copy(), real(A, x)))
+            return products[-1][1]
+
+        monkeypatch.setattr(analysis, "gemv_rows", spy)
+        est = lipschitz_estimate(M, 3.0, D)
+        nd = np.abs(D).max(axis=1)
+        kept = nd != 0.0
+        with np.errstate(invalid="ignore"):     # 0 / 0 on a zero row
+            full = (np.abs(real(M, D)).max(axis=1) / nd)[kept]
+        ((rows, product),) = products
+        assert rows.tobytes() == D[kept].tobytes()
+        ratios = np.abs(product).max(axis=1) / nd[kept]
+        assert ratios.tobytes() == full.tobytes()
+        assert est.max_ratio == float(full.max())
+        assert est.C == 3.0 * float(full.max())
+
+    def test_coinciding_probes_form_no_product(self, monkeypatch):
+        monkeypatch.setattr(analysis, "gemv_rows", None)
+        with pytest.raises(ValueError, match="^all probe pairs coincide$"):
+            lipschitz_estimate(np.eye(3), 1.0, [np.zeros(3), np.full(3, -0.0)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("position", ["first", "last"])

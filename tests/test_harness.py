@@ -423,6 +423,11 @@ class TestDiagnosticError:
         assert not out.exists()
 
 
+def table(rows):
+    """A DiagnosticsTable of row tuples, cells in CSV_COLUMNS order."""
+    return harness.DiagnosticsTable(*zip(*rows))
+
+
 def per_row_report(records, fmt):
     """The report formatted cell by cell, one %-template per row."""
     cells = ["%d", "%d", *["%.17g"] * 11]
@@ -480,10 +485,10 @@ class TestEmitReport:
         cells = [0.1, np.float64(-2.5e-300), -0.0, np.inf, -np.inf, np.nan,
                  np.float64(np.nan), 7, np.int64(-3), 1e300, np.float64(1 / 3),
                  5e-324]
-        records = [harness.DiagnosticsRecord(
-            k, n, *[cells[(i + j) % len(cells)] for j in range(11)])
+        records = table(
+            (k, n, *[cells[(i + j) % len(cells)] for j in range(11)])
             for i, (k, n) in enumerate([(1, 1), (np.int64(2), np.int64(30)),
-                                        (True, 0), (39, np.int64(7))] * 3)]
+                                        (True, 0), (39, np.int64(7))] * 3))
         csv_rows = render_report(records, "csv").splitlines()[1:]
         json_rows = render_report(records, "json").splitlines()[1:-1]
         assert len(csv_rows) == len(json_rows) == len(records)
@@ -507,23 +512,22 @@ class TestEmitReport:
     def test_report_is_the_per_row_formula(self, extra, rows):
         # each float cell is drawn from a small pool, so cells repeat
         pool = [0.0, -0.0, *extra]
-        records = [harness.DiagnosticsRecord(
-            k, n, *[pool[i % len(pool)] for i in picks])
-            for k, n, picks in rows]
+        records = table((k, n, *[pool[i % len(pool)] for i in picks])
+                        for k, n, picks in rows)
         for fmt in ("csv", "json"):
             assert render_report(records, fmt) == per_row_report(records, fmt)
 
     @pytest.mark.parametrize("n_rows", [63, 64, 65, 128, 129, 200])
     def test_block_edges_keep_every_row(self, n_rows):
         # rows are joined 64 at a time
-        records = [harness.DiagnosticsRecord(i, i % 7, i / 3, *[-0.0] * 10)
-                   for i in range(n_rows)]
+        records = table((i, i % 7, i / 3, *[-0.0] * 10)
+                        for i in range(n_rows))
         for fmt in ("csv", "json"):
             assert render_report(records, fmt) == per_row_report(records, fmt)
 
     def test_signed_zeros_in_one_column_stay_apart(self):
-        records = [harness.DiagnosticsRecord(1, n, z, *[1.0] * 10)
-                   for n, z in enumerate([0.0, -0.0, 0.0, -0.0], start=1)]
+        records = table((1, n, z, *[1.0] * 10)
+                        for n, z in enumerate([0.0, -0.0, 0.0, -0.0], start=1))
         cells = [line.split(",")[2] for line
                  in render_report(records, "csv").splitlines()[1:]]
         assert cells == ["0", "-0", "0", "-0"]
@@ -537,6 +541,72 @@ class TestEmitReport:
     def test_unknown_format_rejected(self, bench_result):
         with pytest.raises(ValueError):
             render_report(bench_result.records, "yaml")
+
+
+class TestDiagnosticsTable:
+    def test_run_and_render_build_no_record(self, monkeypatch):
+        built = []
+        real = harness.DiagnosticsRecord.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness.DiagnosticsRecord, "__init__", spy)
+        result = run_experiment(load_config(None, {"np": 16, "n_steps": 4}))
+        for fmt in ("csv", "json"):
+            render_report(result.records, fmt)
+        assert built == []
+        rows = list(result.records)     # rows are built when asked
+        assert len(built) == len(rows) == len(result.records) == 9
+
+    def test_rows_are_records_of_the_columns(self, bench_result):
+        # perfbench's check reads dataclasses.fields(rec) and rec.k
+        records = bench_result.records
+        columns = records.columns
+        assert [c.dtype for c in columns] == [np.int64] * 2 + [np.float64] * 11
+        rows = list(records)
+        assert len(rows) == len(records) == len(columns[0])
+        for i, rec in enumerate(rows):
+            assert type(rec) is harness.DiagnosticsRecord
+            assert rec == records[i] == records[i - len(records)]
+            assert [f.name for f in dataclasses.fields(rec)] == list(CSV_COLUMNS)
+            cells = dataclasses.astuple(rec)
+            assert [type(c) for c in cells] == [int] * 2 + [float] * 11
+            assert [np.array(c, dtype=col.dtype).tobytes()
+                    for c, col in zip(cells, columns)] == [
+                col[i].tobytes() for col in columns]
+
+    @pytest.mark.parametrize("col, ours, theirs, equal", [
+        ("E_kn", 1.5, 1.5, True),
+        ("E_kn", 1.5, 2.5, False),
+        ("k", 2, 9, False),
+        ("c_n", 0.0, -0.0, True),
+        ("mu_A", NAN, NAN, False),
+    ])
+    def test_equality_is_that_of_the_record_lists(self, col, ours, theirs,
+                                                  equal):
+        def rows(value):
+            cells = [[k, 1, 0.5 * k, *[0.0] * 10] for k in range(1, 4)]
+            cells[1][CSV_COLUMNS.index(col)] = value
+            return cells
+
+        a, b = table(rows(ours)), table(rows(theirs))
+        assert (a == b) is (list(a) == list(b)) is equal
+        assert (a == table(rows(ours)[:2])) is False
+
+    def test_immutable(self, bench_result):
+        records = bench_result.records
+        with pytest.raises(ValueError):
+            records.columns[2][0] = 1.0
+        with pytest.raises(AttributeError):
+            records.columns = ()
+
+    def test_columns_are_checked(self):
+        with pytest.raises(ValueError, match="need 13 columns, got 12"):
+            harness.DiagnosticsTable(*[[1]] * 12)
+        with pytest.raises(ValueError, match="of one length"):
+            harness.DiagnosticsTable([1, 2], *[[1]] * 12)
 
 
 class TestCli:

@@ -606,11 +606,18 @@ class TestFineSolveReuse:
             # slabs 1..n - 1 keep the previous level's deltas and slab n
             # takes the chain's, so the recombination runs from slab n, once
             # per row; the solved slabs n + 1.. read their backgrounds from
-            # the carried rows, and only chain slab n + 1 takes a fresh M @
-            ahead = [reference[n]] if n <= carried else []
-            want = ahead + [traj.u[n][k - 1] for k in range(n, n_slabs + 1)]
+            # the carried rows, and only chain slab n + 1 takes a fresh M @,
+            # which the recombination takes as its row n + 1: level n is
+            # exact through row n, so its input state is the chain's
+            ahead = n <= carried
+            assert not ahead or traj.u[n][n].tobytes() == reference[n].tobytes()
+            want = [reference[n]] * ahead + [
+                traj.u[n][k - 1] for k in range(n, n_slabs + 1)
+                if not (ahead and k == n + 1)]
             assert [x.tobytes() for x in products] == [
                 x.tobytes() for x in want]
+            # no product is formed twice in an iteration
+            assert len({x.tobytes() for x in products}) == len(products)
         # level 0's coarse sweep, chain slab 1, the iterations, the tail
         tail = n_slabs - carried - 1
         assert len(logged.products) == n_slabs + 1 + sum(
