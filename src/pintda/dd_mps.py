@@ -29,19 +29,22 @@ axis, one row per background (run_mps_batch(plan, backgrounds, times, tol,
 max_iters); run_mps(plan, background, time, tol, max_iters) is the batch of
 one).  Each product is a stacked gemv, one per column, each block solve one
 multi-column potrs call, and alpha, beta and every residual are per column,
-so each column has the bits of its solve alone.  A column leaves the batch at
-the step where it stops: converged, out of steps, or with a step of 0, as
-where r . z = 0.  Stepwise, plan.bind(backgrounds, times) is the step-0
-CgIterate, mps_sweep advances it by one step, and its `patched` is the
-analysis.  build_factors rejects lam <= 0, and bind a time that is not an
-integer in [0, n_steps) or a non-finite background; any other non-finite
-value shows in one NaN-propagating check of each step.  Each raises
-VarSolverError naming lambda or the time (and the subdomain).
+so each column has the bits of its solve alone.  A column that stops
+(converged, out of steps, or with a step of 0, as where r . z = 0) is
+written into the batch's final arrays and dropped from the stepped ones, so
+a step does the arithmetic of the columns still stepping and nothing else.
+The stopped columns finish together: one true residual c - A w, one
+analysis u_b + V w and one pass of histories per batch.  Stepwise,
+plan.bind(backgrounds, times) is the step-0 CgIterate, mps_sweep advances
+it by one step, and its `patched` is the analysis.  build_factors rejects
+lam <= 0, and bind a time that is not an integer in [0, n_steps) or a
+non-finite background; any other non-finite value shows in one
+NaN-propagating check of each step.  Each raises VarSolverError naming
+lambda or the time (and the subdomain).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,14 +98,18 @@ class CgPlan:
     """One problem's operator and preconditioner, built before any fine
     solve reads them.
 
-    `factors` holds one LocalFactor per block in subdomain order, `obs` the
-    observed grid points and `S` = V[obs] their rows of V, so that
-    A = lam I + rinv S^T S.  `V` maps a control to a state increment, and
-    `v_norm` = ||V||_inf maps a control residual into state space.  `v`
-    holds the observations, one (n_steps, nobs) array whose row t is time t's.
+    `factors` holds one LocalFactor per block in subdomain order, and
+    `blocks` what a step reads of each: (i, Cholesky factor, lower, lo, hi),
+    the block's indices being range(lo, hi) with Python ints lo and hi.
+    `obs` holds the observed grid points and `S` = V[obs] their rows of V,
+    so that A = lam I + rinv S^T S.  `V` maps a control to a state
+    increment, and `v_norm` = ||V||_inf maps a control residual into state
+    space.  `v` holds the observations, one (n_steps, nobs) array whose row
+    t is time t's.
     """
 
     factors: tuple
+    blocks: tuple
     obs: np.ndarray
     S: np.ndarray
     lam: float
@@ -119,14 +126,12 @@ class CgPlan:
         """sum_i R_i^T A_loc_i^-1 R_i r: one potrs call per block for every
         column at once, each column with its solo bits."""
         z = np.zeros(r.shape)
-        for f in self.factors:
-            sl = slice(f.indices[0], f.indices[-1] + 1)
-            c, lower = f.chol
-            sol, info = _potrs(c, r[..., sl].T, lower=lower)
+        for i, c, lower, lo, hi in self.blocks:
+            sol, info = _potrs(c, r[..., lo:hi].T, lower=lower)
             if info:
-                raise VarSolverError(f"subdomain {f.i}: LAPACK potrs rejected "
+                raise VarSolverError(f"subdomain {i}: LAPACK potrs rejected "
                                      f"argument {-info}")
-            z[..., sl] += sol.T
+            z[..., lo:hi] += sol.T
         return z
 
     def bind(self, backgrounds, times):
@@ -148,57 +153,56 @@ class CgPlan:
         finite = np.isfinite(u_b)
         if not finite.all():
             col = int(np.flatnonzero(~finite.all(axis=1))[0])
-            i = next(f.i for f in self.factors if not finite[col, f.indices].all())
-            raise VarSolverError(f"subdomain {i}: the background is not finite "
-                                 f"at time {times[col]}")
+            raise VarSolverError(f"subdomain {_first_block(self, finite[col])}: "
+                                 f"the background is not finite at time "
+                                 f"{times[col]}")
         d = self.v[times] - u_b[:, self.obs]
         c = _rhs(self.S, self.rinv, d)
         c_max, zeros = np.abs(c).max(axis=-1), np.zeros(c.shape)
-        return CgIterate(plan=self, c=c, u_b=u_b, scale=1.0 + c_max, t=times,
-                         w=zeros, r=c, p=zeros, rz=np.zeros(len(c)), n=0,
-                         residual=np.full(len(c), np.inf),
-                         eq_residual=c_max / (1.0 + c_max))
+        return CgIterate(self, c, u_b, 1.0 + c_max, times, zeros, c, zeros,
+                         np.zeros(len(c)), 0, np.full(len(c), np.inf),
+                         c_max / (1.0 + c_max))
 
 
-@dataclass(frozen=True)
 class CgIterate:
     """Conjugate-gradient state of a batch of solves on one CgPlan after n
-    steps, one row per column.
+    steps, one row per column; a plain object with slots, since every step
+    builds one.
 
     `c` is the right-hand side rinv S^T d, `u_b` the background, `scale`
     1 + max|c|, which makes residuals relative, and `t` the observation
     time.  `w` is the control, `r` the recursive residual c - A w, `p` the
     last search direction and `rz` the r . z that made it (both unused at
-    n = 0).  `residual` is the last step's max|w^n - w^{n-1}| (inf at n = 0)
-    and `eq_residual` max|r| / scale.  `patched`, the analysis u_b + V w,
-    is built on first access and kept.
+    n = 0).  `n` is the int count of steps every column has taken, or, in
+    the final iterate of a finished batch, one count per column.
+    `residual` is the last step's max|w^n - w^{n-1}| (inf at n = 0) and
+    `eq_residual` max|r| / scale.  `patched`, the analysis u_b + V w, is
+    built on first access and kept.
     """
 
-    plan: CgPlan = field(repr=False)
-    c: np.ndarray = field(repr=False)
-    u_b: np.ndarray = field(repr=False)
-    scale: np.ndarray
-    t: np.ndarray
-    w: np.ndarray = field(repr=False)
-    r: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
-    rz: np.ndarray = field(repr=False)
-    n: int
-    residual: np.ndarray
-    eq_residual: np.ndarray
+    __slots__ = ("plan", "c", "u_b", "scale", "t", "w", "r", "p", "rz", "n",
+                 "residual", "eq_residual", "_patched")
 
-    @functools.cached_property
+    def __init__(self, plan, c, u_b, scale, t, w, r, p, rz, n, residual,
+                 eq_residual):
+        self.plan, self.c, self.u_b, self.scale, self.t = plan, c, u_b, scale, t
+        self.w, self.r, self.p, self.rz, self.n = w, r, p, rz, n
+        self.residual, self.eq_residual = residual, eq_residual
+        self._patched = None
+
+    @property
     def patched(self):
-        return self.u_b + gemv_rows(self.plan.V, self.w)
+        if self._patched is None:
+            self._patched = self.u_b + gemv_rows(self.plan.V, self.w)
+        return self._patched
 
     def take(self, rows):
         """The batch's columns `rows`; an int gives one unbatched iterate."""
-        return CgIterate(plan=self.plan, c=self.c[rows], u_b=self.u_b[rows],
-                         scale=self.scale[rows], t=self.t[rows],
-                         w=self.w[rows], r=self.r[rows], p=self.p[rows],
-                         rz=self.rz[rows], n=self.n,
-                         residual=self.residual[rows],
-                         eq_residual=self.eq_residual[rows])
+        return CgIterate(self.plan, self.c[rows], self.u_b[rows],
+                         self.scale[rows], self.t[rows], self.w[rows],
+                         self.r[rows], self.p[rows], self.rz[rows],
+                         self.n if isinstance(self.n, int) else self.n[rows],
+                         self.residual[rows], self.eq_residual[rows])
 
 
 @dataclass(frozen=True)
@@ -283,12 +287,21 @@ def build_factors(config, partition):
     if not config.lam > 0:
         raise VarSolverError(f"lambda must be positive, got {config.lam:g}")
     V, obs = config.covpair.V, config.observations.obs
-    return CgPlan(factors=tuple(assemble_local_system(i, partition, config)
-                                for i in range(partition.n_sub)),
+    factors = tuple(assemble_local_system(i, partition, config)
+                    for i in range(partition.n_sub))
+    return CgPlan(factors=factors,
+                  blocks=tuple((f.i, *f.chol, int(f.indices[0]),
+                                int(f.indices[-1]) + 1) for f in factors),
                   obs=obs, S=V[obs], lam=float(config.lam),
                   rinv=1.0 / config.covpair.sigma_r**2, V=V,
                   v_norm=float(np.abs(V).sum(axis=1).max()),
                   v=config.observations.v)
+
+
+def _first_block(plan, finite):
+    """The first subdomain whose entries of the bool row `finite` are not
+    all true."""
+    return next(i for i, _, _, lo, hi in plan.blocks if not finite[lo:hi].all())
 
 
 def _dot(a, b):
@@ -305,9 +318,9 @@ def mps_sweep(iterate):
     per column; alpha = 0 where r.z = 0, so the column's step is 0.  A
     non-finite step raises VarSolverError naming its subdomain and time.
     """
-    plan = iterate.plan
-    z = plan.precondition(iterate.r)
-    rz = _dot(iterate.r, z)
+    plan, r = iterate.plan, iterate.r
+    z = plan.precondition(r)
+    rz = _dot(r, z)
     p = z if iterate.n == 0 else z + (rz / iterate.rz)[..., None] * iterate.p
     q = plan.apply_A(p)
     alpha = (rz / _dot(p, q))[..., None]
@@ -322,12 +335,10 @@ def mps_sweep(iterate):
         residual = np.abs(step).max(axis=-1)
         if not np.isfinite(residual).all():
             raise VarSolverError(_nonfinite_message(step, iterate))
-    r = iterate.r - alpha * q
-    # the constructor, not dataclasses.replace, which walks every field
-    return CgIterate(plan=plan, c=iterate.c, u_b=iterate.u_b,
-                     scale=iterate.scale, t=iterate.t, w=iterate.w + step, r=r,
-                     p=p, rz=rz, n=iterate.n + 1, residual=residual,
-                     eq_residual=np.abs(r).max(axis=-1) / iterate.scale)
+    r = r - alpha * q
+    return CgIterate(plan, iterate.c, iterate.u_b, iterate.scale, iterate.t,
+                     iterate.w + step, r, p, rz, iterate.n + 1, residual,
+                     np.abs(r).max(axis=-1) / iterate.scale)
 
 
 def _nonfinite_message(step, iterate):
@@ -339,9 +350,8 @@ def _nonfinite_message(step, iterate):
     bad, cause = ((c, "its right-hand side c is not finite")
                   if not np.isfinite(c).all()
                   else (step[col], "the iteration overflowed"))
-    i = next(f.i for f in iterate.plan.factors
-             if not np.isfinite(bad[f.indices]).all())
-    return (f"subdomain {i}: Schwarz CG step {iterate.n + 1} at time "
+    return (f"subdomain {_first_block(iterate.plan, np.isfinite(bad))}: "
+            f"Schwarz CG step {iterate.n + 1} at time "
             f"{np.atleast_1d(iterate.t)[col]} gave a non-finite iterate ({cause})")
 
 
@@ -363,10 +373,10 @@ def run_mps(plan, background, time, tol, max_iters):
     control error by |c - A w| / lam (in the 2-norm; the max-norm map is a
     proxy).
     Returns the final CgIterate, whose `patched` is the analysis, and the
-    history.  This is the batch of one of run_mps_batch.
+    history.  This is the batch of one of run_mps_batch, through the same
+    loop and the same finish.
     """
-    [(_, final, (history,))] = _cg_groups(plan, [background], [time], tol,
-                                          max_iters)
+    final, (history,) = _cg_solve(plan, [background], [time], tol, max_iters)
     return final.take(0), history
 
 
@@ -375,59 +385,68 @@ def run_mps_batch(plan, backgrounds, times, tol, max_iters):
 
     Column c solves the single-time problem of time times[c] around the
     background backgrounds[c], on the CgPlan `plan` (CgPlan.bind).  A column
-    leaves the batch at the step where it stops; the rest step on.  Returns
-    the analysis states, one row per column, and one MpsHistory per column;
+    leaves the stepped arrays at the step where it stops; the rest step on,
+    and the stopped columns finish together, once per batch.  Returns the
+    analysis states, one row per column, and one MpsHistory per column;
     each is bitwise that of the column solved alone, so the bytes do not
     depend on how solves are batched.
     """
-    states = np.empty((len(times), plan.V.shape[0]))
-    histories = [None] * len(times)
-    for cols, iterate, hists in _cg_groups(plan, backgrounds, times, tol,
-                                           max_iters):
-        states[cols] = iterate.patched
-        for c, h in zip(cols.tolist(), hists):
-            histories[c] = h
-    return states, histories
+    final, histories = _cg_solve(plan, backgrounds, times, tol, max_iters)
+    return final.patched, histories
 
 
-def _cg_groups(plan, backgrounds, times, tol, max_iters):
-    """Step a batch until every column stops; one (columns, iterate,
-    histories) per group of columns that stop at the same step.
+def _cg_solve(plan, backgrounds, times, tol, max_iters):
+    """Step a batch until every column stops; its final CgIterate, whose n
+    holds one step count per column, and one MpsHistory per column.
 
     A column stops, converged, when its relative recursive residual is at
     most tol, which may hold at the start, or unconverged after max_iters
     steps or at a step that left w unchanged, as where r.z reached 0 and CG
-    had no step left.  Its history reads the true residual at the iterate it
-    stopped at.
+    had no step left.  Its state is written into the final iterate's
+    batch-wide arrays and it leaves the stepped iterate.  Once every column
+    has stopped, one dap_residual call gives every history the true
+    residual at the iterate its column stopped at.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     require_integer("max_iters", max_iters, ValueError)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    groups, out = [], []
     # Non-finite values are caught by value, not by a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        iterate = plan.bind(backgrounds, times)
-        cols = np.arange(len(times))       # batch column of each active row
+        it = plan.bind(backgrounds, times)
+        k, final = len(it.t), None
+        cols = np.arange(k)                 # batch column of each stepped row
         while True:
-            done = iterate.eq_residual <= tol
-            stop = done | (iterate.n >= max_iters) | (iterate.residual == 0)
-            if stop.all():
-                groups.append((cols, iterate, done))
-                break
+            done = it.eq_residual <= tol
+            stop = done | (it.residual == 0) | (it.n >= max_iters)
             if stop.any():
-                groups.append((cols[stop], iterate.take(stop), done[stop]))
-                cols, iterate = cols[~stop], iterate.take(~stop)
-            iterate = mps_sweep(iterate)
-
-        for cols, it, done in groups:
-            res = dap_residual(it)
-            hists = [MpsHistory(n_sweeps=it.n, residual=r, eq_residual=e,
-                                converged=ok,
-                                eps_mps=plan.v_norm * a / plan.lam)
-                     for r, e, a, ok in zip(it.residual.tolist(),
-                                            (res / it.scale).tolist(),
-                                            res.tolist(), done.tolist())]
-            out.append((cols, it, hists))
-    return out
+                if final is None:
+                    if stop.all():    # the stepped iterate is the final one
+                        it.n = np.full(k, it.n)
+                        final, converged = it, done
+                        break
+                    final = CgIterate(plan, it.c, it.u_b, it.scale, it.t,
+                                      np.empty(it.w.shape), np.empty(it.r.shape),
+                                      np.empty(it.p.shape), np.empty(k),
+                                      np.empty(k, dtype=int), np.empty(k),
+                                      np.empty(k))
+                    converged = np.empty(k, dtype=bool)
+                rows = cols[stop]
+                final.w[rows], final.r[rows], final.p[rows] = \
+                    it.w[stop], it.r[stop], it.p[stop]
+                final.rz[rows], final.residual[rows], final.eq_residual[rows] = \
+                    it.rz[stop], it.residual[stop], it.eq_residual[stop]
+                final.n[rows], converged[rows] = it.n, done[stop]
+                if len(rows) == len(cols):
+                    break
+                cols, it = cols[~stop], it.take(~stop)
+            it = mps_sweep(it)
+        res = dap_residual(final)
+    histories = [MpsHistory(n_sweeps=n, residual=r, eq_residual=e,
+                            converged=ok, eps_mps=plan.v_norm * a / plan.lam)
+                 for n, r, e, a, ok in zip(final.n.tolist(),
+                                           final.residual.tolist(),
+                                           (res / final.scale).tolist(),
+                                           res.tolist(), converged.tolist())]
+    return final, histories

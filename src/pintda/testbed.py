@@ -142,8 +142,14 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
     # identity, and the message names its field.
     key, value = ("diffusivity", nu) if 2.0 * nu / dx >= abs(a) else ("velocity", a)
     singular = f"{key}: {value:g} makes the propagator (I + hA)^-1 singular in float64"
+    # I + hA in place, with no n_grid^2 temporaries.  Adding 0.0 turns a
+    # -0.0 (an entry of hA that underflowed) into 0.0, as the formula
+    # np.eye(n_grid) + h * A does, so inv reads that formula's bits.
+    A *= h
+    A += 0.0
+    A[idx, idx] += 1.0
     try:
-        M = np.linalg.inv(np.eye(n_grid) + h * A)
+        M = np.linalg.inv(A)
     except np.linalg.LinAlgError as err:
         raise TestbedError(f"{singular}: {err}") from err
     row_error = float(np.abs(M.sum(axis=1) - 1.0).max())
@@ -181,16 +187,22 @@ def build_covariance(n_grid, sigma_b, sigma_r, L):
     if L > 0 and not 0.0 < L * L < np.inf:
         raise TestbedError(f"L: {L:g} squared is outside the float64 range")
 
-    idx = np.arange(n_grid)
+    # B is built in place, in one n_grid^2 array, each step rounding as in
+    # sigma_b^2 exp(-d^2 / (2 L^2)) + 1e-10 sigma_b^2 I
     if L == 0:
-        B = sigma_b**2 * np.eye(n_grid)
+        B = np.eye(n_grid)
     else:
-        d2 = (idx[:, None] - idx[None, :]).astype(float) ** 2
+        x = np.arange(n_grid, dtype=float)
+        B = np.subtract.outer(x, x)
+        np.square(B, out=B)
+        np.negative(B, out=B)
         # below about L = 1e-153, d^2 / (2 L^2) overflows to inf off the
         # diagonal, and exp(-inf) = 0 is the exact uncorrelated value
         with np.errstate(over="ignore"):
-            B = sigma_b**2 * np.exp(-d2 / (2.0 * L**2))
-    B = B + 1e-10 * sigma_b**2 * np.eye(n_grid)
+            B /= 2.0 * L**2
+        np.exp(B, out=B)
+    B *= sigma_b**2
+    B[np.diag_indices(n_grid)] += 1e-10 * sigma_b**2
 
     try:
         V = np.linalg.cholesky(B)

@@ -1,3 +1,5 @@
+import collections
+import copy
 import dataclasses
 import gc
 
@@ -94,6 +96,13 @@ def dense_system(vconfig):
 def start_of(factors, vconfig):
     """The unbatched step-0 iterate of vconfig's background and time."""
     return factors.bind([vconfig.u0], [vconfig.time_index]).take(0)
+
+
+def with_rhs(start, c):
+    """The step-0 iterate `start` with the right-hand side c, so r = c."""
+    changed = copy.copy(start)
+    changed.c = changed.r = c
+    return changed
 
 
 def run_own(vconfig, partition, **solve):
@@ -433,7 +442,7 @@ class TestNonFinite:
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 1: Schwarz CG step 1 .*right-hand "
                                  "side c is not finite"):
-            mps_sweep(dataclasses.replace(start, c=c, r=c))
+            mps_sweep(with_rhs(start, c))
 
     def test_overflowing_local_system_names_sigma_b(self):
         cfg = dataclasses.replace(harness.ExperimentConfig(), np=16, n_steps=4,
@@ -615,28 +624,43 @@ def fitted_background(vconfig, t, scale, noise):
 
 def solve_batch(backgrounds, times, solve):
     """run_mps_batch under run_mps's keyword arguments `solve` (plan, tol,
-    max_iters), and the stop groups of the CG loop the two share."""
+    max_iters), and the final iterate and histories of the CG loop the two
+    share."""
     args = (solve["plan"], backgrounds, times, solve["tol"], solve["max_iters"])
-    return (*dd_mps.run_mps_batch(*args), dd_mps._cg_groups(*args))
+    return (*dd_mps.run_mps_batch(*args), dd_mps._cg_solve(*args))
 
 
 def assert_column_is_solo(batch, j, background, time, solve):
     """Column j of a batched solve (solve_batch) equals the solve of
     `background` at `time` alone, bit for bit: its analysis row, its
-    history, and its iterate where its stop group left the batch."""
-    states, hists, groups = batch
+    history, and its iterate in the batch's final arrays."""
+    states, hists, (final, final_hists) = batch
     it, solo = run_mps(background=background, time=time, **solve)
     np.testing.assert_array_equal(states[j], it.patched)
     # all five final values, floats compared exactly
     assert hists[j] == solo
-    [(col, hist)] = [(group.take(row), group_hists[row])
-                     for cols, group, group_hists in groups
-                     for row, c in enumerate(cols.tolist()) if c == j]
+    col, hist = final.take(j), final_hists[j]
     assert hist == solo
     for name in ("w", "r", "patched"):
         np.testing.assert_array_equal(getattr(col, name), getattr(it, name))
     assert col.n == it.n == solo.n_sweeps
     assert (col.residual, col.eq_residual) == (it.residual, it.eq_residual)
+
+
+def staggered_columns():
+    """sweep_heavy's layout, where CG takes about a dozen steps, and five
+    backgrounds at time 1 whose solves stop at different steps, one at the
+    start and one out of steps: the plan, the backgrounds and run_mps's
+    keyword arguments."""
+    cfg = dataclasses.replace(harness.ExperimentConfig(), np=64, n_sub=8,
+                              overlap=4, nobs=16, L=2.0, lam=0.05, n_steps=2)
+    vconfig, partition = harness.build_problem(cfg)
+    factors = build_factors(vconfig, partition)
+    rng = np.random.default_rng(0)
+    backgrounds = [fitted_background(
+        vconfig, 1, scale, rng.standard_normal(vconfig.u0.size))
+        for scale in (1.0, 0.0, 1e-6, 1e-3, 10.0)]
+    return factors, backgrounds, dict(plan=factors, tol=1e-10, max_iters=10)
 
 
 class TestBatchMatchesSolo:
@@ -688,29 +712,16 @@ class TestBatchMatchesSolo:
             assert_column_is_solo(batch, j, u0, t, solve)
 
     def test_columns_stop_at_their_own_sweep(self):
-        # sweep_heavy's layout: CG takes about a dozen steps
-        cfg = dataclasses.replace(harness.ExperimentConfig(), np=64, n_sub=8,
-                                  overlap=4, nobs=16, L=2.0, lam=0.05,
-                                  n_steps=2)
-        vconfig, partition = harness.build_problem(cfg)
-        factors = build_factors(vconfig, partition)
-        rng = np.random.default_rng(0)
-        backgrounds = [fitted_background(
-            vconfig, 1, scale, rng.standard_normal(vconfig.u0.size))
-            for scale in (1.0, 0.0, 1e-6, 1e-3, 10.0)]
-        solve = dict(plan=factors, tol=1e-10, max_iters=10)
+        factors, backgrounds, solve = staggered_columns()
         batch = solve_batch(backgrounds, [1] * 5, solve)
-        states, hists, groups = batch
+        states, hists, (final, _) = batch
         sweeps = [h.n_sweeps for h in hists]
         # some columns converge and leave, one at the start, one runs out
         assert len(set(sweeps)) > 2
         assert (sweeps[1], hists[1].converged) == (0, True)
         assert [h.converged for h in hists].count(False) >= 1
-        # every column in one stop group, whose iterate is at its step
-        assert sorted(c for cols, _, _ in groups for c in cols.tolist()) \
-            == list(range(5))
-        for cols, group, _ in groups:
-            assert [sweeps[c] for c in cols.tolist()] == [group.n] * len(cols)
+        # every column has one final iterate, at its own step
+        assert final.n.tolist() == sweeps
         for j, u0 in enumerate(backgrounds):
             assert_column_is_solo(batch, j, u0, 1, solve)
             # the serial chain's solve, through parareal's binding
@@ -759,7 +770,63 @@ class TestBatchMatchesSolo:
         with pytest.raises(var_solver.VarSolverError,
                            match="subdomain 1: Schwarz CG step 1 at time 2 "
                                  ".*right-hand side c is not finite"):
-            mps_sweep(dataclasses.replace(start, c=c, r=c))
+            mps_sweep(with_rhs(start, c))
+
+
+def spy_calls(monkeypatch, plan):
+    """Count, from now on, the loop's calls: mps_sweep, dap_residual,
+    _cg_solve, each block solve (_potrs) and each analysis product (a
+    gemv_rows call on plan.V)."""
+    calls = collections.Counter()
+
+    def spy(name, counts=lambda *args: True):
+        fn = getattr(dd_mps, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += counts(*args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(dd_mps, name, counted)
+
+    for name in ("mps_sweep", "dap_residual", "_cg_solve", "_potrs"):
+        spy(name)
+    spy("gemv_rows", lambda A, x: A is plan.V)
+    return calls
+
+
+class TestLoopCost:
+    def test_a_batch_steps_its_arithmetic_and_finishes_once(self,
+                                                             monkeypatch):
+        # columns leave the stepped arrays at different steps, yet the true
+        # residual, the analysis and the histories are formed once
+        factors, backgrounds, solve = staggered_columns()
+        calls = spy_calls(monkeypatch, factors)
+        states, hists = dd_mps.run_mps_batch(factors, backgrounds, [1] * 5,
+                                             solve["tol"], solve["max_iters"])
+        steps = max(h.n_sweeps for h in hists)
+        assert len({h.n_sweeps for h in hists}) > 2
+        assert calls == {"_cg_solve": 1, "mps_sweep": steps,
+                         "_potrs": len(factors.blocks) * steps,
+                         "dap_residual": 1, "gemv_rows": 1}
+
+    def test_run_mps_is_the_batch_of_one(self, monkeypatch):
+        factors, backgrounds, solve = staggered_columns()
+        calls = spy_calls(monkeypatch, factors)
+        it, hist = run_mps(background=backgrounds[0], time=1, **solve)
+        assert it.patched is it.patched
+        assert calls == {"_cg_solve": 1, "mps_sweep": hist.n_sweeps,
+                         "_potrs": len(factors.blocks) * hist.n_sweeps,
+                         "dap_residual": 1, "gemv_rows": 1}
+
+    def test_a_step_builds_one_slotted_iterate(self):
+        factors, backgrounds, _ = staggered_columns()
+        it = mps_sweep(factors.bind(backgrounds[2:], [1] * 3))
+        assert type(it) is dd_mps.CgIterate
+        assert not dataclasses.is_dataclass(it) and not hasattr(it, "__dict__")
+        # each block's bounds are Python ints, sliced without an index array
+        for (i, *_, lo, hi), f in zip(factors.blocks, factors.factors):
+            assert type(lo) is type(hi) is int
+            assert (i, lo, hi) == (f.i, f.indices[0], f.indices[-1] + 1)
+            np.testing.assert_array_equal(f.indices, np.arange(lo, hi))
 
 
 def dense_H(ix, n_grid):

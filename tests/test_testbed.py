@@ -219,6 +219,95 @@ class TestCovariance:
         assert tiny.V.tobytes() == zero.V.tobytes()
 
 
+def out_of_place_stencil(n_grid, n_steps, T, velocity, diffusivity):
+    """np.eye + h A, the matrix build_model_instance once inverted, formed
+    with n_grid^2 temporaries."""
+    h, dx = T / (n_steps - 1), 1.0 / n_grid
+    idx = np.arange(n_grid)
+    left, right = (idx - 1) % n_grid, (idx + 1) % n_grid
+    A = np.zeros((n_grid, n_grid))
+    a, nu = float(velocity), float(diffusivity)
+    if a >= 0:
+        A[idx, idx] += a / dx
+        A[idx, left] -= a / dx
+    else:
+        A[idx, idx] -= a / dx
+        A[idx, right] += a / dx
+    A[idx, idx] += 2.0 * nu / dx**2
+    A[idx, left] -= nu / dx**2
+    A[idx, right] -= nu / dx**2
+    return np.eye(n_grid) + h * A
+
+
+def out_of_place_covariance(n_grid, sigma_b, L):
+    """B as build_covariance once formed it, with n_grid^2 temporaries."""
+    idx = np.arange(n_grid)
+    if L == 0:
+        B = sigma_b**2 * np.eye(n_grid)
+    else:
+        d2 = (idx[:, None] - idx[None, :]).astype(float) ** 2
+        with np.errstate(over="ignore"):
+            B = sigma_b**2 * np.exp(-d2 / (2.0 * L**2))
+    return B + 1e-10 * sigma_b**2 * np.eye(n_grid)
+
+
+SUBNORMAL = 5e-324
+
+
+class TestInPlaceAssembly:
+    """M and B are built in place, bitwise as the out-of-place formulas."""
+
+    @pytest.mark.parametrize("T", [1.0, 1e-300])
+    @pytest.mark.parametrize("diffusivity", [0.0, SUBNORMAL, 1e300])
+    @pytest.mark.parametrize("velocity", [1.0, -1.0, 0.0, -0.0, SUBNORMAL,
+                                          -SUBNORMAL, -3.0])
+    @pytest.mark.parametrize("n_grid", [2, 3, 17, 64])
+    def test_propagator_is_the_out_of_place_formula(self, n_grid, velocity,
+                                                    diffusivity, T,
+                                                    monkeypatch):
+        # at T = 1e-300 a subnormal velocity's off-diagonal entry of hA
+        # underflows to -0.0, which the formula's + 0.0 made 0.0: inv must
+        # read the formula's bytes, signed zeros included
+        stencil = out_of_place_stencil(n_grid, 8, T, velocity, diffusivity)
+        inv, read = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: read.append(a.tobytes()) or inv(a))
+        try:
+            M = inv(stencil)
+        except np.linalg.LinAlgError as err:
+            with pytest.raises(testbed.TestbedError,
+                               match=f"singular in float64: {err}$"):
+                build_model_instance(n_grid, 8, T, velocity, diffusivity)
+        else:
+            if np.abs(M.sum(axis=1) - 1.0).max() <= testbed.ROW_SUM_TOL:
+                inst = build_model_instance(n_grid, 8, T, velocity, diffusivity)
+                assert inst.M.tobytes() == M.tobytes()
+            else:
+                with pytest.raises(testbed.TestbedError,
+                                   match="singular in float64: its row sums"):
+                    build_model_instance(n_grid, 8, T, velocity, diffusivity)
+        assert read == [stencil.tobytes()]
+
+    @pytest.mark.parametrize("L", [0.0, 1e-200, 1e-156, 0.5, 2.0, 30.0, 1e154])
+    @pytest.mark.parametrize("sigma_b", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("n_grid", [2, 3, 17, 64])
+    def test_covariance_is_the_out_of_place_formula(self, n_grid, sigma_b, L):
+        if L * L == 0.0 < L:            # rejected before B is formed
+            with pytest.raises(testbed.TestbedError, match="^L: "):
+                build_covariance(n_grid, sigma_b, 0.1, L)
+            return
+        B = out_of_place_covariance(n_grid, sigma_b, L)
+        try:
+            V = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            with pytest.raises(testbed.TestbedError, match="not SPD"):
+                build_covariance(n_grid, sigma_b, 0.1, L)
+            return
+        cov = build_covariance(n_grid, sigma_b, 0.1, L)
+        assert cov.B.tobytes() == B.tobytes()
+        assert cov.V.tobytes() == V.tobytes()
+
+
 class TestGemvRows:
     @pytest.mark.parametrize("n_rows, n_grid", [
         (2, 2), (2, 9), (7, 2), (8, 32), (32, 256)])

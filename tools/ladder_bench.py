@@ -1,10 +1,10 @@
 """Size-ladder bench: wall time, layer shares and work counts per rung.
 
-Run from a checkout's root; it writes BENCH_34.json there:
+Run from a checkout's root; it writes BENCH_35.json there:
 
     python3 tools/ladder_bench.py
     python3 tools/ladder_bench.py --out BENCH_parent.json
-    python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_34.json
+    python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_35.json
 
 Each rung is one np x n_steps run_experiment config with nobs = np / 4,
 n_sub = 2, max_outer = n_steps - 1 and seed 1; one operation is
@@ -165,7 +165,7 @@ def compare(old, new):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_34.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_35.json"))
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
