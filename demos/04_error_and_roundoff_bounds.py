@@ -4,8 +4,9 @@ Nothing here is proved symbolically: the Lipschitz constant, the Hessian
 condition number, the inner-solver accuracy and the one-slab assimilation gap
 are all measured on the benchmark run and fed into the geometric recurrence
 that is supposed to dominate the outer-iteration error.  The same goes for
-the three-term round-off bound, checked against an extended-precision shadow
-of the recombination.
+the three-term round-off bound, checked against the observed round-off: the
+error of an exact replay of the recombination, carried in float64 from
+residuals formed by error-free products.
 """
 
 from pintda import analysis, harness

@@ -9,6 +9,11 @@ from the caller: harness.run_experiment reads the error table E and the
 probe differences from the Parareal trajectory and the serial fine chain,
 and passes them in.  No dense inverse is formed here: mu(M) reads
 ||M^-1||_inf from the model's stencil (testbed.ModelInstance.M_inv_norm).
+The observed round-off is the error of an exact replay of the Parareal
+recombination, carried in float64 from residuals formed by error-free
+split products on BLAS (roundoff_proxies): no long double is used, so its
+bits, like the solvers', depend on the BLAS but not on what long double
+means on a platform.
 """
 
 from __future__ import annotations
@@ -199,61 +204,133 @@ def error_and_bound_history(E, params):
     return c_bound
 
 
+def _split(X, bits):
+    """X = hi + lo exactly, row by row, each row's hi a multiple of 2^(e - bits)
+    no larger than 2^e, where 2^e is the least power of two above the row's
+    largest magnitude; so |lo| <= 2^-bits max|row|."""
+    e = np.frexp(np.abs(X).max(axis=1, keepdims=True))[1]
+    hi = np.ldexp(np.rint(np.ldexp(X, bits - e)), e - bits)
+    return hi, X - hi
+
+
+def _two_sum(a, b):
+    """s = fl(a + b) and its rounding error: s + err == a + b exactly."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _residuals(H, L, bits, X, d, y):
+    """tau = M x + d - y for each row, M = H + L already split."""
+    Xh, Xl = _split(X, bits)
+    s, a = _two_sum(Xh @ H.T, d)        # the hi product is exact
+    q = Xl @ H.T
+    q += X @ L.T
+    a += q
+    s -= y
+    s += a
+    return s
+
+
 def roundoff_proxies(trajectory, M):
-    """Observed recombination round-off via an extended-precision shadow.
+    """Observed recombination round-off: the error of an exact shadow.
 
-    The shadow replays the coarse sweep and the corrector recombination in
-    long-double arithmetic, reusing the stored double-precision correction
-    factors as exact data, so it isolates the rounding of the update formula
-    itself.  Returns the per-(n, k) global proxies and the largest one-update
-    local proxy.
+    The shadow replays the coarse sweep and the corrector recombination
+    exactly, taking the stored double-precision corrections as exact data,
+    so it isolates the rounding of the update formula itself.  Level n's
+    shadow starts at u[n][0] and steps s_k = M s_{k-1} + delta[n-1][k]
+    (level 0 takes no correction).  Returns R_obs[n, k] = ||s_k - u[n][k]||
+    and rho_local, the largest one-update residual ||tau_k|| on the last
+    level (all norms max norms).
 
-    Level n's shadow row at point k depends only on the bytes of u[n][0] and
-    of delta[n-1][1..k] (level 0, which has no correction, stands alone).
-    Parareal reuses the correction of every slab whose input did not move, so
-    level n shares its rows with level n - 1 up to the first point where the
-    two differ in u[n][0] or in a delta's bytes (-0.0 differs from 0.0).  The
-    levels advance together one time point at a time, each distinct row
-    once; every level then reads its own states against its row.
+    The shadow is never formed.  Its error e_k = s_k - u_k obeys
 
-    NumPy has no BLAS for long double: dot(M, X.T) and the per-row M @ x
-    both sum M[m, 0] x[0] + M[m, 1] x[1] + ... left to right from zero,
-    rounding each product and partial sum to long double, so they give the
-    same bits.  dot keeps the partial sum in a register where matmul stores
-    it on every step, which makes it about twice as fast.
+        e_0 = 0,   e_k = M e_{k-1} + tau_k,   tau_k = M u_{k-1} + delta_k - u_k,
+
+    so only the residual tau_k, a sum that all but cancels, needs more than
+    float64; e is carried by plain float64 gemms.  tau_k is formed from
+    error-free transformations (Ozaki, Ogita, Oishi & Rump, Numer.
+    Algorithms 59, 2012; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
+    2005).  Each row of M and each state u_{k-1} is split exactly into
+    hi + lo, hi on the grid 2^(e - beta) where 2^e is the least power of two
+    above the row's largest magnitude, with beta_M + beta_u + ceil(log2 np)
+    = 53.  Every product of two hi parts is then an integer below
+    2^(beta_M + beta_u) times one power of two, so M_hi u_hi is exact in any
+    summation order, BLAS's included, barring underflow.  TwoSum adds
+    delta_k to that product without error; u_k is then subtracted from the
+    rounded sum, and the rounding error of that sum and the cross terms
+    M_hi u_lo and M_lo u, 2^-beta smaller and formed by ordinary gemms, are
+    added last.
+
+    Accuracy.  With eps = 2^-53, g = (np + 8) eps / (1 - (np + 8) eps) and
+    beta = min(beta_M, beta_u), each level's computed e^_k satisfies
+    ||e^_k - e_k|| <= B_k, so |R_obs[n, k] - exact| <= B_k, where B_0 = 0 and
+
+        B_k = ||M|| B_{k-1} + g (||M|| ||e^_{k-1}|| + G_k + 2 ||tau_k||
+                                 + 2 eps (||M|| ||u_{k-1}|| + ||delta_k||)),
+        G_k = 2^-beta (2 ||M|| + np max|M_ij|) ||u_{k-1}||,
+
+    and rho_local is within g (G_k + ||tau_k|| + 2 eps (||M|| ||u_{k-1}||
+    + ||delta_k||)) of the exact value at its k; where a product underflows,
+    add at most 6 np 2^-1074 per step.  For a float64 run tau_k is of order
+    eps ||M|| ||u||, so the bound is about 2^-beta np relative to R_obs; a
+    long-double shadow's own rounding is about 2^-64 ||M|| ||u|| a step.  A
+    NaN correction makes its row NaN from that point on.
+
+    A level's row at point k depends only on the bytes of its states at
+    0..k and its corrections at 1..k, so level n shares its rows with level
+    n - 1 up to the first point where the two differ (-0.0 differs from
+    0.0): Parareal reuses the correction of every slab whose input did not
+    move.  Each distinct row is formed once, from the row it continues and
+    that row's input state.  The residuals are formed a block of points at
+    a time, no more than (levels, np) or 64 KB an array, and the levels
+    advance together one point at a time.
     """
-    ld = np.longdouble
-    M_ld = np.asarray(M, dtype=ld)
+    M = np.asarray(M, dtype=float)
     levels, points = trajectory.n + 1, trajectory.n_points
-    U, D = np.array(trajectory.u), np.array(trajectory.delta)
-    # shared[n, k]: level n's row at point k is level n - 1's.  A level's
-    # inputs are compared as bytes, one level against the one below at a time.
+    U = np.array(trajectory.u)
+    size = U.shape[2]
+    D = np.array(trajectory.delta).reshape(levels - 1, points, size)
     shared = np.zeros((levels, points), dtype=bool)
-    bits = D.view(np.uint64)
+    ubits, dbits = U.view(np.uint64), D.view(np.uint64)
     for n in range(2, levels):
-        same = (bits[n - 1] == bits[n - 2]).all(axis=1)
-        same[0] = U[n, 0].tobytes() == U[n - 1, 0].tobytes()
+        same = (ubits[n] == ubits[n - 1]).all(axis=1)
+        same[1:] &= (dbits[n - 1, 1:] == dbits[n - 2, 1:]).all(axis=1)
         shared[n] = np.logical_and.accumulate(same)
+    fresh = ~shared
+    row_of = np.cumsum(fresh, axis=0) - 1   # level n's row among point k's
+    ks, ns = np.nonzero(fresh[:, 1:].T)     # the rows from point 1, in order
+    ks += 1
+    parents = row_of[ns, ks - 1]
+    offset = np.concatenate(([0, 0], np.cumsum(fresh[:, 1:].sum(axis=0))))
+    offset = offset.tolist()                # point k's rows: offset[k]:[k+1]
 
-    R_obs = np.empty((levels, points))
-    for k in range(points):
-        states = U[:, k].astype(ld)
-        fresh = ~shared[:, k]
-        new = np.flatnonzero(fresh)
-        if k == 0:
-            rows = states[new]
-        else:
-            rows = np.dot(M_ld, rows[row_of[new]].T).T
-            if new.size > 1:            # level 0 has no correction
-                rows[1:] += D[new[1:] - 1, k]
-        row_of = np.cumsum(fresh) - 1
-        R_obs[:, k] = np.abs(states - rows[row_of]).max(axis=1)
-
+    low = (size - 1).bit_length()           # ceil(log2 np)
+    beta_M = (53 - low) // 2
+    H, L = _split(M, beta_M)
+    step = max(1, 2**13 // (levels * size))     # points per residual block
+    E = np.zeros((row_of[-1, 0] + 1, size))     # e_0 = 0 on every row
+    R_obs = np.zeros((levels, points))
+    tau_last = np.zeros((points - 1, size))
+    with np.errstate(invalid="ignore", over="ignore"):     # inf in a state
+        for first in range(1, points, step):
+            stop = min(first + step, points)
+            block = slice(offset[first], offset[stop])
+            n, j = ns[block], ks[block]
+            d = np.zeros((len(n), size))    # level 0 takes no correction
+            corrected = n > 0
+            d[corrected] = D[n[corrected] - 1, j[corrected]]
+            tau = _residuals(H, L, 53 - low - beta_M, U[n, j - 1], d, U[n, j])
+            base = offset[first]
+            for k in range(first, stop):
+                E = E[parents[offset[k]:offset[k + 1]]] @ M.T
+                t = tau[offset[k] - base:offset[k + 1] - base]
+                E += t
+                R_obs[:, k] = np.abs(E).max(axis=1)[row_of[:, k]]
+                tau_last[k - 1] = t[row_of[-1, k]]
     rho_local = 0.0
     if trajectory.n > 0:
-        last = U[-1].astype(ld)
-        exact = np.dot(M_ld, last[:-1].T).T + D[-1, 1:]
-        rho_local = float(np.abs(last[1:] - exact).max(initial=0.0))
+        rho_local = float(np.abs(tau_last).max(initial=0.0))
     return R_obs, rho_local
 
 

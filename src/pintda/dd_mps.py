@@ -98,9 +98,10 @@ class CgPlan:
     """One problem's operator and preconditioner, built before any fine
     solve reads them.
 
-    `factors` holds one LocalFactor per block in subdomain order, and
-    `blocks` what a step reads of each: (i, Cholesky factor, lower, lo, hi),
-    the block's indices being range(lo, hi) with Python ints lo and hi.
+    `blocks` holds what a step reads of each block, in subdomain order:
+    (i, Cholesky factor, lower, lo, hi), the block's indices being
+    range(lo, hi) with Python ints lo and hi.  The blocks' own matrices
+    A_loc are not kept; assemble_local_system rebuilds one.
     `obs` holds the observed grid points and `S` = V[obs] their rows of V,
     so that A = lam I + rinv S^T S.  `V` maps a control to a state
     increment, and `v_norm` = ||V||_inf maps a control residual into state
@@ -108,7 +109,6 @@ class CgPlan:
     t is time t's.
     """
 
-    factors: tuple
     blocks: tuple
     obs: np.ndarray
     S: np.ndarray
@@ -289,8 +289,7 @@ def build_factors(config, partition):
     V, obs = config.covpair.V, config.observations.obs
     factors = tuple(assemble_local_system(i, partition, config)
                     for i in range(partition.n_sub))
-    return CgPlan(factors=factors,
-                  blocks=tuple((f.i, *f.chol, int(f.indices[0]),
+    return CgPlan(blocks=tuple((f.i, *f.chol, int(f.indices[0]),
                                 int(f.indices[-1]) + 1) for f in factors),
                   obs=obs, S=V[obs], lam=float(config.lam),
                   rinv=1.0 / config.covpair.sigma_r**2, V=V,

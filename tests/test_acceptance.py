@@ -156,7 +156,8 @@ class TestAcceptance:
         ok_fact = np.abs(cov.V @ cov.V.T - cov.B).max() <= 1e-12 * np.abs(cov.B).max()
 
         ok_spd = True
-        for f in dd_mps.build_factors(vconfig, partition).factors:
+        for f in (dd_mps.assemble_local_system(i, partition, vconfig)
+                  for i in range(partition.n_sub)):
             sym = np.abs(f.A_loc - f.A_loc.T).max() == 0.0
             spd = np.linalg.eigvalsh(f.A_loc).min() > 0
             ok_spd = ok_spd and sym and spd

@@ -151,7 +151,8 @@ class TestAssembleLocalSystem:
         factors = build_factors(vconfig, partition)
         np.testing.assert_allclose(start_of(factors, vconfig).c, c,
                                    rtol=1e-13, atol=1e-12)
-        for s in factors.factors:
+        for s in (assemble_local_system(i, partition, vconfig)
+                  for i in range(partition.n_sub)):
             idx = s.indices
             np.testing.assert_allclose(s.A_loc, A[np.ix_(idx, idx)],
                                        rtol=1e-13, atol=1e-12)
@@ -358,14 +359,20 @@ def slab_problem(vconfig, t, seed):
     return dataclasses.replace(vconfig, u0=background, time_index=t)
 
 
-def assert_reuse_matches_fresh(factors, slab, partition):
-    """A solve on reused factors equals one on freshly assembled systems."""
+def assert_reuse_matches_fresh(factors, vconfig, slab, partition):
+    """A solve on factors reused from vconfig's problem equals one on
+    freshly assembled systems."""
     start = start_of(factors, slab)
     own = build_factors(slab, partition)
     np.testing.assert_array_equal(start.c, start_of(own, slab).c)
-    for f in factors.factors:
+    for i in range(partition.n_sub):
+        f = assemble_local_system(i, partition, vconfig)
         fresh = assemble_local_system(f.i, partition, slab)
         np.testing.assert_array_equal(f.A_loc, fresh.A_loc)
+    for (i, c, *bounds), (j, own_c, *own_bounds) in zip(factors.blocks,
+                                                          own.blocks):
+        assert (i, bounds) == (j, own_bounds)
+        np.testing.assert_array_equal(c, own_c)
     kwargs = dict(tol=1e-10, max_iters=30)
     reused, h_reused = run_mps(factors, slab.u0, slab.time_index, **kwargs)
     fresh, h_fresh = run_mps(own, slab.u0, slab.time_index, **kwargs)
@@ -377,8 +384,8 @@ class TestPlanReuse:
     def test_reused_factors_match_fresh_assembly(self, correlated_problem):
         _, vconfig, partition = correlated_problem
         factors = build_factors(vconfig, partition)
-        assert_reuse_matches_fresh(factors, slab_problem(vconfig, 2, seed=4),
-                                   partition)
+        assert_reuse_matches_fresh(factors, vconfig,
+                                   slab_problem(vconfig, 2, seed=4), partition)
 
     def test_collected_plan_leaves_nothing_behind(self):
         # a plan built where a collected one stood (same shapes, other
@@ -396,7 +403,7 @@ class TestPlanReuse:
         del factors
         gc.collect()
         vconfig, partition = problem(1.0, 12)
-        assert_reuse_matches_fresh(build_factors(vconfig, partition),
+        assert_reuse_matches_fresh(build_factors(vconfig, partition), vconfig,
                                    slab_problem(vconfig, 1, seed=2), partition)
 
     @seed(2305)
@@ -419,8 +426,8 @@ class TestPlanReuse:
         vconfig, partition = harness.build_problem(harness.validate_config(cfg))
         factors = build_factors(vconfig, partition)
         t = data.draw(st.integers(1, n_steps - 1), label="time_index")
-        assert_reuse_matches_fresh(factors, slab_problem(vconfig, t, seed),
-                                   partition)
+        assert_reuse_matches_fresh(factors, vconfig,
+                                   slab_problem(vconfig, t, seed), partition)
 
 
 class TestNonFinite:
@@ -647,14 +654,18 @@ def assert_column_is_solo(batch, j, background, time, solve):
     assert (col.residual, col.eq_residual) == (it.residual, it.eq_residual)
 
 
-def staggered_columns():
-    """sweep_heavy's layout, where CG takes about a dozen steps, and five
-    backgrounds at time 1 whose solves stop at different steps, one at the
-    start and one out of steps: the plan, the backgrounds and run_mps's
-    keyword arguments."""
+def staggered_problem():
+    """sweep_heavy's layout, where CG takes about a dozen steps."""
     cfg = dataclasses.replace(harness.ExperimentConfig(), np=64, n_sub=8,
                               overlap=4, nobs=16, L=2.0, lam=0.05, n_steps=2)
-    vconfig, partition = harness.build_problem(cfg)
+    return harness.build_problem(cfg)
+
+
+def staggered_columns():
+    """staggered_problem's plan, five backgrounds at time 1 whose solves
+    stop at different steps, one at the start and one out of steps, and
+    run_mps's keyword arguments."""
+    vconfig, partition = staggered_problem()
     factors = build_factors(vconfig, partition)
     rng = np.random.default_rng(0)
     backgrounds = [fitted_background(
@@ -819,11 +830,13 @@ class TestLoopCost:
 
     def test_a_step_builds_one_slotted_iterate(self):
         factors, backgrounds, _ = staggered_columns()
+        vconfig, partition = staggered_problem()
         it = mps_sweep(factors.bind(backgrounds[2:], [1] * 3))
         assert type(it) is dd_mps.CgIterate
         assert not dataclasses.is_dataclass(it) and not hasattr(it, "__dict__")
         # each block's bounds are Python ints, sliced without an index array
-        for (i, *_, lo, hi), f in zip(factors.blocks, factors.factors):
+        for i, *_, lo, hi in factors.blocks:
+            f = assemble_local_system(i, partition, vconfig)
             assert type(lo) is type(hi) is int
             assert (i, lo, hi) == (f.i, f.indices[0], f.indices[-1] + 1)
             np.testing.assert_array_equal(f.indices, np.arange(lo, hi))
@@ -881,7 +894,8 @@ class TestObservationsAsIndices:
         times = rng.integers(0, 4, size=n_cols).tolist()
         backgrounds = vconfig.u0 + rng.standard_normal((n_cols, n_grid))
         start = build_factors(vconfig, partition).bind(backgrounds, times)
-        for f in start.plan.factors:
+        for f in (assemble_local_system(i, partition, vconfig)
+                  for i in range(partition.n_sub)):
             S, A_loc, c = dense_local_reference(vconfig, partition, f.i,
                                                 backgrounds, times)
             np.testing.assert_array_equal(start.plan.S, S)
