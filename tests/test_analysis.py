@@ -257,12 +257,14 @@ def _exact_roundoff(trajectory, M):
     Per level, lists over k of ||s_k - u_k|| and of the residual norm
     ||tau_k|| = ||M u_{k-1} + delta_k - u_k|| as Fractions (tau_0 is None);
     both are None from the first NaN correction on, where the float shadow
-    is NaN.
+    is NaN.  Zero entries of M are skipped, so a banded M replays in time
+    linear in its size.
     """
-    Mf = [[Fraction(m) for m in row] for row in np.asarray(M).tolist()]
+    Mf = [[(j, Fraction(m)) for j, m in enumerate(row) if m]
+          for row in np.asarray(M).tolist()]
 
     def times_M(x):
-        return [sum(m * v for m, v in zip(row, x)) for row in Mf]
+        return [sum(m * x[j] for j, m in row) for row in Mf]
 
     R, T = [], []
     for n, level in enumerate(trajectory.u):
@@ -565,6 +567,48 @@ class TestRoundoff:
             R_ld, _ = _textbook_roundoff(trajectory, M)
             assert not all(_within(R_ld[n, k], R[n][k], B[n, k])
                            for n in range(3) for k in range(6))
+
+    @pytest.mark.parametrize("levels", [40, 50, 70])
+    def test_blocked_residuals_and_later_shared_rows_are_within_their_bound(
+            self, levels):
+        # the residuals are formed in blocks of at most 2^13 entries: at
+        # n_grid 64 these runs over 6 slabs take blocks of 3, 2 and 1
+        # points.  A float64 Parareal-shaped run, so every residual is a
+        # nonzero rounding error; level n copies level n-1's corrections
+        # and states up to a drawn cut, so rows are shared after point 0 and
+        # a point's rows continue rows other than their own index; level 3
+        # shares all of level 2.  M is banded, to keep the exact replay
+        # short, with ||M|| < 1, so that the bound does not outgrow R_obs
+        n_grid = 64
+        rng = np.random.default_rng(levels)
+        M = np.zeros((n_grid, n_grid))
+        rows = np.arange(n_grid)
+        for shift in (-1, 0, 1):
+            M[rows, (rows + shift) % n_grid] = rng.uniform(-0.3, 0.3, n_grid)
+        cuts = rng.integers(1, 8, levels)
+        cuts[3] = 7
+        u0 = rng.standard_normal(n_grid)
+        level = [u0]
+        for k in range(1, 7):
+            level.append(M @ level[-1])
+        u, deltas = [np.array(level)], []
+        for n in range(1, levels):
+            d = 0.1 * rng.standard_normal((7, n_grid))
+            d[0] = 0.0
+            level = [u0]
+            for k in range(1, 7):
+                if n > 1 and k < cuts[n]:
+                    d[k] = deltas[-1][k].copy()
+                    level.append(u[-1][k].copy())
+                else:
+                    level.append(M @ level[-1] + d[k])
+            deltas.append(d)
+            u.append(np.array(level))
+        trajectory = parareal.PararealTrajectory(u=tuple(u),
+                                                 delta=tuple(deltas))
+        R_obs, _, _ = assert_proxies_within_bounds(trajectory, M)
+        assert (R_obs[:, 1:] > 0).all()
+        assert R_obs[3].tobytes() == R_obs[2].tobytes()
 
     @pytest.mark.parametrize("n_grid", [1, 2, 3, 255, 256, 257, 1024])
     def test_exact_recombination_has_zero_proxies(self, n_grid):
