@@ -25,7 +25,7 @@ import math
 import numbers
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
 import numpy as np
 
@@ -40,55 +40,104 @@ class DiagnosticError(ArithmeticError):
     """A report diagnostic came out non-finite: float64 broke down."""
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat run description; defaults are the benchmark configuration."""
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config key: its name in a file or an override, its default (and so
+    its type), its CLI flag and help, the values a string key accepts, and
+    the ExperimentConfig field it sets if not its name (`lambda` is reserved)."""
 
-    np: int = 32
-    n_steps: int = 8
-    T: float = 1.0
-    velocity: float = 1.0
-    diffusivity: float = 0.05
-    sigma_b: float = 0.5
-    sigma_r: float = 0.05
-    L: float = 0.0
-    nobs: int = 8
-    obs_layout: str = "stride"      # stride | random
-    seed: int = 2025
-    n_sub: int = 2
-    overlap: int = 2
-    rho_penalty: float = 1.0        # accepted, no effect (see README)
-    alpha: float = 1.0
-    lam: float = 1.0
-    tol_mps: float = 1e-10
-    max_sweeps: int = 60
-    tol_parareal: float = 1e-9
-    max_outer: int = 8
-    patch: str = "owner"            # owner | average; no effect (see README)
-    workers: int = 1
-    format: str = "csv"             # csv | json
-    out: str = "-"
+    name: str
+    default: object
+    flag: str | None = None
+    help: str | None = None
+    choices: tuple = ()
+    attr: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "attr", self.attr or self.name)
+
+    def one_of(self):
+        """The range rule of a key with choices: its value is one of them."""
+        return (self.name, lambda c: getattr(c, self.attr) not in self.choices,
+                f"expected {' or '.join(self.choices)}, got {{{self.attr}!r}}")
+
+    def parse(self, raw):
+        """A string from a config file or a flag, as the key's type."""
+        try:
+            return type(self.default)(raw)
+        except ValueError:
+            raise ConfigError(f"{self.name}: cannot parse {raw!r} as "
+                              f"{type(self.default).__name__}") from None
 
 
-# config-file key -> dataclass field (lambda is a reserved word in Python)
-_KEY_TO_FIELD = {f.name: f.name for f in fields(ExperimentConfig)}
-_KEY_TO_FIELD["lambda"] = "lam"
-del _KEY_TO_FIELD["lam"]
+# The config schema: one row per key, in ExperimentConfig's field order, the
+# order validate_config type-checks them in; the defaults are the benchmark.
+CONFIG_KEYS = (
+    ConfigKey("np", 32, "--np", "number of spatial grid points"),
+    ConfigKey("n_steps", 8, "--slabs", "number of time points"),
+    ConfigKey("T", 1.0),
+    ConfigKey("velocity", 1.0),
+    ConfigKey("diffusivity", 0.05),
+    ConfigKey("sigma_b", 0.5),
+    ConfigKey("sigma_r", 0.05),
+    ConfigKey("L", 0.0),
+    ConfigKey("nobs", 8),
+    ConfigKey("obs_layout", "stride", choices=("stride", "random")),
+    ConfigKey("seed", 2025, "--seed", "experiment seed"),
+    ConfigKey("n_sub", 2, "--nsub", "number of subdomains"),
+    ConfigKey("overlap", 2, "--overlap", "shared points between blocks"),
+    ConfigKey("rho_penalty", 1.0),                       # no effect (see README)
+    ConfigKey("alpha", 1.0),
+    ConfigKey("tol_mps", 1e-10),
+    ConfigKey("max_sweeps", 60),
+    ConfigKey("tol_parareal", 1e-9, "--tol", "outer iteration tolerance"),
+    ConfigKey("max_outer", 8, "--max-iters", "outer iteration cap"),
+    ConfigKey("patch", "owner", choices=("owner", "average")),  # no effect
+    ConfigKey("workers", 1, "--workers", "parallel workers"),
+    ConfigKey("format", "csv", "--format", "report format", ("csv", "json")),
+    ConfigKey("out", "-", "--out", "report path, '-' for stdout"),
+    ConfigKey("lambda", 1.0, attr="lam"),
+)
+_KEYS = {key.name: key for key in CONFIG_KEYS}
 
-# dataclass field -> the type of its default, which a config file parses to
-_FIELD_TYPE = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-# field type -> what validate_config accepts for it, and its name for messages;
-# an int is a real, kept unconverted, and a bool is neither
+# The range rules, applied in order after the type checks: the key a failure
+# names, the condition that rejects the config, and the message, a format
+# string over the config's fields.
+CONFIG_RULES = (
+    ("np", lambda c: c.np < 2, "need at least 2 grid points, got {np}"),
+    ("n_steps", lambda c: c.n_steps < 2, "need at least 2 time points, got {n_steps}"),
+    ("T", lambda c: c.T <= 0, "must be positive, got {T}"),
+    ("diffusivity", lambda c: c.diffusivity < 0, "must be nonnegative, got {diffusivity}"),
+    ("sigma_b", lambda c: c.sigma_b <= 0, "must be positive, got {sigma_b}"),
+    ("sigma_r", lambda c: c.sigma_r <= 0, "must be positive, got {sigma_r}"),
+    ("L", lambda c: c.L < 0, "must be nonnegative, got {L}"),
+    ("nobs", lambda c: not 0 < c.nobs < c.np, "must satisfy 0 < nobs < np, got {nobs}"),
+    _KEYS["obs_layout"].one_of(),
+    ("n_sub", lambda c: c.n_sub < 1, "must be >= 1, got {n_sub}"),
+    ("n_sub", lambda c: c.n_sub > c.np, "cannot split np={np} points into {n_sub} blocks"),
+    ("overlap", lambda c: c.overlap < 0, "must be >= 0, got {overlap}"),
+    ("overlap", lambda c: c.n_sub > 1 and c.overlap * (c.n_sub - 1) >= c.np,
+     "{overlap} with n_sub={n_sub} does not fit np={np}"),
+    ("rho_penalty", lambda c: c.rho_penalty < 0, "must be nonnegative, got {rho_penalty}"),
+    ("alpha", lambda c: c.alpha <= 0, "must be positive, got {alpha}"),
+    ("lambda", lambda c: c.lam <= 0, "must be positive, got {lam}"),
+    ("tol_mps", lambda c: c.tol_mps <= 0, "must be positive, got {tol_mps}"),
+    ("tol_parareal", lambda c: c.tol_parareal <= 0, "must be positive, got {tol_parareal}"),
+    ("max_sweeps", lambda c: c.max_sweeps < 1, "must be >= 1, got {max_sweeps}"),
+    ("max_outer", lambda c: c.max_outer < 1, "must be >= 1, got {max_outer}"),
+    _KEYS["patch"].one_of(),
+    ("workers", lambda c: c.workers < 1, "must be >= 1, got {workers}"),
+    ("seed", lambda c: c.seed < 0, "must be >= 0, got {seed}"),
+    _KEYS["format"].one_of(),
+)
+
+ExperimentConfig = make_dataclass("ExperimentConfig", [
+    (key.attr, type(key.default), field(default=key.default)) for key in CONFIG_KEYS],
+    namespace={"__module__": __name__, "__doc__": "A run: one field per CONFIG_KEYS row."})
+
+# a key's type -> what a value must be, by name; an int is a real, kept as is
 _ACCEPTS = {int: (numbers.Integral, "an integer"),
             float: (numbers.Real, "a real number"), str: (str, "a string")}
-
-
-def _parse_value(key, raw, target_type):
-    raw = raw.strip()
-    try:
-        return target_type(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {target_type.__name__}") from None
 
 
 def parse_config_file(path):
@@ -106,90 +155,43 @@ def parse_config_file(path):
             continue
         if "=" not in body:
             raise ConfigError(f"config line {lineno}: expected key = value, got {body!r}")
-        key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        if key in line_of:
-            raise ConfigError(f"config line {lineno}: key {key!r} is already "
-                              f"given on line {line_of[key]}")
-        line_of[key] = lineno
-        field_name = _KEY_TO_FIELD[key]
-        values[field_name] = _parse_value(key, raw, _FIELD_TYPE[field_name])
+        name, raw = (part.strip() for part in body.split("=", 1))
+        if name not in _KEYS:
+            raise ConfigError(f"config line {lineno}: unknown key {name!r}")
+        if name in line_of:
+            raise ConfigError(f"config line {lineno}: key {name!r} is already "
+                              f"given on line {line_of[name]}")
+        line_of[name] = lineno
+        values[name] = _KEYS[name].parse(raw)
     return values
 
 
 def validate_config(config):
-    """Type- and range-check every field; messages name the offending field."""
-    c = config
-    for key, name in _KEY_TO_FIELD.items():
-        value = getattr(c, name)
-        accepted, what = _ACCEPTS[_FIELD_TYPE[name]]
-        if not isinstance(value, accepted) or isinstance(value, bool):
-            raise ConfigError(f"{key}: expected {what}, got {value!r}")
+    """Type-check every field, in CONFIG_KEYS order, then apply CONFIG_RULES
+    in order; the first failure raises ConfigError naming its key."""
+    for key in CONFIG_KEYS:
+        value, kind = getattr(config, key.attr), type(key.default)
+        if type(value) is not kind:     # an exact type skips the slow ABC check
+            accepted, what = _ACCEPTS[kind]
+            if not isinstance(value, accepted) or isinstance(value, bool):
+                raise ConfigError(f"{key.name}: expected {what}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value}")
-    if c.np < 2:
-        raise ConfigError(f"np: need at least 2 grid points, got {c.np}")
-    if c.n_steps < 2:
-        raise ConfigError(f"n_steps: need at least 2 time points, got {c.n_steps}")
-    if c.T <= 0:
-        raise ConfigError(f"T: must be positive, got {c.T}")
-    if c.diffusivity < 0:
-        raise ConfigError(f"diffusivity: must be nonnegative, got {c.diffusivity}")
-    if c.sigma_b <= 0:
-        raise ConfigError(f"sigma_b: must be positive, got {c.sigma_b}")
-    if c.sigma_r <= 0:
-        raise ConfigError(f"sigma_r: must be positive, got {c.sigma_r}")
-    if c.L < 0:
-        raise ConfigError(f"L: must be nonnegative, got {c.L}")
-    if not 0 < c.nobs < c.np:
-        raise ConfigError(f"nobs: must satisfy 0 < nobs < np, got {c.nobs}")
-    if c.obs_layout not in ("stride", "random"):
-        raise ConfigError(f"obs_layout: expected stride or random, got {c.obs_layout!r}")
-    if c.n_sub < 1:
-        raise ConfigError(f"n_sub: must be >= 1, got {c.n_sub}")
-    if c.n_sub > c.np:
-        raise ConfigError(f"n_sub: cannot split np={c.np} points into {c.n_sub} blocks")
-    if c.overlap < 0:
-        raise ConfigError(f"overlap: must be >= 0, got {c.overlap}")
-    if c.n_sub > 1 and c.overlap * (c.n_sub - 1) >= c.np:
-        raise ConfigError(
-            f"overlap: {c.overlap} with n_sub={c.n_sub} does not fit np={c.np}")
-    if c.rho_penalty < 0:
-        raise ConfigError(f"rho_penalty: must be nonnegative, got {c.rho_penalty}")
-    if c.alpha <= 0:
-        raise ConfigError(f"alpha: must be positive, got {c.alpha}")
-    if c.lam <= 0:
-        raise ConfigError(f"lambda: must be positive, got {c.lam}")
-    if c.tol_mps <= 0:
-        raise ConfigError(f"tol_mps: must be positive, got {c.tol_mps}")
-    if c.tol_parareal <= 0:
-        raise ConfigError(f"tol_parareal: must be positive, got {c.tol_parareal}")
-    if c.max_sweeps < 1:
-        raise ConfigError(f"max_sweeps: must be >= 1, got {c.max_sweeps}")
-    if c.max_outer < 1:
-        raise ConfigError(f"max_outer: must be >= 1, got {c.max_outer}")
-    if c.patch not in ("owner", "average"):
-        raise ConfigError(f"patch: expected owner or average, got {c.patch!r}")
-    if c.workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {c.workers}")
-    if c.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {c.seed}")
-    if c.format not in ("csv", "json"):
-        raise ConfigError(f"format: expected csv or json, got {c.format!r}")
+            raise ConfigError(f"{key.name}: must be finite, got {value}")
+    for name, rejects, message in CONFIG_RULES:
+        if rejects(config):
+            raise ConfigError(f"{name}: {message.format_map(vars(config))}")
     return config
 
 
 def load_config(path=None, overrides=None):
     """Defaults, then the config file, then explicit overrides; validated."""
-    values = {}
-    if path is not None:
-        values.update(parse_config_file(path))
-    for key, val in (overrides or {}).items():
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[_KEY_TO_FIELD[key]] = val
-    return validate_config(ExperimentConfig(**values))
+    values = parse_config_file(path) if path is not None else {}
+    for name, value in (overrides or {}).items():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown config key {name!r}")
+        values[name] = value
+    return validate_config(ExperimentConfig(
+        **{_KEYS[name].attr: value for name, value in values.items()}))
 
 
 @dataclass
@@ -480,33 +482,17 @@ def emit_report(records, format="csv", path="-"):
         raise ConfigError(f"out: cannot write report to {path}: {err}") from err
 
 
-def _build_arg_parser():
-    """Each flag but --config writes its config key, its `dest`."""
-    parser = argparse.ArgumentParser(
-        prog="pintda",
-        description="Run a parallel-in-time data-assimilation twin experiment.")
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--np", type=int, help="number of spatial grid points")
-    parser.add_argument("--slabs", type=int, dest="n_steps",
-                        help="number of time points")
-    parser.add_argument("--nsub", type=int, dest="n_sub",
-                        help="number of subdomains")
-    parser.add_argument("--overlap", type=int, help="shared points between blocks")
-    parser.add_argument("--tol", type=float, dest="tol_parareal",
-                        help="outer iteration tolerance")
-    parser.add_argument("--max-iters", type=int, dest="max_outer",
-                        help="outer iteration cap")
-    parser.add_argument("--workers", type=int, help="parallel workers")
-    parser.add_argument("--seed", type=int, help="experiment seed")
-    parser.add_argument("--format", choices=("csv", "json"), help="report format")
-    parser.add_argument("--out", help="report path, '-' for stdout")
-    return parser
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a ConfigError: exit 1, not 2 (not converged)."""
+        raise ConfigError(message)
 
 
 def main(argv=None):
-    """CLI entry point; exit code 0 converged, 2 non-converged, 1 bad config
-    or an unwritable report path, 3 a solver fault (a singular system, a
-    non-finite diagnostic, an unusable partition or testbed input).
+    """CLI entry point; exit code 0 converged, 2 non-converged, 1 a usage
+    error (a flag's value parses as in a config file), a bad config or an
+    unwritable report path, 3 a solver fault (a singular system, a non-finite
+    diagnostic, an unusable partition or testbed input); --help exits 0.
 
     The stderr status line ends with `fine_solves=<run>/<run+reused>` (the
     Schwarz fine solves run, serial chain included, over those plus the
@@ -518,11 +504,18 @@ def main(argv=None):
     is nonzero.
     summary["outer_to_slabs"] is n_outer over the slab count.
     """
-    overrides = {key: value for key, value
-                 in vars(_build_arg_parser().parse_args(argv)).items()
-                 if value is not None}
+    parser = _ArgumentParser(prog="pintda", description=(
+        "Run a parallel-in-time data-assimilation twin experiment."))
+    parser.add_argument("--config", help="flat key=value config file")
+    for key in CONFIG_KEYS:     # a flag writes its raw string to its key
+        if key.flag:
+            parser.add_argument(key.flag, dest=key.name, help=key.help, metavar=(
+                "{%s}" % ",".join(key.choices) if key.choices else None))
     try:
-        config = load_config(overrides.pop("config", None), overrides)
+        args = vars(parser.parse_args(argv))
+        path = args.pop("config")
+        config = load_config(path, {name: _KEYS[name].parse(raw)
+                                    for name, raw in args.items() if raw is not None})
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1

@@ -138,10 +138,11 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
     A[idx, right] -= nu / dx**2
 
     # I + hA has unit row sums, so M must too.  An inverse that fails or loses
-    # them is singular in float64: the larger transport term swamps the
-    # identity, and the message names its field.
+    # them is singular in float64: the larger transport term, over the time
+    # step, swamps the identity, and the message names its field and h.
     key, value = ("diffusivity", nu) if 2.0 * nu / dx >= abs(a) else ("velocity", a)
-    singular = f"{key}: {value:g} makes the propagator (I + hA)^-1 singular in float64"
+    singular = (f"{key}: {value:g} with h = T/(n_steps - 1) = {h:g} makes the "
+                f"propagator (I + hA)^-1 singular in float64")
     # I + hA in place, with no n_grid^2 temporaries.  Adding 0.0 turns a
     # -0.0 (an entry of hA that underflowed) into 0.0, as the formula
     # np.eye(n_grid) + h * A does, so inv reads that formula's bits.

@@ -121,20 +121,20 @@ def eval_grad(u, config, variant="threeD"):
     return g.ravel()
 
 
-def _checked_inv(A, what):
+def _checked_inv(A, what, cause=""):
     """scipy.linalg.inv(A), with a singular A, or one singular to working
     precision (SciPy's ill-conditioning warning), raised as VarSolverError
-    naming `what`."""
+    naming `what`, with `cause` appended."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             return scipy.linalg.inv(A)
     except scipy.linalg.LinAlgWarning as err:
         # SciPy's text labels the condition number "rcond"; keep it off the CLI
-        raise VarSolverError(f"{what} is singular to working precision: "
-                             "SciPy's inverse finds it ill-conditioned") from err
+        raise VarSolverError(f"{what} is singular to working precision: SciPy's "
+                             f"inverse finds it ill-conditioned{cause}") from err
     except scipy.linalg.LinAlgError as err:
-        raise VarSolverError(f"{what} is singular: {err}") from err
+        raise VarSolverError(f"{what} is singular: {err}{cause}") from err
 
 
 def _background_term(config, weight):
@@ -167,19 +167,23 @@ def _hessian_blocks(config, variant):
     VarSolverError naming the fields that cause them.
     """
     weight, blocks = _blocks(config, variant)
-    cov = config.covpair
-    rinv = 1.0 / cov.sigma_r**2
+    rinv = 1.0 / config.covpair.sigma_r**2
     # Overflow surfaces as values, not warnings: the check below rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
         A_bg = _background_term(config, weight)
         halves = [normal_matrix(A_bg, H, rinv)[0]
                   for H in {id(H): H for H, _ in blocks}.values()]
     if not all(np.isfinite(half).all() for half in halves):
-        name = "alpha" if variant == "fourD" else "lambda"
-        raise VarSolverError(
-            f"{name} = {weight:g} with sigma_b = {cov.sigma_b:g} and sigma_r "
-            f"= {cov.sigma_r:g} overflows the Hessian in float64")
+        raise VarSolverError(f"{_scales(config, variant)} overflows the Hessian "
+                             "in float64")
     return halves
+
+
+def _scales(config, variant):
+    """The fields that scale the Hessian, as a fault's message names them."""
+    name, weight = ("alpha", config.alpha) if variant == "fourD" else ("lambda", config.lam)
+    cov = config.covpair
+    return f"{name} = {weight:g} with sigma_b = {cov.sigma_b:g} and sigma_r = {cov.sigma_r:g}"
 
 
 def solve_var_direct(config, variant="threeD"):
@@ -226,12 +230,13 @@ def hessian_condition(config, variant="threeD"):
     Every block k >= 1 observes through the same G_k = M[obs], so at most two
     distinct blocks are formed and inverted.  A block that is singular to
     working precision (SciPy's ill-conditioning warning) is a fault: its
-    inverse, and so mu, would be meaningless.
+    inverse, and so mu, would be meaningless; the fault names the weight and sigmas.
     """
     norm, inv_norm = 0.0, 0.0
     for k, half in enumerate(_hessian_blocks(config, variant)):
         A = 2.0 * half
-        Ainv = _checked_inv(A, f"Hessian block {k}")
+        Ainv = _checked_inv(A, f"Hessian block {k}",
+                            f" ({_scales(config, variant)})")
         norm = max(norm, np.abs(A).sum(axis=1).max())
         inv_norm = max(inv_norm, np.abs(Ainv).sum(axis=1).max())
     return float(norm * inv_norm)

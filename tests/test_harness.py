@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,31 +87,60 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{key}: must be finite"):
             load_config(None, {key: value})
 
-    def test_more_blocks_than_points_names_n_sub(self):
-        with pytest.raises(ConfigError, match=r"^n_sub:"):
-            load_config(None, {"np": 6, "nobs": 2, "n_sub": 8, "overlap": 0})
-
-    def test_invalid_overlap_names_field(self):
-        with pytest.raises(ConfigError, match="overlap"):
-            load_config(None, {"np": 16, "n_sub": 4, "overlap": 8})
-
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("np = 16\n")
         cfg = load_config(str(path), {"np": 24})
         assert cfg.np == 24
 
-    @pytest.mark.parametrize("key,value", [
-        ("np", 1), ("n_steps", 1), ("T", 0.0), ("sigma_b", 0.0),
-        ("sigma_r", -1.0), ("L", -0.5), ("nobs", 0), ("nobs", 40),
-        ("obs_layout", "grid"), ("n_sub", 0), ("rho_penalty", -1.0),
-        ("alpha", 0.0), ("lambda", 0.0), ("tol_mps", 0.0),
-        ("tol_parareal", -1.0), ("max_sweeps", 0), ("max_outer", 0),
-        ("patch", "mean"), ("workers", 0), ("format", "xml"), ("seed", -1),
+    @pytest.mark.parametrize("overrides,message", [
+        ({"np": 1}, "np: need at least 2 grid points, got 1"),
+        ({"n_steps": 1}, "n_steps: need at least 2 time points, got 1"),
+        ({"T": 0.0}, "T: must be positive, got 0.0"),
+        ({"T": 0}, "T: must be positive, got 0"),
+        ({"diffusivity": -1.0}, "diffusivity: must be nonnegative, got -1.0"),
+        ({"sigma_b": 0.0}, "sigma_b: must be positive, got 0.0"),
+        ({"sigma_r": -1.0}, "sigma_r: must be positive, got -1.0"),
+        ({"L": -0.5}, "L: must be nonnegative, got -0.5"),
+        ({"nobs": 0}, "nobs: must satisfy 0 < nobs < np, got 0"),
+        ({"nobs": 32}, "nobs: must satisfy 0 < nobs < np, got 32"),
+        ({"obs_layout": "grid"},
+         "obs_layout: expected stride or random, got 'grid'"),
+        ({"n_sub": 0}, "n_sub: must be >= 1, got 0"),
+        ({"np": 6, "nobs": 2, "n_sub": 8, "overlap": 0},
+         "n_sub: cannot split np=6 points into 8 blocks"),
+        ({"overlap": -1}, "overlap: must be >= 0, got -1"),
+        ({"np": 16, "n_sub": 4, "overlap": 8},
+         "overlap: 8 with n_sub=4 does not fit np=16"),
+        ({"rho_penalty": -1.0}, "rho_penalty: must be nonnegative, got -1.0"),
+        ({"alpha": 0.0}, "alpha: must be positive, got 0.0"),
+        ({"lambda": 0.0}, "lambda: must be positive, got 0.0"),
+        ({"tol_mps": 0.0}, "tol_mps: must be positive, got 0.0"),
+        ({"tol_parareal": -1.0}, "tol_parareal: must be positive, got -1.0"),
+        ({"max_sweeps": 0}, "max_sweeps: must be >= 1, got 0"),
+        ({"max_outer": 0}, "max_outer: must be >= 1, got 0"),
+        ({"patch": "mean"}, "patch: expected owner or average, got 'mean'"),
+        ({"workers": 0}, "workers: must be >= 1, got 0"),
+        ({"seed": -1}, "seed: must be >= 0, got -1"),
+        ({"format": "xml"}, "format: expected csv or json, got 'xml'"),
+        ({"T": float("nan")}, "T: must be finite, got nan"),
+        ({"velocity": float("-inf")}, "velocity: must be finite, got -inf"),
+        ({"lambda": float("inf")}, "lambda: must be finite, got inf"),
+        # several invalid fields: every type and finiteness check runs, in
+        # field order with lambda last, before the first range check, and the
+        # range checks run in their own order (tol_parareal before max_sweeps,
+        # seed after workers)
+        ({"seed": -1, "workers": 0, "max_sweeps": 0, "tol_parareal": 0.0},
+         "tol_parareal: must be positive, got 0.0"),
+        ({"np": 1, "lambda": float("nan"), "tol_mps": float("inf"),
+          "seed": 0.5}, "seed: expected an integer, got 0.5"),
+        ({"np": 1, "lambda": float("nan"), "out": 3},
+         "out: expected a string, got 3"),
     ])
-    def test_validation_names_every_field(self, key, value):
-        with pytest.raises(ConfigError, match=key.replace("lambda", "lambda")):
-            load_config(None, {key: value})
+    def test_rejection_message_is_exact(self, overrides, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, overrides)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("key,value,what", [
         ("np", 32.0, "an integer"), ("n_steps", "8", "an integer"),
@@ -168,6 +198,7 @@ NOT_POSITIVE_DEFINITE = "\n".join([
     "seed = 862", "sigma_b = 10", "sigma_r = 1e-4"])
 ALPHA_OVERFLOW = "alpha = 1e303\nsigma_b = 0.001"
 B_SINGULAR = "sigma_b = 1e-150\nL = 1000"
+SCALES_APART = "sigma_b = 1e5\nsigma_r = 1e-5"
 
 
 class TestParallelMap:
@@ -707,7 +738,12 @@ class TestCli:
         pytest.param(ALPHA_OVERFLOW, id="alpha = 1e303 Hessian overflow"),
         # B = 1e-300 (ones + 1e-10 I): the jitter is subnormal, so rcond = 0
         pytest.param(B_SINGULAR, id="sigma_b = 1e-150 L = 1000 singular B"),
-        pytest.param(NOT_POSITIVE_DEFINITE, id="lambda = 1e-6 local cholesky")])
+        pytest.param(NOT_POSITIVE_DEFINITE, id="lambda = 1e-6 local cholesky"),
+        # the Hessian's scales are far apart: its fault names all three
+        "alpha = 1e-300", "sigma_b = 1e150",
+        pytest.param(SCALES_APART, id="sigma_b = 1e5 sigma_r = 1e-5"),
+        # a huge T makes the time step, not the diffusivity, the cause
+        "T = 1e300"])
     def test_numerical_fault_of_valid_config_exits_three(self, tmp_path, capsys,
                                                          recwarn, setting):
         # the small problem, but for the keys that the setting gives itself
@@ -720,7 +756,18 @@ class TestCli:
         code = harness.main(["--config", str(cfg_file), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        names = {"sigma_r = 1e-150": "Hessian block 0 is singular to working precision",
+        singular = ("Hessian block 0 is singular to working precision: "
+                    "SciPy's inverse finds it ill-conditioned (alpha = ")
+        names = {"sigma_r = 1e-150": f"{singular}1 with sigma_b = 0.5 and "
+                                     "sigma_r = 1e-150)\n",
+                 "alpha = 1e-300": f"{singular}1e-300 with sigma_b = 0.5 and "
+                                   "sigma_r = 0.05)\n",
+                 "sigma_b = 1e150": f"{singular}1 with sigma_b = 1e+150 and "
+                                    "sigma_r = 0.05)\n",
+                 SCALES_APART: f"{singular}1 with sigma_b = 100000 and "
+                               "sigma_r = 1e-05)\n",
+                 "T = 1e300": "diffusivity: 0.05 with h = T/(n_steps - 1) = "
+                              "3.33333e+299 makes the propagator",
                  NOT_POSITIVE_DEFINITE: "subdomain 1: the local system "
                                         "is not positive definite in float64 "
                                         "(lambda = 1e-06 with sigma_b = 10 and "
@@ -794,6 +841,47 @@ class TestCli:
         assert getattr(config, key) == value
         assert config == dataclasses.replace(ExperimentConfig(), **{key: value})
         assert capsys.readouterr().err == "solver error: stop\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--np", "abc"], "np: cannot parse 'abc' as int"),
+        (["--slabs", "2.5"], "n_steps: cannot parse '2.5' as int"),
+        (["--tol", "tight"], "tol_parareal: cannot parse 'tight' as float"),
+        (["--format", "xml"], "format: expected csv or json, got 'xml'"),
+        (["--wibble", "3"], "unrecognized arguments: --wibble 3"),
+        (["--np"], "argument --np: expected one argument"),
+        (["--config", "run.cfg", "--seed", "x"],
+         "seed: cannot parse 'x' as int")])
+    def test_usage_error_exits_one_with_one_line(self, capsys, argv, message):
+        # a flag's value parses as the same key's does in a config file, and
+        # no usage dump or exit 2 (a run that did not converge) follows
+        assert harness.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            harness.main(["--help"])
+        assert exit_.value.code == 0
+        help_text = capsys.readouterr().out
+        assert help_text.startswith("usage: pintda ")
+        assert all(key.flag in help_text
+                   for key in harness.CONFIG_KEYS if key.flag)
+
+    def test_readme_lists_the_schema(self):
+        # README's "Flags:" and "Config keys" lists are the table's, in order
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+
+        def listed(lead):
+            (items,) = re.findall(re.escape(lead) + r"((?:\s*`[^`]+`,?)+)",
+                                  readme)
+            return re.findall(r"`([^`]+)`", items)
+
+        assert listed("Flags:") == ["--config", *(
+            key.flag for key in harness.CONFIG_KEYS if key.flag)]
+        assert listed("Config keys (defaults are the benchmark):") == [
+            key.name for key in harness.CONFIG_KEYS]
 
     def test_config_file_flag(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

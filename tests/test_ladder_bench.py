@@ -77,3 +77,16 @@ class TestLadderBench:
         assert ladder_bench.compare(tiny_bench, other) == [
             "machines differ: the wall times do not compare",
             "16x4: missing from the second file"]
+
+
+def test_out_is_required_unless_comparing(tmp_path, capsys, tiny_bench):
+    # no default file name: every change names the BENCH file it writes
+    with pytest.raises(SystemExit) as exit_:
+        ladder_bench.main([])
+    assert exit_.value.code == 2
+    assert "one of the arguments --out --compare is required" in \
+        capsys.readouterr().err
+    path = tmp_path / "BENCH_tiny.json"
+    path.write_text(json.dumps(tiny_bench))
+    assert ladder_bench.main(["--compare", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.startswith("16x4: wall median ")

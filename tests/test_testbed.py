@@ -101,6 +101,23 @@ class TestModelInstance:
             build_model_instance(16, 4, 1.0, velocity=velocity,
                                  diffusivity=diffusivity)
 
+    @pytest.mark.parametrize("T,diffusivity,velocity,message", [
+        (1e300, 0.05, 1.0, "diffusivity: 0.05 with h = T/(n_steps - 1) = "
+                           "3.33333e+299 makes the propagator (I + hA)^-1 "
+                           "singular in float64: Singular matrix"),
+        (1.0, 1e300, 1.0, "diffusivity: 1e+300 with h = T/(n_steps - 1) = "
+                          "0.333333 makes the propagator (I + hA)^-1 singular "
+                          "in float64: its row sums are off by 1, more than "
+                          "0.001"),
+    ])
+    def test_propagator_fault_names_the_time_step(self, T, diffusivity,
+                                                  velocity, message):
+        # a huge T makes h, not the default diffusivity, swamp the identity
+        with pytest.raises(testbed.TestbedError) as err:
+            build_model_instance(16, 4, T, velocity=velocity,
+                                 diffusivity=diffusivity)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("field", ["T", "velocity", "diffusivity"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_inputs_by_name(self, field, value):

@@ -403,7 +403,10 @@ class TestHessianCondition:
         # B, then the blocks of I[obs] and M[obs]
         assert len(inverted) == 1 + 2
 
-    def test_block_singular_to_working_precision_is_a_fault(self, recwarn):
+    @pytest.mark.parametrize("variant,weight", [("fourD", "alpha = 2"),
+                                                ("threeD", "lambda = 3")])
+    def test_block_singular_to_working_precision_is_a_fault(self, recwarn,
+                                                            variant, weight):
         # sigma_r = 1e-150 puts 1e300 beside O(1) background weights
         inst = testbed.build_model_instance(16, 4, 1.0, velocity=1.0,
                                             diffusivity=0.05)
@@ -411,10 +414,14 @@ class TestHessianCondition:
         obs = testbed.build_observations(inst, cov, [0, 4, 8, 12],
                                          np.zeros(16), seed=1)
         cfg = VarProblemConfig(instance=inst, covpair=cov, observations=obs,
-                               u0=np.zeros(16))
-        with pytest.raises(VarSolverError,
-                           match="Hessian block 0 is singular to working precision"):
-            hessian_condition(cfg, "fourD")
+                               u0=np.zeros(16), alpha=2.0, lam=3.0)
+        with pytest.raises(VarSolverError) as err:
+            hessian_condition(cfg, variant)
+        # the fields that scale the block, appended to the fault
+        assert str(err.value) == (
+            "Hessian block 0 is singular to working precision: SciPy's "
+            f"inverse finds it ill-conditioned ({weight} with sigma_b = 0.5 "
+            "and sigma_r = 1e-150)")
         assert not recwarn.list
 
     def test_four_d_singular_block_is_a_fault(self):

@@ -1,10 +1,11 @@
 """Size-ladder bench: wall time, layer shares and work counts per rung.
 
-Run from a checkout's root; it writes BENCH_36.json there:
+Run from a checkout's root; it writes the file --out names, which is
+required unless --compare is given:
 
-    python3 tools/ladder_bench.py
+    python3 tools/ladder_bench.py --out BENCH_<PR>.json
     python3 tools/ladder_bench.py --out BENCH_parent.json
-    python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_36.json
+    python3 tools/ladder_bench.py --compare BENCH_parent.json BENCH_<PR>.json
 
 Each rung is one np x n_steps run_experiment config with nobs = np / 4,
 n_sub = 2, max_outer = n_steps - 1 and seed 1; one operation is
@@ -165,8 +166,9 @@ def compare(old, new):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_36.json"))
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", help="the BENCH_*.json file to write")
+    action.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (json.loads(Path(p).read_text()) for p in args.compare)
