@@ -20,8 +20,8 @@ vconfig, _ = harness.build_problem(cfg)
 
 print("=== the decomposition ===")
 partition = dd_mps.partition_domain(cfg.np, n_sub=4, overlap=2)
-for i, (idx, core) in enumerate(zip(partition.index_sets, partition.cores)):
-    print(f"block {i}: indices {idx[0]}..{idx[-1]} (owns {core[0]}..{core[-1]})")
+for i, idx in enumerate(partition.index_sets):
+    print(f"block {i}: indices {idx[0]}..{idx[-1]}")
 
 print()
 print("=== CG steps to the analysis (uncorrelated B) ===")

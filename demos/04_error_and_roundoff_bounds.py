@@ -1,12 +1,13 @@
 """Feeding measured quantities into the convergence and round-off bounds.
 
-Nothing here is proved symbolically: the Lipschitz constant, the Hessian
-condition number, the inner-solver accuracy and the one-slab assimilation gap
-are all measured on the benchmark run and fed into the geometric recurrence
-that is supposed to dominate the outer-iteration error.  The same goes for
-the three-term round-off bound, checked against the observed round-off: the
-error of an exact replay of the recombination, carried in float64 from
-residuals formed by error-free products.
+Nothing here is proved symbolically: the Lipschitz probe ratio, the
+inner-solver accuracy and the one-slab assimilation gap are all measured on
+the benchmark run and fed into the geometric recurrence that is supposed to
+dominate the outer-iteration error.  The Hessian condition number mu(A) is
+reported beside them but enters no bound: C = mu(A) r divides back to r.
+The same goes for the three-term round-off bound, checked against the
+observed round-off: the error of an exact replay of the recombination,
+carried in float64 from residuals formed by error-free products.
 """
 
 from pintda import analysis, harness
@@ -17,8 +18,9 @@ s = result.summary
 
 print("=== measured bound ingredients ===")
 print(f"mu(A)      = {s['mu_A']:.4f}   (condition number of the space-time Hessian)")
-print(f"C          = {s['C_const']:.4f}   (tightest Lipschitz constant on probes)")
-print(f"R_mu       = {s['R_mu']:.4f}   ((C - mu) / mu, drives the Gronwall factor)")
+print(f"r          = {s['lipschitz_max_ratio']:.4f}   (tightest Lipschitz probe ratio)")
+print(f"C          = {s['C_const']:.4f}   (mu(A) r, reported only)")
+print(f"R_mu       = {s['R_mu']:.4f}   (r - 1, drives the Gronwall factor)")
 print(f"C_h        = {s['C_h']:.4e} (one-slab assimilation gap, seeds c_1)")
 print(f"eps_mps    = {s['eps_mps']:.4e} (inner-solver accuracy)")
 print(f"error-magnitude form of C = {s['C_error_scale']:.4f}")
@@ -40,7 +42,7 @@ M = harness.build_problem(cfg)[0].instance.M
 R_obs, rho_local = analysis.roundoff_proxies(result.trajectory, M)
 print(f"largest observed recombination round-off: {R_obs.max():.2e}")
 print(f"local one-update round-off proxy:         {rho_local:.2e}")
-params = analysis.BoundParameters(C=s["C_const"], mu_A=s["mu_A"],
+params = analysis.BoundParameters(ratio=s["lipschitz_max_ratio"],
                                   eps_mps=s["eps_mps"], N=cfg.n_steps - 1,
                                   C_h=s["C_h"])
 rb = analysis.roundoff_bound(params, R_prev=R_obs[-2:].max(), R0=0.0,

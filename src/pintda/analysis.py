@@ -1,14 +1,15 @@
 """Numerical error-bound machinery evaluated against measured solver histories.
 
 All norms here are max norms.  The central objects are the discrete Gronwall
-bound, the Lipschitz constant of the propagator expressed against the cost
-Hessian's condition number, the geometric recurrence that bounds the outer
-iteration error, and the three-term round-off bound; each is evaluated with
+bound, the tightest Lipschitz ratio of the propagator on probe differences,
+the geometric recurrence that bounds the outer iteration error, and the
+three-term round-off bound; each is evaluated with
 measured inputs rather than asserted symbolically.  The measured inputs come
 from the caller: harness.run_experiment reads the error table E and the
 probe differences from the Parareal trajectory and the serial fine chain,
 and passes them in.  No dense inverse is formed here: mu(M) reads
-||M^-1||_inf from the model's stencil (testbed.ModelInstance.M_inv_norm).
+||M||_inf and ||M^-1||_inf as the model records them
+(testbed.ModelInstance.M_norm and M_inv_norm).
 The observed round-off is the error of an exact replay of the Parareal
 recombination, carried in float64 from residuals formed by error-free
 split products on BLAS (roundoff_proxies): no long double is used, so its
@@ -30,24 +31,19 @@ from .testbed import gemv_rows, require_integer
 class BoundParameters:
     """Measured ingredients of the convergence and round-off bounds."""
 
-    C: float                # Lipschitz constant against mu_A
-    mu_A: float             # condition number of the cost Hessian
+    ratio: float            # tightest Lipschitz probe ratio ||M d|| / ||d||
     eps_mps: float          # measured inner-solver accuracy
     N: int                  # slab count
     C_h: float              # measured one-slab assimilation gap, seeds c_1
 
     @property
     def R_mu(self):
-        return (self.C - self.mu_A) / self.mu_A
+        return self.ratio - 1.0
 
-
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Tightest constant C with ||Mu - Mv|| <= (C / mu_A) ||u - v|| on the probes."""
-
-    C: float
-    L: float                # ||M||_inf^2
-    max_ratio: float        # tightest empirical ||M(u-v)|| / ||u-v||
+    @property
+    def P(self):
+        """The Gronwall prefactor (e^{N R_mu} - 1) / R_mu both bounds read."""
+        return gronwall_prefactor(self.N, self.R_mu)
 
 
 @dataclass(frozen=True)
@@ -105,17 +101,16 @@ def prefactor_sequence(n_max, R=-1.0):
     return np.array([gronwall_prefactor(n, R) for n in range(1, n_max + 1)])
 
 
-def lipschitz_estimate(M, mu_A, differences):
-    """Derive the constant of ||Mu - Mv|| <= (C / mu_A) ||u - v|| empirically.
+def lipschitz_estimate(M, differences):
+    """The tightest r with ||Mu - Mv|| <= r ||u - v|| on the probes, a float.
 
-    `differences` holds one probe difference u - v per row.  C is chosen as
-    mu_A times the tightest probe ratio ||M d|| / ||d||, which makes the
-    inequality hold (with equality at the worst probe) on everything fed in;
-    the caller should include the difference vectors it actually cares about.
-    Zero rows (coinciding pairs) are skipped before any product is formed;
-    a non-finite probe makes C non-finite.  L = ||M||_inf^2 is reported
-    alongside for the error-magnitude form.  The probes run as one
-    testbed.gemv_rows, so each row keeps its M @ d bits.
+    `differences` holds one probe difference u - v per row; r is the largest
+    ratio ||M d|| / ||d||, so the inequality holds (with equality at the
+    worst probe) on everything fed in, and the caller should include the
+    difference vectors it actually cares about.  Zero rows (coinciding
+    pairs) are skipped before any product is formed; a non-finite probe
+    makes r non-finite.  The probes run as one testbed.gemv_rows, so each
+    row keeps its M @ d bits.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -130,10 +125,7 @@ def lipschitz_estimate(M, mu_A, differences):
         raise ValueError("all probe pairs coincide")
     with np.errstate(invalid="ignore"):     # inf / inf
         ratios = np.abs(gemv_rows(M, D[nonzero])).max(axis=1) / nd[nonzero]
-
-    max_ratio = float(ratios.max())
-    L = float(np.abs(M).sum(axis=1).max()) ** 2
-    return LipschitzEstimate(C=mu_A * max_ratio, L=L, max_ratio=max_ratio)
+    return float(ratios.max())
 
 
 def error_scale_constant(L, delta_err, xi):
@@ -165,26 +157,19 @@ def twin_error_scales(u0, u_truth, reference, M):
     return xi, sigma, delta_err
 
 
-def chain_discrepancy(M, M_inv_norm, mu_A, xi, delta_err):
+def chain_discrepancy(M_norm, M_inv_norm, mu_A, xi, delta_err):
     """Both sides of the imported identity mu(M) = (||delta|| / ||xi||) / mu(A).
 
-    mu(M) = ||M||_inf ||M^-1||_inf takes ||M^-1||_inf = M_inv_norm as given:
-    the model records it in closed form from its stencil
-    (testbed.ModelInstance.M_inv_norm), so M is never inverted here.  The
-    identity leans on assumptions we cannot verify, so both sides are
-    computed and reported rather than asserted.
+    mu(M) = ||M||_inf ||M^-1||_inf takes both norms as given: the model
+    records them (testbed.ModelInstance.M_norm, and M_inv_norm in closed
+    form from its stencil), so M is never inverted here.  The identity leans
+    on assumptions we cannot verify, so both sides are computed and reported
+    rather than asserted.
     """
-    M = np.asarray(M, dtype=float)
-    mu_M = float(np.abs(M).sum(axis=1).max() * M_inv_norm)
+    mu_M = M_norm * M_inv_norm
     chained = (delta_err / xi) / mu_A if xi else np.inf
     return {"mu_M_direct": mu_M, "mu_M_chained": chained,
             "discrepancy": abs(mu_M - chained)}
-
-
-def recurrence_step(c_n, params):
-    """One step of the error recurrence c_{n+1} = P (C c_n / mu_A + eps)."""
-    P = gronwall_prefactor(params.N, params.R_mu)
-    return P * (params.C * c_n / params.mu_A + params.eps_mps)
 
 
 def error_and_bound_history(E, params):
@@ -193,14 +178,16 @@ def error_and_bound_history(E, params):
     E[n, k] = ||u_k^DA - u_k^n||_inf is measured by the caller, against the
     serial fine chain, from the Parareal trajectory's levels
     (harness.run_experiment); only its level count is read here.  The
-    recurrence is seeded with the measured gap c_1 = C_h; c_bound[0] is NaN,
-    since level 0 has no bound.
+    recurrence c_{n+1} = P (r c_n + eps), r the probe ratio, is seeded with
+    the measured gap c_1 = C_h; c_bound[0] is NaN, since level 0 has no
+    bound.
     """
     c_bound = np.full(len(E), np.nan)
     if len(E) > 1:
         c_bound[1] = params.C_h
+        P = params.P
         for n in range(1, len(E) - 1):
-            c_bound[n + 1] = recurrence_step(c_bound[n], params)
+            c_bound[n + 1] = P * (params.ratio * c_bound[n] + params.eps_mps)
     return c_bound
 
 
@@ -337,17 +324,17 @@ def roundoff_proxies(trajectory, M):
 def roundoff_bound(params, R_prev, R0, rho):
     """Three-term bound on the global round-off of one corrector update.
 
-    total = e^{N R} R0 + P (C / mu_A + 1) R_prev + P 2 rho with
-    P = (e^{N R} - 1) / R; the terms are returned separately for reporting
-    (initial-value propagation, iteration propagation, local term).  Array
-    R_prev and R0 broadcast, each cell with the scalar call's bits.
+    total = e^{N R} R0 + P (r + 1) R_prev + P 2 rho with r the probe ratio,
+    R = r - 1 and P = (e^{N R} - 1) / R; the terms are returned separately
+    for reporting (initial-value propagation, iteration propagation, local
+    term).  Array R_prev and R0 broadcast, each cell with the scalar call's
+    bits.
     """
     if not rho >= 0:                # NaN fails too
         raise ValueError(f"rho must be nonnegative, got {rho}")
-    R = params.R_mu
-    P = gronwall_prefactor(params.N, R)
-    t1 = math.exp(params.N * R) * R0
-    t2 = P * (params.C / params.mu_A + 1.0) * R_prev
+    P = params.P
+    t1 = math.exp(params.N * params.R_mu) * R0
+    t2 = P * (params.ratio + 1.0) * R_prev
     t3 = P * 2.0 * rho
     return RoundoffBound(total=t1 + t2 + t3, term_initial=t1,
                          term_iteration=t2, term_rho=t3)

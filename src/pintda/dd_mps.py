@@ -64,15 +64,10 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class SubdomainPartition:
-    """Overlapping contiguous index blocks.
-
-    `cores[i]` is block i's share of the balanced cut before the overlap
-    extension, the points block i owns; the cores partition the grid.
-    """
+    """Overlapping contiguous index blocks."""
 
     n_sub: int
     index_sets: tuple       # per-subdomain integer index arrays
-    cores: tuple            # per-subdomain owned index arrays
 
 
 @dataclass(frozen=True)
@@ -220,9 +215,8 @@ def partition_domain(n_grid, n_sub, overlap):
     """Split {0..n_grid-1} into balanced contiguous blocks sharing `overlap` indices.
 
     Each internal cut extends the left block right by ceil(overlap/2) and the
-    right block left by floor(overlap/2); a block's core is its span between
-    the cuts.  An argument that is not an integer (a bool is not) raises
-    PartitionError naming it.
+    right block left by floor(overlap/2).  An argument that is not an integer
+    (a bool is not) raises PartitionError naming it.
     """
     for name, value in (("n_grid", n_grid), ("n_sub", n_sub),
                         ("overlap", overlap)):
@@ -245,9 +239,7 @@ def partition_domain(n_grid, n_sub, overlap):
         lo = cuts[i] - (ext_l if i > 0 else 0)
         hi = cuts[i + 1] + (ext_r if i < n_sub - 1 else 0)
         index_sets.append(np.arange(max(lo, 0), min(hi, n_grid)))
-    return SubdomainPartition(
-        n_sub=n_sub, index_sets=tuple(index_sets),
-        cores=tuple(np.arange(a, b) for a, b in zip(cuts, cuts[1:])))
+    return SubdomainPartition(n_sub=n_sub, index_sets=tuple(index_sets))
 
 
 def assemble_local_system(i, partition, config):

@@ -333,7 +333,7 @@ def run_experiment(config):
     np.subtract(reference, errors, out=errors)
     pairs = np.random.default_rng([config.seed, 3]).standard_normal(
         (32, 2, config.np))
-    lip = analysis.lipschitz_estimate(M, mu_A, np.concatenate(
+    ratio = analysis.lipschitz_estimate(M, np.concatenate(
         [pairs[:, 0] - pairs[:, 1], *errors]))
     E = np.abs(errors, out=errors).max(axis=2)
     del errors          # not held through the round-off shadow's own stacks
@@ -350,7 +350,7 @@ def run_experiment(config):
     eps_mps = max(eps_candidates) if eps_candidates else 0.0
 
     params = analysis.BoundParameters(
-        C=lip.C, mu_A=mu_A, eps_mps=eps_mps, N=n_points - 1, C_h=C_h)
+        ratio=ratio, eps_mps=eps_mps, N=n_points - 1, C_h=C_h)
     c_bound = analysis.error_and_bound_history(E, params)
     R_obs, rho_local = analysis.roundoff_proxies(trajectory, M)
     rb = analysis.roundoff_bound(params, R_prev=R_obs[:-1, :-1],
@@ -369,7 +369,9 @@ def run_experiment(config):
     cells[4] = np.repeat(c_bound[1:], n_slabs)
     cells[5] = np.fromiter((h.eq_residual for hists in phist.mps for h in hists),
                            float, count=len(k))
-    cells[6], cells[7], cells[8] = mu_A, lip.C, eps_mps
+    # mu_A enters no bound: C = mu_A r is formed only to be reported
+    C_const = mu_A * ratio
+    cells[6], cells[7], cells[8] = mu_A, C_const, eps_mps
     cells[9] = rb.total.ravel()
     cells[10] = np.repeat(rb.term_initial.ravel(), n_slabs)
     cells[11], cells[12] = rb.term_iteration.ravel(), rb.term_rho
@@ -399,9 +401,10 @@ def run_experiment(config):
         "mps_unconverged": mps_unconverged,
         "bound_dominates": bool(np.all(E[1:, 1:] <= c_bound[1:, None])),
         "mu_A": mu_A,
-        "C_const": lip.C,
-        "C_error_scale": analysis.error_scale_constant(lip.L, delta_err, xi),
-        "lipschitz_max_ratio": lip.max_ratio,
+        "C_const": C_const,
+        "C_error_scale": analysis.error_scale_constant(
+            vconfig.instance.M_norm ** 2, delta_err, xi),
+        "lipschitz_max_ratio": ratio,
         "eps_mps": eps_mps,
         "C_h": C_h,
         "xi": xi,
@@ -410,7 +413,8 @@ def run_experiment(config):
         "rho_local": rho_local,
         "R_mu": params.R_mu,
         "chain": analysis.chain_discrepancy(
-            M, vconfig.instance.M_inv_norm, mu_A, xi, delta_err),
+            vconfig.instance.M_norm, vconfig.instance.M_inv_norm, mu_A, xi,
+            delta_err),
     }
     return ExperimentResult(records=records, status=status, summary=summary,
                             trajectory=trajectory, reference=reference,

@@ -45,14 +45,16 @@ class ModelInstance:
     """One-step linear forecast model on a periodic 1-D grid.
 
     M = (I + h A)^-1, so ||M^-1||_inf = ||I + h A||_inf, which
-    build_model_instance reads off the stencil in closed form; the analysis
-    layer takes mu(M) = ||M||_inf ||M^-1||_inf from it without inverting M.
+    build_model_instance reads off the stencil in closed form, beside
+    ||M||_inf, the largest absolute row sum of the computed M; the analysis
+    layer takes mu(M) = ||M||_inf ||M^-1||_inf from them without inverting M.
     """
 
     np: int                 # number of spatial grid points
     n_steps: int            # number of time points on [0, T]
     h: float                # time step T / (n_steps - 1); t_k = k h
     M: np.ndarray           # one-step propagator, np x np
+    M_norm: float           # ||M||_inf, the largest absolute row sum of M
     M_inv_norm: float       # ||M^-1||_inf = ||I + h A||_inf, from the stencil
 
 
@@ -159,6 +161,7 @@ def build_model_instance(n_grid, n_steps, T, velocity, diffusivity):
                            f"more than {ROW_SUM_TOL:g}")
     M_inv_norm = 1.0 + 2.0 * h * (abs(a) / dx + 2.0 * nu / dx**2)
     return ModelInstance(np=n_grid, n_steps=n_steps, h=h, M=_freeze(M),
+                         M_norm=float(np.abs(M).sum(axis=1).max()),
                          M_inv_norm=M_inv_norm)
 
 

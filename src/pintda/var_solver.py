@@ -206,7 +206,8 @@ def solve_var_direct(config, variant="threeD"):
             try:
                 factored[id(H)] = A, StRinv, scipy.linalg.cho_factor(A)
             except scipy.linalg.LinAlgError as err:
-                raise VarSolverError(f"stationarity system is singular: {err}") from err
+                raise VarSolverError(f"stationarity system is singular: {err}"
+                                     f" ({_scales(config, variant)})") from err
         A, StRinv, chol = factored[id(H)]
         rhs = StRinv @ (v - H @ u0)
         w = scipy.linalg.cho_solve(chol, rhs)

@@ -18,15 +18,13 @@ from pintda.dd_mps import (PartitionError, assemble_local_system,
 class TestPartitionDomain:
     def test_single_subdomain_is_degenerate(self):
         part = partition_domain(10, 1, 0)
+        assert part.n_sub == 1
         np.testing.assert_array_equal(part.index_sets[0], np.arange(10))
-        np.testing.assert_array_equal(part.cores[0], np.arange(10))
 
     def test_two_blocks_of_eight_enumerated(self):
         part = partition_domain(8, 2, 2)
         np.testing.assert_array_equal(part.index_sets[0], [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(part.index_sets[1], [3, 4, 5, 6, 7])
-        np.testing.assert_array_equal(part.cores[0], [0, 1, 2, 3])
-        np.testing.assert_array_equal(part.cores[1], [4, 5, 6, 7])
 
     @pytest.mark.parametrize("n_grid,n_sub,overlap", [
         (8, 2, 2), (32, 4, 2), (17, 3, 1), (20, 5, 2), (9, 2, 0),
@@ -35,12 +33,14 @@ class TestPartitionDomain:
         part = partition_domain(n_grid, n_sub, overlap)
         union = np.unique(np.concatenate(part.index_sets))
         np.testing.assert_array_equal(union, np.arange(n_grid))
-        for i, (idx, core) in enumerate(zip(part.index_sets, part.cores)):
-            # contiguous blocks, each around its balanced cut
+        for i, idx in enumerate(part.index_sets):
+            # contiguous blocks, each its balanced cut widened by the overlap:
+            # floor(overlap/2) to the left, ceil(overlap/2) to the right
             np.testing.assert_array_equal(idx, np.arange(idx[0], idx[-1] + 1))
-            np.testing.assert_array_equal(
-                core, np.arange(i * n_grid // n_sub, (i + 1) * n_grid // n_sub))
-            assert set(core.tolist()) <= set(idx.tolist())
+            lo = i * n_grid // n_sub - (overlap // 2 if i > 0 else 0)
+            hi = (i + 1) * n_grid // n_sub \
+                + ((overlap + 1) // 2 if i < n_sub - 1 else 0)
+            assert (idx[0], idx[-1] + 1) == (lo, hi)
 
     def test_adjacent_blocks_share_exactly_overlap(self):
         part = partition_domain(32, 4, 2)
@@ -203,14 +203,6 @@ class TestSweepAndPatch:
         it = mps_sweep(start)
         expected = vconfig.u0 + vconfig.covpair.V @ it.w
         np.testing.assert_array_equal(it.patched, expected)
-
-    def test_patching_totality(self):
-        # every grid point is owned by exactly one block
-        part = partition_domain(32, 4, 2)
-        counts = np.zeros(32, dtype=int)
-        for core in part.cores:
-            counts[core] += 1
-        np.testing.assert_array_equal(counts, np.ones(32, dtype=int))
 
 
 class TestRunMps:

@@ -234,7 +234,7 @@ class TestRunExperiment:
         reads ||M^-1|| off the stencil, so analysis inverts nothing.
         scipy.linalg.inv runs three times, all for mu_A in
         var_solver.hessian_condition: B^-1 and the two distinct Hessian
-        blocks.  ROADMAP item 2 takes mu_A off the run path and will lower
+        blocks.  ROADMAP item 8b takes mu_A off the run path and will lower
         that count; a new dense inverse anywhere raises one of them.
         """
         counts = {}
@@ -364,6 +364,41 @@ class TestRunExperiment:
         assert run_experiment(cfg).status == "converged"
         assert assembled == list(range(cfg.n_sub))
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # the slab_long benchmark workload
+        {"np": 32, "n_steps": 40, "n_sub": 2, "nobs": 8, "max_outer": 39},
+        {"L": 2.0},
+    ], ids=["default", "slab_long", "L2"])
+    def test_mu_A_enters_no_bound(self, monkeypatch, overrides):
+        # C = mu_A r divides back to r in every bound, so the bounds read r
+        # alone: a tripled mu_A moves only its own labelled outputs
+        cfg = load_config(None, overrides)
+        base = run_experiment(cfg)
+        real = harness.var_solver.hessian_condition
+        monkeypatch.setattr(harness.var_solver, "hessian_condition",
+                            lambda *args: 3.0 * real(*args))
+        tripled = run_experiment(cfg)
+
+        def bits(result, name):
+            return result.records.columns[CSV_COLUMNS.index(name)].view(
+                np.uint64)
+
+        for name in ("c_n", "roundoff_total", "roundoff_t1", "roundoff_t2",
+                     "roundoff_t3"):
+            np.testing.assert_array_equal(bits(tripled, name),
+                                          bits(base, name))
+        R_mu = [np.float64(r.summary["R_mu"]).view(np.uint64)
+                for r in (base, tripled)]
+        assert R_mu[0] == R_mu[1]
+        s, t = base.summary, tripled.summary
+        assert t["mu_A"] == 3.0 * s["mu_A"]
+        assert t["C_const"] == t["mu_A"] * s["lipschitz_max_ratio"]
+        assert t["C_const"] == pytest.approx(3.0 * s["C_const"], rel=1e-15)
+        np.testing.assert_array_equal(
+            bits(tripled, "C_const"),
+            np.full(len(base.records), t["C_const"]).view(np.uint64))
+
     def test_error_bound_dominates_measured_errors(self, bench_result):
         for rec in bench_result.records:
             assert rec.E_kn <= rec.c_n
@@ -396,8 +431,8 @@ def _poison(monkeypatch, R_obs=(), E=(), probe=None):
             table[n, k] = value
         return real_history(table, params)
 
-    def lipschitz(M, mu_A, differences):
-        return real_lipschitz(M, mu_A, differences if probe is None
+    def lipschitz(M, differences):
+        return real_lipschitz(M, differences if probe is None
                               else np.vstack([differences, probe]))
 
     monkeypatch.setattr(analysis, "roundoff_proxies", roundoff)

@@ -164,6 +164,15 @@ class TestStencilInverseNorm:
                                    rtol=self.ROW_SUM_RTOL)
         assert type(inst.M_inv_norm) is float
 
+    def test_M_norm_is_the_largest_row_sum(self, n_grid, velocity,
+                                          diffusivity):
+        # the bits L and chain_discrepancy once formed from M themselves;
+        # M is dissipative, so ||M||_inf = 1 up to its inverse's rounding
+        inst = build_model_instance(n_grid, 8, 1.0, velocity, diffusivity)
+        assert inst.M_norm == np.abs(inst.M).sum(axis=1).max()
+        assert type(inst.M_norm) is float
+        assert inst.M_norm == pytest.approx(1.0, rel=1e-12)
+
 
 class TestCovariance:
     def test_uncorrelated_limit(self):
@@ -485,7 +494,7 @@ class TestObservations:
 class TestAssembleG:
     def test_single_time_point_gives_H0(self, small_cov):
         inst = testbed.ModelInstance(np=8, n_steps=1, h=1.0, M=np.eye(8),
-                                     M_inv_norm=1.0)
+                                     M_norm=1.0, M_inv_norm=1.0)
         obs = build_observations(inst, small_cov, [0, 4, 7], np.zeros(8),
                                  seed=0, noise=False)
         G = assemble_G(obs, inst)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pintda import dd_mps, testbed, var_solver
+from pintda import dd_mps, harness, testbed, var_solver
 from pintda.testbed import CovarianceFactorPair, ModelInstance, ObservationSet
 from pintda.var_solver import (VarProblemConfig, VarSolverError, eval_cost,
                                eval_grad, hessian_condition, solve_var_direct)
@@ -12,7 +12,8 @@ from pintda.var_solver import (VarProblemConfig, VarSolverError, eval_cost,
 
 def identity_config(n, u0, v, alpha=1.0, lam=1.0):
     """Hand-built single-time problem with G = H = I and B = R = I."""
-    inst = ModelInstance(np=n, n_steps=1, h=1.0, M=np.eye(n), M_inv_norm=1.0)
+    inst = ModelInstance(np=n, n_steps=1, h=1.0, M=np.eye(n), M_norm=1.0,
+                         M_inv_norm=1.0)
     cov = CovarianceFactorPair(B=np.eye(n), V=np.eye(n), sigma_b=1.0,
                                sigma_r=1.0, L=0.0)
     obs = ObservationSet(obs=np.arange(n),
@@ -169,6 +170,24 @@ class TestEvalCost:
 
 
 class TestSolveVarDirect:
+    def test_singular_block_names_its_fields(self):
+        # a valid config on which the slab-1 oracle's lambda I + S^T S /
+        # sigma_r^2 is singular in float64: S^T S / sigma_r^2 ~ 3e16 swamps
+        # lambda, and the rank-one block fails Cholesky
+        cfg = dataclasses.replace(
+            harness.ExperimentConfig(), np=2, n_steps=2, n_sub=1, nobs=1,
+            obs_layout="random", seed=0, L=10**0.5, sigma_b=1e4,
+            sigma_r=5.6e-5, lam=0.1)
+        vconfig, _ = harness.build_problem(cfg)
+        slab = dataclasses.replace(vconfig, u0=vconfig.instance.M @ vconfig.u0,
+                                   time_index=1)
+        with pytest.raises(VarSolverError) as info:
+            solve_var_direct(slab, "threeD")
+        assert str(info.value) == (
+            "stationarity system is singular: 2-th leading minor of the array "
+            "is not positive definite (lambda = 0.1 with sigma_b = 10000 and "
+            "sigma_r = 5.6e-05)")
+
     def test_balanced_average(self):
         rng = np.random.default_rng(4)
         u0, v = rng.standard_normal(5), rng.standard_normal(5)
